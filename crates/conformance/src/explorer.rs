@@ -58,6 +58,7 @@ use crate::ftp_model::{
     check_ftp_session, expected_replies, pasv_outcomes, FtpDataCtx, FtpFixture,
 };
 use crate::http_model::{check_http, expected_outbound, HttpFixture};
+use crate::mutant::{MutantListener, TransportMutation};
 use crate::schedule::{generate, DataOp, DataOpKind, Proto, Schedule};
 use crate::Violation;
 
@@ -177,33 +178,39 @@ pub fn run_http_with_options<S: Service<HttpCodec>>(
 /// injection, then the in-memory loopback.
 type BaseListener = TapListener<FaultyListener<mem::MemListener>>;
 
-/// Run an HTTP schedule against the standard service with the
-/// [`LingerlessListener`] transport mutant interposed: every
-/// server-initiated half-close becomes a hard close. Used by the
-/// mutation tests to prove the client-delivery check catches an
-/// RST-discarded response tail.
-///
-/// [`LingerlessListener`]: crate::mutant::LingerlessListener
-pub fn run_http_lingerless(sched: &Schedule) -> RunReport {
+/// Run an HTTP schedule against the standard service with a transport
+/// mutant interposed above the explorer's standard stack.
+fn run_http_mutated(sched: &Schedule, mutation: TransportMutation) -> RunReport {
     run_http_paced_on(
         sched,
         standard_http_service(),
         cops_http_options(),
         Pacing::Wall,
-        crate::mutant::LingerlessListener::new,
+        |l| MutantListener::new(l, mutation),
     )
     .report
+}
+
+/// HTTP under [`TransportMutation::Lingerless`]: every server-initiated
+/// half-close becomes a hard close. Used by the mutation tests to prove
+/// the client-delivery check catches an RST-discarded response tail.
+pub fn run_http_lingerless(sched: &Schedule) -> RunReport {
+    run_http_mutated(sched, TransportMutation::Lingerless)
+}
+
+/// HTTP under [`TransportMutation::GatherDrop`]: gathered writes lose
+/// every slice after the first. Used by the mutation tests to prove the
+/// models see bytes the dispatcher believes it sent.
+pub fn run_http_gather_drop(sched: &Schedule) -> RunReport {
+    run_http_mutated(sched, TransportMutation::GatherDrop)
 }
 
 /// The FTP flavour of [`run_http_lingerless`] (QUIT is a server-initiated
 /// close too).
 pub fn run_ftp_lingerless(sched: &Schedule) -> RunReport {
-    run_ftp_paced_on(
-        sched,
-        standard_ftp_service(),
-        Pacing::Wall,
-        crate::mutant::LingerlessListener::new,
-    )
+    run_ftp_paced_on(sched, standard_ftp_service(), Pacing::Wall, |l| {
+        MutantListener::new(l, TransportMutation::Lingerless)
+    })
     .report
 }
 

@@ -57,16 +57,16 @@ pub mod relay;
 pub mod schedule;
 
 pub use explorer::{
-    explore, explore_virtual, run, run_ftp, run_ftp_lingerless, run_http, run_http_lingerless,
-    run_http_with_options, run_virtual, seed_range, shrink, standard_ftp_service,
-    standard_http_service, ExploreSummary, FtpDataTapTarget, RunReport, VirtualReport,
-    VirtualTimeline,
+    explore, explore_virtual, run, run_ftp, run_ftp_lingerless, run_http, run_http_gather_drop,
+    run_http_lingerless, run_http_with_options, run_virtual, seed_range, shrink,
+    standard_ftp_service, standard_http_service, ExploreSummary, FtpDataTapTarget, RunReport,
+    VirtualReport, VirtualTimeline,
 };
 pub use ftp_model::{check_ftp, check_ftp_session, FtpDataCtx, FtpModel};
 pub use http_model::HttpFixture;
 pub use mutant::{
-    truncated_retr_service, FtpMutation, HttpMutation, LingerlessListener, LingerlessPoller,
-    LingerlessStream, MutantFtp, MutantHttp, PrematureFtp,
+    truncated_retr_service, FtpMutation, HttpMutation, MutantFtp, MutantHttp, MutantListener,
+    MutantPoller, MutantStream, PrematureFtp, TransportMutation,
 };
 pub use relay::{relay_differential, replaying_relay_diverges, DiffReport, ReplayingProxy};
 pub use schedule::{

@@ -10,7 +10,7 @@
 //! data-plane mutants, transfer payload bytes and completion ordering —
 //! for FTP.
 
-use std::io;
+use std::io::{self, IoSlice};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -220,38 +220,74 @@ impl FtpDataTapTarget for PrematureFtp {
     }
 }
 
-/// The transport-level lingering-close mutant: every server-initiated
-/// half-close (`shutdown_write`, the first step of a lingering close) is
-/// rewritten into an immediate full close — the pre-lingering-close bug.
-/// A server that hard-closes while pipelined request bytes sit unread in
-/// its receive queue resets the connection, and the reset discards the
-/// final response out of the client's receive queue. The server's own
-/// trace stays perfect (the outbox is drained before any close), so this
-/// mutant is observable only client-side, as an `rst-discarded-tail`
-/// violation.
-pub struct LingerlessListener<L> {
-    inner: L,
+/// Which transport-level bug a [`MutantListener`]'s streams carry. In
+/// both, the server's own bookkeeping stays perfect — the outbox drains,
+/// `bytes_sent` adds up — so only the models' byte-level checks can see
+/// the damage.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TransportMutation {
+    /// The lingering-close mutant: every server-initiated half-close
+    /// (`shutdown_write`, the first step of a lingering close) is
+    /// rewritten into an immediate full close — the pre-lingering-close
+    /// bug. A server that hard-closes while pipelined request bytes sit
+    /// unread in its receive queue resets the connection, and the reset
+    /// discards the final response out of the client's receive queue.
+    /// The server-side trace stays perfect, so this mutant is observable
+    /// only client-side, as an `rst-discarded-tail` violation.
+    Lingerless,
+    /// The gather-dropping mutant: a gathered write forwards only its
+    /// first slice but reports every slice written — a `writev` wrapper
+    /// that forgot the rest of the vector. The dispatcher retires the
+    /// unsent segments as sent, so a response head arrives without its
+    /// body; visible as a `byte-divergence` or `incomplete-delivery`
+    /// violation.
+    GatherDrop,
 }
 
-impl<L> LingerlessListener<L> {
-    pub fn new(inner: L) -> Self {
-        Self { inner }
+/// Listener wrapper interposing a [`TransportMutation`] between the
+/// dispatcher and the real transport stack.
+pub struct MutantListener<L> {
+    inner: L,
+    mutation: TransportMutation,
+}
+
+impl<L> MutantListener<L> {
+    pub fn new(inner: L, mutation: TransportMutation) -> Self {
+        Self { inner, mutation }
     }
 }
 
-/// Stream wrapper for [`LingerlessListener`]: delegates everything
-/// except `shutdown_write`, which becomes a hard close.
-pub struct LingerlessStream<S> {
+/// Stream wrapper for [`MutantListener`]: delegates everything except
+/// the one call its mutation breaks.
+pub struct MutantStream<S> {
     inner: S,
+    mutation: TransportMutation,
 }
 
-impl<S: StreamIo> StreamIo for LingerlessStream<S> {
+impl<S: StreamIo> StreamIo for MutantStream<S> {
     fn try_read(&mut self, buf: &mut [u8]) -> io::Result<ReadOutcome> {
         self.inner.try_read(buf)
     }
 
     fn try_write(&mut self, data: &[u8]) -> io::Result<usize> {
         self.inner.try_write(data)
+    }
+
+    fn try_write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self.mutation {
+            TransportMutation::Lingerless => self.inner.try_write_vectored(bufs),
+            // The bug under test: one slice forwarded, all of them
+            // claimed (a would-block on that slice is reported honestly).
+            TransportMutation::GatherDrop => {
+                let Some(first) = bufs.iter().find(|b| !b.is_empty()) else {
+                    return Ok(0);
+                };
+                match self.inner.try_write(first)? {
+                    0 => Ok(0),
+                    _ => Ok(bufs.iter().map(|b| b.len()).sum()),
+                }
+            }
+        }
     }
 
     fn peer_label(&self) -> String {
@@ -263,19 +299,23 @@ impl<S: StreamIo> StreamIo for LingerlessStream<S> {
     }
 
     fn shutdown_write(&mut self) {
-        // The bug under test: no FIN-first half-close, no linger — the
-        // socket is torn down with whatever the peer pipelined unread.
-        self.inner.shutdown();
+        match self.mutation {
+            // The bug under test: no FIN-first half-close, no linger —
+            // the socket is torn down with whatever the peer pipelined
+            // unread.
+            TransportMutation::Lingerless => self.inner.shutdown(),
+            TransportMutation::GatherDrop => self.inner.shutdown_write(),
+        }
     }
 }
 
-/// Poller wrapper for [`LingerlessListener`]: pure delegation.
-pub struct LingerlessPoller<P> {
+/// Poller wrapper for [`MutantListener`]: pure delegation.
+pub struct MutantPoller<P> {
     inner: P,
 }
 
-impl<P: Poller> Poller for LingerlessPoller<P> {
-    type Stream = LingerlessStream<P::Stream>;
+impl<P: Poller> Poller for MutantPoller<P> {
+    type Stream = MutantStream<P::Stream>;
 
     fn register(
         &mut self,
@@ -308,15 +348,16 @@ impl<P: Poller> Poller for LingerlessPoller<P> {
     }
 }
 
-impl<L: Listener> Listener for LingerlessListener<L> {
-    type Stream = LingerlessStream<L::Stream>;
-    type Poller = LingerlessPoller<L::Poller>;
+impl<L: Listener> Listener for MutantListener<L> {
+    type Stream = MutantStream<L::Stream>;
+    type Poller = MutantPoller<L::Poller>;
 
     fn try_accept(&mut self) -> io::Result<Option<Self::Stream>> {
+        let mutation = self.mutation;
         Ok(self
             .inner
             .try_accept()?
-            .map(|s| LingerlessStream { inner: s }))
+            .map(|inner| MutantStream { inner, mutation }))
     }
 
     fn local_label(&self) -> String {
@@ -324,7 +365,7 @@ impl<L: Listener> Listener for LingerlessListener<L> {
     }
 
     fn new_poller() -> io::Result<Self::Poller> {
-        Ok(LingerlessPoller {
+        Ok(MutantPoller {
             inner: L::new_poller()?,
         })
     }
@@ -402,7 +443,10 @@ mod tests {
     fn lingerless_shutdown_write_is_a_hard_close() {
         use nserver_core::transport::mem;
         let (a, mut client) = mem::pair("srv", "cli");
-        let mut srv = LingerlessStream { inner: a };
+        let mut srv = MutantStream {
+            inner: a,
+            mutation: TransportMutation::Lingerless,
+        };
         client.try_write(b"GET /tail HTTP/1.1\r\n\r\n").unwrap();
         srv.try_write(b"HTTP/1.1 200 OK\r\n\r\n").unwrap();
         // The mutant turns the lingering close's FIN into a full close;
@@ -415,6 +459,24 @@ mod tests {
             ReadOutcome::Closed,
             "RST must discard the undelivered response tail"
         );
+    }
+
+    #[test]
+    fn gather_drop_forwards_one_slice_and_claims_them_all() {
+        use nserver_core::transport::mem;
+        let (a, mut client) = mem::pair("srv", "cli");
+        let mut srv = MutantStream {
+            inner: a,
+            mutation: TransportMutation::GatherDrop,
+        };
+        let gather = [IoSlice::new(b"head"), IoSlice::new(b"body!")];
+        assert_eq!(srv.try_write_vectored(&gather).unwrap(), 9);
+        let mut buf = [0u8; 16];
+        assert_eq!(client.try_read(&mut buf).unwrap(), ReadOutcome::Data(4));
+        assert_eq!(&buf[..4], b"head");
+        // A lone slice is not a gather: nothing to drop.
+        assert_eq!(srv.try_write(b"solo").unwrap(), 4);
+        assert_eq!(client.try_read(&mut buf).unwrap(), ReadOutcome::Data(4));
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! keep the green exploration runs meaningful.
 
 use conformance::{
-    generate, replaying_relay_diverges, run_ftp, run_http, run_http_lingerless, shrink,
-    standard_ftp_service, standard_http_service, truncated_retr_service, DataOpKind, FtpMutation,
-    HttpMutation, MutantFtp, MutantHttp, PrematureFtp, Proto, Schedule,
+    generate, replaying_relay_diverges, run_ftp, run_http, run_http_gather_drop,
+    run_http_lingerless, shrink, standard_ftp_service, standard_http_service,
+    truncated_retr_service, DataOpKind, FtpMutation, HttpMutation, MutantFtp, MutantHttp,
+    PrematureFtp, Proto, Schedule,
 };
 
 /// Find the first seed in `0..limit` whose schedule trips `fails`, check
@@ -158,6 +159,22 @@ fn http_lingerless_close_is_caught() {
     // close-triggering request in a *later* segment — those line up less
     // often than a plain close, hence the wider band.
     caught_shrunk_and_replayable(Proto::Http, 60, &fails);
+}
+
+/// Gathered-write soundness: a transport mutant that forwards only the
+/// first slice of each gathered write while reporting all of them
+/// written. The dispatcher's own accounting stays perfect (the outbox
+/// drains, `bytes_sent` adds up), so only the byte-exact model can see
+/// that a response head went out without its body.
+#[test]
+fn http_gather_drop_is_caught() {
+    let fails = |s: &Schedule| {
+        run_http_gather_drop(s)
+            .violations
+            .iter()
+            .any(|v| v.kind == "byte-divergence" || v.kind == "incomplete-delivery")
+    };
+    caught_shrunk_and_replayable(Proto::Http, 25, &fails);
 }
 
 /// Cluster soundness: a relay that replays its upstream bytes — the

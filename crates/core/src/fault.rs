@@ -20,7 +20,7 @@
 //! exact production code paths, not test doubles.
 
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, IoSlice};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -301,23 +301,23 @@ impl<S: StreamIo> StreamIo for FaultyStream<S> {
     }
 
     fn try_write(&mut self, data: &[u8]) -> io::Result<usize> {
+        self.try_write_vectored(&[IoSlice::new(data)])
+    }
+
+    /// Faults are decided per call on the gathered total: a reset counts
+    /// every slice's bytes, and a `ShortIo` cap may cut inside a slice.
+    fn try_write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
         let mut st = self.state.lock();
-        match st.profile {
-            FaultProfile::Reset { after_bytes } => {
-                if st.bytes_read + st.bytes_written >= after_bytes {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionReset,
-                        "injected reset",
-                    ));
-                }
-                let n = self.inner.try_write(data)?;
-                st.bytes_written += n;
-                Ok(n)
+        let n = match st.profile {
+            FaultProfile::Reset { after_bytes }
+                if st.bytes_read + st.bytes_written >= after_bytes =>
+            {
+                return Err(io::Error::new(
+                    io::ErrorKind::ConnectionReset,
+                    "injected reset",
+                ));
             }
-            FaultProfile::ShortIo { cap } => {
-                if data.is_empty() {
-                    return self.inner.try_write(data);
-                }
+            FaultProfile::ShortIo { cap } if bufs.iter().any(|b| !b.is_empty()) => {
                 // Alternate would-block and a capped write, so a response
                 // is forced across multiple poll iterations and the caller
                 // must resume from its offset bookkeeping.
@@ -326,17 +326,13 @@ impl<S: StreamIo> StreamIo for FaultyStream<S> {
                     return Ok(0);
                 }
                 st.write_gate_open = false;
-                let cap = cap.clamp(1, data.len());
-                let n = self.inner.try_write(&data[..cap])?;
-                st.bytes_written += n;
-                Ok(n)
+                self.inner
+                    .try_write_vectored(&cap_slices(bufs, cap.max(1)))?
             }
-            _ => {
-                let n = self.inner.try_write(data)?;
-                st.bytes_written += n;
-                Ok(n)
-            }
-        }
+            _ => self.inner.try_write_vectored(bufs)?,
+        };
+        st.bytes_written += n;
+        Ok(n)
     }
 
     fn peer_label(&self) -> String {
@@ -352,6 +348,21 @@ impl<S: StreamIo> StreamIo for FaultyStream<S> {
         // straight through, like `shutdown`.
         self.inner.shutdown_write();
     }
+}
+
+/// The longest prefix of `bufs` totalling at most `cap` bytes, the last
+/// slice cut to fit.
+fn cap_slices<'a>(bufs: &'a [IoSlice<'_>], mut cap: usize) -> Vec<IoSlice<'a>> {
+    let mut capped = Vec::new();
+    for b in bufs {
+        if cap == 0 {
+            break;
+        }
+        let take = b.len().min(cap);
+        capped.push(IoSlice::new(&b[..take]));
+        cap -= take;
+    }
+    capped
 }
 
 /// A [`Poller`] wrapper that redelivers readiness swallowed by fault
@@ -602,6 +613,29 @@ mod tests {
         assert_eq!(
             got, payload,
             "bytes dropped or duplicated across short writes"
+        );
+    }
+
+    #[test]
+    fn gathered_writes_take_one_fault_decision_over_the_total() {
+        // ShortIo: the cap applies to the whole gather, so a write may
+        // end inside any slice — here 5 bytes: all of "abc", then "de".
+        let (server_side, mut client) = mem::pair("srv", "cli");
+        let mut faulty = FaultyStream::new(server_side, FaultProfile::ShortIo { cap: 5 });
+        let gather = [IoSlice::new(b"abc"), IoSlice::new(b"defgh")];
+        assert_eq!(faulty.try_write_vectored(&gather).unwrap(), 0, "gate");
+        assert_eq!(faulty.try_write_vectored(&gather).unwrap(), 5);
+        let mut buf = [0u8; 16];
+        assert_eq!(client.try_read(&mut buf).unwrap(), ReadOutcome::Data(5));
+        assert_eq!(&buf[..5], b"abcde");
+
+        // Reset: the threshold counts every slice of a gather.
+        let (server_side, _client) = mem::pair("srv", "cli");
+        let mut faulty = FaultyStream::new(server_side, FaultProfile::Reset { after_bytes: 8 });
+        assert_eq!(faulty.try_write_vectored(&gather).unwrap(), 8);
+        assert_eq!(
+            faulty.try_write_vectored(&gather).unwrap_err().kind(),
+            io::ErrorKind::ConnectionReset
         );
     }
 

@@ -21,6 +21,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
+use std::io::IoSlice;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -149,9 +150,9 @@ impl EncodedReply {
 
 /// The per-connection transmit queue: a sequence of segments rather than
 /// one flat buffer, so cached bodies are written to the socket straight
-/// from their `Arc` allocation. Byte-for-byte the wire output is
-/// identical to the old flat `BytesMut` outbox; only the bookkeeping
-/// (chunked `front_chunk`/`advance` instead of `split_to`) differs.
+/// from their `Arc` allocation. The dispatcher sends it as gathered
+/// writes: [`fill_slices`](Outbox::fill_slices) lends the front segments
+/// to one `writev`, [`advance`](Outbox::advance) retires what was sent.
 #[derive(Default)]
 pub struct Outbox {
     segments: VecDeque<OutSegment>,
@@ -207,6 +208,17 @@ impl Outbox {
     /// popped by [`Outbox::advance`], so the front is always non-empty.
     pub fn front_chunk(&self) -> Option<&[u8]> {
         self.segments.front().map(OutSegment::chunk)
+    }
+
+    /// Point `dst` at the unsent segments from the front, in wire order,
+    /// one slice per segment, and return how many slices were filled
+    /// (`min(dst.len(), segments)`). Borrow-only: nothing is flattened or
+    /// copied, so a cached body is still sent from its `Arc` allocation.
+    pub fn fill_slices<'a>(&'a self, dst: &mut [IoSlice<'a>]) -> usize {
+        for (slot, seg) in dst.iter_mut().zip(&self.segments) {
+            *slot = IoSlice::new(seg.chunk());
+        }
+        dst.len().min(self.segments.len())
     }
 
     /// Record that `n` bytes from the front were written, popping

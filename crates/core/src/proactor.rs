@@ -17,8 +17,6 @@ use std::thread::JoinHandle;
 
 use crossbeam::channel::{unbounded, Sender};
 
-use crate::transport::SyscallCounters;
-
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// A fixed pool of helper threads executing blocking jobs.
@@ -28,7 +26,6 @@ pub struct HelperPool {
     submitted: Arc<AtomicU64>,
     completed: Arc<AtomicU64>,
     shutting_down: Arc<AtomicBool>,
-    syscalls: Option<Arc<SyscallCounters>>,
 }
 
 impl HelperPool {
@@ -59,16 +56,7 @@ impl HelperPool {
             submitted: Arc::new(AtomicU64::new(0)),
             completed,
             shutting_down: Arc::new(AtomicBool::new(false)),
-            syscalls: None,
         }
-    }
-
-    /// Attribute each completion's dispatcher wake to a syscall counter
-    /// set: a completion event re-entering the framework costs one waker
-    /// fire (an eventfd write on the epoll transport), which is part of
-    /// the per-request syscall budget the timeline subsystem reports.
-    pub fn wire_syscalls(&mut self, counters: Arc<SyscallCounters>) {
-        self.syscalls = Some(counters);
     }
 
     /// Submit a blocking job. Jobs submitted after shutdown are dropped.
@@ -78,9 +66,6 @@ impl HelperPool {
         }
         if let Some(tx) = &self.tx {
             self.submitted.fetch_add(1, Ordering::Relaxed);
-            if let Some(sys) = &self.syscalls {
-                sys.wakes.fetch_add(1, Ordering::Relaxed);
-            }
             let _ = tx.send(Box::new(job));
         }
     }

@@ -26,6 +26,7 @@
 //! connections cannot spin the loop.
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::io::IoSlice;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -79,6 +80,17 @@ pub struct NewConn<St> {
     accepted_at: Instant,
 }
 
+/// One dispatcher's entry in the [`DispatchNotifier`].
+struct NotifyTarget {
+    flush_tx: Sender<ConnId>,
+    waker: Waker,
+    /// True from the [`notify_conn`](DispatchNotifier::notify_conn) that
+    /// fired the waker until the dispatcher's next
+    /// [`begin_drain`](DispatchNotifier::begin_drain): notifies in between
+    /// ride on that one wake-up.
+    wake_pending: AtomicBool,
+}
+
 /// Routes off-wire events to the dispatcher that owns a connection.
 ///
 /// Worker threads cannot write to the wire themselves (streams are owned
@@ -87,26 +99,60 @@ pub struct NewConn<St> {
 /// dispatcher here: the connection id goes down that dispatcher's flush
 /// channel and its poller is woken. Ownership follows the same partition
 /// the acceptor uses: connection `id` belongs to dispatcher `id % n`.
+///
+/// Reply wake-ups are coalesced: a batch of notifies between two drains
+/// of the flush channel costs one waker fire (one eventfd write on the
+/// epoll transport), not one per reply. The producer *sends, then swaps
+/// the pending flag to true* and fires only on the false→true edge; the
+/// dispatcher *swaps the flag to false, then drains*. A notify whose swap
+/// reads true was ordered before the clear that precedes some drain, and
+/// its send before that, so the drain sees the id; a notify that lands
+/// after a drain finds the flag clear and fires. Wakers are sticky (a
+/// fire before `Poller::wait` makes that wait return), so no id strands.
 #[derive(Clone)]
 pub struct DispatchNotifier {
-    targets: Arc<Vec<(Sender<ConnId>, Waker)>>,
+    targets: Arc<Vec<NotifyTarget>>,
+    /// Where waker fires are counted as `wakes` (unset for bare engines).
+    syscalls: Option<Arc<SyscallCounters>>,
 }
 
 impl DispatchNotifier {
     /// A notifier wired to every dispatcher's flush channel and waker,
     /// in dispatcher-index order.
     pub fn new(targets: Vec<(Sender<ConnId>, Waker)>) -> Self {
+        let targets = targets
+            .into_iter()
+            .map(|(flush_tx, waker)| NotifyTarget {
+                flush_tx,
+                waker,
+                wake_pending: AtomicBool::new(false),
+            })
+            .collect();
         Self {
             targets: Arc::new(targets),
+            syscalls: None,
         }
     }
 
     /// A no-op notifier for engines that run without dispatcher loops
     /// (unit tests, direct `Engine` use).
     pub fn disabled() -> Self {
-        Self {
-            targets: Arc::new(Vec::new()),
+        Self::new(Vec::new())
+    }
+
+    /// Count every waker fire in `counters.wakes`: each one reaches the
+    /// kernel on the epoll transport, so it belongs in the per-request
+    /// syscall budget.
+    pub fn count_wakes_in(mut self, counters: Arc<SyscallCounters>) -> Self {
+        self.syscalls = Some(counters);
+        self
+    }
+
+    fn fire(&self, target: &NotifyTarget) {
+        if let Some(sys) = &self.syscalls {
+            sys.wakes.fetch_add(1, Ordering::Relaxed);
         }
+        target.waker.wake();
     }
 
     /// Tell the dispatcher owning `id` that the connection needs service
@@ -115,16 +161,29 @@ impl DispatchNotifier {
         if self.targets.is_empty() {
             return;
         }
-        let (tx, waker) = &self.targets[(id as usize) % self.targets.len()];
-        let _ = tx.send(id);
-        waker.wake();
+        let target = &self.targets[(id as usize) % self.targets.len()];
+        let _ = target.flush_tx.send(id);
+        if !target.wake_pending.swap(true, Ordering::SeqCst) {
+            self.fire(target);
+        }
+    }
+
+    /// Dispatcher `index` is about to drain its flush channel: from here
+    /// on a notify must wake it again. Must be called *before* the drain
+    /// (see the type-level protocol note).
+    pub fn begin_drain(&self, index: usize) {
+        if let Some(target) = self.targets.get(index) {
+            // A swap, not a store: reading a producer's `true` is what
+            // orders that producer's `send` before the drain that follows.
+            target.wake_pending.swap(false, Ordering::SeqCst);
+        }
     }
 
     /// Wake one dispatcher without queueing a connection (re-check state:
     /// injected connections, accept gate, stop flag).
     pub fn wake(&self, index: usize) {
-        if let Some((_, waker)) = self.targets.get(index) {
-            waker.wake();
+        if let Some(target) = self.targets.get(index) {
+            self.fire(target);
         }
     }
 
@@ -136,8 +195,8 @@ impl DispatchNotifier {
 
     /// Wake every dispatcher (shutdown).
     pub fn wake_all(&self) {
-        for (_, waker) in self.targets.iter() {
-            waker.wake();
+        for target in self.targets.iter() {
+            self.fire(target);
         }
     }
 }
@@ -244,6 +303,57 @@ const GATED_ACCEPT_RECHECK: Duration = Duration::from_millis(10);
 /// that never acknowledges cannot pin the socket.
 const LINGER_CLOSE: Duration = Duration::from_secs(1);
 
+/// Most outbox segments one gathered write carries. A pipelined batch of
+/// sixteen cached replies is 32 segments; the kernel's own limit
+/// (`IOV_MAX`) is 1024.
+const MAX_GATHER: usize = 64;
+
+/// Send Reply: move outbox bytes to the wire as gathered writes — up
+/// to [`MAX_GATHER`] segments per `try_write_vectored`, so a batch of
+/// pipelined replies (heads and bodies alike) leaves in one syscall.
+/// The slices borrow the outbox: shared body segments are written
+/// straight from their cache `Arc`, never copied. A short count may
+/// end inside a segment; `Outbox::advance` resumes from there. Loops
+/// until the outbox is empty or the transport pushes back. Returns
+/// true if any bytes were written.
+fn flush<St: StreamIo>(stats: &ServerStats, sys: &SyscallCounters, c: &mut ConnLocal<St>) -> bool {
+    let mut out = c.shared.outbox.lock();
+    // A reply completed after the peer reset may have raced into the
+    // outbox; a dead sink never gets another write attempt.
+    if c.shared.sink_dead.load(Ordering::Relaxed) {
+        out.clear();
+        return false;
+    }
+    let mut wrote_any = false;
+    while !out.is_empty() {
+        let mut slices = [IoSlice::new(&[]); MAX_GATHER];
+        let filled = out.fill_slices(&mut slices);
+        // Attempts, not successes: a short or would-block write
+        // still crossed the syscall boundary.
+        sys.writes.fetch_add(1, Ordering::Relaxed);
+        c.io_writes += 1;
+        match c.stream.try_write_vectored(&slices[..filled]) {
+            Ok(0) => break,
+            Ok(n) => {
+                out.advance(n);
+                ServerStats::add(&stats.bytes_sent, n as u64);
+                wrote_any = true;
+            }
+            Err(_) => {
+                // swap() so a connection that errors on both the
+                // read and write side still counts as one reset.
+                c.shared.sink_dead.store(true, Ordering::Relaxed);
+                if !c.shared.closing.swap(true, Ordering::Relaxed) {
+                    ServerStats::bump(&stats.connections_reset);
+                }
+                out.clear();
+                break;
+            }
+        }
+    }
+    wrote_any
+}
+
 impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
     /// The dispatch loop. Blocks in the poller until some owned connection
     /// (or the listener, or a waker) is ready; runs until the stop flag is
@@ -312,6 +422,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                     pend.insert(ev.token);
                 }
             }
+            self.notifier.begin_drain(self.index);
             while let Ok(id) = self.flush_rx.try_recv() {
                 pend.insert(id);
             }
@@ -442,7 +553,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                         );
                     }
                 }
-                let wrote_any = Self::flush(&self.engine.stats, &self.engine.syscalls, c);
+                let wrote_any = flush(&self.engine.stats, &self.engine.syscalls, c);
                 let was_eof = c.peer_eof;
                 let (read, saturated) = self.read_into_inbox(c, &mut read_buf);
                 if saturated {
@@ -869,53 +980,6 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         }
     }
 
-    /// Send Reply: move outbox bytes to the wire, one segment chunk at a
-    /// time — shared body segments are written straight from their cache
-    /// `Arc`, never copied into the queue. Returns true if any bytes were
-    /// written.
-    fn flush(stats: &ServerStats, sys: &SyscallCounters, c: &mut ConnLocal<L::Stream>) -> bool {
-        let mut out = c.shared.outbox.lock();
-        // A reply completed after the peer reset may have raced into the
-        // outbox; a dead sink never gets another write attempt.
-        if c.shared.sink_dead.load(Ordering::Relaxed) {
-            out.clear();
-            return false;
-        }
-        if out.is_empty() {
-            return false;
-        }
-        let mut wrote_any = false;
-        loop {
-            let n = {
-                let Some(chunk) = out.front_chunk() else {
-                    break;
-                };
-                // Attempts, not successes: a short or would-block write
-                // still crossed the syscall boundary.
-                sys.writes.fetch_add(1, Ordering::Relaxed);
-                c.io_writes += 1;
-                match c.stream.try_write(chunk) {
-                    Ok(0) => break,
-                    Ok(n) => n,
-                    Err(_) => {
-                        // swap() so a connection that errors on both the
-                        // read and write side still counts as one reset.
-                        c.shared.sink_dead.store(true, Ordering::Relaxed);
-                        if !c.shared.closing.swap(true, Ordering::Relaxed) {
-                            ServerStats::bump(&stats.connections_reset);
-                        }
-                        out.clear();
-                        break;
-                    }
-                }
-            };
-            out.advance(n);
-            ServerStats::add(&stats.bytes_sent, n as u64);
-            wrote_any = true;
-        }
-        wrote_any
-    }
-
     /// Read Request: pull available bytes into the inbox. Returns
     /// `(read_any, saturated)` — `saturated` means the fairness cap was
     /// hit without draining the stream, so the caller must re-service
@@ -1016,5 +1080,267 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         // dispatcher 0 re-check the overload controller now instead of on
         // its next re-check tick.
         self.notifier.wake_completion_sink();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pipeline::EncodedReply;
+    use bytes::BytesMut;
+    use proptest::prelude::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::Barrier;
+
+    /// A sink that follows a script: each gathered write consumes the
+    /// next entry — `0` is a would-block, `k` accepts at most `k` bytes —
+    /// and everything is accepted once the script runs out.
+    struct ScriptedSink {
+        script: VecDeque<usize>,
+        wire: Vec<u8>,
+        calls: u64,
+        widest_gather: usize,
+    }
+
+    impl ScriptedSink {
+        fn following(script: Vec<usize>) -> Self {
+            Self {
+                script: script.into(),
+                wire: Vec::new(),
+                calls: 0,
+                widest_gather: 0,
+            }
+        }
+    }
+
+    impl StreamIo for ScriptedSink {
+        fn try_read(&mut self, _buf: &mut [u8]) -> std::io::Result<ReadOutcome> {
+            Ok(ReadOutcome::WouldBlock)
+        }
+
+        fn try_write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+            self.try_write_vectored(&[IoSlice::new(data)])
+        }
+
+        fn try_write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            self.widest_gather = self.widest_gather.max(bufs.len());
+            let mut room = self.script.pop_front().unwrap_or(usize::MAX);
+            let before = self.wire.len();
+            for b in bufs {
+                let take = b.len().min(room);
+                self.wire.extend_from_slice(&b[..take]);
+                room -= take;
+            }
+            Ok(self.wire.len() - before)
+        }
+
+        fn peer_label(&self) -> String {
+            "scripted".into()
+        }
+
+        fn shutdown(&mut self) {}
+
+        fn shutdown_write(&mut self) {}
+    }
+
+    fn conn_over<St>(stream: St) -> ConnLocal<St> {
+        ConnLocal {
+            stream,
+            shared: ConnShared::new(1, "scripted".into(), Priority::HIGHEST),
+            peer_eof: false,
+            armed: Interest::READABLE,
+            accepted_at: Instant::now(),
+            header_seen: false,
+            drain_from: None,
+            linger_until: None,
+            io_reads: 0,
+            io_writes: 0,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Whatever the reply segmentation (owned heads, shared bodies,
+        /// more segments than one gather carries) and however the sink
+        /// cuts or refuses writes, the gathered flush puts exactly the
+        /// outbox's bytes on the wire, in order, and accounts for them.
+        #[test]
+        fn gathered_flush_wire_image_is_the_outbox(
+            replies in proptest::collection::vec(
+                proptest::collection::vec(
+                    (any::<bool>(), proptest::collection::vec(any::<u8>(), 0..48)),
+                    1..4,
+                ),
+                0..60,
+            ),
+            script in proptest::collection::vec(prop_oneof![Just(0usize), 1usize..200], 0..40),
+        ) {
+            let refusals = script.iter().filter(|&&k| k == 0).count();
+            let mut c = conn_over(ScriptedSink::following(script));
+            for reply in replies {
+                let mut encoded = EncodedReply::new();
+                for (shared, bytes) in reply {
+                    if shared {
+                        encoded.push_shared(Arc::new(bytes));
+                    } else {
+                        encoded.push_bytes(BytesMut::from(&bytes[..]));
+                    }
+                }
+                c.shared.outbox.lock().push_reply(encoded);
+            }
+            let expected = c.shared.outbox.lock().to_vec();
+            let stats = ServerStats::default();
+            let sys = SyscallCounters::default();
+
+            // One flush per service pass; a pass ends early only on a
+            // scripted refusal, so the passes are bounded by them.
+            let mut passes = 0;
+            while !c.shared.outbox.lock().is_empty() {
+                let wrote = flush(&stats, &sys, &mut c);
+                passes += 1;
+                prop_assert!(passes <= refusals + 1, "flush stalled without a refusal");
+                prop_assert!(wrote || passes <= refusals);
+            }
+            prop_assert!(!flush(&stats, &sys, &mut c), "an empty outbox writes nothing");
+
+            prop_assert_eq!(&c.stream.wire, &expected);
+            prop_assert_eq!(stats.snapshot().bytes_sent, expected.len() as u64);
+            prop_assert_eq!(sys.snapshot().writes, c.stream.calls);
+            prop_assert_eq!(c.io_writes, c.stream.calls);
+            prop_assert!(c.stream.widest_gather <= MAX_GATHER);
+        }
+    }
+
+    #[test]
+    fn flush_gathers_a_pipelined_batch_into_one_write() {
+        let mut c = conn_over(ScriptedSink::following(Vec::new()));
+        let body = Arc::new(vec![7u8; 100]);
+        for _ in 0..16 {
+            let mut reply = EncodedReply::new();
+            reply.push_bytes(BytesMut::from(&b"head"[..]));
+            reply.push_shared(Arc::clone(&body));
+            c.shared.outbox.lock().push_reply(reply);
+        }
+        let (stats, sys) = (ServerStats::default(), SyscallCounters::default());
+        assert!(flush(&stats, &sys, &mut c));
+        assert_eq!(c.stream.calls, 1, "32 segments fit one gather");
+        assert_eq!(c.stream.widest_gather, 32);
+        assert_eq!(c.stream.wire.len(), 16 * 104);
+        // Queued by reference and sent by reference: only this test and
+        // nobody's copy holds the body now.
+        assert_eq!(Arc::strong_count(&body), 1);
+    }
+
+    /// A notifier over one dispatcher whose waker counts its fires.
+    fn counting_notifier() -> (DispatchNotifier, Receiver<ConnId>, Arc<AtomicUsize>) {
+        let fires = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let waker = {
+            let fires = Arc::clone(&fires);
+            Waker::new(move || {
+                fires.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        (DispatchNotifier::new(vec![(tx, waker)]), rx, fires)
+    }
+
+    #[test]
+    fn notifies_between_two_drains_fire_the_waker_once() {
+        let (notifier, rx, fires) = counting_notifier();
+        let sys = SyscallCounters::new_shared();
+        let notifier = notifier.count_wakes_in(Arc::clone(&sys));
+        for id in 1..=20 {
+            notifier.notify_conn(id);
+        }
+        assert_eq!(fires.load(Ordering::SeqCst), 1);
+        notifier.begin_drain(0);
+        assert_eq!(rx.try_iter().count(), 20, "every id still queued");
+        for id in 21..=25 {
+            notifier.notify_conn(id);
+        }
+        assert_eq!(
+            fires.load(Ordering::SeqCst),
+            2,
+            "one more batch, one more fire"
+        );
+        // Unconditional wakes are not coalesced; all fires are counted.
+        notifier.wake(0);
+        notifier.wake_completion_sink();
+        notifier.wake_all();
+        assert_eq!(fires.load(Ordering::SeqCst), 5);
+        assert_eq!(sys.snapshot().wakes, 5);
+    }
+
+    #[test]
+    fn a_notify_after_begin_drain_always_fires() {
+        let (notifier, rx, fires) = counting_notifier();
+        notifier.notify_conn(1);
+        notifier.begin_drain(0);
+        // Lands after the flag was cleared but before the channel is
+        // drained: the drain picks the id up *and* the waker fires, so a
+        // drain that had already passed it would still be woken.
+        notifier.notify_conn(2);
+        assert_eq!(fires.load(Ordering::SeqCst), 2);
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![1, 2]);
+    }
+
+    /// Producer and consumer race for real: the consumer parks on the
+    /// waker exactly as a dispatcher parks in its poller (sticky wake
+    /// flag, clear → drain → park), and must still see every id.
+    #[test]
+    fn coalesced_wakes_never_strand_an_id() {
+        const IDS: u64 = 100_000;
+        let parked = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
+        let fires = Arc::new(AtomicUsize::new(0));
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let waker = {
+            let (parked, fires) = (Arc::clone(&parked), Arc::clone(&fires));
+            Waker::new(move || {
+                fires.fetch_add(1, Ordering::SeqCst);
+                *parked.0.lock().expect("waker lock") = true;
+                parked.1.notify_one();
+            })
+        };
+        let notifier = DispatchNotifier::new(vec![(tx, waker)]);
+        let start = Arc::new(Barrier::new(2));
+
+        let producer = {
+            let (notifier, start) = (notifier.clone(), Arc::clone(&start));
+            std::thread::spawn(move || {
+                start.wait();
+                for id in 1..=IDS {
+                    notifier.notify_conn(id);
+                }
+            })
+        };
+        start.wait();
+        let mut next = 1;
+        while next <= IDS {
+            notifier.begin_drain(0);
+            for id in rx.try_iter() {
+                assert_eq!(id, next, "ids arrive in order, none skipped");
+                next += 1;
+            }
+            if next > IDS {
+                break;
+            }
+            let mut woken = parked.0.lock().expect("park lock");
+            while !*woken {
+                let (guard, timeout) = parked
+                    .1
+                    .wait_timeout(woken, Duration::from_secs(10))
+                    .expect("park wait");
+                woken = guard;
+                assert!(
+                    !timeout.timed_out() || *woken,
+                    "stranded: id {next} queued with no wake-up"
+                );
+            }
+            *woken = false;
+        }
+        producer.join().expect("producer");
+        assert!(fires.load(Ordering::SeqCst) as u64 <= IDS);
     }
 }

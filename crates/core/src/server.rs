@@ -184,8 +184,7 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
         let (helper, completion_tx, completion_rx) = match opts.completion_mode {
             CompletionMode::Asynchronous => {
                 let (tx, rx) = crossbeam::channel::unbounded();
-                let mut pool = crate::proactor::HelperPool::new(self.helper_threads);
-                pool.wire_syscalls(Arc::clone(&syscalls));
+                let pool = crate::proactor::HelperPool::new(self.helper_threads);
                 (Some(Arc::new(pool)), Some(tx), Some(rx))
             }
             CompletionMode::Synchronous => (None, None, None),
@@ -206,7 +205,7 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
             pollers.push(poller);
             flush_rxs.push(flush_rx);
         }
-        let notifier = DispatchNotifier::new(notify_targets);
+        let notifier = DispatchNotifier::new(notify_targets).count_wakes_in(Arc::clone(&syscalls));
 
         let worker_table = WorkerStateTable::new(n_dispatchers + max_workers + 2);
         diag.wire_tracer(tracer.clone());

@@ -15,7 +15,7 @@
 //! trace, [`TapStream`] records the I/O events, and [`TapPoller`] is a pure
 //! pass-through.
 
-use std::io;
+use std::io::{self, IoSlice};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -323,10 +323,22 @@ impl<S: StreamIo> StreamIo for TapStream<S> {
     }
 
     fn try_write(&mut self, data: &[u8]) -> io::Result<usize> {
-        match self.inner.try_write(data) {
+        self.try_write_vectored(&[IoSlice::new(data)])
+    }
+
+    /// One gathered write is one `Wrote` event holding exactly the bytes
+    /// the inner stream reported written, wherever in the slices the
+    /// count ends.
+    fn try_write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match self.inner.try_write_vectored(bufs) {
             Ok(0) => Ok(0),
             Ok(n) => {
-                self.trace.push(TapEvent::Wrote(data[..n].to_vec()));
+                let mut wrote = Vec::with_capacity(n);
+                for b in bufs {
+                    let take = b.len().min(n - wrote.len());
+                    wrote.extend_from_slice(&b[..take]);
+                }
+                self.trace.push(TapEvent::Wrote(wrote));
                 Ok(n)
             }
             Err(e) => {
@@ -554,6 +566,33 @@ mod tests {
             traces[0].profile.contains("Corrupt"),
             "{}",
             traces[0].profile
+        );
+    }
+
+    #[test]
+    fn a_gathered_write_is_one_wrote_event_of_exactly_the_bytes_written() {
+        // ShortIo below the tap cuts the gather after 1–7 bytes — in
+        // either slice; the tap must record exactly those bytes, once.
+        let plan = FaultPlan {
+            short_io_per_mille: 1000,
+            ..FaultPlan::new(3)
+        };
+        let crate::fault::FaultProfile::ShortIo { cap } = plan.profile_for(1) else {
+            panic!("plan must draw ShortIo");
+        };
+        let (listener, connector) = mem::listener("tap-gather");
+        let log = TraceLog::new();
+        let mut tapped =
+            TapListener::new(FaultyListener::new(listener, plan), log.clone()).with_plan(plan);
+        let _client = connector.connect();
+        let mut server_side = tapped.try_accept().unwrap().unwrap();
+        let gather = [IoSlice::new(b"ab"), IoSlice::new(b"cdefghij")];
+        assert_eq!(server_side.try_write_vectored(&gather).unwrap(), 0);
+        let n = server_side.try_write_vectored(&gather).unwrap();
+        assert_eq!(n, cap.min(10));
+        assert_eq!(
+            log.snapshot()[0].events,
+            vec![TapEvent::Wrote(b"abcdefghij"[..n].to_vec())]
         );
     }
 

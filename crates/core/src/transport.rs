@@ -15,7 +15,7 @@
 //! a dispatcher out of [`Poller::wait`] when an event originates off the
 //! wire (a reply became ready, a completion arrived, the server stops).
 
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -39,6 +39,19 @@ pub trait StreamIo: Send + 'static {
     /// Attempt to write from `data` without blocking; returns bytes
     /// written (0 means "would block").
     fn try_write(&mut self, data: &[u8]) -> io::Result<usize>;
+    /// Gathered write: attempt to write the concatenation of `bufs`
+    /// without blocking, in one call where the transport can (`writev`).
+    /// Returns the bytes written counted across the slices in order — a
+    /// short count may end inside any slice — with 0 meaning "would
+    /// block", as for [`try_write`](Self::try_write). The provided
+    /// implementation writes the first non-empty slice only, which is
+    /// always a legal short count.
+    fn try_write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        match bufs.iter().find(|b| !b.is_empty()) {
+            Some(first) => self.try_write(first),
+            None => Ok(0),
+        }
+    }
     /// Human-readable peer identity (IP:port for TCP).
     fn peer_label(&self) -> String;
     /// Close the stream (idempotent). Closing while unread peer bytes
@@ -194,8 +207,9 @@ pub trait Listener: Send + 'static {
 // ---------------------------------------------------------------------------
 
 /// Server-wide syscall accounting at the [`StreamIo`]/[`Poller`]
-/// boundary. Every `try_read`, `try_write`, `try_accept` and
-/// `Poller::wait` issued by the dispatch loop is counted here (attempts,
+/// boundary. Every `try_read`, gathered write, `try_accept` and
+/// `Poller::wait` issued by the dispatch loop, and every waker fire the
+/// `DispatchNotifier` makes, is counted here (attempts,
 /// not successes: a read that returns `WouldBlock` still crossed the
 /// kernel boundary and still cost a syscall). Plain relaxed counters —
 /// the same always-on cost class as `ServerStats` — so the
@@ -204,13 +218,14 @@ pub trait Listener: Send + 'static {
 pub struct SyscallCounters {
     /// `try_read` calls (request bytes plus lingering-close drains).
     pub reads: AtomicU64,
-    /// `try_write` calls (reply flushes).
+    /// `try_write_vectored` calls (reply flushes).
     pub writes: AtomicU64,
     /// `try_accept` calls.
     pub accepts: AtomicU64,
     /// `Poller::wait` calls.
     pub polls: AtomicU64,
-    /// Cross-thread waker fires (completions, reply readiness).
+    /// Waker fires: reply batches, completions, accept hand-offs, gate
+    /// re-checks, shutdown.
     pub wakes: AtomicU64,
 }
 
@@ -237,7 +252,7 @@ impl SyscallCounters {
 pub struct SyscallSnapshot {
     /// `try_read` calls.
     pub reads: u64,
-    /// `try_write` calls.
+    /// `try_write_vectored` calls.
     pub writes: u64,
     /// `try_accept` calls.
     pub accepts: u64,
@@ -356,6 +371,30 @@ impl TcpStreamNb {
         raw_fd(&self.inner)
     }
 
+    /// One write syscall (`write` or `writev`) under the [`StreamIo`]
+    /// result mapping: would-block and interrupted attempts read as 0.
+    fn write_with(
+        &mut self,
+        op: impl FnOnce(&mut TcpStream) -> io::Result<usize>,
+    ) -> io::Result<usize> {
+        if !self.open {
+            // Surfacing an error (rather than 0 = "would block") lets the
+            // dispatcher reap a connection whose peer vanished while
+            // response bytes were still queued.
+            return Err(io::Error::new(io::ErrorKind::NotConnected, "closed"));
+        }
+        match op(&mut self.inner) {
+            Ok(n) => Ok(n),
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(0),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.open = false;
+                Err(e)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
     /// The socket's local address label. For an outbound connection this
     /// is what the accepting side sees as its peer label — the cluster
     /// relay stamps it as a trace correlation link so front-end and
@@ -389,22 +428,11 @@ impl StreamIo for TcpStreamNb {
     }
 
     fn try_write(&mut self, data: &[u8]) -> io::Result<usize> {
-        if !self.open {
-            // Surfacing an error (rather than 0 = "would block") lets the
-            // dispatcher reap a connection whose peer vanished while
-            // response bytes were still queued.
-            return Err(io::Error::new(io::ErrorKind::NotConnected, "closed"));
-        }
-        match self.inner.write(data) {
-            Ok(n) => Ok(n),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(0),
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(0),
-            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
-                self.open = false;
-                Err(e)
-            }
-            Err(e) => Err(e),
-        }
+        self.write_with(|s| s.write(data))
+    }
+
+    fn try_write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+        self.write_with(|s| s.write_vectored(bufs))
     }
 
     fn peer_label(&self) -> String {
@@ -878,20 +906,22 @@ pub mod mem {
                     Ok(ReadOutcome::WouldBlock)
                 };
             }
-            let mut n = 0;
-            while n < buf.len() {
-                match pipe.buf.pop_front() {
-                    Some(b) => {
-                        buf[n] = b;
-                        n += 1;
-                    }
-                    None => break,
-                }
-            }
+            let n = buf.len().min(pipe.buf.len());
+            let (head, tail) = pipe.buf.as_slices();
+            let from_head = n.min(head.len());
+            buf[..from_head].copy_from_slice(&head[..from_head]);
+            buf[from_head..n].copy_from_slice(&tail[..n - from_head]);
+            pipe.buf.drain(..n);
             Ok(ReadOutcome::Data(n))
         }
 
         fn try_write(&mut self, data: &[u8]) -> io::Result<usize> {
+            self.try_write_vectored(&[IoSlice::new(data)])
+        }
+
+        /// The whole gather lands under one lock and raises one
+        /// readiness notification, like one `writev` on a socket.
+        fn try_write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
             let mut pipe = self.write.lock();
             if pipe.closed {
                 drop(pipe);
@@ -907,11 +937,15 @@ pub mod mem {
                 read.notify();
                 return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"));
             }
-            pipe.buf.extend(data.iter().copied());
-            if !data.is_empty() {
+            let before = pipe.buf.len();
+            for b in bufs {
+                pipe.buf.extend(b.iter());
+            }
+            let n = pipe.buf.len() - before;
+            if n > 0 {
                 pipe.notify();
             }
-            Ok(data.len())
+            Ok(n)
         }
 
         fn peer_label(&self) -> String {
@@ -1217,6 +1251,59 @@ mod tests {
     }
 
     #[test]
+    fn mem_gathered_write_is_one_arrival_and_reads_copy_by_slice() {
+        let (mut a, mut b) = mem::pair("a", "b");
+        let mut poller = MemPoller::new();
+        poller.register(1, &b, Interest::READABLE).unwrap();
+        let gather = [
+            IoSlice::new(b"head "),
+            IoSlice::new(b""),
+            IoSlice::new(b"body"),
+        ];
+        assert_eq!(a.try_write_vectored(&gather).unwrap(), 9);
+        assert_eq!(wait_events(&mut poller, Some(Duration::ZERO)).len(), 1);
+        // Drain part, write again so the ring buffer wraps, and check a
+        // read that spans both halves of it.
+        let mut buf = [0u8; 7];
+        assert_eq!(b.try_read(&mut buf).unwrap(), ReadOutcome::Data(7));
+        assert_eq!(&buf, b"head bo");
+        a.try_write(b"-and-more").unwrap();
+        let mut rest = [0u8; 32];
+        assert_eq!(b.try_read(&mut rest).unwrap(), ReadOutcome::Data(11));
+        assert_eq!(&rest[..11], b"dy-and-more");
+        assert_eq!(b.try_read(&mut rest).unwrap(), ReadOutcome::WouldBlock);
+    }
+
+    #[test]
+    fn default_gathered_write_is_the_first_non_empty_slice() {
+        /// Implements only the required methods.
+        struct Plain(Vec<u8>);
+        impl StreamIo for Plain {
+            fn try_read(&mut self, _buf: &mut [u8]) -> io::Result<ReadOutcome> {
+                Ok(ReadOutcome::WouldBlock)
+            }
+            fn try_write(&mut self, data: &[u8]) -> io::Result<usize> {
+                self.0.extend_from_slice(data);
+                Ok(data.len())
+            }
+            fn peer_label(&self) -> String {
+                "plain".into()
+            }
+            fn shutdown(&mut self) {}
+            fn shutdown_write(&mut self) {}
+        }
+        let mut s = Plain(Vec::new());
+        let gather = [
+            IoSlice::new(b""),
+            IoSlice::new(b"first"),
+            IoSlice::new(b"second"),
+        ];
+        assert_eq!(s.try_write_vectored(&gather).unwrap(), 5);
+        assert_eq!(s.0, b"first");
+        assert_eq!(s.try_write_vectored(&[]).unwrap(), 0);
+    }
+
+    #[test]
     fn mem_listener_delivers_connections_fifo() {
         let (mut l, c) = mem::listener("srv");
         assert!(l.try_accept().unwrap().is_none());
@@ -1258,7 +1345,8 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(1));
         }
         let mut server = server.expect("accepted");
-        assert_eq!(client.try_write(b"abc").unwrap(), 3);
+        let gather = [IoSlice::new(b"a"), IoSlice::new(b"bc")];
+        assert_eq!(client.try_write_vectored(&gather).unwrap(), 3);
         let mut buf = [0u8; 8];
         let mut got = 0;
         for _ in 0..100 {

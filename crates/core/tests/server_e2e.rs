@@ -359,6 +359,53 @@ fn tcp_loopback_end_to_end() {
     server.shutdown();
 }
 
+/// The gathered Send Reply over a real socket: 64 requests pipelined on
+/// one connection come back byte-exact and in order, in far fewer write
+/// syscalls than responses. The inline reactor (O2 = No) makes the count
+/// deterministic: every reply of a read batch is queued before the next
+/// flush runs.
+#[test]
+fn tcp_pipelined_batch_leaves_in_gathered_writes() {
+    const REQUESTS: usize = 64;
+    let opts = ServerOptions {
+        separate_handler_pool: false,
+        thread_allocation: ThreadAllocation::Static { threads: 1 },
+        ..base_options()
+    };
+    let listener = TcpListenerNb::bind("127.0.0.1:0").unwrap();
+    let server = ServerBuilder::new(opts, LineCodec, EchoService)
+        .unwrap()
+        .serve(listener);
+    let mut c = TcpStreamNb::connect(server.local_label()).unwrap();
+
+    let mut input = String::new();
+    let mut expected = String::from("hello\n");
+    for i in 0..REQUESTS {
+        input.push_str(&format!("req-{i}\n"));
+        expected.push_str(&format!("echo:req-{i}\n"));
+    }
+    let before = server.syscalls();
+    assert_eq!(c.try_write(input.as_bytes()).unwrap(), input.len());
+
+    let mut acc = Vec::new();
+    let mut buf = [0u8; 4096];
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while acc.len() < expected.len() && Instant::now() < deadline {
+        match c.try_read(&mut buf).unwrap() {
+            ReadOutcome::Data(n) => acc.extend_from_slice(&buf[..n]),
+            ReadOutcome::WouldBlock => std::thread::sleep(Duration::from_micros(500)),
+            ReadOutcome::Closed => break,
+        }
+    }
+    assert_eq!(String::from_utf8(acc).unwrap(), expected);
+    let writes = server.syscalls().since(&before).writes;
+    assert!(
+        writes < REQUESTS as u64,
+        "{writes} write syscalls for {REQUESTS} pipelined responses: the gather is not taking effect"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn shutdown_closes_open_connections() {
     let (listener, connector) = mem::listener("down");

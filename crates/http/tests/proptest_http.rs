@@ -10,6 +10,7 @@ use nserver_http::{
     Version,
 };
 use proptest::prelude::*;
+use std::io::IoSlice;
 use std::sync::Arc;
 
 fn token() -> impl Strategy<Value = String> {
@@ -164,15 +165,17 @@ proptest! {
     }
 
     /// The segmented zero-copy encoding (`encode_reply` → outbox
-    /// drained chunk-by-chunk) is byte-identical to the flat
-    /// `encode_response` wire image, and the body segment aliases the
-    /// response's `Arc` rather than copying it.
+    /// drained chunk-by-chunk, or gathered slice-wise as the dispatcher
+    /// sends it) is byte-identical to the flat `encode_response` wire
+    /// image, and the body segment aliases the response's `Arc` rather
+    /// than copying it.
     #[test]
     fn segmented_encoding_matches_flat_wire_image(
         body in proptest::collection::vec(any::<u8>(), 0..4096),
         keep_alive in any::<bool>(),
         head_only in any::<bool>(),
         drain in 1usize..512,
+        pipelined in 1usize..40,
     ) {
         let codec = HttpCodec::new();
         let mut resp = Response::ok(Arc::new(body), "text/plain", Version::Http11)
@@ -200,6 +203,33 @@ proptest! {
         }
         prop_assert!(outbox.is_empty());
         prop_assert_eq!(&wire[..], &flat[..]);
+
+        // The same response pipelined `pipelined` times and drained as
+        // gathered writes that each stop after `drain` bytes — mid-slice,
+        // mid-gather, or past the 64 slices one gather carries.
+        let body_arc = Arc::clone(&resp.body);
+        for _ in 0..pipelined {
+            let mut reply = EncodedReply::new();
+            codec.encode_reply(&resp, &mut reply).expect("segmented encode");
+            outbox.push_reply(reply);
+        }
+        if !head_only && !resp.body.is_empty() {
+            prop_assert_eq!(Arc::strong_count(&body_arc), 2 + pipelined, "bodies queued by reference");
+        }
+        let mut wire = Vec::new();
+        while !outbox.is_empty() {
+            let mut slices = [IoSlice::new(&[]); 64];
+            let filled = outbox.fill_slices(&mut slices);
+            prop_assert!(filled > 0);
+            let mut room = drain;
+            for s in &slices[..filled] {
+                let take = room.min(s.len());
+                wire.extend_from_slice(&s[..take]);
+                room -= take;
+            }
+            outbox.advance(drain - room);
+        }
+        prop_assert_eq!(wire, flat.repeat(pipelined));
     }
 
     /// Responses always carry an accurate Content-Length and terminate
