@@ -3,9 +3,10 @@
 //! against the protocol models.
 //!
 //! The server runs exactly the production pipeline — the only test
-//! scaffolding is the transport stack: an in-memory listener wrapped by
-//! [`FaultyListener`] (injects the plan's faults) wrapped by
-//! [`TapListener`] (records the traces the models consume). The driver
+//! scaffolding is the transport stack (`base_stack`): an in-memory
+//! listener under the fault layer (injects the plan's faults) under the
+//! tap layer (records the traces the models consume), each a hook set
+//! over the one [`Layered`] adapter. The driver
 //! delivers each connection's segments in the schedule's interleaved
 //! order, optionally slamming connections shut early, then quiesces:
 //! clean connections are waited on until the model-predicted output has
@@ -42,11 +43,12 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nserver_cache::{FileCache, PolicyKind, SharedFileCache};
-use nserver_core::fault::{FaultProfile, FaultyListener};
+use nserver_core::fault::{self, FaultPlan, FaultProfile};
+use nserver_core::layer::Layered;
 use nserver_core::options::ServerOptions;
 use nserver_core::pipeline::Service;
 use nserver_core::server::ServerBuilder;
-use nserver_core::tap::{ConnTrace, TapListener, TraceLog};
+use nserver_core::tap::{self, ConnTrace, TraceLog};
 use nserver_core::transport::{mem, StreamIo};
 use nserver_ftp::observe::parse_pasv_port;
 use nserver_ftp::{cops_ftp_options, split_replies, FtpCodec, FtpService};
@@ -58,7 +60,7 @@ use crate::ftp_model::{
     check_ftp_session, expected_replies, pasv_outcomes, FtpDataCtx, FtpFixture,
 };
 use crate::http_model::{check_http, expected_outbound, HttpFixture};
-use crate::mutant::{MutantListener, TransportMutation};
+use crate::mutant::{self, TransportMutation};
 use crate::schedule::{generate, DataOp, DataOpKind, Proto, Schedule};
 use crate::Violation;
 
@@ -174,9 +176,17 @@ pub fn run_http_with_options<S: Service<HttpCodec>>(
     run_http_paced(sched, svc, opts, Pacing::Wall).report
 }
 
-/// The explorer's standard transport stack: traces outermost, then fault
-/// injection, then the in-memory loopback.
-type BaseListener = TapListener<FaultyListener<mem::MemListener>>;
+/// The explorer's standard transport stack, outermost first: the trace
+/// tap, then fault injection, then the in-memory loopback.
+type BaseListener = Layered<Layered<mem::MemListener, FaultPlan>, TraceLog>;
+
+/// Build the standard stack under `plan`. The explorer owns the plan, so
+/// it is the explorer that stamps each trace with the profile of its
+/// accept ordinal; the tap knows nothing of faults.
+fn base_stack(listener: mem::MemListener, plan: FaultPlan) -> (BaseListener, TraceLog) {
+    let log = TraceLog::stamped(move |k| format!("{:?}", plan.profile_for(k)));
+    (tap::layer(fault::layer(listener, plan), log.clone()), log)
+}
 
 /// Run an HTTP schedule against the standard service with a transport
 /// mutant interposed above the explorer's standard stack.
@@ -186,7 +196,7 @@ fn run_http_mutated(sched: &Schedule, mutation: TransportMutation) -> RunReport 
         standard_http_service(),
         cops_http_options(),
         Pacing::Wall,
-        |l| MutantListener::new(l, mutation),
+        |l| mutant::layer(l, mutation),
     )
     .report
 }
@@ -209,7 +219,7 @@ pub fn run_http_gather_drop(sched: &Schedule) -> RunReport {
 /// close too).
 pub fn run_ftp_lingerless(sched: &Schedule) -> RunReport {
     run_ftp_paced_on(sched, standard_ftp_service(), Pacing::Wall, |l| {
-        MutantListener::new(l, TransportMutation::Lingerless)
+        mutant::layer(l, TransportMutation::Lingerless)
     })
     .report
 }
@@ -238,9 +248,7 @@ where
     let fixture = HttpFixture::standard();
     let nonce = RUN_NONCE.fetch_add(1, Ordering::Relaxed);
     let (listener, connector) = mem::listener(&format!("conformance-http-{}-{nonce}", sched.seed));
-    let log = TraceLog::new();
-    let tapped = TapListener::new(FaultyListener::new(listener, sched.plan), log.clone())
-        .with_plan(sched.plan);
+    let (tapped, log) = base_stack(listener, sched.plan);
     let server = ServerBuilder::new(opts, HttpCodec::new(), svc)
         .expect("valid server options")
         .serve(wrap(tapped));
@@ -302,10 +310,8 @@ where
 {
     let nonce = RUN_NONCE.fetch_add(1, Ordering::Relaxed);
     let (listener, connector) = mem::listener(&format!("conformance-ftp-{}-{nonce}", sched.seed));
-    let log = TraceLog::new();
+    let (tapped, log) = base_stack(listener, sched.plan);
     let data_recorded = svc.attach_data_tap(log.clone());
-    let tapped = TapListener::new(FaultyListener::new(listener, sched.plan), log.clone())
-        .with_plan(sched.plan);
     let server = ServerBuilder::new(cops_ftp_options(), FtpCodec, svc)
         .expect("valid server options")
         .serve(wrap(tapped));
@@ -1101,7 +1107,6 @@ pub fn seed_range(default_lo: u64, default_hi: u64) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::schedule::{ConnScript, Step};
-    use nserver_core::fault::FaultPlan;
 
     fn two_conn_schedule() -> Schedule {
         Schedule {

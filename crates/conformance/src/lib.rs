@@ -31,7 +31,8 @@
 //!   hashes the serialized form so distinct-schedule coverage is
 //!   countable.
 //! * **The explorer** ([`explorer`]) — runs the real server over the
-//!   in-memory transport under `FaultyListener` + `TapListener`, delivers
+//!   in-memory transport under the fault layer and, outside it, the tap
+//!   layer (`tap::layer(fault::layer(mem, plan), log)`), delivers
 //!   the schedule (spawning real TCP data connections for every `227`
 //!   the server announces), and checks every recorded [`ConnTrace`]
 //!   against the model. [`explorer::run_virtual`] replaces delivery
@@ -65,8 +66,8 @@ pub use explorer::{
 pub use ftp_model::{check_ftp, check_ftp_session, FtpDataCtx, FtpModel};
 pub use http_model::HttpFixture;
 pub use mutant::{
-    truncated_retr_service, FtpMutation, HttpMutation, MutantFtp, MutantHttp, MutantListener,
-    MutantPoller, MutantStream, PrematureFtp, TransportMutation,
+    truncated_retr_service, FtpMutation, HttpMutation, MutantFtp, MutantHttp, PrematureFtp,
+    TransportMutation,
 };
 pub use relay::{relay_differential, replaying_relay_diverges, DiffReport, ReplayingProxy};
 pub use schedule::{

@@ -14,11 +14,10 @@ use std::io::{self, IoSlice};
 use std::sync::Arc;
 use std::time::Duration;
 
+use nserver_core::layer::{AcceptHook, ConnHook, Layered, NoPoll};
 use nserver_core::pipeline::{Action, ConnCtx, Service};
 use nserver_core::tap::TraceLog;
-use nserver_core::transport::{
-    Interest, Listener, PollEvent, Poller, ReadOutcome, StreamIo, Waker,
-};
+use nserver_core::transport::{Listener, StreamIo};
 use nserver_ftp::legacy::vfs::Vfs;
 use nserver_ftp::{FtpCodec, FtpRequest, FtpService};
 use nserver_http::{HttpCodec, Request, Response, Status};
@@ -220,7 +219,7 @@ impl FtpDataTapTarget for PrematureFtp {
     }
 }
 
-/// Which transport-level bug a [`MutantListener`]'s streams carry. In
+/// Which transport-level bug the streams of a mutant [`layer`] carry. In
 /// both, the server's own bookkeeping stays perfect — the outbox drains,
 /// `bytes_sent` adds up — so only the models' byte-level checks can see
 /// the damage.
@@ -244,139 +243,59 @@ pub enum TransportMutation {
     GatherDrop,
 }
 
-/// Listener wrapper interposing a [`TransportMutation`] between the
-/// dispatcher and the real transport stack.
-pub struct MutantListener<L> {
-    inner: L,
-    mutation: TransportMutation,
-}
-
-impl<L> MutantListener<L> {
-    pub fn new(inner: L, mutation: TransportMutation) -> Self {
-        Self { inner, mutation }
-    }
-}
-
-/// Stream wrapper for [`MutantListener`]: delegates everything except
-/// the one call its mutation breaks.
-pub struct MutantStream<S> {
-    inner: S,
-    mutation: TransportMutation,
-}
-
-impl<S: StreamIo> StreamIo for MutantStream<S> {
-    fn try_read(&mut self, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-        self.inner.try_read(buf)
-    }
-
-    fn try_write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.inner.try_write(data)
-    }
-
-    fn try_write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        match self.mutation {
-            TransportMutation::Lingerless => self.inner.try_write_vectored(bufs),
-            // The bug under test: one slice forwarded, all of them
-            // claimed (a would-block on that slice is reported honestly).
+/// The mutation is its own connection hook: everything forwards except
+/// the one call it breaks.
+impl ConnHook for TransportMutation {
+    fn write_vectored<S: StreamIo>(
+        &mut self,
+        inner: &mut S,
+        bufs: &[IoSlice<'_>],
+    ) -> io::Result<usize> {
+        match self {
+            TransportMutation::Lingerless => inner.try_write_vectored(bufs),
+            // The bug under test: the first slice forwarded, the rest
+            // claimed (a would-block on that slice is reported honestly,
+            // and a lone slice is not a gather: nothing to drop).
             TransportMutation::GatherDrop => {
-                let Some(first) = bufs.iter().find(|b| !b.is_empty()) else {
+                let mut slices = bufs.iter().filter(|b| !b.is_empty());
+                let Some(first) = slices.next() else {
                     return Ok(0);
                 };
-                match self.inner.try_write(first)? {
+                match inner.try_write(first)? {
                     0 => Ok(0),
-                    _ => Ok(bufs.iter().map(|b| b.len()).sum()),
+                    n => Ok(n + slices.map(|b| b.len()).sum::<usize>()),
                 }
             }
         }
     }
 
-    fn peer_label(&self) -> String {
-        self.inner.peer_label()
-    }
-
-    fn shutdown(&mut self) {
-        self.inner.shutdown();
-    }
-
-    fn shutdown_write(&mut self) {
-        match self.mutation {
+    fn shutdown_write<S: StreamIo>(&mut self, inner: &mut S) {
+        match self {
             // The bug under test: no FIN-first half-close, no linger —
             // the socket is torn down with whatever the peer pipelined
             // unread.
-            TransportMutation::Lingerless => self.inner.shutdown(),
-            TransportMutation::GatherDrop => self.inner.shutdown_write(),
+            TransportMutation::Lingerless => inner.shutdown(),
+            TransportMutation::GatherDrop => inner.shutdown_write(),
         }
     }
 }
 
-/// Poller wrapper for [`MutantListener`]: pure delegation.
-pub struct MutantPoller<P> {
-    inner: P,
-}
+impl AcceptHook for TransportMutation {
+    type Conn = Self;
+    type Poll = NoPoll<Self>;
 
-impl<P: Poller> Poller for MutantPoller<P> {
-    type Stream = MutantStream<P::Stream>;
-
-    fn register(
-        &mut self,
-        token: u64,
-        stream: &Self::Stream,
-        interest: Interest,
-    ) -> io::Result<()> {
-        self.inner.register(token, &stream.inner, interest)
-    }
-
-    fn reregister(
-        &mut self,
-        token: u64,
-        stream: &Self::Stream,
-        interest: Interest,
-    ) -> io::Result<()> {
-        self.inner.reregister(token, &stream.inner, interest)
-    }
-
-    fn deregister(&mut self, token: u64, stream: &Self::Stream) -> io::Result<()> {
-        self.inner.deregister(token, &stream.inner)
-    }
-
-    fn wait(&mut self, events: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
-        self.inner.wait(events, timeout)
-    }
-
-    fn waker(&self) -> Waker {
-        self.inner.waker()
+    fn accepted<S: StreamIo>(&mut self, _: u64, stream: io::Result<&mut S>) -> io::Result<Self> {
+        stream.map(|_| *self)
     }
 }
 
-impl<L: Listener> Listener for MutantListener<L> {
-    type Stream = MutantStream<L::Stream>;
-    type Poller = MutantPoller<L::Poller>;
-
-    fn try_accept(&mut self) -> io::Result<Option<Self::Stream>> {
-        let mutation = self.mutation;
-        Ok(self
-            .inner
-            .try_accept()?
-            .map(|inner| MutantStream { inner, mutation }))
-    }
-
-    fn local_label(&self) -> String {
-        self.inner.local_label()
-    }
-
-    fn new_poller() -> io::Result<Self::Poller> {
-        Ok(MutantPoller {
-            inner: L::new_poller()?,
-        })
-    }
-
-    fn register_listener(&self, poller: &mut Self::Poller) -> io::Result<()> {
-        self.inner.register_listener(&mut poller.inner)
-    }
-
-    fn deregister_listener(&self, poller: &mut Self::Poller) -> io::Result<()> {
-        self.inner.deregister_listener(&mut poller.inner)
-    }
+/// `listener` with `mutation` interposed between the dispatcher and the
+/// transport stack: the mutant layer.
+pub fn layer<L: Listener>(
+    listener: L,
+    mutation: TransportMutation,
+) -> Layered<L, TransportMutation> {
+    Layered::new(listener, mutation)
 }
 
 #[cfg(test)]
@@ -441,12 +360,9 @@ mod tests {
 
     #[test]
     fn lingerless_shutdown_write_is_a_hard_close() {
-        use nserver_core::transport::mem;
+        use nserver_core::transport::{mem, ReadOutcome};
         let (a, mut client) = mem::pair("srv", "cli");
-        let mut srv = MutantStream {
-            inner: a,
-            mutation: TransportMutation::Lingerless,
-        };
+        let mut srv = Layered::new(a, TransportMutation::Lingerless);
         client.try_write(b"GET /tail HTTP/1.1\r\n\r\n").unwrap();
         srv.try_write(b"HTTP/1.1 200 OK\r\n\r\n").unwrap();
         // The mutant turns the lingering close's FIN into a full close;
@@ -463,12 +379,9 @@ mod tests {
 
     #[test]
     fn gather_drop_forwards_one_slice_and_claims_them_all() {
-        use nserver_core::transport::mem;
+        use nserver_core::transport::{mem, ReadOutcome};
         let (a, mut client) = mem::pair("srv", "cli");
-        let mut srv = MutantStream {
-            inner: a,
-            mutation: TransportMutation::GatherDrop,
-        };
+        let mut srv = Layered::new(a, TransportMutation::GatherDrop);
         let gather = [IoSlice::new(b"head"), IoSlice::new(b"body!")];
         assert_eq!(srv.try_write_vectored(&gather).unwrap(), 9);
         let mut buf = [0u8; 16];

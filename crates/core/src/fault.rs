@@ -3,11 +3,11 @@
 //! The paper evaluates the N-Server pattern under *load* (Figs. 4–6) but
 //! never under *failure*: peer resets, `WouldBlock` storms, short
 //! reads/writes, corrupted request bytes, accept-time errors and
-//! slow-loris stalls. This module supplies those failures as a wrapper
-//! around any [`Listener`]/[`StreamIo`]/[`Poller`] triple, so the same
-//! framework assembly the clean tests exercise can be driven through a
-//! seeded *fault plan* — and the chaos suite in `tests/` can assert the
-//! server survives, sheds load and returns to steady state.
+//! slow-loris stalls. This module supplies those failures as one layer
+//! ([`layer`]) of hooks over the [`Layered`] transport adapter, so the
+//! same framework assembly the clean tests exercise can be driven
+//! through a seeded *fault plan* — and the chaos suite in `tests/` can
+//! assert the server survives, sheds load and returns to steady state.
 //!
 //! Everything is deterministic: a [`FaultPlan`] is a seed plus per-mille
 //! incidence knobs, and the fault profile of the `k`-th accepted
@@ -26,7 +26,8 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::transport::{Interest, Listener, PollEvent, Poller, ReadOutcome, StreamIo, Waker};
+use crate::layer::{AcceptHook, ConnHook, Layered, PollHook};
+use crate::transport::{Listener, PollEvent, Poller, ReadOutcome, StreamIo};
 
 /// A seeded, declarative schedule of transport faults.
 ///
@@ -133,7 +134,7 @@ pub enum FaultProfile {
     },
     /// The first `calls` read attempts report `WouldBlock` even when data
     /// is queued; the swallowed readiness is redelivered synthetically by
-    /// [`FaultyPoller`].
+    /// [`Redelivery`].
     Storm {
         /// Number of suppressed read attempts.
         calls: u32,
@@ -165,14 +166,14 @@ pub enum FaultProfile {
 /// twin of this generator.
 ///
 /// [`SimRng`]: https://docs.rs/
-struct FaultRng(u64);
+pub(crate) struct FaultRng(u64);
 
 impl FaultRng {
-    fn new(seed: u64, stream: u64) -> Self {
+    pub(crate) fn new(seed: u64, stream: u64) -> Self {
         Self(seed ^ stream.wrapping_mul(0x9E3779B97F4A7C15))
     }
 
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -181,9 +182,9 @@ impl FaultRng {
     }
 }
 
-/// Mutable fault bookkeeping, shared between a [`FaultyStream`] and the
-/// [`FaultyPoller`] watching it (the poller needs to see swallowed
-/// readiness to redeliver it).
+/// Mutable fault bookkeeping, shared between a connection's [`FaultConn`]
+/// and the [`Redelivery`] hook of the poller watching it (the poller
+/// needs to see swallowed readiness to redeliver it).
 #[derive(Debug)]
 struct FaultState {
     profile: FaultProfile,
@@ -197,30 +198,21 @@ struct FaultState {
     suppressed: bool,
 }
 
-/// A [`StreamIo`] wrapper injecting one connection's [`FaultProfile`].
-pub struct FaultyStream<S: StreamIo> {
-    inner: S,
+/// The connection hook enacting one connection's [`FaultProfile`]:
+/// `Layered::new(stream, FaultConn::new(profile))` is a faulted stream.
+#[derive(Debug)]
+pub struct FaultConn {
     state: Arc<Mutex<FaultState>>,
 }
 
-impl<S: StreamIo> std::fmt::Debug for FaultyStream<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FaultyStream")
-            .field("peer", &self.inner.peer_label())
-            .field("state", &*self.state.lock())
-            .finish()
-    }
-}
-
-impl<S: StreamIo> FaultyStream<S> {
-    /// Wrap a stream with the given profile.
-    pub fn new(inner: S, profile: FaultProfile) -> Self {
+impl FaultConn {
+    /// A connection running under `profile`.
+    pub fn new(profile: FaultProfile) -> Self {
         let storm_left = match profile {
             FaultProfile::Storm { calls } => calls,
             _ => 0,
         };
         Self {
-            inner,
             state: Arc::new(Mutex::new(FaultState {
                 profile,
                 bytes_read: 0,
@@ -232,32 +224,31 @@ impl<S: StreamIo> FaultyStream<S> {
         }
     }
 
-    /// The profile this stream runs under.
+    /// The profile this connection runs under.
     pub fn profile(&self) -> FaultProfile {
         self.state.lock().profile
     }
 }
 
-impl<S: StreamIo> StreamIo for FaultyStream<S> {
-    fn try_read(&mut self, buf: &mut [u8]) -> io::Result<ReadOutcome> {
+fn injected_reset() -> io::Error {
+    io::Error::new(io::ErrorKind::ConnectionReset, "injected reset")
+}
+
+/// Fault profiles shape data flow, not teardown: `shutdown` and
+/// `shutdown_write` keep their forwarding defaults.
+impl ConnHook for FaultConn {
+    fn read<S: StreamIo>(&mut self, inner: &mut S, buf: &mut [u8]) -> io::Result<ReadOutcome> {
         if buf.is_empty() {
-            return self.inner.try_read(buf);
+            return inner.try_read(buf);
         }
         let mut st = self.state.lock();
-        match st.profile {
-            FaultProfile::Clean => self.inner.try_read(buf),
+        let r = match st.profile {
+            FaultProfile::Clean => inner.try_read(buf)?,
             FaultProfile::Reset { after_bytes } => {
                 if st.bytes_read + st.bytes_written >= after_bytes {
-                    return Err(io::Error::new(
-                        io::ErrorKind::ConnectionReset,
-                        "injected reset",
-                    ));
+                    return Err(injected_reset());
                 }
-                let r = self.inner.try_read(buf)?;
-                if let ReadOutcome::Data(n) = r {
-                    st.bytes_read += n;
-                }
-                Ok(r)
+                inner.try_read(buf)?
             }
             FaultProfile::Storm { .. } => {
                 if st.storm_left > 0 {
@@ -265,23 +256,22 @@ impl<S: StreamIo> StreamIo for FaultyStream<S> {
                     st.suppressed = true;
                     return Ok(ReadOutcome::WouldBlock);
                 }
-                self.inner.try_read(buf)
+                inner.try_read(buf)?
             }
             FaultProfile::ShortIo { cap } => {
                 let cap = cap.clamp(1, buf.len());
-                self.inner.try_read(&mut buf[..cap])
+                inner.try_read(&mut buf[..cap])?
             }
             FaultProfile::Corrupt { every } => {
-                let r = self.inner.try_read(buf)?;
+                let r = inner.try_read(buf)?;
                 if let ReadOutcome::Data(n) = r {
                     for (i, byte) in buf[..n].iter_mut().enumerate() {
                         if (st.bytes_read + i + 1).is_multiple_of(every) {
                             *byte ^= 0xFF;
                         }
                     }
-                    st.bytes_read += n;
                 }
-                Ok(r)
+                r
             }
             FaultProfile::Stall { after_bytes } => {
                 if st.bytes_read >= after_bytes {
@@ -291,31 +281,28 @@ impl<S: StreamIo> StreamIo for FaultyStream<S> {
                     return Ok(ReadOutcome::WouldBlock);
                 }
                 let cap = (after_bytes - st.bytes_read).clamp(1, buf.len());
-                let r = self.inner.try_read(&mut buf[..cap])?;
-                if let ReadOutcome::Data(n) = r {
-                    st.bytes_read += n;
-                }
-                Ok(r)
+                inner.try_read(&mut buf[..cap])?
             }
+        };
+        if let ReadOutcome::Data(n) = r {
+            st.bytes_read += n;
         }
-    }
-
-    fn try_write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.try_write_vectored(&[IoSlice::new(data)])
+        Ok(r)
     }
 
     /// Faults are decided per call on the gathered total: a reset counts
     /// every slice's bytes, and a `ShortIo` cap may cut inside a slice.
-    fn try_write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+    fn write_vectored<S: StreamIo>(
+        &mut self,
+        inner: &mut S,
+        bufs: &[IoSlice<'_>],
+    ) -> io::Result<usize> {
         let mut st = self.state.lock();
         let n = match st.profile {
             FaultProfile::Reset { after_bytes }
                 if st.bytes_read + st.bytes_written >= after_bytes =>
             {
-                return Err(io::Error::new(
-                    io::ErrorKind::ConnectionReset,
-                    "injected reset",
-                ));
+                return Err(injected_reset());
             }
             FaultProfile::ShortIo { cap } if bufs.iter().any(|b| !b.is_empty()) => {
                 // Alternate would-block and a capped write, so a response
@@ -326,27 +313,12 @@ impl<S: StreamIo> StreamIo for FaultyStream<S> {
                     return Ok(0);
                 }
                 st.write_gate_open = false;
-                self.inner
-                    .try_write_vectored(&cap_slices(bufs, cap.max(1)))?
+                inner.try_write_vectored(&cap_slices(bufs, cap.max(1)))?
             }
-            _ => self.inner.try_write_vectored(bufs)?,
+            _ => inner.try_write_vectored(bufs)?,
         };
         st.bytes_written += n;
         Ok(n)
-    }
-
-    fn peer_label(&self) -> String {
-        self.inner.peer_label()
-    }
-
-    fn shutdown(&mut self) {
-        self.inner.shutdown();
-    }
-
-    fn shutdown_write(&mut self) {
-        // Fault profiles shape data flow, not teardown: half-close passes
-        // straight through, like `shutdown`.
-        self.inner.shutdown_write();
     }
 }
 
@@ -365,58 +337,43 @@ fn cap_slices<'a>(bufs: &'a [IoSlice<'_>], mut cap: usize) -> Vec<IoSlice<'a>> {
     capped
 }
 
-/// A [`Poller`] wrapper that redelivers readiness swallowed by fault
-/// injection.
+/// The poll hook that redelivers readiness swallowed by fault injection.
 ///
 /// The in-memory transport is notification-based: if a `WouldBlock` storm
 /// swallows a readable event, nothing will ever re-notify the token and
 /// the connection wedges — a test artifact, not the failure under study.
-/// The wrapper therefore re-reports any token whose stream suppressed a
+/// The hook therefore re-reports any token whose connection suppressed a
 /// readable event, capping the wait timeout so redelivery is prompt.
-pub struct FaultyPoller<P: Poller> {
-    inner: P,
+#[derive(Default)]
+pub struct Redelivery {
     states: HashMap<u64, Arc<Mutex<FaultState>>>,
 }
 
 /// How quickly suppressed readiness is re-reported.
 const REDELIVER_INTERVAL: Duration = Duration::from_millis(1);
 
-impl<P: Poller> Poller for FaultyPoller<P> {
-    type Stream = FaultyStream<P::Stream>;
+impl PollHook for Redelivery {
+    type Conn = FaultConn;
 
-    fn register(
-        &mut self,
-        token: u64,
-        stream: &Self::Stream,
-        interest: Interest,
-    ) -> io::Result<()> {
-        self.inner.register(token, &stream.inner, interest)?;
-        self.states.insert(token, Arc::clone(&stream.state));
-        Ok(())
+    fn registered(&mut self, token: u64, conn: &FaultConn) {
+        self.states.insert(token, Arc::clone(&conn.state));
     }
 
-    fn reregister(
-        &mut self,
-        token: u64,
-        stream: &Self::Stream,
-        interest: Interest,
-    ) -> io::Result<()> {
-        self.inner.reregister(token, &stream.inner, interest)?;
-        self.states.insert(token, Arc::clone(&stream.state));
-        Ok(())
-    }
-
-    fn deregister(&mut self, token: u64, stream: &Self::Stream) -> io::Result<()> {
+    fn deregistered(&mut self, token: u64) {
         self.states.remove(&token);
-        self.inner.deregister(token, &stream.inner)
     }
 
-    fn wait(&mut self, events: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
+    fn around_wait<P: Poller>(
+        &mut self,
+        inner: &mut P,
+        events: &mut Vec<PollEvent>,
+        timeout: Option<Duration>,
+    ) -> io::Result<()> {
         let mut capped = timeout;
         if self.states.values().any(|s| s.lock().suppressed) {
             capped = Some(capped.map_or(REDELIVER_INTERVAL, |t| t.min(REDELIVER_INTERVAL)));
         }
-        self.inner.wait(events, capped)?;
+        inner.wait(events, capped)?;
         for (&token, state) in &self.states {
             let mut st = state.lock();
             if st.suppressed {
@@ -432,84 +389,48 @@ impl<P: Poller> Poller for FaultyPoller<P> {
         }
         Ok(())
     }
-
-    fn waker(&self) -> Waker {
-        self.inner.waker()
-    }
 }
 
-/// A [`Listener`] wrapper that stamps every accepted connection with its
-/// planned [`FaultProfile`] and injects accept-time failures.
-pub struct FaultyListener<L: Listener> {
-    inner: L,
-    plan: FaultPlan,
-    accepted: u64,
-}
+/// The plan is its own accept hook: it stamps the `ordinal`-th accepted
+/// connection with its planned [`FaultProfile`] and injects the planned
+/// accept-time failures.
+impl AcceptHook for FaultPlan {
+    type Conn = FaultConn;
+    type Poll = Redelivery;
 
-impl<L: Listener> FaultyListener<L> {
-    /// Wrap a listener under the given plan.
-    pub fn new(inner: L, plan: FaultPlan) -> Self {
-        Self {
-            inner,
-            plan,
-            accepted: 0,
-        }
-    }
-
-    /// Connections accepted so far (including failed accepts).
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-}
-
-impl<L: Listener> Listener for FaultyListener<L> {
-    type Stream = FaultyStream<L::Stream>;
-    type Poller = FaultyPoller<L::Poller>;
-
-    fn try_accept(&mut self) -> io::Result<Option<Self::Stream>> {
-        let Some(stream) = self.inner.try_accept()? else {
-            return Ok(None);
-        };
-        self.accepted += 1;
-        if self.plan.accept_fails(self.accepted) {
+    fn accepted<S: StreamIo>(
+        &mut self,
+        ordinal: u64,
+        stream: io::Result<&mut S>,
+    ) -> io::Result<FaultConn> {
+        let stream = stream?;
+        if self.accept_fails(ordinal) {
             // The connection is consumed (and closed), not left queued:
             // an accept-time failure must not wedge the listener backlog.
-            let mut stream = stream;
             stream.shutdown();
             return Err(io::Error::new(
                 io::ErrorKind::ConnectionAborted,
                 "injected accept failure",
             ));
         }
-        let profile = self.plan.profile_for(self.accepted);
-        Ok(Some(FaultyStream::new(stream, profile)))
+        Ok(FaultConn::new(self.profile_for(ordinal)))
     }
+}
 
-    fn local_label(&self) -> String {
-        self.inner.local_label()
-    }
-
-    fn new_poller() -> io::Result<Self::Poller> {
-        Ok(FaultyPoller {
-            inner: L::new_poller()?,
-            states: HashMap::new(),
-        })
-    }
-
-    fn register_listener(&self, poller: &mut Self::Poller) -> io::Result<()> {
-        self.inner.register_listener(&mut poller.inner)
-    }
-
-    fn deregister_listener(&self, poller: &mut Self::Poller) -> io::Result<()> {
-        self.inner.deregister_listener(&mut poller.inner)
-    }
+/// `listener` under `plan`: the fault layer of a transport stack.
+pub fn layer<L: Listener>(listener: L, plan: FaultPlan) -> Layered<L, FaultPlan> {
+    Layered::new(listener, plan)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::mem;
+    use crate::transport::{mem, Interest};
     use bytes::BytesMut;
+
+    fn faulted<S: StreamIo>(stream: S, profile: FaultProfile) -> Layered<S, FaultConn> {
+        Layered::new(stream, FaultConn::new(profile))
+    }
 
     fn all_of(plan: &FaultPlan, n: u64) -> Vec<FaultProfile> {
         (1..=n).map(|i| plan.profile_for(i)).collect()
@@ -584,7 +505,7 @@ mod tests {
         // This drives the same BytesMut::split_to bookkeeping the
         // dispatcher's flush path uses.
         let (server_side, mut client) = mem::pair("srv", "cli");
-        let mut faulty = FaultyStream::new(server_side, FaultProfile::ShortIo { cap: 3 });
+        let mut faulty = faulted(server_side, FaultProfile::ShortIo { cap: 3 });
 
         let payload: Vec<u8> = (0..=255u8).cycle().take(1000).collect();
         let mut outbox = BytesMut::from(&payload[..]);
@@ -621,7 +542,7 @@ mod tests {
         // ShortIo: the cap applies to the whole gather, so a write may
         // end inside any slice — here 5 bytes: all of "abc", then "de".
         let (server_side, mut client) = mem::pair("srv", "cli");
-        let mut faulty = FaultyStream::new(server_side, FaultProfile::ShortIo { cap: 5 });
+        let mut faulty = faulted(server_side, FaultProfile::ShortIo { cap: 5 });
         let gather = [IoSlice::new(b"abc"), IoSlice::new(b"defgh")];
         assert_eq!(faulty.try_write_vectored(&gather).unwrap(), 0, "gate");
         assert_eq!(faulty.try_write_vectored(&gather).unwrap(), 5);
@@ -631,7 +552,7 @@ mod tests {
 
         // Reset: the threshold counts every slice of a gather.
         let (server_side, _client) = mem::pair("srv", "cli");
-        let mut faulty = FaultyStream::new(server_side, FaultProfile::Reset { after_bytes: 8 });
+        let mut faulty = faulted(server_side, FaultProfile::Reset { after_bytes: 8 });
         assert_eq!(faulty.try_write_vectored(&gather).unwrap(), 8);
         assert_eq!(
             faulty.try_write_vectored(&gather).unwrap_err().kind(),
@@ -643,7 +564,7 @@ mod tests {
     fn short_reads_are_capped_but_lossless() {
         let (mut writer, reader) = mem::pair("w", "r");
         writer.try_write(b"hello world").unwrap();
-        let mut faulty = FaultyStream::new(reader, FaultProfile::ShortIo { cap: 2 });
+        let mut faulty = faulted(reader, FaultProfile::ShortIo { cap: 2 });
         let mut got = Vec::new();
         let mut buf = [0u8; 64];
         while let ReadOutcome::Data(n) = faulty.try_read(&mut buf).unwrap() {
@@ -657,7 +578,7 @@ mod tests {
     fn reset_trips_after_traffic_threshold() {
         let (mut writer, reader) = mem::pair("w", "r");
         writer.try_write(&[0u8; 64]).unwrap();
-        let mut faulty = FaultyStream::new(reader, FaultProfile::Reset { after_bytes: 10 });
+        let mut faulty = faulted(reader, FaultProfile::Reset { after_bytes: 10 });
         let mut buf = [0u8; 8];
         assert!(matches!(
             faulty.try_read(&mut buf).unwrap(),
@@ -679,7 +600,7 @@ mod tests {
     fn corruption_flips_every_nth_inbound_byte() {
         let (mut writer, reader) = mem::pair("w", "r");
         writer.try_write(&[0u8; 12]).unwrap();
-        let mut faulty = FaultyStream::new(reader, FaultProfile::Corrupt { every: 4 });
+        let mut faulty = faulted(reader, FaultProfile::Corrupt { every: 4 });
         let mut buf = [0u8; 12];
         // Read in two chunks: the corruption stride must span calls.
         assert!(matches!(
@@ -703,14 +624,14 @@ mod tests {
     fn storm_suppresses_then_delivers_and_flags_redelivery() {
         let (mut writer, reader) = mem::pair("w", "r");
         writer.try_write(b"abc").unwrap();
-        let mut faulty = FaultyStream::new(reader, FaultProfile::Storm { calls: 3 });
+        let mut faulty = faulted(reader, FaultProfile::Storm { calls: 3 });
         let mut buf = [0u8; 8];
         for _ in 0..3 {
             assert!(matches!(
                 faulty.try_read(&mut buf).unwrap(),
                 ReadOutcome::WouldBlock
             ));
-            assert!(faulty.state.lock().suppressed);
+            assert!(faulty.hook().state.lock().suppressed);
         }
         assert!(matches!(
             faulty.try_read(&mut buf).unwrap(),
@@ -722,7 +643,7 @@ mod tests {
     fn stall_goes_permanently_silent_after_threshold() {
         let (mut writer, reader) = mem::pair("w", "r");
         writer.try_write(b"abcdef").unwrap();
-        let mut faulty = FaultyStream::new(reader, FaultProfile::Stall { after_bytes: 4 });
+        let mut faulty = faulted(reader, FaultProfile::Stall { after_bytes: 4 });
         let mut got = Vec::new();
         let mut buf = [0u8; 8];
         for _ in 0..4 {
@@ -738,7 +659,7 @@ mod tests {
             ));
         }
         assert!(
-            !faulty.state.lock().suppressed,
+            !faulty.hook().state.lock().suppressed,
             "stalls are not redelivered"
         );
     }
@@ -746,7 +667,7 @@ mod tests {
     #[test]
     fn accept_failure_consumes_and_closes_the_connection() {
         let (listener, connector) = mem::listener("chaos");
-        let mut faulty = FaultyListener::new(
+        let mut faulty = layer(
             listener,
             FaultPlan {
                 seed: 3,
@@ -774,7 +695,7 @@ mod tests {
     #[test]
     fn faulty_poller_redelivers_suppressed_readiness() {
         let (listener, connector) = mem::listener("storm");
-        let mut faulty_listener = FaultyListener::new(
+        let mut faulty_listener = layer(
             listener,
             FaultPlan {
                 seed: 9,
@@ -782,7 +703,7 @@ mod tests {
                 ..FaultPlan::default()
             },
         );
-        let mut poller = FaultyListener::<mem::MemListener>::new_poller().expect("poller");
+        let mut poller = Layered::<mem::MemListener, FaultPlan>::new_poller().expect("poller");
         let mut client = connector.connect();
         client.try_write(b"ping\n").unwrap();
         let mut server_stream = faulty_listener.try_accept().unwrap().unwrap();

@@ -70,6 +70,7 @@ pub mod cluster;
 pub mod diag;
 pub mod event;
 pub mod fault;
+pub mod layer;
 pub mod metrics;
 pub mod options;
 pub mod overload;
@@ -94,7 +95,7 @@ pub mod prelude {
         WorkerStateTable,
     };
     pub use crate::event::{CompletionToken, ConnId, Priority};
-    pub use crate::fault::{FaultPlan, FaultProfile, FaultyListener, FaultyStream};
+    pub use crate::fault::{FaultPlan, FaultProfile};
     pub use crate::metrics::{
         prometheus_text, prometheus_text_with, trace_jsonl, CacheSample, ExpositionExtras,
         HistogramSnapshot, LatencySnapshot, MetricsRegistry, OverloadSample, Stage,
@@ -105,7 +106,7 @@ pub mod prelude {
     };
     pub use crate::pipeline::{Action, Codec, ConnCtx, ProtocolError, RawCodec, Service};
     pub use crate::server::{ServerBuilder, ServerHandle};
-    pub use crate::tap::{ConnTrace, TapEvent, TapListener, TraceLog};
+    pub use crate::tap::{ConnTrace, TapEvent, TraceLog};
     pub use crate::trace::{DebugTracer, MemoryLogger, SpanEvent};
     pub use crate::transport::{Listener, StreamIo, TcpListenerNb, TcpStreamNb};
 }

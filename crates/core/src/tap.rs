@@ -1,8 +1,9 @@
-//! Conformance trace tap: transport wrappers that record every observable
+//! Conformance trace tap: a transport layer that records every observable
 //! byte-level event of each accepted connection as an ordered trace.
 //!
-//! The tap sits **outside** the fault layer (`Tap ∘ Faulty ∘ Mem`), so what
-//! it records is exactly what the framework observed: reads are post-fault
+//! A layer observes what the layers inside it did. Stacked **outside**
+//! the fault layer (`tap::layer(fault::layer(mem, plan), log)`), the tap
+//! records exactly what the framework observed: reads are post-fault
 //! (corrupted / short / suppressed bytes as the decoder saw them), writes
 //! are the bytes the transport actually accepted, and injected resets show
 //! up as the I/O errors the reactor had to handle. The conformance crate
@@ -10,20 +11,19 @@
 //! model rejects is either a framework bug or a model bug — both worth
 //! knowing about.
 //!
-//! The wrappers mirror [`crate::fault`]'s delegation pattern: a
-//! [`TapListener`] stamps each accepted stream with a fresh per-connection
-//! trace, [`TapStream`] records the I/O events, and [`TapPoller`] is a pure
-//! pass-through.
+//! The layer is two hooks over [`Layered`]: the [`TraceLog`] itself is
+//! the accept hook, opening a fresh trace per accepted stream under the
+//! adapter's accept ordinal, and that trace's [`TraceHandle`] is the
+//! connection hook recording the I/O events. The poller is untouched.
 
 use std::io::{self, IoSlice};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::fault::FaultPlan;
-use crate::transport::{Interest, Listener, PollEvent, Poller, ReadOutcome, StreamIo, Waker};
+use crate::layer::{AcceptHook, ConnHook, Layered, NoPoll};
+use crate::transport::{Listener, ReadOutcome, StreamIo};
 
 /// One observable event on a tapped connection, in occurrence order.
 ///
@@ -70,14 +70,17 @@ pub struct DataParent {
 /// The ordered observable trace of one accepted connection.
 #[derive(Debug, Clone)]
 pub struct ConnTrace {
-    /// 1-based accept index (aligned with [`FaultPlan::profile_for`]).
-    /// Data-connection traces inherit their parent's index so violations
-    /// attribute to the control connection that owns the transfer.
+    /// 1-based accept index: the [`Layered`] adapter's accept ordinal, the
+    /// same number every layer of the stack saw (so it indexes
+    /// `FaultPlan::profile_for`). Data-connection traces inherit their
+    /// parent's index so violations attribute to the control connection
+    /// that owns the transfer.
     pub accept_index: u64,
     /// Peer label reported by the transport.
     pub peer: String,
-    /// Debug rendering of the injected fault profile, `"Clean"` when the
-    /// tap wraps an un-faulted transport.
+    /// The log's stamp for this accept index ([`TraceLog::stamped`]: the
+    /// debug rendering of the injected fault profile), `"Clean"` when the
+    /// log has none.
     pub profile: String,
     /// The events, in occurrence order.
     pub events: Vec<TapEvent>,
@@ -195,15 +198,19 @@ impl TraceHandle {
     /// Append a `ReadEof` unless one was already observed (the reactor may
     /// poll a half-closed stream repeatedly; one EOF event suffices).
     pub fn push_eof_once(&self) {
+        self.push_once(TapEvent::ReadEof);
+    }
+
+    fn push_once(&self, ev: TapEvent) {
         let mut t = self.trace.lock();
-        if !t.events.iter().any(|e| matches!(e, TapEvent::ReadEof)) {
+        if !t.events.contains(&ev) {
             t.seqs.push(self.seq.fetch_add(1, Ordering::Relaxed));
-            t.events.push(TapEvent::ReadEof);
+            t.events.push(ev);
         }
     }
 }
 
-/// Shared, clonable log of every connection trace a [`TapListener`]
+/// Shared, clonable log of every connection trace a tap [`layer`]
 /// produced, plus accept-time failures. Also the registration point for
 /// secondary (data) connection traces via [`TraceLog::open_data`].
 #[derive(Clone, Default)]
@@ -211,6 +218,7 @@ pub struct TraceLog {
     conns: Arc<Mutex<Vec<Arc<Mutex<ConnTrace>>>>>,
     accept_failures: Arc<Mutex<Vec<u64>>>,
     seq: Arc<AtomicU64>,
+    stamp: Option<Arc<dyn Fn(u64) -> String + Send + Sync>>,
 }
 
 impl TraceLog {
@@ -219,15 +227,32 @@ impl TraceLog {
         Self::default()
     }
 
-    fn open(&self, accept_index: u64, peer: String, profile: String) -> TraceHandle {
-        let trace = Arc::new(Mutex::new(ConnTrace {
+    /// Fresh empty log whose traces carry `stamp(accept_index)` as their
+    /// `profile`. Whoever owns the fault plan under the tap passes
+    /// `move |k| format!("{:?}", plan.profile_for(k))`; the tap itself
+    /// knows nothing of faults.
+    pub fn stamped(stamp: impl Fn(u64) -> String + Send + Sync + 'static) -> Self {
+        Self {
+            stamp: Some(Arc::new(stamp)),
+            ..Self::default()
+        }
+    }
+
+    fn open(&self, accept_index: u64, peer: &str) -> TraceHandle {
+        let profile = match &self.stamp {
+            Some(stamp) => stamp(accept_index),
+            None => "Clean".to_string(),
+        };
+        self.push_trace(ConnTrace::synthetic(
             accept_index,
             peer,
-            profile,
-            events: Vec::new(),
-            seqs: Vec::new(),
-            parent: None,
-        }));
+            &profile,
+            Vec::new(),
+        ))
+    }
+
+    fn push_trace(&self, trace: ConnTrace) -> TraceHandle {
+        let trace = Arc::new(Mutex::new(trace));
         self.conns.lock().push(Arc::clone(&trace));
         TraceHandle {
             trace,
@@ -238,8 +263,8 @@ impl TraceLog {
     /// Open a trace for a secondary (data) connection owned by the
     /// `conn_ord`-th *successfully accepted* primary connection (1-based
     /// — the reactor's `ConnId` order, which counts only successful
-    /// accepts, unlike `accept_index` which also counts injected accept
-    /// failures). `ordinal` is the 1-based transfer attempt within that
+    /// accepts, unlike `accept_index` which also counts failed accepts).
+    /// `ordinal` is the 1-based transfer attempt within that
     /// connection. Returns `None` if no such primary trace exists yet.
     pub fn open_data(&self, conn_ord: u64, ordinal: u32, peer: String) -> Option<TraceHandle> {
         let conns = self.conns.lock();
@@ -247,31 +272,16 @@ impl TraceLog {
             .iter()
             .filter(|t| t.lock().parent.is_none())
             .nth(usize::try_from(conn_ord.checked_sub(1)?).ok()?)?;
-        let (accept_index, profile) = {
+        let mut trace = {
             let p = parent.lock();
-            (p.accept_index, p.profile.clone())
+            ConnTrace::synthetic(p.accept_index, &peer, &p.profile, Vec::new())
         };
         drop(conns);
-        let trace = Arc::new(Mutex::new(ConnTrace {
-            accept_index,
-            peer,
-            profile,
-            events: Vec::new(),
-            seqs: Vec::new(),
-            parent: Some(DataParent {
-                control_accept_index: accept_index,
-                transfer_ordinal: ordinal,
-            }),
-        }));
-        self.conns.lock().push(Arc::clone(&trace));
-        Some(TraceHandle {
-            trace,
-            seq: Arc::clone(&self.seq),
-        })
-    }
-
-    fn record_accept_failure(&self, accept_index: u64) {
-        self.accept_failures.lock().push(accept_index);
+        trace.parent = Some(DataParent {
+            control_accept_index: trace.accept_index,
+            transfer_ordinal: ordinal,
+        });
+        Some(self.push_trace(trace))
     }
 
     /// Number of connections traced so far.
@@ -284,7 +294,9 @@ impl TraceLog {
         self.len() == 0
     }
 
-    /// Accept indices that failed at accept time (injected accept faults).
+    /// Accept ordinals at which the stack under the tap returned an error
+    /// (injected accept faults, or a real accept failure): no connection
+    /// carries these indices.
     pub fn accept_failures(&self) -> Vec<u64> {
         self.accept_failures.lock().clone()
     }
@@ -296,209 +308,94 @@ impl TraceLog {
     }
 }
 
-/// [`StreamIo`] wrapper recording each I/O event into the connection trace.
-pub struct TapStream<S> {
-    inner: S,
-    trace: TraceHandle,
-    shutdown_logged: bool,
-}
-
-impl<S: StreamIo> StreamIo for TapStream<S> {
-    fn try_read(&mut self, buf: &mut [u8]) -> io::Result<ReadOutcome> {
-        match self.inner.try_read(buf) {
-            Ok(ReadOutcome::Data(n)) => {
-                self.trace.push(TapEvent::Read(buf[..n].to_vec()));
-                Ok(ReadOutcome::Data(n))
-            }
-            Ok(ReadOutcome::WouldBlock) => Ok(ReadOutcome::WouldBlock),
-            Ok(ReadOutcome::Closed) => {
-                self.trace.push_eof_once();
-                Ok(ReadOutcome::Closed)
-            }
-            Err(e) => {
-                self.trace.push(TapEvent::ReadError(e.to_string()));
-                Err(e)
-            }
+/// A connection's trace handle is its connection hook: it records each
+/// I/O event into the trace.
+impl ConnHook for TraceHandle {
+    fn read<S: StreamIo>(&mut self, inner: &mut S, buf: &mut [u8]) -> io::Result<ReadOutcome> {
+        let outcome = inner.try_read(buf);
+        match &outcome {
+            Ok(ReadOutcome::Data(n)) => self.push(TapEvent::Read(buf[..*n].to_vec())),
+            Ok(ReadOutcome::WouldBlock) => {}
+            Ok(ReadOutcome::Closed) => self.push_eof_once(),
+            Err(e) => self.push(TapEvent::ReadError(e.to_string())),
         }
-    }
-
-    fn try_write(&mut self, data: &[u8]) -> io::Result<usize> {
-        self.try_write_vectored(&[IoSlice::new(data)])
+        outcome
     }
 
     /// One gathered write is one `Wrote` event holding exactly the bytes
     /// the inner stream reported written, wherever in the slices the
     /// count ends.
-    fn try_write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
-        match self.inner.try_write_vectored(bufs) {
-            Ok(0) => Ok(0),
+    fn write_vectored<S: StreamIo>(
+        &mut self,
+        inner: &mut S,
+        bufs: &[IoSlice<'_>],
+    ) -> io::Result<usize> {
+        let outcome = inner.try_write_vectored(bufs);
+        match &outcome {
+            Ok(0) => {}
             Ok(n) => {
-                let mut wrote = Vec::with_capacity(n);
+                let mut wrote = Vec::with_capacity(*n);
                 for b in bufs {
                     let take = b.len().min(n - wrote.len());
                     wrote.extend_from_slice(&b[..take]);
                 }
-                self.trace.push(TapEvent::Wrote(wrote));
-                Ok(n)
+                self.push(TapEvent::Wrote(wrote));
             }
+            Err(e) => self.push(TapEvent::WriteError(e.to_string())),
+        }
+        outcome
+    }
+
+    fn shutdown<S: StreamIo>(&mut self, inner: &mut S) {
+        self.push_once(TapEvent::Shutdown);
+        inner.shutdown();
+    }
+
+    fn shutdown_write<S: StreamIo>(&mut self, inner: &mut S) {
+        self.push(TapEvent::ShutdownWrite);
+        inner.shutdown_write();
+    }
+}
+
+/// The log is its own accept hook: a fresh [`ConnTrace`] per accepted
+/// stream, indexed by the adapter's accept ordinal, and a note of every
+/// ordinal at which the stack underneath failed the accept.
+impl AcceptHook for TraceLog {
+    type Conn = TraceHandle;
+    type Poll = NoPoll<TraceHandle>;
+
+    fn accepted<S: StreamIo>(
+        &mut self,
+        ordinal: u64,
+        stream: io::Result<&mut S>,
+    ) -> io::Result<TraceHandle> {
+        match stream {
+            Ok(stream) => Ok(self.open(ordinal, &stream.peer_label())),
             Err(e) => {
-                self.trace.push(TapEvent::WriteError(e.to_string()));
+                self.accept_failures.lock().push(ordinal);
                 Err(e)
             }
         }
     }
-
-    fn peer_label(&self) -> String {
-        self.inner.peer_label()
-    }
-
-    fn shutdown(&mut self) {
-        if !self.shutdown_logged {
-            self.shutdown_logged = true;
-            self.trace.push(TapEvent::Shutdown);
-        }
-        self.inner.shutdown();
-    }
-
-    fn shutdown_write(&mut self) {
-        self.trace.push(TapEvent::ShutdownWrite);
-        self.inner.shutdown_write();
-    }
 }
 
-/// [`Poller`] wrapper: pure delegation to the inner poller.
-pub struct TapPoller<P> {
-    inner: P,
-}
-
-impl<P: Poller> Poller for TapPoller<P> {
-    type Stream = TapStream<P::Stream>;
-
-    fn register(
-        &mut self,
-        token: u64,
-        stream: &Self::Stream,
-        interest: Interest,
-    ) -> io::Result<()> {
-        self.inner.register(token, &stream.inner, interest)
-    }
-
-    fn reregister(
-        &mut self,
-        token: u64,
-        stream: &Self::Stream,
-        interest: Interest,
-    ) -> io::Result<()> {
-        self.inner.reregister(token, &stream.inner, interest)
-    }
-
-    fn deregister(&mut self, token: u64, stream: &Self::Stream) -> io::Result<()> {
-        self.inner.deregister(token, &stream.inner)
-    }
-
-    fn wait(&mut self, events: &mut Vec<PollEvent>, timeout: Option<Duration>) -> io::Result<()> {
-        self.inner.wait(events, timeout)
-    }
-
-    fn waker(&self) -> Waker {
-        self.inner.waker()
-    }
-}
-
-/// [`Listener`] wrapper opening a fresh [`ConnTrace`] per accepted stream.
-///
-/// When the wrapped listener is a [`crate::fault::FaultyListener`], pass
-/// the same [`FaultPlan`] via [`TapListener::with_plan`] so each trace is
-/// stamped with the profile the fault layer will apply; the tap counts
-/// accepts (including injected accept failures, which consume an accept
-/// index inside the fault layer) to stay aligned with
-/// [`FaultPlan::profile_for`].
-pub struct TapListener<L> {
-    inner: L,
-    log: TraceLog,
-    plan: Option<FaultPlan>,
-    accepted: u64,
-}
-
-impl<L: Listener> TapListener<L> {
-    /// Tap `inner`, recording traces into `log`.
-    pub fn new(inner: L, log: TraceLog) -> Self {
-        Self {
-            inner,
-            log,
-            plan: None,
-            accepted: 0,
-        }
-    }
-
-    /// Stamp each trace with the fault profile `plan` assigns to its
-    /// accept index.
-    pub fn with_plan(mut self, plan: FaultPlan) -> Self {
-        self.plan = Some(plan);
-        self
-    }
-}
-
-impl<L: Listener> Listener for TapListener<L> {
-    type Stream = TapStream<L::Stream>;
-    type Poller = TapPoller<L::Poller>;
-
-    fn try_accept(&mut self) -> io::Result<Option<Self::Stream>> {
-        match self.inner.try_accept() {
-            Ok(Some(stream)) => {
-                self.accepted += 1;
-                let profile = match &self.plan {
-                    Some(p) => format!("{:?}", p.profile_for(self.accepted)),
-                    None => "Clean".to_string(),
-                };
-                let trace = self.log.open(self.accepted, stream.peer_label(), profile);
-                Ok(Some(TapStream {
-                    inner: stream,
-                    trace,
-                    shutdown_logged: false,
-                }))
-            }
-            Ok(None) => Ok(None),
-            Err(e) => {
-                // An injected accept failure consumed an accept index in
-                // the fault layer; mirror it to stay aligned.
-                self.accepted += 1;
-                self.log.record_accept_failure(self.accepted);
-                Err(e)
-            }
-        }
-    }
-
-    fn local_label(&self) -> String {
-        self.inner.local_label()
-    }
-
-    fn new_poller() -> io::Result<Self::Poller> {
-        Ok(TapPoller {
-            inner: L::new_poller()?,
-        })
-    }
-
-    fn register_listener(&self, poller: &mut Self::Poller) -> io::Result<()> {
-        self.inner.register_listener(&mut poller.inner)
-    }
-
-    fn deregister_listener(&self, poller: &mut Self::Poller) -> io::Result<()> {
-        self.inner.deregister_listener(&mut poller.inner)
-    }
+/// `listener` with every accepted connection traced into `log`: the tap
+/// layer of a transport stack.
+pub fn layer<L: Listener>(listener: L, log: TraceLog) -> Layered<L, TraceLog> {
+    Layered::new(listener, log)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultPlan, FaultyListener};
+    use crate::fault::{self, FaultPlan};
     use crate::transport::mem;
 
     #[test]
     fn tap_records_reads_writes_and_shutdown_in_order() {
         let (listener, connector) = mem::listener("tap");
         let log = TraceLog::new();
-        let mut tapped = TapListener::new(listener, log.clone());
+        let mut tapped = layer(listener, log.clone());
         let mut client = connector.connect();
 
         let mut server_side = tapped.try_accept().unwrap().unwrap();
@@ -544,9 +441,8 @@ mod tests {
             crate::fault::FaultProfile::Corrupt { .. }
         ));
         let (listener, connector) = mem::listener("tap-fault");
-        let log = TraceLog::new();
-        let mut tapped =
-            TapListener::new(FaultyListener::new(listener, plan), log.clone()).with_plan(plan);
+        let log = TraceLog::stamped(move |k| format!("{:?}", plan.profile_for(k)));
+        let mut tapped = layer(fault::layer(listener, plan), log.clone());
         let mut client = connector.connect();
         let mut server_side = tapped.try_accept().unwrap().unwrap();
         client.try_write(b"aaaa").unwrap();
@@ -581,9 +477,8 @@ mod tests {
             panic!("plan must draw ShortIo");
         };
         let (listener, connector) = mem::listener("tap-gather");
-        let log = TraceLog::new();
-        let mut tapped =
-            TapListener::new(FaultyListener::new(listener, plan), log.clone()).with_plan(plan);
+        let log = TraceLog::stamped(move |k| format!("{:?}", plan.profile_for(k)));
+        let mut tapped = layer(fault::layer(listener, plan), log.clone());
         let _client = connector.connect();
         let mut server_side = tapped.try_accept().unwrap().unwrap();
         let gather = [IoSlice::new(b"ab"), IoSlice::new(b"cdefghij")];
@@ -600,7 +495,7 @@ mod tests {
     fn data_traces_join_to_their_control_connection() {
         let (listener, connector) = mem::listener("tap-data");
         let log = TraceLog::new();
-        let mut tapped = TapListener::new(listener, log.clone());
+        let mut tapped = layer(listener, log.clone());
         let mut client = connector.connect();
         let mut server_side = tapped.try_accept().unwrap().unwrap();
         server_side.try_write(b"227 ok\r\n").unwrap();
@@ -637,7 +532,7 @@ mod tests {
     fn half_close_is_recorded_once() {
         let (listener, connector) = mem::listener("tap-eof");
         let log = TraceLog::new();
-        let mut tapped = TapListener::new(listener, log.clone());
+        let mut tapped = layer(listener, log.clone());
         let mut client = connector.connect();
         let mut server_side = tapped.try_accept().unwrap().unwrap();
         client.shutdown();

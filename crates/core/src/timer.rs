@@ -1,99 +1,14 @@
-//! A hashed timer wheel driving time-based framework behaviour — most
-//! importantly the termination of long-idle connections (option O7):
+//! Time-based framework behaviour, as two deadline trackers the
+//! dispatcher loop sweeps (single consumer, so no locking is needed):
+//! [`IdleTracker`] terminates long-idle connections (option O7:
 //! "Long-idle connections may consume unnecessary resources and degrade
-//! the performance of network server applications."
-//!
-//! The wheel is deliberately framework-internal: timers are polled from
-//! the dispatcher loop (single consumer), so no locking is needed.
+//! the performance of network server applications."), and
+//! [`StageTracker`] enforces the per-stage deadlines (header read, reply
+//! drain) that reclaim slow-loris and stalled-drain connections. Each
+//! reports its `next_deadline`, which bounds the dispatcher's poll
+//! timeout.
 
-use std::collections::VecDeque;
 use std::time::{Duration, Instant};
-
-/// A scheduled timer returning a user key `K` when it fires.
-#[derive(Debug)]
-struct TimerEntry<K> {
-    deadline: Instant,
-    key: K,
-}
-
-/// Hashed timer wheel with fixed-width slots.
-#[derive(Debug)]
-pub struct TimerWheel<K> {
-    slots: Vec<VecDeque<TimerEntry<K>>>,
-    slot_width: Duration,
-    /// Start of the slot `cursor` currently points at.
-    slot_start: Instant,
-    cursor: usize,
-    len: usize,
-}
-
-impl<K> TimerWheel<K> {
-    /// Create a wheel of `slots` buckets, each `slot_width` wide. The wheel
-    /// spans `slots × slot_width`; longer timeouts are parked in the slot
-    /// they hash to and re-checked on expiry (standard hashed-wheel
-    /// behaviour).
-    pub fn new(slots: usize, slot_width: Duration, now: Instant) -> Self {
-        assert!(slots >= 2, "wheel needs at least two slots");
-        assert!(slot_width > Duration::ZERO);
-        Self {
-            slots: (0..slots).map(|_| VecDeque::new()).collect(),
-            slot_width,
-            slot_start: now,
-            cursor: 0,
-            len: 0,
-        }
-    }
-
-    /// Scheduled timer count.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no timers are scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Schedule `key` to fire `after` the given `now`.
-    pub fn schedule(&mut self, now: Instant, after: Duration, key: K) {
-        let deadline = now + after;
-        let ticks = (after.as_nanos() / self.slot_width.as_nanos().max(1)) as usize;
-        let slot = (self.cursor + ticks.min(self.slots.len() * 8)) % self.slots.len();
-        self.slots[slot].push_back(TimerEntry { deadline, key });
-        self.len += 1;
-    }
-
-    /// Advance the wheel to `now`, collecting every fired key.
-    pub fn poll(&mut self, now: Instant) -> Vec<K> {
-        let mut fired = Vec::new();
-        // Advance slot by slot until the wheel catches up with `now`.
-        loop {
-            self.collect_expired(now, &mut fired);
-            let slot_end = self.slot_start + self.slot_width;
-            if slot_end <= now {
-                self.slot_start = slot_end;
-                self.cursor = (self.cursor + 1) % self.slots.len();
-            } else {
-                break;
-            }
-        }
-        fired
-    }
-
-    fn collect_expired(&mut self, now: Instant, fired: &mut Vec<K>) {
-        let slot = &mut self.slots[self.cursor];
-        let mut remaining = VecDeque::new();
-        while let Some(e) = slot.pop_front() {
-            if e.deadline <= now {
-                fired.push(e.key);
-                self.len -= 1;
-            } else {
-                remaining.push_back(e);
-            }
-        }
-        *slot = remaining;
-    }
-}
 
 /// Per-connection idle tracking for O7: records last activity and reports
 /// which connections exceeded the idle limit on each sweep.
@@ -287,52 +202,6 @@ impl StageTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn timer_fires_after_deadline() {
-        let t0 = Instant::now();
-        let mut w = TimerWheel::new(8, Duration::from_millis(10), t0);
-        w.schedule(t0, Duration::from_millis(25), "a");
-        assert!(w.poll(t0 + Duration::from_millis(10)).is_empty());
-        assert!(w.poll(t0 + Duration::from_millis(24)).is_empty());
-        assert_eq!(w.poll(t0 + Duration::from_millis(30)), vec!["a"]);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn multiple_timers_fire_once_each() {
-        let t0 = Instant::now();
-        let mut w = TimerWheel::new(4, Duration::from_millis(5), t0);
-        for i in 0..10u32 {
-            w.schedule(t0, Duration::from_millis(i as u64 * 3), i);
-        }
-        assert_eq!(w.len(), 10);
-        let mut all = Vec::new();
-        for step in 1..=10 {
-            all.extend(w.poll(t0 + Duration::from_millis(step * 4)));
-        }
-        all.sort_unstable();
-        assert_eq!(all, (0..10).collect::<Vec<_>>());
-        assert!(w.poll(t0 + Duration::from_secs(1)).is_empty());
-    }
-
-    #[test]
-    fn long_timeouts_survive_wheel_wraparound() {
-        let t0 = Instant::now();
-        let mut w = TimerWheel::new(4, Duration::from_millis(1), t0);
-        // 20 ms timeout on a 4 ms wheel: wraps five times.
-        w.schedule(t0, Duration::from_millis(20), "late");
-        assert!(w.poll(t0 + Duration::from_millis(10)).is_empty());
-        assert_eq!(w.poll(t0 + Duration::from_millis(21)), vec!["late"]);
-    }
-
-    #[test]
-    fn zero_delay_fires_immediately() {
-        let t0 = Instant::now();
-        let mut w = TimerWheel::new(4, Duration::from_millis(10), t0);
-        w.schedule(t0, Duration::ZERO, 1);
-        assert_eq!(w.poll(t0), vec![1]);
-    }
 
     #[test]
     fn idle_tracker_sweeps_only_expired() {

@@ -1,13 +1,10 @@
 //! Property-based tests over the core policy structures: the
-//! priority-quota scheduler, the overload watermark, and the timer wheel.
-
-use std::time::{Duration, Instant};
+//! priority-quota scheduler and the overload watermark.
 
 use nserver_core::event::Priority;
 use nserver_core::overload::Watermark;
 use nserver_core::queue::{EventQueue, FifoQueue};
 use nserver_core::scheduler::PriorityQuotaQueue;
-use nserver_core::timer::TimerWheel;
 use proptest::prelude::*;
 
 proptest! {
@@ -133,34 +130,5 @@ proptest! {
                 prop_assert!(!paused);
             }
         }
-    }
-
-    /// Timer wheel: every scheduled timer fires exactly once, never
-    /// before its deadline.
-    #[test]
-    fn timers_fire_once_and_not_early(
-        delays in proptest::collection::vec(0u64..500, 1..60),
-    ) {
-        let t0 = Instant::now();
-        let mut wheel = TimerWheel::new(8, Duration::from_millis(10), t0);
-        for (i, &d) in delays.iter().enumerate() {
-            wheel.schedule(t0, Duration::from_millis(d), (i, d));
-        }
-        let mut fired = vec![false; delays.len()];
-        let mut clock = t0;
-        for step in 0..200u64 {
-            clock = t0 + Duration::from_millis(step * 5);
-            for (i, d) in wheel.poll(clock) {
-                prop_assert!(
-                    clock.duration_since(t0) >= Duration::from_millis(d),
-                    "timer {i} fired early"
-                );
-                prop_assert!(!fired[i], "timer {i} fired twice");
-                fired[i] = true;
-            }
-        }
-        let _ = clock;
-        prop_assert!(fired.iter().all(|&f| f), "some timer never fired");
-        prop_assert!(wheel.is_empty());
     }
 }

@@ -80,8 +80,8 @@ impl FtpService {
 
     /// Attach a conformance trace log so every data (PASV) socket gets a
     /// secondary [`nserver_core::tap::ConnTrace`] joined to its control
-    /// connection. Pass the same log the control listener's
-    /// `TapListener` records into; without an attachment the data path
+    /// connection. Pass the same log the control listener's tap layer
+    /// (`tap::layer`) records into; without an attachment the data path
     /// runs untapped and unchanged.
     pub fn attach_data_tap(&self, log: TraceLog) {
         *self.data_tap.lock() = Some(log);

@@ -1,8 +1,8 @@
 //! Chaos suite: COPS-HTTP and COPS-FTP under seeded fault plans.
 //!
-//! Each server runs behind a [`FaultyListener`] injecting connection
-//! resets, `WouldBlock` storms, short reads/writes, inbound byte
-//! corruption, accept-time failures and slow-loris stalls from a
+//! Each server runs behind the fault layer ([`fault::layer`]) injecting
+//! connection resets, `WouldBlock` storms, short reads/writes, inbound
+//! byte corruption, accept-time failures and slow-loris stalls from a
 //! deterministic per-seed schedule. The assertions are the robustness
 //! contract: the server survives every plan without deadlocking or
 //! leaking connections, stage deadlines reap the stalled clients, the
@@ -13,7 +13,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use nserver_core::fault::{FaultPlan, FaultProfile, FaultyListener};
+use nserver_core::fault::{self, FaultPlan, FaultProfile};
 use nserver_core::options::{OverloadControl, ServerOptions, StageDeadlines, ThreadAllocation};
 use nserver_core::pipeline::{Action, Codec, ConnCtx, ProtocolError, Service};
 use nserver_core::server::ServerBuilder;
@@ -220,7 +220,7 @@ fn cops_http_survives_seeded_fault_plans_and_returns_to_steady_state() {
         let server =
             ServerBuilder::new(opts, HttpCodec::new(), StaticFileService::new(store, None))
                 .unwrap()
-                .serve(FaultyListener::new(listener, plan));
+                .serve(fault::layer(listener, plan));
 
         // Drive the whole fault window plus a post-window tail, serially,
         // so connection i gets accept index i.
@@ -371,7 +371,7 @@ fn cops_ftp_survives_seeded_fault_plans_on_the_control_channel() {
         let (listener, connector) = mem::listener(&format!("chaos-ftp-{seed}"));
         let server = ServerBuilder::new(opts, FtpCodec, FtpService::new(vfs, users))
             .unwrap()
-            .serve(FaultyListener::new(listener, plan));
+            .serve(fault::layer(listener, plan));
 
         let total = plan.faulty_first as u64 + 6;
         let mut outcomes = Vec::new();
@@ -599,7 +599,7 @@ fn pure_short_io_plan_round_trips_large_bodies_byte_exactly() {
         StaticFileService::new(store, None),
     )
     .unwrap()
-    .serve(FaultyListener::new(listener, plan));
+    .serve(fault::layer(listener, plan));
 
     for _ in 0..3 {
         let mut conn = connector.connect();
@@ -671,7 +671,7 @@ fn watchdog_fires_and_names_the_stuck_worker_under_stall() {
         debounce_ticks: 10_000,
         ..Default::default()
     })
-    .serve(FaultyListener::new(listener, plan));
+    .serve(fault::layer(listener, plan));
 
     // Drive the fault window: stalled connections never complete; their
     // clients give up quickly and the server reaps them.

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use nserver_core::fault::{FaultPlan, FaultyListener};
+use nserver_core::fault::{self, FaultPlan};
 use nserver_core::metrics::MetricsRegistry;
 use nserver_core::metrics::Stage;
 use nserver_core::options::{Mode, ServerOptions};
@@ -259,7 +259,7 @@ fn faulted_connections_never_orphan_their_span_trees() {
     let (listener, connector) = mem::listener("o11y-fault-spans");
     let server = ServerBuilder::new(opts, HttpCodec::new(), StaticFileService::new(store, None))
         .unwrap()
-        .serve(FaultyListener::new(listener, plan));
+        .serve(fault::layer(listener, plan));
 
     const CONNS: u64 = 6;
     for _ in 0..CONNS {
