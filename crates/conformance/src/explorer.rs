@@ -215,6 +215,13 @@ pub fn run_http_gather_drop(sched: &Schedule) -> RunReport {
     run_http_mutated(sched, TransportMutation::GatherDrop)
 }
 
+/// HTTP under [`TransportMutation::OffThreadDrop`]: writes made off the
+/// accepting thread are swallowed. Used by the mutation tests to prove
+/// the sweep's schedules reach the worker-side Send Reply.
+pub fn run_http_off_thread_drop(sched: &Schedule) -> RunReport {
+    run_http_mutated(sched, TransportMutation::OffThreadDrop)
+}
+
 /// The FTP flavour of [`run_http_lingerless`] (QUIT is a server-initiated
 /// close too).
 pub fn run_ftp_lingerless(sched: &Schedule) -> RunReport {

@@ -12,6 +12,7 @@
 
 use std::io::{self, IoSlice};
 use std::sync::Arc;
+use std::thread::ThreadId;
 use std::time::Duration;
 
 use nserver_core::layer::{AcceptHook, ConnHook, Layered, NoPoll};
@@ -220,7 +221,7 @@ impl FtpDataTapTarget for PrematureFtp {
 }
 
 /// Which transport-level bug the streams of a mutant [`layer`] carry. In
-/// both, the server's own bookkeeping stays perfect — the outbox drains,
+/// all of them the server's own bookkeeping stays perfect — the outbox drains,
 /// `bytes_sent` adds up — so only the models' byte-level checks can see
 /// the damage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -241,18 +242,52 @@ pub enum TransportMutation {
     /// body; visible as a `byte-divergence` or `incomplete-delivery`
     /// violation.
     GatherDrop,
+    /// The wrong-thread mutant: a write made on any thread but the one
+    /// that accepted the stream forwards nothing and reports everything
+    /// written — a transport that quietly assumes its dispatcher is its
+    /// only writer. Replies a work item sends itself vanish (a
+    /// `byte-divergence` or `incomplete-delivery` violation); what the
+    /// dispatcher sends arrives. A sweep in which this mutant survives
+    /// never left the dispatcher's send path.
+    OffThreadDrop,
 }
 
-/// The mutation is its own connection hook: everything forwards except
-/// the one call it breaks.
-impl ConnHook for TransportMutation {
+/// A [`TransportMutation`] riding one stream: everything forwards except
+/// the one call the mutation breaks.
+pub struct MutantConn {
+    mutation: TransportMutation,
+    /// The thread that accepted the stream (its dispatcher's).
+    accepted_on: ThreadId,
+}
+
+impl TransportMutation {
+    /// This mutation as the hook of a stream accepted on the calling
+    /// thread.
+    fn on_this_thread(self) -> MutantConn {
+        MutantConn {
+            mutation: self,
+            accepted_on: std::thread::current().id(),
+        }
+    }
+}
+
+impl ConnHook for MutantConn {
     fn write_vectored<S: StreamIo>(
         &mut self,
         inner: &mut S,
         bufs: &[IoSlice<'_>],
     ) -> io::Result<usize> {
-        match self {
+        match self.mutation {
             TransportMutation::Lingerless => inner.try_write_vectored(bufs),
+            // The bug under test: a sender that is not the accepting
+            // thread is told all is written, and nothing is.
+            TransportMutation::OffThreadDrop => {
+                if std::thread::current().id() == self.accepted_on {
+                    inner.try_write_vectored(bufs)
+                } else {
+                    Ok(bufs.iter().map(|b| b.len()).sum())
+                }
+            }
             // The bug under test: the first slice forwarded, the rest
             // claimed (a would-block on that slice is reported honestly,
             // and a lone slice is not a gather: nothing to drop).
@@ -270,22 +305,28 @@ impl ConnHook for TransportMutation {
     }
 
     fn shutdown_write<S: StreamIo>(&mut self, inner: &mut S) {
-        match self {
+        match self.mutation {
             // The bug under test: no FIN-first half-close, no linger —
             // the socket is torn down with whatever the peer pipelined
             // unread.
             TransportMutation::Lingerless => inner.shutdown(),
-            TransportMutation::GatherDrop => inner.shutdown_write(),
+            TransportMutation::GatherDrop | TransportMutation::OffThreadDrop => {
+                inner.shutdown_write()
+            }
         }
     }
 }
 
 impl AcceptHook for TransportMutation {
-    type Conn = Self;
-    type Poll = NoPoll<Self>;
+    type Conn = MutantConn;
+    type Poll = NoPoll<MutantConn>;
 
-    fn accepted<S: StreamIo>(&mut self, _: u64, stream: io::Result<&mut S>) -> io::Result<Self> {
-        stream.map(|_| *self)
+    fn accepted<S: StreamIo>(
+        &mut self,
+        _: u64,
+        stream: io::Result<&mut S>,
+    ) -> io::Result<MutantConn> {
+        stream.map(|_| self.on_this_thread())
     }
 }
 
@@ -362,7 +403,7 @@ mod tests {
     fn lingerless_shutdown_write_is_a_hard_close() {
         use nserver_core::transport::{mem, ReadOutcome};
         let (a, mut client) = mem::pair("srv", "cli");
-        let mut srv = Layered::new(a, TransportMutation::Lingerless);
+        let mut srv = Layered::new(a, TransportMutation::Lingerless.on_this_thread());
         client.try_write(b"GET /tail HTTP/1.1\r\n\r\n").unwrap();
         srv.try_write(b"HTTP/1.1 200 OK\r\n\r\n").unwrap();
         // The mutant turns the lingering close's FIN into a full close;
@@ -381,7 +422,7 @@ mod tests {
     fn gather_drop_forwards_one_slice_and_claims_them_all() {
         use nserver_core::transport::{mem, ReadOutcome};
         let (a, mut client) = mem::pair("srv", "cli");
-        let mut srv = Layered::new(a, TransportMutation::GatherDrop);
+        let mut srv = Layered::new(a, TransportMutation::GatherDrop.on_this_thread());
         let gather = [IoSlice::new(b"head"), IoSlice::new(b"body!")];
         assert_eq!(srv.try_write_vectored(&gather).unwrap(), 9);
         let mut buf = [0u8; 16];
@@ -390,6 +431,25 @@ mod tests {
         // A lone slice is not a gather: nothing to drop.
         assert_eq!(srv.try_write(b"solo").unwrap(), 4);
         assert_eq!(client.try_read(&mut buf).unwrap(), ReadOutcome::Data(4));
+    }
+
+    #[test]
+    fn off_thread_drop_swallows_only_other_threads_writes() {
+        use nserver_core::transport::{mem, ReadOutcome};
+        let (a, mut client) = mem::pair("srv", "cli");
+        let mut srv = Layered::new(a, TransportMutation::OffThreadDrop.on_this_thread());
+        assert_eq!(srv.try_write(b"home").unwrap(), 4);
+        let mut srv = std::thread::spawn(move || {
+            let gather = [IoSlice::new(b"lost "), IoSlice::new(b"reply")];
+            assert_eq!(srv.try_write_vectored(&gather).unwrap(), 10);
+            srv
+        })
+        .join()
+        .unwrap();
+        assert_eq!(srv.try_write(b"!").unwrap(), 1);
+        let mut buf = [0u8; 16];
+        assert_eq!(client.try_read(&mut buf).unwrap(), ReadOutcome::Data(5));
+        assert_eq!(&buf[..5], b"home!");
     }
 
     #[test]

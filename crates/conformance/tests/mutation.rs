@@ -6,9 +6,9 @@
 
 use conformance::{
     generate, replaying_relay_diverges, run_ftp, run_http, run_http_gather_drop,
-    run_http_lingerless, shrink, standard_ftp_service, standard_http_service,
-    truncated_retr_service, DataOpKind, FtpMutation, HttpMutation, MutantFtp, MutantHttp,
-    PrematureFtp, Proto, Schedule,
+    run_http_lingerless, run_http_off_thread_drop, shrink, standard_ftp_service,
+    standard_http_service, truncated_retr_service, DataOpKind, FtpMutation, HttpMutation,
+    MutantFtp, MutantHttp, PrematureFtp, Proto, Schedule,
 };
 
 /// Find the first seed in `0..limit` whose schedule trips `fails`, check
@@ -170,6 +170,22 @@ fn http_lingerless_close_is_caught() {
 fn http_gather_drop_is_caught() {
     let fails = |s: &Schedule| {
         run_http_gather_drop(s)
+            .violations
+            .iter()
+            .any(|v| v.kind == "byte-divergence" || v.kind == "incomplete-delivery")
+    };
+    caught_shrunk_and_replayable(Proto::Http, 25, &fails);
+}
+
+/// Worker-side Send Reply soundness: a transport mutant that swallows
+/// every write not made on the thread that accepted the stream. The
+/// dispatcher's own sends arrive, so the mutant is caught only if the
+/// schedules drive replies through the work item's send — a survivor
+/// would mean the sweep never left the dispatcher path.
+#[test]
+fn http_off_thread_drop_is_caught() {
+    let fails = |s: &Schedule| {
+        run_http_off_thread_drop(s)
             .violations
             .iter()
             .any(|v| v.kind == "byte-divergence" || v.kind == "incomplete-delivery")

@@ -900,7 +900,7 @@ impl Watchdog {
 
     /// Whether any invariant has ever fired.
     pub fn has_fired(&self) -> bool {
-        self.fired.load(Ordering::Relaxed)
+        self.fired.load(Ordering::Acquire)
     }
 
     /// Stop and join the watchdog thread.
@@ -953,8 +953,10 @@ fn watchdog_loop(
                 return;
             }
             last_fired[inv] = tick_no;
-            fired.store(true, Ordering::Relaxed);
             hub.note_trigger(&reason);
+            // Raised after the snapshot is stored (pairs with the Acquire
+            // in `has_fired`): whoever sees the flag finds the snapshot.
+            fired.store(true, Ordering::Release);
         };
 
         // 1. Dispatcher liveness: judge only the response to our ping.

@@ -69,6 +69,8 @@ pub struct OverloadController {
     watched: Vec<(LenProbe, Watermark)>,
     pauses: u64,
     resumes: u64,
+    /// The last [`may_accept`](Self::may_accept) answered no.
+    gating: bool,
 }
 
 impl OverloadController {
@@ -79,6 +81,7 @@ impl OverloadController {
             watched: Vec::new(),
             pauses: 0,
             resumes: 0,
+            gating: false,
         }
     }
 
@@ -89,6 +92,7 @@ impl OverloadController {
             watched: Vec::new(),
             pauses: 0,
             resumes: 0,
+            gating: false,
         }
     }
 
@@ -108,6 +112,12 @@ impl OverloadController {
     /// Should the server accept a new connection right now, given the
     /// current connection count?
     pub fn may_accept(&mut self, current_connections: usize) -> bool {
+        let admitted = self.admits(current_connections);
+        self.gating = !admitted;
+        admitted
+    }
+
+    fn admits(&mut self, current_connections: usize) -> bool {
         if let Some(limit) = self.max_connections {
             if current_connections >= limit {
                 return false;
@@ -137,6 +147,14 @@ impl OverloadController {
     /// Times any watermark transitioned back to accepting.
     pub fn resume_transitions(&self) -> u64 {
         self.resumes
+    }
+
+    /// Whether the acceptor is held back: the last
+    /// [`may_accept`](Self::may_accept) refused, for either mechanism.
+    /// While this is false no event — a closed connection, a drained
+    /// queue — can unblock an accept, so none needs to wake the acceptor.
+    pub fn is_gating(&self) -> bool {
+        self.gating
     }
 
     /// Whether any watched watermark is currently paused. Does not

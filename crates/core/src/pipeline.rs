@@ -22,8 +22,9 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::io::IoSlice;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
 
 use bytes::BytesMut;
 use crossbeam::channel::Sender;
@@ -34,9 +35,9 @@ use crate::event::{CompletionToken, ConnId, EventKind, Priority};
 use crate::metrics::{MetricsRegistry, Stage};
 use crate::proactor::HelperPool;
 use crate::profiling::ServerStats;
-use crate::reactor::DispatchNotifier;
+use crate::reactor::{flush, DispatchNotifier, SendAccounts};
 use crate::trace::{AccessLogger, DebugTracer, SpanEvent, SEQ_NONE};
-use crate::transport::SyscallCounters;
+use crate::transport::{StreamIo, SyscallCounters};
 
 /// A protocol error raised by a codec; the framework closes the offending
 /// connection and counts the error.
@@ -150,14 +151,33 @@ impl EncodedReply {
 
 /// The per-connection transmit queue: a sequence of segments rather than
 /// one flat buffer, so cached bodies are written to the socket straight
-/// from their `Arc` allocation. The dispatcher sends it as gathered
-/// writes: [`fill_slices`](Outbox::fill_slices) lends the front segments
-/// to one `writev`, [`advance`](Outbox::advance) retires what was sent.
+/// from their `Arc` allocation. Send Reply sends it as gathered writes:
+/// [`fill_slices`](Outbox::fill_slices) lends the front segments to one
+/// `writev`, [`advance`](Outbox::advance) retires what was sent.
 #[derive(Default)]
 pub struct Outbox {
     segments: VecDeque<OutSegment>,
     /// Total unsent bytes, maintained incrementally so `len` is O(1).
     len: usize,
+    /// Send Reply's per-connection accounting. It lives under the outbox
+    /// lock because any thread holding that lock may be the sender.
+    pub(crate) sending: SendTally,
+}
+
+/// What Send Reply keeps per connection between calls, whichever thread
+/// makes them (see `reactor::flush`).
+#[derive(Default)]
+pub(crate) struct SendTally {
+    /// When the outbox was first observed non-empty (the O10/O11
+    /// write-drain window); cleared when it drains.
+    pub(crate) drain_from: Option<Instant>,
+    /// Write syscalls not yet reported to the tracer (flushed with the
+    /// connection's unreported reads as a `Syscalls` delta span when the
+    /// window closes and at teardown).
+    pub(crate) io_writes: u64,
+    /// A send emptied the outbox since the dispatcher last looked: it
+    /// takes the flag to re-arm the header-read stage deadline.
+    pub(crate) drained: bool,
 }
 
 impl Outbox {
@@ -379,8 +399,34 @@ pub trait Service<C: Codec>: Send + Sync + 'static {
     fn on_close(&self, _ctx: &ConnCtx) {}
 }
 
-/// Per-connection state shared between the dispatcher (which owns the
-/// socket) and the Event Processor workers (which run the hooks).
+/// Per-connection state shared between the dispatcher (which registers,
+/// reads and closes the connection) and the Event Processor workers
+/// (which run the hooks). **Send Reply belongs to neither**: whoever
+/// holds the outbox lock may send, through the connection's
+/// [sink](ConnShared::attach_sink).
+///
+/// # Locks
+///
+/// * **Order.** A sender takes `send` → `outbox` → the stream
+///   (`complete` holds `send` while it moves replies into the outbox;
+///   `reactor::flush` takes the outbox, then the stream, and holds both
+///   across the write). The dispatcher's Read Request takes the stream →
+///   `inbox`. Nothing takes the stream and then the outbox, so the two
+///   chains cannot close a cycle.
+/// * **No reordering between senders.** The outbox lock is held across
+///   the gathered write *and* the `Outbox::advance` that retires what it
+///   sent, so a second sender — another worker, or the dispatcher under
+///   writable interest — finds either the bytes still queued or gone,
+///   never half-sent, and starts exactly where the first one stopped.
+/// * **Closing is unchanged.** Only the dispatcher closes. Its close test
+///   reads `responses_pending` (the `send` lock) and then the outbox;
+///   `responses_pending() == false` means every accepted request has its
+///   reply queued, so no worker has anything further to send, and a
+///   worker still inside a write holds the outbox lock the test waits
+///   for. `shutdown_write` follows a second empty check under that lock.
+///   A worker's clone of this `Arc` keeps the stream (and its fd) alive
+///   until the last clone drops; the poller registration does not wait
+///   for that — the dispatcher deregisters explicitly when it finalizes.
 pub struct ConnShared {
     /// Connection id.
     pub id: ConnId,
@@ -402,16 +448,33 @@ pub struct ConnShared {
     /// sweep.
     pub peer_eof: AtomicBool,
     /// The stream failed hard (peer reset): the sink is dead. Replies
-    /// completed after this point are discarded instead of queued, and the
-    /// dispatcher never attempts another write — writing a response to a
-    /// reset peer is a protocol-conformance violation, not just wasted
-    /// work.
+    /// completed after this point are discarded instead of queued, and no
+    /// sender attempts another write — writing a response to a reset peer
+    /// is a protocol-conformance violation, not just wasted work.
     pub sink_dead: AtomicBool,
     /// Serializes decoding per connection (two Readable events for the
     /// same connection must not interleave their decode loops) and holds
     /// the codec's incremental-scan scratch.
     decode_lock: Mutex<DecodeState>,
     send: Mutex<SendState>,
+    /// Where Send Reply writes; unset on a connection no dispatcher owns
+    /// (a hand-built engine), whose replies then stay in `outbox`.
+    sink: OnceLock<Sink>,
+    /// Read syscalls not yet reported to the tracer. The dispatcher
+    /// counts them; whichever sender closes the write-drain window
+    /// reports them with its writes.
+    pub(crate) io_reads: AtomicU64,
+}
+
+/// The transport end of a connection as Send Reply sees it.
+pub(crate) struct Sink {
+    /// The connection's stream, type-erased; the owning dispatcher holds
+    /// the same `Arc` under its concrete type.
+    pub(crate) stream: Arc<Mutex<dyn StreamIo>>,
+    /// The owning dispatcher tracks stage deadlines, so it must hear of
+    /// every send that wrote: the header-read window re-arms when a reply
+    /// drains and the write-drain window is its to arm and clear.
+    pub(crate) dispatcher_tracks_sends: bool,
 }
 
 struct SendState {
@@ -441,7 +504,30 @@ impl ConnShared {
                 next_emit: 0,
                 ready: BTreeMap::new(),
             }),
+            sink: OnceLock::new(),
+            io_reads: AtomicU64::new(0),
         })
+    }
+
+    /// Give Send Reply its transport: from here on any thread holding the
+    /// outbox lock may write queued replies to `stream`.
+    /// `dispatcher_tracks_sends` asks every sender to tell the owning
+    /// dispatcher when it wrote (stage deadlines are configured). The
+    /// first attachment stands; a connection has one stream.
+    pub(crate) fn attach_sink(
+        &self,
+        stream: Arc<Mutex<dyn StreamIo>>,
+        dispatcher_tracks_sends: bool,
+    ) {
+        let _ = self.sink.set(Sink {
+            stream,
+            dispatcher_tracks_sends,
+        });
+    }
+
+    /// The attached sink, if a dispatcher owns this connection.
+    pub(crate) fn sink(&self) -> Option<&Sink> {
+        self.sink.get()
     }
 
     /// Context snapshot for hooks.
@@ -460,7 +546,7 @@ impl ConnShared {
         s.next_emit < s.next_assign
     }
 
-    fn assign_seq(&self) -> u64 {
+    pub(crate) fn assign_seq(&self) -> u64 {
         let mut s = self.send.lock();
         let seq = s.next_assign;
         s.next_assign += 1;
@@ -468,8 +554,9 @@ impl ConnShared {
     }
 
     /// Record the (possibly empty) reply for `seq` and move every
-    /// contiguous ready reply into the outbox — in request order.
-    fn complete(&self, seq: u64, reply: Option<EncodedReply>) -> usize {
+    /// contiguous ready reply into the outbox — in request order. Returns
+    /// how many replies moved and the bytes the outbox holds afterwards.
+    pub(crate) fn complete(&self, seq: u64, reply: Option<EncodedReply>) -> (usize, usize) {
         let mut emitted = 0;
         let mut s = self.send.lock();
         // A dead sink swallows the payload but keeps the sequence moving,
@@ -491,7 +578,7 @@ impl ConnShared {
             }
             s.next_emit += 1;
         }
-        emitted
+        (emitted, out.len())
     }
 }
 
@@ -506,6 +593,15 @@ pub enum Work<R> {
 
 /// Shared connection registry: id → state.
 pub type Registry = Arc<RwLock<HashMap<ConnId, Arc<ConnShared>>>>;
+
+/// Most queued reply bytes a work item still sends itself. Up to here
+/// the write is cheaper than the hop back to the dispatcher (an eventfd
+/// write, a poller return, a channel drain); past it the copy into the
+/// socket buffer is long enough that it pays to let the dispatcher make
+/// it while the worker handles the next request, and output the socket
+/// cannot take at once needs the dispatcher's writable interest anyway.
+/// DESIGN.md §8 records the measured cross-over.
+pub(crate) const WORKER_SEND_MAX: usize = 64 * 1024;
 
 /// The framework engine: everything workers need to run the pipeline.
 pub struct Engine<C: Codec, S: Service<C>> {
@@ -528,12 +624,12 @@ pub struct Engine<C: Codec, S: Service<C>> {
     pub helper: Option<Arc<HelperPool>>,
     /// Completion channel back into the dispatcher (O4=Asynchronous).
     pub completion_tx: Option<Sender<(CompletionToken, C::Response)>>,
-    /// Wakes the dispatcher owning a connection when a work item changed
-    /// its state (reply queued, closing requested): dispatchers block in
-    /// their poller and no longer scan connections for output.
+    /// Wakes the dispatcher owning a connection when a work item left it
+    /// something to do (unsent bytes, closing requested): dispatchers
+    /// block in their poller and never scan connections for output.
     pub notifier: DispatchNotifier,
     /// Syscall accounting at the transport boundary (always maintained;
-    /// the dispatch loop counts reads/writes/accepts/polls here).
+    /// Send Reply counts writes here, the dispatch loop everything else).
     pub syscalls: Arc<SyscallCounters>,
 }
 
@@ -545,45 +641,84 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
 
     /// Execute one work item. Runs on Event Processor workers (O2 = Yes)
     /// or directly on the dispatcher thread (O2 = No) — the code is
-    /// identical, only the calling thread differs.
+    /// identical, only the calling thread differs. The item ends with
+    /// its own Send Reply.
     pub fn handle_work(&self, work: Work<C::Response>) {
         ServerStats::bump(&self.stats.events_dispatched);
         let id = match &work {
             Work::Process(id) => *id,
             Work::Completion(token, _) => token.conn,
         };
+        // A connection already gone from the registry has nothing to
+        // run, nothing to send and no dispatcher state left to wake.
+        let Some(conn) = self.conn(id) else {
+            return;
+        };
         match work {
-            Work::Process(id) => self.process_conn(id),
-            Work::Completion(token, resp) => self.handle_completion(token, resp),
+            Work::Process(_) => self.process_conn(&conn),
+            Work::Completion(token, resp) => self.handle_completion(&conn, token, resp),
         }
+        self.send_reply(&conn);
         // Diagnostics: the executing thread (pool worker or dispatcher)
         // is between events again. No-op on unattached threads.
         diag::stamp_idle();
-        // Backstop wake-up: replies notify eagerly as they reach the
-        // outbox (see `emit`), but closing transitions and the panic path
-        // may not, so every work item still ends with one notification.
-        self.notifier.notify_conn(id);
     }
 
-    /// Complete `seq` and, when that moved reply bytes into the outbox,
-    /// wake the owning dispatcher *now*. A work item can keep its worker
-    /// busy long after earlier replies in the batch are ready — most
-    /// acutely a synchronous `Defer` blocking in place (an FTP `PASV`
-    /// reply must reach the client while the deferred transfer is still
-    /// waiting to accept the data connection it announced) — so replies
-    /// cannot ride on the end-of-item notification alone.
+    /// What Send Reply accounts into, whichever thread runs it.
+    pub(crate) fn send_accounts(&self) -> SendAccounts<'_> {
+        SendAccounts {
+            stats: &self.stats,
+            syscalls: &self.syscalls,
+            metrics: &self.metrics,
+            tracer: &self.tracer,
+        }
+    }
+
+    /// Send Reply on the thread that queued the replies: a work item ends
+    /// with one gathered write of what it produced, and the owning
+    /// dispatcher is woken only when something is left for it to do —
+    /// bytes still queued (the transport refused them, or there are more
+    /// than [`WORKER_SEND_MAX`]), a close test to run (`closing`,
+    /// `peer_eof`), or stage deadlines to move. A connection with no sink
+    /// (a hand-built engine) keeps its replies in the outbox.
+    fn send_reply(&self, conn: &ConnShared) {
+        let Some(sink) = conn.sink() else {
+            return;
+        };
+        let (wrote, left) = {
+            let mut out = conn.outbox.lock();
+            let mine = !out.is_empty() && out.len() <= WORKER_SEND_MAX;
+            if mine {
+                // The watchdog and `/debug/snapshot` should name a worker
+                // stuck in `writev` as sending.
+                diag::stamp_stage(Stage::WriteDrain, conn.id);
+            }
+            let wrote = mine && flush(&self.send_accounts(), conn, &mut out);
+            (wrote, !out.is_empty())
+        };
+        if left
+            || conn.closing.load(Ordering::Relaxed)
+            || conn.peer_eof.load(Ordering::Relaxed)
+            || (wrote && sink.dispatcher_tracks_sends)
+        {
+            self.notifier.notify_conn(conn.id);
+        }
+    }
+
+    /// Complete `seq`. Replies normally leave with the work item's own
+    /// send; once more than [`WORKER_SEND_MAX`] bytes are queued the
+    /// output is the dispatcher's to send (under writable interest, while
+    /// this worker goes on handling), so it is woken now.
     fn emit(&self, conn: &Arc<ConnShared>, seq: u64, reply: Option<EncodedReply>) -> usize {
-        let emitted = conn.complete(seq, reply);
-        if emitted > 0 {
+        let (emitted, queued) = conn.complete(seq, reply);
+        if emitted > 0 && queued > WORKER_SEND_MAX {
             self.notifier.notify_conn(conn.id);
         }
         emitted
     }
 
-    fn process_conn(&self, id: ConnId) {
-        let Some(conn) = self.conn(id) else {
-            return; // connection already closed
-        };
+    fn process_conn(&self, conn: &Arc<ConnShared>) {
+        let id = conn.id;
         let mut decode_state = conn.decode_lock.lock();
         loop {
             if conn.closing.load(Ordering::Relaxed) {
@@ -646,7 +781,7 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                     match action {
                         Ok(action) => {
                             self.tracer.span(SpanEvent::Handle { seq }, id);
-                            self.apply_action(&conn, seq, action);
+                            self.apply_action(conn, seq, action);
                         }
                         Err(_) => {
                             ServerStats::bump(&self.stats.protocol_errors);
@@ -664,7 +799,7 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                                 Some(id),
                                 format!("handler panic on seq={seq}"),
                             );
-                            self.emit(&conn, seq, None);
+                            self.emit(conn, seq, None);
                             conn.closing.store(true, Ordering::Relaxed);
                             return;
                         }
@@ -763,21 +898,24 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
             }
             _ => {
                 // O4 = Synchronous: block in place on this worker thread.
+                // Replies queued ahead of this one must not wait out the
+                // block — an FTP `227` has to reach the client while the
+                // deferred transfer waits to accept the data connection
+                // it announced — so they are sent first.
+                self.send_reply(conn);
+                diag::stamp_stage(Stage::Handle, conn.id);
                 let resp = job();
                 self.finish(conn, seq, resp, close_after);
             }
         }
     }
 
-    fn handle_completion(&self, token: CompletionToken, resp: C::Response) {
-        let Some(conn) = self.conn(token.conn) else {
-            return;
-        };
+    fn handle_completion(&self, conn: &Arc<ConnShared>, token: CompletionToken, resp: C::Response) {
         self.tracer
             .span(SpanEvent::Complete { seq: token.seq }, token.conn);
         // DeferClose already set `closing`; `finish` must not clear it.
         let close_after = conn.closing.load(Ordering::Relaxed);
-        self.finish(&conn, token.seq, resp, close_after);
+        self.finish(conn, token.seq, resp, close_after);
     }
 
     fn finish(&self, conn: &Arc<ConnShared>, seq: u64, resp: C::Response, close_after: bool) {

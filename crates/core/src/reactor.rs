@@ -5,17 +5,21 @@
 //! thread owns a partition of the connections (option O1: one dispatcher,
 //! or several with connections partitioned between them), blocks in a
 //! [`Poller`] until one of them is ready, performs the framework-owned
-//! Read Request and Send Reply steps, and hands the application-dependent
-//! steps to the Event Processor (O2 = Yes) or runs them in place (O2 = No
-//! — the classic single-threaded Reactor).
+//! Read Request step, and hands the application-dependent steps to the
+//! Event Processor (O2 = Yes) or runs them in place (O2 = No — the
+//! classic single-threaded Reactor). Send Reply is the framework's too,
+//! but not this thread's alone: [`flush`] is the one send routine, run by
+//! the work item that queued the replies and by the dispatcher for
+//! whatever a work item left behind.
 //!
 //! Readiness is demultiplexed, never scanned: the loop sleeps in
 //! `Poller::wait` (epoll for TCP, a condvar wake-list for the in-memory
 //! transport) and only touches connections the poller reported. Events
-//! that originate off the wire — a worker finished a reply, a Proactor
-//! completion arrived, the overload controller unblocked the acceptor,
-//! shutdown — reach the loop through a [`DispatchNotifier`], which pairs
-//! each dispatcher's injection channel with its poller's [`Waker`].
+//! that originate off the wire — a work item left output or a close for
+//! the dispatcher, a Proactor completion arrived, the overload controller
+//! unblocked the acceptor, shutdown — reach the loop through a
+//! [`DispatchNotifier`], which pairs each dispatcher's injection channel
+//! with its poller's [`Waker`].
 //!
 //! The Acceptor half of the Acceptor-Connector pattern lives here too:
 //! dispatcher 0 owns the listening endpoint, consults the overload
@@ -35,14 +39,14 @@ use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::event::{CompletionToken, ConnId, EventKind, Priority};
-use crate::metrics::Stage;
+use crate::metrics::{MetricsRegistry, Stage};
 use crate::options::StageDeadlines;
 use crate::overload::OverloadController;
-use crate::pipeline::{Codec, ConnShared, Engine, Service, Work};
+use crate::pipeline::{Codec, ConnShared, Engine, Outbox, Service, Work};
 use crate::processor::EventProcessor;
 use crate::profiling::ServerStats;
 use crate::timer::{IdleTracker, StageTracker};
-use crate::trace::{SpanEvent, SEQ_NONE};
+use crate::trace::{DebugTracer, SpanEvent, SEQ_NONE};
 use crate::transport::{
     Interest, Listener, PollEvent, Poller, ReadOutcome, StreamIo, SyscallCounters, Waker,
     LISTENER_TOKEN,
@@ -73,7 +77,7 @@ pub type PriorityPolicy = Arc<dyn Fn(&str) -> Priority + Send + Sync>;
 /// A newly accepted connection being handed to its owning dispatcher.
 pub struct NewConn<St> {
     id: ConnId,
-    stream: St,
+    stream: Arc<Mutex<St>>,
     shared: Arc<ConnShared>,
     /// Accept timestamp — carried across the handoff so the O11
     /// accept→header-read histogram includes the cross-thread latency.
@@ -93,12 +97,13 @@ struct NotifyTarget {
 
 /// Routes off-wire events to the dispatcher that owns a connection.
 ///
-/// Worker threads cannot write to the wire themselves (streams are owned
-/// by dispatcher loops), so when a reply lands in a connection's outbox —
-/// or the connection starts closing — the engine notifies the owning
-/// dispatcher here: the connection id goes down that dispatcher's flush
-/// channel and its poller is woken. Ownership follows the same partition
-/// the acceptor uses: connection `id` belongs to dispatcher `id % n`.
+/// A work item sends its own replies, but only the owning dispatcher
+/// registers interest, reads and closes. So when an item leaves reply
+/// bytes unsent — or the connection starts closing — the engine notifies
+/// the owning dispatcher here: the connection id goes down that
+/// dispatcher's flush channel and its poller is woken. Ownership follows
+/// the same partition the acceptor uses: connection `id` belongs to
+/// dispatcher `id % n`.
 ///
 /// Reply wake-ups are coalesced: a batch of notifies between two drains
 /// of the flush channel costs one waker fire (one eventfd write on the
@@ -253,7 +258,9 @@ pub struct Dispatcher<C: Codec, S: Service<C>, L: Listener> {
 }
 
 struct ConnLocal<St> {
-    stream: St,
+    /// The connection's stream under its concrete type, as the poller
+    /// wants it; `shared`'s sink is the same `Arc`, type-erased.
+    stream: Arc<Mutex<St>>,
     shared: Arc<ConnShared>,
     peer_eof: bool,
     /// Interest currently registered with the poller.
@@ -262,9 +269,6 @@ struct ConnLocal<St> {
     accepted_at: Instant,
     /// Whether the first request bytes have been seen.
     header_seen: bool,
-    /// When the outbox was first observed non-empty (O11 write-drain
-    /// stage); cleared when it drains.
-    drain_from: Option<Instant>,
     /// `Some(deadline)` while the connection is in the lingering-close
     /// state: the outbox drained, FIN went out via
     /// [`StreamIo::shutdown_write`], and the read side is held open —
@@ -273,22 +277,42 @@ struct ConnLocal<St> {
     /// (registry slot, `on_close`, counters) already happened at linger
     /// entry; only the socket teardown is deferred.
     linger_until: Option<Instant>,
-    /// Read syscalls on this connection not yet reported to the tracer
-    /// (flushed as a `Syscalls` delta span at drain close and teardown).
-    io_reads: u64,
-    /// Unreported write syscalls (see `io_reads`).
-    io_writes: u64,
 }
 
 impl<St> ConnLocal<St> {
-    /// Flush unreported per-connection syscall tallies into the tracer as
-    /// a delta span (also bumps the connection's running totals).
-    fn report_syscalls(&mut self, tracer: &crate::trace::DebugTracer) {
-        if tracer.is_enabled() && (self.io_reads | self.io_writes) != 0 {
-            tracer.syscalls(self.shared.id, self.io_reads, self.io_writes);
-            self.io_reads = 0;
-            self.io_writes = 0;
+    /// The dispatcher's half of a freshly accepted connection.
+    fn new(
+        stream: Arc<Mutex<St>>,
+        shared: Arc<ConnShared>,
+        armed: Interest,
+        accepted_at: Instant,
+    ) -> Self {
+        Self {
+            stream,
+            shared,
+            peer_eof: false,
+            armed,
+            accepted_at,
+            header_seen: false,
+            linger_until: None,
         }
+    }
+}
+
+/// Take a connection's unreported `(reads, writes)` syscall tallies.
+fn take_syscall_tallies(conn: &ConnShared, out: &mut Outbox) -> (u64, u64) {
+    (
+        conn.io_reads.swap(0, Ordering::Relaxed),
+        std::mem::take(&mut out.sending.io_writes),
+    )
+}
+
+/// Report a connection's unreported syscall tallies to the tracer as a
+/// delta span (also bumps the connection's running totals).
+fn report_syscalls(tracer: &DebugTracer, conn: &ConnShared, out: &mut Outbox) {
+    if tracer.is_enabled() {
+        let (reads, writes) = take_syscall_tallies(conn, out);
+        tracer.syscalls(conn.id, reads, writes);
     }
 }
 
@@ -308,47 +332,104 @@ const LINGER_CLOSE: Duration = Duration::from_secs(1);
 /// (`IOV_MAX`) is 1024.
 const MAX_GATHER: usize = 64;
 
-/// Send Reply: move outbox bytes to the wire as gathered writes — up
-/// to [`MAX_GATHER`] segments per `try_write_vectored`, so a batch of
-/// pipelined replies (heads and bodies alike) leaves in one syscall.
-/// The slices borrow the outbox: shared body segments are written
-/// straight from their cache `Arc`, never copied. A short count may
-/// end inside a segment; `Outbox::advance` resumes from there. Loops
-/// until the outbox is empty or the transport pushes back. Returns
-/// true if any bytes were written.
-fn flush<St: StreamIo>(stats: &ServerStats, sys: &SyscallCounters, c: &mut ConnLocal<St>) -> bool {
-    let mut out = c.shared.outbox.lock();
+/// Where Send Reply accounts for what it does: the engine's counters,
+/// histograms and tracer, borrowed so that [`flush`] is one routine for
+/// every engine type and every sending thread.
+pub(crate) struct SendAccounts<'a> {
+    pub(crate) stats: &'a ServerStats,
+    pub(crate) syscalls: &'a SyscallCounters,
+    pub(crate) metrics: &'a MetricsRegistry,
+    pub(crate) tracer: &'a DebugTracer,
+}
+
+/// Send Reply: move `out` — `conn`'s outbox, locked by the caller — to
+/// the connection's sink as gathered writes, up to [`MAX_GATHER`]
+/// segments per `try_write_vectored`, so a batch of pipelined replies
+/// (heads and bodies alike) leaves in one syscall. The slices borrow the
+/// outbox: shared body segments are written straight from their cache
+/// `Arc`, never copied. A short count may end inside a segment;
+/// `Outbox::advance` resumes from there. Loops until the outbox is empty
+/// or the transport pushes back. Returns true if any bytes were written.
+///
+/// This is the only code that writes replies, and any thread may run it:
+/// the work item that queued them (`Engine::send_reply`) or the owning
+/// dispatcher. The outbox lock is what makes that safe — it is held (by
+/// the caller) across each write and the `advance` that retires it, and
+/// the stream is locked inside it (`ConnShared` documents the order). It
+/// also keeps the O10/O11 write-drain window — opened when queued bytes
+/// are first seen, closed when the outbox is found empty, with the
+/// connection's syscall delta reported at the close — so the span tree
+/// and histograms do not depend on who sent.
+///
+/// Without a sink (a connection no dispatcher owns) it does nothing and
+/// the replies stay queued.
+pub(crate) fn flush(acct: &SendAccounts<'_>, conn: &ConnShared, out: &mut Outbox) -> bool {
+    let Some(sink) = conn.sink() else {
+        return false;
+    };
+    let observed = acct.metrics.is_enabled() || acct.tracer.is_enabled();
     // A reply completed after the peer reset may have raced into the
     // outbox; a dead sink never gets another write attempt.
-    if c.shared.sink_dead.load(Ordering::Relaxed) {
+    if conn.sink_dead.load(Ordering::Relaxed) {
         out.clear();
-        return false;
+    }
+    // The window opens before the first write, so a reply that drains
+    // within one call still gets its span.
+    if observed && !out.is_empty() && out.sending.drain_from.is_none() {
+        out.sending.drain_from = Some(Instant::now());
+        if acct.tracer.is_enabled() {
+            acct.tracer.span(
+                SpanEvent::StageBegin {
+                    stage: Stage::WriteDrain,
+                    seq: SEQ_NONE,
+                },
+                conn.id,
+            );
+        }
     }
     let mut wrote_any = false;
-    while !out.is_empty() {
-        let mut slices = [IoSlice::new(&[]); MAX_GATHER];
-        let filled = out.fill_slices(&mut slices);
-        // Attempts, not successes: a short or would-block write
-        // still crossed the syscall boundary.
-        sys.writes.fetch_add(1, Ordering::Relaxed);
-        c.io_writes += 1;
-        match c.stream.try_write_vectored(&slices[..filled]) {
-            Ok(0) => break,
-            Ok(n) => {
-                out.advance(n);
-                ServerStats::add(&stats.bytes_sent, n as u64);
-                wrote_any = true;
-            }
-            Err(_) => {
-                // swap() so a connection that errors on both the
-                // read and write side still counts as one reset.
-                c.shared.sink_dead.store(true, Ordering::Relaxed);
-                if !c.shared.closing.swap(true, Ordering::Relaxed) {
-                    ServerStats::bump(&stats.connections_reset);
+    if !out.is_empty() {
+        let mut stream = sink.stream.lock();
+        while !out.is_empty() {
+            let mut slices = [IoSlice::new(&[]); MAX_GATHER];
+            let filled = out.fill_slices(&mut slices);
+            // Attempts, not successes: a short or would-block write
+            // still crossed the syscall boundary.
+            acct.syscalls.writes.fetch_add(1, Ordering::Relaxed);
+            let attempt = stream.try_write_vectored(&slices[..filled]);
+            out.sending.io_writes += 1;
+            match attempt {
+                Ok(0) => break,
+                Ok(n) => {
+                    out.advance(n);
+                    ServerStats::add(&acct.stats.bytes_sent, n as u64);
+                    wrote_any = true;
                 }
-                out.clear();
-                break;
+                Err(_) => {
+                    // swap() so a connection that errors on both the
+                    // read and write side still counts as one reset.
+                    conn.sink_dead.store(true, Ordering::Relaxed);
+                    if !conn.closing.swap(true, Ordering::Relaxed) {
+                        ServerStats::bump(&acct.stats.connections_reset);
+                    }
+                    out.clear();
+                    break;
+                }
             }
+        }
+    }
+    if out.is_empty() {
+        out.sending.drained |= wrote_any;
+        if let Some(t0) = out.sending.drain_from.take() {
+            if acct.metrics.is_enabled() {
+                acct.metrics
+                    .record_stage(Stage::WriteDrain, t0.elapsed().as_micros() as u64);
+            }
+            acct.tracer.span(SpanEvent::WriteDrain, conn.id);
+            // A drained reply bounds one request's transport work:
+            // report the syscall delta here so timelines attribute
+            // reads/writes per request, not only per connection.
+            report_syscalls(acct.tracer, conn, out);
         }
     }
     wrote_any
@@ -391,7 +472,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         loop {
             if self.stop.load(Ordering::Relaxed) {
                 for (_, mut c) in conns.drain() {
-                    self.finalize(&mut c);
+                    self.finalize(&mut c, &mut ready_backlog);
                 }
                 crate::diag::detach_worker();
                 return;
@@ -439,21 +520,10 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                     readable: true,
                     writable: !nc.shared.outbox.lock().is_empty(),
                 };
-                let _ = self.poller.register(nc.id, &nc.stream, want);
+                let _ = self.poller.register(nc.id, &nc.stream.lock(), want);
                 conns.insert(
                     nc.id,
-                    ConnLocal {
-                        stream: nc.stream,
-                        shared: nc.shared,
-                        peer_eof: false,
-                        armed: want,
-                        accepted_at: nc.accepted_at,
-                        header_seen: false,
-                        drain_from: None,
-                        linger_until: None,
-                        io_reads: 0,
-                        io_writes: 0,
-                    },
+                    ConnLocal::new(nc.stream, nc.shared, want, nc.accepted_at),
                 );
                 // Service immediately: flush any greeting, read early data.
                 pend.insert(nc.id);
@@ -510,6 +580,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                 // errors), then tear the socket down.
                 if c.linger_until.is_some() {
                     let mut reads = 0;
+                    let mut stream = c.stream.lock();
                     loop {
                         if reads == 8 {
                             // Fairness cap: revisit without waiting.
@@ -518,8 +589,8 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                         }
                         reads += 1;
                         self.engine.syscalls.reads.fetch_add(1, Ordering::Relaxed);
-                        c.io_reads += 1;
-                        match c.stream.try_read(&mut read_buf) {
+                        c.shared.io_reads.fetch_add(1, Ordering::Relaxed);
+                        match stream.try_read(&mut read_buf) {
                             Ok(ReadOutcome::Data(n)) => {
                                 // Discarded, but read off the transport —
                                 // keep the byte accounting aligned with
@@ -535,25 +606,14 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                     }
                     continue;
                 }
-                // O11 write-drain stage opens when reply bytes are observed
-                // queued — checked before the flush as well, so a reply that
-                // drains within one service pass still gets its window.
-                if c.drain_from.is_none()
-                    && (self.engine.metrics.is_enabled() || self.engine.tracer.is_enabled())
-                    && !c.shared.outbox.lock().is_empty()
-                {
-                    c.drain_from = Some(Instant::now());
-                    if self.engine.tracer.is_enabled() {
-                        self.engine.tracer.span(
-                            SpanEvent::StageBegin {
-                                stage: Stage::WriteDrain,
-                                seq: SEQ_NONE,
-                            },
-                            id,
-                        );
-                    }
-                }
-                let wrote_any = flush(&self.engine.stats, &self.engine.syscalls, c);
+                // Send Reply for whatever no work item sent: output past
+                // the worker's bound, bytes the transport refused earlier
+                // (writable interest brought us back), a greeting.
+                flush(
+                    &self.engine.send_accounts(),
+                    &c.shared,
+                    &mut c.shared.outbox.lock(),
+                );
                 let was_eof = c.peer_eof;
                 let (read, saturated) = self.read_into_inbox(c, &mut read_buf);
                 if saturated {
@@ -594,37 +654,13 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                 // looked clear while the final response landed between
                 // the two samples, and the close discarded it.
                 let pending = c.shared.responses_pending();
-                let outbox_empty = c.shared.outbox.lock().is_empty();
-                // O11 write-drain stage: opens when reply bytes are first
-                // observed queued, closes when the outbox fully drains.
-                if outbox_empty {
-                    if let Some(t0) = c.drain_from.take() {
-                        if self.engine.metrics.is_enabled() {
-                            self.engine
-                                .metrics
-                                .record_stage(Stage::WriteDrain, t0.elapsed().as_micros() as u64);
-                        }
-                        self.engine.tracer.span(SpanEvent::WriteDrain, id);
-                        // A drained reply bounds one request's transport
-                        // work: report the syscall delta here so timelines
-                        // attribute reads/writes per request, not only per
-                        // connection.
-                        c.report_syscalls(&self.engine.tracer);
-                    }
-                } else if c.drain_from.is_none()
-                    && (self.engine.metrics.is_enabled() || self.engine.tracer.is_enabled())
-                {
-                    c.drain_from = Some(Instant::now());
-                    if self.engine.tracer.is_enabled() {
-                        self.engine.tracer.span(
-                            SpanEvent::StageBegin {
-                                stage: Stage::WriteDrain,
-                                seq: SEQ_NONE,
-                            },
-                            id,
-                        );
-                    }
-                }
+                // `drained`: some send emptied the outbox since the last
+                // pass — this pass's flush, a work item's own, or (O2 =
+                // No) the item that just ran inside `submit_work`.
+                let (outbox_empty, drained) = {
+                    let mut out = c.shared.outbox.lock();
+                    (out.is_empty(), std::mem::take(&mut out.sending.drained))
+                };
                 // After peer EOF, a non-empty inbox may still hold a
                 // complete request a worker has not decoded yet, so the
                 // connection is kept until the inbox drains (the decode
@@ -662,7 +698,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                             ready_backlog.push_back(id);
                             continue;
                         }
-                        c.stream.shutdown_write();
+                        c.stream.lock().shutdown_write();
                         let deadline = Instant::now() + LINGER_CLOSE;
                         c.linger_until = Some(deadline);
                         linger_queue.push_back((id, deadline));
@@ -671,7 +707,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                         // slot stops counting against overload admission
                         // and the service sees `on_close`; only the
                         // socket teardown is deferred.
-                        self.release(c);
+                        self.release(c, &mut ready_backlog);
                         if let Some(ref mut tracker) = idle {
                             tracker.forget(id);
                         }
@@ -682,7 +718,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                         // already buffered on the next pass.
                         let want = Interest::READABLE;
                         if c.armed != want {
-                            let _ = self.poller.reregister(id, &c.stream, want);
+                            let _ = self.poller.reregister(id, &c.stream.lock(), want);
                             c.armed = want;
                         }
                         ready_backlog.push_back(id);
@@ -691,14 +727,16 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                 }
                 // Stage deadlines: the write-drain window opens while reply
                 // bytes are queued (and is not extended by partial writes);
-                // once a reply fully drains, a fresh header-read window
-                // opens for the next request. A slow-loris peer that never
-                // completes a request exhausts the header window.
+                // once a reply fully drains — sent by this pass or by a
+                // work item, which then woke us for exactly this — a fresh
+                // header-read window opens for the next request. A
+                // slow-loris peer that never completes a request exhausts
+                // the header window.
                 if let Some(ref mut st) = stage {
                     let now = Instant::now();
                     if outbox_empty {
                         st.clear_drain(id);
-                        if wrote_any {
+                        if drained {
                             st.arm_header(id, now);
                         }
                     } else {
@@ -714,13 +752,13 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                     writable: !outbox_empty,
                 };
                 if want != c.armed {
-                    let _ = self.poller.reregister(id, &c.stream, want);
+                    let _ = self.poller.reregister(id, &c.stream.lock(), want);
                     c.armed = want;
                 }
             }
             for id in to_remove {
                 if let Some(mut c) = conns.remove(&id) {
-                    self.finalize(&mut c);
+                    self.finalize(&mut c, &mut ready_backlog);
                     if let Some(ref mut tracker) = idle {
                         tracker.forget(id);
                     }
@@ -791,7 +829,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                         self.engine
                             .tracer
                             .record(EventKind::Timer, Some(id), "linger deadline");
-                        self.finalize(&mut c);
+                        self.finalize(&mut c, &mut ready_backlog);
                     }
                 }
             }
@@ -859,8 +897,15 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         armed: &mut bool,
     ) -> bool {
         for _ in 0..64 {
-            let open = self.engine.registry.read().len();
-            if !self.overload.lock().may_accept(open) {
+            // The open count is sampled under the controller's lock: a
+            // close that frees a slot either precedes the sample or finds
+            // the gate already shut and wakes us (`release`).
+            let admitted = {
+                let mut overload = self.overload.lock();
+                let open = self.engine.registry.read().len();
+                overload.may_accept(open)
+            };
+            if !admitted {
                 ServerStats::bump(&self.engine.stats.accepts_deferred);
                 if *armed {
                     if let Some(listener) = &self.listener {
@@ -917,6 +962,13 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         let peer = stream.peer_label();
         let priority = (self.priority_policy)(&peer);
         let shared = ConnShared::new(id, peer, priority);
+        // Send Reply's end of the stream, attached before any request can
+        // be read: the work item that answers it may be the sender.
+        let stream = Arc::new(Mutex::new(stream));
+        shared.attach_sink(
+            Arc::clone(&stream) as Arc<Mutex<dyn StreamIo>>,
+            self.stage_deadlines.any(),
+        );
         self.engine.registry.write().insert(id, Arc::clone(&shared));
         ServerStats::bump(&self.engine.stats.connections_accepted);
         // Allocate the connection's process-unique trace id and record
@@ -945,22 +997,8 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                 readable: true,
                 writable: !shared.outbox.lock().is_empty(),
             };
-            let _ = self.poller.register(id, &stream, want);
-            conns.insert(
-                id,
-                ConnLocal {
-                    stream,
-                    shared,
-                    peer_eof: false,
-                    armed: want,
-                    accepted_at,
-                    header_seen: false,
-                    drain_from: None,
-                    linger_until: None,
-                    io_reads: 0,
-                    io_writes: 0,
-                },
-            );
+            let _ = self.poller.register(id, &stream.lock(), want);
+            conns.insert(id, ConnLocal::new(stream, shared, want, accepted_at));
             pend.insert(id);
         } else {
             let _ = self.inj_txs[target].send(NewConn {
@@ -989,12 +1027,13 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             return (false, false);
         }
         let mut got = false;
+        let mut stream = c.stream.lock();
         // Cap per-iteration intake so one chatty peer cannot monopolise the
         // dispatcher.
         for _ in 0..8 {
             self.engine.syscalls.reads.fetch_add(1, Ordering::Relaxed);
-            c.io_reads += 1;
-            match c.stream.try_read(buf) {
+            c.shared.io_reads.fetch_add(1, Ordering::Relaxed);
+            match stream.try_read(buf) {
                 Ok(ReadOutcome::Data(n)) => {
                     c.shared.inbox.lock().extend_from_slice(&buf[..n]);
                     ServerStats::add(&self.engine.stats.bytes_read, n as u64);
@@ -1022,24 +1061,26 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         (got, true)
     }
 
-    fn finalize(&mut self, c: &mut ConnLocal<L::Stream>) {
+    fn finalize(&mut self, c: &mut ConnLocal<L::Stream>, ready_backlog: &mut VecDeque<u64>) {
         let id = c.shared.id;
-        let _ = self.poller.deregister(id, &c.stream);
-        c.stream.shutdown();
+        {
+            // A work item still holding `shared` keeps the stream alive
+            // past this point, so the registration goes now, explicitly.
+            let mut stream = c.stream.lock();
+            let _ = self.poller.deregister(id, &stream);
+            stream.shutdown();
+        }
         // A lingering close already released the application-level state
         // at linger entry; only the socket teardown remained. Lingering
         // reads accumulated since then still get attributed.
         if c.linger_until.is_none() {
-            self.release(c);
+            self.release(c, ready_backlog);
         } else {
             // The Close span already went out at linger entry: fold the
             // lingered reads into the connection's totals without a
             // post-Close span record.
-            self.engine
-                .tracer
-                .syscalls_quiet(c.shared.id, c.io_reads, c.io_writes);
-            c.io_reads = 0;
-            c.io_writes = 0;
+            let (reads, writes) = take_syscall_tallies(&c.shared, &mut c.shared.outbox.lock());
+            self.engine.tracer.syscalls_quiet(id, reads, writes);
         }
     }
 
@@ -1047,7 +1088,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
     /// registry slot (overload admission), run the close hook, count and
     /// stamp the close. Runs at linger entry for a lingering close, at
     /// `finalize` otherwise — exactly once either way.
-    fn release(&mut self, c: &mut ConnLocal<L::Stream>) {
+    fn release(&mut self, c: &mut ConnLocal<L::Stream>, ready_backlog: &mut VecDeque<u64>) {
         let id = c.shared.id;
         self.engine.registry.write().remove(&id);
         ServerStats::bump(&self.engine.stats.connections_closed);
@@ -1064,7 +1105,8 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                     id,
                 );
             }
-            if c.drain_from.take().is_some() {
+            let mut out = c.shared.outbox.lock();
+            if out.sending.drain_from.take().is_some() {
                 self.engine.tracer.span(
                     SpanEvent::StageEnd {
                         stage: Stage::WriteDrain,
@@ -1073,20 +1115,28 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                     id,
                 );
             }
-            c.report_syscalls(&self.engine.tracer);
+            report_syscalls(&self.engine.tracer, &c.shared, &mut out);
         }
         self.engine.tracer.span(SpanEvent::Close, id);
-        // A closed connection may unblock a gated acceptor: let
-        // dispatcher 0 re-check the overload controller now instead of on
-        // its next re-check tick.
-        self.notifier.wake_completion_sink();
+        // The freed slot matters to the acceptor only while it is gated
+        // (O9 refused the last accept): then dispatcher 0 re-checks the
+        // controller now instead of on its next re-check tick. When this
+        // *is* dispatcher 0 it revisits the listener on its next pass,
+        // with no trip through its own waker.
+        if self.overload.lock().is_gating() {
+            if self.index == 0 {
+                ready_backlog.push_back(LISTENER_TOKEN);
+            } else {
+                self.notifier.wake_completion_sink();
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::EncodedReply;
+    use crate::pipeline::{Action, ConnCtx, EncodedReply, RawCodec, WORKER_SEND_MAX};
     use bytes::BytesMut;
     use proptest::prelude::*;
     use std::sync::atomic::AtomicUsize;
@@ -1144,18 +1194,42 @@ mod tests {
         fn shutdown_write(&mut self) {}
     }
 
-    fn conn_over<St>(stream: St) -> ConnLocal<St> {
-        ConnLocal {
-            stream,
-            shared: ConnShared::new(1, "scripted".into(), Priority::HIGHEST),
-            peer_eof: false,
-            armed: Interest::READABLE,
-            accepted_at: Instant::now(),
-            header_seen: false,
-            drain_from: None,
-            linger_until: None,
-            io_reads: 0,
-            io_writes: 0,
+    /// A connection over `sink` as the dispatcher sets one up at accept,
+    /// and the sink under its own type for the test to inspect.
+    fn conn_over(sink: ScriptedSink) -> (Arc<ConnShared>, Arc<Mutex<ScriptedSink>>) {
+        let stream = Arc::new(Mutex::new(sink));
+        let shared = ConnShared::new(1, "scripted".into(), Priority::HIGHEST);
+        shared.attach_sink(Arc::clone(&stream) as Arc<Mutex<dyn StreamIo>>, false);
+        (shared, stream)
+    }
+
+    /// Everything [`flush`] accounts into, owned.
+    struct Books {
+        stats: ServerStats,
+        sys: SyscallCounters,
+        metrics: Arc<MetricsRegistry>,
+        tracer: DebugTracer,
+    }
+
+    impl Books {
+        fn new() -> Self {
+            Self {
+                stats: ServerStats::default(),
+                sys: SyscallCounters::default(),
+                metrics: MetricsRegistry::disabled(),
+                tracer: DebugTracer::disabled(),
+            }
+        }
+
+        /// One Send Reply over `conn`, as any sender makes it.
+        fn flush(&self, conn: &ConnShared) -> bool {
+            let acct = SendAccounts {
+                stats: &self.stats,
+                syscalls: &self.sys,
+                metrics: &self.metrics,
+                tracer: &self.tracer,
+            };
+            flush(&acct, conn, &mut conn.outbox.lock())
         }
     }
 
@@ -1178,7 +1252,7 @@ mod tests {
             script in proptest::collection::vec(prop_oneof![Just(0usize), 1usize..200], 0..40),
         ) {
             let refusals = script.iter().filter(|&&k| k == 0).count();
-            let mut c = conn_over(ScriptedSink::following(script));
+            let (shared, stream) = conn_over(ScriptedSink::following(script));
             for reply in replies {
                 let mut encoded = EncodedReply::new();
                 for (shared, bytes) in reply {
@@ -1188,49 +1262,221 @@ mod tests {
                         encoded.push_bytes(BytesMut::from(&bytes[..]));
                     }
                 }
-                c.shared.outbox.lock().push_reply(encoded);
+                shared.outbox.lock().push_reply(encoded);
             }
-            let expected = c.shared.outbox.lock().to_vec();
-            let stats = ServerStats::default();
-            let sys = SyscallCounters::default();
+            let expected = shared.outbox.lock().to_vec();
+            let books = Books::new();
 
             // One flush per service pass; a pass ends early only on a
             // scripted refusal, so the passes are bounded by them.
             let mut passes = 0;
-            while !c.shared.outbox.lock().is_empty() {
-                let wrote = flush(&stats, &sys, &mut c);
+            while !shared.outbox.lock().is_empty() {
+                let wrote = books.flush(&shared);
                 passes += 1;
                 prop_assert!(passes <= refusals + 1, "flush stalled without a refusal");
                 prop_assert!(wrote || passes <= refusals);
             }
-            prop_assert!(!flush(&stats, &sys, &mut c), "an empty outbox writes nothing");
+            prop_assert!(!books.flush(&shared), "an empty outbox writes nothing");
 
-            prop_assert_eq!(&c.stream.wire, &expected);
-            prop_assert_eq!(stats.snapshot().bytes_sent, expected.len() as u64);
-            prop_assert_eq!(sys.snapshot().writes, c.stream.calls);
-            prop_assert_eq!(c.io_writes, c.stream.calls);
-            prop_assert!(c.stream.widest_gather <= MAX_GATHER);
+            let stream = stream.lock();
+            prop_assert_eq!(&stream.wire, &expected);
+            prop_assert_eq!(books.stats.snapshot().bytes_sent, expected.len() as u64);
+            prop_assert_eq!(books.sys.snapshot().writes, stream.calls);
+            prop_assert_eq!(shared.outbox.lock().sending.io_writes, stream.calls);
+            prop_assert!(stream.widest_gather <= MAX_GATHER);
         }
     }
 
     #[test]
     fn flush_gathers_a_pipelined_batch_into_one_write() {
-        let mut c = conn_over(ScriptedSink::following(Vec::new()));
+        let (shared, stream) = conn_over(ScriptedSink::following(Vec::new()));
         let body = Arc::new(vec![7u8; 100]);
         for _ in 0..16 {
             let mut reply = EncodedReply::new();
             reply.push_bytes(BytesMut::from(&b"head"[..]));
             reply.push_shared(Arc::clone(&body));
-            c.shared.outbox.lock().push_reply(reply);
+            shared.outbox.lock().push_reply(reply);
         }
-        let (stats, sys) = (ServerStats::default(), SyscallCounters::default());
-        assert!(flush(&stats, &sys, &mut c));
-        assert_eq!(c.stream.calls, 1, "32 segments fit one gather");
-        assert_eq!(c.stream.widest_gather, 32);
-        assert_eq!(c.stream.wire.len(), 16 * 104);
+        assert!(Books::new().flush(&shared));
+        let stream = stream.lock();
+        assert_eq!(stream.calls, 1, "32 segments fit one gather");
+        assert_eq!(stream.widest_gather, 32);
+        assert_eq!(stream.wire.len(), 16 * 104);
         // Queued by reference and sent by reference: only this test and
         // nobody's copy holds the body now.
         assert_eq!(Arc::strong_count(&body), 1);
+    }
+
+    /// Two kinds of sender on one connection — four "workers" completing
+    /// sequence numbers out of order and sending after each, and a
+    /// "dispatcher" sending whatever it finds — over a sink that cuts
+    /// and refuses writes: the wire is the replies in request order,
+    /// each byte once.
+    #[test]
+    fn concurrent_senders_keep_request_order() {
+        const WORKERS: u64 = 4;
+        const SEQS: u64 = 1_200;
+        // Short counts and refusals for the first few hundred writes.
+        let script = (0..600).map(|i| [7, 0, 300, 1, 0, 64][i % 6]).collect();
+        let (shared, stream) = conn_over(ScriptedSink::following(script));
+        let reply = |seq: u64| {
+            let mut r = EncodedReply::new();
+            r.push_bytes(BytesMut::from(format!("<{seq}:").as_bytes()));
+            r.push_shared(Arc::new(vec![b'a' + (seq % 26) as u8; (seq % 90) as usize]));
+            r.push_bytes(BytesMut::from(&b">"[..]));
+            r
+        };
+        let mut expected = Outbox::new();
+        for seq in 0..SEQS {
+            assert_eq!(shared.assign_seq(), seq);
+            expected.push_reply(reply(seq));
+        }
+        let expected = expected.to_vec();
+
+        let books = Books::new();
+        let start = Barrier::new(WORKERS as usize + 1);
+        let working = AtomicUsize::new(WORKERS as usize);
+        std::thread::scope(|s| {
+            for w in 0..WORKERS {
+                let (shared, books, start, working) = (&shared, &books, &start, &working);
+                s.spawn(move || {
+                    start.wait();
+                    // Each worker owns every fourth seq and completes its
+                    // share in descending blocks of ten: completions reach
+                    // `ready` out of order within and across workers.
+                    let mine: Vec<u64> = (0..SEQS).filter(|seq| seq % WORKERS == w).collect();
+                    for block in mine.chunks(10) {
+                        for &seq in block.iter().rev() {
+                            shared.complete(seq, Some(reply(seq)));
+                            books.flush(shared);
+                        }
+                    }
+                    working.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            start.wait();
+            // The dispatcher: keeps sending until the workers are done and
+            // nothing is left (it also retries what the sink refused).
+            while working.load(Ordering::SeqCst) > 0 || !shared.outbox.lock().is_empty() {
+                books.flush(&shared);
+                std::thread::yield_now();
+            }
+        });
+
+        assert!(!shared.responses_pending());
+        let stream = stream.lock();
+        assert!(
+            stream.wire == expected,
+            "wire image diverged from request order"
+        );
+        assert_eq!(books.stats.snapshot().bytes_sent, expected.len() as u64);
+        assert_eq!(books.sys.snapshot().writes, stream.calls);
+    }
+
+    /// Answers each request with as many `x` bytes as the request names.
+    struct Sized;
+
+    impl Service<RawCodec> for Sized {
+        fn handle(&self, _ctx: &ConnCtx, req: Vec<u8>) -> Action<Vec<u8>> {
+            let n: usize = String::from_utf8(req).unwrap().parse().unwrap();
+            Action::Reply(vec![b'x'; n])
+        }
+    }
+
+    /// An engine serving one connection over `sink`, as `serve` and an
+    /// accept would have set them up, with a counting notifier.
+    #[allow(clippy::type_complexity)]
+    fn engine_over(
+        sink: ScriptedSink,
+    ) -> (
+        Engine<RawCodec, Sized>,
+        Arc<ConnShared>,
+        Arc<Mutex<ScriptedSink>>,
+        Receiver<ConnId>,
+        Arc<AtomicUsize>,
+    ) {
+        let (notifier, flush_rx, fires) = counting_notifier();
+        let (shared, stream) = conn_over(sink);
+        let engine = Engine {
+            codec: Arc::new(RawCodec),
+            service: Arc::new(Sized),
+            registry: Arc::new(parking_lot::RwLock::new(HashMap::new())),
+            stats: ServerStats::new_shared(),
+            metrics: MetricsRegistry::disabled(),
+            tracer: DebugTracer::disabled(),
+            logger: None,
+            helper: None,
+            completion_tx: None,
+            notifier,
+            syscalls: SyscallCounters::new_shared(),
+        };
+        engine
+            .registry
+            .write()
+            .insert(shared.id, Arc::clone(&shared));
+        (engine, shared, stream, flush_rx, fires)
+    }
+
+    fn ask(engine: &Engine<RawCodec, Sized>, conn: &ConnShared, reply_len: usize) {
+        conn.inbox
+            .lock()
+            .extend_from_slice(reply_len.to_string().as_bytes());
+        engine.handle_work(Work::Process(conn.id));
+    }
+
+    #[test]
+    fn a_work_item_sends_its_reply_and_wakes_nobody() {
+        let (engine, shared, stream, flush_rx, fires) =
+            engine_over(ScriptedSink::following(Vec::new()));
+        ask(&engine, &shared, WORKER_SEND_MAX);
+        assert_eq!(stream.lock().wire.len(), WORKER_SEND_MAX);
+        assert!(shared.outbox.lock().is_empty());
+        assert_eq!(fires.load(Ordering::SeqCst), 0);
+        assert!(flush_rx.try_recv().is_err());
+        assert_eq!(engine.syscalls.snapshot().writes, 1);
+    }
+
+    #[test]
+    fn a_refused_tail_is_handed_to_the_dispatcher_at_the_right_offset() {
+        // The sink takes 40 bytes, then pushes back.
+        let (engine, shared, stream, flush_rx, fires) =
+            engine_over(ScriptedSink::following(vec![40, 0]));
+        ask(&engine, &shared, 100);
+        assert_eq!(stream.lock().wire.len(), 40);
+        assert_eq!(shared.outbox.lock().len(), 60);
+        assert_eq!(
+            fires.load(Ordering::SeqCst),
+            1,
+            "the left-over wakes the owner"
+        );
+        assert_eq!(flush_rx.try_iter().collect::<Vec<_>>(), vec![shared.id]);
+
+        // The dispatcher, back under writable interest, finishes it.
+        let sent = flush(&engine.send_accounts(), &shared, &mut shared.outbox.lock());
+        assert!(sent);
+        assert_eq!(stream.lock().wire, vec![b'x'; 100]);
+        assert_eq!(engine.stats.snapshot().bytes_sent, 100);
+        assert!(std::mem::take(&mut shared.outbox.lock().sending.drained));
+    }
+
+    #[test]
+    fn output_past_the_bound_is_left_to_the_dispatcher() {
+        let (engine, shared, stream, flush_rx, fires) =
+            engine_over(ScriptedSink::following(Vec::new()));
+        ask(&engine, &shared, WORKER_SEND_MAX + 1);
+        assert_eq!(stream.lock().calls, 0, "the worker never touched the sink");
+        assert_eq!(shared.outbox.lock().len(), WORKER_SEND_MAX + 1);
+        // Woken when the reply was queued and again at the item's end:
+        // one fire, the second notify rode on it.
+        assert_eq!(fires.load(Ordering::SeqCst), 1);
+        assert_eq!(flush_rx.try_iter().count(), 2);
+
+        assert!(flush(
+            &engine.send_accounts(),
+            &shared,
+            &mut shared.outbox.lock()
+        ));
+        assert_eq!(stream.lock().wire.len(), WORKER_SEND_MAX + 1);
     }
 
     /// A notifier over one dispatcher whose waker counts its fires.

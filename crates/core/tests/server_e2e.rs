@@ -406,6 +406,85 @@ fn tcp_pipelined_batch_leaves_in_gathered_writes() {
     server.shutdown();
 }
 
+/// Read from a TCP client until `want` bytes have arrived (or five
+/// seconds passed).
+fn tcp_read(c: &mut TcpStreamNb, want: usize) -> Vec<u8> {
+    let mut acc = Vec::new();
+    let mut buf = [0u8; 4096];
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while acc.len() < want && Instant::now() < deadline {
+        match c.try_read(&mut buf).unwrap() {
+            ReadOutcome::Data(n) => acc.extend_from_slice(&buf[..n]),
+            ReadOutcome::WouldBlock => std::thread::yield_now(),
+            ReadOutcome::Closed => break,
+        }
+    }
+    acc
+}
+
+/// Send Reply runs on the worker that queued the reply: over a real
+/// socket, in pool mode, a keep-alive exchange at depth 1 costs the
+/// dispatcher one poller return per request and nobody a wake-up.
+#[test]
+fn worker_sends_keep_alive_replies_without_waking_the_dispatcher() {
+    const HITS: u64 = 200;
+    let listener = TcpListenerNb::bind("127.0.0.1:0").unwrap();
+    let server = ServerBuilder::new(ServerOptions::default(), LineCodec, EchoService)
+        .unwrap()
+        .serve(listener);
+    assert!(server.options().separate_handler_pool);
+    let mut c = TcpStreamNb::connect(server.local_label()).unwrap();
+    assert_eq!(tcp_read(&mut c, 6), b"hello\n");
+
+    let before = server.syscalls();
+    for i in 0..HITS {
+        let request = format!("hit-{i}\n");
+        assert_eq!(c.try_write(request.as_bytes()).unwrap(), request.len());
+        let expected = format!("echo:hit-{i}\n");
+        assert_eq!(tcp_read(&mut c, expected.len()), expected.as_bytes());
+    }
+    let spent = server.syscalls().since(&before);
+    assert_eq!(spent.wakes, 0, "{spent:?}");
+    assert_eq!(
+        spent.writes, HITS,
+        "one gathered write per reply: {spent:?}"
+    );
+    assert!(spent.polls <= HITS + 2, "{spent:?}");
+    assert_eq!(server.stats().responses_sent, HITS);
+    server.shutdown();
+}
+
+/// With no overload control nothing can gate the acceptor, so a closing
+/// connection has nobody to wake: fifty connect–request–close cycles,
+/// the peer closing each time, fire no waker at all. (The inline reactor
+/// keeps the count exact: its work items end before the peer can close.)
+#[test]
+fn worker_sends_and_peer_closes_wake_nobody() {
+    let opts = ServerOptions {
+        separate_handler_pool: false,
+        thread_allocation: ThreadAllocation::Static { threads: 1 },
+        ..ServerOptions::default()
+    };
+    assert_eq!(opts.overload_control, OverloadControl::No);
+    let (listener, connector) = mem::listener("quiet-closes");
+    let server = ServerBuilder::new(opts, LineCodec, EchoService)
+        .unwrap()
+        .serve(listener);
+    for i in 0..50 {
+        let mut c = connector.connect();
+        let lines = talk(&mut c, format!("cycle-{i}\n").as_bytes(), 2);
+        assert_eq!(lines, vec!["hello".to_string(), format!("echo:cycle-{i}")]);
+        c.shutdown();
+    }
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().connections_closed < 50 && Instant::now() < deadline {
+        std::thread::yield_now();
+    }
+    assert_eq!(server.stats().connections_closed, 50);
+    assert_eq!(server.syscalls().wakes, 0, "{:?}", server.syscalls());
+    server.shutdown();
+}
+
 #[test]
 fn shutdown_closes_open_connections() {
     let (listener, connector) = mem::listener("down");

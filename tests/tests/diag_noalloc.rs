@@ -8,7 +8,8 @@
 //! `Vec` growth on the disabled path fails the pin.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use nserver_core::diag::{attach_worker, stamp_idle, stamp_stage, WorkerRole, WorkerStateTable};
 use nserver_core::event::Priority;
@@ -17,12 +18,25 @@ use nserver_core::queue::{BlockingQueue, FifoQueue};
 
 struct CountingAlloc;
 
-static COUNTING: AtomicBool = AtomicBool::new(false);
+thread_local! {
+    /// Set on the measuring thread only, for the measured window only:
+    /// libtest starts the other test's thread whenever it likes, and that
+    /// thread's own start-up allocations are not the hot path's.
+    /// Const-initialised and without a destructor, so reading it from
+    /// inside the allocator neither allocates nor registers anything.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Whether the calling thread is inside a measured window (false once
+/// its thread-locals are being torn down).
+fn counting() -> bool {
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.alloc(layout)
@@ -33,7 +47,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOCS.fetch_add(1, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
@@ -43,17 +57,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
-/// Count allocations across `f`. The tests in this binary run serially
-/// (each takes the same implicit measurement lock) so counts are exact.
+/// Count the calling thread's allocations across `f`.
 fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
     f();
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(false));
     ALLOCS.load(Ordering::SeqCst)
 }
 
-// The two tests must not run concurrently — the counter is global.
+// The two tests must not measure concurrently — the counter is global.
 // A process-wide mutex serializes them.
 static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
