@@ -324,6 +324,11 @@ impl<K: Eq + Hash + Clone> SharedFileCache<K> {
         Q: Hash + ?Sized,
     {
         use std::hash::Hasher;
+        // One shard (`SharedFileCache::new`): there is nothing to choose,
+        // so the key is not hashed to choose it.
+        if let [only] = &self.shards[..] {
+            return only;
+        }
         let mut h = std::collections::hash_map::DefaultHasher::new();
         key.hash(&mut h);
         &self.shards[(h.finish() % self.shards.len() as u64) as usize]
@@ -718,6 +723,34 @@ mod tests {
         assert_eq!(s.hits + s.misses, 50);
         assert_eq!(s.misses, 10);
         assert!((s.hit_rate() - 0.8).abs() < 1e-12);
+    }
+
+    /// A one-shard handle skips the shard hash; what it counts is what a
+    /// sharded handle counts over the same accesses (no capacity pressure,
+    /// so how keys spread over shards cannot show).
+    #[test]
+    fn one_shard_and_sharded_handles_count_the_same_accesses_alike() {
+        let handles: [SharedFileCache<String>; 3] = [
+            SharedFileCache::new(FileCache::new(1 << 20, PolicyKind::Lru)),
+            SharedFileCache::sharded(1 << 20, PolicyKind::Lru, 1),
+            SharedFileCache::sharded(1 << 20, PolicyKind::Lru, 8),
+        ];
+        assert_eq!(handles.each_ref().map(|c| c.shard_count()), [1, 1, 8]);
+        let stats = handles.map(|c| {
+            for step in 0..400u32 {
+                let key = format!("/file/{}", step * 7 % 31);
+                match step % 5 {
+                    0 => drop(c.insert(key, blob(10 + step as usize % 50))),
+                    1 => drop(c.invalidate(key.as_str())),
+                    2 => drop(c.get_or_load(key, || (step % 3 > 0).then(|| blob(20)))),
+                    _ => drop(c.get(key.as_str())),
+                }
+            }
+            (c.stats(), c.len(), c.used_bytes())
+        });
+        assert!(stats[0].0.hits > 0 && stats[0].0.misses > 0);
+        assert_eq!(stats[0], stats[1]);
+        assert_eq!(stats[0], stats[2]);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!    plus an optional append-only file sink — whenever the watchdog
 //!    fires or an operator asks.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
@@ -80,7 +80,9 @@ pub enum WorkerActivity {
         stage: Stage,
         /// The connection being served.
         conn: ConnId,
-        /// How long the stage has been running, in microseconds.
+        /// Microseconds since the thread's work item began or last came
+        /// back from a blocking call — at least as long as the stage has
+        /// been running (see [`WorkerStateTable`]).
         busy_us: u64,
     },
 }
@@ -125,8 +127,16 @@ impl Slot {
 /// Fixed-capacity table of per-thread activity slots. Framework threads
 /// register once, then stamp their activity through thread-local free
 /// functions ([`stamp_stage`], [`stamp_idle`]) that cost a few relaxed
-/// atomic stores — no locks, no allocation, so they are safe to leave on
-/// the hot path in every mode.
+/// atomic stores — no locks, no allocation and, per request, no clock
+/// read, so they are safe to leave on the hot path in every mode.
+///
+/// A running row's `since` (and the `busy_us` sampled from it) is the
+/// time since the thread's current work item began or last came back
+/// from a blocking call, not since the named stage began: the stage
+/// stamps of one work item share the clock reading its first stamp took.
+/// It is therefore an upper bound on the stage's own age, too high by at
+/// most the work item's length so far — which is what a stuck-worker
+/// ceiling of seconds wants to compare against anyway.
 pub struct WorkerStateTable {
     slots: Vec<Slot>,
     epoch: Instant,
@@ -262,6 +272,27 @@ impl WorkerStateTable {
 struct Attachment {
     table: Arc<WorkerStateTable>,
     index: usize,
+    /// The clock reading the current work item's stage stamps share;
+    /// `None` between items, so the next item's first stamp reads anew.
+    item_clock: Cell<Option<u64>>,
+}
+
+impl Attachment {
+    /// Publish "running `stage` for `conn`", since the work item's clock
+    /// reading — taken now when `fresh` or when the item has none yet.
+    fn stamp(&self, stage: Stage, conn: ConnId, fresh: bool) {
+        let since = match self.item_clock.get() {
+            Some(at) if !fresh => at,
+            _ => {
+                let now = self.table.now_us();
+                self.item_clock.set(Some(now));
+                now
+            }
+        };
+        let idx = Stage::ALL.iter().position(|s| *s == stage).unwrap_or(0) as u8;
+        self.table
+            .publish(self.index, STATE_RUNNING, idx, conn, since);
+    }
 }
 
 thread_local! {
@@ -283,6 +314,7 @@ pub fn attach_worker(table: &Arc<WorkerStateTable>, role: WorkerRole) -> bool {
                 *a = Some(Attachment {
                     table: Arc::clone(table),
                     index,
+                    item_clock: Cell::new(None),
                 });
                 true
             }
@@ -301,27 +333,40 @@ pub fn detach_worker() {
     });
 }
 
-/// Publish "running `stage` for `conn` since now" for the calling
-/// thread. A no-op on unattached threads (application threads, tests,
-/// table-full overflow), which is what lets the pipeline call it
-/// unconditionally.
-pub fn stamp_stage(stage: Stage, conn: ConnId) {
+/// Run `f` on the calling thread's attachment, if it has one.
+fn with_attachment(f: impl FnOnce(&Attachment)) {
     ATTACHED.with(|a| {
         if let Some(at) = a.borrow().as_ref() {
-            let now = at.table.now_us();
-            let idx = Stage::ALL.iter().position(|s| *s == stage).unwrap_or(0) as u8;
-            at.table.publish(at.index, STATE_RUNNING, idx, conn, now);
+            f(at);
         }
     });
 }
 
-/// Publish "idle" for the calling thread. No-op when unattached.
+/// Publish "running `stage` for `conn`" for the calling thread. The
+/// stage stamps of one work item share one clock reading — the first
+/// stamp after [`stamp_idle`] takes it — so a request costs no clock
+/// read, and `since` means "since this work item began" (see
+/// [`WorkerStateTable`]). A no-op on unattached threads (application
+/// threads, tests, table-full overflow), which is what lets the pipeline
+/// call it unconditionally.
+pub fn stamp_stage(stage: Stage, conn: ConnId) {
+    with_attachment(|at| at.stamp(stage, conn, false));
+}
+
+/// [`stamp_stage`] with a clock reading of its own, which the work item's
+/// later stamps then share: for the stamp before a call that may block
+/// (Send Reply's write) and the first one after a blocking call returns.
+pub fn stamp_stage_fresh(stage: Stage, conn: ConnId) {
+    with_attachment(|at| at.stamp(stage, conn, true));
+}
+
+/// Publish "idle" for the calling thread and end the work item's shared
+/// clock reading. Reads no clock itself: an idle row has no `since`.
+/// No-op when unattached.
 pub fn stamp_idle() {
-    ATTACHED.with(|a| {
-        if let Some(at) = a.borrow().as_ref() {
-            let now = at.table.now_us();
-            at.table.publish(at.index, STATE_IDLE, 0, 0, now);
-        }
+    with_attachment(|at| {
+        at.item_clock.set(None);
+        at.table.publish(at.index, STATE_IDLE, 0, 0, 0);
     });
 }
 
@@ -1100,6 +1145,39 @@ mod tests {
         assert_eq!(rows[0].activity, WorkerActivity::Idle);
         detach_worker();
         assert!(table.sample().is_empty(), "detach releases the slot");
+    }
+
+    /// The stage stamps of one work item share one clock reading; the
+    /// next item, and a stamp around a blocking call, take their own.
+    #[test]
+    fn stage_stamps_share_the_work_items_clock_reading() {
+        let table = WorkerStateTable::new(1);
+        assert!(attach_worker(&table, WorkerRole::Worker));
+        let since = || table.slots[0].since_us.load(Ordering::Relaxed);
+        let wait_a_tick = || {
+            let t0 = table.now_us();
+            while table.now_us() < t0 + 2 {
+                std::hint::spin_loop();
+            }
+        };
+        stamp_stage(Stage::Decode, 1);
+        let began = since();
+        wait_a_tick();
+        stamp_stage(Stage::Handle, 1);
+        stamp_stage(Stage::Encode, 1);
+        assert_eq!(since(), began, "one work item, one clock reading");
+        wait_a_tick();
+        stamp_stage_fresh(Stage::WriteDrain, 1);
+        let sending = since();
+        assert!(sending > began, "a fresh stamp reads the clock");
+        stamp_stage(Stage::Decode, 1);
+        assert_eq!(since(), sending, "and later stamps share its reading");
+        stamp_idle();
+        assert_eq!(table.sample()[0].activity, WorkerActivity::Idle);
+        wait_a_tick();
+        stamp_stage(Stage::Decode, 2);
+        assert!(since() > sending, "the next work item reads the clock anew");
+        detach_worker();
     }
 
     #[test]

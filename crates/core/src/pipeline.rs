@@ -109,12 +109,16 @@ impl OutSegment {
     }
 }
 
-/// An encoded response: an ordered list of segments produced by
-/// [`Codec::encode_reply`] and queued whole into the [`Outbox`] once its
-/// sequence number becomes contiguous.
+/// An encoded response, produced by [`Codec::encode_reply`] and queued
+/// whole into the [`Outbox`] once its sequence number becomes contiguous:
+/// owned bytes (a response head, a control reply), then at most one
+/// shared payload, then whatever was pushed after it — three inline
+/// slots, so building a reply allocates nothing beyond its bytes.
 #[derive(Default)]
 pub struct EncodedReply {
-    segments: Vec<OutSegment>,
+    head: BytesMut,
+    body: Option<Arc<Vec<u8>>>,
+    tail: BytesMut,
 }
 
 impl EncodedReply {
@@ -123,29 +127,48 @@ impl EncodedReply {
         Self::default()
     }
 
+    /// The owned slot pushes land in now: `head` until a shared payload
+    /// has been pushed, `tail` after it.
+    fn owned_slot(&mut self) -> &mut BytesMut {
+        if self.body.is_none() {
+            &mut self.head
+        } else {
+            &mut self.tail
+        }
+    }
+
     /// Append owned bytes (empty buffers are dropped).
     pub fn push_bytes(&mut self, bytes: BytesMut) {
-        if !bytes.is_empty() {
-            self.segments.push(OutSegment::Bytes(bytes));
+        let slot = self.owned_slot();
+        if slot.is_empty() {
+            *slot = bytes;
+        } else {
+            slot.extend_from_slice(&bytes);
         }
     }
 
     /// Append a shared payload without copying it (empty payloads are
-    /// dropped).
+    /// dropped). A reply carries one payload by reference; a further one
+    /// is copied behind it.
     pub fn push_shared(&mut self, data: Arc<Vec<u8>>) {
-        if !data.is_empty() {
-            self.segments.push(OutSegment::Shared { data, offset: 0 });
+        if data.is_empty() {
+            return;
+        }
+        if self.body.is_none() {
+            self.body = Some(data);
+        } else {
+            self.tail.extend_from_slice(&data);
         }
     }
 
     /// Total bytes across all segments.
     pub fn len(&self) -> usize {
-        self.segments.iter().map(OutSegment::remaining).sum()
+        self.head.len() + self.body.as_ref().map_or(0, |b| b.len()) + self.tail.len()
     }
 
     /// Whether the reply carries no bytes.
     pub fn is_empty(&self) -> bool {
-        self.segments.is_empty()
+        self.len() == 0
     }
 }
 
@@ -218,9 +241,17 @@ impl Outbox {
 
     /// Queue an encoded reply's segments in order.
     pub fn push_reply(&mut self, reply: EncodedReply) {
-        for seg in reply.segments {
-            self.len += seg.remaining();
-            self.segments.push_back(seg);
+        self.len += reply.len();
+        let EncodedReply { head, body, tail } = reply;
+        if !head.is_empty() {
+            self.segments.push_back(OutSegment::Bytes(head));
+        }
+        if let Some(data) = body {
+            self.segments
+                .push_back(OutSegment::Shared { data, offset: 0 });
+        }
+        if !tail.is_empty() {
+            self.segments.push_back(OutSegment::Bytes(tail));
         }
     }
 
@@ -250,12 +281,14 @@ impl Outbox {
             let Some(front) = self.segments.front_mut() else {
                 return;
             };
-            let take = n.min(front.remaining());
-            front.advance(take);
-            n -= take;
-            if front.remaining() == 0 {
-                self.segments.pop_front();
+            // A wholly sent segment is dropped as it is; only a partly
+            // sent one is cut.
+            if n < front.remaining() {
+                front.advance(n);
+                return;
             }
+            n -= front.remaining();
+            self.segments.pop_front();
         }
     }
 
@@ -435,6 +468,8 @@ pub struct ConnShared {
     /// Scheduling priority (O8 crosscuts the Communicator Component with
     /// exactly this field, per Table 2).
     pub priority: Priority,
+    /// What the hooks are lent, built once.
+    ctx: ConnCtx,
     /// Bytes read from the socket, awaiting decode.
     pub inbox: Mutex<BytesMut>,
     /// Encoded reply segments awaiting transmission.
@@ -491,6 +526,11 @@ impl ConnShared {
     pub fn new(id: ConnId, peer: String, priority: Priority) -> Arc<Self> {
         Arc::new(Self {
             id,
+            ctx: ConnCtx {
+                id,
+                peer: peer.clone(),
+                priority,
+            },
             peer,
             priority,
             inbox: Mutex::new(BytesMut::new()),
@@ -530,13 +570,9 @@ impl ConnShared {
         self.sink.get()
     }
 
-    /// Context snapshot for hooks.
-    pub fn ctx(&self) -> ConnCtx {
-        ConnCtx {
-            id: self.id,
-            peer: self.peer.clone(),
-            priority: self.priority,
-        }
+    /// The context lent to hooks.
+    pub fn ctx(&self) -> &ConnCtx {
+        &self.ctx
     }
 
     /// Whether requests were accepted whose replies have not all been
@@ -558,7 +594,8 @@ impl ConnShared {
     /// how many replies moved and the bytes the outbox holds afterwards.
     pub(crate) fn complete(&self, seq: u64, reply: Option<EncodedReply>) -> (usize, usize) {
         let mut emitted = 0;
-        let mut s = self.send.lock();
+        let mut guard = self.send.lock();
+        let s = &mut *guard;
         // A dead sink swallows the payload but keeps the sequence moving,
         // so ordering state still drains and the connection can finalize.
         let reply = if self.sink_dead.load(Ordering::Relaxed) {
@@ -566,17 +603,23 @@ impl ConnShared {
         } else {
             reply
         };
-        s.ready.insert(seq, reply);
+        // The reply that is next in order goes straight to the outbox;
+        // only an out-of-order completion (the Proactor path) is parked,
+        // and then nothing can move: the map never holds `next_emit`.
+        let mut next = if seq == s.next_emit {
+            Some(reply)
+        } else {
+            s.ready.insert(seq, reply);
+            None
+        };
         let mut out = self.outbox.lock();
-        while let Some(entry) = {
-            let key = s.next_emit;
-            s.ready.remove(&key)
-        } {
+        while let Some(entry) = next {
             if let Some(r) = entry {
                 out.push_reply(r);
                 emitted += 1;
             }
             s.next_emit += 1;
+            next = s.ready.remove(&s.next_emit);
         }
         (emitted, out.len())
     }
@@ -690,8 +733,8 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
             let mine = !out.is_empty() && out.len() <= WORKER_SEND_MAX;
             if mine {
                 // The watchdog and `/debug/snapshot` should name a worker
-                // stuck in `writev` as sending.
-                diag::stamp_stage(Stage::WriteDrain, conn.id);
+                // stuck in `writev` as sending, and since when.
+                diag::stamp_stage_fresh(Stage::WriteDrain, conn.id);
             }
             let wrote = mine && flush(&self.send_accounts(), conn, &mut out);
             (wrote, !out.is_empty())
@@ -719,6 +762,7 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
 
     fn process_conn(&self, conn: &Arc<ConnShared>) {
         let id = conn.id;
+        let ctx = conn.ctx();
         let mut decode_state = conn.decode_lock.lock();
         loop {
             if conn.closing.load(Ordering::Relaxed) {
@@ -754,7 +798,6 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                             .record_stage(Stage::Decode, t0.elapsed().as_micros() as u64);
                     }
                     let seq = conn.assign_seq();
-                    let ctx = conn.ctx();
                     self.tracer.span(SpanEvent::Decode { seq }, id);
                     // Isolate application-hook panics: the request is
                     // failed and the connection closed, but the framework
@@ -772,7 +815,7 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                         );
                     }
                     let action = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        service.handle(&ctx, req)
+                        service.handle(ctx, req)
                     }));
                     if let Some(t0) = handle_started {
                         self.metrics
@@ -905,6 +948,9 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                 self.send_reply(conn);
                 diag::stamp_stage(Stage::Handle, conn.id);
                 let resp = job();
+                // Back from the blocking call: the rest of the work item
+                // is not as old as the call was long.
+                diag::stamp_stage_fresh(Stage::Encode, conn.id);
                 self.finish(conn, seq, resp, close_after);
             }
         }
@@ -1168,6 +1214,120 @@ mod tests {
         assert_eq!(e.stats.snapshot().responses_sent, 3);
     }
 
+    /// `ConnShared::complete` as it was when every completion went through
+    /// the reorder map, over a flat outbox: the reference for the path
+    /// that lets an in-order reply skip the map.
+    #[derive(Default)]
+    struct MapOnly {
+        next_emit: u64,
+        ready: BTreeMap<u64, Option<Vec<u8>>>,
+        outbox: Vec<u8>,
+    }
+
+    impl MapOnly {
+        fn complete(&mut self, seq: u64, reply: Option<Vec<u8>>) -> (usize, usize) {
+            let mut emitted = 0;
+            self.ready.insert(seq, reply);
+            while let Some(entry) = self.ready.remove(&self.next_emit) {
+                if let Some(r) = entry {
+                    self.outbox.extend_from_slice(&r);
+                    emitted += 1;
+                }
+                self.next_emit += 1;
+            }
+            (emitted, self.outbox.len())
+        }
+    }
+
+    #[test]
+    fn in_order_and_out_of_order_completions_match_the_map_only_path() {
+        for seed in 0..50u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut rand = move |n: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % n
+            };
+            let conn = ConnShared::new(seed, "peer".into(), Priority(0));
+            let mut model = MapOnly::default();
+            // Runs of requests completed in order (the Reactor path),
+            // between windows completed in a shuffled order (the Proactor
+            // path); every fifth reply or so is "no reply".
+            let mut pending: Vec<u64> = Vec::new();
+            for _ in 0..40 {
+                let window = 1 + rand(6);
+                pending.extend((0..window).map(|_| conn.assign_seq()));
+                if rand(2) == 0 {
+                    for i in (1..pending.len()).rev() {
+                        pending.swap(i, rand(i as u64 + 1) as usize);
+                    }
+                }
+                // Leave some of a shuffled window for later rounds.
+                let keep = rand(pending.len() as u64) as usize * rand(2) as usize;
+                for seq in pending.split_off(keep) {
+                    let bytes = (rand(5) > 0).then(|| format!("<{seq}>").into_bytes());
+                    let reply = bytes.clone().map(|b| {
+                        let mut r = EncodedReply::new();
+                        r.push_bytes(BytesMut::from(&b[..]));
+                        r
+                    });
+                    assert_eq!(
+                        conn.complete(seq, reply),
+                        model.complete(seq, bytes),
+                        "seed {seed}, seq {seq}"
+                    );
+                    assert_eq!(conn.outbox.lock().to_vec(), model.outbox, "seed {seed}");
+                    assert_eq!(
+                        conn.responses_pending(),
+                        model.next_emit < conn.send.lock().next_assign
+                    );
+                }
+                // Send Reply takes some of what is queued.
+                let sent = rand(model.outbox.len() as u64 + 1) as usize;
+                conn.outbox.lock().advance(sent);
+                model.outbox.drain(..sent);
+            }
+            for seq in pending {
+                assert_eq!(conn.complete(seq, None), model.complete(seq, None));
+            }
+            assert!(!conn.responses_pending(), "seed {seed}: everything emitted");
+            assert!(conn.send.lock().ready.is_empty());
+        }
+    }
+
+    #[test]
+    fn in_order_completions_bypass_the_reorder_map() {
+        let conn = ConnShared::new(1, "peer".into(), Priority(0));
+        let reply = || {
+            let mut r = EncodedReply::new();
+            r.push_bytes(BytesMut::from(&b"r"[..]));
+            Some(r)
+        };
+        // Next in order: a reply, then "no reply", both straight through.
+        let s0 = conn.assign_seq();
+        assert_eq!(conn.complete(s0, reply()), (1, 1));
+        let s1 = conn.assign_seq();
+        assert_eq!(conn.complete(s1, None), (0, 1));
+        assert!(!conn.responses_pending());
+        // A dead sink swallows the payload and still moves the sequence.
+        conn.sink_dead.store(true, Ordering::Relaxed);
+        let s2 = conn.assign_seq();
+        assert_eq!(conn.complete(s2, reply()), (0, 1));
+        assert!(!conn.responses_pending());
+        assert!(conn.send.lock().ready.is_empty(), "nothing was parked");
+        // Out of order parks; the one it waited for releases both, dead
+        // sink or not.
+        let (s3, s4) = (conn.assign_seq(), conn.assign_seq());
+        assert_eq!(conn.complete(s4, reply()), (0, 1));
+        assert_eq!(conn.send.lock().ready.len(), 1);
+        assert!(conn.responses_pending());
+        assert_eq!(conn.complete(s3, reply()), (0, 1));
+        assert!(!conn.responses_pending());
+        assert!(conn.send.lock().ready.is_empty());
+        assert_eq!(conn.outbox.lock().to_vec(), b"r");
+    }
+
     #[test]
     fn work_for_unknown_connection_is_ignored() {
         let (e, _) = engine(true);
@@ -1252,6 +1412,25 @@ mod tests {
         out.extend_from_slice(b"");
         assert!(out.is_empty());
         assert!(out.front_chunk().is_none());
+    }
+
+    #[test]
+    fn a_reply_keeps_push_order_past_its_one_shared_payload() {
+        let mut reply = EncodedReply::new();
+        reply.push_bytes(BytesMut::from(&b"a"[..]));
+        reply.push_bytes(BytesMut::from(&b"b"[..]));
+        let first = Arc::new(b"FIRST".to_vec());
+        let second = Arc::new(b"SECOND".to_vec());
+        reply.push_shared(Arc::clone(&first));
+        reply.push_shared(Arc::clone(&second));
+        reply.push_bytes(BytesMut::from(&b"z"[..]));
+        assert_eq!(reply.len(), 14);
+        let mut out = Outbox::new();
+        out.push_reply(reply);
+        assert_eq!(out.to_vec(), b"abFIRSTSECONDz");
+        // The first payload rides by reference, the second was copied.
+        assert_eq!(Arc::strong_count(&first), 2);
+        assert_eq!(Arc::strong_count(&second), 1);
     }
 
     #[test]

@@ -978,7 +978,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         self.engine.tracer.span(SpanEvent::Accept, id);
 
         // Server-speaks-first greeting (e.g. FTP 220).
-        if let Some(greeting) = self.engine.service.on_open(&shared.ctx()) {
+        if let Some(greeting) = self.engine.service.on_open(shared.ctx()) {
             let mut out = crate::pipeline::EncodedReply::new();
             if self.engine.codec.encode_reply(&greeting, &mut out).is_ok() {
                 shared.outbox.lock().push_reply(out);
@@ -1092,7 +1092,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         let id = c.shared.id;
         self.engine.registry.write().remove(&id);
         ServerStats::bump(&self.engine.stats.connections_closed);
-        self.engine.service.on_close(&c.shared.ctx());
+        self.engine.service.on_close(c.shared.ctx());
         if self.engine.tracer.is_enabled() {
             // Close any stage window the connection dies inside of, so
             // timelines stay balanced B/E pairs on every path.

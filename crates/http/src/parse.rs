@@ -3,7 +3,7 @@
 
 use bytes::BytesMut;
 
-use crate::types::{Headers, Method, Request, Response, Version};
+use crate::types::{crlf_lines, Headers, Method, Request, Response, Version};
 
 /// Result of a parse attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -63,7 +63,7 @@ pub fn parse_request_hinted(buf: &mut BytesMut, scanned: &mut usize) -> ParseOut
         Ok(t) => t,
         Err(_) => return ParseOutcome::Invalid("request head is not UTF-8".into()),
     };
-    let mut lines = text.split("\r\n").filter(|l| !l.is_empty());
+    let mut lines = crlf_lines(text).filter(|l| !l.is_empty());
     let request_line = match lines.next() {
         Some(l) => l,
         None => return ParseOutcome::Invalid("empty request".into()),
@@ -84,16 +84,19 @@ pub fn parse_request_hinted(buf: &mut BytesMut, scanned: &mut usize) -> ParseOut
     if t.is_empty() || !t.starts_with('/') {
         return ParseOutcome::Invalid(format!("bad target: {t}"));
     }
-    let mut headers = Headers::new();
     for line in lines {
-        match line.split_once(':') {
-            Some((name, value)) => headers.push(name.trim(), value.trim()),
-            None => return ParseOutcome::Invalid(format!("malformed header: {line}")),
+        if !line.contains(':') {
+            return ParseOutcome::Invalid(format!("malformed header: {line}"));
         }
     }
+    // The head stays whole, as the request's one buffer: its header lines
+    // are cut into names and values when they are looked up.
+    let target = t.to_string();
+    let mut headers = Headers::new();
+    headers.head = head;
     ParseOutcome::Complete(Request {
         method,
-        target: t.to_string(),
+        target,
         version,
         headers,
     })
@@ -120,26 +123,39 @@ fn find_head_end_from(buf: &BytesMut, from: usize) -> Option<HeadEnd> {
 /// `out`. The body travels separately — as a zero-copy shared segment on
 /// the server hot path ([`crate::HttpCodec`]'s `encode_reply`).
 pub fn encode_response_head(resp: &Response, out: &mut BytesMut) {
-    let status_line = format!(
-        "{} {} {}\r\n",
-        resp.version,
-        resp.status.code(),
-        resp.status.reason()
-    );
-    out.extend_from_slice(status_line.as_bytes());
+    // One growth: 100 bytes hold the status line, `Content-Length`,
+    // `Connection` and the blank line at their longest.
+    let headers = resp.headers.iter().map(|(n, v)| n.len() + v.len() + 4);
+    out.reserve(100 + headers.sum::<usize>());
+    out.extend_from_slice(resp.version.as_str().as_bytes());
+    out.extend_from_slice(b" ");
+    write_decimal(out, resp.status.code().into());
+    out.extend_from_slice(b" ");
+    out.extend_from_slice(resp.status.reason().as_bytes());
+    out.extend_from_slice(b"\r\n");
     for (name, value) in resp.headers.iter() {
         out.extend_from_slice(name.as_bytes());
         out.extend_from_slice(b": ");
         out.extend_from_slice(value.as_bytes());
         out.extend_from_slice(b"\r\n");
     }
-    out.extend_from_slice(format!("Content-Length: {}\r\n", resp.body.len()).as_bytes());
+    out.extend_from_slice(b"Content-Length: ");
+    write_decimal(out, resp.body.len());
+    out.extend_from_slice(b"\r\n");
     out.extend_from_slice(if resp.keep_alive {
         b"Connection: keep-alive\r\n" as &[u8]
     } else {
         b"Connection: close\r\n"
     });
     out.extend_from_slice(b"\r\n");
+}
+
+/// Append `n` in decimal.
+fn write_decimal(out: &mut BytesMut, n: usize) {
+    if n >= 10 {
+        write_decimal(out, n / 10);
+    }
+    out.extend_from_slice(&[b'0' + (n % 10) as u8]);
 }
 
 /// Encode a response onto `out`, adding Content-Length and Connection

@@ -7,6 +7,7 @@
 //! helper pool under O4 = Asynchronous. The cache itself is the O6
 //! machinery from `nserver-cache`, with LRU enforced for COPS-HTTP.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use nserver_cache::SharedFileCache;
@@ -125,8 +126,9 @@ impl<St: ContentStore> StaticFileService<St> {
     /// cannot smuggle a traversal past a textual `..` scan. Rejected:
     /// malformed escapes, embedded NUL, non-`/`-rooted targets, and any
     /// path *segment* equal to `.` or `..` — but only whole segments, so
-    /// legitimate names like `/a..b.txt` are served.
-    fn sanitize(target: &str) -> Option<String> {
+    /// legitimate names like `/a..b.txt` are served. A target without an
+    /// escape is served as it is, borrowed.
+    fn sanitize(target: &str) -> Option<Cow<'_, str>> {
         // Strip a query string before decoding: a `?` inside the path
         // would otherwise need escaping anyway.
         let raw = target.split('?').next().unwrap_or(target);
@@ -145,9 +147,9 @@ impl<St: ContentStore> StaticFileService<St> {
 }
 
 /// Decode `%XX` escapes; `None` on malformed or non-UTF-8 sequences.
-fn percent_decode(s: &str) -> Option<String> {
+fn percent_decode(s: &str) -> Option<Cow<'_, str>> {
     if !s.contains('%') {
-        return Some(s.to_string());
+        return Some(Cow::Borrowed(s));
     }
     let bytes = s.as_bytes();
     let mut out = Vec::with_capacity(bytes.len());
@@ -163,7 +165,7 @@ fn percent_decode(s: &str) -> Option<String> {
             i += 1;
         }
     }
-    String::from_utf8(out).ok()
+    String::from_utf8(out).ok().map(Cow::Owned)
 }
 
 fn hex_val(b: u8) -> Option<u8> {
@@ -197,8 +199,8 @@ impl<St: ContentStore> Service<HttpCodec> for StaticFileService<St> {
 
         // Cache hit: reply without any blocking operation.
         if let Some(cache) = &self.cache {
-            if let Some(data) = cache.get(&path) {
-                return respond(Response::ok(data, mime_for(&path), req.version));
+            if let Some(data) = cache.get(&*path) {
+                return respond(Response::ok(data, mime_for(&path), version));
             }
         }
 
@@ -208,7 +210,7 @@ impl<St: ContentStore> Service<HttpCodec> for StaticFileService<St> {
         let cache = self.cache.clone();
         let coalesce = self.coalesce_misses;
         let miss_latency = self.miss_latency_ms;
-        let path2 = path.clone();
+        let path2 = path.into_owned();
         let job = move || {
             let fetch = || {
                 if miss_latency > 0 {

@@ -2,8 +2,11 @@
 //! responses. COPS-HTTP "only handles static Web page requests", so the
 //! vocabulary is the HTTP/1.0–1.1 subset a static server needs.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
+
+use bytes::BytesMut;
 
 /// Request method.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -52,14 +55,19 @@ impl Version {
             _ => None,
         }
     }
+
+    /// The token as it appears on the wire.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Version::Http10 => "HTTP/1.0",
+            Version::Http11 => "HTTP/1.1",
+        }
+    }
 }
 
 impl fmt::Display for Version {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Version::Http10 => "HTTP/1.0",
-            Version::Http11 => "HTTP/1.1",
-        })
+        f.write_str(self.as_str())
     }
 }
 
@@ -85,39 +93,59 @@ pub enum Status {
 }
 
 impl Status {
+    /// Numeric code and reason phrase.
+    fn parts(self) -> (u16, &'static str) {
+        match self {
+            Status::Ok => (200, "OK"),
+            Status::BadRequest => (400, "Bad Request"),
+            Status::Forbidden => (403, "Forbidden"),
+            Status::NotFound => (404, "Not Found"),
+            Status::MethodNotAllowed => (405, "Method Not Allowed"),
+            Status::InternalError => (500, "Internal Server Error"),
+            Status::NotImplemented => (501, "Not Implemented"),
+            Status::ServiceUnavailable => (503, "Service Unavailable"),
+        }
+    }
+
     /// Numeric code.
     pub fn code(self) -> u16 {
-        match self {
-            Status::Ok => 200,
-            Status::BadRequest => 400,
-            Status::Forbidden => 403,
-            Status::NotFound => 404,
-            Status::MethodNotAllowed => 405,
-            Status::InternalError => 500,
-            Status::NotImplemented => 501,
-            Status::ServiceUnavailable => 503,
-        }
+        self.parts().0
     }
 
     /// Reason phrase.
     pub fn reason(self) -> &'static str {
-        match self {
-            Status::Ok => "OK",
-            Status::BadRequest => "Bad Request",
-            Status::Forbidden => "Forbidden",
-            Status::NotFound => "Not Found",
-            Status::MethodNotAllowed => "Method Not Allowed",
-            Status::InternalError => "Internal Server Error",
-            Status::NotImplemented => "Not Implemented",
-            Status::ServiceUnavailable => "Service Unavailable",
-        }
+        self.parts().1
     }
 }
 
+/// `text.split("\r\n")` without the substring searcher that call sets
+/// up: a bare CR or LF is not a separator, and text that ends in CRLF ends
+/// in an empty line.
+pub(crate) fn crlf_lines(text: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(text);
+    std::iter::from_fn(move || {
+        let text = rest?;
+        let cut = text.as_bytes().windows(2).position(|w| w == b"\r\n");
+        rest = cut.map(|i| &text[i + 2..]);
+        Some(cut.map_or(text, |i| &text[..i]))
+    })
+}
+
+/// Header text: a `&'static str` held as it is, or an owned `String`.
+type Text = Cow<'static, str>;
+
 /// An ordered, case-insensitive header collection.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// A parsed request's headers are the request head itself, kept as the
+/// parser validated it and cut into names and values only when they are
+/// looked up; headers pushed afterwards follow them. Equality compares
+/// the ordered name/value pairs, however they are stored.
+#[derive(Debug, Clone, Default)]
 pub struct Headers {
-    entries: Vec<(String, String)>,
+    /// A request head the parser accepted: UTF-8, its first non-empty line
+    /// the request line, a colon in every non-empty line after it.
+    pub(crate) head: BytesMut,
+    pushed: Vec<(Text, Text)>,
 }
 
 impl Headers {
@@ -126,34 +154,46 @@ impl Headers {
         Self::default()
     }
 
-    /// Append a header (duplicates allowed, as in HTTP).
-    pub fn push(&mut self, name: impl Into<String>, value: impl Into<String>) {
-        self.entries.push((name.into(), value.into()));
+    /// Append a header (duplicates allowed, as in HTTP). A `&'static str`
+    /// is held as it is; a `String` is moved in.
+    pub fn push(&mut self, name: impl Into<Text>, value: impl Into<Text>) {
+        self.pushed.push((name.into(), value.into()));
     }
 
     /// First value of a header, case-insensitively.
     pub fn get(&self, name: &str) -> Option<&str> {
-        self.entries
-            .iter()
+        self.iter()
             .find(|(n, _)| n.eq_ignore_ascii_case(name))
-            .map(|(_, v)| v.as_str())
+            .map(|(_, v)| v)
     }
 
     /// Number of headers.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.iter().count()
     }
 
     /// True when no headers are present.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.iter().next().is_none()
     }
 
     /// Iterate entries in order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(n, v)| (n.as_str(), v.as_str()))
+        let head = std::str::from_utf8(&self.head).expect("the parser validated the head");
+        let lines = crlf_lines(head).filter(|l| !l.is_empty()).skip(1);
+        let parsed = lines.filter_map(|l| l.split_once(':'));
+        let parsed = parsed.map(|(name, value)| (name.trim(), value.trim()));
+        parsed.chain(self.pushed.iter().map(|(n, v)| (&**n, &**v)))
     }
 }
+
+impl PartialEq for Headers {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Headers {}
 
 /// A parsed request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -200,7 +240,7 @@ pub struct Response {
 
 impl Response {
     /// A 200 response with the given body and content type.
-    pub fn ok(body: Arc<Vec<u8>>, content_type: &str, version: Version) -> Self {
+    pub fn ok(body: Arc<Vec<u8>>, content_type: impl Into<Text>, version: Version) -> Self {
         let mut headers = Headers::new();
         headers.push("Content-Type", content_type);
         Self {
@@ -291,7 +331,7 @@ mod tests {
 
     #[test]
     fn keep_alive_defaults_by_version() {
-        let mk = |version, conn: Option<&str>| {
+        let mk = |version, conn: Option<&'static str>| {
             let mut headers = Headers::new();
             if let Some(c) = conn {
                 headers.push("Connection", c);

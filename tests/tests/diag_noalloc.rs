@@ -3,72 +3,19 @@
 //! The worker-state stamps and the queue-wait accounting ride the
 //! per-event hot path, so their disabled forms must be free: zero heap
 //! allocations per stamp and per queue push/pop once the structures are
-//! warm. A counting `#[global_allocator]` (this binary only) measures
-//! the steady state directly; any accidental `String`, boxed closure or
-//! `Vec` growth on the disabled path fails the pin.
-
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
+//! warm. The support crate's counting `#[global_allocator]` (installed
+//! in this binary) measures the steady state directly; any accidental
+//! `String`, boxed closure or `Vec` growth on the disabled path fails the
+//! pin.
 
 use nserver_core::diag::{attach_worker, stamp_idle, stamp_stage, WorkerRole, WorkerStateTable};
 use nserver_core::event::Priority;
 use nserver_core::metrics::{MetricsRegistry, Stage};
 use nserver_core::queue::{BlockingQueue, FifoQueue};
-
-struct CountingAlloc;
-
-thread_local! {
-    /// Set on the measuring thread only, for the measured window only:
-    /// libtest starts the other test's thread whenever it likes, and that
-    /// thread's own start-up allocations are not the hot path's.
-    /// Const-initialised and without a destructor, so reading it from
-    /// inside the allocator neither allocates nor registers anything.
-    static COUNTING: Cell<bool> = const { Cell::new(false) };
-}
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-/// Whether the calling thread is inside a measured window (false once
-/// its thread-locals are being torn down).
-fn counting() -> bool {
-    COUNTING.try_with(Cell::get).unwrap_or(false)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if counting() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if counting() {
-            ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        System.realloc(ptr, layout, new_size)
-    }
-}
+use nserver_integration_tests::{allocations_during, CountingAlloc};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Count the calling thread's allocations across `f`.
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    ALLOCS.store(0, Ordering::SeqCst);
-    COUNTING.with(|c| c.set(true));
-    f();
-    COUNTING.with(|c| c.set(false));
-    ALLOCS.load(Ordering::SeqCst)
-}
-
-// The two tests must not measure concurrently — the counter is global.
-// A process-wide mutex serializes them.
-static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 /// Worker-table stamping is allocation-free after attach: a thousand
 /// stage/idle stamp pairs perform zero heap allocations. This is the
@@ -76,7 +23,6 @@ static SERIAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
 /// in production mode.
 #[test]
 fn worker_state_stamps_do_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
     let table = WorkerStateTable::new(4);
     assert!(attach_worker(&table, WorkerRole::Worker));
     // Warm the thread-local attachment and the seqlock row.
@@ -98,7 +44,6 @@ fn worker_state_stamps_do_not_allocate() {
 /// `None`, no clock is read, and the warm ring never grows.
 #[test]
 fn disabled_queue_wait_accounting_does_not_allocate() {
-    let _guard = SERIAL.lock().unwrap();
     let queue: std::sync::Arc<BlockingQueue<u64>> = BlockingQueue::new(Box::new(FifoQueue::new()));
     queue.set_wait_metrics(MetricsRegistry::disabled());
     // Warm the VecDeque past the steady-state occupancy.

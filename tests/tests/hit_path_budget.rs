@@ -1,0 +1,113 @@
+//! Allocation pin for the cache-hit request path with O10/O11 off.
+//!
+//! The hit path has a budget (DESIGN.md §11): decode, handle, encode and
+//! queue one cached GET in at most four heap allocations — the request
+//! head split off the inbox, the target, the response's header list and
+//! the encoded head. A hand-built engine with no dispatcher (as
+//! `benchmark/src/ladder.rs` builds it) runs pipelined hits through
+//! `Engine::handle_work` under the support crate's counting allocator; a
+//! new per-request `String`, `format!`, `Vec` or map node fails the pin.
+
+use std::collections::HashMap;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use nserver_cache::{FileCache, PolicyKind, SharedFileCache};
+use nserver_core::event::Priority;
+use nserver_core::metrics::MetricsRegistry;
+use nserver_core::pipeline::{ConnShared, Engine, Work};
+use nserver_core::profiling::ServerStats;
+use nserver_core::reactor::DispatchNotifier;
+use nserver_core::trace::DebugTracer;
+use nserver_core::transport::SyscallCounters;
+use nserver_http::{HttpCodec, MemStore, StaticFileService};
+use nserver_integration_tests::{allocations_during, CountingAlloc};
+use parking_lot::RwLock;
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+/// The budget, in heap allocations per request.
+const BUDGET: u64 = 4;
+/// Requests per work item, as `small_pipelined` pipelines them.
+const DEPTH: u64 = 16;
+const ITEMS: u64 = 64;
+
+/// Run `ITEMS` work items of `depth` pipelined copies of `request`
+/// through a warm engine, draining the outbox after each as Send Reply
+/// would, and return the allocations per request, rounded up.
+fn allocations_per_request(request: &[u8], depth: u64) -> u64 {
+    let mut store = MemStore::new();
+    store.insert("/index.html", vec![b'x'; 512]);
+    let cache = SharedFileCache::new(FileCache::new(1 << 20, PolicyKind::Lru));
+    let engine = Engine {
+        codec: Arc::new(HttpCodec::new()),
+        service: Arc::new(StaticFileService::new(store, Some(cache))),
+        registry: Arc::new(RwLock::new(HashMap::new())),
+        stats: ServerStats::new_shared(),
+        metrics: MetricsRegistry::disabled(),
+        tracer: DebugTracer::disabled(),
+        logger: None,
+        helper: None,
+        completion_tx: None,
+        notifier: DispatchNotifier::disabled(),
+        syscalls: SyscallCounters::new_shared(),
+    };
+    let conn = ConnShared::new(1, "budget".into(), Priority::HIGHEST);
+    engine.registry.write().insert(conn.id, Arc::clone(&conn));
+
+    let work_item = || {
+        {
+            let mut inbox = conn.inbox.lock();
+            for _ in 0..depth {
+                inbox.extend_from_slice(request);
+            }
+        }
+        engine.handle_work(Work::Process(conn.id));
+        let mut out = conn.outbox.lock();
+        while let Some(chunk) = out.front_chunk() {
+            let n = chunk.len();
+            out.advance(n);
+        }
+        // A closing request ends its connection's decode loop; the next
+        // item stands for the next connection's.
+        conn.closing.store(false, Ordering::Relaxed);
+    };
+    // Warm: the first request misses (a synchronous deferred load fills
+    // the cache), the inbox and the outbox's ring reach their sizes.
+    for _ in 0..4 {
+        work_item();
+    }
+    let answered = engine.stats.snapshot().responses_sent;
+    let allocs = allocations_during(|| (0..ITEMS).for_each(|_| work_item()));
+    let requests = engine.stats.snapshot().responses_sent - answered;
+    assert_eq!(requests, ITEMS * depth, "every request was answered");
+    assert_eq!(
+        engine.stats.snapshot().blocking_ops,
+        1,
+        "and all but the first from the cache"
+    );
+    println!("{allocs} allocations over {requests} requests");
+    allocs.div_ceil(requests)
+}
+
+#[test]
+fn a_cached_get_stays_within_the_allocation_budget() {
+    let per_request =
+        allocations_per_request(b"GET /index.html HTTP/1.1\r\nHost: bench\r\n\r\n", DEPTH);
+    assert!(
+        per_request <= BUDGET,
+        "{per_request} allocations per cached GET; the budget is {BUDGET}"
+    );
+}
+
+#[test]
+fn a_closing_get_and_a_head_stay_within_the_same_budget() {
+    let closing = allocations_per_request(
+        b"GET /index.html HTTP/1.1\r\nHost: bench\r\nConnection: close\r\n\r\n",
+        1,
+    );
+    assert!(closing <= BUDGET, "{closing} per `Connection: close` GET");
+    let head = allocations_per_request(b"HEAD /index.html HTTP/1.1\r\nHost: bench\r\n\r\n", DEPTH);
+    assert!(head <= BUDGET, "{head} per HEAD");
+}
