@@ -45,7 +45,7 @@ use std::time::{Duration, Instant};
 use nserver_cache::{FileCache, PolicyKind, SharedFileCache};
 use nserver_core::fault::{self, FaultPlan, FaultProfile};
 use nserver_core::layer::Layered;
-use nserver_core::options::ServerOptions;
+use nserver_core::options::{CompletionMode, ServerOptions};
 use nserver_core::pipeline::Service;
 use nserver_core::server::ServerBuilder;
 use nserver_core::tap::{self, ConnTrace, TraceLog};
@@ -188,16 +188,16 @@ fn base_stack(listener: mem::MemListener, plan: FaultPlan) -> (BaseListener, Tra
     (tap::layer(fault::layer(listener, plan), log.clone()), log)
 }
 
-/// Run an HTTP schedule against the standard service with a transport
-/// mutant interposed above the explorer's standard stack.
-fn run_http_mutated(sched: &Schedule, mutation: TransportMutation) -> RunReport {
-    run_http_paced_on(
-        sched,
-        standard_http_service(),
-        cops_http_options(),
-        Pacing::Wall,
-        |l| mutant::layer(l, mutation),
-    )
+/// Run an HTTP schedule against the standard service under `opts`, with
+/// a transport mutant interposed above the explorer's standard stack.
+fn run_http_mutated(
+    sched: &Schedule,
+    mutation: TransportMutation,
+    opts: ServerOptions,
+) -> RunReport {
+    run_http_paced_on(sched, standard_http_service(), opts, Pacing::Wall, |l| {
+        mutant::layer(l, mutation)
+    })
     .report
 }
 
@@ -205,21 +205,36 @@ fn run_http_mutated(sched: &Schedule, mutation: TransportMutation) -> RunReport 
 /// half-close becomes a hard close. Used by the mutation tests to prove
 /// the client-delivery check catches an RST-discarded response tail.
 pub fn run_http_lingerless(sched: &Schedule) -> RunReport {
-    run_http_mutated(sched, TransportMutation::Lingerless)
+    run_http_mutated(sched, TransportMutation::Lingerless, cops_http_options())
 }
 
 /// HTTP under [`TransportMutation::GatherDrop`]: gathered writes lose
 /// every slice after the first. Used by the mutation tests to prove the
 /// models see bytes the dispatcher believes it sent.
 pub fn run_http_gather_drop(sched: &Schedule) -> RunReport {
-    run_http_mutated(sched, TransportMutation::GatherDrop)
+    run_http_mutated(sched, TransportMutation::GatherDrop, cops_http_options())
 }
 
 /// HTTP under [`TransportMutation::OffThreadDrop`]: writes made off the
 /// accepting thread are swallowed. Used by the mutation tests to prove
-/// the sweep's schedules reach the worker-side Send Reply.
+/// the sweep's schedules reach the worker-side Send Reply — under O4 =
+/// Synchronous, where every event passes the queue: under the COPS-HTTP
+/// preset a schedule shrunk to one connection is served wholly by the
+/// accepting thread.
 pub fn run_http_off_thread_drop(sched: &Schedule) -> RunReport {
-    run_http_mutated(sched, TransportMutation::OffThreadDrop)
+    let every_event_queued = ServerOptions {
+        completion_mode: CompletionMode::Synchronous,
+        ..cops_http_options()
+    };
+    run_http_mutated(sched, TransportMutation::OffThreadDrop, every_event_queued)
+}
+
+/// HTTP under [`TransportMutation::OnThreadDrop`]: writes of a work
+/// item's size made on the accepting thread are swallowed. Used by the
+/// mutation tests to prove that under the COPS-HTTP preset the
+/// dispatcher handles — and answers — ready events itself.
+pub fn run_http_on_thread_drop(sched: &Schedule) -> RunReport {
+    run_http_mutated(sched, TransportMutation::OnThreadDrop, cops_http_options())
 }
 
 /// The FTP flavour of [`run_http_lingerless`] (QUIT is a server-initiated

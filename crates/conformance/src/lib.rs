@@ -59,9 +59,9 @@ pub mod schedule;
 
 pub use explorer::{
     explore, explore_virtual, run, run_ftp, run_ftp_lingerless, run_http, run_http_gather_drop,
-    run_http_lingerless, run_http_off_thread_drop, run_http_with_options, run_virtual, seed_range,
-    shrink, standard_ftp_service, standard_http_service, ExploreSummary, FtpDataTapTarget,
-    RunReport, VirtualReport, VirtualTimeline,
+    run_http_lingerless, run_http_off_thread_drop, run_http_on_thread_drop, run_http_with_options,
+    run_virtual, seed_range, shrink, standard_ftp_service, standard_http_service, ExploreSummary,
+    FtpDataTapTarget, RunReport, VirtualReport, VirtualTimeline,
 };
 pub use ftp_model::{check_ftp, check_ftp_session, FtpDataCtx, FtpModel};
 pub use http_model::HttpFixture;

@@ -250,7 +250,20 @@ pub enum TransportMutation {
     /// dispatcher sends arrives. A sweep in which this mutant survives
     /// never left the dispatcher's send path.
     OffThreadDrop,
+    /// The mirror image: a write of at most [`WORK_ITEM_SEND_MAX`] bytes
+    /// made *on* the thread that accepted the stream forwards nothing
+    /// and reports everything written — a transport that assumes a
+    /// reply of a work item's size always comes from the pool. What the
+    /// workers send arrives, and so does output past the bound, which is
+    /// the dispatcher's to send in every design. Only a work item the
+    /// dispatcher handled itself loses its reply; a sweep in which this
+    /// mutant survives never had the dispatcher handle one.
+    OnThreadDrop,
 }
+
+/// The most a work item sends itself (`WORKER_SEND_MAX` in the
+/// framework's pipeline, which does not export it).
+const WORK_ITEM_SEND_MAX: usize = 64 * 1024;
 
 /// A [`TransportMutation`] riding one stream: everything forwards except
 /// the one call the mutation breaks.
@@ -288,6 +301,16 @@ impl ConnHook for MutantConn {
                     Ok(bufs.iter().map(|b| b.len()).sum())
                 }
             }
+            // The bug under test: the accepting thread, sending no more
+            // than a work item would, is told all is written.
+            TransportMutation::OnThreadDrop => {
+                let len: usize = bufs.iter().map(|b| b.len()).sum();
+                if std::thread::current().id() == self.accepted_on && len <= WORK_ITEM_SEND_MAX {
+                    Ok(len)
+                } else {
+                    inner.try_write_vectored(bufs)
+                }
+            }
             // The bug under test: the first slice forwarded, the rest
             // claimed (a would-block on that slice is reported honestly,
             // and a lone slice is not a gather: nothing to drop).
@@ -310,9 +333,9 @@ impl ConnHook for MutantConn {
             // the socket is torn down with whatever the peer pipelined
             // unread.
             TransportMutation::Lingerless => inner.shutdown(),
-            TransportMutation::GatherDrop | TransportMutation::OffThreadDrop => {
-                inner.shutdown_write()
-            }
+            TransportMutation::GatherDrop
+            | TransportMutation::OffThreadDrop
+            | TransportMutation::OnThreadDrop => inner.shutdown_write(),
         }
     }
 }
@@ -450,6 +473,34 @@ mod tests {
         let mut buf = [0u8; 16];
         assert_eq!(client.try_read(&mut buf).unwrap(), ReadOutcome::Data(5));
         assert_eq!(&buf[..5], b"home!");
+    }
+
+    #[test]
+    fn on_thread_drop_swallows_only_the_accepting_threads_small_writes() {
+        use nserver_core::transport::{mem, ReadOutcome};
+        let (a, mut client) = mem::pair("srv", "cli");
+        let mut srv = Layered::new(a, TransportMutation::OnThreadDrop.on_this_thread());
+        let gather = [IoSlice::new(b"lost "), IoSlice::new(b"reply")];
+        assert_eq!(srv.try_write_vectored(&gather).unwrap(), 10);
+        // Past a work item's bound the write is honest (the in-memory
+        // pipe takes what it has room for).
+        let big = vec![b'x'; WORK_ITEM_SEND_MAX + 1];
+        let took = srv.try_write(&big).unwrap();
+        assert!(took > 0);
+        let mut srv = std::thread::spawn(move || {
+            assert_eq!(srv.try_write(b"from a worker").unwrap(), 13);
+            srv
+        })
+        .join()
+        .unwrap();
+        srv.shutdown_write();
+        let mut got = Vec::new();
+        let mut buf = [0u8; 4096];
+        while let ReadOutcome::Data(n) = client.try_read(&mut buf).unwrap() {
+            got.extend_from_slice(&buf[..n]);
+        }
+        assert_eq!(got.len(), took + 13);
+        assert!(got.ends_with(b"from a worker"));
     }
 
     #[test]

@@ -6,9 +6,9 @@
 
 use conformance::{
     generate, replaying_relay_diverges, run_ftp, run_http, run_http_gather_drop,
-    run_http_lingerless, run_http_off_thread_drop, shrink, standard_ftp_service,
-    standard_http_service, truncated_retr_service, DataOpKind, FtpMutation, HttpMutation,
-    MutantFtp, MutantHttp, PrematureFtp, Proto, Schedule,
+    run_http_lingerless, run_http_off_thread_drop, run_http_on_thread_drop, shrink,
+    standard_ftp_service, standard_http_service, truncated_retr_service, DataOpKind, FtpMutation,
+    HttpMutation, MutantFtp, MutantHttp, PrematureFtp, Proto, Schedule,
 };
 
 /// Find the first seed in `0..limit` whose schedule trips `fails`, check
@@ -181,11 +181,29 @@ fn http_gather_drop_is_caught() {
 /// every write not made on the thread that accepted the stream. The
 /// dispatcher's own sends arrive, so the mutant is caught only if the
 /// schedules drive replies through the work item's send — a survivor
-/// would mean the sweep never left the dispatcher path.
+/// would mean the sweep never left the dispatcher path. Runs with every
+/// event on the queue (O4 = Synchronous), so that a schedule shrunk to
+/// one connection still has a worker answer it.
 #[test]
 fn http_off_thread_drop_is_caught() {
     let fails = |s: &Schedule| {
         run_http_off_thread_drop(s)
+            .violations
+            .iter()
+            .any(|v| v.kind == "byte-divergence" || v.kind == "incomplete-delivery")
+    };
+    caught_shrunk_and_replayable(Proto::Http, 25, &fails);
+}
+
+/// Dispatcher-side handling soundness, the mirror of the above: a
+/// transport mutant that swallows every write of a work item's size made
+/// *on* the accepting thread. The workers' sends arrive, so under the
+/// COPS-HTTP preset the mutant is caught only if the dispatcher handles
+/// ready events — and sends their replies — itself.
+#[test]
+fn http_on_thread_drop_is_caught() {
+    let fails = |s: &Schedule| {
+        run_http_on_thread_drop(s)
             .violations
             .iter()
             .any(|v| v.kind == "byte-divergence" || v.kind == "incomplete-delivery")

@@ -582,6 +582,20 @@ impl ConnShared {
         s.next_emit < s.next_assign
     }
 
+    /// Give the connection up after a hook panicked somewhere its place
+    /// in the reply order is not known: nothing more is sent (what is
+    /// queued is dropped with it, later completions are swallowed as for
+    /// a reset peer), every accepted request counts as answered, and the
+    /// owning dispatcher's close test passes on its next look.
+    pub(crate) fn abandon(&self) {
+        self.sink_dead.store(true, Ordering::Relaxed);
+        self.closing.store(true, Ordering::Relaxed);
+        let mut s = self.send.lock();
+        s.next_emit = s.next_assign;
+        s.ready.clear();
+        self.outbox.lock().clear();
+    }
+
     pub(crate) fn assign_seq(&self) -> u64 {
         let mut s = self.send.lock();
         let seq = s.next_assign;
@@ -634,6 +648,16 @@ pub enum Work<R> {
     Completion(CompletionToken, R),
 }
 
+impl<R> Work<R> {
+    /// The connection the item belongs to.
+    pub fn conn(&self) -> ConnId {
+        match self {
+            Work::Process(id) => *id,
+            Work::Completion(token, _) => token.conn,
+        }
+    }
+}
+
 /// Shared connection registry: id → state.
 pub type Registry = Arc<RwLock<HashMap<ConnId, Arc<ConnShared>>>>;
 
@@ -682,24 +706,35 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
         self.registry.read().get(&id).cloned()
     }
 
-    /// Execute one work item. Runs on Event Processor workers (O2 = Yes)
-    /// or directly on the dispatcher thread (O2 = No) — the code is
+    /// Execute one work item. Runs on Event Processor workers and on the
+    /// dispatcher thread (every item under O2 = No, the last ready event
+    /// of a pass under O2 = Yes — `reactor::SubmitMode`): the code is
     /// identical, only the calling thread differs. The item ends with
     /// its own Send Reply.
+    ///
+    /// A hook that panics (the codec, a deferred job run in place, the
+    /// access logger; `Service::handle` is isolated closer in, where the
+    /// request's place in the reply order is known) fails its connection,
+    /// not the thread that happened to run it.
     pub fn handle_work(&self, work: Work<C::Response>) {
         ServerStats::bump(&self.stats.events_dispatched);
-        let id = match &work {
-            Work::Process(id) => *id,
-            Work::Completion(token, _) => token.conn,
-        };
         // A connection already gone from the registry has nothing to
         // run, nothing to send and no dispatcher state left to wake.
-        let Some(conn) = self.conn(id) else {
+        let Some(conn) = self.conn(work.conn()) else {
             return;
         };
-        match work {
+        let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match work {
             Work::Process(_) => self.process_conn(&conn),
             Work::Completion(token, resp) => self.handle_completion(&conn, token, resp),
+        }));
+        if ran.is_err() {
+            ServerStats::bump(&self.stats.handler_panics);
+            self.tracer.record(
+                EventKind::Readable,
+                Some(conn.id),
+                "hook panic: connection abandoned",
+            );
+            conn.abandon();
         }
         self.send_reply(&conn);
         // Diagnostics: the executing thread (pool worker or dispatcher)

@@ -149,9 +149,18 @@ impl<T: Send + 'static> EventProcessor<T> {
         if let Some(table) = &self.worker_table {
             crate::diag::attach_worker(table, WorkerRole::Worker);
         }
+        // Only a worker the Processor Controller may retire (O5 =
+        // Dynamic) keeps an idle clock and wakes on a tick to read it; a
+        // static pool's worker parks until pushed or closed.
+        let retirable = self.max_workers > self.min_workers;
         let mut idle_since = Instant::now();
         loop {
-            match self.queue.pop_wait(Duration::from_millis(20)) {
+            let next = if retirable {
+                self.queue.pop_wait(Duration::from_millis(20))
+            } else {
+                self.queue.pop_parked()
+            };
+            match next {
                 Some(item) => {
                     // A panicking hook must not kill the worker (the pool
                     // would silently shrink); isolate it to this event.
@@ -162,7 +171,9 @@ impl<T: Send + 'static> EventProcessor<T> {
                         self.panics.fetch_add(1, Ordering::Relaxed);
                     }
                     crate::diag::stamp_idle();
-                    idle_since = Instant::now();
+                    if retirable {
+                        idle_since = Instant::now();
+                    }
                 }
                 None => {
                     if self.stop.load(Ordering::Relaxed) && self.queue.is_empty() {

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::event::Priority;
 use crate::metrics::MetricsRegistry;
@@ -195,9 +195,9 @@ impl<T: Send + 'static> BlockingQueue<T> {
         self.available.notify_one();
     }
 
-    /// Non-blocking pop.
-    pub fn try_pop(&self) -> Option<T> {
-        let mut q = self.inner.lock();
+    /// Take the front item, if any, off the locked queue and account for
+    /// the pop (length gauge, drain hook, queue wait).
+    fn take(&self, mut q: MutexGuard<'_, Box<dyn EventQueue<Stamped<T>>>>) -> Option<T> {
         let item = q.pop();
         let len = q.len();
         self.len_gauge.store(len, Ordering::Relaxed);
@@ -209,19 +209,31 @@ impl<T: Send + 'static> BlockingQueue<T> {
         })
     }
 
+    /// Non-blocking pop.
+    pub fn try_pop(&self) -> Option<T> {
+        self.take(self.inner.lock())
+    }
+
     /// Block up to `timeout` for an item. Returns `None` on timeout or when
     /// the queue has been closed and drained.
     pub fn pop_wait(&self, timeout: Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
+        self.pop_or_park(Some(timeout))
+    }
+
+    /// Block until an item is pushed or the queue is closed and drained
+    /// (`None`): a park with no tick and no clock.
+    pub fn pop_parked(&self) -> Option<T> {
+        self.pop_or_park(None)
+    }
+
+    fn pop_or_park(&self, timeout: Option<Duration>) -> Option<T> {
+        // Read the clock only when about to wait: a pop that finds an
+        // item costs none.
+        let mut deadline = None;
         let mut q = self.inner.lock();
         loop {
-            if let Some(s) = q.pop() {
-                let len = q.len();
-                self.len_gauge.store(len, Ordering::Relaxed);
-                drop(q);
-                self.maybe_fire_drain(len);
-                self.record_wait(s.enqueued_at);
-                return Some(s.item);
+            if !q.is_empty() {
+                return self.take(q);
             }
             if *self.closed.lock() {
                 return None;
@@ -232,18 +244,19 @@ impl<T: Send + 'static> BlockingQueue<T> {
             // under the same lock for the same reason: whoever observes it
             // pushes (and notifies) only after we are parked.
             self.waiters.fetch_add(1, Ordering::Relaxed);
-            let timed_out = self.available.wait_until(&mut q, deadline).timed_out();
+            let timed_out = match timeout {
+                Some(t) => {
+                    let at = *deadline.get_or_insert_with(|| Instant::now() + t);
+                    self.available.wait_until(&mut q, at).timed_out()
+                }
+                None => {
+                    self.available.wait(&mut q);
+                    false
+                }
+            };
             self.waiters.fetch_sub(1, Ordering::Relaxed);
             if timed_out {
-                let item = q.pop();
-                let len = q.len();
-                self.len_gauge.store(len, Ordering::Relaxed);
-                drop(q);
-                return item.map(|s| {
-                    self.maybe_fire_drain(len);
-                    self.record_wait(s.enqueued_at);
-                    s.item
-                });
+                return self.take(q);
             }
         }
     }
@@ -251,7 +264,14 @@ impl<T: Send + 'static> BlockingQueue<T> {
     /// Close the queue: waiting workers wake and drain what remains, then
     /// receive `None`.
     pub fn close(&self) {
+        // Under the queue lock: a worker between its closed check and its
+        // wait holds that lock, so the flag is either seen by the check
+        // or set after the worker is parked where `notify_all` finds it.
+        // An untimed park has no tick to recover a notification lost in
+        // between.
+        let q = self.inner.lock();
         *self.closed.lock() = true;
+        drop(q);
         self.available.notify_all();
     }
 
@@ -328,6 +348,22 @@ mod tests {
         assert_eq!(h.join().unwrap(), None);
         assert!(q.is_closed());
         assert_eq!(q.waiters(), 0);
+    }
+
+    #[test]
+    fn parked_pop_returns_on_push_and_on_close() {
+        let q: Arc<BlockingQueue<i32>> = BlockingQueue::new(Box::new(FifoQueue::new()));
+        let q2 = Arc::clone(&q);
+        let h = thread::spawn(move || (q2.pop_parked(), q2.pop_parked()));
+        await_waiter(&q);
+        q.push(7, Priority(0));
+        // Parked again, with no tick to fall back on: only the close
+        // can release it.
+        while !q.is_empty() || q.waiters() == 0 {
+            thread::yield_now();
+        }
+        q.close();
+        assert_eq!(h.join().unwrap(), (Some(7), None));
     }
 
     #[test]

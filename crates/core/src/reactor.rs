@@ -7,7 +7,10 @@
 //! [`Poller`] until one of them is ready, performs the framework-owned
 //! Read Request step, and hands the application-dependent steps to the
 //! Event Processor (O2 = Yes) or runs them in place (O2 = No — the
-//! classic single-threaded Reactor). Send Reply is the framework's too,
+//! classic single-threaded Reactor). Under O2 = Yes it is one more
+//! handler when it would otherwise go to sleep: where no hook can block
+//! it, it queues every ready event of a pass but the last and handles
+//! that one itself ([`SubmitMode`]). Send Reply is the framework's too,
 //! but not this thread's alone: [`flush`] is the one send routine, run by
 //! the work item that queued the replies and by the dispatcher for
 //! whatever a work item left behind.
@@ -29,6 +32,7 @@
 //! the listener is deregistered from the poller so a backlog of pending
 //! connections cannot spin the loop.
 
+use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::IoSlice;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -58,14 +62,29 @@ pub enum SubmitMode<R: Send + 'static> {
     /// Run handlers on the dispatcher thread.
     Inline,
     /// Queue work for the Event Processor.
-    Pool(Arc<EventProcessor<Work<R>>>),
+    Pool {
+        /// The pool and its queue.
+        processor: Arc<EventProcessor<Work<R>>>,
+        /// The dispatcher is one more handler when it would otherwise go
+        /// to sleep: every ready event of a pass but the last is queued,
+        /// the last one the dispatcher handles itself. Set where that
+        /// cannot hurt — no hook blocks in place (O4 = Asynchronous) and
+        /// no queue discipline has to see every event (O8 = No).
+        dispatcher_handles_last: bool,
+    },
 }
 
 impl<R: Send + 'static> Clone for SubmitMode<R> {
     fn clone(&self) -> Self {
         match self {
             SubmitMode::Inline => SubmitMode::Inline,
-            SubmitMode::Pool(p) => SubmitMode::Pool(Arc::clone(p)),
+            SubmitMode::Pool {
+                processor,
+                dispatcher_handles_last,
+            } => SubmitMode::Pool {
+                processor: Arc::clone(processor),
+                dispatcher_handles_last: *dispatcher_handles_last,
+            },
         }
     }
 }
@@ -114,11 +133,25 @@ struct NotifyTarget {
 /// its send before that, so the drain sees the id; a notify that lands
 /// after a drain finds the flag clear and fires. Wakers are sticky (a
 /// fire before `Poller::wait` makes that wait return), so no id strands.
+///
+/// A dispatcher never notifies itself. A work item it ran on its own
+/// thread (O2 = No, or the one it keeps of each pass under O2 = Yes) ends
+/// with the pass that ran it looking at the connection — what is left in
+/// the outbox, the close conditions, the stage windows — so a
+/// [`notify_conn`](DispatchNotifier::notify_conn) about a connection the
+/// calling thread's own dispatcher owns is dropped: no id on its flush
+/// channel, no waker fire.
 #[derive(Clone)]
 pub struct DispatchNotifier {
     targets: Arc<Vec<NotifyTarget>>,
     /// Where waker fires are counted as `wakes` (unset for bare engines).
     syscalls: Option<Arc<SyscallCounters>>,
+}
+
+thread_local! {
+    /// The address of the [`NotifyTarget`] whose dispatcher runs on this
+    /// thread (compared, never dereferenced); 0 on every other thread.
+    static OWN_TARGET: Cell<usize> = const { Cell::new(0) };
 }
 
 impl DispatchNotifier {
@@ -167,9 +200,20 @@ impl DispatchNotifier {
             return;
         }
         let target = &self.targets[(id as usize) % self.targets.len()];
+        if OWN_TARGET.get() == std::ptr::from_ref(target) as usize {
+            return;
+        }
         let _ = target.flush_tx.send(id);
         if !target.wake_pending.swap(true, Ordering::SeqCst) {
             self.fire(target);
+        }
+    }
+
+    /// The calling thread is dispatcher `index`'s from here until it
+    /// exits (see the type-level note on self-notifies).
+    fn adopt_thread(&self, index: usize) {
+        if let Some(target) = self.targets.get(index) {
+            OWN_TARGET.set(std::ptr::from_ref(target) as usize);
         }
     }
 
@@ -277,6 +321,10 @@ struct ConnLocal<St> {
     /// (registry slot, `on_close`, counters) already happened at linger
     /// entry; only the socket teardown is deferred.
     linger_until: Option<Instant>,
+    /// This pass ran one of the connection's work items on this thread.
+    /// Nobody was notified of what the item left behind (see
+    /// [`DispatchNotifier`]), so the pass sends it before its close test.
+    handled_here: bool,
 }
 
 impl<St> ConnLocal<St> {
@@ -295,6 +343,7 @@ impl<St> ConnLocal<St> {
             accepted_at,
             header_seen: false,
             linger_until: None,
+            handled_here: false,
         }
     }
 }
@@ -441,11 +490,13 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
     /// raised, then closes every connection it owns.
     pub fn run(mut self) {
         // Diagnostics: publish this dispatcher's activity in the worker
-        // state table (it handles events inline when O2 = No, and its
-        // liveness matters in every mode). No-op when no table is wired.
+        // state table (it handles events itself — all of them when O2 =
+        // No — and its liveness matters in every mode). No-op when no
+        // table is wired.
         if let Some(table) = &self.worker_table {
             crate::diag::attach_worker(table, crate::diag::WorkerRole::Dispatcher);
         }
+        self.notifier.adopt_thread(self.index);
         let mut conns: HashMap<ConnId, ConnLocal<L::Stream>> = HashMap::new();
         let mut idle = self.idle_limit.map(IdleTracker::new);
         let mut stage = StageTracker::from_options(&self.stage_deadlines);
@@ -460,6 +511,12 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         // is constant, so the front is always the earliest).
         let mut linger_queue: VecDeque<(ConnId, Instant)> = VecDeque::new();
         let mut pend: HashSet<ConnId> = HashSet::new();
+        // The newest ready event of the pass, where the dispatcher handles
+        // the last one itself (`SubmitMode::Pool`).
+        let mut kept: Option<(Work<C::Response>, Priority)> = None;
+        // Connections this thread handled an item for outside the
+        // per-connection loop: they join `pend` for the close tests.
+        let mut handled_late: Vec<ConnId> = Vec::new();
         let mut accept_gated = false;
         let mut listener_armed = false;
 
@@ -556,14 +613,17 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                         .conn(token.conn)
                         .map(|c| c.priority)
                         .unwrap_or_default();
-                    self.submit_work(Work::Completion(token, resp), prio);
+                    let work = Work::Completion(token, resp);
+                    if let Some(work) = self.route(work, prio, &mut kept) {
+                        self.handle_here(work, &mut conns, &mut handled_late);
+                    }
                 }
             }
 
             // 5. Per-connection I/O on ready connections: Send Reply then
-            //    Read Request, then re-arm poller interest. While draining
-            //    every connection is revisited so close conditions are
-            //    evaluated as in-flight work completes.
+            //    Read Request, and what was read becomes a work item.
+            //    While draining every connection is revisited so close
+            //    conditions are evaluated as in-flight work completes.
             if draining {
                 pend.extend(conns.keys().copied());
             }
@@ -635,14 +695,38 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                     if let Some(ref mut tracker) = idle {
                         tracker.touch(id, Instant::now());
                     }
-                    self.submit_work(Work::Process(id), c.shared.priority);
-                } else if c.peer_eof && !was_eof && !c.shared.inbox.lock().is_empty() {
-                    // Peer half-closed with a partial request buffered and
-                    // no fresh bytes to trigger a decode pass: submit one
-                    // final pass so the decode loop can observe `peer_eof`
-                    // and reap the fragment that can never complete.
-                    self.submit_work(Work::Process(id), c.shared.priority);
                 }
+                // Peer half-closed with a partial request buffered and no
+                // fresh bytes to trigger a decode pass: one final pass lets
+                // the decode loop observe `peer_eof` and reap the fragment
+                // that can never complete.
+                let stranded = !read && c.peer_eof && !was_eof && !c.shared.inbox.lock().is_empty();
+                if read || stranded {
+                    let work = Work::Process(id);
+                    if let Some(work) = self.route(work, c.shared.priority, &mut kept) {
+                        c.handled_here = true;
+                        self.engine.handle_work(work);
+                    }
+                }
+            }
+
+            // 5b. The event this pass kept is the dispatcher's own to
+            //     handle: everything else ready is queued and the workers
+            //     woken, and there is nothing left to do here but sleep.
+            if let Some((work, _)) = kept.take() {
+                self.handle_here(work, &mut conns, &mut handled_late);
+            }
+            // A completion handled on this thread leaves its connection
+            // to this pass, like any other item (no Read Request though).
+            pend.extend(handled_late.drain(..));
+
+            // 5c. Close tests and poller interest for the same connections,
+            //     now that their work items are queued or done.
+            for &id in pend.iter() {
+                let c = match conns.get_mut(&id) {
+                    Some(c) if c.linger_until.is_none() => c,
+                    _ => continue,
+                };
                 let closing = c.shared.closing.load(Ordering::Relaxed);
                 // Sampling order matters: `responses_pending` (the send
                 // lock) before the outbox. `complete` moves ready replies
@@ -655,10 +739,15 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                 // the two samples, and the close discarded it.
                 let pending = c.shared.responses_pending();
                 // `drained`: some send emptied the outbox since the last
-                // pass — this pass's flush, a work item's own, or (O2 =
-                // No) the item that just ran inside `submit_work`.
+                // pass — a flush of this pass or a work item's own.
                 let (outbox_empty, drained) = {
                     let mut out = c.shared.outbox.lock();
+                    // What an item handled here left unsent (output past
+                    // the work item's bound) is this thread's to send, and
+                    // no notify will bring it back for it.
+                    if std::mem::take(&mut c.handled_here) && !out.is_empty() {
+                        flush(&self.engine.send_accounts(), &c.shared, &mut out);
+                    }
                     (out.is_empty(), std::mem::take(&mut out.sending.drained))
                 };
                 // After peer EOF, a non-empty inbox may still hold a
@@ -1011,11 +1100,52 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         }
     }
 
-    fn submit_work(&self, work: Work<C::Response>, prio: Priority) {
+    /// Decide who handles a ready event. Gives it back when that is this
+    /// thread, now (O2 = No). Otherwise it is the Event Processor's —
+    /// except that where the dispatcher handles the last event of a pass
+    /// the newest one waits in `kept`, and the one it displaces is queued:
+    /// every event but the last reaches the workers before the dispatcher
+    /// starts on its own.
+    fn route(
+        &self,
+        work: Work<C::Response>,
+        prio: Priority,
+        kept: &mut Option<(Work<C::Response>, Priority)>,
+    ) -> Option<Work<C::Response>> {
         match &self.submit {
-            SubmitMode::Inline => self.engine.handle_work(work),
-            SubmitMode::Pool(p) => p.submit(work, prio),
+            SubmitMode::Inline => Some(work),
+            SubmitMode::Pool {
+                processor,
+                dispatcher_handles_last,
+            } => {
+                let queued = if *dispatcher_handles_last {
+                    kept.replace((work, prio))
+                } else {
+                    Some((work, prio))
+                };
+                if let Some((work, prio)) = queued {
+                    processor.submit(work, prio);
+                }
+                None
+            }
         }
+    }
+
+    /// Handle `work` on this thread, outside the per-connection loop: the
+    /// same `Engine::handle_work` a worker calls. The connection, if it
+    /// is this dispatcher's, is marked for the pass to look at.
+    fn handle_here(
+        &self,
+        work: Work<C::Response>,
+        conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
+        handled_late: &mut Vec<ConnId>,
+    ) {
+        let id = work.conn();
+        if let Some(c) = conns.get_mut(&id) {
+            c.handled_here = true;
+            handled_late.push(id);
+        }
+        self.engine.handle_work(work);
     }
 
     /// Read Request: pull available bytes into the inbox. Returns

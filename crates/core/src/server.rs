@@ -317,7 +317,11 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
         let inj_txs: Vec<_> = inj_channels.iter().map(|(tx, _)| tx.clone()).collect();
 
         let submit = match &processor {
-            Some(p) => SubmitMode::Pool(Arc::clone(p)),
+            Some(p) => SubmitMode::Pool {
+                processor: Arc::clone(p),
+                dispatcher_handles_last: opts.completion_mode == CompletionMode::Asynchronous
+                    && opts.event_scheduling == EventScheduling::No,
+            },
             None => SubmitMode::Inline,
         };
 

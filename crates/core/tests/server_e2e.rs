@@ -3,9 +3,14 @@
 //! over the in-memory transport and over real loopback TCP, across the
 //! template-option combinations that change the framework's structure.
 
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
+use nserver_core::diag::{WorkerActivity, WorkerRole};
+use nserver_core::layer::{AcceptHook, ConnHook, Layered, PollHook};
+use nserver_core::metrics::Stage;
 use nserver_core::options::{
     CompletionMode, DispatcherThreads, EventScheduling, Mode, OverloadControl, ServerOptions,
     ThreadAllocation,
@@ -13,7 +18,9 @@ use nserver_core::options::{
 use nserver_core::pipeline::{Action, Codec, ConnCtx, ProtocolError, Service};
 use nserver_core::server::ServerBuilder;
 use nserver_core::transport::mem;
-use nserver_core::transport::{ReadOutcome, StreamIo, TcpListenerNb, TcpStreamNb};
+use nserver_core::transport::{
+    PollEvent, Poller, ReadOutcome, StreamIo, TcpListenerNb, TcpStreamNb,
+};
 use nserver_core::Priority;
 use proptest::prelude::*;
 
@@ -424,7 +431,10 @@ fn tcp_read(c: &mut TcpStreamNb, want: usize) -> Vec<u8> {
 
 /// Send Reply runs on the worker that queued the reply: over a real
 /// socket, in pool mode, a keep-alive exchange at depth 1 costs the
-/// dispatcher one poller return per request and nobody a wake-up.
+/// dispatcher one poller return per request and nobody a wake-up. O4 =
+/// Synchronous (the default option set) keeps every event on the queue,
+/// so it is a worker that sends here even though each request arrives
+/// alone.
 #[test]
 fn worker_sends_keep_alive_replies_without_waking_the_dispatcher() {
     const HITS: u64 = 200;
@@ -433,6 +443,10 @@ fn worker_sends_keep_alive_replies_without_waking_the_dispatcher() {
         .unwrap()
         .serve(listener);
     assert!(server.options().separate_handler_pool);
+    assert_eq!(
+        server.options().completion_mode,
+        CompletionMode::Synchronous
+    );
     let mut c = TcpStreamNb::connect(server.local_label()).unwrap();
     assert_eq!(tcp_read(&mut c, 6), b"hello\n");
 
@@ -483,6 +497,316 @@ fn worker_sends_and_peer_closes_wake_nobody() {
     assert_eq!(server.stats().connections_closed, 50);
     assert_eq!(server.syscalls().wakes, 0, "{:?}", server.syscalls());
     server.shutdown();
+}
+
+/// `cops_http_options()` as far as this crate reads it — Table 1's
+/// column: O2 = Yes with four static workers, O4 = Asynchronous, O8 =
+/// No. Under it the dispatcher handles the last ready event of a pass.
+fn table1_options() -> ServerOptions {
+    ServerOptions {
+        completion_mode: CompletionMode::Asynchronous,
+        ..ServerOptions::default()
+    }
+}
+
+/// Echoes, and notes which thread ran each `handle`.
+#[derive(Clone, Default)]
+struct WhoHandles {
+    seen: Arc<Mutex<Vec<(String, String)>>>,
+    /// A worker has entered `handle`.
+    worker_entered: Arc<AtomicBool>,
+    /// A `meet` request handled off the pool gave up waiting for that.
+    met_nobody: Arc<AtomicBool>,
+    /// A `pause` request is inside `handle`, until `resume`.
+    paused: Arc<AtomicBool>,
+    resume: Arc<AtomicBool>,
+}
+
+impl WhoHandles {
+    fn threads(&self) -> Vec<String> {
+        let seen = self.seen.lock().unwrap();
+        seen.iter().map(|(_, thread)| thread.clone()).collect()
+    }
+}
+
+impl<C: Codec<Request = String, Response = String>> Service<C> for WhoHandles {
+    fn handle(&self, _ctx: &ConnCtx, req: String) -> Action<String> {
+        let thread = std::thread::current().name().unwrap_or("?").to_string();
+        if thread == "nserver-worker" {
+            self.worker_entered.store(true, Ordering::SeqCst);
+        } else if req.starts_with("meet") {
+            // The other ready event must already be with the pool: a
+            // dispatcher that queued it only after its own would wait
+            // here for a worker that has nothing to pop.
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !self.worker_entered.load(Ordering::SeqCst) {
+                if Instant::now() > deadline {
+                    self.met_nobody.store(true, Ordering::SeqCst);
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        }
+        if req == "pause" {
+            self.paused.store(true, Ordering::SeqCst);
+            while !self.resume.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+        }
+        self.seen.lock().unwrap().push((req.clone(), thread));
+        Action::Reply(format!("echo:{req}"))
+    }
+}
+
+/// A request that arrives alone is handled by the thread that read it:
+/// 200 depth-1 keep-alive hits on one socket under Table 1's options
+/// never reach the Event Processor's queue, wake nobody, and cost one
+/// poller return and one write each.
+#[test]
+fn dispatcher_handles_a_request_that_arrives_alone() {
+    const HITS: u64 = 200;
+    let who = WhoHandles::default();
+    let opts = ServerOptions {
+        profiling: true,
+        ..table1_options()
+    };
+    let server = ServerBuilder::new(opts, LineCodec, who.clone())
+        .unwrap()
+        .serve(TcpListenerNb::bind("127.0.0.1:0").unwrap());
+    assert_eq!(server.live_workers(), 4);
+    let mut c = TcpStreamNb::connect(server.local_label()).unwrap();
+
+    let before = server.syscalls();
+    for i in 0..HITS {
+        let request = format!("hit-{i}\n");
+        assert_eq!(c.try_write(request.as_bytes()).unwrap(), request.len());
+        let expected = format!("echo:hit-{i}\n");
+        assert_eq!(tcp_read(&mut c, expected.len()), expected.as_bytes());
+    }
+    let spent = server.syscalls().since(&before);
+    let threads = who.threads();
+    assert_eq!(threads.len() as u64, HITS);
+    assert!(
+        threads.iter().all(|t| t == "nserver-dispatcher-0"),
+        "{threads:?}"
+    );
+    assert_eq!(
+        server.latency().queue_wait.count,
+        0,
+        "nothing was pushed to the queue"
+    );
+    assert_eq!(spent.wakes, 0, "{spent:?}");
+    assert_eq!(spent.writes, HITS, "{spent:?}");
+    assert!(spent.polls <= HITS + 2, "{spent:?}");
+
+    // The worker-state table shows the dispatcher's stage while it
+    // handles, and idle once the item is done — as it does a worker's.
+    let dispatcher_row = || {
+        let snapshot = server.snapshot("who handles");
+        let mut rows = snapshot.workers.into_iter();
+        let row = rows.find(|w| w.role == WorkerRole::Dispatcher);
+        row.expect("the dispatcher holds a row").activity
+    };
+    c.try_write(b"pause\n").unwrap();
+    while !who.paused.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    assert!(
+        matches!(
+            dispatcher_row(),
+            WorkerActivity::Running {
+                stage: Stage::Handle,
+                ..
+            }
+        ),
+        "{:?}",
+        dispatcher_row()
+    );
+    who.resume.store(true, Ordering::SeqCst);
+    assert_eq!(tcp_read(&mut c, 11), b"echo:pause\n");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while dispatcher_row() != WorkerActivity::Idle {
+        assert!(Instant::now() < deadline, "{:?}", dispatcher_row());
+        std::thread::yield_now();
+    }
+    server.shutdown();
+}
+
+/// While set, [`HeldPoll`] keeps a dispatcher that has just been handed
+/// events from returning them, and says so in `HELD`.
+static HOLD: AtomicBool = AtomicBool::new(false);
+static HELD: AtomicBool = AtomicBool::new(false);
+
+#[derive(Default)]
+struct HeldPoll;
+
+impl PollHook for HeldPoll {
+    type Conn = Plain;
+
+    fn around_wait<P: Poller>(
+        &mut self,
+        inner: &mut P,
+        events: &mut Vec<PollEvent>,
+        timeout: Option<Duration>,
+    ) -> std::io::Result<()> {
+        inner.wait(events, timeout)?;
+        if HOLD.load(Ordering::SeqCst) {
+            HELD.store(true, Ordering::SeqCst);
+            while HOLD.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            // What became ready meanwhile joins the same pass.
+            let mut more = Vec::new();
+            inner.wait(&mut more, Some(Duration::ZERO))?;
+            events.append(&mut more);
+        }
+        Ok(())
+    }
+}
+
+struct Plain;
+
+impl ConnHook for Plain {}
+
+struct HeldAccepts;
+
+impl AcceptHook for HeldAccepts {
+    type Conn = Plain;
+    type Poll = HeldPoll;
+
+    fn accepted<S: StreamIo>(
+        &mut self,
+        _: u64,
+        stream: std::io::Result<&mut S>,
+    ) -> std::io::Result<Plain> {
+        stream.map(|_| Plain)
+    }
+}
+
+/// Two connections readable in one pass: the first event found goes to
+/// the pool — before the dispatcher starts on the one it keeps — and
+/// the dispatcher handles the other. Never fewer busy threads than when
+/// both were queued.
+#[test]
+fn of_two_ready_events_one_is_queued_first_and_one_is_kept() {
+    let who = WhoHandles::default();
+    let (listener, connector) = mem::listener("pair");
+    let server = ServerBuilder::new(table1_options(), LineCodec, who.clone())
+        .unwrap()
+        .serve(Layered::new(listener, HeldAccepts));
+    let (mut a, mut b) = (connector.connect(), connector.connect());
+    assert_eq!(talk(&mut a, b"warm-a\n", 1), vec!["echo:warm-a"]);
+    assert_eq!(talk(&mut b, b"warm-b\n", 1), vec!["echo:warm-b"]);
+    assert_eq!(who.threads(), vec!["nserver-dispatcher-0"; 2]);
+    who.worker_entered.store(false, Ordering::SeqCst);
+
+    // The dispatcher is handed `a`'s event and held; `b`'s write lands;
+    // released, it finds both in one pass.
+    HOLD.store(true, Ordering::SeqCst);
+    a.try_write(b"meet-a\n").unwrap();
+    while !HELD.load(Ordering::SeqCst) {
+        std::thread::yield_now();
+    }
+    b.try_write(b"meet-b\n").unwrap();
+    HOLD.store(false, Ordering::SeqCst);
+    assert_eq!(read_lines(&mut a, 1), vec!["echo:meet-a"]);
+    assert_eq!(read_lines(&mut b, 1), vec!["echo:meet-b"]);
+
+    let mut threads = who.threads().split_off(2);
+    threads.sort();
+    assert_eq!(threads, vec!["nserver-dispatcher-0", "nserver-worker"]);
+    assert!(
+        !who.met_nobody.load(Ordering::SeqCst),
+        "the dispatcher ran its own event before queueing the other"
+    );
+    server.shutdown();
+}
+
+/// Where a hook may block in place (O4 = Synchronous) or the queue's
+/// discipline has to see every event (O8 = Yes), every event still goes
+/// through the queue: no `handle` ever runs on the dispatcher.
+#[test]
+fn sync_completions_and_event_scheduling_keep_every_event_on_the_queue() {
+    let scheduled = ServerOptions {
+        event_scheduling: EventScheduling::Yes { quotas: vec![4, 1] },
+        ..table1_options()
+    };
+    for (name, opts) in [("o4-sync", ServerOptions::default()), ("o8", scheduled)] {
+        let who = WhoHandles::default();
+        let (listener, connector) = mem::listener(name);
+        let opts = ServerOptions {
+            profiling: true,
+            ..opts
+        };
+        let server = ServerBuilder::new(opts, LineCodec, who.clone())
+            .unwrap()
+            .serve(listener);
+        let mut c = connector.connect();
+        for i in 0..20 {
+            let lines = talk(&mut c, format!("alone-{i}\n").as_bytes(), 1);
+            assert_eq!(lines, vec![format!("echo:alone-{i}")]);
+        }
+        assert_eq!(who.threads(), vec!["nserver-worker"; 20], "{name}");
+        assert_eq!(server.latency().queue_wait.count, 20, "{name}");
+        server.shutdown();
+    }
+}
+
+/// Panics in `decode` on the line `BOOM`.
+struct BoomCodec;
+
+impl Codec for BoomCodec {
+    type Request = String;
+    type Response = String;
+
+    fn decode(&self, buf: &mut BytesMut) -> Result<Option<String>, ProtocolError> {
+        let line = LineCodec.decode(buf)?;
+        assert!(line.as_deref() != Some("BOOM"), "decode hook blew up");
+        Ok(line)
+    }
+
+    fn encode(&self, r: &String, out: &mut BytesMut) -> Result<(), ProtocolError> {
+        LineCodec.encode(r, out)
+    }
+}
+
+/// A hook that panics on the dispatcher — where every work item runs
+/// under O2 = No, and a request that arrives alone under Table 1's
+/// options — costs that connection and nothing else: it is closed, one
+/// `handler_panics` is counted, and the same thread serves the next.
+#[test]
+fn a_hook_panic_on_the_dispatcher_closes_only_that_connection() {
+    let inline = ServerOptions {
+        separate_handler_pool: false,
+        ..table1_options()
+    };
+    for (name, opts) in [("boom-pool", table1_options()), ("boom-inline", inline)] {
+        let who = WhoHandles::default();
+        let (listener, connector) = mem::listener(name);
+        let server = ServerBuilder::new(opts, BoomCodec, who.clone())
+            .unwrap()
+            .serve(listener);
+        let mut doomed = connector.connect();
+        assert_eq!(talk(&mut doomed, b"fine\n", 1), vec!["echo:fine"]);
+        doomed.try_write(b"BOOM\n").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut buf = [0u8; 64];
+        loop {
+            match doomed.try_read(&mut buf).unwrap() {
+                ReadOutcome::Closed => break,
+                ReadOutcome::Data(n) => panic!("{name}: {:?}", &buf[..n]),
+                ReadOutcome::WouldBlock => std::thread::yield_now(),
+            }
+            assert!(Instant::now() < deadline, "{name}: never closed");
+        }
+        let mut next = connector.connect();
+        assert_eq!(talk(&mut next, b"after\n", 1), vec!["echo:after"]);
+        assert_eq!(who.threads(), vec!["nserver-dispatcher-0"; 2], "{name}");
+        let stats = server.stats();
+        assert_eq!(stats.handler_panics, 1, "{name}");
+        assert_eq!(stats.connections_closed, 1, "{name}");
+        server.shutdown();
+    }
 }
 
 #[test]

@@ -5,12 +5,12 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use nserver_cache::{FileCache, PolicyKind, SharedFileCache};
-use nserver_core::options::OverloadControl;
+use nserver_core::options::{OverloadControl, ServerOptions};
 use nserver_core::server::ServerBuilder;
-use nserver_core::transport::TcpListenerNb;
+use nserver_core::transport::{mem, ReadOutcome, StreamIo, TcpListenerNb};
 use nserver_http::{cops_http_options, HttpCodec, MemStore, StaticFileService};
 use nserver_specweb::FileSet;
 
@@ -23,6 +23,20 @@ fn build_site(dirs: u32) -> (FileSet, MemStore) {
     (fileset, store)
 }
 
+/// Where a response's head ends and how long a body it announces, once
+/// the whole head is in `acc`.
+fn head_and_length(acc: &[u8]) -> Option<(usize, usize)> {
+    let pos = acc.windows(4).position(|w| w == b"\r\n\r\n")?;
+    let head = String::from_utf8_lossy(&acc[..pos]).to_ascii_lowercase();
+    let len = head
+        .lines()
+        .find(|l| l.starts_with("content-length"))
+        .and_then(|l| l.split(':').nth(1))
+        .and_then(|v| v.trim().parse().ok())
+        .unwrap_or(0);
+    Some((pos + 4, len))
+}
+
 /// One HTTP exchange on an open connection; returns (status, body).
 fn fetch(client: &mut TcpStream, path: &str, close: bool) -> (u16, Vec<u8>) {
     let conn = if close { "Connection: close\r\n" } else { "" };
@@ -30,31 +44,20 @@ fn fetch(client: &mut TcpStream, path: &str, close: bool) -> (u16, Vec<u8>) {
     client.write_all(req.as_bytes()).unwrap();
     let mut acc: Vec<u8> = Vec::new();
     let mut buf = [0u8; 8192];
-    let (mut status, mut body_start, mut body_len) = (0u16, 0usize, usize::MAX);
-    loop {
-        if body_len != usize::MAX && acc.len() >= body_start + body_len {
-            break;
+    let body_start = loop {
+        match head_and_length(&acc) {
+            Some((start, len)) if acc.len() >= start + len => break start,
+            _ => {}
         }
         let n = client.read(&mut buf).unwrap();
         if n == 0 {
-            break;
+            break head_and_length(&acc).map_or(acc.len(), |(start, _)| start);
         }
         acc.extend_from_slice(&buf[..n]);
-        if body_len == usize::MAX {
-            if let Some(pos) = acc.windows(4).position(|w| w == b"\r\n\r\n") {
-                let head = String::from_utf8_lossy(&acc[..pos]).to_string();
-                status = head.split(' ').nth(1).unwrap().parse().unwrap();
-                body_len = head
-                    .lines()
-                    .find(|l| l.to_ascii_lowercase().starts_with("content-length"))
-                    .and_then(|l| l.split(':').nth(1))
-                    .and_then(|v| v.trim().parse().ok())
-                    .unwrap_or(0);
-                body_start = pos + 4;
-            }
-        }
-    }
-    (status, acc[body_start.min(acc.len())..].to_vec())
+    };
+    let head = String::from_utf8_lossy(&acc[..body_start]);
+    let status = head.split(' ').nth(1).map_or(0, |s| s.parse().unwrap());
+    (status, acc[body_start..].to_vec())
 }
 
 #[test]
@@ -184,7 +187,7 @@ fn head_and_missing_and_forbidden() {
 #[test]
 fn connection_limit_applies_to_http_server() {
     let (_fs, store) = build_site(1);
-    let opts = nserver_core::options::ServerOptions {
+    let opts = ServerOptions {
         overload_control: OverloadControl::MaxConnections { limit: 1 },
         ..cops_http_options()
     };
@@ -229,4 +232,86 @@ fn connection_limit_applies_to_http_server() {
     assert!(got, "deferred connection eventually served");
     assert!(server.stats().accepts_deferred > 0);
     server.shutdown();
+}
+
+/// One exchange over the in-memory transport: the response head and as
+/// many body bytes as it announces, or — `to_end` — everything up to the
+/// server's close.
+fn fetch_mem(client: &mut mem::MemStream, path: &str, to_end: bool) -> Vec<u8> {
+    let conn = if to_end { "Connection: close\r\n" } else { "" };
+    let req = format!("GET {path} HTTP/1.1\r\nHost: t\r\n{conn}\r\n");
+    assert_eq!(client.try_write(req.as_bytes()).unwrap(), req.len());
+    let mut acc: Vec<u8> = Vec::new();
+    let mut buf = [0u8; 8192];
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        match client.try_read(&mut buf).unwrap() {
+            ReadOutcome::Data(n) => acc.extend_from_slice(&buf[..n]),
+            ReadOutcome::Closed => return acc,
+            ReadOutcome::WouldBlock => std::thread::yield_now(),
+        }
+        match head_and_length(&acc) {
+            Some((start, len)) if !to_end && acc.len() >= start + len => return acc,
+            _ => {}
+        }
+        assert!(Instant::now() < deadline, "no response to {path}");
+    }
+}
+
+/// No self-wake: a work item the dispatcher ran itself — every item under
+/// O2 = No, a request that arrives alone under Table 1's options — ends
+/// with that same pass looking at the connection, so neither the reply
+/// nor the close it asks for fires the dispatcher's own waker. Fifty
+/// connections of [GET, GET with `Connection: close`], one client at a
+/// time, cost no wake-up at all.
+#[test]
+fn requests_the_dispatcher_handles_itself_wake_nobody() {
+    let inline = ServerOptions {
+        separate_handler_pool: false,
+        ..cops_http_options()
+    };
+    for (name, opts) in [
+        ("quiet-pool", cops_http_options()),
+        ("quiet-inline", inline),
+    ] {
+        let (fileset, store) = build_site(1);
+        let cache = SharedFileCache::new(FileCache::new(1 << 20, PolicyKind::Lru));
+        let (listener, connector) = mem::listener(name);
+        let server = ServerBuilder::new(
+            opts,
+            HttpCodec::new(),
+            StaticFileService::new(store, Some(cache)),
+        )
+        .unwrap()
+        .serve(listener);
+        let path = fileset.files()[0].path();
+        let closed = |n: u64| {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while server.stats().connections_closed < n {
+                assert!(Instant::now() < deadline, "{name}: {n} closes");
+                std::thread::yield_now();
+            }
+        };
+        // The first request misses, and a miss's completion comes back
+        // from the helper pool through the waker, as it must: warm up.
+        let mut warm = connector.connect();
+        assert!(fetch_mem(&mut warm, &path, true).starts_with(b"HTTP/1.1 200"));
+        warm.shutdown();
+        closed(1);
+
+        let before = server.syscalls();
+        for _ in 0..50 {
+            let mut c = connector.connect();
+            let kept_alive = fetch_mem(&mut c, &path, false);
+            assert!(kept_alive.starts_with(b"HTTP/1.1 200"), "{name}");
+            let last = fetch_mem(&mut c, &path, true);
+            assert!(last.starts_with(b"HTTP/1.1 200"), "{name}");
+            c.shutdown();
+        }
+        closed(51);
+        let spent = server.syscalls().since(&before);
+        assert_eq!(spent.wakes, 0, "{name}: {spent:?}");
+        assert_eq!(server.stats().responses_sent, 101, "{name}");
+        server.shutdown();
+    }
 }
