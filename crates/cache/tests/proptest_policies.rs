@@ -6,9 +6,9 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use nserver_cache::{FileCache, PolicyKind};
-use proptest::prelude::*;
+use propcheck::{check, Gen};
 
-/// An abstract cache operation generated by proptest.
+/// An abstract cache operation.
 #[derive(Debug, Clone)]
 enum Op {
     Get(u8),
@@ -16,12 +16,17 @@ enum Op {
     Invalidate(u8),
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        (any::<u8>()).prop_map(Op::Get),
-        (any::<u8>(), 1u16..2048).prop_map(|(k, s)| Op::Insert(k, s)),
-        (any::<u8>()).prop_map(Op::Invalidate),
-    ]
+fn op(g: &mut Gen) -> Op {
+    match g.range(0..3u8) {
+        0 => Op::Get(g.any()),
+        1 => Op::Insert(g.any(), g.range(1..2048)),
+        _ => Op::Invalidate(g.any()),
+    }
+}
+
+/// 64 traces of 1 to 199 operations against one policy.
+fn check_traces(kind: PolicyKind) {
+    check(64, |g| run_trace(kind, &g.vec(1..200, op)));
 }
 
 fn run_trace(kind: PolicyKind, ops: &[Op]) {
@@ -71,38 +76,64 @@ fn run_trace(kind: PolicyKind, ops: &[Op]) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+#[test]
+fn lru_trace() {
+    check_traces(PolicyKind::Lru);
+}
 
-    #[test]
-    fn lru_trace(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        run_trace(PolicyKind::Lru, &ops);
+#[test]
+fn lfu_trace() {
+    check_traces(PolicyKind::Lfu);
+}
+
+#[test]
+fn lru_min_trace() {
+    check_traces(PolicyKind::LruMin);
+}
+
+#[test]
+fn lru_threshold_trace() {
+    check_traces(PolicyKind::LruThreshold {
+        max_size_permille: 200,
+    });
+}
+
+#[test]
+fn hyper_g_trace() {
+    check_traces(PolicyKind::HyperG);
+}
+
+/// An input `proptest` once shrank a failure to, against every policy.
+fn run_recorded(ops: &[Op]) {
+    for kind in [
+        PolicyKind::Lru,
+        PolicyKind::Lfu,
+        PolicyKind::LruMin,
+        PolicyKind::LruThreshold {
+            max_size_permille: 200,
+        },
+        PolicyKind::HyperG,
+    ] {
+        run_trace(kind, ops);
     }
+}
 
-    #[test]
-    fn lfu_trace(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        run_trace(PolicyKind::Lfu, &ops);
-    }
+#[test]
+fn recorded_trace_one_small_insert() {
+    run_recorded(&[Op::Insert(0, 1)]);
+}
 
-    #[test]
-    fn lru_min_trace(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        run_trace(PolicyKind::LruMin, &ops);
-    }
+#[test]
+fn recorded_trace_reinsert_larger_then_get() {
+    run_recorded(&[Op::Insert(68, 1), Op::Insert(68, 1639), Op::Get(68)]);
+}
 
-    #[test]
-    fn lru_threshold_trace(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        run_trace(PolicyKind::LruThreshold { max_size_permille: 200 }, &ops);
-    }
-
-    #[test]
-    fn hyper_g_trace(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        run_trace(PolicyKind::HyperG, &ops);
-    }
-
-    /// A pure-LRU cache of capacity C with unit-size entries behaves exactly
-    /// like a textbook LRU list of length C.
-    #[test]
-    fn lru_matches_reference_model(keys in proptest::collection::vec(0u8..16, 1..300)) {
+/// A pure-LRU cache of capacity C with unit-size entries behaves exactly
+/// like a textbook LRU list of length C.
+#[test]
+fn lru_matches_reference_model() {
+    check(64, |g| {
+        let keys = g.vec(1..300, |g| g.range(0u8..16));
         let cap = 4u64;
         let mut cache: FileCache<u8> = FileCache::new(cap, PolicyKind::Lru);
         let mut model: Vec<u8> = Vec::new(); // front = most recent
@@ -110,7 +141,7 @@ proptest! {
         for &k in &keys {
             let hit = cache.get(&k).is_some();
             let model_hit = model.contains(&k);
-            prop_assert_eq!(hit, model_hit, "divergence on key {}", k);
+            assert_eq!(hit, model_hit, "divergence on key {k}");
             if hit {
                 model.retain(|&x| x != k);
                 model.insert(0, k);
@@ -121,7 +152,7 @@ proptest! {
                     model.pop();
                 }
             }
-            prop_assert_eq!(cache.len(), model.len());
+            assert_eq!(cache.len(), model.len());
         }
-    }
+    });
 }

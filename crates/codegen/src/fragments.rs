@@ -317,7 +317,7 @@ mod tests {
     }
 
     #[test]
-    fn exactly_six_gated_classes() {
+    fn exactly_eight_gated_classes() {
         // Completion/FileOpen/FileRead Events, File Handle (O4); Decode and
         // Encode handlers (O3); Processor Controller (O5); Cache (O6) —
         // that's 8 `O` markers total across 8 classes.

@@ -111,6 +111,10 @@ pub mod prelude {
     pub use crate::transport::{Listener, StreamIo, TcpListenerNb, TcpStreamNb};
 }
 
+/// The buffer crate `Codec::decode` names (`BytesMut`), re-exported so a
+/// generated framework reaches it through `nserver_core` and does not have
+/// to know where it comes from.
+pub use bytes;
 pub use event::{CompletionToken, ConnId, Priority};
 pub use options::ServerOptions;
 pub use pipeline::{Action, Codec, ConnCtx, ProtocolError, Service};

@@ -23,11 +23,11 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt;
 use std::io::IoSlice;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use bytes::BytesMut;
-use crossbeam::channel::Sender;
 use parking_lot::{Mutex, RwLock};
 
 use crate::diag;
@@ -1109,7 +1109,7 @@ mod tests {
         } else {
             // For unit tests we run completions through a channel drained
             // manually below.
-            let (tx, _rx) = crossbeam::channel::unbounded();
+            let (tx, _rx) = std::sync::mpsc::channel();
             (Some(Arc::new(HelperPool::new(1))), Some(tx))
         };
         (

@@ -11,38 +11,40 @@
 //! The pool itself is untyped — it runs boxed closures. The pipeline layer
 //! pairs it with a typed completion channel.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crossbeam::channel::{unbounded, Sender};
+use crate::event::Priority;
+use crate::queue::{BlockingQueue, FifoQueue};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed pool of helper threads executing blocking jobs.
+/// A fixed pool of helper threads executing blocking jobs, fed through
+/// the same [`BlockingQueue`] the Event Processor's workers consume from.
 pub struct HelperPool {
-    tx: Option<Sender<Job>>,
+    jobs: Arc<BlockingQueue<Job>>,
     handles: Vec<JoinHandle<()>>,
-    submitted: Arc<AtomicU64>,
+    submitted: AtomicU64,
     completed: Arc<AtomicU64>,
-    shutting_down: Arc<AtomicBool>,
 }
 
 impl HelperPool {
     /// Spawn `threads` helpers (≥ 1).
     pub fn new(threads: usize) -> Self {
         let threads = threads.max(1);
-        let (tx, rx) = unbounded::<Job>();
+        let jobs: Arc<BlockingQueue<Job>> = BlockingQueue::new(Box::new(FifoQueue::new()));
         let completed = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::with_capacity(threads);
         for i in 0..threads {
-            let rx = rx.clone();
+            let jobs = Arc::clone(&jobs);
             let completed = Arc::clone(&completed);
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("nserver-helper-{i}"))
                     .spawn(move || {
-                        while let Ok(job) = rx.recv() {
+                        // `None` only once the queue is closed and drained.
+                        while let Some(job) = jobs.pop_parked() {
                             job();
                             completed.fetch_add(1, Ordering::Relaxed);
                         }
@@ -51,23 +53,17 @@ impl HelperPool {
             );
         }
         Self {
-            tx: Some(tx),
+            jobs,
             handles,
-            submitted: Arc::new(AtomicU64::new(0)),
+            submitted: AtomicU64::new(0),
             completed,
-            shutting_down: Arc::new(AtomicBool::new(false)),
         }
     }
 
-    /// Submit a blocking job. Jobs submitted after shutdown are dropped.
+    /// Submit a blocking job.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        if self.shutting_down.load(Ordering::Relaxed) {
-            return;
-        }
-        if let Some(tx) = &self.tx {
-            self.submitted.fetch_add(1, Ordering::Relaxed);
-            let _ = tx.send(Box::new(job));
-        }
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        self.jobs.push(Box::new(job), Priority::HIGHEST);
     }
 
     /// Jobs submitted so far.
@@ -90,20 +86,15 @@ impl HelperPool {
         self.handles.len()
     }
 
-    /// Finish queued jobs and join the helpers.
-    pub fn shutdown(mut self) {
-        self.shutting_down.store(true, Ordering::Relaxed);
-        self.tx.take(); // close the channel; helpers drain and exit
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
+    /// Finish queued jobs and join the helpers (what dropping the pool
+    /// does).
+    pub fn shutdown(self) {}
 }
 
 impl Drop for HelperPool {
     fn drop(&mut self) {
-        self.shutting_down.store(true, Ordering::Relaxed);
-        self.tx.take();
+        // Closing lets the helpers drain what is queued, then exit.
+        self.jobs.close();
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -113,13 +104,13 @@ impl Drop for HelperPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
     use std::time::Duration;
 
     #[test]
     fn jobs_run_and_complete() {
         let pool = HelperPool::new(2);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         for i in 0..10 {
             let tx = tx.clone();
             pool.submit(move || tx.send(i).unwrap());
@@ -136,7 +127,7 @@ mod tests {
     #[test]
     fn shutdown_drains_pending_jobs() {
         let pool = HelperPool::new(1);
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         for i in 0..50 {
             let tx = tx.clone();
             pool.submit(move || {
@@ -151,8 +142,8 @@ mod tests {
     #[test]
     fn in_flight_accounting() {
         let pool = HelperPool::new(1);
-        let (started_tx, started_rx) = unbounded::<()>();
-        let (block_tx, block_rx) = unbounded::<()>();
+        let (started_tx, started_rx) = channel::<()>();
+        let (block_tx, block_rx) = channel::<()>();
         pool.submit(move || {
             started_tx.send(()).unwrap();
             let _ = block_rx.recv_timeout(Duration::from_secs(5));
@@ -178,7 +169,7 @@ mod tests {
 
     #[test]
     fn drop_joins_helpers() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         {
             let pool = HelperPool::new(2);
             for _ in 0..5 {
@@ -188,5 +179,53 @@ mod tests {
             // Dropped here; drop must join after draining.
         }
         assert_eq!(rx.try_iter().count(), 5);
+    }
+
+    #[test]
+    fn jobs_from_several_threads_each_run_exactly_once() {
+        const SUBMITTERS: usize = 4;
+        const EACH: usize = 250;
+        let pool = HelperPool::new(3);
+        let runs: Arc<Vec<AtomicU64>> =
+            Arc::new((0..SUBMITTERS * EACH).map(|_| AtomicU64::new(0)).collect());
+        std::thread::scope(|s| {
+            for t in 0..SUBMITTERS {
+                let (pool, runs) = (&pool, &runs);
+                s.spawn(move || {
+                    for i in 0..EACH {
+                        let runs = Arc::clone(runs);
+                        pool.submit(move || {
+                            runs[t * EACH + i].fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                });
+            }
+        });
+        assert_eq!(pool.submitted(), (SUBMITTERS * EACH) as u64);
+        while pool.completed() < pool.submitted() {
+            std::thread::yield_now();
+        }
+        assert_eq!(pool.in_flight(), 0);
+        assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
+    }
+
+    #[test]
+    fn drop_runs_what_is_queued_before_joining() {
+        let (gate_tx, gate_rx) = channel::<()>();
+        let ran = Arc::new(AtomicU64::new(0));
+        let pool = HelperPool::new(1);
+        // The only helper is held inside the first job, so the other 20
+        // are still queued when the pool is dropped.
+        pool.submit(move || gate_rx.recv().expect("the gate opens"));
+        for _ in 0..20 {
+            let ran = Arc::clone(&ran);
+            pool.submit(move || {
+                ran.fetch_add(1, Ordering::Relaxed);
+            });
+        }
+        assert_eq!(pool.completed(), 0);
+        gate_tx.send(()).unwrap();
+        drop(pool);
+        assert_eq!(ran.load(Ordering::Relaxed), 20);
     }
 }

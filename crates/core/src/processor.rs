@@ -231,7 +231,7 @@ mod tests {
     use super::*;
     use crate::queue::FifoQueue;
     use crate::scheduler::PriorityQuotaQueue;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     fn fifo<T: Send + 'static>() -> Arc<BlockingQueue<T>> {
         BlockingQueue::new(Box::new(FifoQueue::new()))
@@ -239,7 +239,7 @@ mod tests {
 
     #[test]
     fn static_pool_processes_everything() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let handler = Arc::new(move |i: u32| {
             tx.send(i).unwrap();
         });
@@ -259,7 +259,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_queue_first() {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let handler = Arc::new(move |i: u32| {
             std::thread::sleep(Duration::from_micros(200));
             tx.send(i).unwrap();
@@ -274,13 +274,12 @@ mod tests {
 
     #[test]
     fn dynamic_pool_grows_under_backlog() {
-        let (gate_tx, gate_rx) = unbounded::<()>();
+        let (gate_tx, gate_rx) = channel::<()>();
         let gate_rx = Arc::new(Mutex::new(gate_rx));
         let handler = {
             let gate_rx = Arc::clone(&gate_rx);
             Arc::new(move |_: u32| {
-                let rx = gate_rx.lock().clone();
-                let _ = rx.recv_timeout(Duration::from_secs(2));
+                let _ = gate_rx.lock().recv_timeout(Duration::from_secs(2));
             })
         };
         let proc = EventProcessor::start(
@@ -331,7 +330,7 @@ mod tests {
             BlockingQueue::new(Box::new(PriorityQuotaQueue::new(vec![10, 1])));
         q.push("low", Priority(1));
         q.push("high", Priority(0));
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let handler = Arc::new(move |s: &'static str| {
             tx.send(s).unwrap();
         });

@@ -36,10 +36,10 @@ use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::IoSlice;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::event::{CompletionToken, ConnId, EventKind, Priority};
@@ -1268,7 +1268,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{Action, ConnCtx, EncodedReply, RawCodec, WORKER_SEND_MAX};
     use bytes::BytesMut;
-    use proptest::prelude::*;
+    use propcheck::{check, Gen};
     use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
@@ -1363,24 +1363,18 @@ mod tests {
         }
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        /// Whatever the reply segmentation (owned heads, shared bodies,
-        /// more segments than one gather carries) and however the sink
-        /// cuts or refuses writes, the gathered flush puts exactly the
-        /// outbox's bytes on the wire, in order, and accounts for them.
-        #[test]
-        fn gathered_flush_wire_image_is_the_outbox(
-            replies in proptest::collection::vec(
-                proptest::collection::vec(
-                    (any::<bool>(), proptest::collection::vec(any::<u8>(), 0..48)),
-                    1..4,
-                ),
-                0..60,
-            ),
-            script in proptest::collection::vec(prop_oneof![Just(0usize), 1usize..200], 0..40),
-        ) {
+    /// Whatever the reply segmentation (owned heads, shared bodies,
+    /// more segments than one gather carries) and however the sink
+    /// cuts or refuses writes, the gathered flush puts exactly the
+    /// outbox's bytes on the wire, in order, and accounts for them.
+    #[test]
+    fn gathered_flush_wire_image_is_the_outbox() {
+        check(96, |g| {
+            let replies = g.vec(0..60, |g| {
+                g.vec(1..4, |g| (g.bool(), g.vec(0..48, Gen::any::<u8>)))
+            });
+            // A refusal, or a write cut at up to 199 bytes.
+            let script = g.vec(0..40, |g| if g.bool() { 0 } else { g.range(1usize..200) });
             let refusals = script.iter().filter(|&&k| k == 0).count();
             let (shared, stream) = conn_over(ScriptedSink::following(script));
             for reply in replies {
@@ -1403,18 +1397,18 @@ mod tests {
             while !shared.outbox.lock().is_empty() {
                 let wrote = books.flush(&shared);
                 passes += 1;
-                prop_assert!(passes <= refusals + 1, "flush stalled without a refusal");
-                prop_assert!(wrote || passes <= refusals);
+                assert!(passes <= refusals + 1, "flush stalled without a refusal");
+                assert!(wrote || passes <= refusals);
             }
-            prop_assert!(!books.flush(&shared), "an empty outbox writes nothing");
+            assert!(!books.flush(&shared), "an empty outbox writes nothing");
 
             let stream = stream.lock();
-            prop_assert_eq!(&stream.wire, &expected);
-            prop_assert_eq!(books.stats.snapshot().bytes_sent, expected.len() as u64);
-            prop_assert_eq!(books.sys.snapshot().writes, stream.calls);
-            prop_assert_eq!(shared.outbox.lock().sending.io_writes, stream.calls);
-            prop_assert!(stream.widest_gather <= MAX_GATHER);
-        }
+            assert_eq!(&stream.wire, &expected);
+            assert_eq!(books.stats.snapshot().bytes_sent, expected.len() as u64);
+            assert_eq!(books.sys.snapshot().writes, stream.calls);
+            assert_eq!(shared.outbox.lock().sending.io_writes, stream.calls);
+            assert!(stream.widest_gather <= MAX_GATHER);
+        });
     }
 
     #[test]
@@ -1612,7 +1606,7 @@ mod tests {
     /// A notifier over one dispatcher whose waker counts its fires.
     fn counting_notifier() -> (DispatchNotifier, Receiver<ConnId>, Arc<AtomicUsize>) {
         let fires = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let waker = {
             let fires = Arc::clone(&fires);
             Waker::new(move || {
@@ -1670,7 +1664,7 @@ mod tests {
         const IDS: u64 = 100_000;
         let parked = Arc::new((std::sync::Mutex::new(false), std::sync::Condvar::new()));
         let fires = Arc::new(AtomicUsize::new(0));
-        let (tx, rx) = crossbeam::channel::unbounded();
+        let (tx, rx) = std::sync::mpsc::channel();
         let waker = {
             let (parked, fires) = (Arc::clone(&parked), Arc::clone(&fires));
             Waker::new(move || {

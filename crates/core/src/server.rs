@@ -181,9 +181,9 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
         let syscalls = SyscallCounters::new_shared();
 
         // --- Crosscut: O4 (Proactor helpers + completion channel). ---
-        let (helper, completion_tx, completion_rx) = match opts.completion_mode {
+        let (helper, completion_tx, mut completion_rx) = match opts.completion_mode {
             CompletionMode::Asynchronous => {
-                let (tx, rx) = crossbeam::channel::unbounded();
+                let (tx, rx) = std::sync::mpsc::channel();
                 let pool = crate::proactor::HelperPool::new(self.helper_threads);
                 (Some(Arc::new(pool)), Some(tx), Some(rx))
             }
@@ -200,7 +200,7 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
         let mut notify_targets = Vec::with_capacity(n_dispatchers);
         for _ in 0..n_dispatchers {
             let poller = L::new_poller().expect("create readiness poller");
-            let (flush_tx, flush_rx) = crossbeam::channel::unbounded();
+            let (flush_tx, flush_rx) = std::sync::mpsc::channel();
             notify_targets.push((flush_tx, poller.waker()));
             pollers.push(poller);
             flush_rxs.push(flush_rx);
@@ -312,7 +312,7 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
         let next_conn_id = Arc::new(AtomicU64::new(1));
         let mut inj_channels = Vec::with_capacity(n_dispatchers);
         for _ in 0..n_dispatchers {
-            inj_channels.push(crossbeam::channel::unbounded());
+            inj_channels.push(std::sync::mpsc::channel());
         }
         let inj_txs: Vec<_> = inj_channels.iter().map(|(tx, _)| tx.clone()).collect();
 
@@ -351,7 +351,7 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
                 submit: submit.clone(),
                 overload: Arc::clone(&overload),
                 completion_rx: if index == 0 {
-                    completion_rx.clone()
+                    completion_rx.take()
                 } else {
                     None
                 },

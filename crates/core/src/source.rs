@@ -18,10 +18,10 @@
 //! interface frameworks" — and it powers the [`GenericReactor`] driver.
 
 use std::collections::HashMap;
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::event::Priority;
@@ -56,7 +56,7 @@ pub struct ChannelSource<T> {
 impl<T: Send> ChannelSource<T> {
     /// Create the source plus the sender handle producers use.
     pub fn new(name: &'static str, priority: Priority) -> (Self, Sender<T>) {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         (Self { name, priority, rx }, tx)
     }
 }

@@ -22,7 +22,7 @@ use nserver_core::transport::{
     PollEvent, Poller, ReadOutcome, StreamIo, TcpListenerNb, TcpStreamNb,
 };
 use nserver_core::Priority;
-use proptest::prelude::*;
+use propcheck::{check, Gen};
 
 /// Newline-delimited text codec.
 struct LineCodec;
@@ -997,21 +997,19 @@ fn heavy_pipelined_load_is_lossless() {
     server.shutdown();
 }
 
-proptest! {
+/// Delivery property behind the lingering close: for any pipeline of
+/// requests where one triggers the close, the client receives every
+/// response up to and including the final one, byte-exact — no
+/// matter how many requests ride behind the close trigger or when
+/// they land relative to the server's FIN.
+#[test]
+fn pipelined_close_delivers_every_response_byte_exact() {
     // Each case boots a real server, so the case count stays small.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Delivery property behind the lingering close: for any pipeline of
-    /// requests where one triggers the close, the client receives every
-    /// response up to and including the final one, byte-exact — no
-    /// matter how many requests ride behind the close trigger or when
-    /// they land relative to the server's FIN.
-    #[test]
-    fn pipelined_close_delivers_every_response_byte_exact(
-        words in proptest::collection::vec("[a-z]{1,8}", 1..6),
-        tail in proptest::collection::vec("[a-z]{1,8}", 0..4),
-        tail_pause_ms in 0u64..120,
-    ) {
+    check(24, |g| {
+        let word = |g: &mut Gen| g.string("abcdefghijklmnopqrstuvwxyz", 1..=8);
+        let words = g.vec(1..6, word);
+        let tail = g.vec(0..4, word);
+        let tail_pause_ms = g.range(0u64..120);
         let (listener, connector) = mem::listener("prop-linger");
         let server = ServerBuilder::new(base_options(), LineCodec, EchoService)
             .unwrap()
@@ -1060,8 +1058,8 @@ proptest! {
                 }
             }
         }
-        prop_assert!(closed, "server never closed after quit");
-        prop_assert_eq!(String::from_utf8(acc).unwrap(), expected);
+        assert!(closed, "server never closed after quit");
+        assert_eq!(String::from_utf8(acc).unwrap(), expected);
         server.shutdown();
-    }
+    });
 }

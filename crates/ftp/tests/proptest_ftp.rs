@@ -1,43 +1,58 @@
 //! Property-based tests of the FTP protocol pieces: command parsing
 //! robustness, VFS path-normalisation laws, and filesystem coherence.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use nserver_ftp::legacy::vfs::{normalize, Vfs};
 use nserver_ftp::Command;
-use proptest::prelude::*;
+use propcheck::{check, Gen};
 
-fn seg() -> impl Strategy<Value = String> {
-    "[A-Za-z0-9_][A-Za-z0-9_.-]{0,9}".prop_map(|s| s)
+const WORD: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789_";
+
+/// A path segment: `[A-Za-z0-9_][A-Za-z0-9_.-]{0,9}`.
+fn seg(g: &mut Gen) -> String {
+    g.string(WORD, 1..=1) + &g.string(&format!("{WORD}.-"), 0..=9)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// The command parser never panics on arbitrary input lines.
-    #[test]
-    fn command_parse_never_panics(line in "\\PC{0,120}") {
+/// The command parser never panics on arbitrary input lines.
+#[test]
+fn command_parse_never_panics() {
+    check(96, |g| {
+        let line = g.text(0..=120);
         let _ = Command::parse(&line);
-    }
+    });
+}
 
-    /// Verbs survive arbitrary casing.
-    #[test]
-    fn verbs_are_case_insensitive(upper in any::<bool>()) {
-        let line = if upper { "RETR file.txt" } else { "retr file.txt" };
-        prop_assert_eq!(Command::parse(line).unwrap(), Command::Retr("file.txt".into()));
-    }
+/// Verbs survive arbitrary casing.
+#[test]
+fn verbs_are_case_insensitive() {
+    check(96, |g| {
+        let upper = g.bool();
+        let line = if upper {
+            "RETR file.txt"
+        } else {
+            "retr file.txt"
+        };
+        assert_eq!(
+            Command::parse(line).unwrap(),
+            Command::Retr("file.txt".into())
+        );
+    });
+}
 
-    /// Normalisation is idempotent and always yields an absolute path
-    /// without `.`/`..` segments when it succeeds.
-    #[test]
-    fn normalize_is_idempotent(
-        base_segs in proptest::collection::vec(seg(), 0..4),
-        rel_segs in proptest::collection::vec(
-            prop_oneof![seg(), Just(".".to_string()), Just("..".to_string())],
-            0..6,
-        ),
-        absolute in any::<bool>(),
-    ) {
+/// Normalisation is idempotent and always yields an absolute path
+/// without `.`/`..` segments when it succeeds.
+#[test]
+fn normalize_is_idempotent() {
+    check(96, |g| {
+        let base_segs = g.vec(0..4, seg);
+        let rel_segs = g.vec(0..6, |g| match g.range(0..3u8) {
+            0 => seg(g),
+            1 => ".".to_string(),
+            _ => "..".to_string(),
+        });
+        let absolute = g.bool();
         let base = format!("/{}", base_segs.join("/"));
         let rel = if absolute {
             format!("/{}", rel_segs.join("/"))
@@ -45,20 +60,24 @@ proptest! {
             rel_segs.join("/")
         };
         if let Some(norm) = normalize(&base, &rel) {
-            prop_assert!(norm.starts_with('/'));
-            prop_assert!(!norm.contains("/../"));
-            prop_assert!(!norm.ends_with("/..") || norm == "/..");
-            prop_assert!(!norm.contains("//"));
+            assert!(norm.starts_with('/'));
+            assert!(!norm.contains("/../"));
+            assert!(!norm.ends_with("/..") || norm == "/..");
+            assert!(!norm.contains("//"));
             // Idempotence.
             let renorm = normalize("/", &norm);
-            prop_assert_eq!(renorm.as_deref(), Some(norm.as_str()));
+            assert_eq!(renorm.as_deref(), Some(norm.as_str()));
         }
-    }
+    });
+}
 
-    /// Escaping above the root always fails; staying below never does
-    /// for plain segments.
-    #[test]
-    fn normalize_root_escape(n_up in 1usize..6, segs in proptest::collection::vec(seg(), 0..3)) {
+/// Escaping above the root always fails; staying below never does
+/// for plain segments.
+#[test]
+fn normalize_root_escape() {
+    check(96, |g| {
+        let n_up = g.range(1usize..6);
+        let segs = g.vec(0..3, seg);
         let below = segs.len();
         let rel = {
             let mut parts = segs.clone();
@@ -69,38 +88,49 @@ proptest! {
         };
         let result = normalize("/", &rel);
         if n_up > below {
-            prop_assert!(result.is_none(), "escaped root: {rel}");
+            assert!(result.is_none(), "escaped root: {rel}");
         } else {
-            prop_assert!(result.is_some());
+            assert!(result.is_some());
         }
-    }
+    });
+}
 
-    /// VFS write-then-read returns the written bytes; listing contains
-    /// exactly the written names.
-    #[test]
-    fn vfs_write_read_list_coherence(
-        files in proptest::collection::btree_map(seg(), proptest::collection::vec(any::<u8>(), 0..64), 1..12),
-    ) {
+/// VFS write-then-read returns the written bytes; listing contains
+/// exactly the written names.
+#[test]
+fn vfs_write_read_list_coherence() {
+    check(96, |g| {
+        let mut files = BTreeMap::new();
+        for _ in 0..g.len(1..12) {
+            files.insert(seg(g), g.vec(0..64, Gen::any::<u8>));
+        }
         let vfs = Vfs::new();
-        prop_assert!(vfs.mkdir("/d"));
+        assert!(vfs.mkdir("/d"));
         for (name, data) in &files {
             let ok = vfs.write(&format!("/d/{name}"), data.clone());
-            prop_assert!(ok);
+            assert!(ok);
         }
         for (name, data) in &files {
             let path = format!("/d/{name}");
             let read = vfs.read(&path).expect("written file");
-            prop_assert_eq!(&**read, &data[..]);
-            prop_assert_eq!(vfs.size(&path), Some(data.len() as u64));
+            assert_eq!(&**read, &data[..]);
+            assert_eq!(vfs.size(&path), Some(data.len() as u64));
         }
         let listing = vfs.list("/d").unwrap();
         let expected: Vec<String> = files.keys().cloned().collect();
-        prop_assert_eq!(listing, expected, "listing is sorted & complete");
-    }
+        assert_eq!(listing, expected, "listing is sorted & complete");
+    });
+}
 
-    /// Deleting a file removes it from reads, sizes and listings.
-    #[test]
-    fn vfs_delete_removes(names in proptest::collection::btree_set(seg(), 2..8)) {
+/// Deleting a file removes it from reads, sizes and listings.
+#[test]
+fn vfs_delete_removes() {
+    check(96, |g| {
+        let mut names = BTreeSet::new();
+        let wanted = g.len(2..8);
+        while names.len() < wanted {
+            names.insert(seg(g));
+        }
         let vfs = Vfs::new();
         for n in &names {
             vfs.write(&format!("/{n}"), vec![1, 2, 3]);
@@ -108,16 +138,48 @@ proptest! {
         let victim = names.iter().next().unwrap().clone();
         let victim_path = format!("/{victim}");
         let deleted = vfs.delete(&victim_path);
-        prop_assert!(deleted);
+        assert!(deleted);
         let gone = vfs.read(&victim_path).is_none();
-        prop_assert!(gone);
+        assert!(gone);
         let listed = vfs.list("/").unwrap().contains(&victim);
-        prop_assert!(!listed);
+        assert!(!listed);
         // Arc'd data handed out before deletion stays valid.
         let survivor = names.iter().nth(1).unwrap();
         let survivor_path = format!("/{survivor}");
         let data: Arc<Vec<u8>> = vfs.read(&survivor_path).unwrap();
         vfs.delete(&survivor_path);
-        prop_assert_eq!(&**data, &[1u8, 2, 3][..]);
-    }
+        assert_eq!(&**data, &[1u8, 2, 3][..]);
+    });
+}
+
+// The three inputs `proptest` once shrank a failure to each carried a `.`
+// segment, which `seg` has not produced since and the laws above do not
+// cover. What holds for them, as examples:
+
+/// `n_up = 1, segs = ["."]`: a `.` adds no depth, so the `..` after it
+/// escapes the root.
+#[test]
+fn recorded_dot_segment_adds_no_depth() {
+    assert_eq!(normalize("/", "./.."), None);
+    assert_eq!(normalize("/", "a/./..").as_deref(), Some("/"));
+}
+
+/// `names = {".", "A"}`: `/.` is the root directory, not a file.
+#[test]
+fn recorded_dot_names_no_file_in_the_root() {
+    let vfs = Vfs::new();
+    assert!(!vfs.write("/.", vec![1, 2, 3]));
+    assert!(vfs.write("/A", vec![1, 2, 3]));
+    assert!(!vfs.delete("/."));
+    assert_eq!(vfs.list("/").unwrap(), ["A"]);
+}
+
+/// `files = {".": []}`: `/d/.` is the directory `/d` itself.
+#[test]
+fn recorded_dot_names_no_file_in_a_directory() {
+    let vfs = Vfs::new();
+    assert!(vfs.mkdir("/d"));
+    assert!(!vfs.write("/d/.", Vec::new()));
+    assert!(vfs.read("/d/.").is_none());
+    assert!(vfs.list("/d").unwrap().is_empty());
 }

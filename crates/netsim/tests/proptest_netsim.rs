@@ -2,7 +2,7 @@
 //! link FIFO/monotonicity, statistics correctness.
 
 use nserver_netsim::{jain_index, Link, Model, OnlineStats, Scheduler, SimTime};
-use proptest::prelude::*;
+use propcheck::check;
 
 struct Collector {
     seen: Vec<(u64, u32)>,
@@ -15,35 +15,35 @@ impl Model for Collector {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Events always arrive in non-decreasing time order, and ties honour
-    /// insertion order.
-    #[test]
-    fn engine_delivers_in_time_order(times in proptest::collection::vec(0u64..10_000, 1..300)) {
+/// Events always arrive in non-decreasing time order, and ties honour
+/// insertion order.
+#[test]
+fn engine_delivers_in_time_order() {
+    check(64, |g| {
+        let times = g.vec(1..300, |g| g.range(0u64..10_000));
         let mut m = Collector { seen: Vec::new() };
         let mut s = Scheduler::new();
         for (i, &t) in times.iter().enumerate() {
             s.at(SimTime::from_micros(t), i as u32);
         }
         s.run_to_completion(&mut m);
-        prop_assert_eq!(m.seen.len(), times.len());
+        assert_eq!(m.seen.len(), times.len());
         for w in m.seen.windows(2) {
-            prop_assert!(w[0].0 <= w[1].0, "time went backwards");
+            assert!(w[0].0 <= w[1].0, "time went backwards");
             if w[0].0 == w[1].0 {
-                prop_assert!(w[0].1 < w[1].1, "tie broke insertion order");
+                assert!(w[0].1 < w[1].1, "tie broke insertion order");
             }
         }
-    }
+    });
+}
 
-    /// Splitting a run at an arbitrary horizon changes nothing: run_until
-    /// then run_to_completion sees the same sequence as one shot.
-    #[test]
-    fn engine_split_runs_are_equivalent(
-        times in proptest::collection::vec(0u64..10_000, 1..200),
-        split in 0u64..10_000,
-    ) {
+/// Splitting a run at an arbitrary horizon changes nothing: run_until
+/// then run_to_completion sees the same sequence as one shot.
+#[test]
+fn engine_split_runs_are_equivalent() {
+    check(64, |g| {
+        let times = g.vec(1..200, |g| g.range(0u64..10_000));
+        let split = g.range(0u64..10_000);
         let build = |times: &[u64]| {
             let mut s = Scheduler::new();
             for (i, &t) in times.iter().enumerate() {
@@ -59,15 +59,16 @@ proptest! {
         let mut s2 = build(&times);
         s2.run_until(&mut parts, SimTime::from_micros(split));
         s2.run_to_completion(&mut parts);
-        prop_assert_eq!(whole.seen, parts.seen);
-    }
+        assert_eq!(whole.seen, parts.seen);
+    });
+}
 
-    /// Link FIFO: completion times are non-decreasing in send order, and
-    /// every message takes at least its serialization time.
-    #[test]
-    fn link_is_fifo_and_causal(
-        msgs in proptest::collection::vec((0u64..1000, 1u64..100_000), 1..100),
-    ) {
+/// Link FIFO: completion times are non-decreasing in send order, and
+/// every message takes at least its serialization time.
+#[test]
+fn link_is_fifo_and_causal() {
+    check(64, |g| {
+        let msgs = g.vec(1..100, |g| (g.range(0u64..1000), g.range(1u64..100_000)));
         let mut link = Link::new(100_000_000);
         let mut sorted = msgs.clone();
         sorted.sort_by_key(|&(t, _)| t);
@@ -75,32 +76,39 @@ proptest! {
         for &(t, bytes) in &sorted {
             let now = SimTime::from_micros(t);
             let done = link.send(now, bytes);
-            prop_assert!(done >= last_done, "FIFO violated");
-            prop_assert!(done >= now + link.tx_time(bytes), "faster than line rate");
+            assert!(done >= last_done, "FIFO violated");
+            assert!(done >= now + link.tx_time(bytes), "faster than line rate");
             last_done = done;
         }
         // Conservation: bytes carried equals sum of payloads.
         let total: u64 = sorted.iter().map(|&(_, b)| b).sum();
-        prop_assert_eq!(link.bytes_carried(), total);
-    }
+        assert_eq!(link.bytes_carried(), total);
+    });
+}
 
-    /// Jain index is scale-invariant, bounded by (0, 1], and maximal only
-    /// for equal allocations.
-    #[test]
-    fn jain_properties(xs in proptest::collection::vec(0.0f64..1e6, 1..100), k in 1.0f64..100.0) {
+/// Jain index is scale-invariant, bounded by (0, 1], and maximal only
+/// for equal allocations.
+#[test]
+fn jain_properties() {
+    check(64, |g| {
+        let xs = g.vec(1..100, |g| g.f64(0.0..1e6));
+        let k = g.f64(1.0..100.0);
         let j = jain_index(&xs);
-        prop_assert!(j > 0.0 && j <= 1.0 + 1e-12, "out of range: {j}");
+        assert!(j > 0.0 && j <= 1.0 + 1e-12, "out of range: {j}");
         let scaled: Vec<f64> = xs.iter().map(|x| x * k).collect();
         let js = jain_index(&scaled);
-        prop_assert!((j - js).abs() < 1e-9, "not scale-invariant: {j} vs {js}");
+        assert!((j - js).abs() < 1e-9, "not scale-invariant: {j} vs {js}");
         // Equal allocations are perfectly fair.
         let equal = vec![xs[0].max(1.0); xs.len()];
-        prop_assert!((jain_index(&equal) - 1.0).abs() < 1e-12);
-    }
+        assert!((jain_index(&equal) - 1.0).abs() < 1e-12);
+    });
+}
 
-    /// OnlineStats matches a naive reference implementation.
-    #[test]
-    fn online_stats_matches_reference(xs in proptest::collection::vec(-1e5f64..1e5, 2..200)) {
+/// OnlineStats matches a naive reference implementation.
+#[test]
+fn online_stats_matches_reference() {
+    check(64, |g| {
+        let xs = g.vec(2..200, |g| g.f64(-1e5..1e5));
         let mut s = OnlineStats::new();
         for &x in &xs {
             s.add(x);
@@ -108,12 +116,12 @@ proptest! {
         let n = xs.len() as f64;
         let mean = xs.iter().sum::<f64>() / n;
         let var = xs.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0);
-        prop_assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
-        prop_assert!((s.variance() - var).abs() < 1e-5 * (1.0 + var.abs()));
-        prop_assert_eq!(s.count(), xs.len() as u64);
+        assert!((s.mean() - mean).abs() < 1e-6 * (1.0 + mean.abs()));
+        assert!((s.variance() - var).abs() < 1e-5 * (1.0 + var.abs()));
+        assert_eq!(s.count(), xs.len() as u64);
         let min = xs.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = xs.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        prop_assert_eq!(s.min(), min);
-        prop_assert_eq!(s.max(), max);
-    }
+        assert_eq!(s.min(), min);
+        assert_eq!(s.max(), max);
+    });
 }

@@ -2,8 +2,6 @@
 //! 35/50/14/1 class mix, and a mild within-class skew — the SpecWeb99
 //! shape the paper's workload follows.
 
-use rand::Rng;
-
 use crate::fileset::{FileSet, FileSpec};
 
 /// A discrete Zipf(α) sampler over ranks `0..n` (rank 0 most popular).
@@ -39,11 +37,6 @@ impl Zipf {
             Ok(i) => (i + 1).min(self.cumulative.len() - 1),
             Err(i) => i.min(self.cumulative.len() - 1),
         }
-    }
-
-    /// Sample a rank from an RNG.
-    pub fn sample<R: Rng>(&self, rng: &mut R) -> usize {
-        self.sample_with(rng.gen::<f64>())
     }
 
     /// Number of ranks.
@@ -88,9 +81,9 @@ impl AccessSampler {
         }
     }
 
-    /// Sample one file id, using three uniform draws in `[0,1)` (caller
-    /// supplies them so both `rand` and the simulator's deterministic RNG
-    /// can drive the sampler).
+    /// Sample one file id, using three uniform draws in `[0,1)` (the
+    /// caller supplies them, so the simulator, the benchmark and the
+    /// socket driver each sample from their own seeded stream).
     pub fn sample_with(&self, fileset: &FileSet, u_dir: f64, u_class: f64, u_file: f64) -> u64 {
         let dir = self.dir_zipf.sample_with(u_dir) as u32;
         let class = self
@@ -105,30 +98,43 @@ impl AccessSampler {
             .id
     }
 
-    /// Sample one file with a `rand` RNG.
-    pub fn sample<R: Rng>(&self, fileset: &FileSet, rng: &mut R) -> u64 {
-        self.sample_with(fileset, rng.gen(), rng.gen(), rng.gen())
+    /// Sample a full [`FileSpec`], drawing the three uniforms from
+    /// `uniform`.
+    pub fn sample_spec<'a>(
+        &self,
+        fileset: &'a FileSet,
+        mut uniform: impl FnMut() -> f64,
+    ) -> &'a FileSpec {
+        fileset.file(self.sample_with(fileset, uniform(), uniform(), uniform()))
     }
+}
 
-    /// Sample a full [`FileSpec`].
-    pub fn sample_spec<'a, R: Rng>(&self, fileset: &'a FileSet, rng: &mut R) -> &'a FileSpec {
-        fileset.file(self.sample(fileset, rng))
+/// splitmix64 (Steele, Lea and Flood): the uniform stream behind the
+/// socket driver's requests.
+pub(crate) struct SplitMix64(pub(crate) u64);
+
+impl SplitMix64 {
+    /// Uniform float in `[0, 1)`, from the top 53 bits of the next word.
+    pub(crate) fn next_f64(&mut self) -> f64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn zipf_first_rank_is_most_popular() {
         let z = Zipf::new(100, 1.0);
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = SplitMix64(1);
         let mut counts = vec![0u32; 100];
         for _ in 0..100_000 {
-            counts[z.sample(&mut rng)] += 1;
+            counts[z.sample_with(rng.next_f64())] += 1;
         }
         assert!(counts[0] > counts[10]);
         assert!(counts[10] > counts[90]);
@@ -140,10 +146,10 @@ mod tests {
     #[test]
     fn zipf_alpha_zero_is_uniform() {
         let z = Zipf::new(10, 0.0);
-        let mut rng = StdRng::seed_from_u64(2);
+        let mut rng = SplitMix64(2);
         let mut counts = vec![0u32; 10];
         for _ in 0..100_000 {
-            counts[z.sample(&mut rng)] += 1;
+            counts[z.sample_with(rng.next_f64())] += 1;
         }
         for &c in &counts {
             assert!((9_000..11_000).contains(&c), "count {c}");
@@ -167,11 +173,11 @@ mod tests {
     fn class_mix_matches_spec() {
         let fs = FileSet::with_dirs(10);
         let sampler = AccessSampler::new(&fs);
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = SplitMix64(3);
         let mut class_counts = [0u32; 4];
         let n = 200_000;
         for _ in 0..n {
-            let spec = sampler.sample_spec(&fs, &mut rng);
+            let spec = sampler.sample_spec(&fs, || rng.next_f64());
             class_counts[spec.class.0 as usize] += 1;
         }
         let frac = |c: usize| class_counts[c] as f64 / n as f64;
@@ -187,10 +193,10 @@ mod tests {
         // yields a weighted mean transfer in that neighbourhood.
         let fs = FileSet::with_dirs(41);
         let sampler = AccessSampler::new(&fs);
-        let mut rng = StdRng::seed_from_u64(4);
+        let mut rng = SplitMix64(4);
         let n = 100_000;
         let total: u64 = (0..n)
-            .map(|_| sampler.sample_spec(&fs, &mut rng).size)
+            .map(|_| sampler.sample_spec(&fs, || rng.next_f64()).size)
             .sum();
         let mean = total as f64 / n as f64;
         assert!(
@@ -203,10 +209,10 @@ mod tests {
     fn popular_directories_dominate() {
         let fs = FileSet::with_dirs(41);
         let sampler = AccessSampler::new(&fs);
-        let mut rng = StdRng::seed_from_u64(5);
+        let mut rng = SplitMix64(5);
         let mut dir_counts = [0u32; 41];
         for _ in 0..100_000 {
-            dir_counts[sampler.sample_spec(&fs, &mut rng).dir as usize] += 1;
+            dir_counts[sampler.sample_spec(&fs, || rng.next_f64()).dir as usize] += 1;
         }
         assert!(dir_counts[0] > dir_counts[20] * 3);
     }

@@ -14,10 +14,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use crate::access::AccessSampler;
+use crate::access::{AccessSampler, SplitMix64};
 use crate::fileset::FileSet;
 use crate::ClientConfig;
 
@@ -105,7 +102,7 @@ pub fn run(fileset: &FileSet, config: &DriverConfig) -> DriverReport {
         let client_cfg = config.client;
         let seed = config.seed.wrapping_add(c as u64);
         handles.push(std::thread::spawn(move || {
-            let mut rng = StdRng::seed_from_u64(seed);
+            let mut rng = SplitMix64(seed);
             let mut responses = 0u64;
             'outer: while !stop.load(Ordering::Relaxed) {
                 let Ok(mut conn) = TcpStream::connect(&addr) else {
@@ -119,7 +116,7 @@ pub fn run(fileset: &FileSet, config: &DriverConfig) -> DriverReport {
                     if stop.load(Ordering::Relaxed) {
                         break 'outer;
                     }
-                    let spec = sampler.sample_spec(&fileset, &mut rng);
+                    let spec = sampler.sample_spec(&fileset, || rng.next_f64());
                     let close = r + 1 == client_cfg.requests_per_connection;
                     let req = if close {
                         format!(

@@ -1,7 +1,7 @@
 //! APPLICATION HOOKS — the three application-dependent steps of the
 //! request pipeline (Decode Request, Handle Request, Encode Reply).
 //! Replace the stub bodies with your protocol and service logic.
-use bytes::BytesMut;
+use nserver_core::bytes::BytesMut;
 use nserver_core::prelude::*;
 
 /// Decode Request / Encode Reply hooks (stub: newline-delimited text).

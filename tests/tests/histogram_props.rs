@@ -11,102 +11,101 @@
 //! can be folded in any order.
 
 use nserver_core::metrics::{bucket_of, bucket_upper_us, Histogram, HistogramSnapshot};
-use proptest::prelude::*;
+use propcheck::{check, Gen};
 
 /// An arbitrary snapshot, including saturation-edge bucket counts.
-fn arb_snapshot() -> impl Strategy<Value = HistogramSnapshot> {
-    (
-        prop::collection::vec(
-            prop_oneof![
-                0u64..1_000,
-                0u64..1_000,
-                0u64..1_000,
-                prop_oneof![Just(u64::MAX), Just(u64::MAX - 1), any::<u64>()],
-            ],
-            64,
-        ),
-        any::<u64>(),
-        any::<u64>(),
-    )
-        .prop_map(|(v, count, sum_us)| {
-            let mut buckets = [0u64; 64];
-            buckets.copy_from_slice(&v);
-            HistogramSnapshot {
-                buckets,
-                count,
-                sum_us,
-            }
-        })
+fn arb_snapshot(g: &mut Gen) -> HistogramSnapshot {
+    let mut buckets = [0u64; 64];
+    for bucket in &mut buckets {
+        *bucket = match g.range(0..12u8) {
+            0..=8 => g.range(0u64..1_000),
+            9 => u64::MAX,
+            10 => u64::MAX - 1,
+            _ => g.any(),
+        };
+    }
+    HistogramSnapshot {
+        buckets,
+        count: g.any(),
+        sum_us: g.any(),
+    }
 }
 
 /// Microsecond values weighted toward the interesting edges.
-fn arb_us() -> impl Strategy<Value = u64> {
-    prop_oneof![
-        0u64..10_000_000,
-        0u64..10_000_000,
-        any::<u64>(),
-        Just(0u64),
-        Just(1u64),
-        Just(u64::MAX),
-    ]
+fn arb_us(g: &mut Gen) -> u64 {
+    match g.range(0..6u8) {
+        0 | 1 => g.range(0u64..10_000_000),
+        2 => g.any(),
+        3 => 0,
+        4 => 1,
+        _ => u64::MAX,
+    }
 }
 
-proptest! {
-    /// Every value lands inside its bucket's bounds: at most the upper
-    /// bound, and strictly above the previous bucket's upper bound.
-    #[test]
-    fn bucket_bounds_contain_their_samples(us in arb_us()) {
+/// Every value lands inside its bucket's bounds: at most the upper
+/// bound, and strictly above the previous bucket's upper bound.
+#[test]
+fn bucket_bounds_contain_their_samples() {
+    check(256, |g| {
+        let us = arb_us(g);
         let i = bucket_of(us);
-        prop_assert!(i < 64);
-        prop_assert!(us <= bucket_upper_us(i), "{us} above bucket {i} upper");
+        assert!(i < 64);
+        assert!(us <= bucket_upper_us(i), "{us} above bucket {i} upper");
         if i > 0 {
-            prop_assert!(
+            assert!(
                 us > bucket_upper_us(i - 1),
                 "{us} not above bucket {} upper {}",
                 i - 1,
                 bucket_upper_us(i - 1)
             );
         }
-    }
+    });
+}
 
-    /// Bucket assignment is monotone: a larger value never lands in an
-    /// earlier bucket, and bucket upper bounds strictly increase.
-    #[test]
-    fn bucketing_is_monotone(a in arb_us(), b in arb_us()) {
+/// Bucket assignment is monotone: a larger value never lands in an
+/// earlier bucket, and bucket upper bounds strictly increase.
+#[test]
+fn bucketing_is_monotone() {
+    check(256, |g| {
+        let (a, b) = (arb_us(g), arb_us(g));
         let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
-        prop_assert!(bucket_of(lo) <= bucket_of(hi));
-        prop_assert!(bucket_upper_us(bucket_of(lo)) <= bucket_upper_us(bucket_of(hi)));
-    }
+        assert!(bucket_of(lo) <= bucket_of(hi));
+        assert!(bucket_upper_us(bucket_of(lo)) <= bucket_upper_us(bucket_of(hi)));
+    });
+}
 
-    /// The extremes saturate: 0 and 1 share the first bucket, `u64::MAX`
-    /// pins the last, and a histogram holding only saturated samples
-    /// reports `u64::MAX` at every quantile instead of wrapping.
-    #[test]
-    fn extremes_saturate(n in 1usize..50) {
-        prop_assert_eq!(bucket_of(0), 0);
-        prop_assert_eq!(bucket_of(1), 0);
-        prop_assert_eq!(bucket_of(u64::MAX), 63);
-        prop_assert_eq!(bucket_upper_us(63), u64::MAX);
+/// The extremes saturate: 0 and 1 share the first bucket, `u64::MAX`
+/// pins the last, and a histogram holding only saturated samples
+/// reports `u64::MAX` at every quantile instead of wrapping.
+#[test]
+fn extremes_saturate() {
+    check(256, |g| {
+        let n = g.range(1usize..50);
+        assert_eq!(bucket_of(0), 0);
+        assert_eq!(bucket_of(1), 0);
+        assert_eq!(bucket_of(u64::MAX), 63);
+        assert_eq!(bucket_upper_us(63), u64::MAX);
         let h = Histogram::new();
         for _ in 0..n {
             h.record_us(u64::MAX);
         }
         let s = h.snapshot();
-        prop_assert_eq!(s.count, n as u64);
-        prop_assert_eq!(s.buckets[63], n as u64);
-        prop_assert_eq!(s.quantile_us(0.0), u64::MAX);
-        prop_assert_eq!(s.quantile_us(0.5), u64::MAX);
-        prop_assert_eq!(s.quantile_us(1.0), u64::MAX);
-    }
+        assert_eq!(s.count, n as u64);
+        assert_eq!(s.buckets[63], n as u64);
+        assert_eq!(s.quantile_us(0.0), u64::MAX);
+        assert_eq!(s.quantile_us(0.5), u64::MAX);
+        assert_eq!(s.quantile_us(1.0), u64::MAX);
+    });
+}
 
-    /// Quantiles are monotone in `q`, bracketed by the recorded extremes'
-    /// bucket bounds, and every reported quantile is the upper bound of a
-    /// bucket that actually holds samples.
-    #[test]
-    fn quantiles_are_monotone(
-        samples in prop::collection::vec(arb_us(), 1..200),
-        qs_raw in prop::collection::vec((0u32..=1000).prop_map(|n| f64::from(n) / 1000.0), 2..8),
-    ) {
+/// Quantiles are monotone in `q`, bracketed by the recorded extremes'
+/// bucket bounds, and every reported quantile is the upper bound of a
+/// bucket that actually holds samples.
+#[test]
+fn quantiles_are_monotone() {
+    check(256, |g| {
+        let samples = g.vec(1..200, arb_us);
+        let qs_raw = g.vec(2..8, |g| f64::from(g.range(0u32..=1000)) / 1000.0);
         let h = Histogram::new();
         for &s in &samples {
             h.record_us(s);
@@ -117,40 +116,40 @@ proptest! {
         let mut prev = 0u64;
         for &q in &qs {
             let v = snap.quantile_us(q);
-            prop_assert!(v >= prev, "quantile({q}) = {v} < previous {prev}");
-            prop_assert!(
+            assert!(v >= prev, "quantile({q}) = {v} < previous {prev}");
+            assert!(
                 snap.buckets[bucket_of(v)] > 0,
                 "quantile({q}) = {v} points at an empty bucket"
             );
             prev = v;
         }
         let hi = *samples.iter().max().unwrap();
-        prop_assert!(snap.quantile_us(1.0) <= bucket_upper_us(bucket_of(hi)));
+        assert!(snap.quantile_us(1.0) <= bucket_upper_us(bucket_of(hi)));
         let lo = *samples.iter().min().unwrap();
-        prop_assert!(snap.quantile_us(0.0) >= lo.min(bucket_upper_us(bucket_of(lo))));
-    }
+        assert!(snap.quantile_us(0.0) >= lo.min(bucket_upper_us(bucket_of(lo))));
+    });
+}
 
-    /// Shard merging is commutative and associative — even with counts
-    /// at the saturation edge, so fold order over per-thread shards is
-    /// irrelevant.
-    #[test]
-    fn merge_is_associative_and_commutative(
-        a in arb_snapshot(),
-        b in arb_snapshot(),
-        c in arb_snapshot(),
-    ) {
-        prop_assert_eq!(a.merge(b), b.merge(a));
-        prop_assert_eq!(a.merge(b).merge(c), a.merge(b.merge(c)));
-    }
+/// Shard merging is commutative and associative — even with counts
+/// at the saturation edge, so fold order over per-thread shards is
+/// irrelevant.
+#[test]
+fn merge_is_associative_and_commutative() {
+    check(256, |g| {
+        let (a, b, c) = (arb_snapshot(g), arb_snapshot(g), arb_snapshot(g));
+        assert_eq!(a.merge(b), b.merge(a));
+        assert_eq!(a.merge(b).merge(c), a.merge(b.merge(c)));
+    });
+}
 
-    /// The empty snapshot is the merge identity, and merging accumulates
-    /// counts (saturating) — a merged pair answers quantiles like one
-    /// histogram that saw both sample streams.
-    #[test]
-    fn merge_identity_and_accumulation(
-        xs in prop::collection::vec(0u64..1_000_000, 1..100),
-        ys in prop::collection::vec(0u64..1_000_000, 1..100),
-    ) {
+/// The empty snapshot is the merge identity, and merging accumulates
+/// counts (saturating) — a merged pair answers quantiles like one
+/// histogram that saw both sample streams.
+#[test]
+fn merge_identity_and_accumulation() {
+    check(256, |g| {
+        let xs = g.vec(1..100, |g| g.range(0u64..1_000_000));
+        let ys = g.vec(1..100, |g| g.range(0u64..1_000_000));
         let (ha, hb, hall) = (Histogram::new(), Histogram::new(), Histogram::new());
         for &x in &xs {
             ha.record_us(x);
@@ -161,12 +160,12 @@ proptest! {
             hall.record_us(y);
         }
         let (a, b) = (ha.snapshot(), hb.snapshot());
-        prop_assert_eq!(a.merge(HistogramSnapshot::default()), a);
+        assert_eq!(a.merge(HistogramSnapshot::default()), a);
         let merged = a.merge(b);
-        prop_assert_eq!(merged, hall.snapshot());
-        prop_assert_eq!(merged.count, (xs.len() + ys.len()) as u64);
+        assert_eq!(merged, hall.snapshot());
+        assert_eq!(merged.count, (xs.len() + ys.len()) as u64);
         for q in [0.0, 0.5, 0.99, 1.0] {
-            prop_assert_eq!(merged.quantile_us(q), hall.snapshot().quantile_us(q));
+            assert_eq!(merged.quantile_us(q), hall.snapshot().quantile_us(q));
         }
-    }
+    });
 }

@@ -5,7 +5,7 @@
 use nserver_baselines::world::CopsParams;
 use nserver_baselines::{ApacheParams, ExperimentParams, ServerKind, World};
 use nserver_netsim::SimTime;
-use proptest::prelude::*;
+use propcheck::check;
 
 fn tiny(clients: usize, kind: ServerKind, seed: u64) -> ExperimentParams {
     let mut p = ExperimentParams::figure3(clients, kind);
@@ -15,63 +15,74 @@ fn tiny(clients: usize, kind: ServerKind, seed: u64) -> ExperimentParams {
     p
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Whatever the load and server, the measured quantities are sane:
-    /// fairness in (0,1], non-negative times, responses consistent with
-    /// throughput, combined time ≥ response time.
-    #[test]
-    fn world_invariants_hold(
-        clients in 1usize..96,
-        apache in any::<bool>(),
-        seed in 1u64..1000,
-    ) {
+/// Whatever the load and server, the measured quantities are sane:
+/// fairness in (0,1], non-negative times, responses consistent with
+/// throughput, combined time ≥ response time.
+#[test]
+fn world_invariants_hold() {
+    check(12, |g| {
+        let clients = g.range(1usize..96);
+        let apache = g.bool();
+        let seed = g.range(1u64..1000);
         let kind = if apache {
             ServerKind::Apache(ApacheParams::default())
         } else {
             ServerKind::Cops(CopsParams::default())
         };
         let out = World::new(tiny(clients, kind, seed)).run();
-        prop_assert!(out.fairness > 0.0 && out.fairness <= 1.0 + 1e-12);
-        prop_assert!(out.mean_response_ms >= 0.0);
-        prop_assert!(out.mean_combined_ms + 1e-9 >= out.mean_response_ms,
-            "combined {} < response {}", out.mean_combined_ms, out.mean_response_ms);
+        assert!(out.fairness > 0.0 && out.fairness <= 1.0 + 1e-12);
+        assert!(out.mean_response_ms >= 0.0);
+        assert!(
+            out.mean_combined_ms + 1e-9 >= out.mean_response_ms,
+            "combined {} < response {}",
+            out.mean_combined_ms,
+            out.mean_response_ms
+        );
         let implied = out.responses as f64 / 10.0;
-        prop_assert!((out.throughput_rps - implied).abs() < 1e-6);
+        assert!((out.throughput_rps - implied).abs() < 1e-6);
         // A live system must make progress.
-        prop_assert!(out.responses > 0, "no responses at {clients} clients");
+        assert!(out.responses > 0, "no responses at {clients} clients");
         // p95 is at least the mean's order of magnitude.
-        prop_assert!(out.p95_response_ms >= 0.0);
-    }
+        assert!(out.p95_response_ms >= 0.0);
+    });
+}
 
-    /// Same seed ⇒ bit-identical outcome; different seed ⇒ same shape
-    /// (throughput within a modest band), so results are robust, not
-    /// seed-artifacts.
-    #[test]
-    fn world_is_deterministic_and_seed_robust(seed in 1u64..500) {
+/// Same seed ⇒ bit-identical outcome; different seed ⇒ same shape
+/// (throughput within a modest band), so results are robust, not
+/// seed-artifacts.
+#[test]
+fn world_is_deterministic_and_seed_robust() {
+    check(12, |g| {
+        let seed = g.range(1u64..500);
         let kind = ServerKind::Cops(CopsParams::default());
         let a = World::new(tiny(32, kind, seed)).run();
         let b = World::new(tiny(32, kind, seed)).run();
-        prop_assert_eq!(a.responses, b.responses);
-        prop_assert_eq!(a.fairness, b.fairness);
+        assert_eq!(a.responses, b.responses);
+        assert_eq!(a.fairness, b.fairness);
         let c = World::new(tiny(32, kind, seed + 1)).run();
         let ratio = a.throughput_rps / c.throughput_rps;
-        prop_assert!((0.8..1.25).contains(&ratio), "seed sensitivity: {ratio}");
-    }
+        assert!((0.8..1.25).contains(&ratio), "seed sensitivity: {ratio}");
+    });
+}
 
-    /// Offered load monotonicity (coarse): doubling the clients never
-    /// *reduces* throughput by more than a small tolerance in the
-    /// unsaturated region.
-    #[test]
-    fn throughput_is_monotone_in_light_load(clients in 1usize..24, seed in 1u64..200) {
+/// Offered load monotonicity (coarse): doubling the clients never
+/// *reduces* throughput by more than a small tolerance in the
+/// unsaturated region.
+#[test]
+fn throughput_is_monotone_in_light_load() {
+    check(12, |g| {
+        let clients = g.range(1usize..24);
+        let seed = g.range(1u64..200);
         let kind = ServerKind::Cops(CopsParams::default());
         let small = World::new(tiny(clients, kind, seed)).run();
         let big = World::new(tiny(clients * 2, kind, seed)).run();
-        prop_assert!(
+        assert!(
             big.throughput_rps > small.throughput_rps * 1.2,
             "{} clients: {} rps, {} clients: {} rps",
-            clients, small.throughput_rps, clients * 2, big.throughput_rps
+            clients,
+            small.throughput_rps,
+            clients * 2,
+            big.throughput_rps
         );
-    }
+    });
 }

@@ -11,47 +11,47 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use nserver_core::overload::{LenProbe, OverloadController, Watermark};
-use proptest::prelude::*;
+use propcheck::{check, Gen};
 
 /// A random walk of queue lengths around the watermark band.
-fn walks(max_len: usize) -> impl Strategy<Value = Vec<usize>> {
-    prop::collection::vec(0..=max_len, 1..200)
+fn walk(g: &mut Gen, max_len: usize) -> Vec<usize> {
+    g.vec(1..200, |g| g.range(0..=max_len))
 }
 
-proptest! {
-    /// Transitions only happen at the marks: pausing requires the length
-    /// to be at or above `high`, resuming requires it at or below `low`.
-    #[test]
-    fn transitions_only_at_the_marks(
-        low in 0usize..20,
-        band in 1usize..20,
-        lens in walks(60),
-    ) {
+/// Transitions only happen at the marks: pausing requires the length
+/// to be at or above `high`, resuming requires it at or below `low`.
+#[test]
+fn transitions_only_at_the_marks() {
+    check(256, |g| {
+        let low = g.range(0usize..20);
+        let band = g.range(1usize..20);
+        let lens = walk(g, 60);
         let high = low + band;
         let mut wm = Watermark::new(high, low);
         let mut was = wm.is_paused();
         for len in lens {
             let now = wm.observe(len);
             if now && !was {
-                prop_assert!(len >= high, "paused at {len} < high {high}");
+                assert!(len >= high, "paused at {len} < high {high}");
             }
             if !now && was {
-                prop_assert!(len <= low, "resumed at {len} > low {low}");
+                assert!(len <= low, "resumed at {len} > low {low}");
             }
-            prop_assert_eq!(now, wm.is_paused());
+            assert_eq!(now, wm.is_paused());
             was = now;
         }
-    }
+    });
+}
 
-    /// Inside the open band (low, high) the state never changes — the
-    /// hysteresis band absorbs oscillation instead of flapping.
-    #[test]
-    fn no_flapping_inside_the_band(
-        low in 0usize..20,
-        band in 2usize..20,
-        lens in walks(60),
-        start_paused in any::<bool>(),
-    ) {
+/// Inside the open band (low, high) the state never changes — the
+/// hysteresis band absorbs oscillation instead of flapping.
+#[test]
+fn no_flapping_inside_the_band() {
+    check(256, |g| {
+        let low = g.range(0usize..20);
+        let band = g.range(2usize..20);
+        let lens = walk(g, 60);
+        let start_paused = g.bool();
         let high = low + band;
         let mut wm = Watermark::new(high, low);
         if start_paused {
@@ -62,42 +62,40 @@ proptest! {
         for len in lens {
             if len > low && len < high {
                 let now = wm.observe(len);
-                prop_assert_eq!(
-                    now, state,
-                    "state changed inside the band at len {}", len
-                );
+                assert_eq!(now, state, "state changed inside the band at len {}", len);
             } else {
                 state = wm.observe(len);
             }
         }
-    }
+    });
+}
 
-    /// The state is a pure function of the observation history: feeding
-    /// the same walk twice gives identical pause traces (determinism —
-    /// the property the seeded chaos plans rely on).
-    #[test]
-    fn observation_history_determines_state(
-        low in 0usize..20,
-        band in 1usize..20,
-        lens in walks(60),
-    ) {
+/// The state is a pure function of the observation history: feeding
+/// the same walk twice gives identical pause traces (determinism —
+/// the property the seeded chaos plans rely on).
+#[test]
+fn observation_history_determines_state() {
+    check(256, |g| {
+        let low = g.range(0usize..20);
+        let band = g.range(1usize..20);
+        let lens = walk(g, 60);
         let high = low + band;
-        let trace = |mut wm: Watermark| -> Vec<bool> {
-            lens.iter().map(|&l| wm.observe(l)).collect()
-        };
-        prop_assert_eq!(
+        let trace =
+            |mut wm: Watermark| -> Vec<bool> { lens.iter().map(|&l| wm.observe(l)).collect() };
+        assert_eq!(
             trace(Watermark::new(high, low)),
             trace(Watermark::new(high, low))
         );
-    }
+    });
+}
 
-    /// A multi-queue controller pauses exactly while at least one watched
-    /// queue's own watermark would pause — one hot bottleneck (CPU *or*
-    /// disk) is enough to shed load.
-    #[test]
-    fn controller_pauses_while_any_queue_is_hot(
-        walk in prop::collection::vec((0usize..40, 0usize..40), 1..120),
-    ) {
+/// A multi-queue controller pauses exactly while at least one watched
+/// queue's own watermark would pause — one hot bottleneck (CPU *or*
+/// disk) is enough to shed load.
+#[test]
+fn controller_pauses_while_any_queue_is_hot() {
+    check(256, |g| {
+        let walk = g.vec(1..120, |g| (g.range(0usize..40), g.range(0usize..40)));
         let cpu: LenProbe = Arc::new(AtomicUsize::new(0));
         let disk: LenProbe = Arc::new(AtomicUsize::new(0));
         let mut ctl = OverloadController::with_watermark(Arc::clone(&cpu), 20, 5);
@@ -111,18 +109,23 @@ proptest! {
             let accept = ctl.may_accept(0);
             let cpu_hot = cpu_wm.observe(cpu_len);
             let disk_hot = disk_wm.observe(disk_len);
-            prop_assert_eq!(
+            assert_eq!(
                 accept,
                 !(cpu_hot || disk_hot),
-                "cpu {} disk {}", cpu_len, disk_len
+                "cpu {} disk {}",
+                cpu_len,
+                disk_len
             );
         }
-    }
+    });
+}
 
-    /// `pause_transitions` counts rising edges only: it increases by at
-    /// most one per observation and never decreases.
-    #[test]
-    fn pause_transitions_count_rising_edges(lens in walks(60)) {
+/// `pause_transitions` counts rising edges only: it increases by at
+/// most one per observation and never decreases.
+#[test]
+fn pause_transitions_count_rising_edges() {
+    check(256, |g| {
+        let lens = walk(g, 60);
         let probe: LenProbe = Arc::new(AtomicUsize::new(0));
         let mut ctl = OverloadController::with_watermark(Arc::clone(&probe), 20, 5);
         let mut prev = ctl.pause_transitions();
@@ -130,8 +133,8 @@ proptest! {
             probe.store(len, Ordering::Relaxed);
             ctl.may_accept(0);
             let now = ctl.pause_transitions();
-            prop_assert!(now >= prev && now - prev <= 1);
+            assert!(now >= prev && now - prev <= 1);
             prev = now;
         }
-    }
+    });
 }
