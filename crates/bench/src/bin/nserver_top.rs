@@ -21,6 +21,8 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
+use nserver_core::json::Json;
+
 /// One HTTP/1.1 GET over a fresh connection; returns the body.
 fn http_get(addr: &str, path: &str) -> Option<String> {
     let mut stream = TcpStream::connect(addr).ok()?;
@@ -62,18 +64,6 @@ fn metric(samples: &BTreeMap<String, f64>, key: &str) -> f64 {
     samples.get(key).copied().unwrap_or(0.0)
 }
 
-/// Pull `"key":<number>` out of snapshot JSON without a JSON parser
-/// (top-level keys in the snapshot are unique).
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = json.find(&pat)? + pat.len();
-    let rest = &json[at..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn render(addr: &str, status: &str, snapshot: Option<&str>) -> String {
     let s = parse_prometheus(status);
     let mut out = String::new();
@@ -104,10 +94,11 @@ fn render(addr: &str, status: &str, snapshot: Option<&str>) -> String {
         metric(&s, "nserver_handler_panics"),
     ));
     out.push_str(&format!(
-        "sysios reads {:>12}  writes {:>10}  polls {:>10}\n",
+        "sysios reads {:>12}  writes {:>10}  polls {:>10}  wakes {:>8}\n",
         metric(&s, "nserver_syscalls_reads"),
         metric(&s, "nserver_syscalls_writes"),
         metric(&s, "nserver_syscalls_polls"),
+        metric(&s, "nserver_syscalls_wakes"),
     ));
     out.push_str("\nstage      p50_us    p99_us\n");
     for stage in ["decode", "handle", "encode"] {
@@ -150,21 +141,13 @@ fn render(addr: &str, status: &str, snapshot: Option<&str>) -> String {
         metric(&s, "nserver_diag_snapshots"),
         metric(&s, "nserver_trace_dropped_spans"),
     ));
-    match snapshot {
-        Some(json) if json != "null" => {
-            out.push_str(&format!(
-                "\nlast snapshot: seq={} at_us={}",
-                json_number(json, "seq").unwrap_or(0.0),
-                json_number(json, "at_us").unwrap_or(0.0),
-            ));
-            if let Some(at) = json.find("\"reason\":\"") {
-                let rest = &json[at + 10..];
-                if let Some(end) = rest.find('"') {
-                    out.push_str(&format!(" reason={}", &rest[..end]));
-                }
-            }
-            out.push('\n');
-        }
+    match snapshot.and_then(|json| Json::parse(json).ok()) {
+        Some(snap @ Json::Obj(_)) => out.push_str(&format!(
+            "\nlast snapshot: seq={} at_us={} reason={}\n",
+            snap["seq"].as_u64().unwrap_or(0),
+            snap["at_us"].as_u64().unwrap_or(0),
+            snap["reason"].as_str().unwrap_or(""),
+        )),
         _ => out.push_str("\nlast snapshot: none\n"),
     }
     out
@@ -227,12 +210,21 @@ mod tests {
         );
     }
 
+    /// The snapshot line is read through the JSON reader: an escaped
+    /// quote in the reason does not cut it short.
     #[test]
     fn json_numbers_extract() {
-        let json = "{\"seq\":4,\"reason\":\"worker_stuck\",\"at_us\":123456}";
-        assert_eq!(json_number(json, "seq"), Some(4.0));
-        assert_eq!(json_number(json, "at_us"), Some(123456.0));
-        assert_eq!(json_number(json, "missing"), None);
+        let json = "{\"seq\":4,\"reason\":\"worker_stuck \\\"slot\\\"=2\",\"at_us\":123456}";
+        let frame = render("127.0.0.1:0", "", Some(json));
+        let last = frame.lines().last().unwrap();
+        assert_eq!(
+            last,
+            "last snapshot: seq=4 at_us=123456 reason=worker_stuck \"slot\"=2"
+        );
+        for none in ["null", "{\"seq\":4", ""] {
+            let frame = render("127.0.0.1:0", "", Some(none));
+            assert!(frame.contains("last snapshot: none"), "{none}");
+        }
     }
 
     #[test]
@@ -248,13 +240,14 @@ mod tests {
                       nserver_linger_reaped 3\n\
                       nserver_syscalls_reads 120\n\
                       nserver_syscalls_writes 80\n\
-                      nserver_syscalls_polls 40\n";
+                      nserver_syscalls_polls 40\n\
+                      nserver_syscalls_wakes 15\n";
         let frame = render("127.0.0.1:0", status, None);
         let linger = frame.lines().find(|l| l.starts_with("linger")).unwrap();
         assert!(linger.contains('7') && linger.contains('3'), "{frame}");
         let sys = frame.lines().find(|l| l.starts_with("sysios")).unwrap();
         assert!(
-            sys.contains("120") && sys.contains("80") && sys.contains("40"),
+            ["120", "80", "40", "15"].iter().all(|n| sys.contains(n)),
             "{frame}"
         );
     }

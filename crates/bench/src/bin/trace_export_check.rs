@@ -2,10 +2,11 @@
 //! pair, push a pipelined request burst through the relay, then fetch
 //! `GET /debug/trace.json` over plain HTTP — exactly as Perfetto's
 //! "open trace" dialog would — and validate the payload against the
-//! Chrome trace-event schema: well-formed JSON, every `B` paired with a
+//! Chrome trace-event schema ([`check_trace_events`], over the tree the
+//! one JSON reader parses): well-formed JSON, every `B` paired with a
 //! same-name `E` on its lane at a non-earlier timestamp, begin events
-//! monotonically timestamped per lane, and the relay and backend lanes
-//! correlated into one process.
+//! monotonically timestamped per lane — and, here, the relay and backend
+//! lanes correlated into one process.
 //!
 //! Exits non-zero (panics) on any violation; prints a one-line summary
 //! on success.
@@ -16,208 +17,14 @@ use std::time::{Duration, Instant};
 
 use nserver_core::cluster::{Balancing, ClusterFrontEnd, RetryPolicy};
 use nserver_core::diag::DiagHub;
+use nserver_core::json::Json;
 use nserver_core::metrics::MetricsRegistry;
 use nserver_core::options::{Mode, ServerOptions};
 use nserver_core::profiling::ServerStats;
 use nserver_core::server::ServerBuilder;
-use nserver_core::trace::{DebugTracer, SpanEvent};
+use nserver_core::trace::{check_trace_events, DebugTracer, SpanEvent};
 use nserver_core::transport::TcpListenerNb;
 use nserver_http::{cops_http_options, HttpCodec, MemStore, RoutedService, StaticFileService};
-
-/// Minimal recursive-descent JSON syntax check (the workspace carries no
-/// JSON dependency). Accepts exactly one complete value spanning the
-/// whole input; rejects trailing garbage, unterminated strings,
-/// mismatched brackets and bare tokens.
-fn json_well_formed(text: &str) -> Result<(), String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    fn skip_ws(b: &[u8], pos: &mut usize) {
-        while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-            *pos += 1;
-        }
-    }
-    fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<(), String> {
-        if depth > 64 {
-            return Err("nesting too deep".into());
-        }
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b'{') => {
-                *pos += 1;
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b'}') {
-                    *pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    skip_ws(b, pos);
-                    if b.get(*pos) != Some(&b'"') {
-                        return Err(format!("expected object key at byte {pos}"));
-                    }
-                    string(b, pos)?;
-                    skip_ws(b, pos);
-                    if b.get(*pos) != Some(&b':') {
-                        return Err(format!("expected ':' at byte {pos}"));
-                    }
-                    *pos += 1;
-                    value(b, pos, depth + 1)?;
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b'}') => {
-                            *pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'[') => {
-                *pos += 1;
-                skip_ws(b, pos);
-                if b.get(*pos) == Some(&b']') {
-                    *pos += 1;
-                    return Ok(());
-                }
-                loop {
-                    value(b, pos, depth + 1)?;
-                    skip_ws(b, pos);
-                    match b.get(*pos) {
-                        Some(b',') => *pos += 1,
-                        Some(b']') => {
-                            *pos += 1;
-                            return Ok(());
-                        }
-                        _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                    }
-                }
-            }
-            Some(b'"') => string(b, pos),
-            Some(b't') => literal(b, pos, "true"),
-            Some(b'f') => literal(b, pos, "false"),
-            Some(b'n') => literal(b, pos, "null"),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                *pos += 1;
-                while *pos < b.len()
-                    && (b[*pos].is_ascii_digit()
-                        || matches!(b[*pos], b'.' | b'e' | b'E' | b'+' | b'-'))
-                {
-                    *pos += 1;
-                }
-                Ok(())
-            }
-            _ => Err(format!("unexpected byte at {pos}")),
-        }
-    }
-    fn string(b: &[u8], pos: &mut usize) -> Result<(), String> {
-        *pos += 1; // opening quote
-        while *pos < b.len() {
-            match b[*pos] {
-                b'"' => {
-                    *pos += 1;
-                    return Ok(());
-                }
-                b'\\' => *pos += 2,
-                _ => *pos += 1,
-            }
-        }
-        Err("unterminated string".into())
-    }
-    fn literal(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
-        if b[*pos..].starts_with(lit.as_bytes()) {
-            *pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {pos}"))
-        }
-    }
-    value(bytes, &mut pos, 0)?;
-    skip_ws(bytes, &mut pos);
-    if pos == bytes.len() {
-        Ok(())
-    } else {
-        Err(format!("trailing bytes after value at {pos}"))
-    }
-}
-
-/// Pull `"key":value` out of one trace-event line (the exporter emits
-/// one event per line; values are numbers or quoted strings).
-fn field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim_matches('"').to_string())
-}
-
-/// Chrome trace-event schema checks over the exported JSON. Returns the
-/// number of complete duration pairs seen.
-fn validate_schema(json: &str) -> usize {
-    use std::collections::HashMap;
-    assert!(
-        json.contains("\"displayTimeUnit\""),
-        "missing displayTimeUnit"
-    );
-    assert!(json.contains("\"traceEvents\""), "missing traceEvents");
-    let mut open: HashMap<(u64, u64), Vec<(String, u64)>> = HashMap::new();
-    let mut last_begin: HashMap<(u64, u64), u64> = HashMap::new();
-    // pid -> thread-lane names announced by metadata events.
-    let mut lanes: HashMap<u64, Vec<String>> = HashMap::new();
-    let mut pairs = 0usize;
-    for line in json.lines() {
-        let Some(ph) = field(line, "ph") else {
-            continue;
-        };
-        let pid: u64 = field(line, "pid")
-            .and_then(|p| p.parse().ok())
-            .expect("event missing numeric pid");
-        if ph == "M" {
-            if field(line, "name").as_deref() == Some("thread_name") {
-                // The lane label sits in args: {"name":"..."} — the last
-                // "name" occurrence on the line.
-                if let Some(at) = line.rfind("\"name\":\"") {
-                    let rest = &line[at + 8..];
-                    if let Some(end) = rest.find('"') {
-                        lanes.entry(pid).or_default().push(rest[..end].to_string());
-                    }
-                }
-            }
-            continue;
-        }
-        if ph != "B" && ph != "E" {
-            continue;
-        }
-        let tid: u64 = field(line, "tid").unwrap().parse().unwrap();
-        let ts: u64 = field(line, "ts").unwrap().parse().unwrap();
-        let name = field(line, "name").unwrap();
-        let stack = open.entry((pid, tid)).or_default();
-        if ph == "B" {
-            let prev = last_begin.entry((pid, tid)).or_insert(0);
-            assert!(*prev <= ts, "lane timestamps regressed: {line}");
-            *prev = ts;
-            stack.push((name, ts));
-        } else {
-            let (bname, bts) = stack.pop().unwrap_or_else(|| panic!("E without B: {line}"));
-            assert_eq!(bname, name, "mismatched B/E pair: {line}");
-            assert!(ts >= bts, "negative duration: {line}");
-            pairs += 1;
-        }
-    }
-    for ((pid, tid), stack) in open {
-        assert!(stack.is_empty(), "unclosed B events on pid {pid} tid {tid}");
-    }
-    // Cross-tier correlation: some process carries both a relay lane and
-    // a backend server lane.
-    let merged = lanes.values().any(|names| {
-        names.iter().any(|n| n.starts_with("relay conn"))
-            && names.iter().any(|n| n.starts_with("server conn"))
-    });
-    assert!(
-        merged,
-        "no process carries both relay and server lanes: {lanes:?}"
-    );
-    pairs
-}
 
 fn wait_for_close(tracer: &DebugTracer, what: &str) {
     let deadline = Instant::now() + Duration::from_secs(5);
@@ -298,9 +105,22 @@ fn main() {
     wait_for_close(server.tracer(), "backend connection");
 
     let json = http_get(server.local_label(), "/debug/trace.json");
-    json_well_formed(&json).unwrap_or_else(|e| panic!("trace.json is not valid JSON: {e}"));
-    let pairs = validate_schema(&json);
+    let doc = Json::parse(&json).unwrap_or_else(|e| panic!("trace.json is not valid JSON: {e}"));
+    let shape = check_trace_events(&doc).unwrap_or_else(|e| panic!("{e}"));
+    let pairs = shape.windows.len();
     assert!(pairs > 0, "no duration pairs in the export");
+    // Cross-tier correlation: some process carries both a relay lane and
+    // a backend server lane.
+    let on = |pid: &u64, tier: &str| {
+        let mut lanes = shape.lanes.iter();
+        lanes.any(|(p, name)| p == pid && name.starts_with(tier))
+    };
+    let mut pids = shape.pids.iter();
+    assert!(
+        pids.any(|pid| on(pid, "relay conn") && on(pid, "server conn")),
+        "no process carries both relay and server lanes: {:?}",
+        shape.lanes
+    );
 
     front.shutdown();
     server.shutdown();

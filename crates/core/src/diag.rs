@@ -15,12 +15,14 @@
 //! 2. A [`Watchdog`] thread that evaluates cheap invariants every tick:
 //!    dispatcher liveness, a worker stuck-time ceiling, queue-depth
 //!    saturation, and a sliding-window p99 SLO burn-rate.
-//! 3. A [`DiagHub`] that aggregates every observability surface the
-//!    server has (counters, histograms, trace ring, worker table, queue
-//!    gauges, cache stats, overload state) and captures them as a JSON
-//!    [`DiagSnapshot`] — into an in-memory ring of the last K snapshots
-//!    plus an optional append-only file sink — whenever the watchdog
-//!    fires or an operator asks.
+//! 3. A [`DiagHub`]: the one handle an operator surface takes. Every
+//!    subsystem feeds its one sampling function ([`DiagHub::sample`]:
+//!    counters, histograms, worker table, queue gauges, and whatever is
+//!    registered — cache stats, overload state, syscall counters), and
+//!    each surface is a projection of that [`Sample`]: Prometheus text,
+//!    FTP `STAT`, and the JSON [`DiagSnapshot`] captured — into an
+//!    in-memory ring of the last K snapshots plus an optional append-only
+//!    file sink — whenever the watchdog fires or an operator asks.
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -33,14 +35,10 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 
 use crate::event::ConnId;
-use crate::metrics::{
-    json_escape, prometheus_text_with, CacheSample, ExpositionExtras, HistogramSnapshot,
-    LatencySnapshot, MetricsRegistry, OverloadSample, Stage, WorkerGauges,
-};
-use crate::overload::OverloadController;
-use crate::profiling::{ServerStats, StatsSnapshot};
+use crate::json::Json;
+use crate::metrics::{HistogramSnapshot, LatencySnapshot, MetricsRegistry, Sample, Stage};
+use crate::profiling::{Kind, ServerStats};
 use crate::trace::{perfetto_from, DebugTracer, StageSelfTime, TraceRecord};
-use crate::transport::{SyscallCounters, SyscallSnapshot};
 
 // ---------------------------------------------------------------------------
 // Worker state table
@@ -254,18 +252,6 @@ impl WorkerStateTable {
         }
         out
     }
-
-    /// Occupancy gauges for the Prometheus exposition.
-    pub fn gauges(&self) -> WorkerGauges {
-        let mut g = WorkerGauges::default();
-        for s in self.sample() {
-            match s.activity {
-                WorkerActivity::Running { .. } => g.running += 1,
-                WorkerActivity::Idle => g.idle += 1,
-            }
-        }
-        g
-    }
 }
 
 /// The calling thread's table attachment.
@@ -375,7 +361,8 @@ pub fn stamp_idle() {
 // ---------------------------------------------------------------------------
 
 /// Everything the server knows about itself at one instant, captured when
-/// the watchdog fires or an operator asks. Serializes to JSON via
+/// the watchdog fires or an operator asks: the [`Sample`] every surface
+/// projects, plus the trace tail. Serializes to JSON via
 /// [`DiagSnapshot::to_json`].
 #[derive(Debug, Clone)]
 pub struct DiagSnapshot {
@@ -385,157 +372,100 @@ pub struct DiagSnapshot {
     pub reason: String,
     /// Microseconds since the hub was created.
     pub at_us: u64,
-    /// Counter snapshot (includes escaped-panic counts when wired).
-    pub stats: StatsSnapshot,
-    /// Latency histograms + queue gauges.
-    pub latency: LatencySnapshot,
-    /// Worker table rows.
-    pub workers: Vec<WorkerSample>,
-    /// Event queue length at capture.
-    pub queue_len: usize,
-    /// Workers parked waiting for events at capture.
-    pub queue_waiters: usize,
-    /// File-cache stats, when a provider is wired.
-    pub cache: Option<CacheSample>,
-    /// Overload controller state, when wired.
-    pub overload: Option<OverloadSample>,
-    /// Trace-ring records lost to overflow.
-    pub trace_dropped: u64,
+    /// Every number, histogram and worker row at capture.
+    pub sample: Sample,
     /// Tail of the trace ring (newest last).
     pub recent_trace: Vec<TraceRecord>,
     /// Per-stage exclusive wall time aggregated from the retained stage
     /// windows (all zero when the tracer is disabled or unwired).
     pub stage_self: [StageSelfTime; 5],
-    /// Transport-boundary syscall counters at capture, when wired.
-    pub syscalls: Option<SyscallSnapshot>,
-    /// Watchdog triggers up to and including this capture.
-    pub watchdog_triggers: u64,
 }
 
 impl DiagSnapshot {
-    /// Serialize as a single JSON object (hand-rolled; the workspace
-    /// carries no serde).
+    /// Serialize as a single JSON object on one line. The document names
+    /// groups, never numbers: each group's members are the sample's rows.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(2048);
-        out.push('{');
-        out.push_str(&format!("\"seq\":{},", self.seq));
-        out.push_str(&format!("\"reason\":\"{}\",", json_escape(&self.reason)));
-        out.push_str(&format!("\"at_us\":{},", self.at_us));
-        out.push_str("\"counters\":{");
-        let rows = self.stats.rows();
-        for (i, (name, v)) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let rows = self.sample.scalars();
+        let group = |name: &str, extra: Option<(&'static str, Json)>| {
+            let members = rows.iter().filter(|r| r.group == name && !r.key.is_empty());
+            let members = members.map(|r| match r.kind {
+                Kind::Flag => (r.key, Json::Bool(r.value != 0)),
+                _ => (r.key, Json::U64(r.value)),
+            });
+            let members: Vec<_> = members.chain(extra).collect();
+            if members.is_empty() {
+                Json::Null
+            } else {
+                Json::obj(members)
             }
-            out.push_str(&format!("\"{}\":{v}", name.replace(' ', "_")));
-        }
-        out.push_str("},\"stages\":{");
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let h = self.latency.stage(*stage);
-            out.push_str(&format!(
-                "\"{}\":{{\"count\":{},\"p50_us\":{},\"p99_us\":{}}}",
-                stage.name(),
-                h.count,
-                h.quantile_us(0.5),
-                h.quantile_us(0.99)
-            ));
-        }
-        let qw = &self.latency.queue_wait;
-        out.push_str(&format!(
-            "}},\"queue\":{{\"len\":{},\"waiters\":{},\"depth_gauge\":{},\"high_water\":{},\"wait\":{{\"count\":{},\"p50_us\":{},\"p99_us\":{}}}}},",
-            self.queue_len,
-            self.queue_waiters,
-            self.latency.queue_depth,
-            self.latency.queue_depth_high_water,
-            qw.count,
-            qw.quantile_us(0.5),
-            qw.quantile_us(0.99)
-        ));
-        out.push_str("\"workers\":[");
-        for (i, w) in self.workers.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
+        };
+        let hist = |h: &HistogramSnapshot| {
+            Json::obj([
+                ("count", h.count.into()),
+                ("p50_us", h.quantile_us(0.5).into()),
+                ("p99_us", h.quantile_us(0.99).into()),
+            ])
+        };
+        let lat = &self.sample.latency;
+        let worker = |w: &WorkerSample| {
+            let mut row = vec![
+                ("slot", Json::U64(w.slot as u64)),
+                ("role", w.role.name().into()),
+            ];
             match w.activity {
-                WorkerActivity::Idle => out.push_str(&format!(
-                    "{{\"slot\":{},\"role\":\"{}\",\"state\":\"idle\"}}",
-                    w.slot,
-                    w.role.name()
-                )),
+                WorkerActivity::Idle => row.push(("state", "idle".into())),
                 WorkerActivity::Running {
                     stage,
                     conn,
                     busy_us,
-                } => out.push_str(&format!(
-                    "{{\"slot\":{},\"role\":\"{}\",\"state\":\"running\",\"stage\":\"{}\",\"conn\":{conn},\"busy_us\":{busy_us}}}",
-                    w.slot,
-                    w.role.name(),
-                    stage.name()
-                )),
+                } => row.extend([
+                    ("state", "running".into()),
+                    ("stage", stage.name().into()),
+                    ("conn", conn.into()),
+                    ("busy_us", busy_us.into()),
+                ]),
             }
-        }
-        out.push_str("],");
-        match &self.cache {
-            Some(c) => out.push_str(&format!(
-                "\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"rejected\":{},\"coalesced_waits\":{},\"used_bytes\":{},\"capacity_bytes\":{}}},",
-                c.hits, c.misses, c.evictions, c.rejected, c.coalesced_waits, c.used_bytes, c.capacity_bytes
-            )),
-            None => out.push_str("\"cache\":null,"),
-        }
-        match &self.overload {
-            Some(o) => out.push_str(&format!(
-                "\"overload\":{{\"paused\":{},\"pauses\":{},\"resumes\":{}}},",
-                o.paused, o.pause_transitions, o.resume_transitions
-            )),
-            None => out.push_str("\"overload\":null,"),
-        }
-        out.push_str(&format!(
-            "\"trace\":{{\"dropped\":{},\"recent\":[",
-            self.trace_dropped
-        ));
-        for (i, r) in self.recent_trace.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let conn = r.conn.map_or("null".to_string(), |c| c.to_string());
-            let event = r
-                .span
-                .map_or_else(|| "record".to_string(), |s| s.name().to_string());
-            out.push_str(&format!(
-                "{{\"at_us\":{},\"conn\":{conn},\"event\":\"{event}\",\"detail\":\"{}\"}}",
-                r.at_us,
-                json_escape(&r.detail_text())
-            ));
-        }
-        out.push_str("]},\"self_time\":{");
-        for (i, stage) in Stage::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let st = &self.stage_self[i];
-            out.push_str(&format!(
-                "\"{}\":{{\"windows\":{},\"self_us\":{}}}",
-                stage.name(),
-                st.windows,
-                st.self_us
-            ));
-        }
-        out.push_str("},");
-        match &self.syscalls {
-            Some(s) => out.push_str(&format!(
-                "\"syscalls\":{{\"reads\":{},\"writes\":{},\"accepts\":{},\"polls\":{},\"wakes\":{}}},",
-                s.reads, s.writes, s.accepts, s.polls, s.wakes
-            )),
-            None => out.push_str("\"syscalls\":null,"),
-        }
-        out.push_str(&format!(
-            "\"watchdog\":{{\"triggers\":{}}}}}",
-            self.watchdog_triggers
-        ));
-        out
+            Json::obj(row)
+        };
+        let record = |r: &TraceRecord| {
+            Json::obj([
+                ("at_us", r.at_us.into()),
+                ("conn", r.conn.map_or(Json::Null, Json::U64)),
+                ("event", r.span.map_or("record", |s| s.name()).into()),
+                ("detail", r.detail_text().into()),
+            ])
+        };
+        let recent = Json::Arr(self.recent_trace.iter().map(record).collect());
+        let self_time = Stage::ALL.iter().zip(&self.stage_self).map(|(stage, st)| {
+            let st = [
+                ("windows", st.windows.into()),
+                ("self_us", st.self_us.into()),
+            ];
+            (stage.name(), Json::obj(st))
+        });
+        let workers = self.sample.workers.iter().flatten().map(worker);
+        Json::obj([
+            ("seq", self.seq.into()),
+            ("reason", self.reason.as_str().into()),
+            ("at_us", self.at_us.into()),
+            ("counters", group("counters", None)),
+            (
+                "stages",
+                Json::obj(Stage::ALL.map(|s| (s.name(), hist(lat.stage(s))))),
+            ),
+            (
+                "queue",
+                group("queue", Some(("wait", hist(&lat.queue_wait)))),
+            ),
+            ("workers", Json::Arr(workers.collect())),
+            ("cache", group("cache", None)),
+            ("overload", group("overload", None)),
+            ("trace", group("trace", Some(("recent", recent)))),
+            ("self_time", Json::obj(self_time)),
+            ("syscalls", group("syscalls", None)),
+            ("watchdog", group("watchdog", None)),
+        ])
+        .to_string()
     }
 }
 
@@ -543,30 +473,24 @@ impl DiagSnapshot {
 // Diagnostics hub
 // ---------------------------------------------------------------------------
 
-/// A closure producing current file-cache stats; the cache crate sits
-/// above `nserver-core`, so applications plug a sampler in.
-pub type CacheStatsProvider = Arc<dyn Fn() -> CacheSample + Send + Sync>;
-
 /// How many trace records a snapshot carries.
 const SNAPSHOT_TRACE_TAIL: usize = 64;
 
+/// A subsystem's part of every [`Sample`] (see [`DiagHub::register`]).
+type Feeder = Box<dyn Fn(&mut Sample) + Send + Sync>;
+
 struct HubInner {
     stats: Arc<ServerStats>,
-    metrics: Arc<MetricsRegistry>,
-    /// Handler panics that escaped workers entirely (the Event Processor
-    /// absorbs them outside the pipeline's own counter).
-    extra_panics: Mutex<Option<Arc<dyn Fn() -> u64 + Send + Sync>>>,
+    metrics: Mutex<Arc<MetricsRegistry>>,
+    /// What subsystems registered to fill in their part of a sample.
+    feeders: Mutex<Vec<Feeder>>,
     tracer: Mutex<Option<DebugTracer>>,
     /// Additional labeled trace rings from other tiers of the same
     /// process (a cluster relay, extra backends) whose timelines should
     /// appear — correlated — in this hub's Perfetto export.
     aux_tracers: Mutex<Vec<(String, DebugTracer)>>,
-    syscalls: Mutex<Option<Arc<SyscallCounters>>>,
     workers: Mutex<Option<Arc<WorkerStateTable>>>,
     queue_len: Mutex<Option<Arc<AtomicUsize>>>,
-    queue_waiters: Mutex<Option<Arc<dyn Fn() -> usize + Send + Sync>>>,
-    overload: Mutex<Option<Arc<Mutex<OverloadController>>>>,
-    cache: Mutex<Option<CacheStatsProvider>>,
     epoch: Instant,
     ring: Mutex<VecDeque<DiagSnapshot>>,
     ring_cap: AtomicUsize,
@@ -575,11 +499,12 @@ struct HubInner {
     triggers: AtomicU64,
 }
 
-/// The aggregation point for every observability surface the server has.
-/// Create one before `serve` (so HTTP routes / FTP services can hold it),
-/// hand it to the builder, and the server wires its internals in during
-/// assembly — the same injection idiom the stats and metrics registries
-/// already use.
+/// The one handle an operator surface takes, and the one place the
+/// server's numbers are sampled. Create one before `serve` (so HTTP
+/// routes / FTP services can hold it) and hand it to the builder: the
+/// server counts into the hub's registries and wires or registers its
+/// internals during assembly, so what a surface of this hub shows is
+/// what that server does. A hub serves one server.
 #[derive(Clone)]
 pub struct DiagHub {
     inner: Arc<HubInner>,
@@ -592,16 +517,12 @@ impl DiagHub {
         Self {
             inner: Arc::new(HubInner {
                 stats,
-                metrics,
-                extra_panics: Mutex::new(None),
+                metrics: Mutex::new(metrics),
+                feeders: Mutex::new(Vec::new()),
                 tracer: Mutex::new(None),
                 aux_tracers: Mutex::new(Vec::new()),
-                syscalls: Mutex::new(None),
                 workers: Mutex::new(None),
                 queue_len: Mutex::new(None),
-                queue_waiters: Mutex::new(None),
-                overload: Mutex::new(None),
-                cache: Mutex::new(None),
                 epoch: Instant::now(),
                 ring: Mutex::new(VecDeque::new()),
                 ring_cap: AtomicUsize::new(8),
@@ -612,14 +533,28 @@ impl DiagHub {
         }
     }
 
-    /// The counter registry the hub reads.
+    /// The counter registry the hub reads and its server counts into.
     pub fn stats(&self) -> &Arc<ServerStats> {
         &self.inner.stats
     }
 
-    /// The latency registry the hub reads.
-    pub fn metrics(&self) -> &Arc<MetricsRegistry> {
-        &self.inner.metrics
+    /// The latency registry the hub reads and its server records into.
+    pub fn metrics(&self) -> Arc<MetricsRegistry> {
+        Arc::clone(&self.inner.metrics.lock())
+    }
+
+    /// Read (and have the server record into) `metrics` from now on —
+    /// what `ServerBuilder::metrics` does with an injected registry.
+    pub fn wire_metrics(&self, metrics: Arc<MetricsRegistry>) {
+        *self.inner.metrics.lock() = metrics;
+    }
+
+    /// Register a feeder: a subsystem's part of every [`Sample`] taken
+    /// from now on (the file cache's stats, the overload controller's
+    /// state, the syscall counters, escaped panics). Feeders run in
+    /// registration order, at exposition time only.
+    pub fn register(&self, feeder: impl Fn(&mut Sample) + Send + Sync + 'static) {
+        self.inner.feeders.lock().push(Box::new(feeder));
     }
 
     /// Wire the trace ring.
@@ -637,16 +572,6 @@ impl DiagHub {
     /// spans correlate through the links stamped at connect time.
     pub fn add_tracer(&self, label: impl Into<String>, tracer: DebugTracer) {
         self.inner.aux_tracers.lock().push((label.into(), tracer));
-    }
-
-    /// Wire the transport-boundary syscall counters.
-    pub fn wire_syscalls(&self, counters: Arc<SyscallCounters>) {
-        *self.inner.syscalls.lock() = Some(counters);
-    }
-
-    /// Current syscall counters, when wired.
-    pub fn syscalls(&self) -> Option<SyscallSnapshot> {
-        self.inner.syscalls.lock().as_ref().map(|c| c.snapshot())
     }
 
     /// Export every wired trace ring — the server's own plus any tiers
@@ -675,27 +600,15 @@ impl DiagHub {
         self.inner.workers.lock().clone()
     }
 
-    /// Wire the event-queue gauges: the shared length gauge plus a
-    /// parked-waiter count provider.
-    pub fn wire_queue(&self, len: Arc<AtomicUsize>, waiters: Arc<dyn Fn() -> usize + Send + Sync>) {
+    /// Wire the event queue's shared length gauge (the watchdog's
+    /// saturation check reads it every tick).
+    pub fn wire_queue(&self, len: Arc<AtomicUsize>) {
         *self.inner.queue_len.lock() = Some(len);
-        *self.inner.queue_waiters.lock() = Some(waiters);
     }
 
-    /// Wire the overload controller.
-    pub fn wire_overload(&self, ctl: Arc<Mutex<OverloadController>>) {
-        *self.inner.overload.lock() = Some(ctl);
-    }
-
-    /// Wire a supplement for handler panics that escaped the pipeline
-    /// (the Event Processor's own catch).
-    pub fn wire_extra_panics(&self, f: Arc<dyn Fn() -> u64 + Send + Sync>) {
-        *self.inner.extra_panics.lock() = Some(f);
-    }
-
-    /// Plug in a file-cache stats provider (applications own the cache).
-    pub fn set_cache_provider(&self, f: CacheStatsProvider) {
-        *self.inner.cache.lock() = Some(f);
+    fn queue_len(&self) -> usize {
+        let gauge = self.inner.queue_len.lock();
+        gauge.as_ref().map_or(0, |g| g.load(Ordering::Relaxed))
     }
 
     /// Keep the last `k` snapshots in memory (default 8).
@@ -709,15 +622,6 @@ impl DiagHub {
         *self.inner.file.lock() = Some(path);
     }
 
-    /// Counter snapshot, including escaped-panic supplements.
-    pub fn stats_snapshot(&self) -> StatsSnapshot {
-        let mut snap = self.inner.stats.snapshot();
-        if let Some(f) = self.inner.extra_panics.lock().as_ref() {
-            snap.handler_panics += f();
-        }
-        snap
-    }
-
     /// Total watchdog invariant violations so far.
     pub fn watchdog_triggers(&self) -> u64 {
         self.inner.triggers.load(Ordering::Relaxed)
@@ -726,6 +630,42 @@ impl DiagHub {
     /// Snapshots captured so far (watchdog-triggered and on-demand).
     pub fn snapshots_captured(&self) -> u64 {
         self.inner.snap_seq.load(Ordering::Relaxed)
+    }
+
+    /// Sample every number the server has, once: the hub's own registries
+    /// and typed handles first, then each registered feeder. No side
+    /// effect — the queue's high-water mark is read, not decayed.
+    pub fn sample(&self) -> Sample {
+        self.sample_with(self.metrics().latency_peek())
+    }
+
+    /// [`sample`](Self::sample) for a surface that shows the queue's
+    /// high-water mark: reporting the mark decays it.
+    fn sample_shown(&self) -> Sample {
+        self.sample_with(self.metrics().latency_snapshot())
+    }
+
+    fn sample_with(&self, latency: LatencySnapshot) -> Sample {
+        let inner = &self.inner;
+        let mut sample = Sample {
+            stats: inner.stats.snapshot(),
+            latency,
+            queue_len: self.queue_len() as u64,
+            trace_dropped: inner.tracer.lock().as_ref().map_or(0, |t| t.dropped()),
+            workers: inner.workers.lock().as_ref().map(|t| t.sample()),
+            watchdog_triggers: self.watchdog_triggers(),
+            snapshots: self.snapshots_captured(),
+            ..Sample::default()
+        };
+        for feed in inner.feeders.lock().iter() {
+            feed(&mut sample);
+        }
+        sample
+    }
+
+    /// Full Prometheus exposition (what `/server-status` serves).
+    pub fn prometheus(&self) -> String {
+        self.sample_shown().prometheus()
     }
 
     /// Record a watchdog trigger and capture a snapshot for it.
@@ -738,44 +678,17 @@ impl DiagHub {
     /// set), and return it.
     pub fn capture(&self, reason: &str) -> DiagSnapshot {
         let seq = self.inner.snap_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let (trace_dropped, recent_trace, stage_self) = match self.inner.tracer.lock().as_ref() {
-            Some(t) => (t.dropped(), t.dump_tail(SNAPSHOT_TRACE_TAIL), t.self_time()),
-            None => (0, Vec::new(), Default::default()),
+        let (recent_trace, stage_self) = match self.inner.tracer.lock().as_ref() {
+            Some(t) => (t.dump_tail(SNAPSHOT_TRACE_TAIL), t.self_time()),
+            None => Default::default(),
         };
         let snap = DiagSnapshot {
             seq,
             reason: reason.to_string(),
             at_us: self.inner.epoch.elapsed().as_micros() as u64,
-            stats: self.stats_snapshot(),
-            latency: self.inner.metrics.latency_snapshot(),
-            workers: self
-                .inner
-                .workers
-                .lock()
-                .as_ref()
-                .map(|t| t.sample())
-                .unwrap_or_default(),
-            queue_len: self
-                .inner
-                .queue_len
-                .lock()
-                .as_ref()
-                .map_or(0, |g| g.load(Ordering::Relaxed)),
-            queue_waiters: self.inner.queue_waiters.lock().as_ref().map_or(0, |f| f()),
-            cache: self.inner.cache.lock().as_ref().map(|f| f()),
-            overload: self.inner.overload.lock().as_ref().map(|ctl| {
-                let ctl = ctl.lock();
-                OverloadSample {
-                    paused: ctl.is_paused(),
-                    pause_transitions: ctl.pause_transitions(),
-                    resume_transitions: ctl.resume_transitions(),
-                }
-            }),
-            trace_dropped,
+            sample: self.sample_shown(),
             recent_trace,
             stage_self,
-            syscalls: self.syscalls(),
-            watchdog_triggers: self.inner.triggers.load(Ordering::Relaxed),
         };
         let mut ring = self.inner.ring.lock();
         let cap = self.inner.ring_cap.load(Ordering::Relaxed);
@@ -805,36 +718,6 @@ impl DiagHub {
     /// All retained snapshots, oldest first.
     pub fn ring(&self) -> Vec<DiagSnapshot> {
         self.inner.ring.lock().iter().cloned().collect()
-    }
-
-    /// The optional exposition families the hub can fill today.
-    pub fn extras(&self) -> ExpositionExtras {
-        ExpositionExtras {
-            cache: self.inner.cache.lock().as_ref().map(|f| f()),
-            overload: self.inner.overload.lock().as_ref().map(|ctl| {
-                let ctl = ctl.lock();
-                OverloadSample {
-                    paused: ctl.is_paused(),
-                    pause_transitions: ctl.pause_transitions(),
-                    resume_transitions: ctl.resume_transitions(),
-                }
-            }),
-            trace_dropped: self.inner.tracer.lock().as_ref().map_or(0, |t| t.dropped()),
-            workers: self.inner.workers.lock().as_ref().map(|t| t.gauges()),
-            watchdog_triggers: Some(self.watchdog_triggers()),
-            snapshots_captured: Some(self.snapshots_captured()),
-            syscalls: self.syscalls(),
-        }
-    }
-
-    /// Full Prometheus exposition: core counters + histograms + every
-    /// optional family the hub has wired.
-    pub fn prometheus(&self) -> String {
-        prometheus_text_with(
-            &self.stats_snapshot(),
-            &self.inner.metrics.latency_snapshot(),
-            &self.extras(),
-        )
     }
 }
 
@@ -974,7 +857,8 @@ fn watchdog_loop(
 ) {
     let mut tick_no: u64 = 0;
     let mut last_fired = [u64::MAX; INV_COUNT]; // MAX = never fired
-    let mut last_wakeups = hub.stats_snapshot().dispatcher_wakeups;
+    let read_wakeups = || hub.stats().dispatcher_wakeups.load(Ordering::Relaxed);
+    let mut last_wakeups = read_wakeups();
     let mut pinged = false;
     let mut liveness_misses: u32 = 0;
     let mut saturated_ticks: u32 = 0;
@@ -1006,7 +890,7 @@ fn watchdog_loop(
 
         // 1. Dispatcher liveness: judge only the response to our ping.
         if let Some(ping) = &ping {
-            let wakeups = hub.stats_snapshot().dispatcher_wakeups;
+            let wakeups = read_wakeups();
             if wakeups != last_wakeups {
                 last_wakeups = wakeups;
                 liveness_misses = 0;
@@ -1063,12 +947,7 @@ fn watchdog_loop(
 
         // 3. Queue-depth saturation vs the configured watermark.
         if let Some(threshold) = cfg.queue_saturation {
-            let len = hub
-                .inner
-                .queue_len
-                .lock()
-                .as_ref()
-                .map_or(0, |g| g.load(Ordering::Relaxed));
+            let len = hub.queue_len();
             if len >= threshold {
                 saturated_ticks += 1;
                 if saturated_ticks >= cfg.saturation_ticks {
@@ -1087,9 +966,11 @@ fn watchdog_loop(
             }
         }
 
-        // 4. Sliding-window p99 SLO burn-rate.
+        // 4. Sliding-window p99 SLO burn-rate, over the one stage it
+        // judges (a whole latency snapshot would decay the queue's
+        // high-water mark, which the watchdog does not report).
         if let Some(slo_us) = cfg.p99_slo_us {
-            let now = *hub.metrics().latency_snapshot().stage(cfg.slo_stage);
+            let now = hub.metrics().stage(cfg.slo_stage);
             slo_window.push_back(now);
             while slo_window.len() > cfg.slo_window_ticks.max(2) as usize {
                 slo_window.pop_front();
@@ -1210,12 +1091,19 @@ mod tests {
     fn gauges_count_running_and_idle() {
         let table = WorkerStateTable::new(4);
         assert!(attach_worker(&table, WorkerRole::Dispatcher));
+        let gauges = || {
+            let sample = Sample {
+                workers: Some(table.sample()),
+                ..Sample::default()
+            };
+            let rows = sample.scalars();
+            let of = |family| rows.iter().find(|r| r.family == family).unwrap().value;
+            (of("nserver_workers_running"), of("nserver_workers_idle"))
+        };
         stamp_stage(Stage::Encode, 1);
-        let g = table.gauges();
-        assert_eq!((g.running, g.idle), (1, 0));
+        assert_eq!(gauges(), (1, 0));
         stamp_idle();
-        let g = table.gauges();
-        assert_eq!((g.running, g.idle), (0, 1));
+        assert_eq!(gauges(), (0, 1));
         detach_worker();
     }
 
@@ -1263,19 +1151,13 @@ mod tests {
         let snap = hub.capture("on_demand");
         assert_eq!(snap.seq, 1);
         assert_eq!(snap.reason, "on_demand");
-        let json = snap.to_json();
-        for key in [
-            "\"counters\"",
-            "\"stages\"",
-            "\"queue\"",
-            "\"workers\"",
-            "\"cache\":null",
-            "\"overload\":null",
-            "\"trace\"",
-            "\"watchdog\"",
-        ] {
-            assert!(json.contains(key), "missing {key} in {json}");
+        let json = Json::parse(&snap.to_json()).expect("well-formed");
+        for key in ["counters", "stages", "queue", "trace", "watchdog"] {
+            assert!(matches!(json[key], Json::Obj(_)), "missing {key} in {json}");
         }
+        assert_eq!(json["workers"], Json::Arr(vec![]));
+        assert_eq!(json["cache"], Json::Null);
+        assert_eq!(json["overload"], Json::Null);
         assert_eq!(hub.latest().expect("stored").seq, 1);
     }
 
@@ -1350,7 +1232,7 @@ mod tests {
     fn watchdog_saturation_fires_after_sustained_backlog() {
         let hub = test_hub();
         let gauge = Arc::new(AtomicUsize::new(100));
-        hub.wire_queue(Arc::clone(&gauge), Arc::new(|| 0));
+        hub.wire_queue(Arc::clone(&gauge));
         let cfg = WatchdogConfig {
             tick: Duration::from_millis(1),
             queue_saturation: Some(10),
@@ -1398,15 +1280,38 @@ mod tests {
         let hub = test_hub();
         let table = WorkerStateTable::new(2);
         hub.wire_workers(table);
-        hub.set_cache_provider(Arc::new(|| CacheSample {
-            hits: 5,
-            misses: 2,
-            ..CacheSample::default()
-        }));
+        hub.register(|s| {
+            s.cache = Some(crate::metrics::CacheSample {
+                hits: 5,
+                misses: 2,
+                ..Default::default()
+            })
+        });
         let text = hub.prometheus();
         assert!(text.contains("nserver_cache_hits 5"));
         assert!(text.contains("nserver_workers_idle"));
         assert!(text.contains("nserver_watchdog_triggers 0"));
         assert!(text.contains("nserver_trace_dropped_spans 0"));
+    }
+    /// The watchdog's SLO check reads the one stage it judges: sixty
+    /// ticks of it leave the queue's high-water mark — which it does not
+    /// report — for the first surface that does.
+    #[test]
+    fn watchdog_slo_check_does_not_erode_the_high_water_mark() {
+        let hub = test_hub();
+        hub.metrics().observe_queue_depth(100);
+        hub.metrics().observe_queue_depth(0);
+        let cfg = WatchdogConfig {
+            tick: Duration::from_millis(1),
+            p99_slo_us: Some(1_000),
+            ..WatchdogConfig::default()
+        };
+        let mut wd = Watchdog::spawn(cfg, hub.clone(), None);
+        std::thread::sleep(Duration::from_millis(60));
+        wd.stop();
+        assert_eq!(hub.sample().latency.queue_depth_high_water, 100);
+        let shown = hub.capture("first surface to show the mark");
+        assert_eq!(shown.sample.latency.queue_depth_high_water, 100);
+        assert_eq!(hub.sample().latency.queue_depth_high_water, 75);
     }
 }

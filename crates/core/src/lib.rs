@@ -70,6 +70,7 @@ pub mod cluster;
 pub mod diag;
 pub mod event;
 pub mod fault;
+pub mod json;
 pub mod layer;
 pub mod metrics;
 pub mod options;
@@ -97,8 +98,8 @@ pub mod prelude {
     pub use crate::event::{CompletionToken, ConnId, Priority};
     pub use crate::fault::{FaultPlan, FaultProfile};
     pub use crate::metrics::{
-        prometheus_text, prometheus_text_with, trace_jsonl, CacheSample, ExpositionExtras,
-        HistogramSnapshot, LatencySnapshot, MetricsRegistry, OverloadSample, Stage,
+        CacheSample, HistogramSnapshot, LatencySnapshot, MetricsRegistry, OverloadSample, Sample,
+        Stage,
     };
     pub use crate::options::{
         CompletionMode, DispatcherThreads, EventScheduling, FileCacheOption, Mode, OverloadControl,

@@ -15,18 +15,18 @@
 //! measurable. The internal `samples` counter pins that property in
 //! tests: a disabled registry must report zero samples after any run.
 //!
-//! Exposition is hand-rolled (the workspace carries no serde):
-//! [`prometheus_text`] renders counters + histograms in the Prometheus
-//! text format, [`trace_jsonl`] renders a [`DebugTracer`] dump as one
-//! JSON object per line.
-//!
-//! [`DebugTracer`]: crate::trace::DebugTracer
+//! Exposition works on a [`Sample`]: everything the server counts, read
+//! once by [`crate::diag::DiagHub::sample`]. [`Sample::scalars`] is the
+//! one ordered list of its numbers; the Prometheus text
+//! ([`crate::diag::DiagHub::prometheus`]), the snapshot JSON, FTP `STAT`
+//! and the profiling report are projections of those rows.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::profiling::StatsSnapshot;
-use crate::trace::TraceRecord;
+use crate::diag::{WorkerActivity, WorkerSample};
+use crate::profiling::{sample, Kind, Scalar, StatsSnapshot};
+use crate::transport::SyscallSnapshot;
 
 /// Bucket index of a microsecond value: bucket `i` covers
 /// `[2^i, 2^(i+1))` with the first bucket absorbing 0 and 1.
@@ -84,14 +84,9 @@ impl Stage {
         }
     }
 
-    fn index(&self) -> usize {
-        match self {
-            Stage::AcceptToHeader => 0,
-            Stage::Decode => 1,
-            Stage::Handle => 2,
-            Stage::Encode => 3,
-            Stage::WriteDrain => 4,
-        }
+    /// Position in [`Stage::ALL`], which lists the variants as declared.
+    pub(crate) fn index(&self) -> usize {
+        *self as usize
     }
 }
 
@@ -242,7 +237,14 @@ impl Gauge {
         self.current.load(Ordering::Relaxed)
     }
 
-    /// Report the high-water mark and decay it toward the current value.
+    /// The high-water mark, left as it is: for a reader that does not
+    /// show it.
+    pub fn high_water(&self) -> u64 {
+        self.high_water.load(Ordering::Relaxed)
+    }
+
+    /// Report the high-water mark and decay it toward the current value:
+    /// for a surface that shows it.
     pub fn high_water_decaying(&self) -> u64 {
         let cur = self.current.load(Ordering::Relaxed);
         let high = self.high_water.load(Ordering::Relaxed);
@@ -265,10 +267,9 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An enabled registry (O11 = Yes).
-    pub fn enabled() -> Arc<Self> {
+    fn new(enabled: bool) -> Arc<Self> {
         Arc::new(Self {
-            enabled: true,
+            enabled,
             stages: Default::default(),
             samples: AtomicU64::new(0),
             queue_depth: Gauge::default(),
@@ -276,15 +277,14 @@ impl MetricsRegistry {
         })
     }
 
+    /// An enabled registry (O11 = Yes).
+    pub fn enabled() -> Arc<Self> {
+        Self::new(true)
+    }
+
     /// A disabled registry: the profiling-off fast path (O11 = No).
     pub fn disabled() -> Arc<Self> {
-        Arc::new(Self {
-            enabled: false,
-            stages: Default::default(),
-            samples: AtomicU64::new(0),
-            queue_depth: Gauge::default(),
-            queue_wait: Histogram::new(),
-        })
+        Self::new(false)
     }
 
     /// Whether recording is active.
@@ -331,19 +331,22 @@ impl MetricsRegistry {
         self.stages[stage.index()].snapshot()
     }
 
-    /// Snapshot every stage plus the queue gauge (decaying the high-water
-    /// mark as a side effect).
+    /// Snapshot every stage plus the queue gauge, decaying the high-water
+    /// mark as a side effect — for a surface that shows the mark.
     pub fn latency_snapshot(&self) -> LatencySnapshot {
         LatencySnapshot {
-            stages: [
-                self.stages[0].snapshot(),
-                self.stages[1].snapshot(),
-                self.stages[2].snapshot(),
-                self.stages[3].snapshot(),
-                self.stages[4].snapshot(),
-            ],
-            queue_depth: self.queue_depth.current(),
             queue_depth_high_water: self.queue_depth.high_water_decaying(),
+            ..self.latency_peek()
+        }
+    }
+
+    /// [`latency_snapshot`](Self::latency_snapshot) with no side effect:
+    /// a reader that does not show the mark must not erode it.
+    pub fn latency_peek(&self) -> LatencySnapshot {
+        LatencySnapshot {
+            stages: std::array::from_fn(|i| self.stages[i].snapshot()),
+            queue_depth: self.queue_depth.current(),
+            queue_depth_high_water: self.queue_depth.high_water(),
             queue_wait: self.queue_wait.snapshot(),
         }
     }
@@ -374,59 +377,149 @@ impl LatencySnapshot {
     }
 }
 
-/// File-cache statistics as the exposition layer sees them. The cache
-/// itself lives in `nserver-cache` (which depends on this crate), so the
-/// application plugs a sampled copy in rather than the cache handle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[allow(missing_docs)]
-pub struct CacheSample {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-    pub rejected: u64,
-    pub coalesced_waits: u64,
-    pub used_bytes: u64,
-    pub capacity_bytes: u64,
+sample! {
+    /// File-cache statistics (O6) as the exposition layer sees them. The
+    /// cache is the application's, so it feeds a sampled copy in
+    /// ([`crate::diag::DiagHub::register`]) rather than the cache handle.
+    #[allow(missing_docs)]
+    CacheSample in "cache" as "nserver_cache_";
+    hits: u64 = "hits", Counter, "File-cache hits.";
+    misses: u64 = "misses", Counter, "File-cache misses.";
+    evictions: u64 = "evictions", Counter, "File-cache evictions.";
+    rejected: u64 = "rejected", Counter, "Oversized inserts the file cache refused.";
+    coalesced_waits: u64 = "coalesced_waits", Counter,
+        "Cache misses served by waiting on another loader (single-flight).";
+    used_bytes: u64 = "used_bytes", Gauge, "Bytes currently cached.";
+    capacity_bytes: u64 = "capacity_bytes", Gauge, "Configured cache capacity in bytes.";
 }
 
-/// Overload-controller state for exposition: the paused flag plus the
-/// shed/pause/resume transition counters (O9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[allow(missing_docs)]
-pub struct OverloadSample {
-    pub paused: bool,
-    pub pause_transitions: u64,
-    pub resume_transitions: u64,
+sample! {
+    /// Overload-controller state (O9): the paused flag plus the
+    /// pause/resume transition counters.
+    #[allow(missing_docs)]
+    OverloadSample in "overload" as "nserver_overload_";
+    paused: bool = "paused", Flag, "1 while the overload controller is shedding accepts.";
+    pauses: u64 = "pauses", Counter,
+        "Transitions into the shedding state (high watermark crossed).";
+    resumes: u64 = "resumes", Counter, "Transitions back to accepting (low watermark crossed).";
 }
 
-/// Worker-pool occupancy gauges sampled from the diagnostics worker
-/// table ([`crate::diag::WorkerStateTable`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[allow(missing_docs)]
-pub struct WorkerGauges {
-    pub running: u64,
-    pub idle: u64,
-}
-
-/// Optional metric families beyond the core counters + stage histograms.
-/// [`prometheus_text`] renders none of them; the diagnostics hub
-/// ([`crate::diag::DiagHub`]) fills in what the server actually has.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ExpositionExtras {
-    /// File-cache statistics (O6), when a cache is attached.
-    pub cache: Option<CacheSample>,
-    /// Overload controller state (O9), when overload control is on.
-    pub overload: Option<OverloadSample>,
-    /// Trace-ring records evicted so far (O10 ring overflow).
+/// Everything the server counts, at one instant: the one sample every
+/// operator surface projects. [`crate::diag::DiagHub::sample`] takes it;
+/// the optional groups are `None` until the subsystem that owns them is
+/// wired or registered.
+#[derive(Debug, Clone, Default)]
+pub struct Sample {
+    /// Core counters (escaped handler panics included, when fed).
+    pub stats: StatsSnapshot,
+    /// Latency histograms + queue-depth gauges.
+    pub latency: LatencySnapshot,
+    /// Event queue length.
+    pub queue_len: u64,
+    /// Workers parked waiting for events.
+    pub queue_waiters: u64,
+    /// Trace-ring records lost to overflow (O10).
     pub trace_dropped: u64,
-    /// Worker-table occupancy, when a worker table is wired.
-    pub workers: Option<WorkerGauges>,
-    /// Watchdog trigger count, when a watchdog is running.
-    pub watchdog_triggers: Option<u64>,
-    /// Diagnostic snapshots captured (watchdog + on-demand).
-    pub snapshots_captured: Option<u64>,
-    /// Transport-boundary syscall counters, when wired.
-    pub syscalls: Option<crate::transport::SyscallSnapshot>,
+    /// File-cache stats, when a cache feeds them.
+    pub cache: Option<CacheSample>,
+    /// Overload controller state, when one feeds it.
+    pub overload: Option<OverloadSample>,
+    /// Worker table rows, when a table is wired.
+    pub workers: Option<Vec<WorkerSample>>,
+    /// Watchdog invariant violations so far.
+    pub watchdog_triggers: u64,
+    /// Diagnostic snapshots captured so far.
+    pub snapshots: u64,
+    /// Transport-boundary syscall counters, when fed.
+    pub syscalls: Option<SyscallSnapshot>,
+}
+
+impl Sample {
+    /// Every counter, gauge and flag of the sample as one list, in
+    /// exposition order. The numbers the hub itself owns are declared
+    /// here, one row each; the rest come from their tables.
+    pub fn scalars(&self) -> Vec<Scalar> {
+        use Kind::{Counter, Gauge};
+        let own = |group, key, family, kind, help, value| Scalar {
+            group,
+            key,
+            family,
+            kind,
+            help,
+            value,
+        };
+        let lat = &self.latency;
+        let mut rows: Vec<Scalar> = self.stats.scalars().collect();
+        #[rustfmt::skip]
+        rows.extend([
+            own("queue", "len", "", Gauge, "", self.queue_len),
+            own("queue", "waiters", "", Gauge, "", self.queue_waiters),
+            own("queue", "depth_gauge", "nserver_queue_depth", Gauge,
+                "Event Processor queue depth.", lat.queue_depth),
+            own("queue", "high_water", "nserver_queue_depth_high_water", Gauge,
+                "Decaying high-water mark of the queue depth.", lat.queue_depth_high_water),
+            own("trace", "dropped", "nserver_trace_dropped_spans", Counter,
+                "Trace-ring records evicted by overflow (lossy trace windows).",
+                self.trace_dropped),
+        ]);
+        rows.extend(self.cache.iter().flat_map(CacheSample::scalars));
+        rows.extend(self.overload.iter().flat_map(OverloadSample::scalars));
+        if let Some(workers) = &self.workers {
+            let idle = |w: &&WorkerSample| w.activity == WorkerActivity::Idle;
+            let idle = workers.iter().filter(idle).count() as u64;
+            #[rustfmt::skip]
+            rows.extend([
+                own("workers", "", "nserver_workers_running", Gauge,
+                    "Worker-table slots currently executing a stage.", workers.len() as u64 - idle),
+                own("workers", "", "nserver_workers_idle", Gauge,
+                    "Worker-table slots currently idle.", idle),
+            ]);
+        }
+        #[rustfmt::skip]
+        rows.extend([
+            own("watchdog", "triggers", "nserver_watchdog_triggers", Counter,
+                "Watchdog invariant violations detected.", self.watchdog_triggers),
+            own("watchdog", "", "nserver_diag_snapshots", Counter,
+                "Diagnostic snapshots captured (watchdog-triggered and on-demand).",
+                self.snapshots),
+        ]);
+        rows.extend(self.syscalls.iter().flat_map(SyscallSnapshot::scalars));
+        rows
+    }
+
+    /// The sample in the Prometheus text exposition format — what
+    /// [`DiagHub::prometheus`](crate::diag::DiagHub::prometheus) and so
+    /// `/server-status` serve: the core counters, the per-stage and
+    /// queue-wait histograms with their quantile estimates, then every
+    /// other number. Every family carries `# HELP` and `# TYPE` headers
+    /// and appears exactly once, so the output survives a strict parser.
+    pub(crate) fn prometheus(&self) -> String {
+        let mut out = String::with_capacity(8192);
+        let rows = self.scalars();
+        let (core, rest) = rows.split_at(rows.partition_point(|r| r.group == "counters"));
+        let expose = |out: &mut String, rows: &[Scalar]| {
+            for r in rows.iter().filter(|r| !r.family.is_empty()) {
+                family(out, r.family, r.kind.prometheus(), r.help);
+                out.push_str(&format!("{} {}\n", r.family, r.value));
+            }
+        };
+        expose(&mut out, core);
+        let stages = Stage::ALL.map(|stage| (Some(stage.name()), self.latency.stage(stage)));
+        histograms(
+            &mut out,
+            "nserver_stage_latency",
+            ["Per-stage pipeline latency", "Per-stage latency"],
+            &stages,
+        );
+        histograms(
+            &mut out,
+            "nserver_queue_wait",
+            ["Event Processor enqueue-to-dequeue delay", "Queue-wait"],
+            &[(None, &self.latency.queue_wait)],
+        );
+        expose(&mut out, rest);
+        out
+    }
 }
 
 /// Render one `# HELP` + `# TYPE` family header.
@@ -434,324 +527,49 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
 }
 
-/// Render counters + per-stage latency histograms in the Prometheus text
-/// exposition format (hand-rolled; the workspace carries no serde). This
-/// is what the COPS-HTTP `/server-status` route and the COPS-FTP `STAT`
-/// command serve. Servers with more to tell (cache, overload, worker
-/// table, watchdog) render through [`prometheus_text_with`].
-pub fn prometheus_text(stats: &StatsSnapshot, lat: &LatencySnapshot) -> String {
-    prometheus_text_with(stats, lat, &ExpositionExtras::default())
-}
-
-/// [`prometheus_text`] plus the optional families in `extras`. Every
-/// family carries `# HELP` and `# TYPE` headers and appears exactly once,
-/// so the output survives a strict text-format parser.
-pub fn prometheus_text_with(
-    stats: &StatsSnapshot,
-    lat: &LatencySnapshot,
-    extras: &ExpositionExtras,
-) -> String {
-    let mut out = String::with_capacity(8192);
-    for (name, v) in stats.rows() {
-        let metric = name.replace(' ', "_");
-        family(
-            &mut out,
-            &format!("nserver_{metric}"),
-            "counter",
-            &format!("Lifetime count of {name}."),
-        );
-        out.push_str(&format!("nserver_{metric} {v}\n"));
-    }
-    family(
-        &mut out,
-        "nserver_stage_latency_us",
-        "histogram",
-        "Per-stage pipeline latency in microseconds.",
-    );
-    for stage in Stage::ALL {
-        let h = lat.stage(stage);
-        let name = stage.name();
+/// Render the `{base}_us` histogram family and its `{base}_quantile_us`
+/// gauge family over `series` — one sub-series per `stage` label, or the
+/// single unlabelled one.
+fn histograms(
+    out: &mut String,
+    base: &str,
+    [what, quantiles]: [&str; 2],
+    series: &[(Option<&str>, &HistogramSnapshot)],
+) {
+    // A sub-series' label set, as a prefix of more labels and on its own.
+    let labels = |stage: &Option<&str>| match stage {
+        Some(s) => (format!("stage=\"{s}\","), format!("{{stage=\"{s}\"}}")),
+        None => (String::new(), String::new()),
+    };
+    let header = |out: &mut String, suffix: &str, kind: &str, what: &str| {
+        let help = format!("{what} in microseconds.");
+        family(out, &format!("{base}{suffix}"), kind, &help);
+    };
+    header(out, "_us", "histogram", what);
+    for (stage, h) in series {
+        let (stage, only) = labels(stage);
         let last = h.buckets.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
         let mut cum = 0u64;
         for (i, &n) in h.buckets.iter().take(last).enumerate() {
             cum += n;
-            out.push_str(&format!(
-                "nserver_stage_latency_us_bucket{{stage=\"{name}\",le=\"{}\"}} {cum}\n",
-                bucket_upper_us(i)
-            ));
+            let le = bucket_upper_us(i);
+            out.push_str(&format!("{base}_us_bucket{{{stage}le=\"{le}\"}} {cum}\n"));
         }
-        out.push_str(&format!(
-            "nserver_stage_latency_us_bucket{{stage=\"{name}\",le=\"+Inf\"}} {}\n",
-            h.count
-        ));
-        out.push_str(&format!(
-            "nserver_stage_latency_us_sum{{stage=\"{name}\"}} {}\n",
-            h.sum_us
-        ));
-        out.push_str(&format!(
-            "nserver_stage_latency_us_count{{stage=\"{name}\"}} {}\n",
-            h.count
-        ));
+        let count = h.count;
+        out.push_str(&format!("{base}_us_bucket{{{stage}le=\"+Inf\"}} {count}\n"));
+        out.push_str(&format!("{base}_us_sum{only} {}\n", h.sum_us));
+        out.push_str(&format!("{base}_us_count{only} {count}\n"));
     }
-    family(
-        &mut out,
-        "nserver_stage_latency_quantile_us",
-        "gauge",
-        "Per-stage latency quantile estimates in microseconds.",
-    );
-    for stage in Stage::ALL {
-        let h = lat.stage(stage);
-        let name = stage.name();
-        for (label, q) in [("0.5", 0.5), ("0.99", 0.99)] {
+    let quantiles = format!("{quantiles} quantile estimates");
+    header(out, "_quantile_us", "gauge", &quantiles);
+    for (stage, h) in series {
+        let stage = labels(stage).0;
+        for (q, value) in [("0.5", h.quantile_us(0.5)), ("0.99", h.quantile_us(0.99))] {
             out.push_str(&format!(
-                "nserver_stage_latency_quantile_us{{stage=\"{name}\",quantile=\"{label}\"}} {}\n",
-                h.quantile_us(q)
+                "{base}_quantile_us{{{stage}quantile=\"{q}\"}} {value}\n"
             ));
         }
     }
-    family(
-        &mut out,
-        "nserver_queue_wait_us",
-        "histogram",
-        "Event Processor enqueue-to-dequeue delay in microseconds.",
-    );
-    {
-        let h = &lat.queue_wait;
-        let last = h.buckets.iter().rposition(|&n| n > 0).map_or(0, |i| i + 1);
-        let mut cum = 0u64;
-        for (i, &n) in h.buckets.iter().take(last).enumerate() {
-            cum += n;
-            out.push_str(&format!(
-                "nserver_queue_wait_us_bucket{{le=\"{}\"}} {cum}\n",
-                bucket_upper_us(i)
-            ));
-        }
-        out.push_str(&format!(
-            "nserver_queue_wait_us_bucket{{le=\"+Inf\"}} {}\n",
-            h.count
-        ));
-        out.push_str(&format!("nserver_queue_wait_us_sum {}\n", h.sum_us));
-        out.push_str(&format!("nserver_queue_wait_us_count {}\n", h.count));
-    }
-    family(
-        &mut out,
-        "nserver_queue_wait_quantile_us",
-        "gauge",
-        "Queue-wait quantile estimates in microseconds.",
-    );
-    for (label, q) in [("0.5", 0.5), ("0.99", 0.99)] {
-        out.push_str(&format!(
-            "nserver_queue_wait_quantile_us{{quantile=\"{label}\"}} {}\n",
-            lat.queue_wait.quantile_us(q)
-        ));
-    }
-    family(
-        &mut out,
-        "nserver_queue_depth",
-        "gauge",
-        "Event Processor queue depth.",
-    );
-    out.push_str(&format!("nserver_queue_depth {}\n", lat.queue_depth));
-    family(
-        &mut out,
-        "nserver_queue_depth_high_water",
-        "gauge",
-        "Decaying high-water mark of the queue depth.",
-    );
-    out.push_str(&format!(
-        "nserver_queue_depth_high_water {}\n",
-        lat.queue_depth_high_water
-    ));
-    family(
-        &mut out,
-        "nserver_trace_dropped_spans",
-        "counter",
-        "Trace-ring records evicted by overflow (lossy trace windows).",
-    );
-    out.push_str(&format!(
-        "nserver_trace_dropped_spans {}\n",
-        extras.trace_dropped
-    ));
-    if let Some(c) = &extras.cache {
-        for (name, v, help) in [
-            ("nserver_cache_hits", c.hits, "File-cache hits."),
-            ("nserver_cache_misses", c.misses, "File-cache misses."),
-            (
-                "nserver_cache_evictions",
-                c.evictions,
-                "File-cache evictions.",
-            ),
-            (
-                "nserver_cache_rejected",
-                c.rejected,
-                "Oversized inserts the file cache refused.",
-            ),
-            (
-                "nserver_cache_coalesced_waits",
-                c.coalesced_waits,
-                "Cache misses served by waiting on another loader (single-flight).",
-            ),
-        ] {
-            family(&mut out, name, "counter", help);
-            out.push_str(&format!("{name} {v}\n"));
-        }
-        family(
-            &mut out,
-            "nserver_cache_used_bytes",
-            "gauge",
-            "Bytes currently cached.",
-        );
-        out.push_str(&format!("nserver_cache_used_bytes {}\n", c.used_bytes));
-        family(
-            &mut out,
-            "nserver_cache_capacity_bytes",
-            "gauge",
-            "Configured cache capacity in bytes.",
-        );
-        out.push_str(&format!(
-            "nserver_cache_capacity_bytes {}\n",
-            c.capacity_bytes
-        ));
-    }
-    if let Some(o) = &extras.overload {
-        family(
-            &mut out,
-            "nserver_overload_paused",
-            "gauge",
-            "1 while the overload controller is shedding accepts.",
-        );
-        out.push_str(&format!(
-            "nserver_overload_paused {}\n",
-            u64::from(o.paused)
-        ));
-        family(
-            &mut out,
-            "nserver_overload_pauses",
-            "counter",
-            "Transitions into the shedding state (high watermark crossed).",
-        );
-        out.push_str(&format!(
-            "nserver_overload_pauses {}\n",
-            o.pause_transitions
-        ));
-        family(
-            &mut out,
-            "nserver_overload_resumes",
-            "counter",
-            "Transitions back to accepting (low watermark crossed).",
-        );
-        out.push_str(&format!(
-            "nserver_overload_resumes {}\n",
-            o.resume_transitions
-        ));
-    }
-    if let Some(w) = &extras.workers {
-        family(
-            &mut out,
-            "nserver_workers_running",
-            "gauge",
-            "Worker-table slots currently executing a stage.",
-        );
-        out.push_str(&format!("nserver_workers_running {}\n", w.running));
-        family(
-            &mut out,
-            "nserver_workers_idle",
-            "gauge",
-            "Worker-table slots currently idle.",
-        );
-        out.push_str(&format!("nserver_workers_idle {}\n", w.idle));
-    }
-    if let Some(t) = extras.watchdog_triggers {
-        family(
-            &mut out,
-            "nserver_watchdog_triggers",
-            "counter",
-            "Watchdog invariant violations detected.",
-        );
-        out.push_str(&format!("nserver_watchdog_triggers {t}\n"));
-    }
-    if let Some(s) = extras.snapshots_captured {
-        family(
-            &mut out,
-            "nserver_diag_snapshots",
-            "counter",
-            "Diagnostic snapshots captured (watchdog-triggered and on-demand).",
-        );
-        out.push_str(&format!("nserver_diag_snapshots {s}\n"));
-    }
-    if let Some(sc) = &extras.syscalls {
-        for (name, v, help) in [
-            (
-                "nserver_syscalls_reads",
-                sc.reads,
-                "read-class syscall attempts on connection sockets.",
-            ),
-            (
-                "nserver_syscalls_writes",
-                sc.writes,
-                "write-class syscall attempts on connection sockets.",
-            ),
-            (
-                "nserver_syscalls_accepts",
-                sc.accepts,
-                "accept attempts on the listener socket.",
-            ),
-            (
-                "nserver_syscalls_polls",
-                sc.polls,
-                "Readiness waits entered by dispatcher threads.",
-            ),
-            (
-                "nserver_syscalls_wakes",
-                sc.wakes,
-                "Cross-thread waker fires re-entering a dispatcher wait.",
-            ),
-        ] {
-            family(&mut out, name, "counter", help);
-            out.push_str(&format!("{name} {v}\n"));
-        }
-    }
-    out
-}
-
-/// Escape a string for embedding inside a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render a trace dump as JSONL: one object per record, span records
-/// carrying their typed event name and ACT sequence number.
-pub fn trace_jsonl(records: &[TraceRecord]) -> String {
-    let mut out = String::with_capacity(records.len() * 64);
-    for r in records {
-        out.push_str(&format!("{{\"at_us\":{},\"kind\":\"{}\"", r.at_us, r.kind));
-        if let Some(c) = r.conn {
-            out.push_str(&format!(",\"conn\":{c}"));
-        }
-        if let Some(span) = r.span {
-            out.push_str(&format!(",\"span\":\"{}\"", span.name()));
-            if let Some(seq) = span.seq() {
-                out.push_str(&format!(",\"seq\":{seq}"));
-            }
-        }
-        if !r.detail.is_empty() {
-            out.push_str(&format!(",\"detail\":\"{}\"", json_escape(&r.detail)));
-        }
-        out.push_str("}\n");
-    }
-    out
 }
 
 #[cfg(test)]
@@ -770,6 +588,13 @@ mod tests {
         assert_eq!(bucket_upper_us(1), 3);
         assert_eq!(bucket_upper_us(62), (2u64 << 62) - 1);
         assert_eq!(bucket_upper_us(63), u64::MAX);
+    }
+
+    #[test]
+    fn a_stage_indexes_its_place_in_all() {
+        for (i, stage) in Stage::ALL.iter().enumerate() {
+            assert_eq!(stage.index(), i);
+        }
     }
 
     #[test]
@@ -857,11 +682,15 @@ mod tests {
     fn prometheus_text_has_counters_and_quantiles() {
         let m = MetricsRegistry::enabled();
         m.record_stage(Stage::Decode, 5);
-        let stats = StatsSnapshot {
-            requests_decoded: 1,
+        let sample = Sample {
+            stats: StatsSnapshot {
+                requests_decoded: 1,
+                ..Default::default()
+            },
+            latency: m.latency_snapshot(),
             ..Default::default()
         };
-        let text = prometheus_text(&stats, &m.latency_snapshot());
+        let text = sample.prometheus();
         assert!(text.contains("nserver_requests_decoded 1"));
         assert!(text.contains("nserver_stage_latency_us_count{stage=\"decode\"} 1"));
         assert!(text.contains("stage=\"decode\",quantile=\"0.99\""));
@@ -870,21 +699,20 @@ mod tests {
         for stage in Stage::ALL {
             assert!(text.contains(&format!("stage=\"{}\"", stage.name())));
         }
+        // a group nobody feeds is absent, not zero
+        assert!(!text.contains("nserver_cache_") && !text.contains("nserver_syscalls_"));
     }
 
+    /// Only a surface that shows the high-water mark may decay it.
     #[test]
-    fn trace_jsonl_renders_one_object_per_record() {
-        use crate::event::EventKind;
-        use crate::trace::{DebugTracer, SpanEvent};
-        let t = DebugTracer::enabled(8);
-        t.span(SpanEvent::Decode { seq: 3 }, 7);
-        t.record(EventKind::Timer, None, "say \"hi\"");
-        let text = trace_jsonl(&t.dump());
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].contains("\"span\":\"decode\""));
-        assert!(lines[0].contains("\"seq\":3"));
-        assert!(lines[0].contains("\"conn\":7"));
-        assert!(lines[1].contains("\\\"hi\\\""));
+    fn peeking_leaves_the_high_water_mark_alone() {
+        let m = MetricsRegistry::enabled();
+        m.observe_queue_depth(100);
+        m.observe_queue_depth(0);
+        for _ in 0..10 {
+            assert_eq!(m.latency_peek().queue_depth_high_water, 100);
+        }
+        assert_eq!(m.latency_snapshot().queue_depth_high_water, 100);
+        assert_eq!(m.latency_peek().queue_depth_high_water, 75);
     }
 }

@@ -734,6 +734,15 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                 Some(conn.id),
                 "hook panic: connection abandoned",
             );
+            // End the Decode / Handle / Encode window the hook died in,
+            // so the timeline shows the stage that panicked. (The
+            // dispatcher's teardown ends the other two.)
+            for (stage, seq) in self.tracer.open_windows(conn.id) {
+                if matches!(stage, Stage::Decode | Stage::Handle | Stage::Encode) {
+                    self.tracer
+                        .span(SpanEvent::StageEnd { stage, seq }, conn.id);
+                }
+            }
             conn.abandon();
         }
         self.send_reply(&conn);

@@ -1,92 +1,196 @@
-//! Performance profiling counters (template option O11).
+//! Performance profiling counters (template option O11), and the one
+//! declaration every number the server reports goes through.
 //!
 //! The paper: "Important statistical information of the server application
 //! can be automatically gathered … the number of connections accepted, the
 //! number of bytes read, the number of bytes sent, the file cache hit
 //! rate, etc." All counters are relaxed atomics — they are observability,
 //! not synchronization.
+//!
+//! A number is described once, as a row of a `counters!` or `sample!`
+//! table: its field, doc, snapshot key, kind and help text. The table
+//! generates the struct (and, for counters, the atomic store it is copied
+//! from) and the number's [`Scalar`] row; every operator surface —
+//! Prometheus text, snapshot JSON, FTP `STAT`, [`StatsSnapshot::render`] —
+//! walks rows and formats none of them by name. A new counter is one row.
+
+/// What kind of number a [`Scalar`] is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// Only ever goes up.
+    Counter,
+    /// A level that goes both ways.
+    Gauge,
+    /// A yes/no: `true`/`false` in JSON, a 0/1 gauge in Prometheus.
+    Flag,
+}
+
+impl Kind {
+    /// The Prometheus `# TYPE` of a number of this kind.
+    pub fn prometheus(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge | Kind::Flag => "gauge",
+        }
+    }
+}
+
+/// One number as every surface sees it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Scalar {
+    /// The snapshot-JSON object the number sits in (`"counters"`, …).
+    pub group: &'static str,
+    /// Its key there; empty when the snapshot does not carry it.
+    pub key: &'static str,
+    /// Its Prometheus family; empty when the exposition does not carry it.
+    pub family: &'static str,
+    /// Counter, gauge or flag.
+    pub kind: Kind,
+    /// The family's `# HELP` text.
+    pub help: &'static str,
+    /// The value (a flag's is 0 or 1).
+    pub value: u64,
+}
+
+impl Scalar {
+    /// The key in words, as `STAT` and `render()` print it.
+    pub fn label(&self) -> String {
+        self.key.replace('_', " ")
+    }
+}
+
+/// Declares a plain sample struct, one row per number — doc, field, type,
+/// snapshot key, kind, help — under the snapshot group the numbers sit in
+/// and the prefix that turns a key into a Prometheus family.
+macro_rules! sample {
+    (
+        $(#[$meta:meta])* $Sample:ident in $group:literal as $prefix:literal;
+        $( $(#[$doc:meta])* $field:ident: $ty:ty = $key:literal, $kind:ident, $help:literal; )*
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $Sample {
+            $( $(#[$doc])* pub $field: $ty, )*
+        }
+
+        impl $Sample {
+            /// Every number of the sample as a row, in declaration order.
+            pub fn scalars(&self) -> impl Iterator<Item = $crate::profiling::Scalar> {
+                [$( $crate::profiling::Scalar {
+                    group: $group,
+                    key: $key,
+                    family: concat!($prefix, $key),
+                    kind: $crate::profiling::Kind::$kind,
+                    help: $help,
+                    value: u64::from(self.$field),
+                }, )*]
+                .into_iter()
+            }
+        }
+    };
+}
+
+/// Declares a set of lifetime counters, one row per counter — doc, field,
+/// snapshot key, help: the relaxed-atomic store the server counts into,
+/// its `sample!` snapshot and the snapshot's `since()`.
+macro_rules! counters {
+    (
+        $(#[$smeta:meta])* $Store:ident =>
+        $(#[$meta:meta])* $Snap:ident in $group:literal as $prefix:literal;
+        $( $(#[$doc:meta])* $field:ident: $key:literal, $help:literal; )*
+    ) => {
+        $(#[$smeta])*
+        #[derive(Debug, Default)]
+        pub struct $Store {
+            $( $(#[$doc])* pub $field: std::sync::atomic::AtomicU64, )*
+        }
+
+        impl $Store {
+            /// A fresh shared counter set.
+            pub fn new_shared() -> std::sync::Arc<Self> {
+                std::sync::Arc::new(Self::default())
+            }
+
+            /// Point-in-time copy of every counter.
+            pub fn snapshot(&self) -> $Snap {
+                $Snap {
+                    $( $field: self.$field.load(std::sync::atomic::Ordering::Relaxed), )*
+                }
+            }
+        }
+
+        $crate::profiling::sample! {
+            $(#[$meta])* $Snap in $group as $prefix;
+            $( $(#[$doc])* $field: u64 = $key, Counter, $help; )*
+        }
+
+        impl $Snap {
+            /// Counter deltas since an earlier snapshot.
+            pub fn since(&self, earlier: &Self) -> Self {
+                Self {
+                    $( $field: self.$field.saturating_sub(earlier.$field), )*
+                }
+            }
+        }
+    };
+}
+
+pub(crate) use {counters, sample};
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-/// Shared server statistics registry.
-#[derive(Debug, Default)]
-pub struct ServerStats {
+counters! {
+    /// Shared server statistics registry.
+    ServerStats =>
+    /// A consistent-enough point-in-time copy of the counters.
+    StatsSnapshot in "counters" as "nserver_";
     /// Connections accepted over the lifetime.
-    pub connections_accepted: AtomicU64,
+    connections_accepted: "connections_accepted", "Lifetime count of connections accepted.";
     /// Connections closed (any reason).
-    pub connections_closed: AtomicU64,
+    connections_closed: "connections_closed", "Lifetime count of connections closed.";
     /// Connections closed by the O7 idle sweep.
-    pub connections_idle_closed: AtomicU64,
+    connections_idle_closed: "idle_connections_closed",
+        "Lifetime count of idle connections closed.";
     /// Raw bytes read from peers.
-    pub bytes_read: AtomicU64,
+    bytes_read: "bytes_read", "Lifetime count of bytes read.";
     /// Raw bytes written to peers.
-    pub bytes_sent: AtomicU64,
+    bytes_sent: "bytes_sent", "Lifetime count of bytes sent.";
     /// Requests fully decoded.
-    pub requests_decoded: AtomicU64,
+    requests_decoded: "requests_decoded", "Lifetime count of requests decoded.";
     /// Responses sent.
-    pub responses_sent: AtomicU64,
+    responses_sent: "responses_sent", "Lifetime count of responses sent.";
     /// Events dispatched through the Event Processor (or inline).
-    pub events_dispatched: AtomicU64,
+    events_dispatched: "events_dispatched", "Lifetime count of events dispatched.";
     /// Times a dispatcher returned from its poller wait (readiness,
     /// waker, or timeout). An idle server barely moves this counter —
     /// that property is what distinguishes demultiplexed dispatch from
     /// the scan-and-sleep loop it replaced.
-    pub dispatcher_wakeups: AtomicU64,
+    dispatcher_wakeups: "dispatcher_wakeups", "Lifetime count of dispatcher wakeups.";
     /// Blocking operations executed via the Proactor helper pool.
-    pub blocking_ops: AtomicU64,
+    blocking_ops: "blocking_operations", "Lifetime count of blocking operations.";
     /// Accept attempts refused by the overload controller.
-    pub accepts_deferred: AtomicU64,
+    accepts_deferred: "accepts_deferred", "Lifetime count of accepts deferred.";
     /// Protocol errors that closed a connection.
-    pub protocol_errors: AtomicU64,
+    protocol_errors: "protocol_errors", "Lifetime count of protocol errors.";
     /// Connections torn down by an I/O error (peer reset, broken pipe).
-    pub connections_reset: AtomicU64,
+    connections_reset: "connections_reset", "Lifetime count of connections reset.";
     /// Connections reaped by a per-stage deadline (header-read or
     /// write-drain) — slow-loris peers and stalled readers.
-    pub connections_timed_out: AtomicU64,
+    connections_timed_out: "connections_timed_out", "Lifetime count of connections timed out.";
     /// Accept attempts that failed with an error (not overload gating).
-    pub accept_errors: AtomicU64,
+    accept_errors: "accept_errors", "Lifetime count of accept errors.";
     /// Application-hook panics caught by the framework (the request fails
     /// and its connection closes; the worker pool survives).
-    pub handler_panics: AtomicU64,
+    handler_panics: "handler_panics", "Lifetime count of handler panics.";
     /// Server-initiated closes that entered the lingering-close state:
     /// outbox drained, FIN sent, read side held open until peer FIN.
-    pub connections_lingered: AtomicU64,
+    connections_lingered: "connections_lingered", "Lifetime count of connections lingered.";
     /// Lingering closes reaped by the linger deadline instead of a peer
     /// FIN (the peer never acknowledged the close).
-    pub linger_reaped: AtomicU64,
+    linger_reaped: "linger_reaped", "Lifetime count of linger reaped.";
 }
 
 impl ServerStats {
-    /// New shared registry.
-    pub fn new_shared() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Point-in-time snapshot of every counter.
-    pub fn snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            connections_accepted: self.connections_accepted.load(Ordering::Relaxed),
-            connections_closed: self.connections_closed.load(Ordering::Relaxed),
-            connections_idle_closed: self.connections_idle_closed.load(Ordering::Relaxed),
-            bytes_read: self.bytes_read.load(Ordering::Relaxed),
-            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
-            requests_decoded: self.requests_decoded.load(Ordering::Relaxed),
-            responses_sent: self.responses_sent.load(Ordering::Relaxed),
-            events_dispatched: self.events_dispatched.load(Ordering::Relaxed),
-            dispatcher_wakeups: self.dispatcher_wakeups.load(Ordering::Relaxed),
-            blocking_ops: self.blocking_ops.load(Ordering::Relaxed),
-            accepts_deferred: self.accepts_deferred.load(Ordering::Relaxed),
-            protocol_errors: self.protocol_errors.load(Ordering::Relaxed),
-            connections_reset: self.connections_reset.load(Ordering::Relaxed),
-            connections_timed_out: self.connections_timed_out.load(Ordering::Relaxed),
-            accept_errors: self.accept_errors.load(Ordering::Relaxed),
-            handler_panics: self.handler_panics.load(Ordering::Relaxed),
-            connections_lingered: self.connections_lingered.load(Ordering::Relaxed),
-            linger_reaped: self.linger_reaped.load(Ordering::Relaxed),
-        }
-    }
-
     /// Convenience increment.
     pub fn bump(counter: &AtomicU64) {
         counter.fetch_add(1, Ordering::Relaxed);
@@ -98,30 +202,6 @@ impl ServerStats {
     }
 }
 
-/// A consistent-enough point-in-time copy of the counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-#[allow(missing_docs)]
-pub struct StatsSnapshot {
-    pub connections_accepted: u64,
-    pub connections_closed: u64,
-    pub connections_idle_closed: u64,
-    pub bytes_read: u64,
-    pub bytes_sent: u64,
-    pub requests_decoded: u64,
-    pub responses_sent: u64,
-    pub events_dispatched: u64,
-    pub dispatcher_wakeups: u64,
-    pub blocking_ops: u64,
-    pub accepts_deferred: u64,
-    pub protocol_errors: u64,
-    pub connections_reset: u64,
-    pub connections_timed_out: u64,
-    pub accept_errors: u64,
-    pub handler_panics: u64,
-    pub connections_lingered: u64,
-    pub linger_reaped: u64,
-}
-
 impl StatsSnapshot {
     /// Currently open connections implied by the counters.
     pub fn open_connections(&self) -> u64 {
@@ -129,37 +209,11 @@ impl StatsSnapshot {
             .saturating_sub(self.connections_closed)
     }
 
-    /// Every counter as a `(name, value)` row — the single enumeration
-    /// behind both [`render`](Self::render) and the Prometheus exposition
-    /// in [`crate::metrics`].
-    pub fn rows(&self) -> [(&'static str, u64); 18] {
-        [
-            ("connections accepted", self.connections_accepted),
-            ("connections closed", self.connections_closed),
-            ("idle connections closed", self.connections_idle_closed),
-            ("bytes read", self.bytes_read),
-            ("bytes sent", self.bytes_sent),
-            ("requests decoded", self.requests_decoded),
-            ("responses sent", self.responses_sent),
-            ("events dispatched", self.events_dispatched),
-            ("dispatcher wakeups", self.dispatcher_wakeups),
-            ("blocking operations", self.blocking_ops),
-            ("accepts deferred", self.accepts_deferred),
-            ("protocol errors", self.protocol_errors),
-            ("connections reset", self.connections_reset),
-            ("connections timed out", self.connections_timed_out),
-            ("accept errors", self.accept_errors),
-            ("handler panics", self.handler_panics),
-            ("connections lingered", self.connections_lingered),
-            ("linger reaped", self.linger_reaped),
-        ]
-    }
-
     /// Render as aligned `name value` lines (the profiling report).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        for (name, v) in self.rows() {
-            out.push_str(&format!("{name:<26} {v}\n"));
+        for row in self.scalars() {
+            out.push_str(&format!("{:<26} {}\n", row.label(), row.value));
         }
         out
     }
@@ -168,6 +222,7 @@ impl StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::thread;
 
     #[test]

@@ -19,7 +19,7 @@ use parking_lot::Mutex;
 
 use crate::diag::{DiagHub, DiagSnapshot, Watchdog, WatchdogConfig, WorkerStateTable};
 use crate::event::Priority;
-use crate::metrics::{prometheus_text_with, LatencySnapshot, MetricsRegistry};
+use crate::metrics::{LatencySnapshot, MetricsRegistry, OverloadSample};
 use crate::options::{
     CompletionMode, EventScheduling, Mode, OptionsError, OverloadControl, ServerOptions,
     ThreadAllocation,
@@ -42,7 +42,6 @@ pub struct ServerBuilder<C: Codec, S: Service<C>> {
     priority_policy: PriorityPolicy,
     logger: Option<AccessLogger>,
     helper_threads: usize,
-    stats: Option<Arc<ServerStats>>,
     metrics: Option<Arc<MetricsRegistry>>,
     diag: Option<DiagHub>,
     watchdog: Option<WatchdogConfig>,
@@ -59,25 +58,17 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
             priority_policy: Arc::new(|_| Priority::HIGHEST),
             logger: None,
             helper_threads: 4,
-            stats: None,
             metrics: None,
             diag: None,
             watchdog: None,
         })
     }
 
-    /// Inject a pre-made counter registry so application code created
-    /// before `serve` (a `/server-status` route, an FTP `STAT` handler)
-    /// can share the running server's counters. Defaults to a fresh
-    /// registry.
-    pub fn stats(mut self, stats: Arc<ServerStats>) -> Self {
-        self.stats = Some(stats);
-        self
-    }
-
-    /// Inject a pre-made latency-metrics registry (same sharing purpose
-    /// as [`stats`](Self::stats)). Defaults to an enabled registry when
-    /// O11 = Yes, a disabled (no-op) one otherwise.
+    /// Inject a pre-made latency-metrics registry for the server to
+    /// record into. Defaults to the diagnostics hub's registry — an
+    /// enabled one when O11 = Yes, a disabled (no-op) one otherwise. An
+    /// injected hub ([`diag`](Self::diag)) reads this registry from
+    /// `serve` on: its surfaces show what the server records.
     pub fn metrics(mut self, metrics: Arc<MetricsRegistry>) -> Self {
         self.metrics = Some(metrics);
         self
@@ -106,13 +97,13 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
     }
 
     /// Inject a pre-made diagnostics hub so application code created
-    /// before `serve` (a `/debug/snapshot` route, an FTP `SITE DUMP`
-    /// handler) can share the running server's flight recorder. `serve`
-    /// wires the tracer, worker table, queue gauges and overload
-    /// controller into it. Defaults to a fresh hub, reachable through
-    /// [`ServerHandle::diag`]. When a hub is injected and no explicit
-    /// stats/metrics registries are, the hub's registries become the
-    /// server's.
+    /// before `serve` (a `/server-status` or `/debug/snapshot` route, an
+    /// FTP `STAT` / `SITE DUMP` handler) can show the running server. The
+    /// server counts into the hub's registries, and `serve` wires the
+    /// tracer, worker table and queue gauge into it and registers the
+    /// syscall counters, overload controller and Event Processor as
+    /// feeders of its samples. Defaults to a fresh hub, reachable through
+    /// [`ServerHandle::diag`].
     pub fn diag(mut self, hub: DiagHub) -> Self {
         self.diag = Some(hub);
         self
@@ -138,31 +129,29 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
             Mode::Debug => DebugTracer::enabled(64 * 1024),
             Mode::Production => DebugTracer::disabled(),
         };
-        let stats = self
-            .stats
-            .clone()
-            .or_else(|| self.diag.as_ref().map(|d| Arc::clone(d.stats())))
-            .unwrap_or_else(ServerStats::new_shared);
-        let metrics = self
-            .metrics
-            .clone()
-            .or_else(|| self.diag.as_ref().map(|d| Arc::clone(d.metrics())))
-            .unwrap_or_else(|| {
-                if opts.profiling {
-                    MetricsRegistry::enabled()
-                } else {
-                    MetricsRegistry::disabled()
-                }
-            });
+        // The hub owns the registries: the server counts into what the
+        // hub's surfaces read, whichever of the two was injected.
+        let diag = self.diag.clone().unwrap_or_else(|| {
+            let metrics = if opts.profiling {
+                MetricsRegistry::enabled()
+            } else {
+                MetricsRegistry::disabled()
+            };
+            DiagHub::new(ServerStats::new_shared(), metrics)
+        });
+        if let Some(metrics) = &self.metrics {
+            diag.wire_metrics(Arc::clone(metrics));
+        }
+        let (stats, metrics) = (Arc::clone(diag.stats()), diag.metrics());
         let logger = if opts.logging {
             self.logger.clone()
         } else {
             None
         };
 
-        // --- Diagnostics: flight-recorder hub + worker state table. The
-        // table is sized for every thread that can hold a slot: all
-        // dispatchers plus the Event Processor's worst-case pool.
+        // --- Diagnostics: the worker state table is sized for every
+        // thread that can hold a slot: all dispatchers plus the Event
+        // Processor's worst-case pool.
         let max_workers = if opts.separate_handler_pool {
             match opts.thread_allocation {
                 ThreadAllocation::Static { threads } => threads.max(1),
@@ -171,11 +160,6 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
         } else {
             0
         };
-        let diag = self
-            .diag
-            .clone()
-            .unwrap_or_else(|| DiagHub::new(Arc::clone(&stats), Arc::clone(&metrics)));
-
         // --- Syscall accounting at the transport boundary (always on;
         // same relaxed-counter cost class as ServerStats). ---
         let syscalls = SyscallCounters::new_shared();
@@ -210,7 +194,8 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
         let worker_table = WorkerStateTable::new(n_dispatchers + max_workers + 2);
         diag.wire_tracer(tracer.clone());
         diag.wire_workers(Arc::clone(&worker_table));
-        diag.wire_syscalls(Arc::clone(&syscalls));
+        let counted = Arc::clone(&syscalls);
+        diag.register(move |s| s.syscalls = Some(counted.snapshot()));
 
         let registry: Registry = Arc::new(parking_lot::RwLock::new(Default::default()));
         let engine = Arc::new(Engine {
@@ -260,13 +245,15 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
             None
         };
         if let Some(p) = &processor {
-            let waiters_src = Arc::clone(p.queue());
-            diag.wire_queue(
-                p.queue().len_gauge(),
-                Arc::new(move || waiters_src.waiters()),
-            );
-            let panics_src = Arc::clone(p);
-            diag.wire_extra_panics(Arc::new(move || panics_src.handler_panics() as u64));
+            diag.wire_queue(p.queue().len_gauge());
+            // Handler panics are the sum of two disjoint sources: those
+            // the pipeline caught and counted, and those that escaped a
+            // worker entirely and were absorbed by the Event Processor.
+            let p = Arc::clone(p);
+            diag.register(move |s| {
+                s.queue_waiters = p.queue().waiters() as u64;
+                s.stats.handler_panics += p.handler_panics() as u64;
+            });
         }
 
         // --- Crosscut: O9 (overload controller). ---
@@ -289,7 +276,15 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
             }
         };
         let overload = Arc::new(Mutex::new(overload));
-        diag.wire_overload(Arc::clone(&overload));
+        let ctl = Arc::clone(&overload);
+        diag.register(move |s| {
+            let ctl = ctl.lock();
+            s.overload = Some(OverloadSample {
+                paused: ctl.is_paused(),
+                pauses: ctl.pause_transitions(),
+                resumes: ctl.resume_transitions(),
+            });
+        });
 
         // --- Watchdog: periodic invariant checks over the wired hub. The
         // ping closure pulls dispatchers out of their poller waits so a
@@ -402,16 +397,10 @@ pub struct ServerHandle<C: Codec, S: Service<C>> {
 }
 
 impl<C: Codec, S: Service<C>> ServerHandle<C, S> {
-    /// Profiling snapshot (O11 counters are always maintained). Handler
-    /// panics are the sum of two disjoint sources: panics the pipeline
-    /// caught around `Service::handle`, and panics that escaped a worker
-    /// entirely and were absorbed by the Event Processor loop.
+    /// Profiling snapshot (O11 counters are always maintained): the
+    /// counters of the hub's sample, escaped handler panics included.
     pub fn stats(&self) -> StatsSnapshot {
-        let mut snap = self.engine.stats.snapshot();
-        if let Some(p) = &self.processor {
-            snap.handler_panics += p.handler_panics() as u64;
-        }
-        snap
+        self.diag.sample().stats
     }
 
     /// The debug tracer (records only in O10 = Debug mode).
@@ -441,15 +430,13 @@ impl<C: Codec, S: Service<C>> ServerHandle<C, S> {
         self.engine.metrics.latency_snapshot()
     }
 
-    /// Counters + per-stage latencies in the Prometheus text exposition
-    /// format (what `/server-status` and FTP `STAT` serve), extended
-    /// with every optional family the diagnostics hub has wired.
+    /// The hub's sample in the Prometheus text exposition format (what
+    /// `/server-status` serves).
     pub fn prometheus(&self) -> String {
-        prometheus_text_with(&self.stats(), &self.latency(), &self.diag.extras())
+        self.diag.prometheus()
     }
 
-    /// The diagnostics hub: the flight recorder `serve` wired to this
-    /// server's tracer, worker table, queue gauges and overload state.
+    /// The diagnostics hub every surface of this server projects.
     pub fn diag(&self) -> &DiagHub {
         &self.diag
     }

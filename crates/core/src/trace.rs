@@ -21,6 +21,7 @@ use std::time::Instant;
 use parking_lot::Mutex;
 
 use crate::event::{ConnId, EventKind};
+use crate::json::Json;
 use crate::metrics::Stage;
 
 /// Sentinel "no ACT sequence number yet" for stage-boundary spans that
@@ -246,6 +247,24 @@ impl SpanEvent {
         }
     }
 
+    /// The stage-window edge this event is: `(opens, stage, seq)`, `seq`
+    /// being [`SEQ_NONE`] where the event carries none.
+    /// [`Accept`](SpanEvent::Accept) doubles as the `AcceptToHeader` open;
+    /// each stage's completion event closes its window.
+    fn edge(&self) -> Option<(bool, Stage, u64)> {
+        Some(match *self {
+            SpanEvent::Accept => (true, Stage::AcceptToHeader, SEQ_NONE),
+            SpanEvent::StageBegin { stage, seq } => (true, stage, seq),
+            SpanEvent::HeaderRead => (false, Stage::AcceptToHeader, SEQ_NONE),
+            SpanEvent::Decode { seq } => (false, Stage::Decode, seq),
+            SpanEvent::Handle { seq } => (false, Stage::Handle, seq),
+            SpanEvent::Encode { seq } => (false, Stage::Encode, seq),
+            SpanEvent::WriteDrain => (false, Stage::WriteDrain, SEQ_NONE),
+            SpanEvent::StageEnd { stage, seq } => (false, stage, seq),
+            _ => return None,
+        })
+    }
+
     /// The [`EventKind`] a span renders under (keeps the O10 render
     /// format identical to the free-form records it replaced).
     pub fn kind(&self) -> EventKind {
@@ -360,34 +379,28 @@ struct TraceInner {
 }
 
 impl DebugTracer {
-    /// An enabled tracer holding the most recent `capacity` records.
-    pub fn enabled(capacity: usize) -> Self {
+    fn new(enabled: bool, capacity: usize) -> Self {
         Self {
             inner: Arc::new(Mutex::new(TraceInner {
                 ring: VecDeque::with_capacity(capacity.min(4096)),
                 capacity: capacity.max(1),
             })),
             epoch: trace_epoch(),
-            enabled: true,
+            enabled,
             detail_strings: Arc::new(AtomicU64::new(0)),
             dropped: Arc::new(AtomicU64::new(0)),
             meta: Arc::new(Mutex::new(MetaInner::default())),
         }
     }
 
+    /// An enabled tracer holding the most recent `capacity` records.
+    pub fn enabled(capacity: usize) -> Self {
+        Self::new(true, capacity)
+    }
+
     /// A disabled tracer: every call is a cheap no-op (production mode).
     pub fn disabled() -> Self {
-        Self {
-            inner: Arc::new(Mutex::new(TraceInner {
-                ring: VecDeque::new(),
-                capacity: 1,
-            })),
-            epoch: trace_epoch(),
-            enabled: false,
-            detail_strings: Arc::new(AtomicU64::new(0)),
-            dropped: Arc::new(AtomicU64::new(0)),
-            meta: Arc::new(Mutex::new(MetaInner::default())),
-        }
+        Self::new(false, 0)
     }
 
     /// Whether tracing is active.
@@ -440,14 +453,10 @@ impl DebugTracer {
     /// totals and records an allocation-free [`SpanEvent::Syscalls`]
     /// delta span. No-op when disabled or when both deltas are zero.
     pub fn syscalls(&self, conn: ConnId, reads: u64, writes: u64) {
-        if !self.enabled || (reads == 0 && writes == 0) {
-            return;
+        if self.enabled && (reads != 0 || writes != 0) {
+            self.syscalls_quiet(conn, reads, writes);
+            self.span(SpanEvent::Syscalls { reads, writes }, conn);
         }
-        if let Some(meta) = self.meta.lock().map.get_mut(&conn) {
-            meta.io_reads += reads;
-            meta.io_writes += writes;
-        }
-        self.span(SpanEvent::Syscalls { reads, writes }, conn);
     }
 
     /// Attribute transport syscalls to a connection's running totals
@@ -543,6 +552,21 @@ impl DebugTracer {
             .collect()
     }
 
+    /// The stage windows `conn` still has open in the retained ring, as
+    /// `(stage, seq)` — what a hook panic leaves behind.
+    pub fn open_windows(&self, conn: ConnId) -> Vec<(Stage, u64)> {
+        let mut open: Vec<(Stage, u64)> = Vec::new();
+        for span in self.spans_for(conn) {
+            if let Some((opens, stage, seq)) = span.edge() {
+                open.retain(|(s, _)| *s != stage);
+                if opens {
+                    open.push((stage, seq));
+                }
+            }
+        }
+        open
+    }
+
     /// Copy out the retained records, oldest first.
     pub fn dump(&self) -> Vec<TraceRecord> {
         self.inner.lock().ring.iter().cloned().collect()
@@ -565,13 +589,6 @@ impl DebugTracer {
     /// Per-stage exclusive wall time aggregated over the retained ring.
     pub fn self_time(&self) -> [StageSelfTime; 5] {
         self_time_of(&self.dump())
-    }
-
-    /// This tracer's timeline as Chrome/Perfetto trace-event JSON, with
-    /// the given node label. Multi-tier assemblies use
-    /// [`perfetto_trace`] instead.
-    pub fn perfetto_json(&self, node: &str) -> String {
-        perfetto_trace(&[(node.to_string(), self.clone())])
     }
 
     /// Snapshot this tracer into an assembly input.
@@ -625,16 +642,6 @@ pub struct StageSelfTime {
     pub self_us: u64,
 }
 
-fn stage_index(stage: Stage) -> usize {
-    match stage {
-        Stage::AcceptToHeader => 0,
-        Stage::Decode => 1,
-        Stage::Handle => 2,
-        Stage::Encode => 3,
-        Stage::WriteDrain => 4,
-    }
-}
-
 /// Reconstruct closed stage windows from a record stream, oldest first.
 ///
 /// A window opens at [`SpanEvent::StageBegin`] (or [`SpanEvent::Accept`],
@@ -663,34 +670,8 @@ pub struct DataPair {
 /// Pair stage and data windows; also report which record indices were
 /// consumed as a window edge (the rest render as instants on export).
 fn assemble_windows(records: &[TraceRecord]) -> (Vec<StagePair>, Vec<DataPair>, Vec<bool>) {
-    type Pending = HashMap<(ConnId, usize), (u64, u64, usize)>;
-    fn open(pending: &mut Pending, conn: ConnId, at_us: u64, i: usize, stage: Stage, seq: u64) {
-        pending.insert((conn, stage_index(stage)), (at_us, seq, i));
-    }
-    #[allow(clippy::too_many_arguments)]
-    fn close(
-        pending: &mut Pending,
-        pairs: &mut Vec<StagePair>,
-        consumed: &mut [bool],
-        conn: ConnId,
-        at_us: u64,
-        i: usize,
-        stage: Stage,
-        seq_hint: Option<u64>,
-    ) {
-        if let Some((begin_us, begin_seq, bi)) = pending.remove(&(conn, stage_index(stage))) {
-            consumed[bi] = true;
-            consumed[i] = true;
-            pairs.push(StagePair {
-                conn,
-                stage,
-                seq: seq_hint.unwrap_or(begin_seq),
-                begin_us,
-                end_us: at_us.max(begin_us),
-            });
-        }
-    }
-    let mut pending: Pending = HashMap::new();
+    // (conn, stage) -> (opened at, seq, record index)
+    let mut pending: HashMap<(ConnId, usize), (u64, u64, usize)> = HashMap::new();
     let mut pending_data: HashMap<(ConnId, u64), (u64, usize)> = HashMap::new();
     let mut pairs = Vec::new();
     let mut data = Vec::new();
@@ -699,38 +680,27 @@ fn assemble_windows(records: &[TraceRecord]) -> (Vec<StagePair>, Vec<DataPair>, 
         let (Some(conn), Some(span)) = (r.conn, r.span) else {
             continue;
         };
-        let p = &mut pending;
-        let (pr, cs) = (&mut pairs, &mut consumed[..]);
-        match span {
-            SpanEvent::Accept => open(p, conn, r.at_us, i, Stage::AcceptToHeader, SEQ_NONE),
-            SpanEvent::StageBegin { stage, seq } => open(p, conn, r.at_us, i, stage, seq),
-            SpanEvent::HeaderRead => {
-                close(p, pr, cs, conn, r.at_us, i, Stage::AcceptToHeader, None)
+        match (span.edge(), span) {
+            (Some((true, stage, seq)), _) => {
+                pending.insert((conn, stage.index()), (r.at_us, seq, i));
             }
-            SpanEvent::Decode { seq } => {
-                close(p, pr, cs, conn, r.at_us, i, Stage::Decode, Some(seq))
+            (Some((false, stage, seq)), _) => {
+                if let Some((begin_us, begin_seq, bi)) = pending.remove(&(conn, stage.index())) {
+                    consumed[bi] = true;
+                    consumed[i] = true;
+                    pairs.push(StagePair {
+                        conn,
+                        stage,
+                        seq: if seq == SEQ_NONE { begin_seq } else { seq },
+                        begin_us,
+                        end_us: r.at_us.max(begin_us),
+                    });
+                }
             }
-            SpanEvent::Handle { seq } => {
-                close(p, pr, cs, conn, r.at_us, i, Stage::Handle, Some(seq))
-            }
-            SpanEvent::Encode { seq } => {
-                close(p, pr, cs, conn, r.at_us, i, Stage::Encode, Some(seq))
-            }
-            SpanEvent::WriteDrain => close(p, pr, cs, conn, r.at_us, i, Stage::WriteDrain, None),
-            SpanEvent::StageEnd { stage, seq } => close(
-                p,
-                pr,
-                cs,
-                conn,
-                r.at_us,
-                i,
-                stage,
-                (seq != SEQ_NONE).then_some(seq),
-            ),
-            SpanEvent::DataOpen { ordinal } => {
+            (None, SpanEvent::DataOpen { ordinal }) => {
                 pending_data.insert((conn, ordinal), (r.at_us, i));
             }
-            SpanEvent::DataClose { ordinal } => {
+            (None, SpanEvent::DataClose { ordinal }) => {
                 if let Some((begin_us, bi)) = pending_data.remove(&(conn, ordinal)) {
                     consumed[bi] = true;
                     consumed[i] = true;
@@ -781,7 +751,7 @@ pub fn self_time_of(records: &[TraceRecord]) -> [StageSelfTime; 5] {
             if let Some(top) = stack.last_mut() {
                 top.3 += p.end_us.min(top.0).saturating_sub(p.begin_us);
             }
-            stack.push((p.end_us, stage_index(p.stage), p.begin_us, 0));
+            stack.push((p.end_us, p.stage.index(), p.begin_us, 0));
         }
         while let Some(frame) = stack.pop() {
             finalize(frame, &mut agg);
@@ -802,15 +772,6 @@ pub struct TraceNode {
     pub metas: Vec<(ConnId, ConnMeta)>,
 }
 
-/// Assemble live tracers into Chrome/Perfetto trace-event JSON.
-pub fn perfetto_trace(nodes: &[(String, DebugTracer)]) -> String {
-    let snapshot: Vec<TraceNode> = nodes
-        .iter()
-        .map(|(label, t)| t.snapshot_node(label))
-        .collect();
-    perfetto_from(&snapshot)
-}
-
 /// Assemble snapshotted trace nodes into Chrome/Perfetto trace-event
 /// JSON (the `{"traceEvents":[...]}` object form, one event per line).
 ///
@@ -822,41 +783,24 @@ pub fn perfetto_trace(nodes: &[(String, DebugTracer)]) -> String {
 /// sub-lanes so overlapping windows never produce malformed nesting;
 /// point events render as instants.
 pub fn perfetto_from(nodes: &[TraceNode]) -> String {
-    // Lanes: one per (node, connection) seen in records or metadata.
-    struct Lane {
-        trace_id: u64,
-        peer: String,
-        links: Vec<String>,
-        io_reads: u64,
-        io_writes: u64,
-    }
-    let mut lanes: Vec<Lane> = Vec::new();
+    // Lanes: one per (node, connection) seen in metadata or records.
+    let mut lanes: Vec<ConnMeta> = Vec::new();
     let mut lane_of: HashMap<(usize, ConnId), usize> = HashMap::new();
     for (ni, node) in nodes.iter().enumerate() {
-        for (conn, meta) in &node.metas {
-            lane_of.entry((ni, *conn)).or_insert_with(|| {
-                lanes.push(Lane {
-                    trace_id: meta.trace_id,
-                    peer: meta.peer.clone(),
-                    links: meta.links.clone(),
-                    io_reads: meta.io_reads,
-                    io_writes: meta.io_writes,
-                });
-                lanes.len() - 1
-            });
-        }
-        for r in &node.records {
-            let Some(conn) = r.conn else { continue };
+        // No metadata (tracer used below the server layer): synthesize a
+        // stable id outside the allocator's range.
+        let unknown = |conn| ConnMeta {
+            trace_id: 1_000_000_000 + ni as u64 * 1_000_000 + conn,
+            peer: String::new(),
+            links: Vec::new(),
+            io_reads: 0,
+            io_writes: 0,
+        };
+        let known = node.metas.iter().cloned();
+        let seen = node.records.iter().filter_map(|r| r.conn);
+        for (conn, meta) in known.chain(seen.map(|conn| (conn, unknown(conn)))) {
             lane_of.entry((ni, conn)).or_insert_with(|| {
-                // No metadata (tracer used below the server layer):
-                // synthesize a stable id outside the allocator's range.
-                lanes.push(Lane {
-                    trace_id: 1_000_000_000 + ni as u64 * 1_000_000 + conn,
-                    peer: String::new(),
-                    links: Vec::new(),
-                    io_reads: 0,
-                    io_writes: 0,
-                });
+                lanes.push(meta);
                 lanes.len() - 1
             });
         }
@@ -897,60 +841,62 @@ pub fn perfetto_from(nodes: &[TraceNode]) -> String {
         *e = (*e).min(lane.trace_id);
     }
 
-    let esc = crate::metrics::json_escape;
-    let mut events: Vec<String> = Vec::new();
+    // The leading members every non-metadata event shares.
+    let event = |name: &str, cat: &str, ph: &str, ts: u64, pid: u64, tid: u64| {
+        vec![
+            ("name", Json::from(name)),
+            ("cat", cat.into()),
+            ("ph", ph.into()),
+            ("ts", ts.into()),
+            ("pid", pid.into()),
+            ("tid", tid.into()),
+        ]
+    };
+    let named = |what: &str, pid: u64, tid: u64, name: String| {
+        Json::obj([
+            ("name", Json::from(what)),
+            ("ph", "M".into()),
+            ("pid", pid.into()),
+            ("tid", tid.into()),
+            ("args", Json::obj([("name", name.into())])),
+        ])
+    };
+    let seq_args = |seq: Option<u64>| Json::obj(seq.map(|seq| ("seq", seq.into())));
+    let io_args =
+        |reads: u64, writes: u64| Json::obj([("reads", reads.into()), ("writes", writes.into())]);
+    let mut events: Vec<Json> = Vec::new();
     let mut emitted_pid_meta: HashMap<u64, ()> = HashMap::new();
     let mut next_tid: u64 = 1;
     for (ni, node) in nodes.iter().enumerate() {
         let (pairs, data_pairs, consumed) = assemble_windows(&node.records);
-        // Window tuples: (begin, end, name, cat, args-json).
-        type WindowTuple = (u64, u64, String, String, String);
+        // Window tuples: (begin, end, name, cat, args).
+        type WindowTuple = (u64, u64, &'static str, &'static str, Json);
         let mut by_conn: HashMap<ConnId, Vec<WindowTuple>> = HashMap::new();
         for p in &pairs {
-            let args = if p.seq == SEQ_NONE {
-                "{}".to_string()
-            } else {
-                format!("{{\"seq\":{}}}", p.seq)
-            };
-            by_conn.entry(p.conn).or_default().push((
-                p.begin_us,
-                p.end_us,
-                p.stage.name().to_string(),
-                "stage".to_string(),
-                args,
-            ));
+            let args = seq_args((p.seq != SEQ_NONE).then_some(p.seq));
+            let window = (p.begin_us, p.end_us, p.stage.name(), "stage", args);
+            by_conn.entry(p.conn).or_default().push(window);
         }
         for d in &data_pairs {
-            by_conn.entry(d.conn).or_default().push((
-                d.begin_us,
-                d.end_us,
-                "data_transfer".to_string(),
-                "data".to_string(),
-                format!("{{\"ordinal\":{}}}", d.ordinal),
-            ));
+            let args = Json::obj([("ordinal", d.ordinal.into())]);
+            let window = (d.begin_us, d.end_us, "data_transfer", "data", args);
+            by_conn.entry(d.conn).or_default().push(window);
         }
         // Instants: records not consumed as a window edge.
-        let mut instants: HashMap<ConnId, Vec<(u64, String, String)>> = HashMap::new();
+        let mut instants: HashMap<ConnId, Vec<(u64, String, Json)>> = HashMap::new();
         for (i, r) in node.records.iter().enumerate() {
             let Some(conn) = r.conn else { continue };
             if consumed[i] {
                 continue;
             }
             let (name, args) = match r.span {
-                Some(SpanEvent::Syscalls { reads, writes }) => (
-                    "syscalls".to_string(),
-                    format!("{{\"reads\":{reads},\"writes\":{writes}}}"),
-                ),
-                Some(span) => {
-                    let args = match span.seq() {
-                        Some(seq) => format!("{{\"seq\":{seq}}}"),
-                        None => "{}".to_string(),
-                    };
-                    (span.name().to_string(), args)
+                Some(SpanEvent::Syscalls { reads, writes }) => {
+                    ("syscalls".to_string(), io_args(reads, writes))
                 }
+                Some(span) => (span.name().to_string(), seq_args(span.seq())),
                 None => (
-                    format!("{}", r.kind),
-                    format!("{{\"detail\":\"{}\"}}", esc(&r.detail)),
+                    r.kind.to_string(),
+                    Json::obj([("detail", r.detail.as_str().into())]),
                 ),
             };
             instants
@@ -959,24 +905,15 @@ pub fn perfetto_from(nodes: &[TraceNode]) -> String {
                 .push((r.at_us, name, args));
         }
 
-        let conns: Vec<ConnId> = {
-            let mut c: Vec<ConnId> = lane_of
-                .keys()
-                .filter(|(n, _)| *n == ni)
-                .map(|(_, c)| *c)
-                .collect();
-            c.sort_unstable();
-            c
-        };
+        let here = lane_of.keys().filter(|(n, _)| *n == ni);
+        let mut conns: Vec<ConnId> = here.map(|(_, c)| *c).collect();
+        conns.sort_unstable();
         for conn in conns {
             let li = lane_of[&(ni, conn)];
             let root = find(&mut parent, li);
             let pid = group_pid[&root];
             if emitted_pid_meta.insert(pid, ()).is_none() {
-                events.push(format!(
-                    "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\
-                     \"args\":{{\"name\":\"trace {pid}\"}}}}"
-                ));
+                events.push(named("process_name", pid, 0, format!("trace {pid}")));
             }
             // Lay windows onto sub-lanes: first sub-lane whose last window
             // ended before this one begins; overlap opens a new sub-lane.
@@ -993,7 +930,7 @@ pub fn perfetto_from(nodes: &[TraceNode]) -> String {
                 }
             };
             let lane_tid =
-                |k: usize, sub_tid: &mut Vec<u64>, next_tid: &mut u64, events: &mut Vec<String>| {
+                |k: usize, sub_tid: &mut Vec<u64>, next_tid: &mut u64, events: &mut Vec<Json>| {
                     while sub_tid.len() <= k {
                         let tid = *next_tid;
                         *next_tid += 1;
@@ -1002,11 +939,7 @@ pub fn perfetto_from(nodes: &[TraceNode]) -> String {
                         } else {
                             format!("{} lane{}", lane_name, sub_tid.len())
                         };
-                        events.push(format!(
-                            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-                         \"args\":{{\"name\":\"{}\"}}}}",
-                            esc(&name)
-                        ));
+                        events.push(named("thread_name", pid, tid, name));
                         sub_tid.push(tid);
                     }
                     sub_tid[k]
@@ -1022,52 +955,98 @@ pub fn perfetto_from(nodes: &[TraceNode]) -> String {
                 };
                 sub_last_end[k] = end;
                 let tid = lane_tid(k, &mut sub_tid, &mut next_tid, &mut events);
-                events.push(format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"B\",\"ts\":{},\"pid\":{},\
-                     \"tid\":{},\"args\":{}}}",
-                    esc(&name),
-                    cat,
-                    begin,
-                    pid,
-                    tid,
-                    args
-                ));
-                events.push(format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"E\",\"ts\":{},\"pid\":{},\
-                     \"tid\":{}}}",
-                    esc(&name),
-                    cat,
-                    end,
-                    pid,
-                    tid
-                ));
+                let mut opens = event(name, cat, "B", begin, pid, tid);
+                opens.push(("args", args));
+                events.push(Json::obj(opens));
+                events.push(Json::obj(event(name, cat, "E", end, pid, tid)));
             }
+            let mut instant = |name: &str, cat: &str, ts: u64, args: Json| {
+                let mut e = event(name, cat, "i", ts, pid, base_tid);
+                e.extend([("s", "t".into()), ("args", args)]);
+                events.push(Json::obj(e));
+            };
             let mut last_ts = 0u64;
             for (ts, name, args) in instants.remove(&conn).unwrap_or_default() {
                 last_ts = last_ts.max(ts);
-                events.push(format!(
-                    "{{\"name\":\"{}\",\"cat\":\"event\",\"ph\":\"i\",\"ts\":{},\"pid\":{},\
-                     \"tid\":{},\"s\":\"t\",\"args\":{}}}",
-                    esc(&name),
-                    ts,
-                    pid,
-                    base_tid,
-                    args
-                ));
+                instant(&name, "event", ts, args);
             }
-            if lanes[li].io_reads != 0 || lanes[li].io_writes != 0 {
-                events.push(format!(
-                    "{{\"name\":\"syscalls_total\",\"cat\":\"io\",\"ph\":\"i\",\"ts\":{},\
-                     \"pid\":{},\"tid\":{},\"s\":\"t\",\"args\":{{\"reads\":{},\"writes\":{}}}}}",
-                    last_ts, pid, base_tid, lanes[li].io_reads, lanes[li].io_writes
-                ));
+            let (reads, writes) = (lanes[li].io_reads, lanes[li].io_writes);
+            if reads != 0 || writes != 0 {
+                instant("syscalls_total", "io", last_ts, io_args(reads, writes));
             }
         }
     }
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n]}\n");
-    out
+    let doc = Json::obj([
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", Json::Arr(events)),
+    ]);
+    format!("{doc:#}")
+}
+
+/// What [`check_trace_events`] saw in a well-formed export.
+#[derive(Debug, Default)]
+pub struct TraceShape {
+    /// The pid of every event, in document order.
+    pub pids: Vec<u64>,
+    /// `(pid, lane name)` of every `thread_name` metadata event.
+    pub lanes: Vec<(u64, String)>,
+    /// The name of every `B`/`E` window, in order of its `B`.
+    pub windows: Vec<String>,
+}
+
+/// Check a parsed export against the Chrome trace-event schema as
+/// [`perfetto_from`] promises it: `displayTimeUnit` and a `traceEvents`
+/// array whose events each carry `ph` and a numeric `pid`; every `B` is
+/// paired with a same-name `E` on its `(pid, tid)` lane at a non-earlier
+/// timestamp, `B` timestamps never regress on a lane, and no window is
+/// left open. The one validator the exporter's own tests, the timeline
+/// suite and the CI export check share.
+pub fn check_trace_events(doc: &Json) -> Result<TraceShape, String> {
+    if doc["displayTimeUnit"].as_str().is_none() {
+        return Err("missing displayTimeUnit".into());
+    }
+    let Json::Arr(events) = &doc["traceEvents"] else {
+        return Err("missing traceEvents array".into());
+    };
+    let mut shape = TraceShape::default();
+    // (pid, tid) -> (timestamp of the lane's last B, its open windows)
+    let mut lanes: HashMap<(u64, u64), (u64, Vec<(&str, u64)>)> = HashMap::new();
+    for e in events {
+        let lacks = |what: &str| format!("event without {what}: {e}");
+        let num = |key: &str| e[key].as_u64().ok_or_else(|| lacks(key));
+        let text = |key: &str| e[key].as_str().ok_or_else(|| lacks(key));
+        let (ph, pid) = (text("ph")?, num("pid")?);
+        shape.pids.push(pid);
+        if ph == "M" && text("name")? == "thread_name" {
+            let lane = e["args"]["name"]
+                .as_str()
+                .ok_or_else(|| lacks("a lane name"))?;
+            shape.lanes.push((pid, lane.to_string()));
+        }
+        if ph != "B" && ph != "E" {
+            continue;
+        }
+        let (tid, ts, name) = (num("tid")?, num("ts")?, text("name")?);
+        let (last_begin, open) = lanes.entry((pid, tid)).or_default();
+        if ph == "B" {
+            if ts < *last_begin {
+                return Err(format!("lane timestamps regressed: {e}"));
+            }
+            *last_begin = ts;
+            shape.windows.push(name.to_string());
+            open.push((name, ts));
+        } else {
+            match open.pop() {
+                Some((began, at)) if began == name && at <= ts => {}
+                Some(_) => return Err(format!("mismatched or negative B/E pair: {e}")),
+                None => return Err(format!("E without a matching B: {e}")),
+            }
+        }
+    }
+    match lanes.iter().find(|(_, (_, open))| !open.is_empty()) {
+        Some(((pid, tid), _)) => Err(format!("unclosed B events on pid {pid} tid {tid}")),
+        None => Ok(shape),
+    }
 }
 
 /// Access-log hook (option O12): the generated framework calls this once
@@ -1447,42 +1426,39 @@ mod tests {
             )],
         };
         let json = perfetto_from(&[relay, backend]);
+        let doc = Json::parse(&json).expect("well-formed");
+        let shape = check_trace_events(&doc).unwrap_or_else(|e| panic!("{e}\n{json}"));
         // Both tiers share pid 1 (the min trace id of the merged group).
-        assert!(json.contains("\"traceEvents\""), "{json}");
-        for line in json.lines().filter(|l| l.contains("\"pid\":")) {
-            assert!(line.contains("\"pid\":1,"), "unmerged lane: {line}");
-        }
-        // Paired B/E with non-negative durations on each tid.
-        let mut open: HashMap<(u64, u64), Vec<(String, u64)>> = HashMap::new();
-        for line in json.lines() {
-            let field = |key: &str| -> Option<String> {
-                let pat = format!("\"{key}\":");
-                let start = line.find(&pat)? + pat.len();
-                let rest = &line[start..];
-                let end = rest.find([',', '}']).unwrap_or(rest.len());
-                Some(rest[..end].trim_matches('"').to_string())
-            };
-            let Some(ph) = field("ph") else { continue };
-            if ph != "B" && ph != "E" {
-                continue;
-            }
-            let pid: u64 = field("pid").unwrap().parse().unwrap();
-            let tid: u64 = field("tid").unwrap().parse().unwrap();
-            let ts: u64 = field("ts").unwrap().parse().unwrap();
-            let name = field("name").unwrap();
-            let stack = open.entry((pid, tid)).or_default();
-            if ph == "B" {
-                stack.push((name, ts));
-            } else {
-                let (bname, bts) = stack.pop().expect("E without B");
-                assert_eq!(bname, name, "mismatched B/E: {json}");
-                assert!(ts >= bts, "negative duration: {json}");
-            }
-        }
-        for (_, stack) in open {
-            assert!(stack.is_empty(), "unclosed B events");
-        }
+        assert!(shape.pids.iter().all(|pid| *pid == 1), "unmerged: {json}");
+        assert_eq!(shape.windows, ["accept_to_header", "decode"]);
         assert!(json.contains("syscalls_total"), "{json}");
+    }
+
+    #[test]
+    fn the_validator_rejects_what_the_exporter_promises_not_to_emit() {
+        let check = |events: &str| {
+            let doc = format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{events}]}}");
+            check_trace_events(&Json::parse(&doc).unwrap())
+        };
+        let ev = |ph: &str, name: &str, ts: u64| {
+            format!("{{\"name\":\"{name}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":1,\"tid\":1}}")
+        };
+        assert!(check(&[ev("B", "a", 5), ev("E", "a", 9)].join(",")).is_ok());
+        for (bad, why) in [
+            (vec![ev("B", "a", 5)], "unclosed"),
+            (vec![ev("E", "a", 5)], "without a matching B"),
+            (vec![ev("B", "a", 5), ev("E", "b", 9)], "mismatched"),
+            (vec![ev("B", "a", 5), ev("E", "a", 4)], "negative"),
+            (
+                vec![ev("B", "a", 5), ev("E", "a", 6), ev("B", "b", 4)],
+                "regressed",
+            ),
+            (vec!["{\"ph\":\"i\"}".to_string()], "without pid"),
+        ] {
+            let err = check(&bad.join(",")).unwrap_err();
+            assert!(err.contains(why), "{err}");
+        }
+        assert!(check_trace_events(&Json::parse("{}").unwrap()).is_err());
     }
 
     #[test]
@@ -1514,15 +1490,12 @@ mod tests {
             metas: vec![],
         };
         let json = perfetto_from(&[node]);
-        let mut tids = std::collections::HashSet::new();
-        for line in json.lines() {
-            if line.contains("\"ph\":\"B\"") {
-                let start = line.find("\"tid\":").unwrap() + 6;
-                let rest = &line[start..];
-                let end = rest.find([',', '}']).unwrap();
-                tids.insert(rest[..end].to_string());
-            }
-        }
+        let doc = Json::parse(&json).expect("well-formed");
+        let begins = doc["traceEvents"].items().iter();
+        let tids: std::collections::HashSet<u64> = begins
+            .filter(|e| e["ph"].as_str() == Some("B"))
+            .map(|e| e["tid"].as_u64().unwrap())
+            .collect();
         assert_eq!(tids.len(), 2, "{json}");
     }
 }

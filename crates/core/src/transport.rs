@@ -17,7 +17,6 @@
 
 use std::io::{self, IoSlice, Read, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -206,77 +205,35 @@ pub trait Listener: Send + 'static {
 // Syscall accounting
 // ---------------------------------------------------------------------------
 
-/// Server-wide syscall accounting at the [`StreamIo`]/[`Poller`]
-/// boundary. Every `try_read`, gathered write, `try_accept` and
-/// `Poller::wait` issued by the dispatch loop, and every waker fire the
-/// `DispatchNotifier` makes, is counted here (attempts,
-/// not successes: a read that returns `WouldBlock` still crossed the
-/// kernel boundary and still cost a syscall). Plain relaxed counters —
-/// the same always-on cost class as `ServerStats` — so the
-/// syscalls-per-request number is available in production mode too.
-#[derive(Debug, Default)]
-pub struct SyscallCounters {
+crate::profiling::counters! {
+    /// Server-wide syscall accounting at the [`StreamIo`]/[`Poller`]
+    /// boundary. Every `try_read`, gathered write, `try_accept` and
+    /// `Poller::wait` issued by the dispatch loop, and every waker fire the
+    /// `DispatchNotifier` makes, is counted here (attempts,
+    /// not successes: a read that returns `WouldBlock` still crossed the
+    /// kernel boundary and still cost a syscall). Plain relaxed counters —
+    /// the same always-on cost class as `ServerStats` — so the
+    /// syscalls-per-request number is available in production mode too.
+    SyscallCounters =>
+    /// Point-in-time copy of [`SyscallCounters`].
+    SyscallSnapshot in "syscalls" as "nserver_syscalls_";
     /// `try_read` calls (request bytes plus lingering-close drains).
-    pub reads: AtomicU64,
+    reads: "reads", "read-class syscall attempts on connection sockets.";
     /// `try_write_vectored` calls (reply flushes).
-    pub writes: AtomicU64,
+    writes: "writes", "write-class syscall attempts on connection sockets.";
     /// `try_accept` calls.
-    pub accepts: AtomicU64,
+    accepts: "accepts", "accept attempts on the listener socket.";
     /// `Poller::wait` calls.
-    pub polls: AtomicU64,
+    polls: "polls", "Readiness waits entered by dispatcher threads.";
     /// Waker fires: reply batches, completions, accept hand-offs, gate
     /// re-checks, shutdown.
-    pub wakes: AtomicU64,
-}
-
-impl SyscallCounters {
-    /// A fresh shared counter set.
-    pub fn new_shared() -> Arc<Self> {
-        Arc::new(Self::default())
-    }
-
-    /// Point-in-time copy of all counters.
-    pub fn snapshot(&self) -> SyscallSnapshot {
-        SyscallSnapshot {
-            reads: self.reads.load(Ordering::Relaxed),
-            writes: self.writes.load(Ordering::Relaxed),
-            accepts: self.accepts.load(Ordering::Relaxed),
-            polls: self.polls.load(Ordering::Relaxed),
-            wakes: self.wakes.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// Point-in-time copy of [`SyscallCounters`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SyscallSnapshot {
-    /// `try_read` calls.
-    pub reads: u64,
-    /// `try_write_vectored` calls.
-    pub writes: u64,
-    /// `try_accept` calls.
-    pub accepts: u64,
-    /// `Poller::wait` calls.
-    pub polls: u64,
-    /// Waker fires.
-    pub wakes: u64,
+    wakes: "wakes", "Cross-thread waker fires re-entering a dispatcher wait.";
 }
 
 impl SyscallSnapshot {
     /// Total syscalls across all classes.
     pub fn total(&self) -> u64 {
-        self.reads + self.writes + self.accepts + self.polls + self.wakes
-    }
-
-    /// Counter deltas since an earlier snapshot.
-    pub fn since(&self, earlier: &SyscallSnapshot) -> SyscallSnapshot {
-        SyscallSnapshot {
-            reads: self.reads.saturating_sub(earlier.reads),
-            writes: self.writes.saturating_sub(earlier.writes),
-            accepts: self.accepts.saturating_sub(earlier.accepts),
-            polls: self.polls.saturating_sub(earlier.polls),
-            wakes: self.wakes.saturating_sub(earlier.wakes),
-        }
+        self.scalars().map(|row| row.value).sum()
     }
 }
 

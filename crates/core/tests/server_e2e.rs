@@ -603,7 +603,7 @@ fn dispatcher_handles_a_request_that_arrives_alone() {
     // handles, and idle once the item is done — as it does a worker's.
     let dispatcher_row = || {
         let snapshot = server.snapshot("who handles");
-        let mut rows = snapshot.workers.into_iter();
+        let mut rows = snapshot.sample.workers.into_iter().flatten();
         let row = rows.find(|w| w.role == WorkerRole::Dispatcher);
         row.expect("the dispatcher holds a row").activity
     };
@@ -805,6 +805,64 @@ fn a_hook_panic_on_the_dispatcher_closes_only_that_connection() {
         let stats = server.stats();
         assert_eq!(stats.handler_panics, 1, "{name}");
         assert_eq!(stats.connections_closed, 1, "{name}");
+        server.shutdown();
+    }
+}
+
+/// A hook panic closes the stage window it died in: every Decode window
+/// the trace opened is a closed pair — in `stage_pairs` and as a `B`/`E`
+/// window of the Perfetto export — the one `decode` panicked in
+/// included, whether a pool worker ran it (O4 = Synchronous) or the
+/// dispatcher did (a request that arrives alone under Table 1's options).
+#[test]
+fn a_hook_panic_closes_the_stage_window_it_died_in() {
+    use nserver_core::json::Json;
+    use nserver_core::trace::{check_trace_events, stage_pairs, SpanEvent};
+    for (name, opts, thread) in [
+        (
+            "boom-window-worker",
+            ServerOptions::default(),
+            "nserver-worker",
+        ),
+        (
+            "boom-window-dispatcher",
+            table1_options(),
+            "nserver-dispatcher-0",
+        ),
+    ] {
+        let who = WhoHandles::default();
+        let (listener, connector) = mem::listener(name);
+        let opts = ServerOptions {
+            mode: Mode::Debug,
+            ..opts
+        };
+        let server = ServerBuilder::new(opts, BoomCodec, who.clone())
+            .unwrap()
+            .serve(listener);
+        let mut doomed = connector.connect();
+        assert_eq!(talk(&mut doomed, b"fine\n", 1), vec!["echo:fine"]);
+        assert_eq!(who.threads(), vec![thread], "{name}");
+        doomed.try_write(b"BOOM\n").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while doomed.try_read(&mut [0u8; 64]).unwrap() != ReadOutcome::Closed {
+            assert!(Instant::now() < deadline, "{name}: never closed");
+            std::thread::yield_now();
+        }
+        let records = server.tracer().dump();
+        let opened = |r: &&nserver_core::trace::TraceRecord| {
+            let decode = Stage::Decode;
+            matches!(r.span, Some(SpanEvent::StageBegin { stage, .. }) if stage == decode)
+        };
+        let opened = records.iter().filter(opened).count();
+        let pairs = stage_pairs(&records);
+        let closed = pairs.iter().filter(|p| p.stage == Stage::Decode).count();
+        assert!(opened >= 2, "{name}: {opened}");
+        assert_eq!(closed, opened, "{name}: a Decode window was dropped");
+        let doc = Json::parse(&server.perfetto_json()).expect("well-formed");
+        let shape = check_trace_events(&doc).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let exported = shape.windows.iter().filter(|w| *w == "decode").count();
+        assert_eq!(exported, opened, "{name}");
+        assert_eq!(server.stats().handler_panics, 1, "{name}");
         server.shutdown();
     }
 }

@@ -19,9 +19,8 @@ use parking_lot::Mutex;
 
 use nserver_core::diag::DiagHub;
 use nserver_core::event::ConnId;
-use nserver_core::metrics::{MetricsRegistry, Stage};
+use nserver_core::metrics::Stage;
 use nserver_core::pipeline::{Action, ConnCtx, Service};
-use nserver_core::profiling::ServerStats;
 use nserver_core::tap::{TapEvent, TraceHandle, TraceLog};
 use nserver_core::trace::{DebugTracer, SpanEvent};
 
@@ -43,7 +42,6 @@ pub struct FtpService {
     users: Arc<UserRegistry>,
     sessions: Mutex<HashMap<ConnId, Arc<Mutex<Session>>>>,
     server_name: String,
-    status_source: Mutex<Option<(Arc<ServerStats>, Arc<MetricsRegistry>)>>,
     diag_hub: Mutex<Option<DiagHub>>,
     data_tap: Mutex<Option<TraceLog>>,
 }
@@ -56,24 +54,17 @@ impl FtpService {
             users,
             sessions: Mutex::new(HashMap::new()),
             server_name: "COPS-FTP".to_string(),
-            status_source: Mutex::new(None),
             diag_hub: Mutex::new(None),
             data_tap: Mutex::new(None),
         }
     }
 
-    /// Attach the running server's counter and latency registries so the
-    /// `STAT` command can report them. Pass the same `Arc`s given to the
-    /// `ServerBuilder`; without an attachment `STAT` still answers, with
-    /// session counts only.
-    pub fn attach_stats(&self, stats: Arc<ServerStats>, metrics: Arc<MetricsRegistry>) {
-        *self.status_source.lock() = Some((stats, metrics));
-    }
-
-    /// Attach the running server's diagnostics hub so `SITE DUMP` can
-    /// capture and return flight-recorder snapshots. Pass the hub given
-    /// to `ServerBuilder::diag`; without an attachment `SITE DUMP`
-    /// answers 211 with a note and no snapshot.
+    /// Attach the running server's diagnostics hub: `STAT` reports its
+    /// counters and per-stage latency quantiles, `SITE DUMP` captures and
+    /// returns flight-recorder snapshots, `SITE TRACE` exports its trace
+    /// rings. Pass the hub given to `ServerBuilder::diag`; without an
+    /// attachment `STAT` still answers, with session counts only, and the
+    /// two `SITE` commands answer 211 with a note.
     pub fn attach_diag(&self, hub: DiagHub) {
         *self.diag_hub.lock() = Some(hub);
     }
@@ -107,13 +98,13 @@ impl FtpService {
     /// The multi-line 211 body for argument-less `STAT`.
     fn status_report(&self) -> String {
         let mut body = vec![format!("Live sessions: {}", self.live_sessions())];
-        if let Some((stats, metrics)) = self.status_source.lock().clone() {
-            for (name, value) in stats.snapshot().rows() {
-                body.push(format!("{name}: {value}"));
+        if let Some(hub) = self.diag_hub.lock().clone() {
+            let sample = hub.sample();
+            for row in sample.stats.scalars() {
+                body.push(format!("{}: {}", row.label(), row.value));
             }
-            let lat = metrics.latency_snapshot();
             for stage in Stage::ALL {
-                let h = lat.stage(stage);
+                let h = sample.latency.stage(stage);
                 body.push(format!(
                     "{}: count={} p50={}us p99={}us",
                     stage.name(),
@@ -410,39 +401,22 @@ impl Service<FtpCodec> for FtpService {
                     }
                 }
             },
-            Command::SiteDump => {
-                let hub = self.diag_hub.lock().clone();
-                match hub {
-                    Some(hub) => {
-                        // The snapshot JSON is one line by construction, so
-                        // it rides inside a 211 multi-line reply verbatim.
-                        let json = hub.capture("ftp_site_dump").to_json();
-                        Action::Reply(replies::status_lines(
-                            "Diagnostic snapshot",
-                            std::slice::from_ref(&json),
-                        ))
-                    }
-                    None => Action::Reply(replies::status_lines(
-                        "Diagnostic snapshot",
-                        &["No diagnostics hub attached".to_string()],
-                    )),
-                }
-            }
-            Command::SiteTrace => {
-                let hub = self.diag_hub.lock().clone();
-                match hub {
-                    Some(hub) => {
-                        // The Perfetto export is one JSON object per line;
-                        // each rides as one line of the 211 multi-line reply.
-                        let json = hub.perfetto_json();
-                        let lines: Vec<String> = json.lines().map(str::to_string).collect();
-                        Action::Reply(replies::status_lines("Perfetto trace", &lines))
-                    }
-                    None => Action::Reply(replies::status_lines(
-                        "Perfetto trace",
-                        &["No diagnostics hub attached".to_string()],
-                    )),
-                }
+            cmd @ (Command::SiteDump | Command::SiteTrace) => {
+                let dump = cmd == Command::SiteDump;
+                let body = match self.diag_hub.lock().clone() {
+                    // The snapshot JSON is one line by construction, and
+                    // the Perfetto export one event per line, so each
+                    // rides inside a 211 multi-line reply verbatim.
+                    Some(hub) if dump => vec![hub.capture("ftp_site_dump").to_json()],
+                    Some(hub) => hub.perfetto_json().lines().map(str::to_string).collect(),
+                    None => vec!["No diagnostics hub attached".to_string()],
+                };
+                let title = if dump {
+                    "Diagnostic snapshot"
+                } else {
+                    "Perfetto trace"
+                };
+                Action::Reply(replies::status_lines(title, &body))
             }
             Command::Pasv => {
                 let listener = match TcpListener::bind("127.0.0.1:0") {
@@ -572,6 +546,9 @@ impl Service<FtpCodec> for FtpService {
 mod tests {
     use super::*;
     use nserver_core::event::Priority;
+    use nserver_core::json::Json;
+    use nserver_core::metrics::MetricsRegistry;
+    use nserver_core::profiling::ServerStats;
 
     fn ctx(id: ConnId) -> ConnCtx {
         ConnCtx {
@@ -775,13 +752,11 @@ mod tests {
         assert!(bare.contains("Live sessions: 1"), "{bare}");
         assert!(bare.ends_with("211 End\r\n"), "{bare}");
 
-        let stats = ServerStats::new_shared();
-        let metrics = MetricsRegistry::enabled();
-        stats
-            .connections_accepted
-            .fetch_add(7, std::sync::atomic::Ordering::Relaxed);
-        metrics.record_stage(Stage::Decode, 40);
-        svc.attach_stats(Arc::clone(&stats), Arc::clone(&metrics));
+        let hub = DiagHub::new(ServerStats::new_shared(), MetricsRegistry::enabled());
+        let accepted = &hub.stats().connections_accepted;
+        accepted.fetch_add(7, std::sync::atomic::Ordering::Relaxed);
+        hub.metrics().record_stage(Stage::Decode, 40);
+        svc.attach_diag(hub);
         let full = reply(&svc, 1, "STAT");
         assert!(full.contains("connections accepted: 7"), "{full}");
         assert!(full.contains("decode: count=1 p50="), "{full}");
@@ -813,9 +788,11 @@ mod tests {
         svc.attach_diag(hub.clone());
         let r = reply(&svc, 1, "SITE DUMP");
         assert!(r.starts_with("211-Diagnostic snapshot"), "{r}");
-        assert!(r.contains("\"reason\":\"ftp_site_dump\""), "{r}");
-        assert!(r.contains("\"counters\""), "{r}");
         assert!(r.ends_with("211 End\r\n"), "{r}");
+        // The snapshot rides as the one body line of the 211 reply.
+        let dump = Json::parse(r.lines().nth(1).unwrap().trim_start()).expect("well-formed");
+        assert_eq!(dump["reason"].as_str(), Some("ftp_site_dump"));
+        assert!(matches!(dump["counters"], Json::Obj(_)), "{r}");
         assert_eq!(hub.snapshots_captured(), 1);
     }
 

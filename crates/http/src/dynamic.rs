@@ -12,9 +12,7 @@
 use std::sync::Arc;
 
 use nserver_core::diag::DiagHub;
-use nserver_core::metrics::{prometheus_text, MetricsRegistry};
 use nserver_core::pipeline::{Action, ConnCtx, Service};
-use nserver_core::profiling::ServerStats;
 
 use crate::codec::HttpCodec;
 use crate::service::{ContentStore, StaticFileService};
@@ -74,26 +72,14 @@ impl<St: ContentStore> RoutedService<St> {
         self
     }
 
-    /// Mount the built-in `/server-status` observability route: a
-    /// Prometheus-text rendition of the server's counters plus the O11
-    /// per-stage latency histograms (p50/p99 per stage). Pass the same
-    /// `Arc`s given to the [`ServerBuilder`](nserver_core::server::ServerBuilder)
+    /// Mount the built-in `/server-status` observability route: the
+    /// hub's sample as Prometheus text — the server's counters, the O11
+    /// per-stage latency histograms (p50/p99 per stage) and every group
+    /// the hub is fed (cache, overload, worker gauges, trace drops,
+    /// watchdog and syscall counters). Pass the hub given to
+    /// [`ServerBuilder::diag`](nserver_core::server::ServerBuilder::diag)
     /// so the page reflects the live server.
-    pub fn server_status(self, stats: Arc<ServerStats>, metrics: Arc<MetricsRegistry>) -> Self {
-        self.route(
-            "/server-status",
-            text_page(Status::Ok, move |_| {
-                prometheus_text(&stats.snapshot(), &metrics.latency_snapshot())
-            }),
-        )
-    }
-
-    /// Mount `/server-status` backed by a diagnostics hub: the same
-    /// Prometheus text as [`server_status`](Self::server_status) plus
-    /// every optional family the hub has wired (cache, overload, worker
-    /// gauges, trace drops, watchdog counters). Pass the hub given to
-    /// `ServerBuilder::diag` so the page reflects the live server.
-    pub fn server_status_diag(self, hub: DiagHub) -> Self {
+    pub fn server_status(self, hub: DiagHub) -> Self {
         self.route(
             "/server-status",
             text_page(Status::Ok, move |_| hub.prometheus()),
@@ -217,6 +203,9 @@ mod tests {
     use crate::service::MemStore;
     use crate::types::{Headers, Method, Version};
     use nserver_core::event::Priority;
+    use nserver_core::json::Json;
+    use nserver_core::metrics::MetricsRegistry;
+    use nserver_core::profiling::ServerStats;
 
     fn ctx() -> ConnCtx {
         ConnCtx {
@@ -342,12 +331,13 @@ mod tests {
         assert_eq!(String::from_utf8_lossy(&r.body), "null");
         let r = run(svc.handle(&ctx(), get("/debug/snapshot")));
         assert_eq!(r.headers.get("content-type"), Some("application/json"));
-        let body = String::from_utf8_lossy(&r.body).into_owned();
-        assert!(body.contains("\"reason\":\"http_on_demand\""));
-        assert!(body.contains("\"counters\""));
+        let body = Json::parse(&String::from_utf8_lossy(&r.body)).expect("well-formed");
+        assert_eq!(body["reason"].as_str(), Some("http_on_demand"));
+        assert_eq!(body["counters"]["connections_accepted"].as_u64(), Some(0));
         // The on-demand capture is now the stored latest.
         let r = run(svc.handle(&ctx(), get("/debug/snapshot?latest")));
-        assert!(String::from_utf8_lossy(&r.body).contains("\"seq\":1"));
+        let replay = Json::parse(&String::from_utf8_lossy(&r.body)).expect("well-formed");
+        assert_eq!(replay, body);
         assert_eq!(hub.snapshots_captured(), 1);
     }
 
@@ -364,16 +354,16 @@ mod tests {
         let r = run(svc.handle(&ctx(), get("/debug/trace.json")));
         assert_eq!(r.headers.get("content-type"), Some("application/json"));
         let body = String::from_utf8_lossy(&r.body).into_owned();
-        assert!(body.contains("\"traceEvents\""), "{body}");
-        assert!(body.contains("\"displayTimeUnit\""), "{body}");
-        assert!(body.contains("client:1"), "{body}");
+        let doc = Json::parse(&body).expect("well-formed");
+        let shape = nserver_core::trace::check_trace_events(&doc).expect("trace-event schema");
+        assert!(shape.lanes[0].1.contains("client:1"), "{body}");
     }
 
     #[test]
     fn server_status_diag_includes_wired_families() {
         let hub = DiagHub::new(ServerStats::new_shared(), MetricsRegistry::enabled());
-        let svc = RoutedService::new(StaticFileService::new(MemStore::new(), None))
-            .server_status_diag(hub);
+        let svc =
+            RoutedService::new(StaticFileService::new(MemStore::new(), None)).server_status(hub);
         let r = run(svc.handle(&ctx(), get("/server-status")));
         let body = String::from_utf8_lossy(&r.body).into_owned();
         assert!(body.contains("nserver_watchdog_triggers 0"));
@@ -382,14 +372,13 @@ mod tests {
 
     #[test]
     fn server_status_exposes_prometheus_text() {
-        let stats = ServerStats::new_shared();
-        let metrics = MetricsRegistry::enabled();
-        stats
-            .connections_accepted
-            .fetch_add(3, std::sync::atomic::Ordering::Relaxed);
-        metrics.record_stage(nserver_core::metrics::Stage::Handle, 128);
+        let hub = DiagHub::new(ServerStats::new_shared(), MetricsRegistry::enabled());
+        let accepted = &hub.stats().connections_accepted;
+        accepted.fetch_add(3, std::sync::atomic::Ordering::Relaxed);
+        let handle = nserver_core::metrics::Stage::Handle;
+        hub.metrics().record_stage(handle, 128);
         let svc = RoutedService::new(StaticFileService::new(MemStore::new(), None))
-            .server_status(Arc::clone(&stats), Arc::clone(&metrics));
+            .server_status(hub.clone());
         let r = run(svc.handle(&ctx(), get("/server-status")));
         let body = String::from_utf8_lossy(&r.body).into_owned();
         assert_eq!(r.status, Status::Ok);

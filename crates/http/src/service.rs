@@ -258,16 +258,16 @@ fn req_is_head(req: &Request) -> bool {
     req.method == Method::Head
 }
 
-/// Adapt the O6 file cache into a diagnostics cache-stats provider, for
-/// [`DiagHub::set_cache_provider`](nserver_core::diag::DiagHub): its
+/// Adapt the O6 file cache into a feeder for
+/// [`DiagHub::register`](nserver_core::diag::DiagHub::register): its
 /// hit/miss/eviction/rejection counters, single-flight coalesced waits,
 /// and byte occupancy appear in `/server-status` and every snapshot.
 pub fn cache_stats_provider(
     cache: SharedFileCache<String>,
-) -> nserver_core::diag::CacheStatsProvider {
-    Arc::new(move || {
+) -> impl Fn(&mut nserver_core::metrics::Sample) + Send + Sync + 'static {
+    move |sample| {
         let s = cache.stats();
-        nserver_core::metrics::CacheSample {
+        sample.cache = Some(nserver_core::metrics::CacheSample {
             hits: s.hits,
             misses: s.misses,
             evictions: s.evictions,
@@ -275,8 +275,8 @@ pub fn cache_stats_provider(
             coalesced_waits: cache.coalesced_waits(),
             used_bytes: cache.used_bytes(),
             capacity_bytes: cache.capacity_bytes(),
-        }
-    })
+        });
+    }
 }
 
 #[cfg(test)]
@@ -575,7 +575,9 @@ mod tests {
         let provider = cache_stats_provider(cache);
         let (_, _) = run_action(svc.handle(&ctx(), get("/index.html"))); // miss
         let (_, _) = run_action(svc.handle(&ctx(), get("/index.html"))); // hit
-        let sample = provider();
+        let mut sample = nserver_core::metrics::Sample::default();
+        provider(&mut sample);
+        let sample = sample.cache.expect("fed");
         assert_eq!(sample.hits, 1);
         assert!(sample.misses >= 1);
         assert!(sample.used_bytes > 0);

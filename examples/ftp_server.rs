@@ -60,20 +60,19 @@ fn main() {
     let users = Arc::new(UserRegistry::new().with_anonymous());
     users.add_user("alice", "secret");
 
-    // O11 on, with the registries shared between the server and the
-    // service so the STAT report reflects the live counters.
+    // O11 on, with one diagnostics hub shared between the server (which
+    // counts into it) and the service, so the STAT report reflects the
+    // live counters.
     let options = ServerOptions {
         profiling: true,
         ..cops_ftp_options()
     };
-    let stats = ServerStats::new_shared();
-    let metrics = MetricsRegistry::enabled();
+    let hub = DiagHub::new(ServerStats::new_shared(), MetricsRegistry::enabled());
     let service = FtpService::new(vfs, users);
-    service.attach_stats(stats.clone(), metrics.clone());
+    service.attach_diag(hub.clone());
     let server = ServerBuilder::new(options, FtpCodec, service)
         .expect("valid options")
-        .stats(stats)
-        .metrics(metrics)
+        .diag(hub)
         .serve(TcpListenerNb::bind("127.0.0.1:0").expect("bind"));
     let addr = server.local_label().to_string();
     println!("COPS-FTP listening on {addr}");

@@ -20,6 +20,7 @@ use std::time::Duration;
 
 use nserver_cache::{FileCache, PolicyKind, SharedFileCache};
 use nserver_core::diag::{DiagHub, WatchdogConfig};
+use nserver_core::json::Json;
 use nserver_core::metrics::MetricsRegistry;
 use nserver_core::prelude::*;
 use nserver_core::profiling::ServerStats;
@@ -98,13 +99,14 @@ fn main() {
         ..cops_http_options()
     };
     let cache = SharedFileCache::new(FileCache::new(COPS_HTTP_CACHE_BYTES, PolicyKind::Lru));
-    // One diagnostics hub shared between the server (which wires the
-    // worker table, queue gauges and tracer into it) and the two
-    // observability routes, so both pages reflect the live counters.
+    // One diagnostics hub shared between the server (which counts into
+    // it and feeds it the worker table, queue gauges and tracer), the
+    // file cache and the two observability routes, so both pages reflect
+    // the live server.
     let hub = DiagHub::new(ServerStats::new_shared(), MetricsRegistry::enabled());
-    hub.set_cache_provider(cache_stats_provider(cache.clone()));
+    hub.register(cache_stats_provider(cache.clone()));
     let service = RoutedService::new(StaticFileService::new(store, Some(cache.clone())))
-        .server_status_diag(hub.clone())
+        .server_status(hub.clone())
         .debug_snapshot(hub.clone());
     let server = ServerBuilder::new(options, HttpCodec::new(), service)
         .expect("valid options")
@@ -163,8 +165,9 @@ fn main() {
     );
 
     let snap = scrape(&addr, "/debug/snapshot");
-    assert!(snap.contains("\"reason\":\"http_on_demand\""));
-    assert!(snap.contains("\"workers\":["));
+    let tree = Json::parse(&snap).expect("well-formed snapshot");
+    assert_eq!(tree["reason"].as_str(), Some("http_on_demand"));
+    assert!(!tree["workers"].items().is_empty());
     println!("/debug/snapshot: {} bytes of JSON", snap.len());
 
     let stats = server.stats();

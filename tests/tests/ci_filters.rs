@@ -143,12 +143,15 @@ fn every_ci_name_filter_selects_a_test() {
         commands >= 20,
         "read only {commands} commands out of ci.yml"
     );
-    // The steps that select property tests by name.
+    // The steps that select property tests, and the telemetry suite, by
+    // name.
     for filter in [
         "differential",
         "segmented",
         "reactor::tests",
         "watermark_props",
+        "json::tests",
+        "telemetry_golden",
     ] {
         assert!(filters_seen.contains(&filter), "ci.yml lost `{filter}`");
     }

@@ -4,11 +4,13 @@
 //!
 //! The steady-state test is the watchdog's false-positive contract: a
 //! thousand served requests under an armed watchdog must produce zero
-//! triggers and zero snapshots. The reconciliation tests pin the
-//! operator surfaces against each other — `/debug/snapshot` against
-//! `/server-status`, FTP `SITE DUMP` against `STAT` — so the JSON and
-//! text expositions can never drift apart silently. The grammar test
-//! parses every line of a traffic-serving server's exposition under the
+//! triggers and zero snapshots. Every surface is a projection of one
+//! sample, so one reconciliation test walks the sample's rows across all
+//! of them — Prometheus text, snapshot JSON, FTP `STAT`, the profiling
+//! report; the two end-to-end tests keep the operator's view —
+//! `/debug/snapshot` against `/server-status`, FTP `SITE DUMP` against
+//! `STAT` — read through the one JSON reader. The grammar test parses
+//! every line of a traffic-serving server's exposition under the
 //! Prometheus text-format rules.
 
 use std::collections::BTreeMap;
@@ -18,13 +20,15 @@ use std::time::{Duration, Instant};
 use bytes::BytesMut;
 use nserver_cache::{PolicyKind, SharedFileCache};
 use nserver_core::diag::{DiagHub, WatchdogConfig};
+use nserver_core::event::Priority;
+use nserver_core::json::Json;
 use nserver_core::metrics::MetricsRegistry;
 use nserver_core::options::{Mode, OverloadControl, ServerOptions};
 use nserver_core::pipeline::{Action, Codec, ConnCtx, ProtocolError, Service};
-use nserver_core::profiling::ServerStats;
-use nserver_core::server::ServerBuilder;
+use nserver_core::profiling::{Kind, ServerStats};
+use nserver_core::server::{ServerBuilder, ServerHandle};
 use nserver_core::transport::{mem, ReadOutcome, StreamIo};
-use nserver_ftp::{cops_ftp_options, FtpCodec, FtpService, UserRegistry, Vfs};
+use nserver_ftp::{cops_ftp_options, Command, FtpCodec, FtpRequest, FtpService, UserRegistry, Vfs};
 use nserver_http::service::cache_stats_provider;
 use nserver_http::{
     cops_http_options, text_page, HttpCodec, MemStore, RoutedService, StaticFileService, Status,
@@ -194,6 +198,20 @@ fn steady_state_traffic_never_triggers_the_watchdog() {
 // Reconciliation: JSON snapshot vs text expositions
 // ---------------------------------------------------------------------
 
+fn snapshot_tree(json: &str) -> Json {
+    Json::parse(json).unwrap_or_else(|e| panic!("snapshot is not JSON ({e}):\n{json}"))
+}
+
+/// Whether the snapshot's worker table shows a thread running the handle
+/// stage for connection `conn`.
+fn names_handling_worker(snapshot: &Json, conn: u64) -> bool {
+    snapshot["workers"].items().iter().any(|w| {
+        w["state"].as_str() == Some("running")
+            && w["stage"].as_str() == Some("handle")
+            && w["conn"].as_u64() == Some(conn)
+    })
+}
+
 /// `/debug/snapshot` must reconcile with `/server-status`: the same
 /// counters, one connection apart (each scrape is itself a connection).
 /// The snapshot's worker table must show the worker capturing it,
@@ -205,7 +223,7 @@ fn http_snapshot_reconciles_with_server_status() {
     let hub = DiagHub::new(ServerStats::new_shared(), MetricsRegistry::enabled());
     let service = RoutedService::new(StaticFileService::new(store, None))
         .route("/page", text_page(Status::Ok, |_| "dynamic page".into()))
-        .server_status_diag(hub.clone())
+        .server_status(hub.clone())
         .debug_snapshot(hub.clone());
     let opts = ServerOptions {
         mode: Mode::Debug,
@@ -233,25 +251,18 @@ fn http_snapshot_reconciles_with_server_status() {
     // Scrape seven: the JSON snapshot, captured while its own handle
     // stage is open — so counters run one connection ahead of scrape six
     // and the worker table names the capturing worker.
-    let snapshot = get_body(&connector, "/debug/snapshot");
-    for needle in [
-        "\"reason\":\"http_on_demand\"",
-        "\"connections_accepted\":7",
-        "\"requests_decoded\":7",
-        "\"state\":\"running\",\"stage\":\"handle\",\"conn\":7",
-        "\"watchdog\":{\"triggers\":0}",
-    ] {
-        assert!(
-            snapshot.contains(needle),
-            "missing {needle:?} in:\n{snapshot}"
-        );
-    }
-    // `?latest` replays the stored capture instead of taking a new one.
-    let replay = get_body(&connector, "/debug/snapshot?latest");
-    assert!(
-        replay.contains("\"connections_accepted\":7"),
-        "replay drifted:\n{replay}"
+    let snapshot = snapshot_tree(&get_body(&connector, "/debug/snapshot"));
+    assert_eq!(snapshot["reason"].as_str(), Some("http_on_demand"));
+    assert_eq!(
+        snapshot["counters"]["connections_accepted"].as_u64(),
+        Some(7)
     );
+    assert_eq!(snapshot["counters"]["requests_decoded"].as_u64(), Some(7));
+    assert!(names_handling_worker(&snapshot, 7), "{snapshot}");
+    assert_eq!(snapshot["watchdog"]["triggers"].as_u64(), Some(0));
+    // `?latest` replays the stored capture instead of taking a new one.
+    let replay = snapshot_tree(&get_body(&connector, "/debug/snapshot?latest"));
+    assert_eq!(replay, snapshot, "replay drifted");
     assert_eq!(server.diag().snapshots_captured(), 1);
     server.shutdown();
 }
@@ -265,7 +276,6 @@ fn ftp_site_dump_reconciles_with_stat() {
     let vfs = Arc::new(Vfs::new());
     let users = Arc::new(UserRegistry::new().with_anonymous());
     let service = FtpService::new(vfs, users);
-    service.attach_stats(Arc::clone(hub.stats()), Arc::clone(hub.metrics()));
     service.attach_diag(hub.clone());
     let opts = ServerOptions {
         mode: Mode::Debug,
@@ -300,14 +310,12 @@ fn ftp_site_dump_reconciles_with_stat() {
 
     assert!(write_all(&mut conn, b"SITE DUMP\r\n", deadline));
     let dump = read_until(&mut conn, "211 End", deadline);
-    for needle in [
-        "\"reason\":\"ftp_site_dump\"",
-        "\"connections_accepted\":1",
-        "\"requests_decoded\":5",
-        "\"state\":\"running\",\"stage\":\"handle\",\"conn\":1",
-    ] {
-        assert!(dump.contains(needle), "missing {needle:?} in:\n{dump}");
-    }
+    // The snapshot rides as the one body line of the 211 reply.
+    let dump = snapshot_tree(dump.lines().nth(1).expect("a body line").trim_start());
+    assert_eq!(dump["reason"].as_str(), Some("ftp_site_dump"));
+    assert_eq!(dump["counters"]["connections_accepted"].as_u64(), Some(1));
+    assert_eq!(dump["counters"]["requests_decoded"].as_u64(), Some(5));
+    assert!(names_handling_worker(&dump, 1), "{dump}");
     assert_eq!(server.diag().snapshots_captured(), 1);
 
     assert!(write_all(&mut conn, b"QUIT\r\n", deadline));
@@ -568,40 +576,52 @@ fn strict_parse(text: &str) -> BTreeMap<String, Family> {
     families
 }
 
-/// The full exposition of a traffic-serving, fully wired server (cache,
-/// overload, watchdog, trace ring all live) parses under the strict
-/// Prometheus text-format grammar, and carries every family the
-/// diagnostics layer promises.
-#[test]
-fn full_exposition_is_strictly_well_formed_prometheus_text() {
+/// A fully wired COPS-HTTP server — file cache, watermark overload
+/// control, watchdog, trace ring — that has served cache misses then
+/// hits, and enough requests for non-trivial histograms.
+fn wired_server_after_traffic(
+    name: &str,
+) -> (
+    ServerHandle<HttpCodec, RoutedService<MemStore>>,
+    mem::MemConnector,
+    DiagHub,
+) {
     let mut store = MemStore::new();
     store.insert("/a.txt", vec![b'a'; 600]);
     store.insert("/b.txt", vec![b'b'; 300]);
     let cache = SharedFileCache::sharded(1 << 20, PolicyKind::Lru, nserver_cache::DEFAULT_SHARDS);
     let hub = DiagHub::new(ServerStats::new_shared(), MetricsRegistry::enabled());
-    hub.set_cache_provider(cache_stats_provider(cache.clone()));
+    hub.register(cache_stats_provider(cache.clone()));
     let service = RoutedService::new(StaticFileService::new(store, Some(cache)))
-        .server_status_diag(hub.clone());
+        .server_status(hub.clone())
+        .debug_snapshot(hub.clone());
     let opts = ServerOptions {
         mode: Mode::Debug,
         profiling: true,
         overload_control: OverloadControl::Watermark { high: 256, low: 8 },
         ..cops_http_options()
     };
-    let (listener, connector) = mem::listener("diag-prom-grammar");
+    let (listener, connector) = mem::listener(name);
     let server = ServerBuilder::new(opts, HttpCodec::new(), service)
         .unwrap()
-        .diag(hub)
+        .diag(hub.clone())
         .watchdog(WatchdogConfig::default())
         .serve(listener);
-
-    // Traffic that exercises every family: cache misses then hits, and
-    // enough requests for non-trivial histograms.
     for _ in 0..3 {
         for path in ["/a.txt", "/b.txt"] {
             let _ = get_body(&connector, path);
         }
     }
+    (server, connector, hub)
+}
+
+/// The full exposition of a traffic-serving, fully wired server (cache,
+/// overload, watchdog, trace ring all live) parses under the strict
+/// Prometheus text-format grammar, and carries every family the
+/// diagnostics layer promises.
+#[test]
+fn full_exposition_is_strictly_well_formed_prometheus_text() {
+    let (server, connector, _hub) = wired_server_after_traffic("diag-prom-grammar");
     let text = get_body(&connector, "/server-status");
     let families = strict_parse(&text);
 
@@ -644,6 +664,134 @@ fn full_exposition_is_strictly_well_formed_prometheus_text() {
     assert_eq!(
         families["nserver_queue_depth"].typ.as_deref(),
         Some("gauge")
+    );
+    server.shutdown();
+}
+
+/// The FTP `STAT` body a service attached to `hub` answers with.
+fn ftp_stat(hub: DiagHub) -> String {
+    let users = Arc::new(UserRegistry::new().with_anonymous());
+    let service = FtpService::new(Arc::new(Vfs::new()), users);
+    service.attach_diag(hub);
+    let ctx = ConnCtx {
+        id: 1,
+        peer: "reconcile".into(),
+        priority: Priority::HIGHEST,
+    };
+    let mut reply = String::new();
+    for line in ["USER anonymous", "PASS guest", "STAT"] {
+        let command = FtpRequest::Command(Command::parse(line).unwrap());
+        reply = match service.handle(&ctx, command) {
+            Action::Reply(r) => r,
+            other => panic!("{other:?}"),
+        };
+    }
+    reply
+}
+
+/// One reconciliation instead of one per surface: every number of a
+/// fully wired server's sample — core counters, queue, trace, cache,
+/// overload, worker, watchdog and syscall rows — is one family of the
+/// Prometheus text (under the strict grammar) with its value, and one
+/// member of the snapshot tree with its value; each core counter is also
+/// one line of FTP `STAT` and one of the profiling report. The server is
+/// shut down first, so every surface reads the same still numbers.
+#[test]
+fn every_number_of_a_wired_sample_is_on_every_surface() {
+    let (server, _connector, hub) = wired_server_after_traffic("diag-one-reconciliation");
+    server.shutdown();
+    let sample = hub.sample();
+    assert!(sample.stats.requests_decoded >= 6, "{sample:?}");
+    let groups_fed = [
+        sample.cache.is_some(),
+        sample.overload.is_some(),
+        sample.workers.is_some(),
+        sample.syscalls.is_some(),
+    ];
+    assert_eq!(groups_fed, [true; 4], "a group is not wired: {sample:?}");
+
+    let text = hub.prometheus();
+    let families = strict_parse(&text);
+    let stat = ftp_stat(hub.clone());
+    let report = sample.stats.render();
+    let tree = snapshot_tree(&hub.capture("reconcile").to_json());
+    let rows = sample.scalars();
+    assert!(rows.len() >= 18 + 5 + 7 + 3 + 2 + 2 + 5, "{}", rows.len());
+    for row in &rows {
+        if !row.family.is_empty() {
+            let family = families.get(row.family);
+            let family = family.unwrap_or_else(|| panic!("{} not exposed", row.family));
+            assert_eq!(family.samples, 1, "{}", row.family);
+            assert_eq!(family.typ.as_deref(), Some(row.kind.prometheus()));
+            let line = format!("{} {}", row.family, row.value);
+            assert!(text.lines().any(|l| l == line), "no line {line:?}");
+        }
+        if !row.key.is_empty() {
+            let member = &tree[row.group][row.key];
+            let expected = match row.kind {
+                Kind::Flag => Json::Bool(row.value != 0),
+                _ => Json::U64(row.value),
+            };
+            assert_eq!(*member, expected, "{}.{}", row.group, row.key);
+        }
+        if row.group == "counters" {
+            let line = format!(" {}: {}", row.label(), row.value);
+            assert!(stat.lines().any(|l| l == line), "STAT lacks {line:?}");
+            let line = format!("{:<26} {}", row.label(), row.value);
+            assert!(report.lines().any(|l| l == line), "render() lacks {line:?}");
+        }
+    }
+    // And nothing is on a surface that is not a row: the families of the
+    // text are the rows' plus the four histogram families.
+    let exposed = rows.iter().filter(|r| !r.family.is_empty()).count();
+    assert_eq!(families.len(), exposed + 4, "{:?}", families.keys());
+}
+
+/// A hub cannot report a registry its server does not write: given a
+/// metrics registry *and* a hub built over another one, the server
+/// records into the injected registry and every surface of the hub
+/// shows it — `/server-status`, `/debug/snapshot` and the handle alike.
+#[test]
+fn a_hub_shows_the_registries_its_server_writes() {
+    let hub = DiagHub::new(ServerStats::new_shared(), MetricsRegistry::disabled());
+    let metrics = MetricsRegistry::enabled();
+    let service = RoutedService::new(StaticFileService::new(MemStore::new(), None))
+        .route("/page", text_page(Status::Ok, |_| "dynamic page".into()))
+        .server_status(hub.clone())
+        .debug_snapshot(hub.clone());
+    let (listener, connector) = mem::listener("diag-one-registry");
+    let server = ServerBuilder::new(cops_http_options(), HttpCodec::new(), service)
+        .unwrap()
+        .metrics(Arc::clone(&metrics))
+        .diag(hub)
+        .serve(listener);
+    for _ in 0..10 {
+        assert_eq!(get_body(&connector, "/page"), "dynamic page");
+    }
+    let status = get_body(&connector, "/server-status");
+    for needle in [
+        "nserver_connections_accepted 11",
+        "nserver_stage_latency_us_count{stage=\"handle\"} 10",
+    ] {
+        assert!(status.contains(needle), "missing {needle:?} in:\n{status}");
+    }
+    let snapshot = snapshot_tree(&get_body(&connector, "/debug/snapshot"));
+    assert_eq!(
+        snapshot["counters"]["connections_accepted"].as_u64(),
+        Some(12)
+    );
+    assert_eq!(snapshot["stages"]["handle"]["count"].as_u64(), Some(11));
+    assert!(server.stats().connections_accepted >= 12);
+    assert!(
+        server
+            .latency()
+            .stage(nserver_core::metrics::Stage::Handle)
+            .count
+            >= 11
+    );
+    assert!(
+        metrics.samples_recorded() > 0,
+        "the injected registry is the one written"
     );
     server.shutdown();
 }

@@ -16,6 +16,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
+use nserver_core::diag::DiagHub;
 use nserver_core::fault::{self, FaultPlan};
 use nserver_core::metrics::MetricsRegistry;
 use nserver_core::metrics::Stage;
@@ -306,11 +307,10 @@ fn faulted_connections_never_orphan_their_span_trees() {
 fn server_status_scrape_reconciles_with_request_counts() {
     let mut store = MemStore::new();
     store.insert("/index.html", b"<html>home</html>".to_vec());
-    let stats = ServerStats::new_shared();
-    let metrics = MetricsRegistry::enabled();
+    let hub = DiagHub::new(ServerStats::new_shared(), MetricsRegistry::enabled());
     let service = RoutedService::new(StaticFileService::new(store, None))
         .route("/page", text_page(Status::Ok, |_| "dynamic page".into()))
-        .server_status(stats.clone(), metrics.clone());
+        .server_status(hub.clone());
     let opts = ServerOptions {
         mode: Mode::Debug,
         profiling: true,
@@ -319,8 +319,7 @@ fn server_status_scrape_reconciles_with_request_counts() {
     let (listener, connector) = mem::listener("o11y-http-status");
     let server = ServerBuilder::new(opts, HttpCodec::new(), service)
         .unwrap()
-        .stats(stats)
-        .metrics(metrics)
+        .diag(hub)
         .serve(listener);
 
     for _ in 0..5 {
@@ -397,12 +396,11 @@ fn read_until(conn: &mut mem::MemStream, needle: &str, deadline: Instant) -> Str
 /// STAT itself have been decoded (4) but only the first three handled.
 #[test]
 fn ftp_stat_reconciles_with_decoded_commands() {
-    let stats = ServerStats::new_shared();
-    let metrics = MetricsRegistry::enabled();
+    let hub = DiagHub::new(ServerStats::new_shared(), MetricsRegistry::enabled());
     let vfs = Arc::new(Vfs::new());
     let users = Arc::new(UserRegistry::new().with_anonymous());
     let service = FtpService::new(vfs, users);
-    service.attach_stats(stats.clone(), metrics.clone());
+    service.attach_diag(hub.clone());
     let opts = ServerOptions {
         mode: Mode::Debug,
         profiling: true,
@@ -411,8 +409,7 @@ fn ftp_stat_reconciles_with_decoded_commands() {
     let (listener, connector) = mem::listener("o11y-ftp-stat");
     let server = ServerBuilder::new(opts, FtpCodec, service)
         .unwrap()
-        .stats(stats)
-        .metrics(metrics)
+        .diag(hub)
         .serve(listener);
 
     let mut conn = connector.connect();

@@ -4,7 +4,6 @@
 //! process — and every trace surface must agree with every other about
 //! what was kept and what the ring dropped.
 
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -12,68 +11,25 @@ use std::time::{Duration, Instant};
 
 use nserver_core::cluster::{Balancing, ClusterFrontEnd, RetryPolicy};
 use nserver_core::diag::DiagHub;
+use nserver_core::json::Json;
 use nserver_core::metrics::MetricsRegistry;
 use nserver_core::options::{Mode, ServerOptions};
 use nserver_core::profiling::ServerStats;
 use nserver_core::server::ServerBuilder;
-use nserver_core::trace::{DebugTracer, SpanEvent};
+use nserver_core::trace::{check_trace_events, DebugTracer, SpanEvent};
 use nserver_core::transport::TcpListenerNb;
 use nserver_ftp::{cops_ftp_options, FtpCodec, FtpService, UserRegistry, Vfs};
 use nserver_http::{cops_http_options, HttpCodec, MemStore, StaticFileService};
 
-/// Pull `"key":value` out of one trace-event line (values are numbers or
-/// quoted strings; the exporter emits one event per line).
-fn field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim_matches('"').to_string())
-}
-
-/// Structural Chrome-trace checks shared by the timeline tests: the
-/// export parses line-per-event, every `B` has a matching same-name `E`
-/// at a non-earlier timestamp on its lane, and `B` events on one lane
-/// are monotonically timestamped. Returns (pids seen, duration-pair
-/// names seen).
+/// Structural Chrome-trace checks shared by the timeline tests, through
+/// the one reader and the exporter's own validator: the export parses,
+/// every `B` has a matching same-name `E` at a non-earlier timestamp on
+/// its lane, and `B` events on one lane are monotonically timestamped.
+/// Returns (pids seen, duration-pair names seen).
 fn check_trace_shape(json: &str) -> (Vec<u64>, Vec<String>) {
-    assert!(json.contains("\"displayTimeUnit\""), "{json}");
-    assert!(json.contains("\"traceEvents\""), "{json}");
-    let mut pids = Vec::new();
-    let mut names = Vec::new();
-    let mut open: HashMap<(u64, u64), Vec<(String, u64)>> = HashMap::new();
-    let mut last_begin: HashMap<(u64, u64), u64> = HashMap::new();
-    for line in json.lines() {
-        let Some(ph) = field(line, "ph") else {
-            continue;
-        };
-        if let Some(pid) = field(line, "pid") {
-            pids.push(pid.parse().expect("numeric pid"));
-        }
-        if ph != "B" && ph != "E" {
-            continue;
-        }
-        let pid: u64 = field(line, "pid").unwrap().parse().unwrap();
-        let tid: u64 = field(line, "tid").unwrap().parse().unwrap();
-        let ts: u64 = field(line, "ts").unwrap().parse().unwrap();
-        let name = field(line, "name").unwrap();
-        let stack = open.entry((pid, tid)).or_default();
-        if ph == "B" {
-            let prev = last_begin.entry((pid, tid)).or_insert(0);
-            assert!(ts >= *prev, "lane timestamps regressed: {line}");
-            *prev = ts;
-            names.push(name.clone());
-            stack.push((name, ts));
-        } else {
-            let (bname, bts) = stack.pop().expect("E without a matching B");
-            assert_eq!(bname, name, "mismatched B/E pair: {json}");
-            assert!(ts >= bts, "negative duration: {json}");
-        }
-    }
-    for (_, stack) in open {
-        assert!(stack.is_empty(), "unclosed B events: {json}");
-    }
-    (pids, names)
+    let doc = Json::parse(json).unwrap_or_else(|e| panic!("{e}: {json}"));
+    let shape = check_trace_events(&doc).unwrap_or_else(|e| panic!("{e}: {json}"));
+    (shape.pids, shape.windows)
 }
 
 fn wait_for_close(tracer: &DebugTracer, what: &str) {
@@ -259,7 +215,12 @@ fn ftp_retr_over_pasv_joins_data_conn_to_control_timeline() {
         names.iter().any(|n| n == "data_transfer"),
         "RETR produced no data_transfer window: {names:?}"
     );
-    assert!(json.contains("\"ordinal\":1"), "{json}");
+    let events = Json::parse(&json).unwrap();
+    let mut events = events["traceEvents"].items().iter();
+    assert!(
+        events.any(|e| e["args"]["ordinal"].as_u64() == Some(1)),
+        "{json}"
+    );
     // The control pipeline's own stages are on the same timeline.
     assert!(names.iter().any(|n| n == "decode"), "{names:?}");
     server.shutdown();
@@ -281,8 +242,10 @@ fn trace_ring_overflow_reconciles_across_all_surfaces() {
     assert!(dropped > 0, "100 spans through an 8-slot ring must drop");
 
     let snapshot = hub.capture("overflow-reconciliation").to_json();
-    assert!(
-        snapshot.contains(&format!("\"trace\":{{\"dropped\":{dropped},")),
+    let tree = Json::parse(&snapshot).expect("well-formed snapshot");
+    assert_eq!(
+        tree["trace"]["dropped"].as_u64(),
+        Some(dropped),
         "snapshot disagrees with tracer ({dropped} dropped): {snapshot}"
     );
     let prom = hub.prometheus();
