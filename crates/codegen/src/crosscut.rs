@@ -3,8 +3,9 @@
 //! Table 2 is the paper's argument for generation over a static framework:
 //! almost every option crosscuts several classes, so a framework
 //! supporting all combinations dynamically would be riddled with
-//! indirection. Since our [`crate::fragments::registry`] stores the same
-//! facts as data, the matrix here is *derived*, never hand-maintained.
+//! indirection. The matrix here is *read off the template text*: a row's
+//! `O` is the option of its class's gate and its `+` marks are the options
+//! the class's guards and splices name ([`crate::fragments::ClassSpec::marks`]).
 
 use crate::fragments::{registry, OptionId};
 
@@ -39,27 +40,12 @@ pub struct CrosscutMatrix {
 }
 
 impl CrosscutMatrix {
-    /// Build the matrix from the fragment registry.
+    /// Build the matrix from the class table.
     pub fn build() -> Self {
-        let mut classes = Vec::new();
-        let mut cells = Vec::new();
-        for spec in registry() {
-            classes.push(spec.name);
-            let row = OptionId::ALL
-                .iter()
-                .map(|&opt| {
-                    if spec.gate.map(|g| g.option()) == Some(opt) {
-                        Mark::Gates
-                    } else if spec.affected_by.contains(&opt) {
-                        Mark::Affects
-                    } else {
-                        Mark::None
-                    }
-                })
-                .collect();
-            cells.push(row);
+        Self {
+            classes: registry().iter().map(|spec| spec.name).collect(),
+            cells: registry().iter().map(|s| s.marks().to_vec()).collect(),
         }
-        Self { classes, cells }
     }
 
     /// Number of non-empty cells (total crosscut dependencies).

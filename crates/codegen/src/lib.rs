@@ -16,11 +16,11 @@
 //! * [`template::generate`] — the generated framework itself: one module
 //!   per framework class, a `main.rs` that assembles the configuration,
 //!   and stub hook files for the programmer's Decode/Handle/Encode code.
-//!   Classes exist or vanish, and their bodies change, exactly per the
-//!   paper's Table 2 crosscut matrix.
-//! * [`crosscut`] — the Table 2 matrix extracted from the fragment
-//!   registry (which class is gated (`O`) or affected (`+`) by which
-//!   option).
+//!   Every class is guarded text in the class table ([`fragments`]),
+//!   expanded by the one interpreter in [`template`].
+//! * [`crosscut`] — the Table 2 matrix, read off that text: a class is
+//!   gated (`O`) by its gate's option and affected (`+`) by every option
+//!   its guards and splices name.
 //! * [`ncss`] — the classes/methods/NCSS code metrics used in the paper's
 //!   Tables 3 and 4 code-distribution studies.
 
@@ -30,6 +30,6 @@ pub mod ncss;
 pub mod template;
 
 pub use crosscut::{render_matrix, CrosscutMatrix};
-pub use fragments::{registry, ClassSpec, Gate, OptionId};
+pub use fragments::{registry, ClassSpec, OptionId};
 pub use ncss::{count_source, CodeStats};
 pub use template::{generate, GeneratedFile, GeneratedFramework};

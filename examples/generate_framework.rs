@@ -14,12 +14,15 @@ use nserver_codegen::{count_source, generate};
 use nserver_http::cops_http_options;
 
 fn main() {
-    let out = std::env::args()
-        .nth(1)
-        .unwrap_or_else(|| "generated/cops-http".to_string());
-    let options = cops_http_options();
-    // The generated Cargo.toml points back at this workspace's crates.
-    let fw = generate("cops-http-generated", &options, "../../crates");
+    // The generated Cargo.toml points back at this workspace's crates:
+    // relatively from the committed location (so that tree's bytes do not
+    // depend on where the repo is checked out), absolutely from anywhere
+    // else.
+    let (out, crates) = match std::env::args().nth(1) {
+        Some(out) => (out, concat!(env!("CARGO_MANIFEST_DIR"), "/../crates")),
+        None => ("generated/cops-http".to_string(), "../../crates"),
+    };
+    let fw = generate("cops-http-generated", &cops_http_options(), crates);
 
     println!("generating COPS-HTTP framework into {out}/\n");
     let mut total_ncss = 0;
