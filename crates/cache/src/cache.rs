@@ -1,9 +1,10 @@
 //! The byte-bounded file cache that the generated framework embeds when
 //! template option O6 is enabled.
 
+use std::any::Any;
 use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -49,10 +50,43 @@ impl CacheStats {
     }
 }
 
+/// What the application keeps beside an entry: state computed from the
+/// entry's bytes (COPS-HTTP's encoded response heads), filled in on a hit
+/// through [`FileCache::get_with`] and dropped with the entry — on
+/// replacement, eviction or invalidation — because it lives in the entry.
+pub type Sidecar = Option<Box<dyn Any + Send>>;
+
 struct Entry<K> {
     key: K,
     data: Arc<Vec<u8>>,
     meta: EntryMeta,
+    sidecar: Sidecar,
+}
+
+/// Multiply-rotate hashing of cache keys, in place of SipHash: a lookup
+/// hashes its key once and that hash is most of what the lookup costs.
+/// The map holds resident entries only — keys whose load succeeded, so
+/// names the content store chose, not ones a client can make up — which
+/// is why flooding it with colliding keys is not a request away.
+#[derive(Clone, Copy, Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(8) {
+            let mut le = [0u8; 8];
+            le[..word.len()].copy_from_slice(word);
+            // FxHash's round; the multiplier is odd, its bits evenly set.
+            let word = u64::from_le_bytes(le);
+            self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        }
+    }
+
+    /// The product's high bits are its best; fold them onto the low ones
+    /// the map indexes by.
+    fn finish(&self) -> u64 {
+        self.0 ^ (self.0 >> 32)
+    }
 }
 
 /// A byte-capacity-bounded in-memory file cache with a pluggable
@@ -60,13 +94,16 @@ struct Entry<K> {
 ///
 /// Values are `Arc<Vec<u8>>` so a hit hands out a cheap shared reference —
 /// the server can keep sending a file that has since been evicted.
+/// Entries live in a slab; an [`EntryId`] is an entry's slot there, reused
+/// once the entry is gone, and `ids` is the only hashed map.
 pub struct FileCache<K: Eq + Hash + Clone> {
     capacity: u64,
     used: u64,
     clock: u64,
-    next_id: EntryId,
-    ids: HashMap<K, EntryId>,
-    entries: HashMap<EntryId, Entry<K>>,
+    ids: HashMap<K, EntryId, BuildHasherDefault<KeyHasher>>,
+    entries: Vec<Option<Entry<K>>>,
+    /// Vacant slots of `entries`.
+    free: Vec<EntryId>,
     policy: Box<dyn ReplacementPolicy>,
     stats: CacheStats,
 }
@@ -83,17 +120,29 @@ impl<K: Eq + Hash + Clone> FileCache<K> {
             capacity,
             used: 0,
             clock: 0,
-            next_id: 0,
-            ids: HashMap::new(),
-            entries: HashMap::new(),
+            ids: HashMap::default(),
+            entries: Vec::new(),
+            free: Vec::new(),
             policy,
             stats: CacheStats::default(),
         }
     }
 
-    fn tick(&mut self) -> u64 {
+    /// The one lookup: a tick, a probe of `ids`, the slot, and — on a hit —
+    /// the entry's recency and frequency refreshed.
+    fn touch<Q>(&mut self, key: &Q) -> Option<&mut Entry<K>>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
         self.clock += 1;
-        self.clock
+        let &id = self.ids.get(key)?;
+        let entry = self.entries[id as usize].as_mut();
+        let entry = entry.expect("id map out of sync");
+        entry.meta.last_access = self.clock;
+        entry.meta.access_count += 1;
+        self.policy.on_access(id, &entry.meta);
+        Some(entry)
     }
 
     /// Look up a file. Counts a hit or miss and refreshes recency/frequency.
@@ -102,20 +151,26 @@ impl<K: Eq + Hash + Clone> FileCache<K> {
         K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        let now = self.tick();
-        if let Some(&id) = self.ids.get(key) {
-            let entry = self.entries.get_mut(&id).expect("id map out of sync");
-            entry.meta.last_access = now;
-            entry.meta.access_count += 1;
-            let meta = entry.meta;
-            let data = Arc::clone(&entry.data);
-            self.policy.on_access(id, &meta);
-            self.stats.hits += 1;
-            Some(data)
-        } else {
-            self.stats.misses += 1;
-            None
+        self.get_with(key, |data, _| Arc::clone(data))
+    }
+
+    /// [`FileCache::get`], handing the hit — the bytes and the entry's
+    /// [`Sidecar`] — to `on_hit` in place of cloning the bytes out.
+    pub fn get_with<Q, R>(
+        &mut self,
+        key: &Q,
+        on_hit: impl FnOnce(&Arc<Vec<u8>>, &mut Sidecar) -> R,
+    ) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        let hit = self.touch(key).map(|e| on_hit(&e.data, &mut e.sidecar));
+        match hit {
+            Some(_) => self.stats.hits += 1,
+            None => self.stats.misses += 1,
         }
+        hit
     }
 
     /// Look up a file without counting a hit or miss (recency and
@@ -127,15 +182,7 @@ impl<K: Eq + Hash + Clone> FileCache<K> {
         K: Borrow<Q>,
         Q: Eq + Hash + ?Sized,
     {
-        let now = self.tick();
-        let &id = self.ids.get(key)?;
-        let entry = self.entries.get_mut(&id).expect("id map out of sync");
-        entry.meta.last_access = now;
-        entry.meta.access_count += 1;
-        let meta = entry.meta;
-        let data = Arc::clone(&entry.data);
-        self.policy.on_access(id, &meta);
-        Some(data)
+        self.touch(key).map(|e| Arc::clone(&e.data))
     }
 
     /// Check residency without perturbing statistics or recency.
@@ -152,14 +199,10 @@ impl<K: Eq + Hash + Clone> FileCache<K> {
     /// documents) — the caller then serves the bytes without caching them.
     pub fn insert(&mut self, key: K, data: Arc<Vec<u8>>) -> bool {
         let size = data.len() as u64;
-        if !self.policy.admits(size, self.capacity) {
-            self.stats.rejected += 1;
-            return false;
-        }
         // An object that cannot fit even in an empty cache must be
         // refused up front: letting the eviction loop below discover it
         // would flush every resident entry first and then fail anyway.
-        if size > self.capacity {
+        if !self.policy.admits(size, self.capacity) || size > self.capacity {
             self.stats.rejected += 1;
             return false;
         }
@@ -174,17 +217,25 @@ impl<K: Eq + Hash + Clone> FileCache<K> {
                 None => return false, // nothing left to evict; cannot fit
             }
         }
-        let now = self.tick();
-        let id = self.next_id;
-        self.next_id += 1;
+        self.clock += 1;
         let meta = EntryMeta {
             size,
-            last_access: now,
+            last_access: self.clock,
             access_count: 1,
-            inserted_at: now,
+            inserted_at: self.clock,
         };
-        self.ids.insert(key.clone(), id);
-        self.entries.insert(id, Entry { key, data, meta });
+        // A vacant slot if there is one, else one more.
+        let id = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(None);
+            self.entries.len() as EntryId - 1
+        });
+        self.entries[id as usize] = Some(Entry {
+            key: key.clone(),
+            data,
+            meta,
+            sidecar: None,
+        });
+        self.ids.insert(key, id);
         self.used += size;
         self.policy.on_insert(id, &meta);
         true
@@ -205,7 +256,9 @@ impl<K: Eq + Hash + Clone> FileCache<K> {
     }
 
     fn remove_id(&mut self, id: EntryId, is_eviction: bool) {
-        if let Some(entry) = self.entries.remove(&id) {
+        let slot = self.entries.get_mut(id as usize);
+        if let Some(entry) = slot.and_then(Option::take) {
+            self.free.push(id);
             self.ids.remove(&entry.key);
             self.used -= entry.meta.size;
             self.policy.on_remove(id);
@@ -228,12 +281,12 @@ impl<K: Eq + Hash + Clone> FileCache<K> {
 
     /// Number of resident entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
     /// True when no entries are resident.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ids.is_empty()
     }
 
     /// Lifetime statistics snapshot.
@@ -323,15 +376,15 @@ impl<K: Eq + Hash + Clone> SharedFileCache<K> {
     where
         Q: Hash + ?Sized,
     {
-        use std::hash::Hasher;
         // One shard (`SharedFileCache::new`): there is nothing to choose,
         // so the key is not hashed to choose it.
         if let [only] = &self.shards[..] {
             return only;
         }
-        let mut h = std::collections::hash_map::DefaultHasher::new();
+        // The hash's high half, which a shard's own map does not index by.
+        let mut h = KeyHasher::default();
         key.hash(&mut h);
-        &self.shards[(h.finish() % self.shards.len() as u64) as usize]
+        &self.shards[((h.finish() >> 32) % self.shards.len() as u64) as usize]
     }
 
     /// Number of independent partitions.
@@ -346,6 +399,19 @@ impl<K: Eq + Hash + Clone> SharedFileCache<K> {
         Q: Eq + Hash + ?Sized,
     {
         self.shard_for(key).lock().get(key)
+    }
+
+    /// See [`FileCache::get_with`]; `on_hit` runs under the shard's lock.
+    pub fn get_with<Q, R>(
+        &self,
+        key: &Q,
+        on_hit: impl FnOnce(&Arc<Vec<u8>>, &mut Sidecar) -> R,
+    ) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Eq + Hash + ?Sized,
+    {
+        self.shard_for(key).lock().get_with(key, on_hit)
     }
 
     /// See [`FileCache::insert`].
@@ -751,6 +817,74 @@ mod tests {
         assert!(stats[0].0.hits > 0 && stats[0].0.misses > 0);
         assert_eq!(stats[0], stats[1]);
         assert_eq!(stats[0], stats[2]);
+    }
+
+    /// A hit hashes its key once on a one-shard handle — the probe of
+    /// `ids`; entries and policy state are indexed by slot — and once more
+    /// to pick the shard on a sharded one.
+    #[test]
+    fn a_lookup_hashes_its_key_once_per_map_it_must_choose_in() {
+        static HASHED: AtomicU64 = AtomicU64::new(0);
+        #[derive(Clone, PartialEq, Eq)]
+        struct Counted(u32);
+        impl Hash for Counted {
+            fn hash<H: Hasher>(&self, state: &mut H) {
+                HASHED.fetch_add(1, Ordering::Relaxed);
+                self.0.hash(state);
+            }
+        }
+        for kind in PolicyKind::all() {
+            for (shards, allowed) in [(1, 1), (8, 2)] {
+                let cache: SharedFileCache<Counted> = match shards {
+                    1 => SharedFileCache::new(FileCache::new(1 << 20, kind)),
+                    n => SharedFileCache::sharded(1 << 20, kind, n),
+                };
+                for k in 0..64 {
+                    assert!(cache.insert(Counted(k), blob(100)));
+                }
+                let before = HASHED.load(Ordering::Relaxed);
+                for k in 0..64 {
+                    assert!(cache.get(&Counted(k)).is_some());
+                    assert!(cache.get_with(&Counted(k), |_, _| ()).is_some());
+                }
+                let per_get = (HASHED.load(Ordering::Relaxed) - before) / 128;
+                assert_eq!(per_get, allowed, "{} over {shards}", kind.name());
+            }
+        }
+    }
+
+    /// The sidecar is the entry's: a replaced, evicted or invalidated
+    /// entry takes it along, and the entry that follows starts without.
+    #[test]
+    fn a_sidecar_lives_and_dies_with_its_entry() {
+        let mut c = FileCache::new(100, PolicyKind::Lru);
+        let seen = |c: &mut FileCache<&str>, key: &'static str| {
+            c.get_with(&key, |data, sidecar| {
+                let fresh = sidecar.is_none();
+                let kept = sidecar.get_or_insert_with(|| Box::new(data.len()));
+                assert_eq!(kept.downcast_ref(), Some(&data.len()), "stale for {key}");
+                fresh
+            })
+        };
+        c.insert("a", blob(40));
+        assert_eq!(seen(&mut c, "a"), Some(true));
+        assert_eq!(seen(&mut c, "a"), Some(false), "kept between hits");
+        c.insert("a", blob(50));
+        assert_eq!(seen(&mut c, "a"), Some(true), "replaced");
+        c.invalidate(&"a");
+        c.insert("a", blob(30));
+        assert_eq!(seen(&mut c, "a"), Some(true), "invalidated");
+        c.insert("b", blob(80)); // evicts a; b moves into its slot
+        assert_eq!(seen(&mut c, "a"), None);
+        assert_eq!(
+            seen(&mut c, "b"),
+            Some(true),
+            "a slot is reused, a sidecar is not"
+        );
+        c.insert("a", blob(10));
+        assert_eq!(seen(&mut c, "a"), Some(true), "evicted");
+        let s = c.stats();
+        assert_eq!((s.hits, s.misses, s.evictions), (6, 1, 1));
     }
 
     #[test]

@@ -2,9 +2,9 @@
 //! Caches for World-Wide Web Documents", SIGCOMM '96 — reference [29]).
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use crate::policy::{EntryId, EntryMeta, ReplacementPolicy};
+use crate::policy::{EntryId, EntryMeta, ReplacementPolicy, Slots};
 
 /// Hyper-G (named after the Hyper-G server): a refinement of LFU that
 /// breaks frequency ties by recency, and recency ties by size. The victim
@@ -14,7 +14,7 @@ use crate::policy::{EntryId, EntryMeta, ReplacementPolicy};
 pub struct HyperG {
     // Ordered by (access_count, last_access, Reverse(size), id).
     order: BTreeSet<(u64, u64, Reverse<u64>, EntryId)>,
-    key_of: HashMap<EntryId, (u64, u64, Reverse<u64>)>,
+    keys: Slots<(u64, u64, Reverse<u64>)>,
 }
 
 impl HyperG {
@@ -25,7 +25,7 @@ impl HyperG {
 
     fn reindex(&mut self, id: EntryId, meta: &EntryMeta) {
         let key = (meta.access_count, meta.last_access, Reverse(meta.size));
-        if let Some((c, la, sz)) = self.key_of.insert(id, key) {
+        if let Some((c, la, sz)) = self.keys.set(id, key) {
             self.order.remove(&(c, la, sz, id));
         }
         self.order.insert((key.0, key.1, key.2, id));
@@ -46,7 +46,7 @@ impl ReplacementPolicy for HyperG {
     }
 
     fn on_remove(&mut self, id: EntryId) {
-        if let Some((c, la, sz)) = self.key_of.remove(&id) {
+        if let Some((c, la, sz)) = self.keys.take(id) {
             self.order.remove(&(c, la, sz, id));
         }
     }

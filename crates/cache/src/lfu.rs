@@ -1,8 +1,8 @@
 //! Least-Frequently-Used replacement.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use crate::policy::{EntryId, EntryMeta, ReplacementPolicy};
+use crate::policy::{EntryId, EntryMeta, ReplacementPolicy, Slots};
 
 /// LFU: the victim is the entry with the fewest accesses; ties are broken
 /// by least-recent access (so LFU degrades gracefully to LRU among equally
@@ -12,7 +12,7 @@ pub struct Lfu {
     // Ordered by (access_count, last_access, id); the first element is the
     // eviction candidate.
     order: BTreeSet<(u64, u64, EntryId)>,
-    key_of: HashMap<EntryId, (u64, u64)>,
+    keys: Slots<(u64, u64)>,
 }
 
 impl Lfu {
@@ -22,10 +22,8 @@ impl Lfu {
     }
 
     fn reindex(&mut self, id: EntryId, meta: &EntryMeta) {
-        if let Some((cnt, la)) = self
-            .key_of
-            .insert(id, (meta.access_count, meta.last_access))
-        {
+        let key = (meta.access_count, meta.last_access);
+        if let Some((cnt, la)) = self.keys.set(id, key) {
             self.order.remove(&(cnt, la, id));
         }
         self.order.insert((meta.access_count, meta.last_access, id));
@@ -46,7 +44,7 @@ impl ReplacementPolicy for Lfu {
     }
 
     fn on_remove(&mut self, id: EntryId) {
-        if let Some((cnt, la)) = self.key_of.remove(&id) {
+        if let Some((cnt, la)) = self.keys.take(id) {
             self.order.remove(&(cnt, la, id));
         }
     }

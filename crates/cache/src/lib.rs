@@ -34,7 +34,7 @@ mod lru;
 mod lru_min;
 mod lru_threshold;
 
-pub use cache::{CacheStats, FileCache, SharedFileCache, DEFAULT_SHARDS};
+pub use cache::{CacheStats, FileCache, SharedFileCache, Sidecar, DEFAULT_SHARDS};
 pub use hyper_g::HyperG;
 pub use lfu::Lfu;
 pub use lru::Lru;

@@ -1,18 +1,18 @@
 //! Least-Recently-Used replacement.
 
-use std::collections::BTreeMap;
-use std::collections::HashMap;
-
 use crate::policy::{EntryId, EntryMeta, ReplacementPolicy};
 
 /// Classic LRU: the victim is always the entry whose last access is oldest.
 ///
-/// Implemented as a `BTreeMap<access_tick, id>` plus an `id -> tick` index,
-/// giving `O(log n)` insert/access/evict without an intrusive list.
+/// An intrusive circular list over slot indices: node `id + 1` is entry
+/// `id`, node 0 the sentinel whose `next` is the oldest entry and whose
+/// `prev` the newest. A node linked to itself is on no list. Access ticks
+/// only grow, so list order is recency order and a hit is an unlink and a
+/// push: `O(1)`, no hashing, no allocation once the vector has grown.
 #[derive(Debug, Default)]
 pub struct Lru {
-    by_recency: BTreeMap<u64, EntryId>,
-    tick_of: HashMap<EntryId, u64>,
+    /// `[prev, next]` per node.
+    links: Vec<[usize; 2]>,
 }
 
 impl Lru {
@@ -21,21 +21,41 @@ impl Lru {
         Self::default()
     }
 
-    fn touch(&mut self, id: EntryId, tick: u64) {
-        if let Some(old) = self.tick_of.insert(id, tick) {
-            self.by_recency.remove(&old);
-        }
-        self.by_recency.insert(tick, id);
+    /// Take `node` off the list (a no-op for a node that is on none).
+    fn unlink(&mut self, node: usize) {
+        let [prev, next] = self.links[node];
+        self.links[prev][1] = next;
+        self.links[next][0] = prev;
+        self.links[node] = [node, node];
     }
 
-    /// Number of tracked entries (test/diagnostic aid).
+    /// Make `id` the newest entry, tracked before or not.
+    fn touch(&mut self, id: EntryId) {
+        let node = id as usize + 1;
+        for fresh in self.links.len()..=node {
+            self.links.push([fresh, fresh]);
+        }
+        self.unlink(node);
+        let newest = self.links[0][0];
+        self.links[node] = [newest, 0];
+        self.links[newest][1] = node;
+        self.links[0][0] = node;
+    }
+
+    /// The oldest entry's node, 0 when there is none.
+    fn oldest(&self) -> usize {
+        self.links.first().map_or(0, |sentinel| sentinel[1])
+    }
+
+    /// Number of tracked entries (test/diagnostic aid; walks the list).
     pub fn len(&self) -> usize {
-        self.tick_of.len()
+        let next = |&node: &usize| Some(self.links[node][1]).filter(|&n| n != 0);
+        std::iter::successors(Some(self.oldest()).filter(|&n| n != 0), next).count()
     }
 
     /// True when no entries are tracked.
     pub fn is_empty(&self) -> bool {
-        self.tick_of.is_empty()
+        self.oldest() == 0
     }
 }
 
@@ -44,22 +64,22 @@ impl ReplacementPolicy for Lru {
         "LRU"
     }
 
-    fn on_insert(&mut self, id: EntryId, meta: &EntryMeta) {
-        self.touch(id, meta.last_access);
+    fn on_insert(&mut self, id: EntryId, _meta: &EntryMeta) {
+        self.touch(id);
     }
 
-    fn on_access(&mut self, id: EntryId, meta: &EntryMeta) {
-        self.touch(id, meta.last_access);
+    fn on_access(&mut self, id: EntryId, _meta: &EntryMeta) {
+        self.touch(id);
     }
 
     fn on_remove(&mut self, id: EntryId) {
-        if let Some(tick) = self.tick_of.remove(&id) {
-            self.by_recency.remove(&tick);
+        if (id as usize) + 1 < self.links.len() {
+            self.unlink(id as usize + 1);
         }
     }
 
     fn choose_victim(&mut self, _incoming_size: u64) -> Option<EntryId> {
-        self.by_recency.values().next().copied()
+        (self.oldest() as EntryId).checked_sub(1)
     }
 }
 

@@ -1,9 +1,7 @@
 //! LRU-MIN replacement (Abrams et al., "Caching Proxies: Limitations and
 //! Potentials", VT TR-95-12 — reference [1] of the paper).
 
-use std::collections::HashMap;
-
-use crate::policy::{EntryId, EntryMeta, ReplacementPolicy};
+use crate::policy::{EntryId, EntryMeta, ReplacementPolicy, Slots};
 
 /// LRU-MIN tries to minimise the *number* of documents evicted: to make
 /// room for an incoming document of size `S`, it first looks for cached
@@ -12,7 +10,7 @@ use crate::policy::{EntryId, EntryMeta, ReplacementPolicy};
 /// eventually falling back to plain LRU over everything.
 #[derive(Debug, Default)]
 pub struct LruMin {
-    entries: HashMap<EntryId, (u64, u64)>, // id -> (size, last_access)
+    entries: Slots<(u64, u64)>, // id -> (size, last_access)
 }
 
 impl LruMin {
@@ -25,8 +23,8 @@ impl LruMin {
         self.entries
             .iter()
             .filter(|(_, (size, _))| *size >= min_size)
-            .min_by_key(|(id, (_, la))| (*la, **id))
-            .map(|(id, _)| *id)
+            .min_by_key(|(id, (_, la))| (*la, *id))
+            .map(|(id, _)| id)
     }
 }
 
@@ -36,15 +34,15 @@ impl ReplacementPolicy for LruMin {
     }
 
     fn on_insert(&mut self, id: EntryId, meta: &EntryMeta) {
-        self.entries.insert(id, (meta.size, meta.last_access));
+        self.entries.set(id, (meta.size, meta.last_access));
     }
 
     fn on_access(&mut self, id: EntryId, meta: &EntryMeta) {
-        self.entries.insert(id, (meta.size, meta.last_access));
+        self.entries.set(id, (meta.size, meta.last_access));
     }
 
     fn on_remove(&mut self, id: EntryId) {
-        self.entries.remove(&id);
+        self.entries.take(id);
     }
 
     fn choose_victim(&mut self, incoming_size: u64) -> Option<EntryId> {

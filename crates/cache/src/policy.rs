@@ -9,8 +9,37 @@
 
 use crate::{HyperG, Lfu, Lru, LruMin, LruThreshold};
 
-/// Opaque identifier for a cache entry, assigned by the cache.
+/// A cache entry's slot: the cache keeps entries in a slab and names one
+/// by its index there. An id is live from `on_insert` to `on_remove` and
+/// is handed out again afterwards, so ids stay small and a policy can
+/// index a vector by them — and must forget an id when it is removed.
 pub type EntryId = u64;
+
+/// Per-entry policy state in a vector indexed by [`EntryId`].
+#[derive(Debug, Default)]
+pub(crate) struct Slots<T>(Vec<Option<T>>);
+
+impl<T> Slots<T> {
+    /// Store `value` for `id`, returning what the slot held.
+    pub(crate) fn set(&mut self, id: EntryId, value: T) -> Option<T> {
+        let at = id as usize;
+        if at >= self.0.len() {
+            self.0.resize_with(at + 1, || None);
+        }
+        self.0[at].replace(value)
+    }
+
+    /// Vacate `id`'s slot.
+    pub(crate) fn take(&mut self, id: EntryId) -> Option<T> {
+        self.0.get_mut(id as usize)?.take()
+    }
+
+    /// The occupied slots, in id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (EntryId, &T)> {
+        let slots = self.0.iter().enumerate();
+        slots.filter_map(|(id, slot)| Some((id as EntryId, slot.as_ref()?)))
+    }
+}
 
 /// Metadata the cache tracks per entry and exposes to policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,7 +59,7 @@ pub struct EntryMeta {
 ///
 /// The cache notifies the policy of insertions, accesses and removals, and
 /// asks it to pick victims when space is needed. Implementations maintain
-/// whatever index structures they need, keyed by [`EntryId`].
+/// whatever index structures they need, indexed by [`EntryId`].
 pub trait ReplacementPolicy: Send {
     /// Human-readable policy name (used in profiling output).
     fn name(&self) -> &'static str;

@@ -8,6 +8,8 @@ use std::sync::Arc;
 use nserver_cache::{FileCache, PolicyKind};
 use propcheck::{check, Gen};
 
+mod oracle;
+
 /// An abstract cache operation.
 #[derive(Debug, Clone)]
 enum Op {
@@ -155,4 +157,117 @@ fn lru_matches_reference_model() {
             assert_eq!(cache.len(), model.len());
         }
     });
+}
+
+/// An operation of mixed size over few keys: re-inserts, evictions and so
+/// slot reuse are the common case, and at 2 KiB of capacity the eviction
+/// loop takes several victims for one newcomer.
+fn oracle_op(g: &mut Gen) -> Op {
+    let key = g.range(0..24u8);
+    match g.range(0..6u8) {
+        0..=2 => Op::Get(key),
+        3 | 4 => Op::Insert(
+            key,
+            *g.pick(&[1, 7, 60, 300, 511, 512, 513, 1500, 2048, 2049]),
+        ),
+        _ => Op::Invalidate(key),
+    }
+}
+
+/// The slab cache and the cache it replaced (`oracle`) agree after every
+/// step of a random trace: hit or miss (and the bytes hit), the `insert`
+/// verdict, `invalidate`'s, `used_bytes`, `len`, every key's residency and
+/// the full `CacheStats` — so each policy names the same victims in the
+/// same order, whatever slot an entry now sits in.
+fn check_against_oracle(kind: PolicyKind) {
+    check(96, |g| {
+        let capacity = *g.pick(&[600u64, 2048, 8192]);
+        let mut new: FileCache<u8> = FileCache::new(capacity, kind);
+        let mut old: oracle::FileCache<u8> = oracle::FileCache::new(capacity, kind);
+        for (step, op) in g.vec(1..400, oracle_op).into_iter().enumerate() {
+            let at = format!("{} step {step} {op:?}", kind.name());
+            match op {
+                Op::Get(k) => assert_eq!(new.get(&k), old.get(&k), "{at}"),
+                Op::Insert(k, size) => {
+                    let data = Arc::new(vec![k; size as usize]);
+                    let verdict = new.insert(k, Arc::clone(&data));
+                    assert_eq!(verdict, old.insert(k, data), "{at}");
+                }
+                Op::Invalidate(k) => assert_eq!(new.invalidate(&k), old.invalidate(&k), "{at}"),
+            }
+            assert_eq!(new.stats(), old.stats(), "{at}");
+            assert_eq!(new.used_bytes(), old.used_bytes(), "{at}");
+            assert_eq!(new.len(), old.len(), "{at}");
+            for k in 0..24u8 {
+                assert_eq!(new.contains(&k), old.contains(&k), "{at}: key {k}");
+            }
+        }
+    });
+}
+
+#[test]
+fn lru_oracle() {
+    check_against_oracle(PolicyKind::all()[0]);
+}
+
+#[test]
+fn lfu_oracle() {
+    check_against_oracle(PolicyKind::all()[1]);
+}
+
+#[test]
+fn lru_min_oracle() {
+    check_against_oracle(PolicyKind::all()[2]);
+}
+
+#[test]
+fn lru_threshold_oracle() {
+    check_against_oracle(PolicyKind::all()[3]);
+}
+
+#[test]
+fn hyper_g_oracle() {
+    check_against_oracle(PolicyKind::all()[4]);
+}
+
+/// An evicted entry's slot goes to the next insert, whatever its key: the
+/// old key misses from then on, the newcomer is what the slot answers to,
+/// and no policy ever names a vacant slot as its victim (the cache would
+/// then fail to make room and refuse an insert that fits).
+#[test]
+fn slot_reuse_oracle() {
+    for kind in PolicyKind::all() {
+        let mut cache: FileCache<&str> = FileCache::new(100, kind);
+        for key in ["a", "b", "c", "d"] {
+            assert!(cache.insert(key, Arc::new(vec![key.as_bytes()[0]; 25])));
+        }
+        for key in ["b", "c", "d", "d", "c", "b"] {
+            assert!(cache.get(&key).is_some());
+        }
+        // Full: a is the oldest, the least used and as large as any, so
+        // every policy evicts a, and e moves into a's slot.
+        assert!(cache.insert("e", Arc::new(vec![b'e'; 25])), "{kind:?}");
+        assert_eq!(cache.stats().evictions, 1, "{kind:?}");
+        assert!(
+            !cache.contains(&"a") && cache.get(&"a").is_none(),
+            "{kind:?}"
+        );
+        assert_eq!(cache.get(&"e").as_deref(), Some(&vec![b'e'; 25]));
+        // An invalidated entry's slot is reused the same way.
+        assert!(cache.invalidate(&"c"));
+        assert!(cache.insert("f", Arc::new(vec![b'f'; 10])), "{kind:?}");
+        assert!(cache.get(&"c").is_none(), "{kind:?}");
+        assert_eq!(cache.get(&"f").as_deref(), Some(&vec![b'f'; 10]));
+        assert_eq!((cache.len(), cache.used_bytes()), (4, 85), "{kind:?}");
+        // Fill and churn: every insert fits once the policy's victims are
+        // gone, so a refusal here is a vacant slot named as victim.
+        for round in 0..40u8 {
+            let key: &'static str = ["p", "q", "r", "s", "t"][round as usize % 5];
+            let size = 5 + (round as usize * 7) % 20;
+            assert!(cache.insert(key, Arc::new(vec![round; size])), "{kind:?}");
+            assert_eq!(cache.get(&key).map(|d| d.len()), Some(size), "{kind:?}");
+            assert!(cache.used_bytes() <= 100);
+        }
+        assert_eq!(cache.stats().rejected, 0, "{kind:?}");
+    }
 }

@@ -74,10 +74,11 @@ pub struct DecodeState {
 pub enum OutSegment {
     /// Owned bytes.
     Bytes(BytesMut),
-    /// Zero-copy window into shared payload bytes; `offset` is how much
-    /// has already been written to the socket.
+    /// Zero-copy window into shared bytes; `offset` is how much has
+    /// already been written to the socket.
     Shared {
-        /// The shared payload (typically a cached file body).
+        /// The shared bytes (a cached file body, or the encoded head
+        /// every reply serving that cache entry starts with).
         data: Arc<Vec<u8>>,
         /// Bytes of `data` already transmitted.
         offset: usize,
@@ -111,11 +112,14 @@ impl OutSegment {
 
 /// An encoded response, produced by [`Codec::encode_reply`] and queued
 /// whole into the [`Outbox`] once its sequence number becomes contiguous:
-/// owned bytes (a response head, a control reply), then at most one
-/// shared payload, then whatever was pushed after it — three inline
-/// slots, so building a reply allocates nothing beyond its bytes.
+/// a head shared by reference (one encoded once for every reply that
+/// serves the same cache entry) or owned bytes (any other response head, a
+/// control reply), then at most one shared payload, then whatever was
+/// pushed after it — four inline slots, so building a reply allocates
+/// nothing beyond its bytes, and nothing at all when both are shared.
 #[derive(Default)]
 pub struct EncodedReply {
+    shared_head: Option<Arc<Vec<u8>>>,
     head: BytesMut,
     body: Option<Arc<Vec<u8>>>,
     tail: BytesMut,
@@ -147,6 +151,16 @@ impl EncodedReply {
         }
     }
 
+    /// Open the reply with a head shared by reference. A reply that
+    /// already holds bytes takes a copy instead, in push order.
+    pub fn push_shared_head(&mut self, head: Arc<Vec<u8>>) {
+        if !self.is_empty() {
+            self.owned_slot().extend_from_slice(&head);
+        } else if !head.is_empty() {
+            self.shared_head = Some(head);
+        }
+    }
+
     /// Append a shared payload without copying it (empty payloads are
     /// dropped). A reply carries one payload by reference; a further one
     /// is copied behind it.
@@ -163,7 +177,8 @@ impl EncodedReply {
 
     /// Total bytes across all segments.
     pub fn len(&self) -> usize {
-        self.head.len() + self.body.as_ref().map_or(0, |b| b.len()) + self.tail.len()
+        let shared = |slot: &Option<Arc<Vec<u8>>>| slot.as_ref().map_or(0, |s| s.len());
+        shared(&self.shared_head) + self.head.len() + shared(&self.body) + self.tail.len()
     }
 
     /// Whether the reply carries no bytes.
@@ -242,7 +257,16 @@ impl Outbox {
     /// Queue an encoded reply's segments in order.
     pub fn push_reply(&mut self, reply: EncodedReply) {
         self.len += reply.len();
-        let EncodedReply { head, body, tail } = reply;
+        let EncodedReply {
+            shared_head,
+            head,
+            body,
+            tail,
+        } = reply;
+        if let Some(data) = shared_head {
+            self.segments
+                .push_back(OutSegment::Shared { data, offset: 0 });
+        }
         if !head.is_empty() {
             self.segments.push_back(OutSegment::Bytes(head));
         }
@@ -491,6 +515,13 @@ pub struct ConnShared {
     /// same connection must not interleave their decode loops) and holds
     /// the codec's incremental-scan scratch.
     decode_lock: Mutex<DecodeState>,
+    /// Next sequence number to hand to a new request. Only the decode
+    /// loop adds to it (under `decode_lock`); it is read under the `send`
+    /// lock, after `next_emit` — a reader then holds the lock every
+    /// `complete` released, so it sees the assignment of every request it
+    /// sees emitted, and `next_emit <= next_assign` holds for what it
+    /// read as it does for what is.
+    next_assign: AtomicU64,
     send: Mutex<SendState>,
     /// Where Send Reply writes; unset on a connection no dispatcher owns
     /// (a hand-built engine), whose replies then stay in `outbox`.
@@ -513,8 +544,6 @@ pub(crate) struct Sink {
 }
 
 struct SendState {
-    /// Next sequence number to hand to a new request.
-    next_assign: u64,
     /// Next sequence number eligible for transmission.
     next_emit: u64,
     /// Out-of-order completions: seq → encoded reply (`None` = no reply).
@@ -539,8 +568,8 @@ impl ConnShared {
             peer_eof: AtomicBool::new(false),
             sink_dead: AtomicBool::new(false),
             decode_lock: Mutex::new(DecodeState::default()),
+            next_assign: AtomicU64::new(0),
             send: Mutex::new(SendState {
-                next_assign: 0,
                 next_emit: 0,
                 ready: BTreeMap::new(),
             }),
@@ -579,7 +608,7 @@ impl ConnShared {
     /// queued for transmission yet.
     pub fn responses_pending(&self) -> bool {
         let s = self.send.lock();
-        s.next_emit < s.next_assign
+        s.next_emit < self.next_assign.load(Ordering::Relaxed)
     }
 
     /// Give the connection up after a hook panicked somewhere its place
@@ -591,16 +620,13 @@ impl ConnShared {
         self.sink_dead.store(true, Ordering::Relaxed);
         self.closing.store(true, Ordering::Relaxed);
         let mut s = self.send.lock();
-        s.next_emit = s.next_assign;
+        s.next_emit = self.next_assign.load(Ordering::Relaxed);
         s.ready.clear();
         self.outbox.lock().clear();
     }
 
     pub(crate) fn assign_seq(&self) -> u64 {
-        let mut s = self.send.lock();
-        let seq = s.next_assign;
-        s.next_assign += 1;
-        seq
+        self.next_assign.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Record the (possibly empty) reply for `seq` and move every
@@ -1324,7 +1350,7 @@ mod tests {
                     assert_eq!(conn.outbox.lock().to_vec(), model.outbox, "seed {seed}");
                     assert_eq!(
                         conn.responses_pending(),
-                        model.next_emit < conn.send.lock().next_assign
+                        model.next_emit < conn.next_assign.load(Ordering::Relaxed)
                     );
                 }
                 // Send Reply takes some of what is queued.
@@ -1475,6 +1501,38 @@ mod tests {
         // The first payload rides by reference, the second was copied.
         assert_eq!(Arc::strong_count(&first), 2);
         assert_eq!(Arc::strong_count(&second), 1);
+    }
+
+    #[test]
+    fn a_shared_head_rides_by_reference_ahead_of_the_body() {
+        let head = Arc::new(b"HEAD|".to_vec());
+        let body = Arc::new(b"BODY".to_vec());
+        let mut reply = EncodedReply::new();
+        reply.push_shared_head(Arc::clone(&head));
+        reply.push_shared(Arc::clone(&body));
+        reply.push_bytes(BytesMut::from(&b"|z"[..]));
+        assert_eq!(reply.len(), 11);
+        let mut out = Outbox::new();
+        out.push_reply(reply);
+        assert_eq!(out.len(), 11);
+        assert_eq!(out.to_vec(), b"HEAD|BODY|z");
+        assert_eq!(Arc::strong_count(&head), 2, "queued, not copied");
+        assert_eq!(Arc::strong_count(&body), 2);
+        // Sent across the boundary between the two shared segments.
+        out.advance(7);
+        assert_eq!(out.front_chunk(), Some(&b"DY"[..]));
+        assert_eq!(Arc::strong_count(&head), 1, "a sent head is let go");
+        // On a reply that already holds bytes a head is one more push.
+        let mut reply = EncodedReply::new();
+        reply.push_bytes(BytesMut::from(&b"a"[..]));
+        reply.push_shared_head(Arc::clone(&head));
+        reply.push_shared(Arc::clone(&body));
+        reply.push_shared_head(Arc::clone(&head));
+        reply.push_shared_head(Arc::new(Vec::new()));
+        let mut out = Outbox::new();
+        out.push_reply(reply);
+        assert_eq!(out.to_vec(), b"aHEAD|BODYHEAD|");
+        assert_eq!(Arc::strong_count(&head), 1, "copied both times");
     }
 
     #[test]

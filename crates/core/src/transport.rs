@@ -241,6 +241,8 @@ impl SyscallSnapshot {
 // TCP implementation
 // ---------------------------------------------------------------------------
 
+mod accept;
+
 /// Non-blocking TCP listener.
 pub struct TcpListenerNb {
     inner: TcpListener,
@@ -253,6 +255,7 @@ impl TcpListenerNb {
     pub fn bind(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let inner = TcpListener::bind(addr)?;
         inner.set_nonblocking(true)?;
+        accept::prepare(&inner)?;
         let label = inner
             .local_addr()
             .map(|a| a.to_string())
@@ -266,16 +269,13 @@ impl Listener for TcpListenerNb {
     type Poller = TcpPoller;
 
     fn try_accept(&mut self) -> io::Result<Option<TcpStreamNb>> {
-        match self.inner.accept() {
-            Ok((stream, peer)) => {
-                stream.set_nonblocking(true)?;
-                let _ = stream.set_nodelay(true);
-                Ok(Some(TcpStreamNb {
-                    inner: stream,
-                    peer: peer.to_string(),
-                    open: true,
-                }))
-            }
+        // One syscall on Linux (`accept4`), three elsewhere.
+        match accept::accept(&self.inner) {
+            Ok((stream, peer)) => Ok(Some(TcpStreamNb {
+                inner: stream,
+                peer: peer.to_string(),
+                open: true,
+            })),
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
             Err(e) => Err(e),
         }
@@ -1476,6 +1476,37 @@ mod tests {
         let _client2 = c.connect();
         let events = wait_events(&mut poller, Some(Duration::ZERO));
         assert!(events.is_empty(), "deregistered listener stays silent");
+    }
+
+    /// An accepted stream needs no call of its own to be non-blocking and
+    /// `TCP_NODELAY` (on Linux `accept4` and the listener's option give
+    /// both), and is labelled with the address its peer connected from.
+    #[test]
+    fn tcp_accepted_stream_is_nonblocking_and_nodelay() {
+        for bind in ["127.0.0.1:0", "[::1]:0"] {
+            let Ok(mut l) = TcpListenerNb::bind(bind) else {
+                assert_ne!(bind, "127.0.0.1:0", "IPv4 loopback must bind");
+                continue; // no IPv6 loopback on this host
+            };
+            let client = TcpStream::connect(l.local_label()).unwrap();
+            let mut server = None;
+            for _ in 0..1000 {
+                server = l.try_accept().unwrap();
+                if server.is_some() {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+            let mut server = server.expect("accepted");
+            assert!(server.inner.nodelay().unwrap(), "{bind}");
+            // A blocking socket would hang here; this one has nothing yet.
+            let mut buf = [0u8; 8];
+            assert_eq!(server.try_read(&mut buf).unwrap(), ReadOutcome::WouldBlock);
+            assert_eq!(
+                server.peer_label(),
+                client.local_addr().unwrap().to_string()
+            );
+        }
     }
 
     #[cfg(target_os = "linux")]

@@ -69,13 +69,21 @@ impl Codec for HttpCodec {
         }
     }
 
-    /// Zero-copy encode: the head goes into an owned segment; the body —
-    /// shared with the file cache via its `Arc` — rides as a borrowed
-    /// segment, so a cached file is never memcpy'd per response.
+    /// Zero-copy encode: the body — shared with the file cache via its
+    /// `Arc` — rides as a borrowed segment, so a cached file is never
+    /// memcpy'd per response, and so does the head when it is one kept
+    /// beside the file's cache entry; any other head is encoded into an
+    /// owned segment. Either way the bytes are `encode_response_head`'s.
     fn encode_reply(&self, resp: &Response, out: &mut EncodedReply) -> Result<(), ProtocolError> {
-        let mut head = BytesMut::new();
-        encode_response_head(resp, &mut head);
-        out.push_bytes(head);
+        let encode = || {
+            let mut head = BytesMut::new();
+            encode_response_head(resp, &mut head);
+            head
+        };
+        match resp.shared_head(|| encode().to_vec()) {
+            Some(head) => out.push_shared_head(head),
+            None => out.push_bytes(encode()),
+        }
         if !resp.head_only {
             out.push_shared(Arc::clone(&resp.body));
         }

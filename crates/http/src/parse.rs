@@ -3,7 +3,7 @@
 
 use bytes::BytesMut;
 
-use crate::types::{crlf_lines, Headers, Method, Request, Response, Version};
+use crate::types::{crlf_lines, Connection, Headers, Method, Request, Response, Version};
 
 /// Result of a parse attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -84,9 +84,15 @@ pub fn parse_request_hinted(buf: &mut BytesMut, scanned: &mut usize) -> ParseOut
     if t.is_empty() || !t.starts_with('/') {
         return ParseOutcome::Invalid(format!("bad target: {t}"));
     }
+    // The pass that checks every line for its colon is the one that
+    // settles `Connection`, so `Request::keep_alive` reads no line again.
+    let mut connection = Connection::Absent;
     for line in lines {
-        if !line.contains(':') {
+        let Some((name, value)) = line.split_once(':') else {
             return ParseOutcome::Invalid(format!("malformed header: {line}"));
+        };
+        if connection == Connection::Absent && name.trim().eq_ignore_ascii_case("connection") {
+            connection = Connection::of(value.trim());
         }
     }
     // The head stays whole, as the request's one buffer: its header lines
@@ -94,6 +100,7 @@ pub fn parse_request_hinted(buf: &mut BytesMut, scanned: &mut usize) -> ParseOut
     let target = t.to_string();
     let mut headers = Headers::new();
     headers.head = head;
+    headers.connection = connection;
     ParseOutcome::Complete(Request {
         method,
         target,

@@ -14,7 +14,7 @@ use nserver_cache::SharedFileCache;
 use nserver_core::pipeline::{Action, ConnCtx, Service};
 
 use crate::codec::HttpCodec;
-use crate::types::{mime_for, Method, Request, Response, Status};
+use crate::types::{mime_for, EntryHeads, Method, Request, Response, Status};
 
 /// Where file bytes come from on a cache miss.
 pub trait ContentStore: Send + Sync + 'static {
@@ -197,10 +197,21 @@ impl<St: ContentStore> Service<HttpCodec> for StaticFileService<St> {
             None => return respond(Response::error(Status::Forbidden, version)),
         };
 
-        // Cache hit: reply without any blocking operation.
+        // Cache hit: reply without any blocking operation. The entry's
+        // sidecar holds what every 200 for it has in common (see
+        // `EntryHeads`), made on the entry's first hit.
         if let Some(cache) = &self.cache {
-            if let Some(data) = cache.get(&*path) {
-                return respond(Response::ok(data, mime_for(&path), version));
+            let hit = cache.get_with(&*path, |data, sidecar| {
+                if !sidecar.as_ref().is_some_and(|s| s.is::<Arc<EntryHeads>>()) {
+                    let heads = EntryHeads::new(mime_for(&path), data.len());
+                    *sidecar = Some(Box::new(Arc::new(heads)));
+                }
+                let heads = sidecar.as_ref().and_then(|s| s.downcast_ref());
+                let heads: &Arc<EntryHeads> = heads.expect("just checked");
+                Response::ok_cached(Arc::clone(data), Arc::clone(heads), version)
+            });
+            if let Some(resp) = hit {
+                return respond(resp);
             }
         }
 
@@ -494,6 +505,117 @@ mod tests {
         let svc = StaticFileService::new(store(), None);
         let (resp, _) = run_action(svc.handle(&ctx(), get("/index.html?v=2")));
         assert_eq!(resp.status, Status::Ok);
+    }
+
+    /// What a cached reply to `req` puts on the wire, and where its head
+    /// lives.
+    fn hit(svc: &StaticFileService<MemStore>, req: Request) -> (String, *const u8) {
+        use nserver_core::pipeline::{Codec, EncodedReply, Outbox};
+        let resp = match svc.handle(&ctx(), req) {
+            Action::Reply(resp) | Action::ReplyClose(resp) => resp,
+            other => panic!("not a hit: {other:?}"),
+        };
+        let mut reply = EncodedReply::new();
+        HttpCodec::new().encode_reply(&resp, &mut reply).unwrap();
+        let mut out = Outbox::new();
+        out.push_reply(reply);
+        let head = out.front_chunk().expect("a head").as_ptr();
+        (String::from_utf8(out.to_vec()).unwrap(), head)
+    }
+
+    #[test]
+    fn a_cached_head_dies_with_its_entry() {
+        let cache = SharedFileCache::new(FileCache::new(5000, PolicyKind::Lru));
+        let svc = StaticFileService::new(store(), Some(cache.clone()));
+        let announces = |len: usize| {
+            let (wire, _) = hit(&svc, get("/index.html"));
+            let want = format!("\r\nContent-Length: {len}\r\n");
+            assert!(wire.contains(&want), "{want:?} not in {wire:?}");
+            assert_eq!(wire.len(), wire.find("\r\n\r\n").unwrap() + 4 + len);
+        };
+        run_action(svc.handle(&ctx(), get("/index.html"))); // miss, load
+        announces(17);
+        announces(17);
+        // Replaced under the same key by a body of another length.
+        cache.insert("/index.html".into(), Arc::new(vec![b'r'; 123]));
+        announces(123);
+        // Invalidated and loaded again.
+        assert!(cache.invalidate("/index.html"));
+        run_action(svc.handle(&ctx(), get("/index.html")));
+        announces(17);
+        // Evicted (big.bin's 4096 bytes leave no room for it; the file
+        // that then moves in takes its slot) and loaded again.
+        cache.insert("/index.html".into(), Arc::new(vec![b'e'; 1000]));
+        announces(1000);
+        run_action(svc.handle(&ctx(), get("/big.bin")));
+        assert_eq!(cache.stats().evictions, 1);
+        let (wire, _) = hit(&svc, get("/big.bin"));
+        assert!(wire.contains("\r\nContent-Length: 4096\r\n"), "{wire:?}");
+        assert!(wire.contains("\r\nContent-Type: application/octet-stream\r\n"));
+        run_action(svc.handle(&ctx(), get("/index.html")));
+        announces(17);
+    }
+
+    #[test]
+    fn every_spelling_of_a_path_hits_the_same_entry_and_head() {
+        let cache = SharedFileCache::new(FileCache::new(1 << 20, PolicyKind::Lru));
+        let svc = StaticFileService::new(store(), Some(cache.clone()));
+        run_action(svc.handle(&ctx(), get("/index.html")));
+        let (plain, head) = hit(&svc, get("/index.html"));
+        for target in ["/index.html?v=2", "/index%2Ehtml", "/%69ndex.html?a=%2e%2e"] {
+            let (wire, its_head) = hit(&svc, get(target));
+            assert_eq!(wire, plain, "{target}");
+            assert_eq!(its_head, head, "{target}");
+        }
+        assert_eq!((cache.len(), cache.stats().hits), (1, 4));
+    }
+
+    #[test]
+    fn each_version_and_connection_verdict_has_a_head_of_its_own() {
+        let cache = SharedFileCache::new(FileCache::new(1 << 20, PolicyKind::Lru));
+        let svc = StaticFileService::new(store(), Some(cache));
+        run_action(svc.handle(&ctx(), get("/index.html")));
+        let ask = |version, connection: Option<&'static str>, method| {
+            let mut req = get("/index.html");
+            (req.version, req.method) = (version, method);
+            if let Some(connection) = connection {
+                req.headers.push("Connection", connection);
+            }
+            hit(&svc, req)
+        };
+        let (default11, head11) = ask(Version::Http11, None, Method::Get);
+        assert!(default11.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(default11.contains("\r\nConnection: keep-alive\r\n"));
+        let (old_keeping, head10) = ask(Version::Http10, Some("keep-alive"), Method::Get);
+        assert!(old_keeping.starts_with("HTTP/1.0 200 OK\r\n"));
+        assert!(old_keeping.contains("\r\nConnection: keep-alive\r\n"));
+        let (new_closing, closing11) = ask(Version::Http11, Some("close"), Method::Get);
+        assert!(new_closing.starts_with("HTTP/1.1 200 OK\r\n"));
+        assert!(new_closing.contains("\r\nConnection: close\r\n"));
+        let (old_default, closing10) = ask(Version::Http10, None, Method::Get);
+        assert!(old_default.starts_with("HTTP/1.0 200 OK\r\n"));
+        assert!(old_default.contains("\r\nConnection: close\r\n"));
+        let heads = [head11, head10, closing11, closing10];
+        for (i, a) in heads.iter().enumerate() {
+            assert!(
+                heads[i + 1..].iter().all(|b| a != b),
+                "variant {i} is shared"
+            );
+        }
+        // Asked again, and by HEAD, each gets the head it got before.
+        assert_eq!(
+            ask(Version::Http10, Some("Keep-Alive"), Method::Get).1,
+            head10
+        );
+        assert_eq!(
+            ask(Version::Http11, Some("close"), Method::Head).1,
+            closing11
+        );
+        let (head_only, _) = ask(Version::Http11, Some("close"), Method::Head);
+        assert_eq!(
+            Some(head_only.as_str()),
+            new_closing.strip_suffix("<html>home</html>")
+        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use bytes::BytesMut;
 
@@ -134,6 +134,56 @@ pub(crate) fn crlf_lines(text: &str) -> impl Iterator<Item = &str> {
 /// Header text: a `&'static str` held as it is, or an owned `String`.
 type Text = Cow<'static, str>;
 
+/// What a `Connection` header asks for.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Connection {
+    /// No such header.
+    #[default]
+    Absent,
+    /// `close`.
+    Close,
+    /// `keep-alive`.
+    KeepAlive,
+    /// Anything else: the version's default stands.
+    Other,
+}
+
+impl Connection {
+    /// Read a header value, trimmed as [`Headers::iter`] yields it.
+    pub(crate) fn of(value: &str) -> Connection {
+        if value.eq_ignore_ascii_case("close") {
+            Connection::Close
+        } else if value.eq_ignore_ascii_case("keep-alive") {
+            Connection::KeepAlive
+        } else {
+            Connection::Other
+        }
+    }
+}
+
+/// The one header a cached file's 200 response carries, with the encoded
+/// response heads every such response starts with: what
+/// `encode_response_head` writes for `Content-Type: content_type` and a
+/// body of `body_len` bytes, one per (version, keep-alive), each built by
+/// that function the first time a response needs it. It is kept beside
+/// the file's cache entry and dies with it.
+#[derive(Debug)]
+pub(crate) struct EntryHeads {
+    content_type: &'static str,
+    body_len: usize,
+    encoded: [OnceLock<Arc<Vec<u8>>>; 4],
+}
+
+impl EntryHeads {
+    pub(crate) fn new(content_type: &'static str, body_len: usize) -> Self {
+        Self {
+            content_type,
+            body_len,
+            encoded: Default::default(),
+        }
+    }
+}
+
 /// An ordered, case-insensitive header collection.
 ///
 /// A parsed request's headers are the request head itself, kept as the
@@ -145,6 +195,11 @@ pub struct Headers {
     /// A request head the parser accepted: UTF-8, its first non-empty line
     /// the request line, a colon in every non-empty line after it.
     pub(crate) head: BytesMut,
+    /// What the first `Connection` header of `head` asks for, as the
+    /// parser saw it on its way through.
+    pub(crate) connection: Connection,
+    /// A cached file's `Content-Type`, with its encoded heads.
+    entry: Option<Arc<EntryHeads>>,
     pushed: Vec<(Text, Text)>,
 }
 
@@ -154,9 +209,25 @@ impl Headers {
         Self::default()
     }
 
+    /// The headers of a 200 response serving the cache entry `entry`
+    /// belongs to: its `Content-Type`, held by reference.
+    pub(crate) fn of_entry(entry: Arc<EntryHeads>) -> Self {
+        Self {
+            entry: Some(entry),
+            ..Self::default()
+        }
+    }
+
     /// Append a header (duplicates allowed, as in HTTP). A `&'static str`
     /// is held as it is; a `String` is moved in.
     pub fn push(&mut self, name: impl Into<Text>, value: impl Into<Text>) {
+        // Encoded heads are of the entry's one header: with another they
+        // no longer apply, and the header moves to the list.
+        if let Some(entry) = self.entry.take() {
+            let content_type = Cow::Borrowed(entry.content_type);
+            self.pushed
+                .push((Cow::Borrowed("Content-Type"), content_type));
+        }
         self.pushed.push((name.into(), value.into()));
     }
 
@@ -183,7 +254,9 @@ impl Headers {
         let lines = crlf_lines(head).filter(|l| !l.is_empty()).skip(1);
         let parsed = lines.filter_map(|l| l.split_once(':'));
         let parsed = parsed.map(|(name, value)| (name.trim(), value.trim()));
-        parsed.chain(self.pushed.iter().map(|(n, v)| (&**n, &**v)))
+        let entry = self.entry.iter().map(|e| ("Content-Type", e.content_type));
+        let pushed = self.pushed.iter().map(|(n, v)| (&**n, &**v));
+        parsed.chain(entry).chain(pushed)
     }
 }
 
@@ -213,10 +286,20 @@ impl Request {
     /// defaults to keep-alive, HTTP/1.0 to close, both overridable by the
     /// `Connection` header.
     pub fn keep_alive(&self) -> bool {
-        match self.headers.get("connection") {
-            Some(v) if v.eq_ignore_ascii_case("close") => false,
-            Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
-            _ => self.version == Version::Http11,
+        // The first `Connection` header decides: the head's, which the
+        // parser has read, else one pushed since.
+        let asked = match self.headers.connection {
+            Connection::Absent => {
+                let mut pushed = self.headers.pushed.iter();
+                let pushed = pushed.find(|(n, _)| n.eq_ignore_ascii_case("connection"));
+                pushed.map_or(Connection::Absent, |(_, v)| Connection::of(v))
+            }
+            seen => seen,
+        };
+        match asked {
+            Connection::Close => false,
+            Connection::KeepAlive => true,
+            Connection::Absent | Connection::Other => self.version == Version::Http11,
         }
     }
 }
@@ -251,6 +334,37 @@ impl Response {
             head_only: false,
             keep_alive: true,
         }
+    }
+
+    /// [`Response::ok`] for a cached file: the same response, its
+    /// `Content-Type` and encoded heads shared with every other response
+    /// that serves the entry `heads` is kept beside.
+    pub(crate) fn ok_cached(body: Arc<Vec<u8>>, heads: Arc<EntryHeads>, version: Version) -> Self {
+        Self {
+            status: Status::Ok,
+            version,
+            headers: Headers::of_entry(heads),
+            body,
+            head_only: false,
+            keep_alive: true,
+        }
+    }
+
+    /// The encoded head this response starts with, when it is one kept
+    /// beside a cache entry: built by `encode` the first time a response
+    /// of this version and keep-alive needs it. `None` for a response
+    /// whose head is its own to encode — and for one that no longer says
+    /// what the entry's heads say.
+    pub(crate) fn shared_head(&self, encode: impl FnOnce() -> Vec<u8>) -> Option<Arc<Vec<u8>>> {
+        let entry = self.headers.entry.as_ref()?;
+        if self.status != Status::Ok || self.body.len() != entry.body_len {
+            return None;
+        }
+        let variant =
+            2 * usize::from(self.version == Version::Http11) + usize::from(self.keep_alive);
+        Some(Arc::clone(
+            entry.encoded[variant].get_or_init(|| Arc::new(encode())),
+        ))
     }
 
     /// An error response with a small text body.

@@ -4,12 +4,15 @@
 //! against the implementations they replaced (kept below, as oracles).
 
 use bytes::BytesMut;
-use nserver_core::pipeline::{Codec, DecodeState, EncodedReply, Outbox};
+use nserver_cache::{FileCache, PolicyKind, SharedFileCache};
+use nserver_core::event::Priority;
+use nserver_core::pipeline::{Action, Codec, ConnCtx, DecodeState, EncodedReply, Outbox, Service};
 use nserver_http::parse::MAX_HEAD_BYTES;
 use nserver_http::parse::{encode_request, encode_response_head, parse_request_hinted};
+use nserver_http::types::mime_for;
 use nserver_http::{
-    encode_response, parse_request, Headers, HttpCodec, Method, ParseOutcome, Request, Response,
-    Status, Version,
+    encode_response, parse_request, Headers, HttpCodec, MemStore, Method, ParseOutcome, Request,
+    Response, StaticFileService, Status, Version,
 };
 use propcheck::{check, Gen};
 use std::io::IoSlice;
@@ -154,6 +157,34 @@ fn in_oracle_terms(outcome: ParseOutcome) -> oracle::Outcome {
     }
 }
 
+/// `Request::keep_alive` as it read before the parser settled
+/// `Connection` on its way through the head: by looking the header up.
+fn keep_alive_by_lookup(req: &Request) -> bool {
+    match req.headers.get("connection") {
+        Some(v) if v.eq_ignore_ascii_case("close") => false,
+        Some(v) if v.eq_ignore_ascii_case("keep-alive") => true,
+        _ => req.version == Version::Http11,
+    }
+}
+
+/// The verdict the parser took is the lookup's — first `Connection` header
+/// of several, any case, padded — and stays so when headers are pushed
+/// onto the parsed request: one pushed later never overrides the head's,
+/// and decides when the head has none.
+fn check_keep_alive(mut req: Request) -> Result<(), String> {
+    for pushed in ["", "Close", "KEEP-ALIVE", "upgrade"] {
+        if !pushed.is_empty() {
+            req.headers.push("X-Later", "1");
+            req.headers.push("connection", pushed);
+        }
+        if req.keep_alive() != keep_alive_by_lookup(&req) {
+            let headers: Vec<_> = req.headers.iter().collect();
+            return Err(format!("keep_alive() is not the lookup's on {headers:?}"));
+        }
+    }
+    Ok(())
+}
+
 /// Deliver `wire` to both parsers in the chunks `cuts` gives (then the
 /// rest at once), the scan hint carried between calls, parsing on while
 /// requests complete: every call must leave the same outcome, the same
@@ -172,7 +203,11 @@ fn parse_differentially(wire: &[u8], cuts: &[usize]) -> Result<(), String> {
         theirs.extend_from_slice(&wire[pos..pos + step]);
         pos += step;
         loop {
-            let got = in_oracle_terms(parse_request_hinted(&mut ours, &mut our_hint));
+            let got = parse_request_hinted(&mut ours, &mut our_hint);
+            if let ParseOutcome::Complete(req) = &got {
+                check_keep_alive(req.clone())?;
+            }
+            let got = in_oracle_terms(got);
             let want = oracle::parse_request_hinted(&mut theirs, &mut their_hint);
             if got != want {
                 return Err(format!("after {pos} bytes: {got:?}, the oracle {want:?}"));
@@ -196,7 +231,7 @@ fn parse_differentially(wire: &[u8], cuts: &[usize]) -> Result<(), String> {
 /// What request heads are made of, and what breaks them: bare CR and LF,
 /// colons, spaces, escapes, NUL, and bytes that are not UTF-8.
 fn head_piece(g: &mut Gen) -> Vec<u8> {
-    let fixed: [&[u8]; 24] = [
+    let fixed: [&[u8]; 27] = [
         b"GET",
         b"HEAD",
         b"POST",
@@ -209,6 +244,9 @@ fn head_piece(g: &mut Gen) -> Vec<u8> {
         b"/a%2e.html",
         b"Host",
         b"close",
+        b"Connection",
+        b"\r\nconnection: ",
+        b"Keep-Alive",
         b":",
         b": ",
         b"%",
@@ -267,8 +305,23 @@ fn padded(g: &mut Gen) -> Vec<u8> {
     let ows = |g: &mut Gen| *g.pick(&["", "", " ", "\t", "\u{a0}", " \t "]);
     let path = path(g);
     let lines = g.vec(0..5, |g| {
-        let (a, name, b) = (ows(g), token(g), ows(g));
-        let (c, value, d) = (ows(g), header_value(g), ows(g));
+        let (a, mut name, b) = (ows(g), token(g), ows(g));
+        let (c, mut value, d) = (ows(g), header_value(g), ows(g));
+        if g.range(0..3u8) == 0 {
+            name = g
+                .pick(&["Connection", "connection", "CONNECTION", "cOnNeCtIoN"])
+                .to_string();
+            let values = [
+                "close",
+                "Close",
+                "keep-alive",
+                "KEEP-alive",
+                "upgrade",
+                "close, te",
+                "",
+            ];
+            value = g.pick(&values).to_string();
+        }
         format!("{a}{name}{b}:{c}{value}{d}\r\n")
     });
     format!("GET {path} HTTP/1.1\r\n{}\r\n", lines.concat()).into_bytes()
@@ -381,6 +434,103 @@ fn differential_encoder_matches_the_format_encoder() {
             }
         }
     }
+}
+
+/// What a warm `StaticFileService` and `HttpCodec::encode_reply` queue
+/// for a cached file — a head kept beside the cache entry, shared by
+/// every reply of its version and keep-alive, and the body — is, byte for
+/// byte, `encode_response_head` of a fresh `Response::ok` and the body
+/// (so, through `differential_encoder_matches_the_format_encoder`, what
+/// the `format!` encoder wrote): for every extension `mime_for` knows and
+/// one it does not, body lengths around each digit count, both versions,
+/// both `Connection` verdicts, GET and HEAD, in any order on one entry.
+#[test]
+fn differential_hit_matches_the_encoder() {
+    let ctx = ConnCtx {
+        id: 1,
+        peer: "hit".into(),
+        priority: Priority::HIGHEST,
+    };
+    let codec = HttpCodec::new();
+    check(48, |g| {
+        let ext = *g.pick(&[
+            "html", "htm", "txt", "css", "js", "png", "jpg", "jpeg", "gif", "bin", "",
+        ]);
+        let len = match g.range(0..3u8) {
+            0 => g.range(0..70_000usize),
+            _ => *g.pick(&[0, 1, 9, 10, 99, 999, 100_000]),
+        };
+        let path = format!("/{}.{ext}", g.string(ALNUM, 1..=12));
+        let body = Arc::new(g.vec(len..=len, Gen::any::<u8>));
+        let mut store = MemStore::new();
+        store.insert(path.clone(), body.to_vec());
+        let cache = SharedFileCache::new(FileCache::new(1 << 20, PolicyKind::Lru));
+        let service = StaticFileService::new(store, Some(cache.clone()));
+        let warm = format!("GET {path} HTTP/1.1\r\n\r\n");
+        let warm = parse_request(&mut BytesMut::from(warm.as_bytes()));
+        let ParseOutcome::Complete(warm) = warm else {
+            panic!("{warm:?}")
+        };
+        match service.handle(&ctx, warm) {
+            Action::Defer(load) => drop(load()),
+            other => panic!("a cold cache defers: {other:?}"),
+        }
+
+        let mut heads_seen: Vec<(usize, *const u8)> = Vec::new();
+        for bits in g.vec(8..24, |g| g.range(0..8usize)) {
+            let version = [Version::Http10, Version::Http11][bits & 1];
+            let keep_alive = bits & 2 > 0;
+            let method = ["GET", "HEAD"][bits >> 2];
+            let connection = ["close", "keep-alive"][usize::from(keep_alive)];
+            let wire = format!("{method} {path} {version}\r\nConnection: {connection}\r\n\r\n");
+            let ParseOutcome::Complete(req) = parse_request(&mut BytesMut::from(wire.as_bytes()))
+            else {
+                panic!("{wire:?} parses")
+            };
+            let resp = match service.handle(&ctx, req) {
+                Action::Reply(resp) if keep_alive => resp,
+                Action::ReplyClose(resp) if !keep_alive => resp,
+                other => panic!("a hit replies at once, closing or not as asked: {other:?}"),
+            };
+            let mut reply = EncodedReply::new();
+            codec.encode_reply(&resp, &mut reply).expect("encodes");
+            let mut outbox = Outbox::new();
+            outbox.push_reply(reply);
+
+            let mut fresh = Response::ok(Arc::clone(&body), mime_for(&path), version)
+                .with_keep_alive(keep_alive);
+            if method == "HEAD" {
+                fresh = fresh.head();
+            }
+            let mut want = BytesMut::new();
+            encode_response_head(&fresh, &mut want);
+            let head_len = want.len();
+            if method == "GET" {
+                want.extend_from_slice(&body);
+            }
+            assert!(outbox.to_vec() == want[..], "{wire:?} of {len} bytes");
+
+            // The head is one allocation per (version, keep-alive), HEAD
+            // sharing GET's; the body is the cache's own.
+            let mut slices = [IoSlice::new(&[]); 4];
+            let filled = outbox.fill_slices(&mut slices);
+            assert_eq!(filled, 1 + usize::from(method == "GET" && len > 0));
+            assert_eq!(slices[0].len(), head_len);
+            match heads_seen.iter().find(|(variant, _)| *variant == bits & 3) {
+                Some((_, first)) => assert_eq!(slices[0].as_ptr(), *first, "{wire:?}"),
+                None => heads_seen.push((bits & 3, slices[0].as_ptr())),
+            }
+            if filled == 2 {
+                assert_eq!(
+                    slices[1].as_ptr(),
+                    resp.body.as_ptr(),
+                    "queued by reference"
+                );
+            }
+        }
+        let heads: std::collections::HashSet<_> = heads_seen.iter().map(|(_, p)| *p).collect();
+        assert_eq!(heads.len(), heads_seen.len(), "one head per variant");
+    });
 }
 
 const ALPHA: &str = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz";

@@ -151,6 +151,7 @@ fn every_ci_name_filter_selects_a_test() {
     // generative path's pins, by name.
     for filter in [
         "differential",
+        "oracle",
         "segmented",
         "reactor::tests",
         "watermark_props",
