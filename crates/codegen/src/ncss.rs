@@ -123,14 +123,6 @@ fn count_item(code: &str, pat: &str) -> usize {
     count
 }
 
-/// Count metrics over a set of files.
-pub fn count_files<'a>(sources: impl IntoIterator<Item = &'a str>) -> CodeStats {
-    sources
-        .into_iter()
-        .map(count_source)
-        .fold(CodeStats::default(), CodeStats::merge)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -202,7 +194,7 @@ impl A {
     fn merge_and_count_files() {
         let a = "struct A;\nfn f() {}\n";
         let b = "struct B;\n";
-        let merged = count_files([a, b]);
+        let merged = count_source(a).merge(count_source(b));
         assert_eq!(merged.classes, 2);
         assert_eq!(merged.methods, 1);
         assert_eq!(merged.ncss, 3);

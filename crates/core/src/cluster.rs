@@ -22,6 +22,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 
+use crate::timer::{pass_clock, Deadlines, LINGER};
 use crate::trace::{DebugTracer, SpanEvent};
 use crate::transport::{
     Interest, Listener, PollEvent, Poller, ReadOutcome, StreamIo, TcpListenerNb, TcpPoller,
@@ -76,7 +77,6 @@ pub struct RelayStats {
 struct PendingDial {
     client: TcpStreamNb,
     attempts_left: u32,
-    next_try: Instant,
     backoff: Duration,
     last_index: usize,
 }
@@ -92,10 +92,9 @@ struct Session {
     /// Whether the finished direction's FIN was propagated (half-close).
     fin_to_client: bool,
     fin_to_backend: bool,
-    /// Lingering-close deadline: once one direction finished, the other
-    /// side gets this long to send its own FIN before the session is
-    /// reaped anyway.
-    drain_deadline: Option<Instant>,
+    /// When the session is reaped: once one direction finished, the
+    /// other side gets [`LINGER`] to send its own FIN before this.
+    reap_at: Option<Instant>,
     /// Interest currently registered for the client / backend stream.
     client_armed: Interest,
     backend_armed: Interest,
@@ -117,7 +116,7 @@ impl Session {
             backend_eof: false,
             fin_to_client: false,
             fin_to_backend: false,
-            drain_deadline: None,
+            reap_at: None,
             client_armed: Interest::READABLE,
             backend_armed: Interest::READABLE,
             io_reads: 0,
@@ -126,10 +125,14 @@ impl Session {
     }
 }
 
-/// How long a half-closed session keeps draining the still-open side
-/// before being reaped. Generous relative to test and RTT timescales;
-/// sessions normally leave via the peer's FIN long before this fires.
-const LINGER_DRAIN: Duration = Duration::from_secs(1);
+/// What a relay wake-up is for, by session key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Wake {
+    /// A parked client's next backend dial.
+    Dial(u64),
+    /// A half-closed session's lingering window ends.
+    Reap(u64),
+}
 
 /// A running cluster front end.
 pub struct ClusterFrontEnd {
@@ -305,7 +308,10 @@ fn relay_loop(
     tracer: DebugTracer,
 ) {
     let mut sessions: HashMap<u64, Session> = HashMap::new();
-    let mut parked: Vec<PendingDial> = Vec::new();
+    // Clients whose backend dial failed, under the key their session
+    // will have; each holds one `Wake::Dial` until it is retried.
+    let mut parked: HashMap<u64, PendingDial> = HashMap::new();
+    let mut deadlines: Deadlines<Wake> = Deadlines::default();
     let mut per_backend = vec![0usize; backends.len()];
     let mut next_rr = 0usize;
     let mut next_key: u64 = 1;
@@ -316,6 +322,8 @@ fn relay_loop(
         if stop.load(Ordering::Relaxed) {
             break;
         }
+        // The pass's one clock reading, taken when first needed.
+        let mut clock: Option<Instant> = None;
 
         let mut accept_ready = false;
         let mut touched: Vec<u64> = Vec::new();
@@ -333,13 +341,13 @@ fn relay_loop(
         // retry against the next backend candidate instead of dropping it.
         if accept_ready {
             while let Ok(Some(client)) = listener.try_accept() {
+                let k = next_key;
+                next_key += 1;
                 let index = choose_index(balancing, &per_backend, &mut next_rr);
                 match TcpStreamNb::connect(&backends[index]) {
                     Ok(backend) => {
                         per_backend[index] += 1;
                         stats.connections.fetch_add(1, Ordering::Relaxed);
-                        let k = next_key;
-                        next_key += 1;
                         trace_session_open(&tracer, k, &client, &backend);
                         let _ = poller.register(2 * k, &client, Interest::READABLE);
                         let _ = poller.register(2 * k + 1, &backend, Interest::READABLE);
@@ -348,61 +356,19 @@ fn relay_loop(
                         touched.push(k);
                     }
                     Err(_) if retry.attempts > 1 => {
-                        parked.push(PendingDial {
+                        deadlines.arm(pass_clock(&mut clock) + retry.backoff, Wake::Dial(k));
+                        let dial = PendingDial {
                             client,
                             attempts_left: retry.attempts - 1,
-                            next_try: Instant::now() + retry.backoff,
                             backoff: retry.backoff,
                             last_index: index,
-                        });
+                        };
+                        parked.insert(k, dial);
                     }
                     Err(_) => {
                         stats.backend_failures.fetch_add(1, Ordering::Relaxed);
                         let mut client = client;
                         client.shutdown();
-                    }
-                }
-            }
-        }
-
-        // Retry parked dials whose backoff elapsed, rotating to the next
-        // backend so a single dead peer cannot absorb every attempt.
-        let now = Instant::now();
-        let mut i = 0;
-        while i < parked.len() {
-            if parked[i].next_try > now {
-                i += 1;
-                continue;
-            }
-            let mut pd = parked.swap_remove(i);
-            stats.dial_retries.fetch_add(1, Ordering::Relaxed);
-            let index = if backends.len() > 1 {
-                (pd.last_index + 1) % backends.len()
-            } else {
-                pd.last_index
-            };
-            match TcpStreamNb::connect(&backends[index]) {
-                Ok(backend) => {
-                    per_backend[index] += 1;
-                    stats.connections.fetch_add(1, Ordering::Relaxed);
-                    let k = next_key;
-                    next_key += 1;
-                    trace_session_open(&tracer, k, &pd.client, &backend);
-                    let _ = poller.register(2 * k, &pd.client, Interest::READABLE);
-                    let _ = poller.register(2 * k + 1, &backend, Interest::READABLE);
-                    sessions.insert(k, Session::new(pd.client, backend, index));
-                    touched.push(k);
-                }
-                Err(_) => {
-                    pd.attempts_left -= 1;
-                    if pd.attempts_left == 0 {
-                        stats.backend_failures.fetch_add(1, Ordering::Relaxed);
-                        pd.client.shutdown();
-                    } else {
-                        pd.backoff *= 2;
-                        pd.next_try = now + pd.backoff;
-                        pd.last_index = index;
-                        parked.push(pd);
                     }
                 }
             }
@@ -444,8 +410,8 @@ fn relay_loop(
             // closing a socket with unread peer bytes in its receive
             // queue answers with RST, and an RST discards reply bytes the
             // peer has not consumed yet. The session lingers — still
-            // pumping the open direction — until both sides finish or the
-            // drain deadline reaps it.
+            // pumping the open direction — until both sides finish or its
+            // reap wake-up comes due.
             // The `is_empty` guards uphold the `shutdown_write` contract:
             // FIN only ever follows a fully drained relay buffer.
             if s.client_eof && s.up_buf.is_empty() && !s.fin_to_backend {
@@ -461,8 +427,10 @@ fn relay_loop(
                 teardown(&mut poller, &mut per_backend, &tracer, k, s);
                 continue;
             }
-            if (s.fin_to_client || s.fin_to_backend) && s.drain_deadline.is_none() {
-                s.drain_deadline = Some(Instant::now() + LINGER_DRAIN);
+            if (s.fin_to_client || s.fin_to_backend) && s.reap_at.is_none() {
+                let reap = pass_clock(&mut clock) + LINGER;
+                s.reap_at = Some(reap);
+                deadlines.arm(reap, Wake::Reap(k));
             }
             // Re-arm interest: stop read-polling a half-closed side, poll
             // writability only while relay bytes are actually queued.
@@ -484,33 +452,62 @@ fn relay_loop(
             }
         }
 
-        // Reap half-closed sessions whose still-open side never sent its
-        // own FIN inside the lingering window.
-        let now = Instant::now();
-        let expired: Vec<u64> = sessions
-            .iter()
-            .filter(|(_, s)| s.drain_deadline.is_some_and(|d| d <= now))
-            .map(|(k, _)| *k)
-            .collect();
-        for k in expired {
-            let s = sessions.remove(&k).expect("present");
-            teardown(&mut poller, &mut per_backend, &tracer, k, s);
+        // Time: retry parked dials whose backoff elapsed, rotating to the
+        // next backend so a single dead peer cannot absorb every attempt,
+        // and reap half-closed sessions whose still-open side never sent
+        // its own FIN inside the lingering window. A session arms its one
+        // reap once and keys are never reused, so a reap whose session
+        // finished is stale and dropped unread. Only these need a timed
+        // wake-up; otherwise the relay performs no periodic work at all.
+        let mut sleep = None;
+        while let Some((at, wake)) = deadlines.next() {
+            let stale = matches!(wake, Wake::Reap(k) if !sessions.contains_key(&k));
+            let now = pass_clock(&mut clock);
+            if !stale && at > now {
+                sleep = Some(at - now);
+                break;
+            }
+            // Due, or stale: either way it leaves the queue.
+            deadlines.pop_due(at);
+            match wake {
+                Wake::Reap(k) => {
+                    if let Some(s) = sessions.remove(&k) {
+                        teardown(&mut poller, &mut per_backend, &tracer, k, s);
+                    }
+                }
+                Wake::Dial(k) => {
+                    let mut pd = parked.remove(&k).expect("a parked dial");
+                    stats.dial_retries.fetch_add(1, Ordering::Relaxed);
+                    let index = (pd.last_index + 1) % backends.len();
+                    match TcpStreamNb::connect(&backends[index]) {
+                        Ok(backend) => {
+                            per_backend[index] += 1;
+                            stats.connections.fetch_add(1, Ordering::Relaxed);
+                            trace_session_open(&tracer, k, &pd.client, &backend);
+                            let _ = poller.register(2 * k, &pd.client, Interest::READABLE);
+                            let _ = poller.register(2 * k + 1, &backend, Interest::READABLE);
+                            sessions.insert(k, Session::new(pd.client, backend, index));
+                        }
+                        Err(_) => {
+                            pd.attempts_left -= 1;
+                            if pd.attempts_left == 0 {
+                                stats.backend_failures.fetch_add(1, Ordering::Relaxed);
+                                pd.client.shutdown();
+                            } else {
+                                pd.backoff *= 2;
+                                pd.last_index = index;
+                                deadlines.arm(now + pd.backoff, Wake::Dial(k));
+                                parked.insert(k, pd);
+                            }
+                        }
+                    }
+                }
+            }
         }
 
-        // Block until a socket is ready or the shutdown waker fires. Only
-        // parked dials and lingering drains need a timed wake-up;
-        // otherwise the relay performs no periodic work at all.
-        let timeout = parked
-            .iter()
-            .map(|p| p.next_try.saturating_duration_since(now))
-            .chain(
-                sessions
-                    .values()
-                    .filter_map(|s| s.drain_deadline)
-                    .map(|d| d.saturating_duration_since(now)),
-            )
-            .min();
-        if poller.wait(&mut events, timeout).is_err() {
+        // Block until a socket is ready, the queue's head, or the
+        // shutdown waker.
+        if poller.wait(&mut events, sleep).is_err() {
             events.clear();
         }
     }
@@ -518,7 +515,7 @@ fn relay_loop(
         s.client.shutdown();
         s.backend.shutdown();
     }
-    for mut p in parked.drain(..) {
+    for (_, mut p) in parked.drain() {
         p.client.shutdown();
     }
 }
@@ -811,6 +808,48 @@ mod tests {
         assert!(closed, "client must be closed after retries exhaust");
         assert_eq!(front.stats().dial_retries.load(Ordering::Relaxed), 1);
         assert!(front.stats().backend_failures.load(Ordering::Relaxed) >= 1);
+        front.shutdown();
+    }
+
+    /// The backend answers and half-closes; the client takes the reply
+    /// and the relayed FIN but never sends its own. The session lingers,
+    /// pumping nothing, until its 1 s deadline reaps it — which the
+    /// backend sees as the relay's FIN, at the earliest a second after
+    /// its own.
+    #[test]
+    fn half_closed_session_is_reaped_at_the_linger_deadline() {
+        let backend = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let backend_addr = backend.local_addr().unwrap().to_string();
+        let backend = std::thread::spawn(move || {
+            let (mut s, _) = backend.accept().unwrap();
+            s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+            let mut buf = [0u8; 64];
+            let n = s.read(&mut buf).unwrap();
+            s.write_all(&buf[..n]).unwrap();
+            s.shutdown(std::net::Shutdown::Write).unwrap();
+            let fin = Instant::now();
+            // The client never FINs: the reap is the next thing to arrive.
+            let n = s.read(&mut buf).unwrap_or(0);
+            (n, fin.elapsed())
+        });
+        let front = ClusterFrontEnd::start(
+            TcpListenerNb::bind("127.0.0.1:0").unwrap(),
+            vec![backend_addr],
+            Balancing::RoundRobin,
+        )
+        .unwrap();
+        let mut c = TcpStream::connect(front.local_label()).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        c.write_all(b"hold\n").unwrap();
+        let mut reply = Vec::new();
+        c.read_to_end(&mut reply).unwrap();
+        assert_eq!(reply, b"hold\n", "the reply, then the backend's FIN");
+
+        let (n, held) = backend.join().unwrap();
+        assert_eq!(n, 0, "the relay sent nothing but its FIN");
+        assert!(held >= Duration::from_secs(1), "reaped early: {held:?}");
+        assert!(held < Duration::from_secs(3), "reaped late: {held:?}");
+        drop(c);
         front.shutdown();
     }
 

@@ -49,7 +49,7 @@ use crate::overload::OverloadController;
 use crate::pipeline::{Codec, ConnShared, Engine, Outbox, Service, Work};
 use crate::processor::EventProcessor;
 use crate::profiling::ServerStats;
-use crate::timer::{IdleTracker, StageTracker};
+use crate::timer::{pass_clock, Deadlines, LINGER};
 use crate::trace::{DebugTracer, SpanEvent, SEQ_NONE};
 use crate::transport::{
     Interest, Listener, PollEvent, Poller, ReadOutcome, StreamIo, SyscallCounters, Waker,
@@ -313,39 +313,91 @@ struct ConnLocal<St> {
     accepted_at: Instant,
     /// Whether the first request bytes have been seen.
     header_seen: bool,
-    /// `Some(deadline)` while the connection is in the lingering-close
-    /// state: the outbox drained, FIN went out via
-    /// [`StreamIo::shutdown_write`], and the read side is held open —
-    /// discarding whatever the peer pipelined past the close — until the
-    /// peer's own FIN or this deadline. The application-level close
-    /// (registry slot, `on_close`, counters) already happened at linger
-    /// entry; only the socket teardown is deferred.
-    linger_until: Option<Instant>,
+    times: ConnTimes,
     /// This pass ran one of the connection's work items on this thread.
     /// Nobody was notified of what the item left behind (see
     /// [`DispatchNotifier`]), so the pass sends it before its close test.
     handled_here: bool,
 }
 
-impl<St> ConnLocal<St> {
-    /// The dispatcher's half of a freshly accepted connection.
-    fn new(
-        stream: Arc<Mutex<St>>,
-        shared: Arc<ConnShared>,
-        armed: Interest,
-        accepted_at: Instant,
-    ) -> Self {
-        Self {
-            stream,
-            shared,
-            peer_eof: false,
-            armed,
-            accepted_at,
-            header_seen: false,
-            linger_until: None,
-            handled_here: false,
+/// A connection's deadlines, and the one wake-up it keeps queued for the
+/// earliest of them: a deadline that moves later is a field store.
+#[derive(Debug, Default)]
+pub(crate) struct ConnTimes {
+    /// O7: idle from this instant on, unless a read moves it later.
+    pub(crate) idle_at: Option<Instant>,
+    /// The header-read window: a complete request is due by this instant.
+    /// Partial reads leave it alone, so a slow-loris peer exhausts it.
+    pub(crate) header_by: Option<Instant>,
+    /// The write-drain window: opened when reply bytes are first queued,
+    /// not extended by partial writes, closed when the outbox drains.
+    pub(crate) drain_by: Option<Instant>,
+    /// Set in the lingering-close state: FIN is out, and the read side is
+    /// held open, discarding what the peer pipelined past the close,
+    /// until its own FIN or this deadline. The application-level close
+    /// already happened at linger entry; only the socket teardown waits.
+    pub(crate) linger_until: Option<Instant>,
+    /// The instant of its one live wake-up; a wake-up popped at any other
+    /// instant is stale.
+    pub(crate) wake_at: Option<Instant>,
+}
+
+impl ConnTimes {
+    /// The idle (O7) and header-read windows of a connection accepted `at`.
+    pub(crate) fn opened(at: Instant, idle: Option<Duration>, st: StageDeadlines) -> Self {
+        ConnTimes {
+            idle_at: idle.map(|limit| at + limit),
+            header_by: after(at, st.header_read_ms),
+            ..ConnTimes::default()
         }
     }
+
+    /// Queue a wake-up for the earliest deadline, unless one no later is
+    /// queued: a deadline that moved later is found by the queued wake-up
+    /// when it pops, which calls this again (lazy re-arming).
+    pub(crate) fn rearm(&mut self, id: ConnId, deadlines: &mut Deadlines<ConnId>) {
+        let windows = [self.idle_at, self.header_by, self.drain_by];
+        let due = windows.into_iter().flatten().chain(self.linger_until).min();
+        if let Some(due) = due.filter(|&due| self.wake_at.is_none_or(|at| due < at)) {
+            deadlines.arm(due, id);
+            self.wake_at = Some(due);
+        }
+    }
+
+    /// The stage windows after a close test at `now` found the outbox
+    /// `empty` or not: the write-drain window opens while reply bytes are
+    /// queued and does not move while they stay queued, so a reader that
+    /// takes a byte at a time buys no time; once a reply has `drained`, a
+    /// header-read window opens for the next request.
+    pub(crate) fn stages(&mut self, st: StageDeadlines, empty: bool, drained: bool, now: Instant) {
+        if !empty {
+            self.drain_by = self.drain_by.or(after(now, st.write_drain_ms));
+        } else if drained {
+            (self.header_by, self.drain_by) = (after(now, st.header_read_ms), None);
+        } else {
+            self.drain_by = None;
+        }
+    }
+
+    /// The held wake-up came due at `now`: it is spent, and the deadlines
+    /// that passed are taken, as `(linger, idle, stage)`. A lingering
+    /// connection stays lingering: its teardown reads the state.
+    pub(crate) fn take_passed(&mut self, now: Instant) -> (bool, bool, bool) {
+        self.wake_at = None;
+        let linger = self.linger_until.is_some_and(|d| d <= now);
+        let take = |d: &mut Option<Instant>| d.take_if(|d| *d <= now).is_some();
+        let idle = take(&mut self.idle_at);
+        let stage = take(&mut self.header_by) | take(&mut self.drain_by);
+        if stage {
+            (self.header_by, self.drain_by) = (None, None);
+        }
+        (linger, idle, stage)
+    }
+}
+
+/// `at` plus a stage limit in milliseconds (`None`: the stage has none).
+fn after(at: Instant, limit_ms: Option<u64>) -> Option<Instant> {
+    limit_ms.map(|ms| at + Duration::from_millis(ms))
 }
 
 /// Take a connection's unreported `(reads, writes)` syscall tallies.
@@ -365,16 +417,9 @@ fn report_syscalls(tracer: &DebugTracer, conn: &ConnShared, out: &mut Outbox) {
     }
 }
 
-/// How long a gated acceptor sleeps before re-checking the overload
-/// controller when no other event wakes it first.
-const GATED_ACCEPT_RECHECK: Duration = Duration::from_millis(10);
-
-/// How long a server-initiated close lingers — FIN sent, outbox empty,
-/// read side open — waiting for the peer's FIN before the hard close.
-/// Mirrors the cluster relay's `LINGER_DRAIN`: long enough for any
-/// response bytes in flight to be consumed, short enough that a peer
-/// that never acknowledges cannot pin the socket.
-const LINGER_CLOSE: Duration = Duration::from_secs(1);
+/// How long a gated acceptor or a draining dispatcher sleeps before
+/// re-checking when no other event wakes it.
+const RECHECK: Duration = Duration::from_millis(10);
 
 /// Most outbox segments one gathered write carries. A pipelined batch of
 /// sixteen cached replies is 32 segments; the kernel's own limit
@@ -498,8 +543,8 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         }
         self.notifier.adopt_thread(self.index);
         let mut conns: HashMap<ConnId, ConnLocal<L::Stream>> = HashMap::new();
-        let mut idle = self.idle_limit.map(IdleTracker::new);
-        let mut stage = StageTracker::from_options(&self.stage_deadlines);
+        // Every timer of this loop: one wake-up per connection.
+        let mut deadlines: Deadlines<ConnId> = Deadlines::default();
         let mut read_buf = vec![0u8; 16 * 1024];
         let mut events: Vec<PollEvent> = Vec::new();
         // Connections (or LISTENER_TOKEN) that hit a fairness cap with
@@ -507,9 +552,6 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         // transport notifies once per write, so capped intake must be
         // carried forward explicitly.
         let mut ready_backlog: VecDeque<u64> = VecDeque::new();
-        // Lingering-close deadlines in entry order (the linger duration
-        // is constant, so the front is always the earliest).
-        let mut linger_queue: VecDeque<(ConnId, Instant)> = VecDeque::new();
         let mut pend: HashSet<ConnId> = HashSet::new();
         // The newest ready event of the pass, where the dispatcher handles
         // the last one itself (`SubmitMode::Pool`).
@@ -541,6 +583,8 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                 }
                 listener_armed = false;
             }
+            // The pass's clock reading, taken when first needed.
+            let mut clock: Option<Instant> = None;
 
             // 1. Gather this iteration's work set: carried-over backlog,
             //    poller events, and worker notifications.
@@ -567,23 +611,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
 
             // 2. Adopt connections assigned to this dispatcher.
             while let Ok(nc) = self.inj_rx.try_recv() {
-                if let Some(ref mut tracker) = idle {
-                    tracker.touch(nc.id, Instant::now());
-                }
-                if let Some(ref mut st) = stage {
-                    st.arm_header(nc.id, Instant::now());
-                }
-                let want = Interest {
-                    readable: true,
-                    writable: !nc.shared.outbox.lock().is_empty(),
-                };
-                let _ = self.poller.register(nc.id, &nc.stream.lock(), want);
-                conns.insert(
-                    nc.id,
-                    ConnLocal::new(nc.stream, nc.shared, want, nc.accepted_at),
-                );
-                // Service immediately: flush any greeting, read early data.
-                pend.insert(nc.id);
+                self.adopt(nc, &mut conns, &mut deadlines, &mut pend);
             }
 
             // 3. Accept new connections (dispatcher 0) when the listener
@@ -592,8 +620,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             if !draining && self.listener.is_some() && (accept_signal || accept_gated) {
                 let saturated = self.accept_pending(
                     &mut conns,
-                    &mut idle,
-                    &mut stage,
+                    &mut deadlines,
                     &mut pend,
                     &mut accept_gated,
                     &mut listener_armed,
@@ -638,7 +665,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                 // on the wire and FIN is sent; keep reading and
                 // discarding until the peer answers with its own FIN (or
                 // errors), then tear the socket down.
-                if c.linger_until.is_some() {
+                if c.times.linger_until.is_some() {
                     let mut reads = 0;
                     let mut stream = c.stream.lock();
                     loop {
@@ -692,8 +719,10 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                         }
                         self.engine.tracer.span(SpanEvent::HeaderRead, id);
                     }
-                    if let Some(ref mut tracker) = idle {
-                        tracker.touch(id, Instant::now());
+                    // A touch moves the idle deadline later: its queued
+                    // wake-up finds the new one when it pops.
+                    if let Some(limit) = self.idle_limit {
+                        c.times.idle_at = Some(pass_clock(&mut clock) + limit);
                     }
                 }
                 // Peer half-closed with a partial request buffered and no
@@ -719,12 +748,14 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             // A completion handled on this thread leaves its connection
             // to this pass, like any other item (no Read Request though).
             pend.extend(handled_late.drain(..));
+            // Handlers may have run inline above: time is read afresh.
+            clock = None;
 
             // 5c. Close tests and poller interest for the same connections,
             //     now that their work items are queued or done.
             for &id in pend.iter() {
                 let c = match conns.get_mut(&id) {
-                    Some(c) if c.linger_until.is_none() => c,
+                    Some(c) if c.times.linger_until.is_none() => c,
                     _ => continue,
                 };
                 let closing = c.shared.closing.load(Ordering::Relaxed);
@@ -788,21 +819,17 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                             continue;
                         }
                         c.stream.lock().shutdown_write();
-                        let deadline = Instant::now() + LINGER_CLOSE;
-                        c.linger_until = Some(deadline);
-                        linger_queue.push_back((id, deadline));
+                        // The linger deadline replaces every other one.
+                        let t = &mut c.times;
+                        (t.idle_at, t.header_by, t.drain_by) = (None, None, None);
+                        t.linger_until = Some(pass_clock(&mut clock) + LINGER);
+                        t.rearm(id, &mut deadlines);
                         ServerStats::bump(&self.engine.stats.connections_lingered);
                         // The application-level close happens now — the
                         // slot stops counting against overload admission
                         // and the service sees `on_close`; only the
                         // socket teardown is deferred.
                         self.release(c, &mut ready_backlog);
-                        if let Some(ref mut tracker) = idle {
-                            tracker.forget(id);
-                        }
-                        if let Some(ref mut st) = stage {
-                            st.forget(id);
-                        }
                         // Keep reading (discard-only) and drain anything
                         // already buffered on the next pass.
                         let want = Interest::READABLE;
@@ -814,23 +841,13 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                     }
                     continue;
                 }
-                // Stage deadlines: the write-drain window opens while reply
-                // bytes are queued (and is not extended by partial writes);
-                // once a reply fully drains — sent by this pass or by a
-                // work item, which then woke us for exactly this — a fresh
-                // header-read window opens for the next request. A
-                // slow-loris peer that never completes a request exhausts
-                // the header window.
-                if let Some(ref mut st) = stage {
-                    let now = Instant::now();
-                    if outbox_empty {
-                        st.clear_drain(id);
-                        if drained {
-                            st.arm_header(id, now);
-                        }
-                    } else {
-                        st.arm_drain(id, now);
-                    }
+                // Stage deadlines. A reply drained — sent by this pass or
+                // by a work item, which then woke us for exactly this.
+                if self.stage_deadlines.any() {
+                    let now = pass_clock(&mut clock);
+                    c.times
+                        .stages(self.stage_deadlines, outbox_empty, drained, now);
+                    c.times.rearm(id, &mut deadlines);
                 }
                 // Re-arm interest: stop read-polling a half-closed or
                 // closing peer (level-triggered EOF would re-report
@@ -848,122 +865,41 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             for id in to_remove {
                 if let Some(mut c) = conns.remove(&id) {
                     self.finalize(&mut c, &mut ready_backlog);
-                    if let Some(ref mut tracker) = idle {
-                        tracker.forget(id);
-                    }
-                    if let Some(ref mut st) = stage {
-                        st.forget(id);
-                    }
                 }
             }
 
-            // 6. Idle sweep (O7): runs exactly when the earliest deadline
-            //    passes (the poll timeout below wakes us for it).
-            if let Some(ref mut tracker) = idle {
-                let now = Instant::now();
-                if tracker.next_deadline().is_some_and(|d| d <= now) {
-                    for id in tracker.sweep(now) {
-                        if let Some(c) = conns.get(&id) {
-                            c.shared.closing.store(true, Ordering::Relaxed);
-                            ServerStats::bump(&self.engine.stats.connections_idle_closed);
-                            self.engine
-                                .tracer
-                                .record(EventKind::Timer, Some(id), "idle shutdown");
-                            // Reap on the next (immediate) pass.
-                            ready_backlog.push_back(id);
-                        }
-                    }
+            // 6. Time: one sweep over every wake-up due, in deadline order.
+            //    A wake-up its owner no longer holds (the connection
+            //    closed, or queued an earlier one since) is dropped unread,
+            //    so it costs no wake-up.
+            let mut sleep = None;
+            while let Some((at, id)) = deadlines.next() {
+                let held = conns.get(&id).is_some_and(|c| c.times.wake_at == Some(at));
+                let now = pass_clock(&mut clock);
+                if held && at > now {
+                    sleep = Some(at - now);
+                    break;
+                }
+                // Due, or stale: either way it leaves the queue.
+                deadlines.pop_due(at);
+                if held {
+                    self.expire(id, now, &mut conns, &mut deadlines, &mut ready_backlog);
                 }
             }
+            deadlines.prune(conns.len(), |&(at, id)| {
+                conns.get(&id).is_some_and(|c| c.times.wake_at == Some(at))
+            });
 
-            // 6b. Stage-deadline sweep: reap connections that exhausted a
-            //     header-read or write-drain window (slow-loris peers,
-            //     stalled readers). A reaped connection's outbox is
-            //     dropped — the peer has demonstrably stopped consuming.
-            if let Some(ref mut st) = stage {
-                let now = Instant::now();
-                if st.next_deadline().is_some_and(|d| d <= now) {
-                    for id in st.sweep(now) {
-                        if let Some(c) = conns.get_mut(&id) {
-                            c.shared.closing.store(true, Ordering::Relaxed);
-                            c.shared.outbox.lock().clear();
-                            ServerStats::bump(&self.engine.stats.connections_timed_out);
-                            self.engine.tracer.record(
-                                EventKind::Timer,
-                                Some(id),
-                                "stage deadline exceeded",
-                            );
-                            ready_backlog.push_back(id);
-                        }
-                    }
-                }
+            // 7. Block until readiness, a waker, the queue's head or a
+            //    RECHECK; a backlog is serviced without sleeping.
+            if accept_gated || (draining && !conns.is_empty()) {
+                sleep = Some(sleep.map_or(RECHECK, |s: Duration| s.min(RECHECK)));
             }
-
-            // 6c. Linger sweep: hard-close lingering connections whose
-            //     deadline passed without a peer FIN. The peer had a full
-            //     linger window to consume the final response; its unread
-            //     bytes (if any) are forfeit now.
-            if linger_queue
-                .front()
-                .is_some_and(|&(_, deadline)| deadline <= Instant::now())
-            {
-                let now = Instant::now();
-                while let Some(&(id, deadline)) = linger_queue.front() {
-                    if deadline > now {
-                        break;
-                    }
-                    linger_queue.pop_front();
-                    if let Some(mut c) = conns.remove(&id) {
-                        ServerStats::bump(&self.engine.stats.linger_reaped);
-                        self.engine
-                            .tracer
-                            .record(EventKind::Timer, Some(id), "linger deadline");
-                        self.finalize(&mut c, &mut ready_backlog);
-                    }
-                }
+            if !ready_backlog.is_empty() {
+                sleep = Some(Duration::ZERO);
             }
-
-            // 7. Block until readiness, a waker, or the next deadline. No
-            //    deadline and no backlog means a fully event-driven sleep.
-            let timeout = if !ready_backlog.is_empty() {
-                Some(Duration::ZERO)
-            } else {
-                let mut t: Option<Duration> = None;
-                if accept_gated {
-                    t = Some(GATED_ACCEPT_RECHECK);
-                }
-                if let Some(ref tracker) = idle {
-                    if let Some(deadline) = tracker.next_deadline() {
-                        let d = deadline.saturating_duration_since(Instant::now());
-                        t = Some(t.map_or(d, |cur| cur.min(d)));
-                    }
-                }
-                if let Some(ref st) = stage {
-                    if let Some(deadline) = st.next_deadline() {
-                        let d = deadline.saturating_duration_since(Instant::now());
-                        t = Some(t.map_or(d, |cur| cur.min(d)));
-                    }
-                }
-                // Earliest live linger deadline (stale entries for
-                // connections the peer's FIN already closed are dropped).
-                while let Some(&(id, deadline)) = linger_queue.front() {
-                    if conns.contains_key(&id) {
-                        let d = deadline.saturating_duration_since(Instant::now());
-                        t = Some(t.map_or(d, |cur| cur.min(d)));
-                        break;
-                    }
-                    linger_queue.pop_front();
-                }
-                if draining && !conns.is_empty() {
-                    // No readiness event marks "in-flight work completed";
-                    // poll the quiesce conditions at a drain tick.
-                    let tick = Duration::from_millis(10);
-                    t = Some(t.map_or(tick, |cur| cur.min(tick)));
-                }
-                t
-            };
             self.engine.syscalls.polls.fetch_add(1, Ordering::Relaxed);
-            if self.poller.wait(&mut events, timeout).is_err() {
+            if self.poller.wait(&mut events, sleep).is_err() {
                 events.clear();
             }
             ServerStats::bump(&self.engine.stats.dispatcher_wakeups);
@@ -979,8 +915,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
     fn accept_pending(
         &mut self,
         conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
-        idle: &mut Option<IdleTracker>,
-        stage: &mut Option<StageTracker>,
+        deadlines: &mut Deadlines<ConnId>,
         pend: &mut HashSet<ConnId>,
         gated: &mut bool,
         armed: &mut bool,
@@ -1016,7 +951,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             self.engine.syscalls.accepts.fetch_add(1, Ordering::Relaxed);
             match listener.try_accept() {
                 Ok(Some(stream)) => {
-                    self.register(stream, conns, idle, stage, pend);
+                    self.register(stream, conns, deadlines, pend);
                 }
                 Ok(None) => return false,
                 Err(e) => {
@@ -1042,8 +977,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         &mut self,
         stream: L::Stream,
         conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
-        idle: &mut Option<IdleTracker>,
-        stage: &mut Option<StageTracker>,
+        deadlines: &mut Deadlines<ConnId>,
         pend: &mut HashSet<ConnId>,
     ) {
         let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
@@ -1074,30 +1008,101 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             }
         }
 
+        let nc = NewConn {
+            id,
+            stream,
+            shared,
+            accepted_at,
+        };
         let target = (id as usize) % self.inj_txs.len();
         if target == self.index {
-            if let Some(ref mut tracker) = idle {
-                tracker.touch(id, Instant::now());
-            }
-            if let Some(ref mut st) = stage {
-                st.arm_header(id, Instant::now());
-            }
-            let want = Interest {
-                readable: true,
-                writable: !shared.outbox.lock().is_empty(),
-            };
-            let _ = self.poller.register(id, &stream.lock(), want);
-            conns.insert(id, ConnLocal::new(stream, shared, want, accepted_at));
-            pend.insert(id);
+            self.adopt(nc, conns, deadlines, pend);
         } else {
-            let _ = self.inj_txs[target].send(NewConn {
-                id,
-                stream,
-                shared,
-                accepted_at,
-            });
+            let _ = self.inj_txs[target].send(nc);
             self.notifier.wake(target);
         }
+    }
+
+    /// Take over an accepted connection: register it with the poller,
+    /// open its idle (O7) and header-read windows from its accept
+    /// instant, and service it this pass (flush a greeting, read early
+    /// data).
+    fn adopt(
+        &mut self,
+        nc: NewConn<L::Stream>,
+        conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
+        deadlines: &mut Deadlines<ConnId>,
+        pend: &mut HashSet<ConnId>,
+    ) {
+        let armed = Interest {
+            readable: true,
+            writable: !nc.shared.outbox.lock().is_empty(),
+        };
+        let _ = self.poller.register(nc.id, &nc.stream.lock(), armed);
+        let at = nc.accepted_at;
+        let mut c = ConnLocal {
+            stream: nc.stream,
+            shared: nc.shared,
+            peer_eof: false,
+            armed,
+            accepted_at: at,
+            header_seen: false,
+            times: ConnTimes::opened(at, self.idle_limit, self.stage_deadlines),
+            handled_here: false,
+        };
+        c.times.rearm(nc.id, deadlines);
+        conns.insert(nc.id, c);
+        pend.insert(nc.id);
+    }
+
+    /// A connection's wake-up came due at `now`. Each deadline that has
+    /// passed is acted on — an idle (O7) or stage expiry marks the
+    /// connection closing and reaps it on the next (immediate) pass, an
+    /// expired linger hard-closes it — and the wake-up is queued again
+    /// for whatever deadline is left.
+    fn expire(
+        &mut self,
+        id: ConnId,
+        now: Instant,
+        conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
+        deadlines: &mut Deadlines<ConnId>,
+        ready_backlog: &mut VecDeque<u64>,
+    ) {
+        let c = conns
+            .get_mut(&id)
+            .expect("a held wake-up has its connection");
+        let (linger, idle, stage) = c.times.take_passed(now);
+        if linger {
+            // The peer had a full linger window to consume the final
+            // response; its unread bytes (if any) are forfeit now.
+            let mut c = conns.remove(&id).expect("present");
+            ServerStats::bump(&self.engine.stats.linger_reaped);
+            self.engine
+                .tracer
+                .record(EventKind::Timer, Some(id), "linger deadline");
+            self.finalize(&mut c, ready_backlog);
+            return;
+        }
+        if idle {
+            c.shared.closing.store(true, Ordering::Relaxed);
+            ServerStats::bump(&self.engine.stats.connections_idle_closed);
+            self.engine
+                .tracer
+                .record(EventKind::Timer, Some(id), "idle shutdown");
+            ready_backlog.push_back(id);
+        }
+        // A slow-loris peer or a stalled reader: its outbox is dropped —
+        // the peer has demonstrably stopped consuming.
+        if stage {
+            c.shared.closing.store(true, Ordering::Relaxed);
+            c.shared.outbox.lock().clear();
+            ServerStats::bump(&self.engine.stats.connections_timed_out);
+            self.engine
+                .tracer
+                .record(EventKind::Timer, Some(id), "stage deadline exceeded");
+            ready_backlog.push_back(id);
+        }
+        c.times.rearm(id, deadlines);
     }
 
     /// Decide who handles a ready event. Gives it back when that is this
@@ -1203,7 +1208,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         // A lingering close already released the application-level state
         // at linger entry; only the socket teardown remained. Lingering
         // reads accumulated since then still get attributed.
-        if c.linger_until.is_none() {
+        if c.times.linger_until.is_none() {
             self.release(c, ready_backlog);
         } else {
             // The Close span already went out at linger entry: fold the

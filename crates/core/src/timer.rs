@@ -1,321 +1,278 @@
-//! Time-based framework behaviour, as two deadline trackers the
-//! dispatcher loop sweeps (single consumer, so no locking is needed):
-//! [`IdleTracker`] terminates long-idle connections (option O7:
-//! "Long-idle connections may consume unnecessary resources and degrade
-//! the performance of network server applications."), and
-//! [`StageTracker`] enforces the per-stage deadlines (header read, reply
-//! drain) that reclaim slow-loris and stalled-drain connections. Each
-//! reports its `next_deadline`, which bounds the dispatcher's poll
-//! timeout.
+//! Time in an event loop, as one queue of wake-ups. The paper's Reactor
+//! treats a timer as one more Event Source beside the I/O ports; here the
+//! dispatcher loop (`reactor.rs`) and the cluster relay (`cluster.rs`)
+//! each keep one `Deadlines`, read the clock when a pass first needs it
+//! (`pass_clock`), handle every wake-up that came due, and sleep until
+//! the queue's head.
+//! What a wake-up is for belongs to the loop: a connection's earliest
+//! deadline (idle, header read, write drain, linger), a relay session's
+//! reap, a parked backend dial.
+//!
+//! The queue never cancels. An owner keeps one wake-up queued and
+//! remembers its instant; a wake-up whose instant no owner holds any more
+//! is stale, and the loop drops it unread at the head or in a `prune`.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-/// Per-connection idle tracking for O7: records last activity and reports
-/// which connections exceeded the idle limit on each sweep.
+/// How long a lingering close — FIN sent, read side open — waits for the
+/// peer's own FIN before the hard close, in the dispatcher and the relay
+/// alike: long enough for response bytes in flight to be consumed, short
+/// enough that a peer that never answers cannot pin the socket.
+pub(crate) const LINGER: Duration = Duration::from_secs(1);
+
+/// A loop pass's clock reading, taken at its first use and shared by the
+/// rest of the pass: a pass that arms and sweeps nothing reads no clock.
+pub(crate) fn pass_clock(reading: &mut Option<Instant>) -> Instant {
+    *reading.get_or_insert_with(Instant::now)
+}
+
+/// A min-queue of `(Instant, K)` wake-ups: one loop's timers.
 #[derive(Debug)]
-pub struct IdleTracker {
-    limit: Duration,
-    last_activity: std::collections::HashMap<u64, Instant>,
-}
+pub(crate) struct Deadlines<K>(BinaryHeap<Reverse<(Instant, K)>>);
 
-impl IdleTracker {
-    /// Track idleness against the given limit.
-    pub fn new(limit: Duration) -> Self {
-        Self {
-            limit,
-            last_activity: std::collections::HashMap::new(),
-        }
-    }
-
-    /// Record activity (connect, read or write) on a connection.
-    pub fn touch(&mut self, conn: u64, now: Instant) {
-        self.last_activity.insert(conn, now);
-    }
-
-    /// Stop tracking a closed connection.
-    pub fn forget(&mut self, conn: u64) {
-        self.last_activity.remove(&conn);
-    }
-
-    /// Connections idle longer than the limit as of `now`. The returned
-    /// connections are forgotten (the caller closes them).
-    pub fn sweep(&mut self, now: Instant) -> Vec<u64> {
-        let limit = self.limit;
-        let expired: Vec<u64> = self
-            .last_activity
-            .iter()
-            .filter(|(_, &t)| now.duration_since(t) > limit)
-            .map(|(&c, _)| c)
-            .collect();
-        for c in &expired {
-            self.last_activity.remove(c);
-        }
-        expired
-    }
-
-    /// The earliest instant at which some tracked connection becomes
-    /// idle-expired, or `None` when nothing is tracked. The dispatcher
-    /// uses this as its poll timeout so it sleeps exactly until the next
-    /// sweep is due instead of waking on a fixed cadence.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        self.last_activity.values().min().map(|&t| t + self.limit)
-    }
-
-    /// Number of tracked connections.
-    pub fn len(&self) -> usize {
-        self.last_activity.len()
-    }
-
-    /// True when no connections are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.last_activity.is_empty()
+impl<K: Ord> Default for Deadlines<K> {
+    fn default() -> Self {
+        Self(BinaryHeap::new())
     }
 }
 
-/// Per-connection **stage** deadlines — the hardening companion to
-/// [`IdleTracker`] driven by [`crate::options::StageDeadlines`].
-///
-/// The idle tracker is refreshed by *any* byte, so a slow-loris peer that
-/// dribbles bytes keeps its connection alive forever. The stage tracker
-/// instead bounds two specific pipeline stages:
-///
-/// * the **header-read window**: armed at accept and re-armed each time a
-///   reply finishes flushing; it is *not* refreshed by partial reads, so a
-///   connection that never completes a request expires;
-/// * the **write-drain window**: armed while the outbox holds bytes the
-///   peer refuses to read, cleared when the outbox drains.
-///
-/// Like the idle tracker it is dispatcher-local (single consumer, no
-/// locking) and reports the earliest deadline so the dispatch loop can use
-/// it as its poll timeout.
-#[derive(Debug)]
-pub struct StageTracker {
-    header_limit: Option<Duration>,
-    drain_limit: Option<Duration>,
-    header: std::collections::HashMap<u64, Instant>,
-    drain: std::collections::HashMap<u64, Instant>,
-}
+impl<K: Ord + Copy> Deadlines<K> {
+    /// Queue a wake-up for `key` at `at`.
+    pub fn arm(&mut self, at: Instant, key: K) {
+        self.0.push(Reverse((at, key)));
+    }
 
-impl StageTracker {
-    /// Track the given stage limits (`None` disables a stage).
-    pub fn new(header_limit: Option<Duration>, drain_limit: Option<Duration>) -> Self {
-        Self {
-            header_limit,
-            drain_limit,
-            header: std::collections::HashMap::new(),
-            drain: std::collections::HashMap::new(),
+    /// The earliest wake-up, left queued.
+    pub fn next(&self) -> Option<(Instant, K)> {
+        self.0.peek().map(|Reverse(head)| *head)
+    }
+
+    /// Take the earliest wake-up if it is due at `now` (its instant is
+    /// not later).
+    pub fn pop_due(&mut self, now: Instant) -> Option<(Instant, K)> {
+        if self.next()?.0 > now {
+            return None;
         }
+        self.0.pop().map(|Reverse(head)| head)
     }
 
-    /// Build from the options value; `None` when both stages are disabled.
-    pub fn from_options(d: &crate::options::StageDeadlines) -> Option<Self> {
-        if d.any() {
-            Some(Self::new(
-                d.header_read_ms.map(Duration::from_millis),
-                d.write_drain_ms.map(Duration::from_millis),
-            ))
-        } else {
-            None
+    /// Keep only the wake-ups `held` accepts, once the queue outnumbers
+    /// its `live` owners two to one (plus 64): stale wake-ups are bounded
+    /// by the owners alive, not by those closed within the longest deadline.
+    pub fn prune(&mut self, live: usize, held: impl Fn(&(Instant, K)) -> bool) {
+        if self.0.len() > 2 * live + 64 {
+            self.0.retain(|Reverse(wake)| held(wake));
         }
-    }
-
-    /// (Re-)arm the header-read window: the connection has until the
-    /// deadline to deliver a complete request. Called at accept and after
-    /// each completed reply.
-    pub fn arm_header(&mut self, conn: u64, now: Instant) {
-        if let Some(limit) = self.header_limit {
-            self.header.insert(conn, now + limit);
-        }
-    }
-
-    /// Disarm the header-read window (connection is closing or half-open).
-    pub fn clear_header(&mut self, conn: u64) {
-        self.header.remove(&conn);
-    }
-
-    /// Arm the write-drain window if not already armed: the peer has until
-    /// the deadline to start consuming the queued reply bytes.
-    pub fn arm_drain(&mut self, conn: u64, now: Instant) {
-        if let Some(limit) = self.drain_limit {
-            self.drain.entry(conn).or_insert(now + limit);
-        }
-    }
-
-    /// The outbox drained: disarm the write-drain window.
-    pub fn clear_drain(&mut self, conn: u64) {
-        self.drain.remove(&conn);
-    }
-
-    /// Stop tracking a closed connection entirely.
-    pub fn forget(&mut self, conn: u64) {
-        self.header.remove(&conn);
-        self.drain.remove(&conn);
-    }
-
-    /// Connections whose armed stage deadline has passed as of `now`. The
-    /// returned connections are forgotten (the caller closes them).
-    pub fn sweep(&mut self, now: Instant) -> Vec<u64> {
-        let mut expired: Vec<u64> = self
-            .header
-            .iter()
-            .chain(self.drain.iter())
-            .filter(|(_, &d)| d <= now)
-            .map(|(&c, _)| c)
-            .collect();
-        expired.sort_unstable();
-        expired.dedup();
-        for c in &expired {
-            self.forget(*c);
-        }
-        expired
-    }
-
-    /// The earliest armed deadline across both stages, or `None` when
-    /// nothing is armed.
-    pub fn next_deadline(&self) -> Option<Instant> {
-        self.header
-            .values()
-            .chain(self.drain.values())
-            .min()
-            .copied()
-    }
-
-    /// Number of connections with at least one armed stage window.
-    pub fn len(&self) -> usize {
-        let mut ids: Vec<u64> = self
-            .header
-            .keys()
-            .chain(self.drain.keys())
-            .copied()
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-
-    /// True when no stage window is armed.
-    pub fn is_empty(&self) -> bool {
-        self.header.is_empty() && self.drain.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    //! Each test keeps the name of the idle or stage tracker test whose
+    //! behaviour it carries over: to the one queue, and to a connection's
+    //! side of it, `reactor::ConnTimes`, as the dispatcher drives them.
+
     use super::*;
+    use crate::options::StageDeadlines;
+    use crate::reactor::ConnTimes;
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    /// Header-read 100 ms, write-drain 50 ms.
+    const STAGES: StageDeadlines = StageDeadlines {
+        header_read_ms: Some(100),
+        write_drain_ms: Some(50),
+    };
 
     #[test]
     fn idle_tracker_sweeps_only_expired() {
         let t0 = Instant::now();
-        let mut it = IdleTracker::new(Duration::from_millis(100));
-        it.touch(1, t0);
-        it.touch(2, t0 + Duration::from_millis(80));
-        let expired = it.sweep(t0 + Duration::from_millis(150));
-        assert_eq!(expired, vec![1]);
-        assert_eq!(it.len(), 1);
-        // Touching resets idleness.
-        it.touch(2, t0 + Duration::from_millis(160));
-        assert!(it.sweep(t0 + Duration::from_millis(200)).is_empty());
-        assert!(!it.is_empty());
+        let mut q = Deadlines::default();
+        let mut c1 = ConnTimes {
+            idle_at: Some(t0 + ms(100)),
+            ..ConnTimes::default()
+        };
+        let mut c2 = ConnTimes {
+            idle_at: Some(t0 + ms(180)),
+            ..ConnTimes::default()
+        };
+        c1.rearm(1, &mut q);
+        c2.rearm(2, &mut q);
+        let (at, _) = q.pop_due(t0 + ms(150)).unwrap();
+        assert_eq!(c1.wake_at, Some(at), "held");
+        assert_eq!(c1.take_passed(t0 + ms(150)), (false, true, false));
+        assert_eq!(q.pop_due(t0 + ms(150)), None, "2 is not due yet");
+        // A read touches 2 at 160: a field store, no new wake-up.
+        c2.idle_at = Some(t0 + ms(260));
+        c2.rearm(2, &mut q);
+        assert_eq!(q.next(), Some((t0 + ms(180), 2)));
+        // Its old wake-up pops, finds it idle only at 260, and re-arms.
+        let (at, _) = q.pop_due(t0 + ms(200)).unwrap();
+        assert_eq!(c2.wake_at, Some(at), "held");
+        assert_eq!(c2.take_passed(t0 + ms(200)), (false, false, false));
+        c2.rearm(2, &mut q);
+        assert_eq!(q.pop_due(t0 + ms(200)), None);
+        assert_eq!(q.next(), Some((t0 + ms(260), 2)));
     }
 
     #[test]
     fn idle_tracker_next_deadline_is_earliest_expiry() {
         let t0 = Instant::now();
-        let mut it = IdleTracker::new(Duration::from_millis(100));
-        assert!(it.next_deadline().is_none());
-        it.touch(1, t0 + Duration::from_millis(50));
-        it.touch(2, t0);
-        assert_eq!(it.next_deadline(), Some(t0 + Duration::from_millis(100)));
-        it.forget(2);
-        assert_eq!(it.next_deadline(), Some(t0 + Duration::from_millis(150)));
+        let mut q = Deadlines::default();
+        assert!(q.next().is_none());
+        q.arm(t0 + ms(150), 1);
+        q.arm(t0 + ms(100), 2);
+        q.arm(t0 + ms(120), 3);
+        assert_eq!(q.next(), Some((t0 + ms(100), 2)));
+        // Due exactly at its instant.
+        assert_eq!(q.pop_due(t0 + ms(100)), Some((t0 + ms(100), 2)));
+        assert_eq!(q.next(), Some((t0 + ms(120), 3)));
     }
 
     #[test]
     fn idle_tracker_forget() {
+        // Nothing is removed from the queue when a connection closes:
+        // its wake-up is stale, and a prune drops it once the stale
+        // outnumber the live.
         let t0 = Instant::now();
-        let mut it = IdleTracker::new(Duration::from_millis(10));
-        it.touch(1, t0);
-        it.forget(1);
-        assert!(it.sweep(t0 + Duration::from_secs(1)).is_empty());
+        let mut q = Deadlines::default();
+        for id in 0..100u64 {
+            q.arm(t0 + ms(300_000 + id), id);
+        }
+        let live = |&(_, id): &(Instant, u64)| id == 7;
+        q.prune(40, live);
+        assert_eq!(q.0.len(), 100, "within twice the live owners plus 64");
+        q.prune(1, live);
+        assert_eq!(q.next(), Some((t0 + ms(300_007), 7)));
+        assert_eq!(q.0.len(), 1, "only the live owner's wake-up is left");
     }
 
     #[test]
     fn stage_tracker_header_window_is_not_refreshed_by_partial_activity() {
         let t0 = Instant::now();
-        let mut st = StageTracker::new(Some(Duration::from_millis(100)), None);
-        st.arm_header(1, t0);
-        // Unlike IdleTracker there is no touch-on-read: the window holds
-        // from accept until a complete request, so a dribbling peer has no
-        // way to extend it.
-        assert!(st.sweep(t0 + Duration::from_millis(50)).is_empty());
-        assert_eq!(st.sweep(t0 + Duration::from_millis(101)), vec![1]);
-        assert!(st.is_empty());
+        let mut q = Deadlines::default();
+        let mut c = ConnTimes::opened(t0, None, STAGES);
+        c.rearm(1, &mut q);
+        // Partial reads: each close test finds the outbox empty and no
+        // reply drained, and leaves the header deadline where it is.
+        for at in [10, 50, 99] {
+            c.stages(STAGES, true, false, t0 + ms(at));
+            c.rearm(1, &mut q);
+        }
+        assert_eq!(c.header_by, Some(t0 + ms(100)));
+        assert_eq!(q.pop_due(t0 + ms(99)), None);
+        let (at, _) = q.pop_due(t0 + ms(100)).unwrap();
+        assert_eq!(c.wake_at, Some(at), "held");
+        assert_eq!(c.take_passed(t0 + ms(100)), (false, false, true));
+        c.rearm(1, &mut q);
+        assert!(q.next().is_none(), "the window held one wake-up");
     }
 
     #[test]
     fn stage_tracker_rearm_header_extends_the_window() {
         let t0 = Instant::now();
-        let mut st = StageTracker::new(Some(Duration::from_millis(100)), None);
-        st.arm_header(1, t0);
-        // A completed reply re-arms the window for the next request.
-        st.arm_header(1, t0 + Duration::from_millis(80));
-        assert!(st.sweep(t0 + Duration::from_millis(120)).is_empty());
-        assert_eq!(st.sweep(t0 + Duration::from_millis(181)), vec![1]);
+        let mut q = Deadlines::default();
+        let mut c = ConnTimes::opened(t0, None, STAGES);
+        c.rearm(1, &mut q);
+        // A reply drained at 80 re-opens the window for the next request.
+        c.stages(STAGES, true, true, t0 + ms(80));
+        c.rearm(1, &mut q);
+        assert_eq!(c.header_by, Some(t0 + ms(180)));
+        let (at, _) = q.pop_due(t0 + ms(120)).unwrap();
+        assert_eq!(c.wake_at, Some(at), "held");
+        assert_eq!(c.take_passed(t0 + ms(120)), (false, false, false));
+        c.rearm(1, &mut q);
+        assert_eq!(q.pop_due(t0 + ms(179)), None);
+        assert_eq!(q.pop_due(t0 + ms(180)), Some((t0 + ms(180), 1)));
     }
 
     #[test]
     fn stage_tracker_drain_window_arms_once_and_clears() {
         let t0 = Instant::now();
-        let mut st = StageTracker::new(None, Some(Duration::from_millis(50)));
-        st.arm_drain(2, t0);
-        // Re-arming while already armed keeps the original deadline: a
-        // stalled reader cannot extend its grace by accepting one byte.
-        st.arm_drain(2, t0 + Duration::from_millis(40));
-        assert_eq!(st.next_deadline(), Some(t0 + Duration::from_millis(50)));
-        st.clear_drain(2);
-        assert!(st.sweep(t0 + Duration::from_secs(1)).is_empty());
+        let mut q = Deadlines::default();
+        let mut stalled = ConnTimes::opened(t0, None, STAGES);
+        let mut drained = ConnTimes::opened(t0, None, STAGES);
+        // Both queue a reply the peer does not read at 0: the drain
+        // window opens, earlier than the header's.
+        for (id, c) in [(1, &mut stalled), (2, &mut drained)] {
+            c.stages(STAGES, false, false, t0);
+            c.rearm(id, &mut q);
+            assert_eq!(c.drain_by, Some(t0 + ms(50)));
+        }
+        // A reader that takes one byte at 30 buys no time: the bytes
+        // still queued keep the window where it opened.
+        stalled.stages(STAGES, false, false, t0 + ms(30));
+        stalled.rearm(1, &mut q);
+        assert_eq!(stalled.drain_by, Some(t0 + ms(50)));
+        // The other reply drains at 40: the window clears and a header
+        // window opens for the next request.
+        drained.stages(STAGES, true, true, t0 + ms(40));
+        drained.rearm(2, &mut q);
+        assert_eq!(
+            (drained.drain_by, drained.header_by),
+            (None, Some(t0 + ms(140)))
+        );
+        let (at, _) = q.pop_due(t0 + ms(50)).unwrap();
+        assert_eq!(stalled.wake_at, Some(at), "held");
+        assert_eq!(stalled.take_passed(t0 + ms(50)), (false, false, true));
+        let (at, _) = q.pop_due(t0 + ms(50)).unwrap();
+        assert_eq!(drained.wake_at, Some(at), "held");
+        assert_eq!(drained.take_passed(t0 + ms(50)), (false, false, false));
+        drained.rearm(2, &mut q);
+        assert_eq!(q.next(), Some((t0 + ms(140), 2)));
     }
 
     #[test]
     fn stage_tracker_next_deadline_spans_both_stages() {
         let t0 = Instant::now();
-        let mut st = StageTracker::new(
-            Some(Duration::from_millis(100)),
-            Some(Duration::from_millis(30)),
-        );
-        st.arm_header(1, t0);
-        st.arm_drain(2, t0);
-        assert_eq!(st.next_deadline(), Some(t0 + Duration::from_millis(30)));
-        assert_eq!(st.len(), 2);
-        st.forget(2);
-        assert_eq!(st.next_deadline(), Some(t0 + Duration::from_millis(100)));
-        st.forget(1);
-        assert!(st.next_deadline().is_none());
-        assert!(st.is_empty());
+        let mut q = Deadlines::default();
+        let mut c1 = ConnTimes::opened(t0, None, STAGES);
+        let mut c2 = ConnTimes::opened(t0, None, STAGES);
+        c2.stages(STAGES, false, false, t0);
+        c1.rearm(1, &mut q);
+        c2.rearm(2, &mut q);
+        assert_eq!(q.next(), Some((t0 + ms(50), 2)));
+        // 2 closes: nothing holds its wake-up, which is dropped unread
+        // at the head, and 1's is next.
+        let (at, _) = q.pop_due(t0 + ms(50)).unwrap();
+        assert_ne!(c1.wake_at, Some(at));
+        assert_eq!(q.next(), Some((t0 + ms(100), 1)));
     }
 
     #[test]
     fn stage_tracker_sweep_reports_a_connection_once() {
         let t0 = Instant::now();
-        let mut st = StageTracker::new(
-            Some(Duration::from_millis(10)),
-            Some(Duration::from_millis(10)),
-        );
-        st.arm_header(3, t0);
-        st.arm_drain(3, t0);
-        assert_eq!(st.sweep(t0 + Duration::from_millis(20)), vec![3]);
-        assert!(st.is_empty());
+        let mut q = Deadlines::default();
+        // Header and drain windows both end at 100: one wake-up for both.
+        let mut c = ConnTimes::opened(t0, None, STAGES);
+        c.stages(STAGES, false, false, t0 + ms(50));
+        c.rearm(3, &mut q);
+        c.rearm(3, &mut q);
+        let (at, _) = q.pop_due(t0 + ms(120)).unwrap();
+        assert_eq!(c.wake_at, Some(at), "held");
+        assert_eq!(c.take_passed(t0 + ms(120)), (false, false, true));
+        c.rearm(3, &mut q);
+        assert_eq!(q.pop_due(t0 + ms(120)), None);
+        assert_ne!(c.wake_at, Some(at), "spent");
     }
 
     #[test]
     fn stage_tracker_from_options() {
-        use crate::options::StageDeadlines;
-        assert!(StageTracker::from_options(&StageDeadlines::NONE).is_none());
-        let st = StageTracker::from_options(&StageDeadlines {
-            header_read_ms: Some(5),
-            write_drain_ms: None,
-        })
-        .unwrap();
-        assert!(st.is_empty());
+        // A connection with no deadline configured queues nothing.
+        let t0 = Instant::now();
+        let mut q = Deadlines::default();
+        let mut c = ConnTimes::opened(t0, None, StageDeadlines::NONE);
+        c.stages(StageDeadlines::NONE, false, false, t0);
+        c.rearm(1, &mut q);
+        assert_eq!((c.header_by, c.drain_by, c.wake_at), (None, None, None));
+        assert_eq!(q.pop_due(t0 + ms(1_000_000)), None);
+        // An idle limit alone opens the idle window only.
+        let mut c = ConnTimes::opened(t0, Some(ms(5)), StageDeadlines::NONE);
+        c.rearm(1, &mut q);
+        assert_eq!(q.next(), Some((t0 + ms(5), 1)));
     }
 }

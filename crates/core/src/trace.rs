@@ -1010,7 +1010,8 @@ pub fn check_trace_events(doc: &Json) -> Result<TraceShape, String> {
     };
     let mut shape = TraceShape::default();
     // (pid, tid) -> (timestamp of the lane's last B, its open windows)
-    let mut lanes: HashMap<(u64, u64), (u64, Vec<(&str, u64)>)> = HashMap::new();
+    type Lanes<'a> = HashMap<(u64, u64), (u64, Vec<(&'a str, u64)>)>;
+    let mut lanes: Lanes = HashMap::new();
     for e in events {
         let lacks = |what: &str| format!("event without {what}: {e}");
         let num = |key: &str| e[key].as_u64().ok_or_else(|| lacks(key));

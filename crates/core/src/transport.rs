@@ -269,7 +269,7 @@ impl Listener for TcpListenerNb {
     type Poller = TcpPoller;
 
     fn try_accept(&mut self) -> io::Result<Option<TcpStreamNb>> {
-        // One syscall on Linux (`accept4`), three elsewhere.
+        // One syscall (`accept4`).
         match accept::accept(&self.inner) {
             Ok((stream, peer)) => Ok(Some(TcpStreamNb {
                 inner: stream,
@@ -323,7 +323,6 @@ impl TcpStreamNb {
         })
     }
 
-    #[cfg(unix)]
     fn fd(&self) -> i32 {
         raw_fd(&self.inner)
     }
@@ -364,7 +363,6 @@ impl TcpStreamNb {
     }
 }
 
-#[cfg(unix)]
 fn raw_fd<T: std::os::unix::io::AsRawFd>(t: &T) -> i32 {
     t.as_raw_fd()
 }
@@ -417,21 +415,17 @@ impl StreamIo for TcpStreamNb {
 }
 
 // ---------------------------------------------------------------------------
-// epoll-backed poller (Linux)
+// epoll-backed poller
 // ---------------------------------------------------------------------------
 
-/// The poller used for TCP transports on this platform.
-#[cfg(target_os = "linux")]
+#[cfg(not(target_os = "linux"))]
+compile_error!("the TCP transport needs epoll: nserver-core builds on Linux only");
+
+/// The poller used for TCP transports.
 pub type TcpPoller = EpollPoller;
 
-/// The poller used for TCP transports on this platform.
-#[cfg(all(unix, not(target_os = "linux")))]
-pub type TcpPoller = fallback::FallbackPoller;
-
-#[cfg(target_os = "linux")]
 pub use self::epoll::EpollPoller;
 
-#[cfg(target_os = "linux")]
 mod epoll {
     //! Level-triggered epoll plus an eventfd waker, called straight
     //! through the C library (no external crates).
@@ -649,124 +643,6 @@ mod epoll {
         fn waker(&self) -> Waker {
             let fd = Arc::clone(&self.wake_fd);
             Waker::new(move || fd.signal())
-        }
-    }
-}
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod fallback {
-    //! Portable degraded poller for non-Linux unix targets: no kernel
-    //! readiness source, so `wait` bounds its sleep and reports every
-    //! registered token per its interest. Functionally correct (callers
-    //! must tolerate spurious readiness), but not load-bearing for
-    //! performance the way [`super::EpollPoller`] is.
-
-    use super::{Interest, PollEvent, Poller, TcpStreamNb, Waker};
-    use parking_lot::{Condvar, Mutex};
-    use std::collections::HashMap;
-    use std::io;
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    struct Shared {
-        woken: Mutex<bool>,
-        cv: Condvar,
-    }
-
-    /// Sleep-bounded poll fallback.
-    pub struct FallbackPoller {
-        interests: HashMap<u64, Interest>,
-        shared: Arc<Shared>,
-    }
-
-    impl FallbackPoller {
-        pub fn new() -> io::Result<Self> {
-            Ok(Self {
-                interests: HashMap::new(),
-                shared: Arc::new(Shared {
-                    woken: Mutex::new(false),
-                    cv: Condvar::new(),
-                }),
-            })
-        }
-
-        pub fn add_fd(&mut self, token: u64, _fd: i32, interest: Interest) -> io::Result<()> {
-            self.interests.insert(token, interest);
-            Ok(())
-        }
-
-        pub fn mod_fd(&mut self, token: u64, _fd: i32, interest: Interest) -> io::Result<()> {
-            self.interests.insert(token, interest);
-            Ok(())
-        }
-
-        pub fn del_fd(&mut self, token: u64, _fd: i32) -> io::Result<()> {
-            self.interests.remove(&token);
-            Ok(())
-        }
-    }
-
-    impl Poller for FallbackPoller {
-        type Stream = TcpStreamNb;
-
-        fn register(
-            &mut self,
-            token: u64,
-            _stream: &TcpStreamNb,
-            interest: Interest,
-        ) -> io::Result<()> {
-            self.interests.insert(token, interest);
-            Ok(())
-        }
-
-        fn reregister(
-            &mut self,
-            token: u64,
-            _stream: &TcpStreamNb,
-            interest: Interest,
-        ) -> io::Result<()> {
-            self.interests.insert(token, interest);
-            Ok(())
-        }
-
-        fn deregister(&mut self, token: u64, _stream: &TcpStreamNb) -> io::Result<()> {
-            self.interests.remove(&token);
-            Ok(())
-        }
-
-        fn wait(
-            &mut self,
-            events: &mut Vec<PollEvent>,
-            timeout: Option<Duration>,
-        ) -> io::Result<()> {
-            events.clear();
-            let cap = Duration::from_millis(1);
-            let nap = timeout.map_or(cap, |d| d.min(cap));
-            {
-                let mut woken = self.shared.woken.lock();
-                if !*woken && !nap.is_zero() {
-                    let _ = self.shared.cv.wait_for(&mut woken, nap);
-                }
-                *woken = false;
-            }
-            for (&token, &interest) in &self.interests {
-                if interest.readable || interest.writable {
-                    events.push(PollEvent {
-                        token,
-                        readable: interest.readable,
-                        writable: interest.writable,
-                    });
-                }
-            }
-            Ok(())
-        }
-
-        fn waker(&self) -> Waker {
-            let shared = Arc::clone(&self.shared);
-            Waker::new(move || {
-                *shared.woken.lock() = true;
-                shared.cv.notify_one();
-            })
         }
     }
 }
@@ -1509,7 +1385,6 @@ mod tests {
         }
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn epoll_poller_reports_tcp_readiness_and_wakes() {
         let mut l = TcpListenerNb::bind("127.0.0.1:0").unwrap();

@@ -1,40 +1,26 @@
 //! Accepting a TCP connection ready for the reactor: non-blocking, with
-//! `TCP_NODELAY` set.
-//!
-//! On Linux that is one syscall. `std` accepts with `SOCK_CLOEXEC` only
-//! and has no `set_nodelay` for a listener, which made every accepted
+//! `TCP_NODELAY` set, in one syscall. `std` accepts with `SOCK_CLOEXEC`
+//! only and has no `set_nodelay` for a listener, which made every accepted
 //! connection three — `accept4`, `ioctl(FIONBIO)`, `setsockopt` — so
 //! `accept4(SOCK_NONBLOCK | SOCK_CLOEXEC)` and the listener's
 //! `TCP_NODELAY` (accepted sockets inherit it) are called straight through
-//! the C library, as `epoll` is. Elsewhere it stays `std`'s three calls.
+//! the C library, as `epoll` is.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 
-/// Make `listener` ready for [`accept`]: on Linux, set the `TCP_NODELAY`
-/// its accepted sockets will inherit.
+/// Make `listener` ready for [`accept`]: set the `TCP_NODELAY` its
+/// accepted sockets will inherit.
 pub(super) fn prepare(listener: &TcpListener) -> io::Result<()> {
-    #[cfg(target_os = "linux")]
-    linux::set_nodelay(super::raw_fd(listener))?;
-    let _ = listener;
-    Ok(())
+    linux::set_nodelay(super::raw_fd(listener))
 }
 
 /// Accept one connection, non-blocking and `TCP_NODELAY`. An empty queue
 /// is `WouldBlock`.
 pub(super) fn accept(listener: &TcpListener) -> io::Result<(TcpStream, SocketAddr)> {
-    #[cfg(target_os = "linux")]
-    return linux::accept(super::raw_fd(listener));
-    #[cfg(not(target_os = "linux"))]
-    {
-        let (stream, peer) = listener.accept()?;
-        stream.set_nonblocking(true)?;
-        let _ = stream.set_nodelay(true);
-        Ok((stream, peer))
-    }
+    linux::accept(super::raw_fd(listener))
 }
 
-#[cfg(target_os = "linux")]
 mod linux {
     use std::io;
     use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, SocketAddrV4, SocketAddrV6, TcpStream};

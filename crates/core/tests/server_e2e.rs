@@ -13,7 +13,7 @@ use nserver_core::layer::{AcceptHook, ConnHook, Layered, PollHook};
 use nserver_core::metrics::Stage;
 use nserver_core::options::{
     CompletionMode, DispatcherThreads, EventScheduling, Mode, OverloadControl, ServerOptions,
-    ThreadAllocation,
+    StageDeadlines, ThreadAllocation,
 };
 use nserver_core::pipeline::{Action, Codec, ConnCtx, ProtocolError, Service};
 use nserver_core::server::ServerBuilder;
@@ -983,6 +983,111 @@ fn silent_peer_is_linger_reaped_at_the_deadline() {
     let stats = server.stats();
     assert_eq!(stats.connections_lingered, 1);
     assert_eq!(stats.linger_reaped, 1, "linger deadline never fired");
+    server.shutdown();
+}
+
+/// Answers `big` with more bytes than loopback socket buffers hold, and
+/// echoes anything else.
+struct BigReplies;
+
+impl Service<LineCodec> for BigReplies {
+    fn handle(&self, _ctx: &ConnCtx, req: String) -> Action<String> {
+        match req.as_str() {
+            "big" => Action::Reply("x".repeat(16 << 20)),
+            other => Action::Reply(format!("echo:{other}")),
+        }
+    }
+}
+
+/// One server, every per-connection deadline armed, three peers each
+/// reaped by a different one: write drain (250 ms) < idle (500 ms) <
+/// header read (1 s). A peer that falls silent after its reply is idle
+/// before its re-armed header window ends; a peer dribbling one byte
+/// every 25 ms stays busy but never completes a request; a peer that
+/// never reads its reply stalls the drain before it idles. Over loopback
+/// TCP, because in-memory pipes never push back.
+#[test]
+fn deadlines_reap_an_idle_a_dribbling_and_a_non_reading_peer() {
+    let opts = ServerOptions {
+        idle_shutdown_ms: Some(500),
+        stage_deadlines: StageDeadlines {
+            header_read_ms: Some(1_000),
+            write_drain_ms: Some(250),
+        },
+        ..base_options()
+    };
+    let server = ServerBuilder::new(opts, LineCodec, BigReplies)
+        .unwrap()
+        .serve(TcpListenerNb::bind("127.0.0.1:0").unwrap());
+    let addr = server.local_label().to_string();
+
+    let mut silent = TcpStreamNb::connect(&addr).unwrap();
+    silent.try_write(b"ping\n").unwrap();
+    assert_eq!(tcp_read(&mut silent, 10), b"echo:ping\n");
+    let mut stalled = TcpStreamNb::connect(&addr).unwrap();
+    assert_eq!(stalled.try_write(b"big\n").unwrap(), 4);
+    let mut dribbler = TcpStreamNb::connect(&addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().connections_closed < 3 && Instant::now() < deadline {
+        let _ = dribbler.try_write(b"x");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+
+    // Every reaped connection closed (a lingering close releases it at
+    // once), so no deadline is left to fire.
+    let stats = server.stats();
+    assert_eq!(stats.connections_closed, 3, "{stats:?}");
+    assert_eq!(stats.connections_idle_closed, 1, "{stats:?}");
+    assert_eq!(stats.connections_timed_out, 2, "{stats:?}");
+    let peers: std::collections::HashMap<u64, String> = server
+        .tracer()
+        .metas()
+        .into_iter()
+        .map(|(id, meta)| (id, meta.peer))
+        .collect();
+    let reaped = |why: &str| {
+        let records = server.tracer().dump();
+        let hits = records.iter().filter(|r| r.detail == why);
+        let mut who: Vec<String> = hits.map(|r| peers[&r.conn.unwrap()].clone()).collect();
+        who.sort();
+        who
+    };
+    assert_eq!(reaped("idle shutdown"), vec![silent.local_label()]);
+    let mut stage = vec![dribbler.local_label(), stalled.local_label()];
+    stage.sort();
+    assert_eq!(reaped("stage deadline exceeded"), stage);
+    server.shutdown();
+}
+
+/// A closed connection's wake-up is dropped, not slept on: fifty
+/// connections each end in a lingering close the peer answers with its
+/// FIN, and over the 1.5 s in which their 1 s linger deadlines would have
+/// fallen the dispatcher stays asleep.
+#[test]
+fn deadlines_leave_no_stale_wake_up_after_lingering_closes() {
+    let (listener, connector) = mem::listener("linger-answered");
+    let server = ServerBuilder::new(base_options(), LineCodec, EchoService)
+        .unwrap()
+        .serve(listener);
+    for _ in 0..50 {
+        let mut c = connector.connect();
+        assert_eq!(talk(&mut c, b"quit\n", 2), vec!["hello", "bye"]);
+        let mut buf = [0u8; 16];
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while c.try_read(&mut buf).unwrap() != ReadOutcome::Closed && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        // The server's FIN came: answer it.
+        c.shutdown_write();
+    }
+    assert_eq!(server.stats().connections_lingered, 50);
+    std::thread::sleep(Duration::from_millis(100));
+
+    let before = server.stats().dispatcher_wakeups;
+    std::thread::sleep(Duration::from_millis(1_500));
+    let woke = server.stats().dispatcher_wakeups - before;
+    assert!(woke <= 10, "{woke} wake-ups after every linger ended");
+    assert_eq!(server.stats().linger_reaped, 0, "every peer answered");
     server.shutdown();
 }
 

@@ -147,9 +147,12 @@ fn every_ci_name_filter_selects_a_test() {
         commands >= 20,
         "read only {commands} commands out of ci.yml"
     );
-    // The steps that select property tests, the telemetry suite and the
-    // generative path's pins, by name.
+    // The steps that select property tests, the telemetry suite, the
+    // generative path's pins and the deadline tests, by name.
     for filter in [
+        "deadlines_",
+        "timer::tests",
+        "cluster::tests::half_closed",
         "differential",
         "oracle",
         "segmented",
