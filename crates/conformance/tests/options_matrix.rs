@@ -17,6 +17,15 @@ fn variants() -> Vec<(&'static str, ServerOptions)> {
     vec![
         ("cops-http-baseline", base.clone()),
         (
+            // The path a COPS-HTTP server takes on one CPU: every event
+            // on the dispatcher, completions from the helpers.
+            "o2-no-pool",
+            ServerOptions {
+                separate_handler_pool: false,
+                ..base.clone()
+            },
+        ),
+        (
             "o1-multi-dispatcher",
             ServerOptions {
                 dispatcher_threads: DispatcherThreads::Multi(2),

@@ -734,7 +734,8 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
 
     /// Execute one work item. Runs on Event Processor workers and on the
     /// dispatcher thread (every item under O2 = No, the last ready event
-    /// of a pass under O2 = Yes — `reactor::SubmitMode`): the code is
+    /// of a pass under O2 = Yes, every one on one CPU —
+    /// `reactor::SubmitMode::choose`): the code is
     /// identical, only the calling thread differs. The item ends with
     /// its own Send Reply.
     ///

@@ -10,10 +10,11 @@
 //! classic single-threaded Reactor). Under O2 = Yes it is one more
 //! handler when it would otherwise go to sleep: where no hook can block
 //! it, it queues every ready event of a pass but the last and handles
-//! that one itself ([`SubmitMode`]). Send Reply is the framework's too,
-//! but not this thread's alone: [`flush`] is the one send routine, run by
-//! the work item that queued the replies and by the dispatcher for
-//! whatever a work item left behind.
+//! that one itself, and on one CPU, where nothing else needs the queue,
+//! it handles them all ([`SubmitMode::choose`]). Send Reply is the
+//! framework's too, but not this thread's alone: [`flush`] is the one
+//! send routine, run by the work item that queued the replies and by the
+//! dispatcher for whatever a work item left behind.
 //!
 //! Readiness is demultiplexed, never scanned: the loop sleeps in
 //! `Poller::wait` (epoll for TCP, a condvar wake-list for the in-memory
@@ -44,7 +45,7 @@ use parking_lot::Mutex;
 
 use crate::event::{CompletionToken, ConnId, EventKind, Priority};
 use crate::metrics::{MetricsRegistry, Stage};
-use crate::options::StageDeadlines;
+use crate::options::{CompletionMode, EventScheduling, ServerOptions, StageDeadlines};
 use crate::overload::OverloadController;
 use crate::pipeline::{Codec, ConnShared, Engine, Outbox, Service, Work};
 use crate::processor::EventProcessor;
@@ -57,7 +58,8 @@ use crate::transport::{
 };
 
 /// Where ready events go: the Event Processor pool (O2 = Yes) or inline on
-/// the dispatcher (O2 = No).
+/// the dispatcher (O2 = No, and O2 = Yes on one CPU where nothing needs
+/// the queue — [`choose`](Self::choose)).
 pub enum SubmitMode<R: Send + 'static> {
     /// Run handlers on the dispatcher thread.
     Inline,
@@ -72,6 +74,42 @@ pub enum SubmitMode<R: Send + 'static> {
         /// no queue discipline has to see every event (O8 = No).
         dispatcher_handles_last: bool,
     },
+}
+
+impl<R: Send + 'static> SubmitMode<R> {
+    /// The routing the dispatchers of a server built from `opts` get on a
+    /// process that may run on `cpus` CPUs; `processor` is the pool O2 =
+    /// Yes built.
+    ///
+    /// On one CPU no worker runs while the dispatcher does, so a queued
+    /// event buys a futex wake and two context switches and no
+    /// parallelism. There, where no hook blocks in place (O4 =
+    /// Asynchronous) and nothing else needs the queue — the options would
+    /// pass `validate` with O2 = No: O8 = No, O9 ≠ Watermark, O5 = Static
+    /// — every ready event is the dispatcher's: `Inline`, the O2 = No
+    /// path, while the pool stays parked as O5 built it. Anywhere else a
+    /// pool is `Pool`, and the dispatcher handles the last event of a
+    /// pass where O4 = Asynchronous and O8 = No.
+    pub fn choose(
+        opts: &ServerOptions,
+        cpus: usize,
+        processor: Option<&Arc<EventProcessor<Work<R>>>>,
+    ) -> Self {
+        let asynchronous = opts.completion_mode == CompletionMode::Asynchronous;
+        let without_pool = ServerOptions {
+            separate_handler_pool: false,
+            ..opts.clone()
+        };
+        let every_event_here = cpus == 1 && asynchronous && without_pool.validate().is_ok();
+        match processor {
+            Some(processor) if !every_event_here => SubmitMode::Pool {
+                processor: Arc::clone(processor),
+                dispatcher_handles_last: asynchronous
+                    && opts.event_scheduling == EventScheduling::No,
+            },
+            _ => SubmitMode::Inline,
+        }
+    }
 }
 
 impl<R: Send + 'static> Clone for SubmitMode<R> {
@@ -420,6 +458,17 @@ fn report_syscalls(tracer: &DebugTracer, conn: &ConnShared, out: &mut Outbox) {
 /// How long a gated acceptor or a draining dispatcher sleeps before
 /// re-checking when no other event wakes it.
 const RECHECK: Duration = Duration::from_millis(10);
+
+/// `accept` failed for want of what only a close frees — descriptors
+/// (`EMFILE`, `ENFILE`), socket buffers (`ENOBUFS`) or memory (`ENOMEM`)
+/// — and left the connection queued.
+fn out_of_resources(e: &std::io::Error) -> bool {
+    const ENOMEM: i32 = 12;
+    const ENFILE: i32 = 23;
+    const EMFILE: i32 = 24;
+    const ENOBUFS: i32 = 105;
+    matches!(e.raw_os_error(), Some(ENOMEM | ENFILE | EMFILE | ENOBUFS))
+}
 
 /// Most outbox segments one gathered write carries. A pipelined batch of
 /// sixteen cached replies is 32 segments; the kernel's own limit
@@ -908,10 +957,11 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
 
     /// Accept up to a fairness cap of pending connections. Returns true
     /// when the cap was reached with connections possibly still queued.
-    /// While the overload controller refuses (O9), the listening endpoint
-    /// is deregistered from the poller — a level-triggered backlog would
-    /// otherwise wake the loop continuously — and re-armed when the
-    /// controller relents.
+    /// While the overload controller refuses (O9), or `accept` fails for
+    /// want of a resource ([`out_of_resources`]), the acceptor is gated:
+    /// the listening endpoint is deregistered from the poller — a
+    /// level-triggered backlog would otherwise wake the loop continuously
+    /// — and re-armed at a re-check that finds the controller willing.
     fn accept_pending(
         &mut self,
         conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
@@ -931,14 +981,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             };
             if !admitted {
                 ServerStats::bump(&self.engine.stats.accepts_deferred);
-                if *armed {
-                    if let Some(listener) = &self.listener {
-                        let _ = listener.deregister_listener(&mut self.poller);
-                    }
-                    *armed = false;
-                }
-                *gated = true;
-                return false;
+                return self.gate_acceptor(gated, armed);
             }
             if !*armed {
                 if let Some(listener) = &self.listener {
@@ -957,7 +1000,9 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                 Err(e) => {
                     // One failed accept must not wedge the acceptor: count
                     // it and keep draining the backlog (the fairness cap
-                    // bounds how many errors one pass absorbs).
+                    // bounds how many errors one pass absorbs) — unless
+                    // the connection is still queued behind a resource
+                    // only a close frees, which a retry now would spin on.
                     ServerStats::bump(&self.engine.stats.accept_errors);
                     if self.engine.tracer.is_enabled() {
                         self.engine.tracer.record(
@@ -966,11 +1011,26 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                             format!("accept error: {e}"),
                         );
                     }
-                    continue;
+                    if out_of_resources(&e) {
+                        return self.gate_acceptor(gated, armed);
+                    }
                 }
             }
         }
         true
+    }
+
+    /// Stop watching the listener until the next re-check (at most
+    /// [`RECHECK`] away). Returns false: nothing is left for this pass.
+    fn gate_acceptor(&mut self, gated: &mut bool, armed: &mut bool) -> bool {
+        if *armed {
+            if let Some(listener) = &self.listener {
+                let _ = listener.deregister_listener(&mut self.poller);
+            }
+            *armed = false;
+        }
+        *gated = true;
+        false
     }
 
     fn register(
@@ -1717,5 +1777,77 @@ mod tests {
         }
         producer.join().expect("producer");
         assert!(fires.load(Ordering::SeqCst) as u64 <= IDS);
+    }
+
+    /// Over O2 × O4 × O5 × O8 × O9 × {1, 2} CPUs, every valid option set
+    /// gets `Inline` exactly where one CPU, O4 = Asynchronous, O5 =
+    /// Static, O8 = No and O9 ≠ Watermark meet, and otherwise the routing
+    /// options alone chose before the CPU count was read.
+    #[test]
+    fn one_cpu_routes_every_event_to_the_dispatcher_exactly_where_nothing_needs_the_queue() {
+        use crate::options::{OverloadControl, ThreadAllocation};
+        use crate::queue::{BlockingQueue, FifoQueue};
+        let queue = BlockingQueue::new(Box::new(FifoQueue::new()));
+        let static_pool = ThreadAllocation::Static { threads: 1 };
+        let pool = EventProcessor::start(static_pool, queue, Arc::new(|_: Work<Vec<u8>>| {}));
+        let dynamic_pool = ThreadAllocation::Dynamic {
+            min: 1,
+            max: 2,
+            idle_keepalive_ms: 10,
+        };
+        let o4 = [CompletionMode::Asynchronous, CompletionMode::Synchronous];
+        let o5 = [static_pool, dynamic_pool];
+        let o8 = [
+            EventScheduling::No,
+            EventScheduling::Yes { quotas: vec![2, 1] },
+        ];
+        let watermark = OverloadControl::Watermark { high: 8, low: 2 };
+        let o9 = [
+            OverloadControl::No,
+            OverloadControl::MaxConnections { limit: 8 },
+            watermark,
+        ];
+        let mut walked = 0;
+        for i in 0..2 * 2 * 2 * 2 * 3 {
+            let opts = ServerOptions {
+                separate_handler_pool: i % 2 == 1,
+                completion_mode: o4[i / 2 % 2],
+                thread_allocation: o5[i / 4 % 2],
+                event_scheduling: o8[i / 8 % 2].clone(),
+                overload_control: o9[i / 16],
+                ..ServerOptions::default()
+            };
+            if opts.validate().is_err() {
+                continue;
+            }
+            let pooled = opts.separate_handler_pool;
+            let asynchronous = opts.completion_mode == CompletionMode::Asynchronous;
+            let no_scheduling = opts.event_scheduling == EventScheduling::No;
+            for cpus in [1, 2] {
+                let every_event_here = cpus == 1
+                    && asynchronous
+                    && opts.thread_allocation == static_pool
+                    && no_scheduling
+                    && opts.overload_control != watermark;
+                let at = format!("{opts:?} on {cpus} CPU(s)");
+                match SubmitMode::choose(&opts, cpus, pooled.then_some(&pool)) {
+                    SubmitMode::Inline => assert!(!pooled || every_event_here, "{at}"),
+                    SubmitMode::Pool {
+                        processor,
+                        dispatcher_handles_last,
+                    } => {
+                        assert!(pooled && !every_event_here, "{at}");
+                        assert!(Arc::ptr_eq(&processor, &pool), "{at}");
+                        let last = asynchronous && no_scheduling;
+                        assert_eq!(dispatcher_handles_last, last, "{at}");
+                    }
+                }
+                walked += 1;
+            }
+        }
+        // 24 sets with a pool and 4 without (O2 = No rules out O5 =
+        // Dynamic, O8 = Yes and O9 = Watermark), each on one CPU and two.
+        assert_eq!(walked, 2 * (24 + 4));
+        pool.shutdown();
     }
 }

@@ -311,14 +311,10 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
         }
         let inj_txs: Vec<_> = inj_channels.iter().map(|(tx, _)| tx.clone()).collect();
 
-        let submit = match &processor {
-            Some(p) => SubmitMode::Pool {
-                processor: Arc::clone(p),
-                dispatcher_handles_last: opts.completion_mode == CompletionMode::Asynchronous
-                    && opts.event_scheduling == EventScheduling::No,
-            },
-            None => SubmitMode::Inline,
-        };
+        // The CPUs this process may run on (affinity mask, cgroup quota);
+        // unknown reads as more than one.
+        let cpus = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
+        let submit = SubmitMode::choose(opts, cpus, processor.as_ref());
 
         let idle_limit = opts.idle_shutdown_ms.map(Duration::from_millis);
         let stage_deadlines = opts.stage_deadlines;

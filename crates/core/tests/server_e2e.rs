@@ -19,7 +19,7 @@ use nserver_core::pipeline::{Action, Codec, ConnCtx, ProtocolError, Service};
 use nserver_core::server::ServerBuilder;
 use nserver_core::transport::mem;
 use nserver_core::transport::{
-    PollEvent, Poller, ReadOutcome, StreamIo, TcpListenerNb, TcpStreamNb,
+    Listener, PollEvent, Poller, ReadOutcome, StreamIo, TcpListenerNb, TcpStreamNb,
 };
 use nserver_core::Priority;
 use propcheck::{check, Gen};
@@ -632,15 +632,16 @@ fn dispatcher_handles_a_request_that_arrives_alone() {
     server.shutdown();
 }
 
-/// While set, [`HeldPoll`] keeps a dispatcher that has just been handed
-/// events from returning them, and says so in `HELD`.
-static HOLD: AtomicBool = AtomicBool::new(false);
-static HELD: AtomicBool = AtomicBool::new(false);
+/// While `HOLD[K]` is set, [`HeldPoll<K>`] keeps a dispatcher that has
+/// just been handed events from returning them, and says so in `HELD[K]`:
+/// one pair for each test that holds a dispatcher, since tests run at once.
+static HOLD: [AtomicBool; 2] = [AtomicBool::new(false), AtomicBool::new(false)];
+static HELD: [AtomicBool; 2] = [AtomicBool::new(false), AtomicBool::new(false)];
 
 #[derive(Default)]
-struct HeldPoll;
+struct HeldPoll<const K: usize>;
 
-impl PollHook for HeldPoll {
+impl<const K: usize> PollHook for HeldPoll<K> {
     type Conn = Plain;
 
     fn around_wait<P: Poller>(
@@ -650,9 +651,9 @@ impl PollHook for HeldPoll {
         timeout: Option<Duration>,
     ) -> std::io::Result<()> {
         inner.wait(events, timeout)?;
-        if HOLD.load(Ordering::SeqCst) {
-            HELD.store(true, Ordering::SeqCst);
-            while HOLD.load(Ordering::SeqCst) {
+        if HOLD[K].load(Ordering::SeqCst) {
+            HELD[K].store(true, Ordering::SeqCst);
+            while HOLD[K].load(Ordering::SeqCst) {
                 std::thread::yield_now();
             }
             // What became ready meanwhile joins the same pass.
@@ -668,11 +669,11 @@ struct Plain;
 
 impl ConnHook for Plain {}
 
-struct HeldAccepts;
+struct HeldAccepts<const K: usize>;
 
-impl AcceptHook for HeldAccepts {
+impl<const K: usize> AcceptHook for HeldAccepts<K> {
     type Conn = Plain;
-    type Poll = HeldPoll;
+    type Poll = HeldPoll<K>;
 
     fn accepted<S: StreamIo>(
         &mut self,
@@ -689,11 +690,18 @@ impl AcceptHook for HeldAccepts {
 /// both were queued.
 #[test]
 fn of_two_ready_events_one_is_queued_first_and_one_is_kept() {
+    let cpus = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
+    assert!(
+        cpus >= 2,
+        "this test needs a second CPU: on one CPU every ready event is the \
+         dispatcher's and no worker ever runs `meet` (see \
+         `on_one_cpu_the_dispatcher_handles_both_ready_events`)"
+    );
     let who = WhoHandles::default();
     let (listener, connector) = mem::listener("pair");
     let server = ServerBuilder::new(table1_options(), LineCodec, who.clone())
         .unwrap()
-        .serve(Layered::new(listener, HeldAccepts));
+        .serve(Layered::new(listener, HeldAccepts::<0>));
     let (mut a, mut b) = (connector.connect(), connector.connect());
     assert_eq!(talk(&mut a, b"warm-a\n", 1), vec!["echo:warm-a"]);
     assert_eq!(talk(&mut b, b"warm-b\n", 1), vec!["echo:warm-b"]);
@@ -702,13 +710,13 @@ fn of_two_ready_events_one_is_queued_first_and_one_is_kept() {
 
     // The dispatcher is handed `a`'s event and held; `b`'s write lands;
     // released, it finds both in one pass.
-    HOLD.store(true, Ordering::SeqCst);
+    HOLD[0].store(true, Ordering::SeqCst);
     a.try_write(b"meet-a\n").unwrap();
-    while !HELD.load(Ordering::SeqCst) {
+    while !HELD[0].load(Ordering::SeqCst) {
         std::thread::yield_now();
     }
     b.try_write(b"meet-b\n").unwrap();
-    HOLD.store(false, Ordering::SeqCst);
+    HOLD[0].store(false, Ordering::SeqCst);
     assert_eq!(read_lines(&mut a, 1), vec!["echo:meet-a"]);
     assert_eq!(read_lines(&mut b, 1), vec!["echo:meet-b"]);
 
@@ -719,6 +727,184 @@ fn of_two_ready_events_one_is_queued_first_and_one_is_kept() {
         !who.met_nobody.load(Ordering::SeqCst),
         "the dispatcher ran its own event before queueing the other"
     );
+    server.shutdown();
+}
+
+/// Linux's `cpu_set_t`: one bit for each of 1024 CPUs.
+type CpuSet = [u64; 16];
+
+extern "C" {
+    fn sched_getaffinity(pid: i32, size: usize, set: *mut CpuSet) -> i32;
+    fn sched_setaffinity(pid: i32, size: usize, set: *const CpuSet) -> i32;
+}
+
+/// Keep the calling thread, and every thread it starts from now on, on
+/// the highest-numbered CPU it may run on.
+fn pin_to_one_cpu() -> std::io::Result<usize> {
+    let mut set: CpuSet = [0; 16];
+    // SAFETY: `set` is a live, aligned 128-byte buffer and the size passed
+    // is its size; pid 0 names the calling thread.
+    if unsafe { sched_getaffinity(0, std::mem::size_of::<CpuSet>(), &mut set) } != 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    let cpu = set
+        .iter()
+        .enumerate()
+        .rev()
+        .find(|(_, word)| **word != 0)
+        .map(|(i, word)| i * 64 + 63 - word.leading_zeros() as usize)
+        .ok_or_else(|| std::io::Error::other("no CPU to run on"))?;
+    let mut one: CpuSet = [0; 16];
+    one[cpu / 64] = 1 << (cpu % 64);
+    // SAFETY: as above; the set is only read.
+    if unsafe { sched_setaffinity(0, std::mem::size_of::<CpuSet>(), &one) } != 0 {
+        return Err(std::io::Error::last_os_error());
+    }
+    Ok(cpu)
+}
+
+/// `build` run on a thread of its own that is kept on one CPU, so that a
+/// server it builds reads one CPU and its threads run there.
+fn on_one_cpu<T: Send + 'static>(build: impl FnOnce() -> T + Send + 'static) -> T {
+    let pinned = std::thread::spawn(move || {
+        pin_to_one_cpu().expect("keep a thread on one CPU");
+        assert_eq!(std::thread::available_parallelism().unwrap().get(), 1);
+        build()
+    });
+    pinned.join().expect("the pinned thread")
+}
+
+/// The one-CPU mirror of the test above: on a server built where one CPU
+/// is all there is, both events of a pass are handled by the dispatcher
+/// that read them, nothing passes the queue and nobody is woken, while
+/// the pool stands as O5 built it. A watermark (O9) reads the queue, so
+/// under it the same pass still queues one event for a worker.
+#[test]
+fn on_one_cpu_the_dispatcher_handles_both_ready_events() {
+    let watermark = ServerOptions {
+        overload_control: OverloadControl::Watermark { high: 16, low: 4 },
+        ..table1_options()
+    };
+    let arms = [
+        ("one-cpu", table1_options(), 0, ["nserver-dispatcher-0"; 2]),
+        (
+            "one-cpu-watermark",
+            watermark,
+            1,
+            ["nserver-dispatcher-0", "nserver-worker"],
+        ),
+    ];
+    for (name, opts, queued, handlers) in arms {
+        let who = WhoHandles::default();
+        let (listener, connector) = mem::listener(name);
+        let opts = ServerOptions {
+            profiling: true,
+            ..opts
+        };
+        let service = who.clone();
+        let server = on_one_cpu(move || {
+            let builder = ServerBuilder::new(opts, LineCodec, service).unwrap();
+            builder.serve(Layered::new(listener, HeldAccepts::<1>))
+        });
+        assert_eq!(server.live_workers(), 4, "{name}");
+        let (mut a, mut b) = (connector.connect(), connector.connect());
+        assert_eq!(talk(&mut a, b"warm-a\n", 1), vec!["echo:warm-a"]);
+        assert_eq!(talk(&mut b, b"warm-b\n", 1), vec!["echo:warm-b"]);
+
+        let before = server.syscalls();
+        HELD[1].store(false, Ordering::SeqCst);
+        HOLD[1].store(true, Ordering::SeqCst);
+        a.try_write(b"both-a\n").unwrap();
+        while !HELD[1].load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        b.try_write(b"both-b\n").unwrap();
+        HOLD[1].store(false, Ordering::SeqCst);
+        assert_eq!(read_lines(&mut a, 1), vec!["echo:both-a"]);
+        assert_eq!(read_lines(&mut b, 1), vec!["echo:both-b"]);
+
+        let mut threads = who.threads().split_off(2);
+        threads.sort();
+        assert_eq!(threads, handlers, "{name}");
+        assert_eq!(server.latency().queue_wait.count, queued, "{name}");
+        if queued == 0 {
+            let spent = server.syscalls().since(&before);
+            assert_eq!(spent.wakes, 0, "{name}: {spent:?}");
+        }
+        server.shutdown();
+    }
+}
+
+/// A test listener over a mem listener whose `accept` fails with
+/// `EMFILE` while `failing` is set, leaving the connection queued.
+struct OutOfFiles {
+    inner: mem::MemListener,
+    failing: Arc<AtomicBool>,
+}
+
+impl Listener for OutOfFiles {
+    type Stream = mem::MemStream;
+    type Poller = mem::MemPoller;
+
+    fn try_accept(&mut self) -> std::io::Result<Option<mem::MemStream>> {
+        if self.failing.load(Ordering::SeqCst) {
+            const EMFILE: i32 = 24;
+            return Err(std::io::Error::from_raw_os_error(EMFILE));
+        }
+        self.inner.try_accept()
+    }
+
+    fn local_label(&self) -> String {
+        self.inner.local_label()
+    }
+
+    fn new_poller() -> std::io::Result<mem::MemPoller> {
+        mem::MemListener::new_poller()
+    }
+
+    fn register_listener(&self, poller: &mut mem::MemPoller) -> std::io::Result<()> {
+        self.inner.register_listener(poller)
+    }
+
+    fn deregister_listener(&self, poller: &mut mem::MemPoller) -> std::io::Result<()> {
+        self.inner.deregister_listener(poller)
+    }
+}
+
+/// An `accept` that fails for want of a descriptor leaves the connection
+/// queued, so retrying it at once would spin: the acceptor is gated as an
+/// O9 refusal gates it, and re-checks every 10 ms. Over 100 ms of failures
+/// the dispatcher wakes a few times, not thousands, and the connection is
+/// served once the failures stop.
+#[test]
+fn accept_out_of_descriptors_backs_off_instead_of_spinning() {
+    let failing = Arc::new(AtomicBool::new(true));
+    let (inner, connector) = mem::listener("emfile");
+    let listener = OutOfFiles {
+        inner,
+        failing: Arc::clone(&failing),
+    };
+    let server = ServerBuilder::new(base_options(), LineCodec, EchoService)
+        .unwrap()
+        .serve(listener);
+    let mut c = connector.connect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while server.stats().accept_errors == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the queued connection was never tried"
+        );
+        std::thread::yield_now();
+    }
+
+    let before = server.stats().dispatcher_wakeups;
+    std::thread::sleep(Duration::from_millis(100));
+    let woke = server.stats().dispatcher_wakeups - before;
+    assert!(woke <= 20, "{woke} wake-ups in 100 ms of failing accepts");
+
+    failing.store(false, Ordering::SeqCst);
+    assert_eq!(read_lines(&mut c, 1), vec!["hello"]);
+    assert_eq!(server.stats().connections_accepted, 1);
     server.shutdown();
 }
 

@@ -4,8 +4,9 @@
 //! turns a filtered CI step green and empty; `ci/run-filtered.sh` catches
 //! that in CI, and this test catches it here, from the sources: it reads
 //! each `cargo test -p …` and `ci/run-filtered.sh -p …` command out of the
-//! workflow and looks the filters up among the `#[test]` functions of the
-//! targets the command names.
+//! workflow, `taskset -c N` prefix or not, and looks the filters (and the
+//! names it `--skip`s) up among the `#[test]` functions of the targets the
+//! command names.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -101,15 +102,21 @@ fn every_ci_name_filter_selects_a_test() {
 
     let mut filters_seen = Vec::new();
     let mut commands = 0;
+    let mut on_one_cpu = 0;
     for start in (0..tokens.len()).filter(|&i| starts_command(i)) {
-        // A command runs to the next YAML key, list item or command.
+        // A command runs to the next YAML key, list item or command, or
+        // to the `taskset -c N` that confines the next one to one CPU.
         let len = (start + 1..tokens.len())
             .position(|i| {
                 tokens[i].ends_with(':') && !tokens[i].contains("::")
                     || tokens[i] == "-"
+                    || tokens[i] == "taskset"
                     || starts_command(i)
             })
             .unwrap_or(tokens.len() - start - 1);
+        if start >= 3 && tokens[start - 3..start - 1] == ["taskset", "-c"] {
+            on_one_cpu += 1;
+        }
         let args = &tokens[start..=start + len];
         let after = |flag: &str| {
             let at = args.iter().enumerate().filter(move |(_, a)| **a == flag);
@@ -147,9 +154,18 @@ fn every_ci_name_filter_selects_a_test() {
         commands >= 20,
         "read only {commands} commands out of ci.yml"
     );
+    assert!(
+        on_one_cpu >= 3,
+        "ci.yml runs {on_one_cpu} commands under `taskset -c`"
+    );
     // The steps that select property tests, the telemetry suite, the
-    // generative path's pins and the deadline tests, by name.
+    // generative path's pins, the deadline tests and the one-CPU routing
+    // (with the one test skipped where there is no second CPU), by name.
     for filter in [
+        "on_one_cpu",
+        "backs_off",
+        "reactor::tests::one_cpu_routes",
+        "of_two_ready_events_one_is_queued_first_and_one_is_kept",
         "deadlines_",
         "timer::tests",
         "cluster::tests::half_closed",
