@@ -121,7 +121,7 @@ pub fn expected_outbound(fixture: &HttpFixture, inbound: &[u8]) -> (Vec<u8>, Vec
     for req in &stream.complete {
         let ka = req.keep_alive();
         let head = req.method == Method::Head;
-        let resp = match model_sanitize(&req.target) {
+        let resp = match model_sanitize(req.target()) {
             None => Response::error(Status::Forbidden, req.version),
             Some(path) => match fixture.lookup(&path) {
                 Some(data) => Response::ok(Arc::new(data.to_vec()), mime_for(&path), req.version),

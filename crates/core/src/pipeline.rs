@@ -629,37 +629,42 @@ impl ConnShared {
         self.next_assign.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Record the (possibly empty) reply for `seq` and move every
-    /// contiguous ready reply into the outbox — in request order. Returns
-    /// how many replies moved and the bytes the outbox holds afterwards.
-    pub(crate) fn complete(&self, seq: u64, reply: Option<EncodedReply>) -> (usize, usize) {
+    /// Record the (possibly empty) replies of `(seq, reply)` pairs, in the
+    /// order they completed, and move every contiguous ready reply into
+    /// the outbox — in request order — all under one `send` → `outbox`
+    /// lock pair. Returns how many replies moved and the bytes the outbox
+    /// holds afterwards.
+    pub(crate) fn complete(
+        &self,
+        replies: impl IntoIterator<Item = (u64, Option<EncodedReply>)>,
+    ) -> (usize, usize) {
         let mut emitted = 0;
         let mut guard = self.send.lock();
         let s = &mut *guard;
         // A dead sink swallows the payload but keeps the sequence moving,
         // so ordering state still drains and the connection can finalize.
-        let reply = if self.sink_dead.load(Ordering::Relaxed) {
-            None
-        } else {
-            reply
-        };
-        // The reply that is next in order goes straight to the outbox;
-        // only an out-of-order completion (the Proactor path) is parked,
-        // and then nothing can move: the map never holds `next_emit`.
-        let mut next = if seq == s.next_emit {
-            Some(reply)
-        } else {
-            s.ready.insert(seq, reply);
-            None
-        };
+        let dead = self.sink_dead.load(Ordering::Relaxed);
         let mut out = self.outbox.lock();
-        while let Some(entry) = next {
-            if let Some(r) = entry {
-                out.push_reply(r);
-                emitted += 1;
+        for (seq, reply) in replies {
+            let reply = reply.filter(|_| !dead);
+            // The reply that is next in order goes straight to the outbox;
+            // only an out-of-order completion (the Proactor path) is
+            // parked, and then nothing can move: the map never holds
+            // `next_emit`.
+            let mut next = if seq == s.next_emit {
+                Some(reply)
+            } else {
+                s.ready.insert(seq, reply);
+                None
+            };
+            while let Some(entry) = next {
+                if let Some(r) = entry {
+                    out.push_reply(r);
+                    emitted += 1;
+                }
+                s.next_emit += 1;
+                next = s.ready.remove(&s.next_emit);
             }
-            s.next_emit += 1;
-            next = s.ready.remove(&s.next_emit);
         }
         (emitted, out.len())
     }
@@ -695,6 +700,26 @@ pub type Registry = Arc<RwLock<HashMap<ConnId, Arc<ConnShared>>>>;
 /// cannot take at once needs the dispatcher's writable interest anyway.
 /// DESIGN.md §8 records the measured cross-over.
 pub(crate) const WORKER_SEND_MAX: usize = 64 * 1024;
+
+/// Most replies a work item holds before it moves them into the outbox:
+/// the depth a pipelining client sends, so such a batch takes the `send`
+/// → `outbox` lock pair once.
+const ITEM_REPLIES: usize = 16;
+
+/// What a work item has produced and not yet handed on: its replies, held
+/// on the stack until they move into the outbox together, and their
+/// count, added to the server's once.
+#[derive(Default)]
+struct ItemOutput {
+    /// `(seq, reply)` in the order they completed; the first `held` are
+    /// taken.
+    replies: [Option<(u64, Option<EncodedReply>)>; ITEM_REPLIES],
+    held: usize,
+    /// Bytes the held replies carry.
+    bytes: usize,
+    /// Replies moved into the outbox, not yet counted.
+    sent: u64,
+}
 
 /// The framework engine: everything workers need to run the pipeline.
 pub struct Engine<C: Codec, S: Service<C>> {
@@ -750,10 +775,16 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
         let Some(conn) = self.conn(work.conn()) else {
             return;
         };
+        let mut item = ItemOutput::default();
         let ran = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| match work {
-            Work::Process(_) => self.process_conn(&conn),
-            Work::Completion(token, resp) => self.handle_completion(&conn, token, resp),
+            Work::Process(_) => self.process_conn(&conn, &mut item),
+            Work::Completion(token, resp) => self.handle_completion(&conn, &mut item, token, resp),
         }));
+        // What the item holds reaches the outbox, and its count of them
+        // the server's, before its Send Reply — and, after a panic, before
+        // the connection is abandoned, so they count as they always did.
+        self.emit(&conn, &mut item);
+        ServerStats::add(&self.stats.responses_sent, item.sent);
         if ran.is_err() {
             ServerStats::bump(&self.stats.handler_panics);
             self.tracer.record(
@@ -819,19 +850,45 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
         }
     }
 
-    /// Complete `seq`. Replies normally leave with the work item's own
-    /// send; once more than [`WORKER_SEND_MAX`] bytes are queued the
-    /// output is the dispatcher's to send (under writable interest, while
-    /// this worker goes on handling), so it is woken now.
-    fn emit(&self, conn: &Arc<ConnShared>, seq: u64, reply: Option<EncodedReply>) -> usize {
-        let (emitted, queued) = conn.complete(seq, reply);
+    /// Complete `seq`: hold its (possibly empty) reply in the item, and
+    /// move what the item holds into the outbox once that is
+    /// [`ITEM_REPLIES`] replies or more than [`WORKER_SEND_MAX`] bytes.
+    fn hold(
+        &self,
+        conn: &ConnShared,
+        item: &mut ItemOutput,
+        seq: u64,
+        reply: Option<EncodedReply>,
+    ) {
+        item.bytes += reply.as_ref().map_or(0, EncodedReply::len);
+        item.replies[item.held] = Some((seq, reply));
+        item.held += 1;
+        if item.held == ITEM_REPLIES || item.bytes > WORKER_SEND_MAX {
+            self.emit(conn, item);
+        }
+    }
+
+    /// Move the item's held replies into the outbox, in request order.
+    /// Replies normally leave with the work item's own send; once more
+    /// than [`WORKER_SEND_MAX`] bytes are queued the output is the
+    /// dispatcher's to send (under writable interest, while this worker
+    /// goes on handling), so it is woken now.
+    fn emit(&self, conn: &ConnShared, item: &mut ItemOutput) {
+        if item.held == 0 {
+            return;
+        }
+        let held = item.replies[..item.held]
+            .iter_mut()
+            .filter_map(Option::take);
+        let (emitted, queued) = conn.complete(held);
+        (item.held, item.bytes) = (0, 0);
+        item.sent += emitted as u64;
         if emitted > 0 && queued > WORKER_SEND_MAX {
             self.notifier.notify_conn(conn.id);
         }
-        emitted
     }
 
-    fn process_conn(&self, conn: &Arc<ConnShared>) {
+    fn process_conn(&self, conn: &Arc<ConnShared>, item: &mut ItemOutput) {
         let id = conn.id;
         let ctx = conn.ctx();
         let mut decode_state = conn.decode_lock.lock();
@@ -863,6 +920,8 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
             };
             match decoded {
                 Ok(Some(req)) => {
+                    // Counted now, not with the item's replies: a status
+                    // page the hook serves counts its own request.
                     ServerStats::bump(&self.stats.requests_decoded);
                     if let Some(t0) = decode_started {
                         self.metrics
@@ -895,7 +954,7 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                     match action {
                         Ok(action) => {
                             self.tracer.span(SpanEvent::Handle { seq }, id);
-                            self.apply_action(conn, seq, action);
+                            self.apply_action(conn, item, seq, action);
                         }
                         Err(_) => {
                             ServerStats::bump(&self.stats.protocol_errors);
@@ -913,7 +972,7 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                                 Some(id),
                                 format!("handler panic on seq={seq}"),
                             );
-                            self.emit(conn, seq, None);
+                            self.hold(conn, item, seq, None);
                             conn.closing.store(true, Ordering::Relaxed);
                             return;
                         }
@@ -967,25 +1026,30 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
         }
     }
 
-    fn apply_action(&self, conn: &Arc<ConnShared>, seq: u64, action: Action<C::Response>) {
+    fn apply_action(
+        &self,
+        conn: &Arc<ConnShared>,
+        item: &mut ItemOutput,
+        seq: u64,
+        action: Action<C::Response>,
+    ) {
         match action {
-            Action::Reply(resp) => self.finish(conn, seq, resp, false),
-            Action::ReplyClose(resp) => self.finish(conn, seq, resp, true),
-            Action::NoReply => {
-                self.emit(conn, seq, None);
-            }
+            Action::Reply(resp) => self.finish(conn, item, seq, resp, false),
+            Action::ReplyClose(resp) => self.finish(conn, item, seq, resp, true),
+            Action::NoReply => self.hold(conn, item, seq, None),
             Action::Close => {
-                self.emit(conn, seq, None);
+                self.hold(conn, item, seq, None);
                 conn.closing.store(true, Ordering::Relaxed);
             }
-            Action::Defer(job) => self.defer(conn, seq, job, false),
-            Action::DeferClose(job) => self.defer(conn, seq, job, true),
+            Action::Defer(job) => self.defer(conn, item, seq, job, false),
+            Action::DeferClose(job) => self.defer(conn, item, seq, job, true),
         }
     }
 
     fn defer(
         &self,
         conn: &Arc<ConnShared>,
+        item: &mut ItemOutput,
         seq: u64,
         job: Box<dyn FnOnce() -> C::Response + Send>,
         close_after: bool,
@@ -1016,26 +1080,40 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                 // block — an FTP `227` has to reach the client while the
                 // deferred transfer waits to accept the data connection
                 // it announced — so they are sent first.
+                self.emit(conn, item);
                 self.send_reply(conn);
                 diag::stamp_stage(Stage::Handle, conn.id);
                 let resp = job();
                 // Back from the blocking call: the rest of the work item
                 // is not as old as the call was long.
                 diag::stamp_stage_fresh(Stage::Encode, conn.id);
-                self.finish(conn, seq, resp, close_after);
+                self.finish(conn, item, seq, resp, close_after);
             }
         }
     }
 
-    fn handle_completion(&self, conn: &Arc<ConnShared>, token: CompletionToken, resp: C::Response) {
+    fn handle_completion(
+        &self,
+        conn: &Arc<ConnShared>,
+        item: &mut ItemOutput,
+        token: CompletionToken,
+        resp: C::Response,
+    ) {
         self.tracer
             .span(SpanEvent::Complete { seq: token.seq }, token.conn);
         // DeferClose already set `closing`; `finish` must not clear it.
         let close_after = conn.closing.load(Ordering::Relaxed);
-        self.finish(conn, token.seq, resp, close_after);
+        self.finish(conn, item, token.seq, resp, close_after);
     }
 
-    fn finish(&self, conn: &Arc<ConnShared>, seq: u64, resp: C::Response, close_after: bool) {
+    fn finish(
+        &self,
+        conn: &Arc<ConnShared>,
+        item: &mut ItemOutput,
+        seq: u64,
+        resp: C::Response,
+        close_after: bool,
+    ) {
         let mut out = EncodedReply::new();
         let encode_started = self.metrics.is_enabled().then(std::time::Instant::now);
         diag::stamp_stage(Stage::Encode, conn.id);
@@ -1057,8 +1135,7 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
             Ok(()) => {
                 let n = out.len();
                 self.tracer.span(SpanEvent::Encode { seq }, conn.id);
-                let emitted = self.emit(conn, seq, Some(out));
-                ServerStats::add(&self.stats.responses_sent, emitted as u64);
+                self.hold(conn, item, seq, Some(out));
                 if let Some(log) = &self.logger {
                     log(&format!("{} seq={} bytes={}", conn.peer, seq, n));
                 }
@@ -1079,7 +1156,7 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                         format!("encode error: {e}"),
                     );
                 }
-                self.emit(conn, seq, None);
+                self.hold(conn, item, seq, None);
                 conn.closing.store(true, Ordering::Relaxed);
             }
         }
@@ -1235,6 +1312,35 @@ mod tests {
     }
 
     #[test]
+    fn an_item_longer_than_a_batch_queues_every_reply_in_order_and_counts_it_once() {
+        let (e, logger) = engine(true);
+        let conn = register(&e, 1);
+        // Two and a half batches, every third request without a reply.
+        let lines: Vec<String> = (0..2 * ITEM_REPLIES + ITEM_REPLIES / 2)
+            .map(|i| {
+                if i % 3 == 0 {
+                    "silent".into()
+                } else {
+                    format!("r{i}")
+                }
+            })
+            .collect();
+        feed(&conn, format!("{}\n", lines.join("\n")).as_bytes());
+        e.handle_work(Work::Process(1));
+        let replies: Vec<String> = lines
+            .iter()
+            .filter(|l| *l != "silent")
+            .map(|l| format!("echo:{l}\n"))
+            .collect();
+        assert_eq!(outbox_string(&conn), replies.concat());
+        let stats = e.stats.snapshot();
+        assert_eq!(stats.requests_decoded, lines.len() as u64);
+        assert_eq!(stats.responses_sent, replies.len() as u64);
+        assert_eq!(logger.lines().len(), replies.len());
+        assert!(!conn.responses_pending());
+    }
+
+    #[test]
     fn decode_error_closes_and_counts() {
         let (e, _) = engine(true);
         let conn = register(&e, 1);
@@ -1344,7 +1450,7 @@ mod tests {
                         r
                     });
                     assert_eq!(
-                        conn.complete(seq, reply),
+                        conn.complete([(seq, reply)]),
                         model.complete(seq, bytes),
                         "seed {seed}, seq {seq}"
                     );
@@ -1360,7 +1466,7 @@ mod tests {
                 model.outbox.drain(..sent);
             }
             for seq in pending {
-                assert_eq!(conn.complete(seq, None), model.complete(seq, None));
+                assert_eq!(conn.complete([(seq, None)]), model.complete(seq, None));
             }
             assert!(!conn.responses_pending(), "seed {seed}: everything emitted");
             assert!(conn.send.lock().ready.is_empty());
@@ -1377,23 +1483,23 @@ mod tests {
         };
         // Next in order: a reply, then "no reply", both straight through.
         let s0 = conn.assign_seq();
-        assert_eq!(conn.complete(s0, reply()), (1, 1));
+        assert_eq!(conn.complete([(s0, reply())]), (1, 1));
         let s1 = conn.assign_seq();
-        assert_eq!(conn.complete(s1, None), (0, 1));
+        assert_eq!(conn.complete([(s1, None)]), (0, 1));
         assert!(!conn.responses_pending());
         // A dead sink swallows the payload and still moves the sequence.
         conn.sink_dead.store(true, Ordering::Relaxed);
         let s2 = conn.assign_seq();
-        assert_eq!(conn.complete(s2, reply()), (0, 1));
+        assert_eq!(conn.complete([(s2, reply())]), (0, 1));
         assert!(!conn.responses_pending());
         assert!(conn.send.lock().ready.is_empty(), "nothing was parked");
         // Out of order parks; the one it waited for releases both, dead
         // sink or not.
         let (s3, s4) = (conn.assign_seq(), conn.assign_seq());
-        assert_eq!(conn.complete(s4, reply()), (0, 1));
+        assert_eq!(conn.complete([(s4, reply())]), (0, 1));
         assert_eq!(conn.send.lock().ready.len(), 1);
         assert!(conn.responses_pending());
-        assert_eq!(conn.complete(s3, reply()), (0, 1));
+        assert_eq!(conn.complete([(s3, reply())]), (0, 1));
         assert!(!conn.responses_pending());
         assert!(conn.send.lock().ready.is_empty());
         assert_eq!(conn.outbox.lock().to_vec(), b"r");

@@ -660,7 +660,13 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
 
             // 2. Adopt connections assigned to this dispatcher.
             while let Ok(nc) = self.inj_rx.try_recv() {
-                self.adopt(nc, &mut conns, &mut deadlines, &mut pend);
+                self.adopt(
+                    nc,
+                    &mut conns,
+                    &mut deadlines,
+                    &mut pend,
+                    &mut ready_backlog,
+                );
             }
 
             // 3. Accept new connections (dispatcher 0) when the listener
@@ -671,6 +677,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                     &mut conns,
                     &mut deadlines,
                     &mut pend,
+                    &mut ready_backlog,
                     &mut accept_gated,
                     &mut listener_armed,
                 );
@@ -967,6 +974,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
         deadlines: &mut Deadlines<ConnId>,
         pend: &mut HashSet<ConnId>,
+        ready_backlog: &mut VecDeque<u64>,
         gated: &mut bool,
         armed: &mut bool,
     ) -> bool {
@@ -994,7 +1002,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             self.engine.syscalls.accepts.fetch_add(1, Ordering::Relaxed);
             match listener.try_accept() {
                 Ok(Some(stream)) => {
-                    self.register(stream, conns, deadlines, pend);
+                    self.register(stream, conns, deadlines, pend, ready_backlog);
                 }
                 Ok(None) => return false,
                 Err(e) => {
@@ -1039,6 +1047,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
         deadlines: &mut Deadlines<ConnId>,
         pend: &mut HashSet<ConnId>,
+        ready_backlog: &mut VecDeque<u64>,
     ) {
         let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
         let accepted_at = Instant::now();
@@ -1076,7 +1085,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         };
         let target = (id as usize) % self.inj_txs.len();
         if target == self.index {
-            self.adopt(nc, conns, deadlines, pend);
+            self.adopt(nc, conns, deadlines, pend, ready_backlog);
         } else {
             let _ = self.inj_txs[target].send(nc);
             self.notifier.wake(target);
@@ -1086,19 +1095,22 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
     /// Take over an accepted connection: register it with the poller,
     /// open its idle (O7) and header-read windows from its accept
     /// instant, and service it this pass (flush a greeting, read early
-    /// data).
+    /// data). One the poller refuses (`ENOSPC`, `ENOMEM`) would be served
+    /// this pass and never polled again: it is counted as an accept error
+    /// and closed at once.
     fn adopt(
         &mut self,
         nc: NewConn<L::Stream>,
         conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
         deadlines: &mut Deadlines<ConnId>,
         pend: &mut HashSet<ConnId>,
+        ready_backlog: &mut VecDeque<u64>,
     ) {
         let armed = Interest {
             readable: true,
             writable: !nc.shared.outbox.lock().is_empty(),
         };
-        let _ = self.poller.register(nc.id, &nc.stream.lock(), armed);
+        let registered = self.poller.register(nc.id, &nc.stream.lock(), armed);
         let at = nc.accepted_at;
         let mut c = ConnLocal {
             stream: nc.stream,
@@ -1110,6 +1122,17 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             times: ConnTimes::opened(at, self.idle_limit, self.stage_deadlines),
             handled_here: false,
         };
+        if let Err(e) = registered {
+            ServerStats::bump(&self.engine.stats.accept_errors);
+            if self.engine.tracer.is_enabled() {
+                let why = format!("poller refused the connection: {e}");
+                self.engine
+                    .tracer
+                    .record(EventKind::Accepted, Some(nc.id), why);
+            }
+            self.finalize(&mut c, ready_backlog);
+            return;
+        }
         c.times.rearm(nc.id, deadlines);
         conns.insert(nc.id, c);
         pend.insert(nc.id);
@@ -1536,7 +1559,7 @@ mod tests {
                     let mine: Vec<u64> = (0..SEQS).filter(|seq| seq % WORKERS == w).collect();
                     for block in mine.chunks(10) {
                         for &seq in block.iter().rev() {
-                            shared.complete(seq, Some(reply(seq)));
+                            shared.complete([(seq, Some(reply(seq)))]);
                             books.flush(shared);
                         }
                     }

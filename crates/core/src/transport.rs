@@ -478,7 +478,7 @@ mod epoll {
         fn new() -> io::Result<Self> {
             let fd = unsafe { eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK) };
             if fd < 0 {
-                return Err(io::Error::other("eventfd failed"));
+                return Err(io::Error::last_os_error());
             }
             Ok(Self(fd))
         }
@@ -532,7 +532,7 @@ mod epoll {
         pub fn new() -> io::Result<Self> {
             let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
             if epfd < 0 {
-                return Err(io::Error::other("epoll_create1 failed"));
+                return Err(io::Error::last_os_error());
             }
             let wake_fd = Arc::new(EventFd::new()?);
             let poller = Self { epfd, wake_fd };
@@ -547,9 +547,8 @@ mod epoll {
             };
             let rc = unsafe { epoll_ctl(self.epfd, op, fd, &mut ev) };
             if rc < 0 {
-                return Err(io::Error::other(format!(
-                    "epoll_ctl op={op} fd={fd} failed"
-                )));
+                // errno, so `ENOSPC` or `ENOMEM` can be told from `EEXIST`.
+                return Err(io::Error::last_os_error());
             }
             Ok(())
         }

@@ -19,7 +19,7 @@ use nserver_core::pipeline::{Action, Codec, ConnCtx, ProtocolError, Service};
 use nserver_core::server::ServerBuilder;
 use nserver_core::transport::mem;
 use nserver_core::transport::{
-    Listener, PollEvent, Poller, ReadOutcome, StreamIo, TcpListenerNb, TcpStreamNb,
+    Interest, Listener, PollEvent, Poller, ReadOutcome, StreamIo, TcpListenerNb, TcpStreamNb, Waker,
 };
 use nserver_core::Priority;
 use propcheck::{check, Gen};
@@ -905,6 +905,124 @@ fn accept_out_of_descriptors_backs_off_instead_of_spinning() {
     failing.store(false, Ordering::SeqCst);
     assert_eq!(read_lines(&mut c, 1), vec!["hello"]);
     assert_eq!(server.stats().connections_accepted, 1);
+    server.shutdown();
+}
+
+/// A mem poller that refuses its first `register`, as epoll refuses one
+/// with `ENOSPC` past `max_user_watches`.
+struct RefusesFirst {
+    inner: mem::MemPoller,
+    refused: bool,
+}
+
+impl Poller for RefusesFirst {
+    type Stream = mem::MemStream;
+
+    fn register(
+        &mut self,
+        token: u64,
+        stream: &mem::MemStream,
+        interest: Interest,
+    ) -> std::io::Result<()> {
+        if !std::mem::replace(&mut self.refused, true) {
+            const ENOSPC: i32 = 28;
+            return Err(std::io::Error::from_raw_os_error(ENOSPC));
+        }
+        self.inner.register(token, stream, interest)
+    }
+
+    fn reregister(
+        &mut self,
+        token: u64,
+        stream: &mem::MemStream,
+        interest: Interest,
+    ) -> std::io::Result<()> {
+        self.inner.reregister(token, stream, interest)
+    }
+
+    fn deregister(&mut self, token: u64, stream: &mem::MemStream) -> std::io::Result<()> {
+        self.inner.deregister(token, stream)
+    }
+
+    fn wait(
+        &mut self,
+        events: &mut Vec<PollEvent>,
+        timeout: Option<Duration>,
+    ) -> std::io::Result<()> {
+        self.inner.wait(events, timeout)
+    }
+
+    fn waker(&self) -> Waker {
+        self.inner.waker()
+    }
+}
+
+/// A mem listener whose dispatcher's poller refuses the first connection.
+struct RefusedOnce(mem::MemListener);
+
+impl Listener for RefusedOnce {
+    type Stream = mem::MemStream;
+    type Poller = RefusesFirst;
+
+    fn try_accept(&mut self) -> std::io::Result<Option<mem::MemStream>> {
+        self.0.try_accept()
+    }
+
+    fn local_label(&self) -> String {
+        self.0.local_label()
+    }
+
+    fn new_poller() -> std::io::Result<RefusesFirst> {
+        let inner = mem::MemListener::new_poller()?;
+        Ok(RefusesFirst {
+            inner,
+            refused: false,
+        })
+    }
+
+    fn register_listener(&self, poller: &mut RefusesFirst) -> std::io::Result<()> {
+        self.0.register_listener(&mut poller.inner)
+    }
+
+    fn deregister_listener(&self, poller: &mut RefusesFirst) -> std::io::Result<()> {
+        self.0.deregister_listener(&mut poller.inner)
+    }
+}
+
+/// A connection the poller refuses to watch is closed and counted at
+/// once, not served one pass and then left unwatched — with no idle
+/// reaping, open for ever: its client reads end of stream, the registry
+/// empties, and the next connection is served as usual.
+#[test]
+fn a_connection_the_poller_refuses_is_closed_at_once() {
+    let (inner, connector) = mem::listener("refused");
+    let server = ServerBuilder::new(base_options(), LineCodec, EchoService)
+        .unwrap()
+        .serve(RefusedOnce(inner));
+    let mut refused = connector.connect();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let mut buf = [0u8; 64];
+    while !matches!(refused.try_read(&mut buf).unwrap(), ReadOutcome::Closed) {
+        assert!(
+            Instant::now() < deadline,
+            "the refused connection stayed open"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    while server.open_connections() > 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the refused connection stayed registered"
+        );
+        std::thread::yield_now();
+    }
+    let stats = server.stats();
+    assert_eq!(stats.connections_accepted, 1);
+    assert_eq!(stats.connections_closed, 1);
+    assert_eq!(stats.accept_errors, 1);
+
+    let mut next = connector.connect();
+    assert_eq!(talk(&mut next, b"after\n", 2), vec!["hello", "echo:after"]);
     server.shutdown();
 }
 

@@ -103,7 +103,7 @@ mod tests {
         let mut buf = BytesMut::from(&b"GET /f HTTP/1.1\r\n\r\n"[..]);
         let req = c.decode(&mut buf).unwrap().unwrap();
         assert_eq!(req.method, Method::Get);
-        assert_eq!(req.target, "/f");
+        assert_eq!(req.target(), "/f");
 
         let resp = Response::ok(Arc::new(b"abc".to_vec()), "text/plain", Version::Http11);
         let mut out = BytesMut::new();

@@ -95,7 +95,7 @@ impl<St: ContentStore> RoutedService<St> {
         self.route(
             "/debug/snapshot",
             json_page(move |req| {
-                let query = req.target.split_once('?').map(|(_, q)| q).unwrap_or("");
+                let query = req.target().split_once('?').map(|(_, q)| q).unwrap_or("");
                 if query.split('&').any(|kv| kv == "latest") {
                     hub.latest()
                         .map(|s| s.to_json())
@@ -133,7 +133,7 @@ impl<St: ContentStore> RoutedService<St> {
 
 impl<St: ContentStore> Service<HttpCodec> for RoutedService<St> {
     fn handle(&self, ctx: &ConnCtx, req: Request) -> Action<Response> {
-        let Some(route) = self.find(&req.target) else {
+        let Some(route) = self.find(req.target()) else {
             return self.fallback.handle(ctx, req);
         };
         let keep_alive = req.keep_alive();
@@ -201,7 +201,7 @@ pub fn json_page(
 mod tests {
     use super::*;
     use crate::service::MemStore;
-    use crate::types::{Headers, Method, Version};
+    use crate::types::{Method, Version};
     use nserver_core::event::Priority;
     use nserver_core::json::Json;
     use nserver_core::metrics::MetricsRegistry;
@@ -216,12 +216,7 @@ mod tests {
     }
 
     fn get(target: &str) -> Request {
-        Request {
-            method: Method::Get,
-            target: target.into(),
-            version: Version::Http11,
-            headers: Headers::new(),
-        }
+        Request::new(Method::Get, target, Version::Http11)
     }
 
     fn service() -> RoutedService<MemStore> {
@@ -231,7 +226,7 @@ mod tests {
             .route("/api/hello", text_page(Status::Ok, |_| "hi there".into()))
             .route(
                 "/api",
-                text_page(Status::Ok, |r| format!("api root: {}", r.target)),
+                text_page(Status::Ok, |r| format!("api root: {}", r.target())),
             )
             .route_blocking(
                 "/api/slow",
@@ -291,14 +286,8 @@ mod tests {
     #[test]
     fn connection_close_propagates_through_routes() {
         let svc = service();
-        let mut headers = Headers::new();
-        headers.push("Connection", "close");
-        let req = Request {
-            method: Method::Get,
-            target: "/api/hello".into(),
-            version: Version::Http11,
-            headers,
-        };
+        let mut req = Request::new(Method::Get, "/api/hello", Version::Http11);
+        req.headers.push("Connection", "close");
         let action = svc.handle(&ctx(), req);
         assert!(matches!(action, Action::ReplyClose(_)));
     }
@@ -306,12 +295,7 @@ mod tests {
     #[test]
     fn head_requests_suppress_dynamic_bodies() {
         let svc = service();
-        let req = Request {
-            method: Method::Head,
-            target: "/api/hello".into(),
-            version: Version::Http11,
-            headers: Headers::new(),
-        };
+        let req = Request::new(Method::Head, "/api/hello", Version::Http11);
         let r = run(svc.handle(&ctx(), req));
         assert!(r.head_only);
     }

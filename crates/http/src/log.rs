@@ -14,7 +14,7 @@ pub fn clf_line(peer: &str, epoch_secs: u64, req: &Request, resp: &Response) -> 
     format!(
         "{host} - - [{epoch_secs}] \"{} {} {}\" {} {}",
         req.method,
-        req.target,
+        req.target(),
         req.version,
         resp.status.code(),
         if resp.head_only { 0 } else { resp.body.len() }
@@ -33,16 +33,11 @@ pub fn clf_line_now(peer: &str, req: &Request, resp: &Response) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{Headers, Method, Status, Version};
+    use crate::types::{Method, Status, Version};
     use std::sync::Arc;
 
     fn req() -> Request {
-        Request {
-            method: Method::Get,
-            target: "/index.html".into(),
-            version: Version::Http11,
-            headers: Headers::new(),
-        }
+        Request::new(Method::Get, "/index.html", Version::Http11)
     }
 
     #[test]

@@ -242,7 +242,7 @@ mod tests {
     fn extracts_pipelined_requests_with_clean_end() {
         let s = extract_requests(b"GET /a HTTP/1.1\r\n\r\nHEAD /b HTTP/1.0\r\nHost: x\r\n\r\n");
         assert_eq!(s.complete.len(), 2);
-        assert_eq!(s.complete[0].target, "/a");
+        assert_eq!(s.complete[0].target(), "/a");
         assert_eq!(s.complete[1].method, Method::Head);
         assert_eq!(s.end, RequestStreamEnd::Clean);
     }

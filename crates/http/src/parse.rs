@@ -3,7 +3,7 @@
 
 use bytes::BytesMut;
 
-use crate::types::{crlf_lines, Connection, Headers, Method, Request, Response, Version};
+use crate::types::{Connection, Headers, Method, Request, Response, Version};
 
 /// Result of a parse attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -38,69 +38,75 @@ pub fn parse_request(buf: &mut BytesMut) -> ParseOutcome {
 /// consumed or the request is rejected, advanced on `Incomplete`.
 pub fn parse_request_hinted(buf: &mut BytesMut, scanned: &mut usize) -> ParseOutcome {
     let from = (*scanned).min(buf.len());
-    let head_end = match find_head_end_from(buf, from) {
-        Some(i) => i,
-        None => {
-            // Everything present has been scanned; keep 3 bytes of slack
-            // so a "\r\n\r\n" straddling this call and the next is found.
-            *scanned = buf.len().saturating_sub(3);
-            return if buf.len() > MAX_HEAD_BYTES {
-                *scanned = 0;
-                ParseOutcome::Invalid("request head too large".into())
-            } else {
-                ParseOutcome::Incomplete
-            };
-        }
+    let Some(blank) = buf[from..].windows(4).position(|w| w == b"\r\n\r\n") else {
+        // Everything present has been scanned; keep 3 bytes of slack
+        // so a "\r\n\r\n" straddling this call and the next is found.
+        *scanned = buf.len().saturating_sub(3);
+        return if buf.len() > MAX_HEAD_BYTES {
+            *scanned = 0;
+            ParseOutcome::Invalid("request head too large".into())
+        } else {
+            ParseOutcome::Incomplete
+        };
     };
+    // The head runs to the blank line (what is consumed); its text keeps
+    // the last header line's CRLF.
+    let end = from + blank + 4;
     *scanned = 0;
     // The cap applies to complete heads too: a head over the limit is
     // over the limit no matter how few reads delivered it.
-    if head_end.end > MAX_HEAD_BYTES {
+    if end > MAX_HEAD_BYTES {
         return ParseOutcome::Invalid("request head too large".into());
     }
-    let head = buf.split_to(head_end.end);
-    let text = match std::str::from_utf8(&head[..head_end.start]) {
-        Ok(t) => t,
-        Err(_) => return ParseOutcome::Invalid("request head is not UTF-8".into()),
+    let head = buf.split_to(end);
+    let Ok(text) = std::str::from_utf8(&head[..end - 2]) else {
+        return ParseOutcome::Invalid("request head is not UTF-8".into());
     };
-    let mut lines = crlf_lines(text).filter(|l| !l.is_empty());
-    let request_line = match lines.next() {
-        Some(l) => l,
-        None => return ParseOutcome::Invalid("empty request".into()),
+    // One walk over the head: past the empty lines a client may send
+    // first, the request line cut at its two spaces, then each header
+    // line at its first colon. Lines end at CRLF; a bare CR or LF is part
+    // of its line.
+    let at = text.len() - text.trim_start_matches("\r\n").len();
+    if at == text.len() {
+        return ParseOutcome::Invalid("empty request".into());
+    }
+    let (end, [sp, sp2], spaces) = walk_line(text.as_bytes(), at, b' ');
+    if spaces != 2 {
+        let request_line = &text[at..end];
+        return ParseOutcome::Invalid(format!("malformed request line: {request_line}"));
+    }
+    let (m, t, v) = (&text[at..sp], &text[sp + 1..sp2], &text[sp2 + 1..end]);
+    let Some(method) = Method::parse(m) else {
+        return ParseOutcome::Invalid(format!("unsupported method: {m}"));
     };
-    let mut parts = request_line.split(' ');
-    let (m, t, v) = match (parts.next(), parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v), None) => (m, t, v),
-        _ => return ParseOutcome::Invalid(format!("malformed request line: {request_line}")),
-    };
-    let method = match Method::parse(m) {
-        Some(m) => m,
-        None => return ParseOutcome::Invalid(format!("unsupported method: {m}")),
-    };
-    let version = match Version::parse(v) {
-        Some(v) => v,
-        None => return ParseOutcome::Invalid(format!("unsupported version: {v}")),
+    let Some(version) = Version::parse(v) else {
+        return ParseOutcome::Invalid(format!("unsupported version: {v}"));
     };
     if t.is_empty() || !t.starts_with('/') {
         return ParseOutcome::Invalid(format!("bad target: {t}"));
     }
-    // The pass that checks every line for its colon is the one that
-    // settles `Connection`, so `Request::keep_alive` reads no line again.
-    let mut connection = Connection::Absent;
-    for line in lines {
-        let Some((name, value)) = line.split_once(':') else {
+    // The walk that finds every line's colon is the one that settles
+    // `Connection`, so `Request::keep_alive` reads no line again.
+    let (mut connection, mut from) = (Connection::Absent, end + 2);
+    while from < text.len() {
+        let (to, [colon, _], colons) = walk_line(text.as_bytes(), from, b':');
+        let line = &text[from..to];
+        if colons == 0 && !line.is_empty() {
             return ParseOutcome::Invalid(format!("malformed header: {line}"));
-        };
-        if connection == Connection::Absent && name.trim().eq_ignore_ascii_case("connection") {
-            connection = Connection::of(value.trim());
         }
+        let name = &text[from..colon.max(from)];
+        if connection == Connection::Absent && name.trim().eq_ignore_ascii_case("connection") {
+            connection = Connection::of(text[colon + 1..to].trim());
+        }
+        from = to + 2;
     }
-    // The head stays whole, as the request's one buffer: its header lines
-    // are cut into names and values when they are looked up.
-    let target = t.to_string();
+    // The head stays whole, as the request's one buffer: the target is a
+    // range of it, and its header lines are cut into names and values
+    // when they are looked up.
     let mut headers = Headers::new();
     headers.head = head;
     headers.connection = connection;
+    let target = sp + 1..sp2;
     ParseOutcome::Complete(Request {
         method,
         target,
@@ -109,21 +115,23 @@ pub fn parse_request_hinted(buf: &mut BytesMut, scanned: &mut usize) -> ParseOut
     })
 }
 
-struct HeadEnd {
-    /// Byte offset where the head text ends (before the blank line).
-    start: usize,
-    /// Byte offset just past the blank line (what to consume).
-    end: usize,
-}
-
-fn find_head_end_from(buf: &BytesMut, from: usize) -> Option<HeadEnd> {
-    buf[from..]
-        .windows(4)
-        .position(|w| w == b"\r\n\r\n")
-        .map(|i| HeadEnd {
-            start: from + i + 2, // keep the final header's CRLF for splitting
-            end: from + i + 4,
-        })
+/// Walk the line of `head` that starts at `from` to its end — its CRLF,
+/// or the end of `head` — and return that end, where the first two
+/// `byte`s on the line lie, and how many there are.
+fn walk_line(head: &[u8], from: usize, byte: u8) -> (usize, [usize; 2], usize) {
+    let (mut marks, mut count) = ([0; 2], 0);
+    for (i, &b) in (from..).zip(&head[from..]) {
+        if b == b'\r' && head.get(i + 1) == Some(&b'\n') {
+            return (i, marks, count);
+        }
+        if b == byte {
+            if count < 2 {
+                marks[count] = i;
+            }
+            count += 1;
+        }
+    }
+    (head.len(), marks, count)
 }
 
 /// Encode just the response head (status line, headers, blank line) onto
@@ -177,7 +185,7 @@ pub fn encode_response(resp: &Response, out: &mut BytesMut) {
 /// Render a request as wire bytes (client side; used by tests and the
 /// workload drivers).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut out = format!("{} {} {}\r\n", req.method, req.target, req.version);
+    let mut out = format!("{} {} {}\r\n", req.method, req.target(), req.version);
     for (name, value) in req.headers.iter() {
         out.push_str(name);
         out.push_str(": ");
@@ -203,7 +211,7 @@ mod tests {
         match parse_request(&mut buf) {
             ParseOutcome::Complete(req) => {
                 assert_eq!(req.method, Method::Get);
-                assert_eq!(req.target, "/index.html");
+                assert_eq!(req.target(), "/index.html");
                 assert_eq!(req.version, Version::Http11);
                 assert_eq!(req.headers.get("host"), Some("x"));
             }
@@ -227,8 +235,8 @@ mod tests {
         let second = parse_request(&mut buf);
         match (first, second) {
             (ParseOutcome::Complete(a), ParseOutcome::Complete(b)) => {
-                assert_eq!(a.target, "/a");
-                assert_eq!(b.target, "/b");
+                assert_eq!(a.target(), "/a");
+                assert_eq!(b.target(), "/b");
             }
             other => panic!("{other:?}"),
         }
@@ -316,7 +324,7 @@ mod tests {
                 }
                 ParseOutcome::Complete(req) => {
                     assert_eq!(i + 1, wire.len());
-                    assert_eq!(req.target, "/dripped.html");
+                    assert_eq!(req.target(), "/dripped.html");
                     assert_eq!(scanned, 0, "hint resets once bytes are consumed");
                 }
                 other => panic!("{other:?}"),
@@ -352,15 +360,9 @@ mod tests {
 
     #[test]
     fn request_encode_parse_round_trip() {
-        let mut headers = Headers::new();
-        headers.push("Host", "example");
-        headers.push("Connection", "close");
-        let req = Request {
-            method: Method::Head,
-            target: "/x/y.png".into(),
-            version: Version::Http10,
-            headers,
-        };
+        let mut req = Request::new(Method::Head, "/x/y.png", Version::Http10);
+        req.headers.push("Host", "example");
+        req.headers.push("Connection", "close");
         let mut buf = BytesMut::from(&encode_request(&req)[..]);
         match parse_request(&mut buf) {
             ParseOutcome::Complete(parsed) => assert_eq!(parsed, req),

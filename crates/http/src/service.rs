@@ -126,24 +126,46 @@ impl<St: ContentStore> StaticFileService<St> {
     /// cannot smuggle a traversal past a textual `..` scan. Rejected:
     /// malformed escapes, embedded NUL, non-`/`-rooted targets, and any
     /// path *segment* equal to `.` or `..` — but only whole segments, so
-    /// legitimate names like `/a..b.txt` are served. A target without an
-    /// escape is served as it is, borrowed.
+    /// legitimate names like `/a..b.txt` are served. One walk finds the
+    /// query string's `?` and whether an escape, a NUL or a dot segment
+    /// comes before it: a rooted path with none of them is served as it
+    /// is, borrowed; any other is decoded and checked in full.
     fn sanitize(target: &str) -> Option<Cow<'_, str>> {
-        // Strip a query string before decoding: a `?` inside the path
-        // would otherwise need escaping anyway.
-        let raw = target.split('?').next().unwrap_or(target);
+        let (mut cut, mut segment, mut plain) = (target.len(), 0, true);
+        for (i, b) in target.bytes().enumerate() {
+            match b {
+                // The query string is stripped before decoding: a `?`
+                // inside the path would need escaping anyway.
+                b'?' => {
+                    cut = i;
+                    break;
+                }
+                b'%' | b'\0' => plain = false,
+                b'/' => {
+                    plain &= !is_dot_segment(&target[segment..i]);
+                    segment = i + 1;
+                }
+                _ => {}
+            }
+        }
+        let raw = &target[..cut];
+        if plain && !is_dot_segment(&raw[segment..]) && raw.starts_with('/') {
+            return Some(Cow::Borrowed(raw));
+        }
         let path = percent_decode(raw)?;
-        if path.contains('\0') {
+        if path.contains('\0') || !path.starts_with('/') {
             return None;
         }
-        if !path.starts_with('/') {
-            return None;
-        }
-        if path.split('/').any(|seg| seg == ".." || seg == ".") {
+        if path.split('/').any(is_dot_segment) {
             return None;
         }
         Some(path)
     }
+}
+
+/// A path segment that names the directory itself or its parent.
+fn is_dot_segment(segment: &str) -> bool {
+    segment == "." || segment == ".."
 }
 
 /// Decode `%XX` escapes; `None` on malformed or non-UTF-8 sequences.
@@ -192,7 +214,7 @@ impl<St: ContentStore> Service<HttpCodec> for StaticFileService<St> {
             }
         };
 
-        let path = match Self::sanitize(&req.target) {
+        let path = match Self::sanitize(req.target()) {
             Some(p) => p,
             None => return respond(Response::error(Status::Forbidden, version)),
         };
@@ -293,7 +315,7 @@ pub fn cache_stats_provider(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::{Headers, Version};
+    use crate::types::Version;
     use nserver_cache::{FileCache, PolicyKind};
     use nserver_core::event::Priority;
 
@@ -306,12 +328,7 @@ mod tests {
     }
 
     fn get(target: &str) -> Request {
-        Request {
-            method: Method::Get,
-            target: target.into(),
-            version: Version::Http11,
-            headers: Headers::new(),
-        }
+        Request::new(Method::Get, target, Version::Http11)
     }
 
     fn store() -> MemStore {
@@ -621,14 +638,8 @@ mod tests {
     #[test]
     fn connection_close_requests_reply_close() {
         let svc = StaticFileService::new(store(), None);
-        let mut headers = Headers::new();
-        headers.push("Connection", "close");
-        let req = Request {
-            method: Method::Get,
-            target: "/index.html".into(),
-            version: Version::Http11,
-            headers,
-        };
+        let mut req = Request::new(Method::Get, "/index.html", Version::Http11);
+        req.headers.push("Connection", "close");
         let action = svc.handle(&ctx(), req);
         let (resp, closed) = run_action(action);
         assert!(closed);
@@ -638,12 +649,7 @@ mod tests {
     #[test]
     fn head_requests_mark_head_only() {
         let svc = StaticFileService::new(store(), None);
-        let req = Request {
-            method: Method::Head,
-            target: "/index.html".into(),
-            version: Version::Http11,
-            headers: Headers::new(),
-        };
+        let req = Request::new(Method::Head, "/index.html", Version::Http11);
         let (resp, _) = run_action(svc.handle(&ctx(), req));
         assert!(resp.head_only);
         assert_eq!(resp.status, Status::Ok);
@@ -655,12 +661,7 @@ mod tests {
         // 200 arm, so `HEAD /missing` answered 404 with the error body —
         // desynchronizing any pipelined request behind it.
         let svc = StaticFileService::new(store(), None);
-        let req = Request {
-            method: Method::Head,
-            target: "/nope.html".into(),
-            version: Version::Http11,
-            headers: Headers::new(),
-        };
+        let req = Request::new(Method::Head, "/nope.html", Version::Http11);
         let (resp, _) = run_action(svc.handle(&ctx(), req));
         assert_eq!(resp.status, Status::NotFound);
         assert!(resp.head_only, "HEAD 404 must not carry a body");

@@ -4,6 +4,7 @@
 
 use std::borrow::Cow;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use bytes::BytesMut;
@@ -192,8 +193,9 @@ impl EntryHeads {
 /// the ordered name/value pairs, however they are stored.
 #[derive(Debug, Clone, Default)]
 pub struct Headers {
-    /// A request head the parser accepted: UTF-8, its first non-empty line
-    /// the request line, a colon in every non-empty line after it.
+    /// A request head the parser accepted (or [`Request::new`] wrote):
+    /// UTF-8, its first non-empty line the request line, a colon in every
+    /// non-empty line after it.
     pub(crate) head: BytesMut,
     /// What the first `Connection` header of `head` asks for, as the
     /// parser saw it on its way through.
@@ -269,19 +271,57 @@ impl PartialEq for Headers {
 impl Eq for Headers {}
 
 /// A parsed request.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Request {
     /// Request method.
     pub method: Method,
-    /// Request target (path).
-    pub target: String,
+    /// Where the target lies in `headers.head`: on the request line.
+    pub(crate) target: Range<usize>,
     /// Protocol version.
     pub version: Version,
-    /// Request headers.
+    /// Request headers; their head holds the target, so headers replaced
+    /// whole take it with them.
     pub headers: Headers,
 }
 
+/// Requests are equal when they say the same: method, target text,
+/// version and headers, wherever their bytes lie.
+impl PartialEq for Request {
+    fn eq(&self, other: &Self) -> bool {
+        let said = (self.method, self.target(), self.version, &self.headers);
+        said == (other.method, other.target(), other.version, &other.headers)
+    }
+}
+
+impl Eq for Request {}
+
 impl Request {
+    /// A request built rather than parsed: its request line is written
+    /// into a head of its own, where [`Request::target`] reads it;
+    /// headers are pushed onto `headers`.
+    ///
+    /// # Panics
+    /// If `target` holds a CR or LF, which no request line can carry.
+    pub fn new(method: Method, target: &str, version: Version) -> Self {
+        assert!(!target.contains(['\r', '\n']), "target {target:?}");
+        let line = format!("{method} {target} {version}\r\n");
+        let start = line.find(' ').expect("a space follows the method") + 1;
+        let mut headers = Headers::new();
+        headers.head = BytesMut::from(line.as_bytes());
+        Self {
+            method,
+            target: start..start + target.len(),
+            version,
+            headers,
+        }
+    }
+
+    /// The request target (path and query), as the request line has it.
+    pub fn target(&self) -> &str {
+        let bytes = self.headers.head.get(self.target.clone());
+        std::str::from_utf8(bytes.unwrap_or_default()).unwrap_or_default()
+    }
+
     /// Whether the connection stays open after this exchange: HTTP/1.1
     /// defaults to keep-alive, HTTP/1.0 to close, both overridable by the
     /// `Connection` header.
@@ -446,16 +486,11 @@ mod tests {
     #[test]
     fn keep_alive_defaults_by_version() {
         let mk = |version, conn: Option<&'static str>| {
-            let mut headers = Headers::new();
+            let mut req = Request::new(Method::Get, "/", version);
             if let Some(c) = conn {
-                headers.push("Connection", c);
+                req.headers.push("Connection", c);
             }
-            Request {
-                method: Method::Get,
-                target: "/".into(),
-                version,
-                headers,
-            }
+            req
         };
         assert!(mk(Version::Http11, None).keep_alive());
         assert!(!mk(Version::Http10, None).keep_alive());

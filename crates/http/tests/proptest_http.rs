@@ -10,19 +10,22 @@ use nserver_core::pipeline::{Action, Codec, ConnCtx, DecodeState, EncodedReply, 
 use nserver_http::parse::MAX_HEAD_BYTES;
 use nserver_http::parse::{encode_request, encode_response_head, parse_request_hinted};
 use nserver_http::types::mime_for;
+use nserver_http::ContentStore;
 use nserver_http::{
     encode_response, parse_request, Headers, HttpCodec, MemStore, Method, ParseOutcome, Request,
     Response, StaticFileService, Status, Version,
 };
 use propcheck::{check, Gen};
+use std::borrow::Cow;
 use std::io::IoSlice;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// The parser and the response-head encoder as they were before the hit
 /// path got its budget (a `String` per header name and value, `format!`
-/// for the status line and `Content-Length`), kept verbatim as oracles.
+/// for the status line and `Content-Length`), and `sanitize` as it was
+/// before it walked the target once, kept verbatim as oracles.
 mod oracle {
-    use super::{BytesMut, Method, Response, Version, MAX_HEAD_BYTES};
+    use super::{BytesMut, Cow, Method, Response, Version, MAX_HEAD_BYTES};
 
     #[derive(Debug, PartialEq, Eq)]
     pub struct Parsed {
@@ -115,6 +118,55 @@ mod oracle {
             })
     }
 
+    /// `StaticFileService::sanitize` before it read the target in one walk.
+    pub fn sanitize(target: &str) -> Option<Cow<'_, str>> {
+        // Strip a query string before decoding: a `?` inside the path
+        // would otherwise need escaping anyway.
+        let raw = target.split('?').next().unwrap_or(target);
+        let path = percent_decode(raw)?;
+        if path.contains('\0') {
+            return None;
+        }
+        if !path.starts_with('/') {
+            return None;
+        }
+        if path.split('/').any(|seg| seg == ".." || seg == ".") {
+            return None;
+        }
+        Some(path)
+    }
+
+    /// Decode `%XX` escapes; `None` on malformed or non-UTF-8 sequences.
+    fn percent_decode(s: &str) -> Option<Cow<'_, str>> {
+        if !s.contains('%') {
+            return Some(Cow::Borrowed(s));
+        }
+        let bytes = s.as_bytes();
+        let mut out = Vec::with_capacity(bytes.len());
+        let mut i = 0;
+        while i < bytes.len() {
+            if bytes[i] == b'%' {
+                let hi = hex_val(*bytes.get(i + 1)?)?;
+                let lo = hex_val(*bytes.get(i + 2)?)?;
+                out.push(hi << 4 | lo);
+                i += 3;
+            } else {
+                out.push(bytes[i]);
+                i += 1;
+            }
+        }
+        String::from_utf8(out).ok().map(Cow::Owned)
+    }
+
+    fn hex_val(b: u8) -> Option<u8> {
+        match b {
+            b'0'..=b'9' => Some(b - b'0'),
+            b'a'..=b'f' => Some(b - b'a' + 10),
+            b'A'..=b'F' => Some(b - b'A' + 10),
+            _ => None,
+        }
+    }
+
     pub fn encode_response_head(resp: &Response, out: &mut BytesMut) {
         let status_line = format!(
             "{} {} {}\r\n",
@@ -150,7 +202,7 @@ fn in_oracle_terms(outcome: ParseOutcome) -> oracle::Outcome {
                 .iter()
                 .map(|(n, v)| (n.to_string(), v.to_string()))
                 .collect(),
-            target: req.target,
+            target: req.target().to_string(),
         }),
         ParseOutcome::Incomplete => oracle::Outcome::Incomplete,
         ParseOutcome::Invalid(why) => oracle::Outcome::Invalid(why),
@@ -327,6 +379,45 @@ fn padded(g: &mut Gen) -> Vec<u8> {
     format!("GET {path} HTTP/1.1\r\n{}\r\n", lines.concat()).into_bytes()
 }
 
+/// A request as a careless client writes it: leading CRLFs, tabs and
+/// doubled spaces, a bare CR or LF inside a line, non-ASCII UTF-8 in the
+/// target and the values, and `Connection` more than once.
+fn careless(g: &mut Gen) -> Vec<u8> {
+    let odd = |g: &mut Gen| {
+        let odd = [
+            "",
+            "",
+            "",
+            "\t",
+            "  ",
+            "\r",
+            "\n",
+            "\u{e9}",
+            "\u{65e5}",
+            "\u{a0}",
+            "?q=\u{fc}",
+        ];
+        *g.pick(&odd)
+    };
+    let mut wire = "\r\n".repeat(g.range(0..3usize));
+    let space = *g.pick(&[" ", " ", " ", "  ", "\t"]);
+    let (a, b) = (odd(g), odd(g));
+    wire += &format!("GET{space}{}{a}{b} HTTP/1.1\r\n", path(g));
+    for _ in 0..g.len(0..5) {
+        let name = match g.range(0..3u8) {
+            0 => g
+                .pick(&["Connection", "connection", " Connection\t"])
+                .to_string(),
+            _ => token(g),
+        };
+        let value = *g.pick(&["close", "keep-alive", "Keep-Alive", "upgrade", "x"]);
+        let (a, b) = (odd(g), odd(g));
+        wire += &format!("{name}:{a}{value}{b}\r\n");
+    }
+    wire += "\r\n";
+    wire.into_bytes()
+}
+
 /// A head of `len` bytes in all (blank line included), padded with one
 /// long header.
 fn head_of(len: usize) -> Vec<u8> {
@@ -341,7 +432,7 @@ fn differential_parser_on_chosen_heads() {
     let at_cap = head_of(MAX_HEAD_BYTES);
     let over_cap = head_of(MAX_HEAD_BYTES + 1);
     let never_ends = vec![b'a'; MAX_HEAD_BYTES + 2];
-    let cases: [&[u8]; 16] = [
+    let cases: [&[u8]; 22] = [
         b"GET / HTTP/1.1\r\nHost: x\r\n\r\n",
         b"\r\nGET / HTTP/1.1\r\n\r\n",
         b"\r\n\r\n",
@@ -355,6 +446,12 @@ fn differential_parser_on_chosen_heads() {
         b"GET /\xc3\xa9 HTTP/1.1\r\nH: \xc2\xa0v\xc2\xa0\r\n\r\n",
         b"GET /\xff HTTP/1.1\r\n\r\n",
         b"HEAD /x HTTP/1.0\r\nConnection: keep-alive\r\n\r\nGET /y HTTP/1.1\r\n\r\n",
+        b"\r\n\r\nGET / HTTP/1.1\r\n\r\n",
+        b"\r\n\r\r\nGET / HTTP/1.1\r\n\r\n",
+        b"GET\t/ HTTP/1.1\r\n\r\nGET /\ta HTTP/1.1\r\nX:\tv\t\r\n\r\n",
+        b"GET / HTTP/1.1\r\nConnection: close\r\nconnection: keep-alive\r\n\r\n",
+        b"GET / HTTP/1.0\r\nX: a\rConnection: close\r\nConnection:\nclose\r\n\r\n",
+        b"GET /\xe6\x97\xa5?q=\xc3\xbc HTTP/1.1\r\nConnection : \xc2\xa0close\r\n\r\n",
         &at_cap,
         &over_cap,
         &never_ends,
@@ -555,18 +652,12 @@ fn path(g: &mut Gen) -> String {
 
 fn request(g: &mut Gen) -> Request {
     let method = *g.pick(&[Method::Get, Method::Head]);
-    let target = path(g);
     let version = *g.pick(&[Version::Http10, Version::Http11]);
-    let mut headers = Headers::new();
+    let mut req = Request::new(method, &path(g), version);
     for _ in 0..g.len(0..8) {
-        headers.push(token(g), header_value(g));
+        req.headers.push(token(g), header_value(g));
     }
-    Request {
-        method,
-        target,
-        version,
-        headers,
-    }
+    req
 }
 
 /// The parser and the one it replaced agree on arbitrary bytes heavy
@@ -576,11 +667,12 @@ fn request(g: &mut Gen) -> Request {
 #[test]
 fn differential_parser_on_arbitrary_bytes() {
     check(512, |g| {
-        let pieces = g.vec(0..8, |g| match g.range(0..5u8) {
+        let pieces = g.vec(0..8, |g| match g.range(0..6u8) {
             0 => near_head(g),
             1 => spliced(g),
             2 => padded(g),
             3 => head_piece(g),
+            4 => careless(g),
             _ => well_formed(g),
         });
         let cuts = g.vec(0..24, |g| g.range(0usize..60));
@@ -604,7 +696,7 @@ fn request_round_trip() {
         match parse_request(&mut buf) {
             ParseOutcome::Complete(parsed) => {
                 assert_eq!(parsed.method, req.method);
-                assert_eq!(parsed.target, req.target);
+                assert_eq!(parsed.target(), req.target());
                 assert_eq!(parsed.version, req.version);
                 // Header count may shrink if generated values were empty
                 // after trimming; compare pairs that survive.
@@ -616,6 +708,104 @@ fn request_round_trip() {
             }
             other => panic!("round trip failed: {other:?}"),
         }
+    });
+}
+
+/// A request built by `Request::new` reads back as the parser reads its
+/// wire image: the same target (non-ASCII, escapes and queries included),
+/// the same headers, the same `Connection` verdict.
+#[test]
+fn constructed_request_equals_its_parse() {
+    check(256, |g| {
+        let method = *g.pick(&[Method::Get, Method::Head]);
+        let version = *g.pick(&[Version::Http10, Version::Http11]);
+        let target = format!(
+            "{}{}",
+            path(g),
+            g.pick(&["", "?a=1", "%2e", "\u{e9}", "/\u{65e5}"])
+        );
+        let mut built = Request::new(method, &target, version);
+        for _ in 0..g.len(0..6) {
+            let name = match g.range(0..4u8) {
+                0 => "Connection".to_string(),
+                _ => token(g),
+            };
+            let value = match g.range(0..3u8) {
+                0 => g.pick(&["close", "keep-alive"]).to_string(),
+                _ => header_value(g),
+            };
+            built.headers.push(name, value);
+        }
+        assert_eq!(built.target(), target);
+        let wire = encode_request(&built);
+        let ParseOutcome::Complete(parsed) = parse_request(&mut BytesMut::from(&wire[..])) else {
+            panic!("{:?} parses", String::from_utf8_lossy(&wire))
+        };
+        assert_eq!(parsed.target(), built.target());
+        assert!(parsed.headers.iter().eq(built.headers.iter()));
+        assert_eq!(parsed.keep_alive(), built.keep_alive());
+        assert_eq!(parsed, built);
+    });
+}
+
+/// A store that records the path each load asks for.
+struct Asked(Arc<Mutex<Vec<String>>>);
+
+impl ContentStore for Asked {
+    fn load(&self, path: &str) -> Option<Arc<Vec<u8>>> {
+        self.0.lock().unwrap().push(path.to_string());
+        None
+    }
+}
+
+/// Targets heavy in what `sanitize` decides on: escapes (of dots, NUL,
+/// slashes, UTF-8 and malformed ones), raw NULs, queries, `.` and `..`.
+fn sanitize_target(g: &mut Gen) -> String {
+    let pieces = [
+        "/", "/", "/", ".", ".", "..", "%", "%2e", "%2E", "%2e%2e", "%00", "\0", "%2f", "%2F",
+        "%zz", "%2", "%c3%a9", "%ff", "?", "?x=/../", "a", "b.c", "a..b", "\u{e9}", "%25",
+    ];
+    let mut target = match g.range(0..4u8) {
+        0 => String::new(),
+        _ => "/".to_string(),
+    };
+    for _ in 0..g.len(0..10) {
+        match g.range(0..4u8) {
+            0 => target += &g.string(ALNUM, 1..=4),
+            _ => target += *g.pick(&pieces),
+        }
+    }
+    target
+}
+
+/// `sanitize`'s one walk decides as the two-pass original did: the
+/// service forbids exactly the targets the oracle rejects, and asks the
+/// store for exactly the path the oracle serves.
+#[test]
+fn sanitize_walk_matches_the_oracle() {
+    let ctx = ConnCtx {
+        id: 1,
+        peer: "sanitize".into(),
+        priority: Priority::HIGHEST,
+    };
+    let asked = Arc::new(Mutex::new(Vec::new()));
+    let service = StaticFileService::new(Asked(Arc::clone(&asked)), None);
+    check(2048, |g| {
+        let target = sanitize_target(g);
+        let req = Request::new(Method::Get, &target, Version::Http11);
+        let got = match service.handle(&ctx, req) {
+            Action::Reply(resp) if resp.status == Status::Forbidden => None,
+            Action::Defer(load) => {
+                drop(load());
+                asked.lock().unwrap().pop()
+            }
+            other => panic!("{target:?}: {other:?}"),
+        };
+        assert_eq!(
+            got,
+            oracle::sanitize(&target).map(Cow::into_owned),
+            "{target:?}"
+        );
     });
 }
 

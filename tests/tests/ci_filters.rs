@@ -164,12 +164,14 @@ fn every_ci_name_filter_selects_a_test() {
     for filter in [
         "on_one_cpu",
         "backs_off",
+        "poller_refuses",
         "reactor::tests::one_cpu_routes",
         "of_two_ready_events_one_is_queued_first_and_one_is_kept",
         "deadlines_",
         "timer::tests",
         "cluster::tests::half_closed",
         "differential",
+        "sanitize_walk",
         "oracle",
         "segmented",
         "reactor::tests",

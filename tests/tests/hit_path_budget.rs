@@ -1,8 +1,8 @@
 //! Allocation pin for the cache-hit request path with O10/O11 off.
 //!
 //! The hit path has a budget (DESIGN.md §11): decode, handle, encode and
-//! queue one cached GET in at most two heap allocations — the request
-//! head split off the inbox and the target. The response's one header and
+//! queue one cached GET in at most one heap allocation — the request head
+//! split off the inbox, of which the target is a range. The response's one header and
 //! its encoded head are the cache entry's, made on the entry's first hits
 //! and shared by every later one. A hand-built engine with no dispatcher (as
 //! `benchmark/src/ladder.rs` builds it) runs pipelined hits through
@@ -29,7 +29,7 @@ use parking_lot::RwLock;
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 /// The budget, in heap allocations per request.
-const BUDGET: u64 = 2;
+const BUDGET: u64 = 1;
 /// Requests per work item, as `small_pipelined` pipelines them.
 const DEPTH: u64 = 16;
 const ITEMS: u64 = 64;
