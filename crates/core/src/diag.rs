@@ -30,10 +30,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex};
 
+use crate::clock;
 use crate::event::ConnId;
 use crate::json::Json;
 use crate::metrics::{HistogramSnapshot, LatencySnapshot, MetricsRegistry, Sample, Stage};
@@ -137,7 +138,6 @@ impl Slot {
 /// ceiling of seconds wants to compare against anyway.
 pub struct WorkerStateTable {
     slots: Vec<Slot>,
-    epoch: Instant,
 }
 
 impl WorkerStateTable {
@@ -147,13 +147,12 @@ impl WorkerStateTable {
     pub fn new(capacity: usize) -> Arc<Self> {
         Arc::new(Self {
             slots: (0..capacity.max(1)).map(|_| Slot::vacant()).collect(),
-            epoch: Instant::now(),
         })
     }
 
-    /// Microseconds since the table was created.
+    /// The time rows are stamped in: microseconds on the one clock.
     pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros() as u64
+        clock::now_us()
     }
 
     /// Slot count.
@@ -258,27 +257,9 @@ impl WorkerStateTable {
 struct Attachment {
     table: Arc<WorkerStateTable>,
     index: usize,
-    /// The clock reading the current work item's stage stamps share;
-    /// `None` between items, so the next item's first stamp reads anew.
+    /// The clock reading (µs) the current work item's stage stamps share;
+    /// `None` between items, so the next item's first stamp takes one.
     item_clock: Cell<Option<u64>>,
-}
-
-impl Attachment {
-    /// Publish "running `stage` for `conn`", since the work item's clock
-    /// reading — taken now when `fresh` or when the item has none yet.
-    fn stamp(&self, stage: Stage, conn: ConnId, fresh: bool) {
-        let since = match self.item_clock.get() {
-            Some(at) if !fresh => at,
-            _ => {
-                let now = self.table.now_us();
-                self.item_clock.set(Some(now));
-                now
-            }
-        };
-        let idx = Stage::ALL.iter().position(|s| *s == stage).unwrap_or(0) as u8;
-        self.table
-            .publish(self.index, STATE_RUNNING, idx, conn, since);
-    }
 }
 
 thread_local! {
@@ -336,14 +317,29 @@ fn with_attachment(f: impl FnOnce(&Attachment)) {
 /// threads, tests, table-full overflow), which is what lets the pipeline
 /// call it unconditionally.
 pub fn stamp_stage(stage: Stage, conn: ConnId) {
-    with_attachment(|at| at.stamp(stage, conn, false));
+    stamp_stage_at(stage, conn, None, false);
 }
 
 /// [`stamp_stage`] with a clock reading of its own, which the work item's
 /// later stamps then share: for the stamp before a call that may block
 /// (Send Reply's write) and the first one after a blocking call returns.
 pub fn stamp_stage_fresh(stage: Stage, conn: ConnId) {
-    with_attachment(|at| at.stamp(stage, conn, true));
+    stamp_stage_at(stage, conn, None, true);
+}
+
+/// [`stamp_stage`] (or, `fresh`, [`stamp_stage_fresh`]) at a stage
+/// boundary: where the row needs a reading, it takes the boundary's, `at`
+/// (ns since [`clock::epoch`]), if the boundary took one.
+pub(crate) fn stamp_stage_at(stage: Stage, conn: ConnId, at: Option<u64>, fresh: bool) {
+    with_attachment(|a| {
+        let since = match a.item_clock.get() {
+            Some(since) if !fresh => since,
+            _ => at.map_or_else(clock::now_us, |ns| ns / 1_000),
+        };
+        a.item_clock.set(Some(since));
+        let stage = stage.index() as u8;
+        a.table.publish(a.index, STATE_RUNNING, stage, conn, since);
+    });
 }
 
 /// Publish "idle" for the calling thread and end the work item's shared
@@ -370,7 +366,7 @@ pub struct DiagSnapshot {
     pub seq: u64,
     /// Why the capture happened (`"on_demand"`, `"worker_stuck …"`, …).
     pub reason: String,
-    /// Microseconds since the hub was created.
+    /// Microseconds since the one clock's epoch ([`crate::clock`]).
     pub at_us: u64,
     /// Every number, histogram and worker row at capture.
     pub sample: Sample,
@@ -491,7 +487,6 @@ struct HubInner {
     aux_tracers: Mutex<Vec<(String, DebugTracer)>>,
     workers: Mutex<Option<Arc<WorkerStateTable>>>,
     queue_len: Mutex<Option<Arc<AtomicUsize>>>,
-    epoch: Instant,
     ring: Mutex<VecDeque<DiagSnapshot>>,
     ring_cap: AtomicUsize,
     file: Mutex<Option<PathBuf>>,
@@ -523,7 +518,6 @@ impl DiagHub {
                 aux_tracers: Mutex::new(Vec::new()),
                 workers: Mutex::new(None),
                 queue_len: Mutex::new(None),
-                epoch: Instant::now(),
                 ring: Mutex::new(VecDeque::new()),
                 ring_cap: AtomicUsize::new(8),
                 file: Mutex::new(None),
@@ -685,7 +679,7 @@ impl DiagHub {
         let snap = DiagSnapshot {
             seq,
             reason: reason.to_string(),
-            at_us: self.inner.epoch.elapsed().as_micros() as u64,
+            at_us: clock::now_us(),
             sample: self.sample_shown(),
             recent_trace,
             stage_self,
@@ -1001,6 +995,7 @@ fn watchdog_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Instant;
 
     fn test_hub() -> DiagHub {
         DiagHub::new(ServerStats::new_shared(), MetricsRegistry::enabled())

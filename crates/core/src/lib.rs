@@ -66,6 +66,7 @@
 //! server.shutdown();
 //! ```
 
+pub mod clock;
 pub mod cluster;
 pub mod diag;
 pub mod event;
@@ -83,7 +84,6 @@ pub mod queue;
 pub mod reactor;
 pub mod scheduler;
 pub mod server;
-pub mod source;
 pub mod tap;
 pub mod timer;
 pub mod trace;

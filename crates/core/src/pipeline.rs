@@ -25,11 +25,11 @@ use std::io::IoSlice;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use bytes::BytesMut;
 use parking_lot::{Mutex, RwLock};
 
+use crate::clock;
 use crate::diag;
 use crate::event::{CompletionToken, ConnId, EventKind, Priority};
 use crate::metrics::{MetricsRegistry, Stage};
@@ -206,9 +206,9 @@ pub struct Outbox {
 /// makes them (see `reactor::flush`).
 #[derive(Default)]
 pub(crate) struct SendTally {
-    /// When the outbox was first observed non-empty (the O10/O11
-    /// write-drain window); cleared when it drains.
-    pub(crate) drain_from: Option<Instant>,
+    /// The O10/O11 write-drain window, open from when the outbox was
+    /// first observed non-empty until it drains.
+    pub(crate) drain: Option<Open>,
     /// Write syscalls not yet reported to the tracer (flushed with the
     /// connection's unreported reads as a `Syscalls` delta span when the
     /// window closes and at teardown).
@@ -706,9 +706,9 @@ pub(crate) const WORKER_SEND_MAX: usize = 64 * 1024;
 /// → `outbox` lock pair once.
 const ITEM_REPLIES: usize = 16;
 
-/// What a work item has produced and not yet handed on: its replies, held
-/// on the stack until they move into the outbox together, and their
-/// count, added to the server's once.
+/// What a work item has produced and not yet handed on — its replies,
+/// held on the stack until they move into the outbox together, and their
+/// count, added to the server's once — and where it is in the stages.
 #[derive(Default)]
 struct ItemOutput {
     /// `(seq, reply)` in the order they completed; the first `held` are
@@ -719,6 +719,87 @@ struct ItemOutput {
     bytes: usize,
     /// Replies moved into the outbox, not yet counted.
     sent: u64,
+    /// The stage window open now, when a recorder observes it.
+    window: Option<Open>,
+    /// The last boundary's reading, which the next opening edge shares:
+    /// Handle's end is Encode's start, and Encode's end the next Decode's.
+    boundary: Option<u64>,
+    /// A blocking call returned since the last boundary: the watchdog
+    /// row's `since` restarts at the next one.
+    fresh: bool,
+}
+
+/// A stage window a recorder observes: its stage, its request
+/// ([`SEQ_NONE`] while it has none) and the clock reading its opening
+/// edge took.
+#[derive(Clone, Copy)]
+pub(crate) struct Open {
+    stage: Stage,
+    seq: u64,
+    from: u64,
+}
+
+/// How a boundary ends the window open before it.
+#[derive(Clone, Copy)]
+pub(crate) enum End {
+    /// The stage ran to its end: its completion span (`Decode { seq }`,
+    /// `WriteDrain`, …), and its time in the stage's histogram.
+    Done(SpanEvent),
+    /// It did not (no request decoded, a hook failed, the connection
+    /// went): a `StageEnd` span, and its time only if it had a request.
+    Cut,
+}
+
+/// What a stage boundary reports to besides the watchdog row: the O11
+/// histograms and the O10 spans. Borrowed, so one boundary routine serves
+/// every engine type and every thread.
+#[derive(Clone, Copy)]
+pub(crate) struct Recorders<'a> {
+    pub(crate) metrics: &'a MetricsRegistry,
+    pub(crate) tracer: &'a DebugTracer,
+}
+
+impl Recorders<'_> {
+    /// Whether either recorder is on: with neither, no window opens.
+    #[inline]
+    pub(crate) fn observed(self) -> bool {
+        self.metrics.is_enabled() || self.tracer.is_enabled()
+    }
+
+    /// Open the window whose opening `edge` (`StageBegin`, or `Accept`)
+    /// this is on `conn`, at the boundary's reading `at` (taken now if it
+    /// holds none), when a recorder observes it. With neither on, nothing
+    /// opens and no clock is read.
+    pub(crate) fn open(self, conn: ConnId, edge: SpanEvent, at: &mut Option<u64>) -> Option<Open> {
+        if !self.observed() {
+            return None;
+        }
+        let (_, stage, seq) = edge.edge()?;
+        let from = *at.get_or_insert_with(clock::now);
+        self.tracer.span_at(edge, conn, from);
+        Some(Open { stage, seq, from })
+    }
+
+    /// End `window`, if one is open, as `end`, at the boundary's reading
+    /// `at` (taken now if it holds none and a recorder wants one).
+    pub(crate) fn close(self, conn: ConnId, window: Option<Open>, end: End, at: &mut Option<u64>) {
+        let Some(Open { stage, seq, from }) = window else {
+            return;
+        };
+        let (span, timed) = match end {
+            End::Done(span) => (span, true),
+            End::Cut => (SpanEvent::StageEnd { stage, seq }, seq != SEQ_NONE),
+        };
+        if timed && self.metrics.is_enabled() {
+            let to = *at.get_or_insert_with(clock::now);
+            self.metrics
+                .record_stage(stage, clock::us_between(from, to));
+        }
+        if self.tracer.is_enabled() {
+            self.tracer
+                .span_at(span, conn, *at.get_or_insert_with(clock::now));
+        }
+    }
 }
 
 /// The framework engine: everything workers need to run the pipeline.
@@ -795,12 +876,7 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
             // End the Decode / Handle / Encode window the hook died in,
             // so the timeline shows the stage that panicked. (The
             // dispatcher's teardown ends the other two.)
-            for (stage, seq) in self.tracer.open_windows(conn.id) {
-                if matches!(stage, Stage::Decode | Stage::Handle | Stage::Encode) {
-                    self.tracer
-                        .span(SpanEvent::StageEnd { stage, seq }, conn.id);
-                }
-            }
+            self.step(&mut item, conn.id, End::Cut, None);
             conn.abandon();
         }
         self.send_reply(&conn);
@@ -809,13 +885,46 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
         diag::stamp_idle();
     }
 
+    /// One boundary of a work item's stages on `conn`: the open window
+    /// ends as `end` and `next`, if any, begins. The watchdog row, the
+    /// O11 histogram and the O10 spans are fed from one reading of the
+    /// clock, taken only where one of them needs it and the boundary holds
+    /// none — with O10 and O11 off, only the watchdog row's first stamp
+    /// of an item, or its first after a blocking call, reads it.
+    fn step(&self, item: &mut ItemOutput, conn: ConnId, end: End, next: Option<(Stage, u64)>) {
+        let rec = self.recorders();
+        if !rec.observed() {
+            // No window is open and none opens: only the row moves.
+            if let Some((stage, _)) = next {
+                diag::stamp_stage_at(stage, conn, None, std::mem::take(&mut item.fresh));
+            }
+            return;
+        }
+        let mut at = item.boundary.take();
+        rec.close(conn, item.window.take(), end, &mut at);
+        match next {
+            Some((stage, seq)) => {
+                item.window = rec.open(conn, SpanEvent::StageBegin { stage, seq }, &mut at);
+                diag::stamp_stage_at(stage, conn, at, std::mem::take(&mut item.fresh));
+            }
+            None => item.boundary = at,
+        }
+    }
+
+    /// What a stage boundary reports to.
+    pub(crate) fn recorders(&self) -> Recorders<'_> {
+        Recorders {
+            metrics: &self.metrics,
+            tracer: &self.tracer,
+        }
+    }
+
     /// What Send Reply accounts into, whichever thread runs it.
     pub(crate) fn send_accounts(&self) -> SendAccounts<'_> {
         SendAccounts {
             stats: &self.stats,
             syscalls: &self.syscalls,
-            metrics: &self.metrics,
-            tracer: &self.tracer,
+            rec: self.recorders(),
         }
     }
 
@@ -896,24 +1005,8 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
             if conn.closing.load(Ordering::Relaxed) {
                 return;
             }
-            // O11: clock reads happen only with profiling on — the
-            // disabled registry's fast path skips even `Instant::now`.
-            let profiled = self.metrics.is_enabled();
-            let traced = self.tracer.is_enabled();
-            let decode_started = profiled.then(std::time::Instant::now);
-            diag::stamp_stage(Stage::Decode, id);
-            if traced {
-                // Opens the decode window; closed by the `Decode { seq }`
-                // span on success or the explicit end below when the
-                // attempt finds no complete request.
-                self.tracer.span(
-                    SpanEvent::StageBegin {
-                        stage: Stage::Decode,
-                        seq: SEQ_NONE,
-                    },
-                    id,
-                );
-            }
+            // Nothing is open here: the last window of the loop ended.
+            self.step(item, id, End::Cut, Some((Stage::Decode, SEQ_NONE)));
             let decoded = {
                 let mut inbox = conn.inbox.lock();
                 self.codec.decode_with(&mut inbox, &mut decode_state)
@@ -923,50 +1016,27 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                     // Counted now, not with the item's replies: a status
                     // page the hook serves counts its own request.
                     ServerStats::bump(&self.stats.requests_decoded);
-                    if let Some(t0) = decode_started {
-                        self.metrics
-                            .record_stage(Stage::Decode, t0.elapsed().as_micros() as u64);
-                    }
                     let seq = conn.assign_seq();
-                    self.tracer.span(SpanEvent::Decode { seq }, id);
+                    let handling = Some((Stage::Handle, seq));
+                    let decoded = End::Done(SpanEvent::Decode { seq });
+                    self.step(item, id, decoded, handling);
                     // Isolate application-hook panics: the request is
                     // failed and the connection closed, but the framework
                     // (and this connection's reply ordering) survives.
                     let service = &self.service;
-                    let handle_started = profiled.then(std::time::Instant::now);
-                    diag::stamp_stage(Stage::Handle, id);
-                    if traced {
-                        self.tracer.span(
-                            SpanEvent::StageBegin {
-                                stage: Stage::Handle,
-                                seq,
-                            },
-                            id,
-                        );
-                    }
                     let action = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         service.handle(ctx, req)
                     }));
-                    if let Some(t0) = handle_started {
-                        self.metrics
-                            .record_stage(Stage::Handle, t0.elapsed().as_micros() as u64);
-                    }
                     match action {
                         Ok(action) => {
-                            self.tracer.span(SpanEvent::Handle { seq }, id);
+                            let handled = End::Done(SpanEvent::Handle { seq });
+                            self.step(item, id, handled, None);
                             self.apply_action(conn, item, seq, action);
                         }
                         Err(_) => {
                             ServerStats::bump(&self.stats.protocol_errors);
                             ServerStats::bump(&self.stats.handler_panics);
-                            // Close the handle window the panic left open.
-                            self.tracer.span(
-                                SpanEvent::StageEnd {
-                                    stage: Stage::Handle,
-                                    seq,
-                                },
-                                id,
-                            );
+                            self.step(item, id, End::Cut, None);
                             self.tracer.record(
                                 EventKind::Readable,
                                 Some(id),
@@ -979,15 +1049,7 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                     }
                 }
                 Ok(None) => {
-                    if traced {
-                        self.tracer.span(
-                            SpanEvent::StageEnd {
-                                stage: Stage::Decode,
-                                seq: SEQ_NONE,
-                            },
-                            id,
-                        );
-                    }
+                    self.step(item, id, End::Cut, None);
                     // No complete request in the inbox. If the peer has
                     // already half-closed, whatever fragment remains can
                     // never complete — reap the connection now rather
@@ -1003,14 +1065,8 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                 }
                 Err(e) => {
                     ServerStats::bump(&self.stats.protocol_errors);
-                    if traced {
-                        self.tracer.span(
-                            SpanEvent::StageEnd {
-                                stage: Stage::Decode,
-                                seq: SEQ_NONE,
-                            },
-                            id,
-                        );
+                    self.step(item, id, End::Cut, None);
+                    if self.tracer.is_enabled() {
                         self.tracer.record(
                             EventKind::Readable,
                             Some(id),
@@ -1085,8 +1141,9 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                 diag::stamp_stage(Stage::Handle, conn.id);
                 let resp = job();
                 // Back from the blocking call: the rest of the work item
-                // is not as old as the call was long.
-                diag::stamp_stage_fresh(Stage::Encode, conn.id);
+                // is not as old as the call was long, and no reading
+                // taken before it is shared after it.
+                (item.window, item.boundary, item.fresh) = (None, None, true);
                 self.finish(conn, item, seq, resp, close_after);
             }
         }
@@ -1115,26 +1172,14 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
         close_after: bool,
     ) {
         let mut out = EncodedReply::new();
-        let encode_started = self.metrics.is_enabled().then(std::time::Instant::now);
-        diag::stamp_stage(Stage::Encode, conn.id);
-        if self.tracer.is_enabled() {
-            self.tracer.span(
-                SpanEvent::StageBegin {
-                    stage: Stage::Encode,
-                    seq,
-                },
-                conn.id,
-            );
-        }
+        let encoding = Some((Stage::Encode, seq));
+        self.step(item, conn.id, End::Cut, encoding);
         let encoded = self.codec.encode_reply(&resp, &mut out);
-        if let Some(t0) = encode_started {
-            self.metrics
-                .record_stage(Stage::Encode, t0.elapsed().as_micros() as u64);
-        }
         match encoded {
             Ok(()) => {
                 let n = out.len();
-                self.tracer.span(SpanEvent::Encode { seq }, conn.id);
+                let encoded = End::Done(SpanEvent::Encode { seq });
+                self.step(item, conn.id, encoded, None);
                 self.hold(conn, item, seq, Some(out));
                 if let Some(log) = &self.logger {
                     log(&format!("{} seq={} bytes={}", conn.peer, seq, n));
@@ -1142,14 +1187,8 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
             }
             Err(e) => {
                 ServerStats::bump(&self.stats.protocol_errors);
+                self.step(item, conn.id, End::Cut, None);
                 if self.tracer.is_enabled() {
-                    self.tracer.span(
-                        SpanEvent::StageEnd {
-                            stage: Stage::Encode,
-                            seq,
-                        },
-                        conn.id,
-                    );
                     self.tracer.record(
                         EventKind::Readable,
                         Some(conn.id),

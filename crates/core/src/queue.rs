@@ -13,6 +13,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::clock;
 use crate::event::Priority;
 use crate::metrics::MetricsRegistry;
 
@@ -67,17 +68,17 @@ impl<T: Send> EventQueue<T> for FifoQueue<T> {
 /// Low-watermark value paired with the callback it triggers.
 type DrainHook = (usize, Box<dyn Fn() + Send + Sync>);
 
-/// Envelope pairing an item with its enqueue instant. The stamp travels
-/// with the item through whatever discipline the inner queue applies
-/// (FIFO or priority-quota reordering), so the dequeue side can attribute
-/// the exact per-item wait. The clock is only read when a metrics
-/// registry is attached *and* enabled — the O11 = No hot path stays
-/// clock-free and allocation-free. Only [`BlockingQueue`] constructs
+/// Envelope pairing an item with its enqueue reading of [`crate::clock`].
+/// The stamp travels with the item through whatever discipline the inner
+/// queue applies (FIFO or priority-quota reordering), so the dequeue side
+/// can attribute the exact per-item wait. The clock is only read when a
+/// metrics registry is attached *and* enabled — the O11 = No hot path
+/// stays clock-free and allocation-free. Only [`BlockingQueue`] constructs
 /// these; the type is public solely because it names the inner queue's
 /// item type in [`BlockingQueue::new`].
 pub struct Stamped<T> {
     item: T,
-    enqueued_at: Option<Instant>,
+    enqueued_at: Option<u64>,
 }
 
 /// A thread-safe blocking façade over any [`EventQueue`]: workers block on
@@ -128,16 +129,16 @@ impl<T: Send + 'static> BlockingQueue<T> {
         let _ = self.wait_metrics.set(metrics);
     }
 
-    fn stamp(&self) -> Option<Instant> {
+    fn stamp(&self) -> Option<u64> {
         match self.wait_metrics.get() {
-            Some(m) if m.is_enabled() => Some(Instant::now()),
+            Some(m) if m.is_enabled() => Some(clock::now()),
             _ => None,
         }
     }
 
-    fn record_wait(&self, enqueued_at: Option<Instant>) {
+    fn record_wait(&self, enqueued_at: Option<u64>) {
         if let (Some(at), Some(m)) = (enqueued_at, self.wait_metrics.get()) {
-            m.record_queue_wait(at.elapsed().as_micros() as u64);
+            m.record_queue_wait(clock::us_between(at, clock::now()));
         }
     }
 

@@ -44,10 +44,10 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use crate::event::{CompletionToken, ConnId, EventKind, Priority};
-use crate::metrics::{MetricsRegistry, Stage};
+use crate::metrics::Stage;
 use crate::options::{CompletionMode, EventScheduling, ServerOptions, StageDeadlines};
 use crate::overload::OverloadController;
-use crate::pipeline::{Codec, ConnShared, Engine, Outbox, Service, Work};
+use crate::pipeline::{Codec, ConnShared, End, Engine, Open, Outbox, Recorders, Service, Work};
 use crate::processor::EventProcessor;
 use crate::profiling::ServerStats;
 use crate::timer::{pass_clock, Deadlines, LINGER};
@@ -136,9 +136,12 @@ pub struct NewConn<St> {
     id: ConnId,
     stream: Arc<Mutex<St>>,
     shared: Arc<ConnShared>,
-    /// Accept timestamp — carried across the handoff so the O11
-    /// accept→header-read histogram includes the cross-thread latency.
+    /// The accept instant: where the idle and header-read deadlines
+    /// start.
     accepted_at: Instant,
+    /// The O10/O11 accept→header window, opened at accept and carried
+    /// across the handoff so it includes the cross-thread latency.
+    header: Option<Open>,
 }
 
 /// One dispatcher's entry in the [`DispatchNotifier`].
@@ -347,10 +350,8 @@ struct ConnLocal<St> {
     peer_eof: bool,
     /// Interest currently registered with the poller.
     armed: Interest,
-    /// When the connection was accepted (O11 accept→header-read stage).
-    accepted_at: Instant,
-    /// Whether the first request bytes have been seen.
-    header_seen: bool,
+    /// The accept→header window, until the first request bytes close it.
+    header: Option<Open>,
     times: ConnTimes,
     /// This pass ran one of the connection's work items on this thread.
     /// Nobody was notified of what the item left behind (see
@@ -475,14 +476,13 @@ fn out_of_resources(e: &std::io::Error) -> bool {
 /// (`IOV_MAX`) is 1024.
 const MAX_GATHER: usize = 64;
 
-/// Where Send Reply accounts for what it does: the engine's counters,
-/// histograms and tracer, borrowed so that [`flush`] is one routine for
-/// every engine type and every sending thread.
+/// Where Send Reply accounts for what it does: the engine's counters and
+/// the recorders of its write-drain window, borrowed so that [`flush`] is
+/// one routine for every engine type and every sending thread.
 pub(crate) struct SendAccounts<'a> {
     pub(crate) stats: &'a ServerStats,
     pub(crate) syscalls: &'a SyscallCounters,
-    pub(crate) metrics: &'a MetricsRegistry,
-    pub(crate) tracer: &'a DebugTracer,
+    pub(crate) rec: Recorders<'a>,
 }
 
 /// Send Reply: move `out` — `conn`'s outbox, locked by the caller — to
@@ -510,7 +510,7 @@ pub(crate) fn flush(acct: &SendAccounts<'_>, conn: &ConnShared, out: &mut Outbox
     let Some(sink) = conn.sink() else {
         return false;
     };
-    let observed = acct.metrics.is_enabled() || acct.tracer.is_enabled();
+    let rec = acct.rec;
     // A reply completed after the peer reset may have raced into the
     // outbox; a dead sink never gets another write attempt.
     if conn.sink_dead.load(Ordering::Relaxed) {
@@ -518,17 +518,12 @@ pub(crate) fn flush(acct: &SendAccounts<'_>, conn: &ConnShared, out: &mut Outbox
     }
     // The window opens before the first write, so a reply that drains
     // within one call still gets its span.
-    if observed && !out.is_empty() && out.sending.drain_from.is_none() {
-        out.sending.drain_from = Some(Instant::now());
-        if acct.tracer.is_enabled() {
-            acct.tracer.span(
-                SpanEvent::StageBegin {
-                    stage: Stage::WriteDrain,
-                    seq: SEQ_NONE,
-                },
-                conn.id,
-            );
-        }
+    if !out.is_empty() && out.sending.drain.is_none() {
+        let begin = SpanEvent::StageBegin {
+            stage: Stage::WriteDrain,
+            seq: SEQ_NONE,
+        };
+        out.sending.drain = rec.open(conn.id, begin, &mut None);
     }
     let mut wrote_any = false;
     if !out.is_empty() {
@@ -563,16 +558,13 @@ pub(crate) fn flush(acct: &SendAccounts<'_>, conn: &ConnShared, out: &mut Outbox
     }
     if out.is_empty() {
         out.sending.drained |= wrote_any;
-        if let Some(t0) = out.sending.drain_from.take() {
-            if acct.metrics.is_enabled() {
-                acct.metrics
-                    .record_stage(Stage::WriteDrain, t0.elapsed().as_micros() as u64);
-            }
-            acct.tracer.span(SpanEvent::WriteDrain, conn.id);
+        if let Some(window) = out.sending.drain.take() {
+            let drained = End::Done(SpanEvent::WriteDrain);
+            rec.close(conn.id, Some(window), drained, &mut None);
             // A drained reply bounds one request's transport work:
             // report the syscall delta here so timelines attribute
             // reads/writes per request, not only per connection.
-            report_syscalls(acct.tracer, conn, out);
+            report_syscalls(rec.tracer, conn, out);
         }
     }
     wrote_any
@@ -763,18 +755,10 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                     ready_backlog.push_back(id);
                 }
                 if read {
-                    if !c.header_seen {
-                        // First request bytes: close the accept→header
-                        // stage and mark the causal span.
-                        c.header_seen = true;
-                        if self.engine.metrics.is_enabled() {
-                            self.engine.metrics.record_stage(
-                                Stage::AcceptToHeader,
-                                c.accepted_at.elapsed().as_micros() as u64,
-                            );
-                        }
-                        self.engine.tracer.span(SpanEvent::HeaderRead, id);
-                    }
+                    // First request bytes close the accept→header window.
+                    let header = c.header.take();
+                    let rec = self.engine.recorders();
+                    rec.close(id, header, End::Done(SpanEvent::HeaderRead), &mut None);
                     // A touch moves the idle deadline later: its queued
                     // wake-up finds the new one when it pops.
                     if let Some(limit) = self.idle_limit {
@@ -1065,9 +1049,10 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         ServerStats::bump(&self.engine.stats.connections_accepted);
         // Allocate the connection's process-unique trace id and record
         // its peer label for cross-tier correlation; the Accept span
-        // doubles as the accept→header stage window's opening edge.
+        // is the accept→header window's opening edge.
         self.engine.tracer.conn_open(id, &shared.peer);
-        self.engine.tracer.span(SpanEvent::Accept, id);
+        let rec = self.engine.recorders();
+        let header = rec.open(id, SpanEvent::Accept, &mut None);
 
         // Server-speaks-first greeting (e.g. FTP 220).
         if let Some(greeting) = self.engine.service.on_open(shared.ctx()) {
@@ -1082,6 +1067,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             stream,
             shared,
             accepted_at,
+            header,
         };
         let target = (id as usize) % self.inj_txs.len();
         if target == self.index {
@@ -1111,15 +1097,13 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             writable: !nc.shared.outbox.lock().is_empty(),
         };
         let registered = self.poller.register(nc.id, &nc.stream.lock(), armed);
-        let at = nc.accepted_at;
         let mut c = ConnLocal {
             stream: nc.stream,
             shared: nc.shared,
             peer_eof: false,
             armed,
-            accepted_at: at,
-            header_seen: false,
-            times: ConnTimes::opened(at, self.idle_limit, self.stage_deadlines),
+            header: nc.header,
+            times: ConnTimes::opened(nc.accepted_at, self.idle_limit, self.stage_deadlines),
             handled_here: false,
         };
         if let Err(e) = registered {
@@ -1314,25 +1298,10 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         if self.engine.tracer.is_enabled() {
             // Close any stage window the connection dies inside of, so
             // timelines stay balanced B/E pairs on every path.
-            if !c.header_seen {
-                self.engine.tracer.span(
-                    SpanEvent::StageEnd {
-                        stage: Stage::AcceptToHeader,
-                        seq: SEQ_NONE,
-                    },
-                    id,
-                );
-            }
+            let (rec, mut at) = (self.engine.recorders(), None);
             let mut out = c.shared.outbox.lock();
-            if out.sending.drain_from.take().is_some() {
-                self.engine.tracer.span(
-                    SpanEvent::StageEnd {
-                        stage: Stage::WriteDrain,
-                        seq: SEQ_NONE,
-                    },
-                    id,
-                );
-            }
+            rec.close(id, c.header.take(), End::Cut, &mut at);
+            rec.close(id, out.sending.drain.take(), End::Cut, &mut at);
             report_syscalls(&self.engine.tracer, &c.shared, &mut out);
         }
         self.engine.tracer.span(SpanEvent::Close, id);
@@ -1354,6 +1323,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::MetricsRegistry;
     use crate::pipeline::{Action, ConnCtx, EncodedReply, RawCodec, WORKER_SEND_MAX};
     use bytes::BytesMut;
     use propcheck::{check, Gen};
@@ -1441,11 +1411,14 @@ mod tests {
 
         /// One Send Reply over `conn`, as any sender makes it.
         fn flush(&self, conn: &ConnShared) -> bool {
+            let rec = Recorders {
+                metrics: &self.metrics,
+                tracer: &self.tracer,
+            };
             let acct = SendAccounts {
                 stats: &self.stats,
                 syscalls: &self.sys,
-                metrics: &self.metrics,
-                tracer: &self.tracer,
+                rec,
             };
             flush(&acct, conn, &mut conn.outbox.lock())
         }

@@ -8,18 +8,18 @@
 //!
 //! On top of the ring this module builds *request timelines*: every
 //! accepted connection gets a process-unique trace id, stage windows are
-//! recorded as begin/end pairs against a process-wide epoch, connections
-//! carry correlation metadata (peer labels and outbound links) so spans
+//! recorded as begin/end pairs on [`crate::clock`], connections carry
+//! correlation metadata (peer labels and outbound links) so spans
 //! from different tiers — cluster relay, backend server, FTP data
 //! connections — assemble into one Chrome/Perfetto trace-event timeline.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::clock;
 use crate::event::{ConnId, EventKind};
 use crate::json::Json;
 use crate::metrics::Stage;
@@ -33,94 +33,10 @@ pub const SEQ_NONE: u64 = u64::MAX;
 /// evicted oldest-first, mirroring the bounded span ring.
 const META_CAPACITY: usize = 4096;
 
-static GLOBAL_EPOCH: OnceLock<Instant> = OnceLock::new();
 static NEXT_TRACE_ID: AtomicU64 = AtomicU64::new(1);
-
-/// The process-wide trace epoch. Every tracer timestamps against this one
-/// instant, so spans recorded by different tiers of a deployment (relay,
-/// backend, data pump) merge into a single monotonic timeline with no
-/// clock translation.
-pub fn trace_epoch() -> Instant {
-    *GLOBAL_EPOCH.get_or_init(Instant::now)
-}
 
 fn next_trace_id() -> u64 {
     NEXT_TRACE_ID.fetch_add(1, Ordering::Relaxed)
-}
-
-/// Microsecond reads against [`trace_epoch`] at span-recording density.
-///
-/// `Instant::now` is a vDSO `clock_gettime` — around 50 ns on
-/// virtualized hosts, the single largest cost in recording a span. On
-/// x86_64 the clock self-calibrates against the TSC over the first
-/// ~20 ms of tracing and thereafter converts one unserialized `rdtsc`
-/// read (roughly half the cost). The calibration window bounds rate
-/// error to a few ppm — microseconds over a trace lifetime — and a
-/// process-wide clamp keeps emitted timestamps non-decreasing across
-/// cores regardless.
-#[cfg(target_arch = "x86_64")]
-mod fastclock {
-    use super::*;
-
-    /// `us = anchor_us + ((tsc - anchor_tsc) * inv_q32 >> 32)`, fixed at
-    /// calibration time.
-    struct Calib {
-        anchor_us: u64,
-        anchor_tsc: u64,
-        inv_q32: u64,
-    }
-
-    static CALIB: OnceLock<Calib> = OnceLock::new();
-    static START: OnceLock<(u64, u64)> = OnceLock::new();
-    static LAST_US: AtomicU64 = AtomicU64::new(0);
-
-    /// Minimum OS-clock window before trusting a TSC rate fit.
-    const CALIBRATION_WINDOW_US: u64 = 20_000;
-
-    fn rdtsc() -> u64 {
-        // SAFETY: `_rdtsc` is always available on x86_64 and has no
-        // preconditions.
-        unsafe { core::arch::x86_64::_rdtsc() }
-    }
-
-    pub(super) fn now_us(epoch: Instant) -> u64 {
-        let raw = if let Some(c) = CALIB.get() {
-            let ticks = rdtsc().wrapping_sub(c.anchor_tsc);
-            c.anchor_us + (((ticks as u128) * (c.inv_q32 as u128)) >> 32) as u64
-        } else {
-            let us = epoch.elapsed().as_micros() as u64;
-            let (us0, tsc0) = *START.get_or_init(|| (us, rdtsc()));
-            let window = us.saturating_sub(us0);
-            if window >= CALIBRATION_WINDOW_US {
-                let tsc = rdtsc();
-                let ticks = tsc.wrapping_sub(tsc0);
-                if ticks > 0 {
-                    let _ = CALIB.set(Calib {
-                        anchor_us: us,
-                        anchor_tsc: tsc,
-                        inv_q32: ((window as u128) * (1u128 << 32) / ticks as u128) as u64,
-                    });
-                }
-            }
-            us
-        };
-        LAST_US.fetch_max(raw, Ordering::Relaxed).max(raw)
-    }
-}
-
-#[cfg(not(target_arch = "x86_64"))]
-mod fastclock {
-    use super::*;
-
-    pub(super) fn now_us(epoch: Instant) -> u64 {
-        epoch.elapsed().as_micros() as u64
-    }
-}
-
-/// Current trace timestamp: microseconds since [`trace_epoch`], via the
-/// calibrated fast clock where the target supports one.
-fn now_us(epoch: Instant) -> u64 {
-    fastclock::now_us(epoch)
 }
 
 /// A typed causal span event, keyed by the connection (and, for request
@@ -251,7 +167,7 @@ impl SpanEvent {
     /// being [`SEQ_NONE`] where the event carries none.
     /// [`Accept`](SpanEvent::Accept) doubles as the `AcceptToHeader` open;
     /// each stage's completion event closes its window.
-    fn edge(&self) -> Option<(bool, Stage, u64)> {
+    pub(crate) fn edge(&self) -> Option<(bool, Stage, u64)> {
         Some(match *self {
             SpanEvent::Accept => (true, Stage::AcceptToHeader, SEQ_NONE),
             SpanEvent::StageBegin { stage, seq } => (true, stage, seq),
@@ -283,7 +199,7 @@ impl SpanEvent {
 /// One traced internal event.
 #[derive(Debug, Clone)]
 pub struct TraceRecord {
-    /// Microseconds since the process trace epoch.
+    /// Microseconds since the one clock's epoch ([`crate::clock`]).
     pub at_us: u64,
     /// Event kind.
     pub kind: EventKind,
@@ -359,7 +275,6 @@ struct MetaInner {
 #[derive(Clone)]
 pub struct DebugTracer {
     inner: Arc<Mutex<TraceInner>>,
-    epoch: Instant,
     enabled: bool,
     /// Free-form detail strings stored so far — the counter the overhead
     /// regression test pins: a production-mode run must keep this at zero
@@ -385,7 +300,6 @@ impl DebugTracer {
                 ring: VecDeque::with_capacity(capacity.min(4096)),
                 capacity: capacity.max(1),
             })),
-            epoch: trace_epoch(),
             enabled,
             detail_strings: Arc::new(AtomicU64::new(0)),
             dropped: Arc::new(AtomicU64::new(0)),
@@ -502,7 +416,7 @@ impl DebugTracer {
         }
         self.detail_strings.fetch_add(1, Ordering::Relaxed);
         self.push(TraceRecord {
-            at_us: now_us(self.epoch),
+            at_us: clock::now_us(),
             kind,
             conn,
             span: None,
@@ -514,11 +428,19 @@ impl DebugTracer {
     /// to leave unguarded on the hot path (disabled tracers return before
     /// reading the clock).
     pub fn span(&self, event: SpanEvent, conn: ConnId) {
+        if self.enabled {
+            self.span_at(event, conn, clock::now());
+        }
+    }
+
+    /// [`span`](Self::span) at a reading of [`clock`] the caller took: a
+    /// stage boundary's, which its other recorders share.
+    pub(crate) fn span_at(&self, event: SpanEvent, conn: ConnId, at: u64) {
         if !self.enabled {
             return;
         }
         self.push(TraceRecord {
-            at_us: now_us(self.epoch),
+            at_us: at / 1_000,
             kind: event.kind(),
             conn: Some(conn),
             span: Some(event),
@@ -550,21 +472,6 @@ impl DebugTracer {
             .filter(|r| r.conn == Some(conn))
             .filter_map(|r| r.span)
             .collect()
-    }
-
-    /// The stage windows `conn` still has open in the retained ring, as
-    /// `(stage, seq)` — what a hook panic leaves behind.
-    pub fn open_windows(&self, conn: ConnId) -> Vec<(Stage, u64)> {
-        let mut open: Vec<(Stage, u64)> = Vec::new();
-        for span in self.spans_for(conn) {
-            if let Some((opens, stage, seq)) = span.edge() {
-                open.retain(|(s, _)| *s != stage);
-                if opens {
-                    open.push((stage, seq));
-                }
-            }
-        }
-        open
     }
 
     /// Copy out the retained records, oldest first.
@@ -626,7 +533,7 @@ pub struct StagePair {
     pub stage: Stage,
     /// ACT sequence number when known, else [`SEQ_NONE`].
     pub seq: u64,
-    /// Window open, µs since the trace epoch.
+    /// Window open, µs since the clock's epoch.
     pub begin_us: u64,
     /// Window close, clamped to `>= begin_us`.
     pub end_us: u64,
@@ -661,7 +568,7 @@ pub struct DataPair {
     pub conn: ConnId,
     /// Transfer ordinal within the control session.
     pub ordinal: u64,
-    /// Open, µs since the trace epoch.
+    /// Open, µs since the clock's epoch.
     pub begin_us: u64,
     /// Close, clamped to `>= begin_us`.
     pub end_us: u64,

@@ -613,8 +613,8 @@ mod epoll {
             let timeout_ms = match timeout {
                 None => -1,
                 Some(d) if d.is_zero() => 0,
-                // Round up so a 0.4 ms deadline does not busy-spin at 0.
-                Some(d) => d.as_millis().max(1).min(i32::MAX as u128) as i32,
+                // Round up, or a deadline 1.5 ms away wakes at 1 ms and again.
+                Some(d) => d.as_nanos().div_ceil(1_000_000).min(i32::MAX as u128) as i32,
             };
             let mut raw = [EpollEvent { events: 0, data: 0 }; MAX_EVENTS];
             let n =
@@ -1428,5 +1428,22 @@ mod tests {
         t.join().unwrap();
         poller.deregister(42, &server).unwrap();
         l.deregister_listener(&mut poller).unwrap();
+    }
+
+    /// A wait of 1.5 ms with nothing ready lasts at least 1.5 ms: the
+    /// timeout is rounded up to whole milliseconds, so a deadline costs
+    /// its loop one wake-up, not an early one and another.
+    #[test]
+    fn epoll_wait_rounds_its_timeout_up() {
+        let mut poller = TcpPoller::new().unwrap();
+        let mut events = Vec::new();
+        let timeout = Duration::from_micros(1_500);
+        for _ in 0..3 {
+            let began = std::time::Instant::now();
+            poller.wait(&mut events, Some(timeout)).unwrap();
+            let waited = began.elapsed();
+            assert!(events.is_empty(), "{events:?}");
+            assert!(waited >= timeout, "woke after {waited:?}");
+        }
     }
 }

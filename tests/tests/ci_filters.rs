@@ -159,8 +159,9 @@ fn every_ci_name_filter_selects_a_test() {
         "ci.yml runs {on_one_cpu} commands under `taskset -c`"
     );
     // The steps that select property tests, the telemetry suite, the
-    // generative path's pins, the deadline tests and the one-CPU routing
-    // (with the one test skipped where there is no second CPU), by name.
+    // generative path's pins, the deadline and epoll-timeout tests, the
+    // clock-read pin and the one-CPU routing (with the one test skipped
+    // where there is no second CPU), by name.
     for filter in [
         "on_one_cpu",
         "backs_off",
@@ -170,6 +171,8 @@ fn every_ci_name_filter_selects_a_test() {
         "deadlines_",
         "timer::tests",
         "cluster::tests::half_closed",
+        "transport::tests::epoll_wait_rounds",
+        "clock_reads",
         "differential",
         "sanitize_walk",
         "oracle",

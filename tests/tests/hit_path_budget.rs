@@ -8,12 +8,16 @@
 //! `benchmark/src/ladder.rs` builds it) runs pipelined hits through
 //! `Engine::handle_work` under the support crate's counting allocator; a
 //! new per-request `String`, `format!`, `Vec` or map node fails the pin.
+//!
+//! The same engine pins the hit path's clock readings: none with O10/O11
+//! off, and with O11 on at most one per stage boundary.
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use nserver_cache::{FileCache, PolicyKind, SharedFileCache};
+use nserver_core::clock;
 use nserver_core::event::Priority;
 use nserver_core::metrics::MetricsRegistry;
 use nserver_core::pipeline::{ConnShared, Engine, Work};
@@ -146,5 +150,42 @@ fn an_entrys_head_is_built_once_and_outside_the_budget() {
         assert!(first > BUDGET, "the first hit builds the entry's head");
         assert!(first <= BUDGET + 5, "and little else: {first}");
         assert!(second <= BUDGET, "{second} on the second hit");
+    }
+}
+
+/// Clock readings on this thread over `ITEMS` warm work items of `depth`
+/// cached GETs, with O11 on or off (O10 off), and the requests served.
+fn clock_reads(profiled: bool, depth: u64) -> (u64, u64) {
+    const GET: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: bench\r\n\r\n";
+    let (mut engine, conn) = engine_and_connection();
+    if profiled {
+        engine.metrics = MetricsRegistry::enabled();
+    }
+    for _ in 0..4 {
+        work_item(&engine, &conn, GET, depth);
+    }
+    let before = clock::reads();
+    (0..ITEMS).for_each(|_| work_item(&engine, &conn, GET, depth));
+    (clock::reads() - before, ITEMS * depth)
+}
+
+/// A stage boundary reads the clock at most once, and only for a recorder
+/// that is on: with O10/O11 off a cached GET reads it never (the watchdog
+/// row's one reading per item is taken only on a thread with a row); with
+/// O11 on, a request's boundaries are Decode → Handle, Handle → Encode
+/// and Encode's end, which the next decode opens at, plus one for the
+/// item's first decode — at most 4 per request at depth 1.
+#[test]
+fn clock_reads_per_cached_get_are_pinned() {
+    for depth in [1, DEPTH] {
+        let (reads, requests) = clock_reads(false, depth);
+        assert_eq!(reads, 0, "O11 off, depth {depth}: {reads} clock reads");
+        let (reads, requests_on) = clock_reads(true, depth);
+        assert_eq!(requests_on, requests);
+        println!("O11 on, depth {depth}: {reads} clock reads over {requests} requests");
+        assert!(
+            reads <= 3 * requests + ITEMS,
+            "O11 on, depth {depth}: {reads} clock reads over {requests} requests"
+        );
     }
 }
