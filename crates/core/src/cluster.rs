@@ -826,8 +826,10 @@ mod tests {
             let mut buf = [0u8; 64];
             let n = s.read(&mut buf).unwrap();
             s.write_all(&buf[..n]).unwrap();
-            s.shutdown(std::net::Shutdown::Write).unwrap();
+            // Marked before the FIN goes out: the relay woken by it may
+            // arm its reap before this thread runs again.
             let fin = Instant::now();
+            s.shutdown(std::net::Shutdown::Write).unwrap();
             // The client never FINs: the reap is the next thing to arrive.
             let n = s.read(&mut buf).unwrap_or(0);
             (n, fin.elapsed())

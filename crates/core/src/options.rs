@@ -61,8 +61,9 @@ pub enum ThreadAllocation {
         /// Fixed worker count.
         threads: usize,
     },
-    /// The pool grows and shrinks between `min` and `max` under control of
-    /// a Processor Controller (COPS-FTP).
+    /// The pool grows and shrinks between `min` and `max` by the
+    /// Processor Controller's rules: it grows where work is submitted, and
+    /// a surplus worker retires after an idle keepalive (COPS-FTP).
     Dynamic {
         /// Lower bound kept alive even when idle.
         min: usize,

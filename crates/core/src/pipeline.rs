@@ -1121,13 +1121,25 @@ impl<C: Codec, S: Service<C>> Engine<C, S> {
                 }
                 let tx = tx.clone();
                 let notifier = self.notifier.clone();
+                let (conn, stats) = (Arc::clone(conn), Arc::clone(&self.stats));
                 self.tracer.span(SpanEvent::Defer { seq }, conn.id);
                 helper.submit(move || {
-                    let resp = job();
-                    let _ = tx.send((token, resp));
-                    // Dispatcher 0 drains the completion channel; pull it
-                    // out of its poller wait.
-                    notifier.wake_completion_sink();
+                    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)) {
+                        Ok(resp) => {
+                            let _ = tx.send((token, resp));
+                            // Dispatcher 0 drains the completion channel;
+                            // pull it out of its poller wait.
+                            notifier.wake_completion_sink();
+                        }
+                        // As if it had panicked in place (O4 = Synchronous,
+                        // `handle_work`): it fails its connection, not the
+                        // helper.
+                        Err(_) => {
+                            ServerStats::bump(&stats.handler_panics);
+                            conn.abandon();
+                            notifier.notify_conn(conn.id);
+                        }
+                    }
                 });
             }
             _ => {

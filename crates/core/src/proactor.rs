@@ -8,96 +8,61 @@
 //! Completion Token re-enters the framework (the Proactor + ACT patterns,
 //! references \[10\] and \[11\]).
 //!
-//! The pool itself is untyped — it runs boxed closures. The pipeline layer
-//! pairs it with a typed completion channel.
+//! The pool is an [`EventProcessor`] — a static one over a FIFO queue of
+//! boxed closures, whose handler runs the job and counts it — so it parks,
+//! drains and survives a panicking job as the Event Processor's workers
+//! do. The pipeline layer pairs it with a typed completion channel and
+//! gives a job that panics the O4 = Synchronous outcome (`Engine::defer`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 use crate::event::Priority;
+use crate::options::ThreadAllocation;
+use crate::processor::EventProcessor;
 use crate::queue::{BlockingQueue, FifoQueue};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A fixed pool of helper threads executing blocking jobs, fed through
-/// the same [`BlockingQueue`] the Event Processor's workers consume from.
+/// A fixed pool of helper threads executing blocking jobs.
 pub struct HelperPool {
-    jobs: Arc<BlockingQueue<Job>>,
-    handles: Vec<JoinHandle<()>>,
-    submitted: AtomicU64,
+    pool: Arc<EventProcessor<Job>>,
     completed: Arc<AtomicU64>,
 }
 
 impl HelperPool {
-    /// Spawn `threads` helpers (≥ 1).
+    /// Start `threads` helpers (≥ 1), named `nserver-helper-{i}`.
     pub fn new(threads: usize) -> Self {
-        let threads = threads.max(1);
-        let jobs: Arc<BlockingQueue<Job>> = BlockingQueue::new(Box::new(FifoQueue::new()));
         let completed = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::with_capacity(threads);
-        for i in 0..threads {
-            let jobs = Arc::clone(&jobs);
-            let completed = Arc::clone(&completed);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("nserver-helper-{i}"))
-                    .spawn(move || {
-                        // `None` only once the queue is closed and drained.
-                        while let Some(job) = jobs.pop_parked() {
-                            job();
-                            completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    })
-                    .expect("spawn helper thread"),
-            );
-        }
-        Self {
-            jobs,
-            handles,
-            submitted: AtomicU64::new(0),
-            completed,
-        }
+        let done = Arc::clone(&completed);
+        let pool = EventProcessor::start_named(
+            ThreadAllocation::Static { threads },
+            BlockingQueue::new(Box::new(FifoQueue::new())),
+            Arc::new(move |job: Job| {
+                job();
+                done.fetch_add(1, Ordering::Relaxed);
+            }),
+            None,
+            |i| format!("nserver-helper-{i}"),
+        );
+        Self { pool, completed }
     }
 
     /// Submit a blocking job.
     pub fn submit(&self, job: impl FnOnce() + Send + 'static) {
-        self.submitted.fetch_add(1, Ordering::Relaxed);
-        self.jobs.push(Box::new(job), Priority::HIGHEST);
-    }
-
-    /// Jobs submitted so far.
-    pub fn submitted(&self) -> u64 {
-        self.submitted.load(Ordering::Relaxed)
+        self.pool.submit(Box::new(job), Priority::HIGHEST);
     }
 
     /// Jobs finished so far.
     pub fn completed(&self) -> u64 {
         self.completed.load(Ordering::Relaxed)
     }
-
-    /// Jobs accepted but not yet finished.
-    pub fn in_flight(&self) -> u64 {
-        self.submitted().saturating_sub(self.completed())
-    }
-
-    /// Helper thread count.
-    pub fn threads(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// Finish queued jobs and join the helpers (what dropping the pool
-    /// does).
-    pub fn shutdown(self) {}
 }
 
 impl Drop for HelperPool {
+    /// Run what is queued, then return once every helper has left.
     fn drop(&mut self) {
-        // Closing lets the helpers drain what is queued, then exit.
-        self.jobs.close();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
+        self.pool.shutdown();
     }
 }
 
@@ -120,8 +85,9 @@ mod tests {
             .collect();
         got.sort_unstable();
         assert_eq!(got, (0..10).collect::<Vec<_>>());
-        assert_eq!(pool.submitted(), 10);
-        pool.shutdown();
+        while pool.completed() < 10 {
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -135,7 +101,7 @@ mod tests {
                 tx.send(i).unwrap();
             });
         }
-        pool.shutdown(); // must block until all 50 ran
+        drop(pool); // must block until all 50 ran
         assert_eq!(rx.try_iter().count(), 50);
     }
 
@@ -152,19 +118,29 @@ mod tests {
         started_rx
             .recv_timeout(Duration::from_secs(5))
             .expect("job started");
-        assert_eq!(pool.in_flight(), 1);
+        assert_eq!(pool.completed(), 0, "a running job is not complete");
         block_tx.send(()).unwrap();
-        while pool.in_flight() != 0 {
+        while pool.completed() != 1 {
             std::thread::yield_now();
         }
-        assert_eq!(pool.completed(), 1);
     }
 
     #[test]
     fn zero_thread_request_still_gets_one() {
         let pool = HelperPool::new(0);
-        assert_eq!(pool.threads(), 1);
-        pool.shutdown();
+        assert_eq!(pool.pool.live_workers(), 1);
+    }
+
+    #[test]
+    fn a_panicking_job_does_not_kill_its_helper() {
+        let pool = HelperPool::new(1);
+        pool.submit(|| panic!("a job's bug"));
+        let (tx, rx) = channel();
+        pool.submit(move || tx.send(()).unwrap());
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("the one helper ran the next job");
+        assert_eq!(pool.pool.handler_panics(), 1);
+        assert_eq!(pool.pool.live_workers(), 1);
     }
 
     #[test]
@@ -201,11 +177,9 @@ mod tests {
                 });
             }
         });
-        assert_eq!(pool.submitted(), (SUBMITTERS * EACH) as u64);
-        while pool.completed() < pool.submitted() {
+        while pool.completed() < (SUBMITTERS * EACH) as u64 {
             std::thread::yield_now();
         }
-        assert_eq!(pool.in_flight(), 0);
         assert!(runs.iter().all(|r| r.load(Ordering::Relaxed) == 1));
     }
 

@@ -3,16 +3,22 @@
 //! "An Event Processor contains an event queue and a pool of threads that
 //! operate collaboratively to process ready events" — the participant the
 //! N-Server adds to the Reactor pattern so the framework scales beyond one
-//! CPU (option O2). Worker allocation is either *static* (fixed pool,
-//! COPS-HTTP) or *dynamic* (a Processor Controller grows the pool under
-//! backlog and retires idle surplus workers, COPS-FTP) — option O5.
+//! CPU (option O2). It is the framework's one pool type: the Proactor's
+//! helper pool ([`crate::proactor::HelperPool`]) is a static one over
+//! boxed jobs.
+//!
+//! Worker allocation is either *static* (fixed pool, COPS-HTTP) or
+//! *dynamic* (COPS-FTP) — option O5. The paper's Processor Controller is
+//! two rules here, not a thread: [`EventProcessor::submit`] grows the pool
+//! when the backlog outpaces it, and a worker above the minimum parks for
+//! the idle keepalive and retires when the park outlasts it. A worker at
+//! the minimum parks untimed, so an idle pool never wakes.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Weak};
+use std::time::Duration;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 
 use crate::diag::{WorkerRole, WorkerStateTable};
 use crate::event::Priority;
@@ -21,17 +27,22 @@ use crate::queue::BlockingQueue;
 
 /// Worker-pool event processor over an arbitrary work-item type.
 pub struct EventProcessor<T: Send + 'static> {
+    /// This processor, for the workers `submit` starts.
+    me: Weak<Self>,
     queue: Arc<BlockingQueue<T>>,
     handler: Arc<dyn Fn(T) + Send + Sync>,
-    live: Arc<AtomicUsize>,
-    peak: Arc<AtomicUsize>,
-    panics: Arc<AtomicUsize>,
-    stop: Arc<AtomicBool>,
+    /// The thread name of the worker started into slot `i`.
+    name: fn(usize) -> String,
+    /// Slots taken: reserved before a worker starts, given back by the
+    /// worker itself as it leaves. The pool keeps nothing else per worker.
+    live: AtomicUsize,
+    panics: AtomicUsize,
     min_workers: usize,
     max_workers: usize,
     idle_keepalive: Duration,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    controller: Mutex<Option<JoinHandle<()>>>,
+    /// `shutdown` waits here for `live` to reach 0.
+    exits: Mutex<()>,
+    exited: Condvar,
     /// Diagnostics: when present, every worker registers a slot and
     /// stamps idle between events (stage stamps happen inside the
     /// pipeline, which knows the stage and connection).
@@ -57,47 +68,65 @@ impl<T: Send + 'static> EventProcessor<T> {
         handler: Arc<dyn Fn(T) + Send + Sync>,
         worker_table: Option<Arc<WorkerStateTable>>,
     ) -> Arc<Self> {
-        let (min, max, keepalive) = match alloc {
-            ThreadAllocation::Static { threads } => {
-                let t = threads.max(1);
-                (t, t, Duration::from_secs(3600))
-            }
+        Self::start_named(alloc, queue, handler, worker_table, |_| {
+            "nserver-worker".into()
+        })
+    }
+
+    /// [`start_with_diag`](Self::start_with_diag), naming the worker
+    /// started into slot `i` `name(i)`.
+    pub(crate) fn start_named(
+        alloc: ThreadAllocation,
+        queue: Arc<BlockingQueue<T>>,
+        handler: Arc<dyn Fn(T) + Send + Sync>,
+        worker_table: Option<Arc<WorkerStateTable>>,
+        name: fn(usize) -> String,
+    ) -> Arc<Self> {
+        let (min, max, keepalive_ms) = match alloc {
+            ThreadAllocation::Static { threads } => (threads, threads, 0),
             ThreadAllocation::Dynamic {
                 min,
                 max,
                 idle_keepalive_ms,
-            } => (
-                min.max(1),
-                max.max(min.max(1)),
-                Duration::from_millis(idle_keepalive_ms.max(1)),
-            ),
+            } => (min, max, idle_keepalive_ms),
         };
-        let proc = Arc::new(Self {
+        let min = min.max(1);
+        let proc = Arc::new_cyclic(|me| Self {
+            me: me.clone(),
             queue,
             handler,
-            live: Arc::new(AtomicUsize::new(0)),
-            peak: Arc::new(AtomicUsize::new(0)),
-            panics: Arc::new(AtomicUsize::new(0)),
-            stop: Arc::new(AtomicBool::new(false)),
+            name,
+            live: AtomicUsize::new(min),
+            panics: AtomicUsize::new(0),
             min_workers: min,
-            max_workers: max,
-            idle_keepalive: keepalive,
-            workers: Mutex::new(Vec::new()),
-            controller: Mutex::new(None),
+            max_workers: max.max(min),
+            idle_keepalive: Duration::from_millis(keepalive_ms.max(1)),
+            exits: Mutex::new(()),
+            exited: Condvar::new(),
             worker_table,
         });
-        for _ in 0..min {
-            proc.spawn_worker();
-        }
-        if max > min {
-            proc.spawn_controller();
+        for slot in 0..min {
+            assert!(proc.spawn(slot), "spawn worker");
         }
         proc
     }
 
-    /// Submit a work item at the given priority.
+    /// Submit a work item at the given priority. Under O5 = Dynamic this is
+    /// where the pool grows: while the backlog is more than twice the live
+    /// workers and the pool is below its maximum, the submitting thread
+    /// reserves one more slot (a compare-exchange, so concurrent
+    /// submitters never pass the maximum) and starts a worker into it.
     pub fn submit(&self, item: T, prio: Priority) {
         self.queue.push(item, prio);
+        let backlog = self.queue.len();
+        let grown = self
+            .live
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
+                (live < self.max_workers && backlog > 2 * live).then_some(live + 1)
+            });
+        if let Ok(slot) = grown {
+            self.spawn(slot);
+        }
     }
 
     /// The processor's queue (for gauges and direct pushes).
@@ -110,53 +139,45 @@ impl<T: Send + 'static> EventProcessor<T> {
         self.live.load(Ordering::Relaxed)
     }
 
-    /// High-water mark of the worker count.
-    pub fn peak_workers(&self) -> usize {
-        self.peak.load(Ordering::Relaxed)
-    }
-
     /// Handler panics caught so far (each is isolated to its event; the
     /// worker keeps serving).
     pub fn handler_panics(&self) -> usize {
         self.panics.load(Ordering::Relaxed)
     }
 
-    /// Drain the queue, stop workers and the controller, and join them.
+    /// Close the queue and return once the workers have drained it and
+    /// every one of them has left.
     pub fn shutdown(&self) {
-        self.stop.store(true, Ordering::Relaxed);
         self.queue.close();
-        if let Some(c) = self.controller.lock().take() {
-            let _ = c.join();
-        }
-        let handles: Vec<_> = self.workers.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
+        let mut exits = self.exits.lock();
+        while self.live.load(Ordering::Relaxed) > 0 {
+            self.exited.wait(&mut exits);
         }
     }
 
-    fn spawn_worker(self: &Arc<Self>) {
-        let me = Arc::clone(self);
-        let prev = self.live.fetch_add(1, Ordering::Relaxed) + 1;
-        self.peak.fetch_max(prev, Ordering::Relaxed);
-        let handle = std::thread::Builder::new()
-            .name("nserver-worker".into())
-            .spawn(move || me.worker_loop())
-            .expect("spawn worker");
-        self.workers.lock().push(handle);
+    /// Start a worker into the reserved `slot`; the pool keeps no handle
+    /// to it. A thread that cannot be had gives the slot back.
+    fn spawn(&self, slot: usize) -> bool {
+        let me = self.me.upgrade().expect("a processor spawns while alive");
+        let spawned = std::thread::Builder::new()
+            .name((self.name)(slot))
+            .spawn(move || me.work());
+        if spawned.is_err() {
+            self.live.fetch_sub(1, Ordering::Relaxed);
+        }
+        spawned.is_ok()
     }
 
-    fn worker_loop(self: Arc<Self>) {
+    fn work(self: Arc<Self>) {
+        let _slot = Slot(&self);
         if let Some(table) = &self.worker_table {
             crate::diag::attach_worker(table, WorkerRole::Worker);
         }
-        // Only a worker the Processor Controller may retire (O5 =
-        // Dynamic) keeps an idle clock and wakes on a tick to read it; a
-        // static pool's worker parks until pushed or closed.
-        let retirable = self.max_workers > self.min_workers;
-        let mut idle_since = Instant::now();
         loop {
-            let next = if retirable {
-                self.queue.pop_wait(Duration::from_millis(20))
+            // Only a worker above the minimum parks on a timer: a park
+            // that outlasts the keepalive is what retires it.
+            let next = if self.live.load(Ordering::Relaxed) > self.min_workers {
+                self.queue.pop_wait(self.idle_keepalive)
             } else {
                 self.queue.pop_parked()
             };
@@ -171,58 +192,45 @@ impl<T: Send + 'static> EventProcessor<T> {
                         self.panics.fetch_add(1, Ordering::Relaxed);
                     }
                     crate::diag::stamp_idle();
-                    if retirable {
-                        idle_since = Instant::now();
-                    }
                 }
-                None => {
-                    if self.stop.load(Ordering::Relaxed) && self.queue.is_empty() {
-                        break;
-                    }
-                    // Dynamic retirement: surplus workers exit after staying
-                    // idle past the keepalive (the Processor Controller's
-                    // shrink half).
-                    if idle_since.elapsed() >= self.idle_keepalive {
-                        let live = self.live.load(Ordering::Relaxed);
-                        if live > self.min_workers
-                            && self
-                                .live
-                                .compare_exchange(
-                                    live,
-                                    live - 1,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                        {
-                            crate::diag::detach_worker();
-                            return; // retire without decrementing again
-                        }
-                    }
+                // Closed (and so drained), or a surplus worker's
+                // keepalive passed.
+                None if self.leave(|live| self.queue.is_closed() || live > self.min_workers) => {
+                    return
                 }
+                None => {}
             }
         }
-        crate::diag::detach_worker();
-        self.live.fetch_sub(1, Ordering::Relaxed);
     }
 
-    fn spawn_controller(self: &Arc<Self>) {
-        let me = Arc::clone(self);
-        let handle = std::thread::Builder::new()
-            .name("nserver-proc-controller".into())
-            .spawn(move || {
-                while !me.stop.load(Ordering::Relaxed) {
-                    let backlog = me.queue.len();
-                    let live = me.live.load(Ordering::Relaxed);
-                    // Grow when the backlog outpaces the pool.
-                    if backlog > live * 2 && live < me.max_workers {
-                        me.spawn_worker();
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+    /// Give the calling worker's slot, and its worker-table row, back if
+    /// `may(live)`.
+    fn leave(&self, may: impl Fn(usize) -> bool) -> bool {
+        let _exits = self.exits.lock();
+        let left = self
+            .live
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
+                may(live).then(|| live - 1)
             })
-            .expect("spawn controller");
-        *self.controller.lock() = Some(handle);
+            .is_ok();
+        if left {
+            crate::diag::detach_worker();
+            self.exited.notify_all();
+        }
+        left
+    }
+}
+
+/// A worker's hold on its slot: a thread that unwinds outside the
+/// handler's catch (a queue discipline or drain hook that panics) still
+/// gives the slot back, so `shutdown` does not wait for it.
+struct Slot<'a, T: Send + 'static>(&'a EventProcessor<T>);
+
+impl<T: Send + 'static> Drop for Slot<'_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.leave(|_| true);
+        }
     }
 }
 
@@ -232,9 +240,22 @@ mod tests {
     use crate::queue::FifoQueue;
     use crate::scheduler::PriorityQuotaQueue;
     use std::sync::mpsc::channel;
+    use std::time::Instant;
 
     fn fifo<T: Send + 'static>() -> Arc<BlockingQueue<T>> {
         BlockingQueue::new(Box::new(FifoQueue::new()))
+    }
+
+    /// Poll `done` until it holds, for at most 5 s.
+    fn settles(done: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done() {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
     }
 
     #[test]
@@ -253,6 +274,7 @@ mod tests {
             .collect();
         got.sort_unstable();
         assert_eq!(got, (0..100).collect::<Vec<_>>());
+        assert_eq!(proc.live_workers(), 3, "a static pool never grows");
         proc.shutdown();
         assert_eq!(proc.live_workers(), 0);
     }
@@ -292,34 +314,85 @@ mod tests {
             handler,
         );
         assert_eq!(proc.live_workers(), 1);
-        // Flood with blocked work so backlog forces growth.
+        // Flood with blocked work: no more than four items leave the
+        // queue, so the backlog passes twice every size the pool takes on
+        // the way to its maximum, and the submits themselves grow it.
         for i in 0..64 {
             proc.submit(i, Priority(0));
         }
-        let mut grew = false;
-        for _ in 0..400 {
-            if proc.live_workers() >= 2 {
-                grew = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert!(grew, "controller never grew the pool");
-        assert!(proc.peak_workers() >= 2);
+        assert_eq!(proc.live_workers(), 4, "the submits grew the pool");
         // Release all blocked workers and queued items.
         for _ in 0..200 {
             gate_tx.send(()).ok();
         }
-        // After the flood, surplus workers retire toward min.
-        let mut shrank = false;
-        for _ in 0..500 {
-            if proc.live_workers() <= 2 {
-                shrank = true;
-                break;
+        // After the flood, surplus workers retire to the minimum.
+        assert!(
+            settles(|| proc.live_workers() == 1),
+            "pool never shrank: {}",
+            proc.live_workers()
+        );
+        proc.shutdown();
+        assert_eq!(proc.live_workers(), 0);
+    }
+
+    #[test]
+    fn retired_workers_leave_nothing_behind() {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let handler = {
+            let gate = Arc::clone(&gate);
+            Arc::new(move |_: u32| {
+                let (open, opened) = &*gate;
+                let mut open = open.lock();
+                while !*open {
+                    opened.wait(&mut open);
+                }
+            })
+        };
+        let proc = EventProcessor::start(
+            ThreadAllocation::Dynamic {
+                min: 1,
+                max: 4,
+                idle_keepalive_ms: 1,
+            },
+            fifo(),
+            handler,
+        );
+        // Each worker holds the processor; so does this test.
+        let workers = || Arc::strong_count(&proc) - 1;
+        for cycle in 0..40 {
+            *gate.0.lock() = false;
+            for i in 0..12 {
+                proc.submit(i, Priority(0));
             }
-            std::thread::sleep(Duration::from_millis(2));
+            assert_eq!(proc.live_workers(), 4, "cycle {cycle}: grown");
+            *gate.0.lock() = true;
+            gate.1.notify_all();
+            assert!(
+                settles(|| proc.live_workers() == 1 && workers() == 1),
+                "cycle {cycle}: {} live, {} threads",
+                proc.live_workers(),
+                workers()
+            );
         }
-        assert!(shrank, "pool never shrank: {}", proc.live_workers());
+        proc.shutdown();
+        assert_eq!(proc.live_workers(), 0);
+        assert!(settles(|| workers() == 0), "{} threads", workers());
+    }
+
+    #[test]
+    fn a_worker_that_dies_outside_its_handler_gives_its_slot_back() {
+        let queue = fifo::<u32>();
+        // The drain hook runs on the popping worker, outside the catch
+        // around the handler.
+        queue.set_drain_hook(0, || panic!("drain hook bug"));
+        let proc = EventProcessor::start(
+            ThreadAllocation::Static { threads: 1 },
+            queue,
+            Arc::new(|_: u32| {}),
+        );
+        proc.submit(1, Priority(0));
+        assert!(settles(|| proc.live_workers() == 0), "the slot is held");
+        // Returns: no worker is left to wait for.
         proc.shutdown();
     }
 

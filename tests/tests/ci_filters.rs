@@ -160,8 +160,8 @@ fn every_ci_name_filter_selects_a_test() {
     );
     // The steps that select property tests, the telemetry suite, the
     // generative path's pins, the deadline and epoll-timeout tests, the
-    // clock-read pin and the one-CPU routing (with the one test skipped
-    // where there is no second CPU), by name.
+    // clock-read pin, the one-CPU routing (with the one test skipped
+    // where there is no second CPU) and the thread pools, by name.
     for filter in [
         "on_one_cpu",
         "backs_off",
@@ -171,6 +171,11 @@ fn every_ci_name_filter_selects_a_test() {
         "deadlines_",
         "timer::tests",
         "cluster::tests::half_closed",
+        "panicking_deferred_job",
+        "idle_pool",
+        "retired_workers",
+        "processor::tests",
+        "proactor::tests",
         "transport::tests::epoll_wait_rounds",
         "clock_reads",
         "differential",

@@ -5,7 +5,7 @@
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
-use nserver_core::options::{Mode, ServerOptions, ThreadAllocation};
+use nserver_core::options::{CompletionMode, Mode, ServerOptions, ThreadAllocation};
 use nserver_core::pipeline::{Action, Codec, ConnCtx, ProtocolError, Service};
 use nserver_core::server::ServerBuilder;
 use nserver_core::transport::{mem, ReadOutcome, StreamIo};
@@ -106,6 +106,65 @@ fn panicking_hook_does_not_kill_the_worker_pool() {
     fresh.try_write(b"fresh\n").unwrap();
     let text = read_until(&mut fresh, "ok fresh");
     assert!(text.contains("ok fresh"));
+    server.shutdown();
+}
+
+/// A service whose every request blocks, as an `Action::Defer` job, and
+/// whose job panics on demand.
+struct FaultyJobs;
+
+impl Service<LineCodec> for FaultyJobs {
+    fn handle(&self, _ctx: &ConnCtx, req: String) -> Action<String> {
+        Action::Defer(Box::new(move || {
+            if req == "boom" {
+                panic!("deferred job bug");
+            }
+            format!("ok {req}")
+        }))
+    }
+}
+
+#[test]
+fn panicking_deferred_job_does_not_kill_the_helper_pool() {
+    const HELPERS: usize = 2;
+    let opts = ServerOptions {
+        completion_mode: CompletionMode::Asynchronous,
+        thread_allocation: ThreadAllocation::Static { threads: 2 },
+        ..ServerOptions::default()
+    };
+    let (listener, connector) = mem::listener("faulty-jobs");
+    let server = ServerBuilder::new(opts, LineCodec, FaultyJobs)
+        .unwrap()
+        .helper_threads(HELPERS)
+        .serve(listener);
+
+    // More panicking jobs than helpers, each on its own connection: each
+    // fails its connection (end of stream, as when the same job panics
+    // in place under O4 = Synchronous) and no helper.
+    let booms = 2 * HELPERS + 1;
+    let mut conns: Vec<_> = (0..booms).map(|_| connector.connect()).collect();
+    for c in &mut conns {
+        c.try_write(b"boom\n").unwrap();
+    }
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let mut buf = [0u8; 64];
+    for (i, c) in conns.iter_mut().enumerate() {
+        loop {
+            match c.try_read(&mut buf).unwrap() {
+                ReadOutcome::Closed => break,
+                ReadOutcome::Data(n) => panic!("conn {i} read {:?}", &buf[..n]),
+                _ if Instant::now() > deadline => panic!("conn {i} of {booms} not closed"),
+                _ => std::thread::sleep(Duration::from_millis(1)),
+            }
+        }
+    }
+    assert_eq!(server.stats().handler_panics, booms as u64);
+
+    // The helpers still run deferred jobs afterwards.
+    let mut fresh = connector.connect();
+    fresh.try_write(b"fresh\n").unwrap();
+    let text = read_until(&mut fresh, "ok fresh");
+    assert!(text.contains("ok fresh"), "{text:?}");
     server.shutdown();
 }
 
