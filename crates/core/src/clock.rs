@@ -4,7 +4,8 @@
 //! with no translation. On x86_64 it calibrates against the TSC over its
 //! first ~20 ms, then converts one `rdtsc`, which costs less than a vDSO
 //! `clock_gettime`; a process-wide clamp keeps readings non-decreasing.
-//! Elsewhere it is `Instant`. Deadlines stay `Instant`s (`timer.rs`).
+//! Elsewhere it is `Instant`. Deadlines stay `Instant`s, from the clock
+//! an event loop's pass is given (`timer.rs`); this one only records.
 
 use std::cell::Cell;
 use std::sync::OnceLock;

@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 
-use crate::timer::{pass_clock, Deadlines, LINGER};
+use crate::timer::{lazily, Deadlines, LINGER, WALL};
 use crate::trace::{DebugTracer, SpanEvent};
 use crate::transport::{
     Interest, Listener, PollEvent, Poller, ReadOutcome, StreamIo, TcpListenerNb, TcpPoller,
@@ -123,6 +123,57 @@ impl Session {
             io_writes: 0,
         }
     }
+
+    /// Move bytes one way — client to backend if `upstream` — through
+    /// that direction's buffer, tallying syscall attempts for timeline
+    /// attribution.
+    fn pump(&mut self, upstream: bool, scratch: &mut [u8], counter: &AtomicU64) {
+        let (from, to, pending, from_eof) = if upstream {
+            (
+                &mut self.client,
+                &mut self.backend,
+                &mut self.up_buf,
+                &mut self.client_eof,
+            )
+        } else {
+            (
+                &mut self.backend,
+                &mut self.client,
+                &mut self.down_buf,
+                &mut self.backend_eof,
+            )
+        };
+        // Read as much as is available right now.
+        if !*from_eof {
+            for _ in 0..4 {
+                self.io_reads += 1;
+                match from.try_read(scratch) {
+                    Ok(ReadOutcome::Data(n)) => pending.extend_from_slice(&scratch[..n]),
+                    Ok(ReadOutcome::WouldBlock) => break,
+                    Ok(ReadOutcome::Closed) | Err(_) => {
+                        *from_eof = true;
+                        break;
+                    }
+                }
+            }
+        }
+        // Flush what we can.
+        while !pending.is_empty() {
+            self.io_writes += 1;
+            match to.try_write(pending) {
+                Ok(0) => break,
+                Ok(n) => {
+                    let _ = pending.split_to(n);
+                    counter.fetch_add(n as u64, Ordering::Relaxed);
+                }
+                Err(_) => {
+                    pending.clear();
+                    *from_eof = true;
+                    break;
+                }
+            }
+        }
+    }
 }
 
 /// What a relay wake-up is for, by session key.
@@ -201,17 +252,28 @@ impl ClusterFrontEnd {
         // Held by the handle so shutdown can pull the relay thread out of
         // its blocking wait.
         let waker = poller.waker();
+        let relay = Relay {
+            listener,
+            poller,
+            per_backend: vec![0; backends.len()],
+            backends,
+            balancing,
+            retry,
+            stats: Arc::clone(&stats),
+            tracer: tracer.clone(),
+            sessions: HashMap::new(),
+            parked: HashMap::new(),
+            deadlines: Deadlines::default(),
+            next_rr: 0,
+            next_key: 1,
+            buf: vec![0u8; 16 * 1024],
+            events: Vec::new(),
+        };
         let thread = {
             let stop = Arc::clone(&stop);
-            let stats = Arc::clone(&stats);
-            let tracer = tracer.clone();
             std::thread::Builder::new()
                 .name("nserver-cluster-frontend".into())
-                .spawn(move || {
-                    relay_loop(
-                        listener, poller, backends, balancing, retry, stop, stats, tracer,
-                    )
-                })
+                .spawn(move || relay.run(&stop))
                 .expect("spawn relay thread")
         };
         Ok(ClusterFrontEnd {
@@ -283,51 +345,62 @@ fn choose_index(balancing: Balancing, per_backend: &[usize], next_rr: &mut usize
     }
 }
 
-/// Stamp a freshly dialed session into the trace ring: open the conn
-/// with the client's peer label, link it to the backend socket's local
-/// address (the backend tier's peer label for this connection), and mark
-/// the accept instant.
-fn trace_session_open(tracer: &DebugTracer, k: u64, client: &TcpStreamNb, backend: &TcpStreamNb) {
-    if !tracer.is_enabled() {
-        return;
-    }
-    tracer.conn_open(k, &client.peer_label());
-    tracer.link(k, backend.local_label());
-    tracer.span(SpanEvent::Accept, k);
-}
-
-#[allow(clippy::too_many_arguments)]
-fn relay_loop(
-    mut listener: TcpListenerNb,
-    mut poller: TcpPoller,
+/// The relay's event loop: its sockets, its timers, and what one pass
+/// leaves for the next.
+struct Relay {
+    listener: TcpListenerNb,
+    poller: TcpPoller,
     backends: Vec<String>,
     balancing: Balancing,
     retry: RetryPolicy,
-    stop: Arc<AtomicBool>,
     stats: Arc<RelayStats>,
     tracer: DebugTracer,
-) {
-    let mut sessions: HashMap<u64, Session> = HashMap::new();
-    // Clients whose backend dial failed, under the key their session
-    // will have; each holds one `Wake::Dial` until it is retried.
-    let mut parked: HashMap<u64, PendingDial> = HashMap::new();
-    let mut deadlines: Deadlines<Wake> = Deadlines::default();
-    let mut per_backend = vec![0usize; backends.len()];
-    let mut next_rr = 0usize;
-    let mut next_key: u64 = 1;
-    let mut buf = vec![0u8; 16 * 1024];
-    let mut events: Vec<PollEvent> = Vec::new();
+    sessions: HashMap<u64, Session>,
+    /// Clients whose backend dial failed, under the key their session
+    /// will have; each holds one `Wake::Dial` until it is retried.
+    parked: HashMap<u64, PendingDial>,
+    deadlines: Deadlines<Wake>,
+    per_backend: Vec<usize>,
+    next_rr: usize,
+    next_key: u64,
+    buf: Vec<u8>,
+    /// What the last wait reported ready.
+    events: Vec<PollEvent>,
+}
 
-    loop {
-        if stop.load(Ordering::Relaxed) {
-            break;
+impl Relay {
+    /// Passes and waits until `stop` is raised; then every socket closes.
+    fn run(mut self, stop: &AtomicBool) {
+        while !stop.load(Ordering::Relaxed) {
+            let sleep = self.pass(WALL);
+            self.wait(sleep);
         }
-        // The pass's one clock reading, taken when first needed.
-        let mut clock: Option<Instant> = None;
+        for (_, mut s) in self.sessions.drain() {
+            s.client.shutdown();
+            s.backend.shutdown();
+        }
+        for (_, mut p) in self.parked.drain() {
+            p.client.shutdown();
+        }
+    }
 
+    /// Block until a socket is ready, `timeout` runs out, or the
+    /// shutdown waker fires.
+    fn wait(&mut self, timeout: Option<Duration>) {
+        if self.poller.wait(&mut self.events, timeout).is_err() {
+            self.events.clear();
+        }
+    }
+
+    /// One pass over what the last wait reported: accept and dial, shuttle
+    /// bytes, act on the timers that came due. It never blocks, and it
+    /// reads time only from `clock`, at most once. Returns how long the
+    /// loop may sleep until the queue's head.
+    fn pass(&mut self, mut clock: impl FnMut() -> Instant) -> Option<Duration> {
+        let mut now = lazily(&mut clock);
         let mut accept_ready = false;
         let mut touched: Vec<u64> = Vec::new();
-        for ev in events.drain(..) {
+        for ev in self.events.drain(..) {
             if ev.token == LISTENER_TOKEN {
                 accept_ready = true;
             } else {
@@ -340,257 +413,168 @@ fn relay_loop(
         // Accept and dial. A failed dial parks the client for a bounded
         // retry against the next backend candidate instead of dropping it.
         if accept_ready {
-            while let Ok(Some(client)) = listener.try_accept() {
-                let k = next_key;
-                next_key += 1;
-                let index = choose_index(balancing, &per_backend, &mut next_rr);
-                match TcpStreamNb::connect(&backends[index]) {
-                    Ok(backend) => {
-                        per_backend[index] += 1;
-                        stats.connections.fetch_add(1, Ordering::Relaxed);
-                        trace_session_open(&tracer, k, &client, &backend);
-                        let _ = poller.register(2 * k, &client, Interest::READABLE);
-                        let _ = poller.register(2 * k + 1, &backend, Interest::READABLE);
-                        sessions.insert(k, Session::new(client, backend, index));
-                        // Service once now: data may already be in flight.
-                        touched.push(k);
-                    }
-                    Err(_) if retry.attempts > 1 => {
-                        deadlines.arm(pass_clock(&mut clock) + retry.backoff, Wake::Dial(k));
-                        let dial = PendingDial {
-                            client,
-                            attempts_left: retry.attempts - 1,
-                            backoff: retry.backoff,
-                            last_index: index,
-                        };
-                        parked.insert(k, dial);
-                    }
-                    Err(_) => {
-                        stats.backend_failures.fetch_add(1, Ordering::Relaxed);
-                        let mut client = client;
-                        client.shutdown();
-                    }
+            while let Ok(Some(client)) = self.listener.try_accept() {
+                let k = self.next_key;
+                self.next_key += 1;
+                let index = choose_index(self.balancing, &self.per_backend, &mut self.next_rr);
+                let dial = PendingDial {
+                    client,
+                    attempts_left: self.retry.attempts,
+                    backoff: self.retry.backoff,
+                    last_index: index,
+                };
+                if self.dial(k, dial, &mut now) {
+                    // Service once now: data may already be in flight.
+                    touched.push(k);
                 }
             }
         }
 
         // Shuttle bytes on the sessions the poller flagged.
         for k in touched {
-            let s = match sessions.get_mut(&k) {
-                Some(s) => s,
-                None => continue, // stale event for a finished session
-            };
-            pump(
-                &mut s.client,
-                &mut s.backend,
-                &mut s.up_buf,
-                &mut s.client_eof,
-                &mut buf,
-                &stats.bytes_upstream,
-                &mut s.io_reads,
-                &mut s.io_writes,
-            );
-            pump(
-                &mut s.backend,
-                &mut s.client,
-                &mut s.down_buf,
-                &mut s.backend_eof,
-                &mut buf,
-                &stats.bytes_downstream,
-                &mut s.io_reads,
-                &mut s.io_writes,
-            );
-            if tracer.is_enabled() && (s.io_reads | s.io_writes) != 0 {
-                tracer.syscalls(k, s.io_reads, s.io_writes);
-                s.io_reads = 0;
-                s.io_writes = 0;
-            }
-            // A finished direction propagates as a half-close (FIN after
-            // the drained relay bytes), never as an immediate full close:
-            // closing a socket with unread peer bytes in its receive
-            // queue answers with RST, and an RST discards reply bytes the
-            // peer has not consumed yet. The session lingers — still
-            // pumping the open direction — until both sides finish or its
-            // reap wake-up comes due.
-            // The `is_empty` guards uphold the `shutdown_write` contract:
-            // FIN only ever follows a fully drained relay buffer.
-            if s.client_eof && s.up_buf.is_empty() && !s.fin_to_backend {
-                s.backend.shutdown_write();
-                s.fin_to_backend = true;
-            }
-            if s.backend_eof && s.down_buf.is_empty() && !s.fin_to_client {
-                s.client.shutdown_write();
-                s.fin_to_client = true;
-            }
-            if s.client_eof && s.up_buf.is_empty() && s.backend_eof && s.down_buf.is_empty() {
-                let s = sessions.remove(&k).expect("present");
-                teardown(&mut poller, &mut per_backend, &tracer, k, s);
-                continue;
-            }
-            if (s.fin_to_client || s.fin_to_backend) && s.reap_at.is_none() {
-                let reap = pass_clock(&mut clock) + LINGER;
-                s.reap_at = Some(reap);
-                deadlines.arm(reap, Wake::Reap(k));
-            }
-            // Re-arm interest: stop read-polling a half-closed side, poll
-            // writability only while relay bytes are actually queued.
-            let want_client = Interest {
-                readable: !s.client_eof,
-                writable: !s.down_buf.is_empty(),
-            };
-            if want_client != s.client_armed {
-                let _ = poller.reregister(2 * k, &s.client, want_client);
-                s.client_armed = want_client;
-            }
-            let want_backend = Interest {
-                readable: !s.backend_eof,
-                writable: !s.up_buf.is_empty(),
-            };
-            if want_backend != s.backend_armed {
-                let _ = poller.reregister(2 * k + 1, &s.backend, want_backend);
-                s.backend_armed = want_backend;
-            }
+            self.shuttle(k, &mut now);
         }
 
-        // Time: retry parked dials whose backoff elapsed, rotating to the
-        // next backend so a single dead peer cannot absorb every attempt,
-        // and reap half-closed sessions whose still-open side never sent
-        // its own FIN inside the lingering window. A session arms its one
-        // reap once and keys are never reused, so a reap whose session
+        // Time: retry parked dials whose backoff elapsed, and reap
+        // half-closed sessions whose still-open side never sent its own
+        // FIN inside the lingering window. A session arms its one reap
+        // once and keys are never reused, so a reap whose session
         // finished is stale and dropped unread. Only these need a timed
         // wake-up; otherwise the relay performs no periodic work at all.
-        let mut sleep = None;
-        while let Some((at, wake)) = deadlines.next() {
-            let stale = matches!(wake, Wake::Reap(k) if !sessions.contains_key(&k));
-            let now = pass_clock(&mut clock);
-            if !stale && at > now {
-                sleep = Some(at - now);
-                break;
-            }
-            // Due, or stale: either way it leaves the queue.
-            deadlines.pop_due(at);
-            match wake {
+        Deadlines::sweep(
+            self,
+            |r| &mut r.deadlines,
+            now,
+            |r, (_, wake)| !matches!(wake, Wake::Reap(k) if !r.sessions.contains_key(&k)),
+            |r, wake, now| match wake {
                 Wake::Reap(k) => {
-                    if let Some(s) = sessions.remove(&k) {
-                        teardown(&mut poller, &mut per_backend, &tracer, k, s);
+                    if let Some(s) = r.sessions.remove(&k) {
+                        r.teardown(k, s);
                     }
                 }
+                // Rotate to the next backend, so a single dead peer
+                // cannot absorb every attempt.
                 Wake::Dial(k) => {
-                    let mut pd = parked.remove(&k).expect("a parked dial");
-                    stats.dial_retries.fetch_add(1, Ordering::Relaxed);
-                    let index = (pd.last_index + 1) % backends.len();
-                    match TcpStreamNb::connect(&backends[index]) {
-                        Ok(backend) => {
-                            per_backend[index] += 1;
-                            stats.connections.fetch_add(1, Ordering::Relaxed);
-                            trace_session_open(&tracer, k, &pd.client, &backend);
-                            let _ = poller.register(2 * k, &pd.client, Interest::READABLE);
-                            let _ = poller.register(2 * k + 1, &backend, Interest::READABLE);
-                            sessions.insert(k, Session::new(pd.client, backend, index));
-                        }
-                        Err(_) => {
-                            pd.attempts_left -= 1;
-                            if pd.attempts_left == 0 {
-                                stats.backend_failures.fetch_add(1, Ordering::Relaxed);
-                                pd.client.shutdown();
-                            } else {
-                                pd.backoff *= 2;
-                                pd.last_index = index;
-                                deadlines.arm(now + pd.backoff, Wake::Dial(k));
-                                parked.insert(k, pd);
-                            }
-                        }
-                    }
+                    let mut dial = r.parked.remove(&k).expect("a parked dial");
+                    r.stats.dial_retries.fetch_add(1, Ordering::Relaxed);
+                    dial.last_index = (dial.last_index + 1) % r.backends.len();
+                    dial.backoff *= 2;
+                    r.dial(k, dial, &mut || now);
                 }
-            }
-        }
+            },
+        )
+    }
 
-        // Block until a socket is ready, the queue's head, or the
-        // shutdown waker.
-        if poller.wait(&mut events, sleep).is_err() {
-            events.clear();
+    /// Dial backend `last_index` for client `k`. Returns whether its
+    /// session opened; if not, the client is parked for its next attempt
+    /// `backoff` from now, or fails when it has none left.
+    fn dial(&mut self, k: u64, mut dial: PendingDial, now: &mut impl FnMut() -> Instant) -> bool {
+        let index = dial.last_index;
+        let Ok(backend) = TcpStreamNb::connect(&self.backends[index]) else {
+            dial.attempts_left = dial.attempts_left.saturating_sub(1);
+            if dial.attempts_left == 0 {
+                self.stats.backend_failures.fetch_add(1, Ordering::Relaxed);
+                dial.client.shutdown();
+            } else {
+                self.deadlines.arm(now() + dial.backoff, Wake::Dial(k));
+                self.parked.insert(k, dial);
+            }
+            return false;
+        };
+        self.per_backend[index] += 1;
+        self.stats.connections.fetch_add(1, Ordering::Relaxed);
+        // Into the trace ring: the conn under the client's peer label,
+        // linked to the backend socket's local address (the backend
+        // tier's peer label for it), and the accept instant.
+        if self.tracer.is_enabled() {
+            self.tracer.conn_open(k, &dial.client.peer_label());
+            self.tracer.link(k, backend.local_label());
+            self.tracer.span(SpanEvent::Accept, k);
+        }
+        let _ = self
+            .poller
+            .register(2 * k, &dial.client, Interest::READABLE);
+        let _ = self
+            .poller
+            .register(2 * k + 1, &backend, Interest::READABLE);
+        self.sessions
+            .insert(k, Session::new(dial.client, backend, index));
+        true
+    }
+
+    /// Move session `k`'s bytes both ways, propagate a finished
+    /// direction, and re-arm its interest.
+    fn shuttle(&mut self, k: u64, now: &mut impl FnMut() -> Instant) {
+        let Some(s) = self.sessions.get_mut(&k) else {
+            return; // a stale event for a finished session
+        };
+        s.pump(true, &mut self.buf, &self.stats.bytes_upstream);
+        s.pump(false, &mut self.buf, &self.stats.bytes_downstream);
+        if self.tracer.is_enabled() && (s.io_reads | s.io_writes) != 0 {
+            self.tracer.syscalls(k, s.io_reads, s.io_writes);
+            s.io_reads = 0;
+            s.io_writes = 0;
+        }
+        // A finished direction propagates as a half-close (FIN after the
+        // drained relay bytes), never as an immediate full close: closing
+        // a socket with unread peer bytes in its receive queue answers
+        // with RST, and an RST discards reply bytes the peer has not
+        // consumed yet. The session lingers — still pumping the open
+        // direction — until both sides finish or its reap wake-up comes
+        // due.
+        // The `is_empty` guards uphold the `shutdown_write` contract: FIN
+        // only ever follows a fully drained relay buffer.
+        if s.client_eof && s.up_buf.is_empty() && !s.fin_to_backend {
+            s.backend.shutdown_write();
+            s.fin_to_backend = true;
+        }
+        if s.backend_eof && s.down_buf.is_empty() && !s.fin_to_client {
+            s.client.shutdown_write();
+            s.fin_to_client = true;
+        }
+        if s.client_eof && s.up_buf.is_empty() && s.backend_eof && s.down_buf.is_empty() {
+            let s = self.sessions.remove(&k).expect("present");
+            return self.teardown(k, s);
+        }
+        if (s.fin_to_client || s.fin_to_backend) && s.reap_at.is_none() {
+            let reap = now() + LINGER;
+            s.reap_at = Some(reap);
+            self.deadlines.arm(reap, Wake::Reap(k));
+        }
+        // Re-arm interest: stop read-polling a half-closed side, poll
+        // writability only while relay bytes are actually queued.
+        let want_client = Interest {
+            readable: !s.client_eof,
+            writable: !s.down_buf.is_empty(),
+        };
+        if want_client != s.client_armed {
+            let _ = self.poller.reregister(2 * k, &s.client, want_client);
+            s.client_armed = want_client;
+        }
+        let want_backend = Interest {
+            readable: !s.backend_eof,
+            writable: !s.up_buf.is_empty(),
+        };
+        if want_backend != s.backend_armed {
+            let _ = self.poller.reregister(2 * k + 1, &s.backend, want_backend);
+            s.backend_armed = want_backend;
         }
     }
-    for (_, mut s) in sessions.drain() {
+
+    /// Deregister and fully close a finished (or reaped) session.
+    fn teardown(&mut self, k: u64, mut s: Session) {
+        if self.tracer.is_enabled() {
+            if (s.io_reads | s.io_writes) != 0 {
+                self.tracer.syscalls(k, s.io_reads, s.io_writes);
+            }
+            self.tracer.span(SpanEvent::Close, k);
+        }
+        let _ = self.poller.deregister(2 * k, &s.client);
+        let _ = self.poller.deregister(2 * k + 1, &s.backend);
         s.client.shutdown();
         s.backend.shutdown();
+        self.per_backend[s.backend_index] -= 1;
     }
-    for (_, mut p) in parked.drain() {
-        p.client.shutdown();
-    }
-}
-
-/// Deregister and fully close a finished (or reaped) session.
-fn teardown(
-    poller: &mut TcpPoller,
-    per_backend: &mut [usize],
-    tracer: &DebugTracer,
-    k: u64,
-    mut s: Session,
-) {
-    if tracer.is_enabled() {
-        if (s.io_reads | s.io_writes) != 0 {
-            tracer.syscalls(k, s.io_reads, s.io_writes);
-        }
-        tracer.span(SpanEvent::Close, k);
-    }
-    let _ = poller.deregister(2 * k, &s.client);
-    let _ = poller.deregister(2 * k + 1, &s.backend);
-    s.client.shutdown();
-    s.backend.shutdown();
-    per_backend[s.backend_index] -= 1;
-}
-
-/// Move bytes from `from` towards `to` through `pending`. Returns whether
-/// anything moved. `reads`/`writes` tally syscall attempts for timeline
-/// attribution.
-#[allow(clippy::too_many_arguments)]
-fn pump(
-    from: &mut TcpStreamNb,
-    to: &mut TcpStreamNb,
-    pending: &mut BytesMut,
-    from_eof: &mut bool,
-    scratch: &mut [u8],
-    counter: &AtomicU64,
-    reads: &mut u64,
-    writes: &mut u64,
-) -> bool {
-    let mut moved = false;
-    // Read as much as is available right now.
-    if !*from_eof {
-        for _ in 0..4 {
-            *reads += 1;
-            match from.try_read(scratch) {
-                Ok(ReadOutcome::Data(n)) => {
-                    pending.extend_from_slice(&scratch[..n]);
-                    moved = true;
-                }
-                Ok(ReadOutcome::WouldBlock) => break,
-                Ok(ReadOutcome::Closed) | Err(_) => {
-                    *from_eof = true;
-                    break;
-                }
-            }
-        }
-    }
-    // Flush what we can.
-    while !pending.is_empty() {
-        *writes += 1;
-        match to.try_write(pending) {
-            Ok(0) => break,
-            Ok(n) => {
-                let _ = pending.split_to(n);
-                counter.fetch_add(n as u64, Ordering::Relaxed);
-                moved = true;
-            }
-            Err(_) => {
-                pending.clear();
-                *from_eof = true;
-                break;
-            }
-        }
-    }
-    moved
 }
 
 #[cfg(test)]
@@ -853,6 +837,123 @@ mod tests {
         assert!(held < Duration::from_secs(3), "reaped late: {held:?}");
         drop(c);
         front.shutdown();
+    }
+
+    /// A relay over `backends`, round-robin, stepped by the test thread.
+    fn stepped_relay(backends: Vec<String>, retry: RetryPolicy) -> Relay {
+        let listener = TcpListenerNb::bind("127.0.0.1:0").unwrap();
+        let mut poller = TcpPoller::new().unwrap();
+        listener.register_listener(&mut poller).unwrap();
+        Relay {
+            listener,
+            poller,
+            per_backend: vec![0; backends.len()],
+            backends,
+            balancing: Balancing::RoundRobin,
+            retry,
+            stats: Arc::default(),
+            tracer: DebugTracer::disabled(),
+            sessions: HashMap::new(),
+            parked: HashMap::new(),
+            deadlines: Deadlines::default(),
+            next_rr: 0,
+            next_key: 1,
+            buf: vec![0u8; 16 * 1024],
+            events: Vec::new(),
+        }
+    }
+
+    /// Step `relay` on a virtual clock that reads `at` — a wait that does
+    /// not block, then a pass — until `done` holds after a pass, and
+    /// return that pass's sleep. Loopback delivery is not synchronous
+    /// with the test thread, so a step may find nothing ready yet.
+    fn step_until(
+        relay: &mut Relay,
+        at: Instant,
+        done: impl Fn(&Relay) -> bool,
+    ) -> Option<Duration> {
+        for _ in 0..1_000_000 {
+            relay.wait(Some(Duration::ZERO));
+            let sleep = relay.pass(|| at);
+            if done(relay) {
+                return sleep;
+            }
+        }
+        panic!("the relay never got there");
+    }
+
+    /// One step at `at`.
+    fn step(relay: &mut Relay, at: Instant) -> Option<Duration> {
+        step_until(relay, at, |_| true)
+    }
+
+    const NS: Duration = Duration::from_nanos(1);
+
+    /// `half_closed_session_is_reaped_at_the_linger_deadline` on a
+    /// virtual clock: the reap comes at the pass whose clock reads the
+    /// FIN's pass plus `LINGER`, and not 1 ns earlier.
+    #[test]
+    fn stepped_half_closed_session_is_reaped_exactly_at_linger() {
+        let backend = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let backend_addr = backend.local_addr().unwrap().to_string();
+        let mut relay = stepped_relay(vec![backend_addr], RetryPolicy::default());
+        let t0 = Instant::now();
+        let mut c = TcpStream::connect(relay.listener.local_label()).unwrap();
+        c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        c.write_all(b"hold\n").unwrap();
+        let upstream = |r: &Relay| r.stats.bytes_upstream.load(Ordering::Relaxed) == 5;
+        assert_eq!(step_until(&mut relay, t0, upstream), None);
+        let (mut b, _) = backend.accept().unwrap();
+        b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut buf = [0u8; 5];
+        b.read_exact(&mut buf).unwrap();
+        b.write_all(&buf).unwrap();
+        b.shutdown(std::net::Shutdown::Write).unwrap();
+
+        // The reply and the backend's FIN reach the client at t1.
+        let t1 = t0 + Duration::from_millis(3);
+        let fin = |r: &Relay| r.sessions.get(&1).is_some_and(|s| s.fin_to_client);
+        assert_eq!(step_until(&mut relay, t1, fin), Some(LINGER));
+        let mut reply = Vec::new();
+        c.read_to_end(&mut reply).unwrap();
+        assert_eq!(reply, b"hold\n");
+
+        assert_eq!(step(&mut relay, t1 + LINGER - NS), Some(NS));
+        assert!(relay.sessions.contains_key(&1), "reaped early");
+        assert_eq!(step(&mut relay, t1 + LINGER), None);
+        assert!(relay.sessions.is_empty(), "reaped late");
+        assert_eq!(b.read(&mut buf).unwrap(), 0, "the relay's FIN");
+    }
+
+    #[test]
+    fn stepped_parked_dial_retries_at_backoff_then_twice_it_on_the_next_backend() {
+        let live = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let dead = "127.0.0.1:1".to_string();
+        let backends = vec![dead.clone(), dead, live.local_addr().unwrap().to_string()];
+        let backoff = Duration::from_millis(10);
+        let retry = RetryPolicy {
+            attempts: 3,
+            backoff,
+        };
+        let mut relay = stepped_relay(backends, retry);
+        let retries = |r: &Relay| r.stats.dial_retries.load(Ordering::Relaxed);
+        let t0 = Instant::now();
+        let _c = TcpStream::connect(relay.listener.local_label()).unwrap();
+        // Backend 0 refuses the dial at t0: parked until t0 + backoff.
+        let parked = |r: &Relay| !r.parked.is_empty();
+        assert_eq!(step_until(&mut relay, t0, parked), Some(backoff));
+        assert_eq!(step(&mut relay, t0 + backoff - NS), Some(NS));
+        assert_eq!(retries(&relay), 0, "retried early");
+        // Backend 1 refuses the retry: parked for twice the backoff.
+        assert_eq!(step(&mut relay, t0 + backoff), Some(2 * backoff));
+        assert_eq!((retries(&relay), relay.parked[&1].last_index), (1, 1));
+        assert_eq!(step(&mut relay, t0 + 3 * backoff - NS), Some(NS));
+        assert_eq!(retries(&relay), 1, "retried early");
+        // Backend 2 answers: the session opens, and no timer is left.
+        assert_eq!(step(&mut relay, t0 + 3 * backoff), None);
+        assert_eq!(retries(&relay), 2);
+        assert_eq!(relay.sessions[&1].backend_index, 2);
+        assert_eq!(relay.stats.backend_failures.load(Ordering::Relaxed), 0);
     }
 
     #[test]

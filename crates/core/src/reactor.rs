@@ -36,7 +36,7 @@
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::IoSlice;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -50,7 +50,7 @@ use crate::overload::OverloadController;
 use crate::pipeline::{Codec, ConnShared, End, Engine, Open, Outbox, Recorders, Service, Work};
 use crate::processor::EventProcessor;
 use crate::profiling::ServerStats;
-use crate::timer::{pass_clock, Deadlines, LINGER};
+use crate::timer::{lazily, Deadlines, LINGER, WALL};
 use crate::trace::{DebugTracer, SpanEvent, SEQ_NONE};
 use crate::transport::{
     Interest, Listener, PollEvent, Poller, ReadOutcome, StreamIo, SyscallCounters, Waker,
@@ -340,6 +340,59 @@ pub struct Dispatcher<C: Codec, S: Service<C>, L: Listener> {
     pub next_conn_id: Arc<AtomicU64>,
     /// Diagnostics worker table (None when diagnostics are not wired).
     pub worker_table: Option<Arc<crate::diag::WorkerStateTable>>,
+    /// Sockets accepted and not yet closed, lingering ones included, on
+    /// every dispatcher: what a graceful drain waits for.
+    pub(crate) held: Arc<AtomicUsize>,
+    /// What one pass leaves for the next.
+    pub(crate) st: LoopState<L::Stream, C::Response>,
+}
+
+/// A dispatcher's loop state: its connections and their timers, and what
+/// one pass leaves for the next.
+pub(crate) struct LoopState<St, R> {
+    conns: HashMap<ConnId, ConnLocal<St>>,
+    /// Every timer of this loop: one wake-up per connection.
+    deadlines: Deadlines<ConnId>,
+    read_buf: Vec<u8>,
+    /// What the last wait reported ready.
+    events: Vec<PollEvent>,
+    /// Connections (or LISTENER_TOKEN) that hit a fairness cap with work
+    /// left: re-serviced next pass without waiting. The mem transport
+    /// notifies once per write, so capped intake must be carried forward
+    /// explicitly.
+    ready_backlog: VecDeque<u64>,
+    /// The connections a pass services.
+    pend: HashSet<ConnId>,
+    /// The newest ready event of the pass, where the dispatcher handles
+    /// the last one itself (`SubmitMode::Pool`).
+    kept: Option<(Work<R>, Priority)>,
+    /// Connections this thread handled an item for outside the
+    /// per-connection loop: they join `pend` for the close tests.
+    handled_late: Vec<ConnId>,
+    accept_gated: bool,
+    listener_armed: bool,
+}
+
+impl<St, R> Default for LoopState<St, R> {
+    fn default() -> Self {
+        Self {
+            conns: HashMap::new(),
+            deadlines: Deadlines::default(),
+            read_buf: vec![0u8; 16 * 1024],
+            events: Vec::new(),
+            ready_backlog: VecDeque::new(),
+            pend: HashSet::new(),
+            kept: None,
+            handled_late: Vec::new(),
+            accept_gated: false,
+            listener_armed: false,
+        }
+    }
+}
+
+/// Whether a connection of `conns` still holds the wake-up `(at, id)`.
+fn holds<St>(conns: &HashMap<ConnId, ConnLocal<St>>, (at, id): (Instant, ConnId)) -> bool {
+    conns.get(&id).is_some_and(|c| c.times.wake_at == Some(at))
 }
 
 struct ConnLocal<St> {
@@ -357,6 +410,52 @@ struct ConnLocal<St> {
     /// Nobody was notified of what the item left behind (see
     /// [`DispatchNotifier`]), so the pass sends it before its close test.
     handled_here: bool,
+}
+
+impl<St: StreamIo> ConnLocal<St> {
+    /// Read Request: pull available bytes into the inbox. Returns
+    /// `(read_any, saturated)` — `saturated` means the fairness cap was
+    /// hit without draining the stream, so the caller must re-service
+    /// this connection without waiting for another readiness event.
+    fn read_into_inbox<C: Codec, S: Service<C>>(
+        &mut self,
+        engine: &Engine<C, S>,
+        buf: &mut [u8],
+    ) -> (bool, bool) {
+        if self.peer_eof || self.shared.closing.load(Ordering::Relaxed) {
+            return (false, false);
+        }
+        let mut got = false;
+        let mut stream = self.stream.lock();
+        // Cap per-iteration intake so one chatty peer cannot monopolise the
+        // dispatcher.
+        for _ in 0..8 {
+            engine.syscalls.reads.fetch_add(1, Ordering::Relaxed);
+            self.shared.io_reads.fetch_add(1, Ordering::Relaxed);
+            match stream.try_read(buf) {
+                Ok(ReadOutcome::Data(n)) => {
+                    self.shared.inbox.lock().extend_from_slice(&buf[..n]);
+                    ServerStats::add(&engine.stats.bytes_read, n as u64);
+                    got = true;
+                }
+                Ok(ReadOutcome::WouldBlock) => return (got, false),
+                end => {
+                    self.peer_eof = true;
+                    self.shared.peer_eof.store(true, Ordering::Relaxed);
+                    // A hard read error is a reset: both directions of the
+                    // stream are gone, so the sink is dead too.
+                    if end.is_err() {
+                        self.shared.sink_dead.store(true, Ordering::Relaxed);
+                        if !self.shared.closing.swap(true, Ordering::Relaxed) {
+                            ServerStats::bump(&engine.stats.connections_reset);
+                        }
+                    }
+                    return (got, false);
+                }
+            }
+        }
+        (got, true)
+    }
 }
 
 /// A connection's deadlines, and the one wake-up it keeps queued for the
@@ -571,397 +670,361 @@ pub(crate) fn flush(acct: &SendAccounts<'_>, conn: &ConnShared, out: &mut Outbox
 }
 
 impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
-    /// The dispatch loop. Blocks in the poller until some owned connection
-    /// (or the listener, or a waker) is ready; runs until the stop flag is
-    /// raised, then closes every connection it owns.
+    /// The dispatch loop: a [`pass`](Self::pass) over what is ready, then
+    /// a block in the poller until some owned connection (or the
+    /// listener, or a waker) is ready or the pass's timeout runs out.
+    /// Runs until the stop flag is raised, then closes every connection
+    /// it owns.
     pub fn run(mut self) {
-        // Diagnostics: publish this dispatcher's activity in the worker
-        // state table (it handles events itself — all of them when O2 =
-        // No — and its liveness matters in every mode). No-op when no
-        // table is wired.
+        self.attach();
+        while !self.stop.load(Ordering::Relaxed) {
+            let sleep = self.pass(WALL);
+            self.wait(sleep);
+        }
+        for (_, mut c) in std::mem::take(&mut self.st.conns) {
+            self.finalize(&mut c);
+        }
+        crate::diag::detach_worker();
+    }
+
+    /// Make the calling thread this dispatcher's: publish it in the
+    /// worker state table (it handles events itself, and its liveness
+    /// matters in every mode; a no-op when no table is wired), claim its
+    /// notifier target, and watch the listener.
+    pub(crate) fn attach(&mut self) {
         if let Some(table) = &self.worker_table {
             crate::diag::attach_worker(table, crate::diag::WorkerRole::Dispatcher);
         }
         self.notifier.adopt_thread(self.index);
-        let mut conns: HashMap<ConnId, ConnLocal<L::Stream>> = HashMap::new();
-        // Every timer of this loop: one wake-up per connection.
-        let mut deadlines: Deadlines<ConnId> = Deadlines::default();
-        let mut read_buf = vec![0u8; 16 * 1024];
-        let mut events: Vec<PollEvent> = Vec::new();
-        // Connections (or LISTENER_TOKEN) that hit a fairness cap with
-        // work left: re-serviced next iteration without waiting. The mem
-        // transport notifies once per write, so capped intake must be
-        // carried forward explicitly.
-        let mut ready_backlog: VecDeque<u64> = VecDeque::new();
-        let mut pend: HashSet<ConnId> = HashSet::new();
-        // The newest ready event of the pass, where the dispatcher handles
-        // the last one itself (`SubmitMode::Pool`).
-        let mut kept: Option<(Work<C::Response>, Priority)> = None;
-        // Connections this thread handled an item for outside the
-        // per-connection loop: they join `pend` for the close tests.
-        let mut handled_late: Vec<ConnId> = Vec::new();
-        let mut accept_gated = false;
-        let mut listener_armed = false;
-
         if let Some(listener) = &self.listener {
-            if listener.register_listener(&mut self.poller).is_ok() {
-                listener_armed = true;
-            }
-        }
-
-        loop {
-            if self.stop.load(Ordering::Relaxed) {
-                for (_, mut c) in conns.drain() {
-                    self.finalize(&mut c, &mut ready_backlog);
-                }
-                crate::diag::detach_worker();
-                return;
-            }
-            let draining = self.drain.load(Ordering::Relaxed);
-            if draining && listener_armed {
-                if let Some(listener) = &self.listener {
-                    let _ = listener.deregister_listener(&mut self.poller);
-                }
-                listener_armed = false;
-            }
-            // The pass's clock reading, taken when first needed.
-            let mut clock: Option<Instant> = None;
-
-            // 1. Gather this iteration's work set: carried-over backlog,
-            //    poller events, and worker notifications.
-            pend.clear();
-            let mut accept_signal = false;
-            for token in ready_backlog.drain(..) {
-                if token == LISTENER_TOKEN {
-                    accept_signal = true;
-                } else {
-                    pend.insert(token);
-                }
-            }
-            for ev in events.drain(..) {
-                if ev.token == LISTENER_TOKEN {
-                    accept_signal = true;
-                } else {
-                    pend.insert(ev.token);
-                }
-            }
-            self.notifier.begin_drain(self.index);
-            while let Ok(id) = self.flush_rx.try_recv() {
-                pend.insert(id);
-            }
-
-            // 2. Adopt connections assigned to this dispatcher.
-            while let Ok(nc) = self.inj_rx.try_recv() {
-                self.adopt(
-                    nc,
-                    &mut conns,
-                    &mut deadlines,
-                    &mut pend,
-                    &mut ready_backlog,
-                );
-            }
-
-            // 3. Accept new connections (dispatcher 0) when the listener
-            //    reported readiness or a pause is being re-checked. A
-            //    draining dispatcher stops accepting entirely.
-            if !draining && self.listener.is_some() && (accept_signal || accept_gated) {
-                let saturated = self.accept_pending(
-                    &mut conns,
-                    &mut deadlines,
-                    &mut pend,
-                    &mut ready_backlog,
-                    &mut accept_gated,
-                    &mut listener_armed,
-                );
-                if saturated {
-                    // Fairness cap hit with connections possibly still
-                    // queued; revisit without blocking.
-                    ready_backlog.push_back(LISTENER_TOKEN);
-                }
-            }
-
-            // 4. Route Proactor completions (dispatcher 0).
-            if let Some(rx) = &self.completion_rx {
-                while let Ok((token, resp)) = rx.try_recv() {
-                    let prio = self
-                        .engine
-                        .conn(token.conn)
-                        .map(|c| c.priority)
-                        .unwrap_or_default();
-                    let work = Work::Completion(token, resp);
-                    if let Some(work) = self.route(work, prio, &mut kept) {
-                        self.handle_here(work, &mut conns, &mut handled_late);
-                    }
-                }
-            }
-
-            // 5. Per-connection I/O on ready connections: Send Reply then
-            //    Read Request, and what was read becomes a work item.
-            //    While draining every connection is revisited so close
-            //    conditions are evaluated as in-flight work completes.
-            if draining {
-                pend.extend(conns.keys().copied());
-            }
-            let mut to_remove: Vec<ConnId> = Vec::new();
-            for &id in pend.iter() {
-                let c = match conns.get_mut(&id) {
-                    Some(c) => c,
-                    // Stale event for a connection already closed.
-                    None => continue,
-                };
-                // A lingering close only drains: every response byte is
-                // on the wire and FIN is sent; keep reading and
-                // discarding until the peer answers with its own FIN (or
-                // errors), then tear the socket down.
-                if c.times.linger_until.is_some() {
-                    let mut reads = 0;
-                    let mut stream = c.stream.lock();
-                    loop {
-                        if reads == 8 {
-                            // Fairness cap: revisit without waiting.
-                            ready_backlog.push_back(id);
-                            break;
-                        }
-                        reads += 1;
-                        self.engine.syscalls.reads.fetch_add(1, Ordering::Relaxed);
-                        c.shared.io_reads.fetch_add(1, Ordering::Relaxed);
-                        match stream.try_read(&mut read_buf) {
-                            Ok(ReadOutcome::Data(n)) => {
-                                // Discarded, but read off the transport —
-                                // keep the byte accounting aligned with
-                                // the trace.
-                                ServerStats::add(&self.engine.stats.bytes_read, n as u64);
-                            }
-                            Ok(ReadOutcome::WouldBlock) => break,
-                            Ok(ReadOutcome::Closed) | Err(_) => {
-                                to_remove.push(id);
-                                break;
-                            }
-                        }
-                    }
-                    continue;
-                }
-                // Send Reply for whatever no work item sent: output past
-                // the worker's bound, bytes the transport refused earlier
-                // (writable interest brought us back), a greeting.
-                flush(
-                    &self.engine.send_accounts(),
-                    &c.shared,
-                    &mut c.shared.outbox.lock(),
-                );
-                let was_eof = c.peer_eof;
-                let (read, saturated) = self.read_into_inbox(c, &mut read_buf);
-                if saturated {
-                    ready_backlog.push_back(id);
-                }
-                if read {
-                    // First request bytes close the accept→header window.
-                    let header = c.header.take();
-                    let rec = self.engine.recorders();
-                    rec.close(id, header, End::Done(SpanEvent::HeaderRead), &mut None);
-                    // A touch moves the idle deadline later: its queued
-                    // wake-up finds the new one when it pops.
-                    if let Some(limit) = self.idle_limit {
-                        c.times.idle_at = Some(pass_clock(&mut clock) + limit);
-                    }
-                }
-                // Peer half-closed with a partial request buffered and no
-                // fresh bytes to trigger a decode pass: one final pass lets
-                // the decode loop observe `peer_eof` and reap the fragment
-                // that can never complete.
-                let stranded = !read && c.peer_eof && !was_eof && !c.shared.inbox.lock().is_empty();
-                if read || stranded {
-                    let work = Work::Process(id);
-                    if let Some(work) = self.route(work, c.shared.priority, &mut kept) {
-                        c.handled_here = true;
-                        self.engine.handle_work(work);
-                    }
-                }
-            }
-
-            // 5b. The event this pass kept is the dispatcher's own to
-            //     handle: everything else ready is queued and the workers
-            //     woken, and there is nothing left to do here but sleep.
-            if let Some((work, _)) = kept.take() {
-                self.handle_here(work, &mut conns, &mut handled_late);
-            }
-            // A completion handled on this thread leaves its connection
-            // to this pass, like any other item (no Read Request though).
-            pend.extend(handled_late.drain(..));
-            // Handlers may have run inline above: time is read afresh.
-            clock = None;
-
-            // 5c. Close tests and poller interest for the same connections,
-            //     now that their work items are queued or done.
-            for &id in pend.iter() {
-                let c = match conns.get_mut(&id) {
-                    Some(c) if c.times.linger_until.is_none() => c,
-                    _ => continue,
-                };
-                let closing = c.shared.closing.load(Ordering::Relaxed);
-                // Sampling order matters: `responses_pending` (the send
-                // lock) before the outbox. `complete` moves ready replies
-                // into the outbox while holding the send lock, so a
-                // completion racing this close test is either still
-                // pending (sampled first → close deferred one pass) or
-                // its bytes are already visible to the outbox sample
-                // below. Outbox-first sampling lost that race: both
-                // looked clear while the final response landed between
-                // the two samples, and the close discarded it.
-                let pending = c.shared.responses_pending();
-                // `drained`: some send emptied the outbox since the last
-                // pass — a flush of this pass or a work item's own.
-                let (outbox_empty, drained) = {
-                    let mut out = c.shared.outbox.lock();
-                    // What an item handled here left unsent (output past
-                    // the work item's bound) is this thread's to send, and
-                    // no notify will bring it back for it.
-                    if std::mem::take(&mut c.handled_here) && !out.is_empty() {
-                        flush(&self.engine.send_accounts(), &c.shared, &mut out);
-                    }
-                    (out.is_empty(), std::mem::take(&mut out.sending.drained))
-                };
-                // After peer EOF, a non-empty inbox may still hold a
-                // complete request a worker has not decoded yet, so the
-                // connection is kept until the inbox drains (the decode
-                // loop reaps fragments that can never complete — see
-                // `peer_eof` in `ConnShared`). A draining dispatcher
-                // applies the same quiesce test to every connection, EOF
-                // or not.
-                if (closing && outbox_empty && !pending)
-                    || ((c.peer_eof || draining)
-                        && outbox_empty
-                        && !pending
-                        && c.shared.inbox.lock().is_empty())
-                {
-                    if c.peer_eof || c.shared.sink_dead.load(Ordering::Relaxed) {
-                        // Hard close: the peer's byte stream is fully
-                        // consumed (FIN seen) or the transport already
-                        // failed — no unread bytes are left for a close
-                        // to RST-discard.
-                        to_remove.push(id);
-                    } else {
-                        // Server-initiated close with a live peer:
-                        // lingering close. The outbox is drained
-                        // (asserted — `shutdown_write` does not flush);
-                        // FIN goes out now, and the read side stays open
-                        // so bytes the peer pipelined past the
-                        // close-triggering request are consumed instead
-                        // of provoking an RST that can discard the final
-                        // response still in flight.
-                        // Re-check under the lock before committing the
-                        // FIN: a reply that slipped into the outbox since
-                        // the sample above must flush first. Defer one
-                        // pass rather than half-close over queued bytes
-                        // (`shutdown_write` does not flush).
-                        if !c.shared.outbox.lock().is_empty() {
-                            ready_backlog.push_back(id);
-                            continue;
-                        }
-                        c.stream.lock().shutdown_write();
-                        // The linger deadline replaces every other one.
-                        let t = &mut c.times;
-                        (t.idle_at, t.header_by, t.drain_by) = (None, None, None);
-                        t.linger_until = Some(pass_clock(&mut clock) + LINGER);
-                        t.rearm(id, &mut deadlines);
-                        ServerStats::bump(&self.engine.stats.connections_lingered);
-                        // The application-level close happens now — the
-                        // slot stops counting against overload admission
-                        // and the service sees `on_close`; only the
-                        // socket teardown is deferred.
-                        self.release(c, &mut ready_backlog);
-                        // Keep reading (discard-only) and drain anything
-                        // already buffered on the next pass.
-                        let want = Interest::READABLE;
-                        if c.armed != want {
-                            let _ = self.poller.reregister(id, &c.stream.lock(), want);
-                            c.armed = want;
-                        }
-                        ready_backlog.push_back(id);
-                    }
-                    continue;
-                }
-                // Stage deadlines. A reply drained — sent by this pass or
-                // by a work item, which then woke us for exactly this.
-                if self.stage_deadlines.any() {
-                    let now = pass_clock(&mut clock);
-                    c.times
-                        .stages(self.stage_deadlines, outbox_empty, drained, now);
-                    c.times.rearm(id, &mut deadlines);
-                }
-                // Re-arm interest: stop read-polling a half-closed or
-                // closing peer (level-triggered EOF would re-report
-                // forever), poll for writability only while reply bytes
-                // are actually queued.
-                let want = Interest {
-                    readable: !(c.peer_eof || closing),
-                    writable: !outbox_empty,
-                };
-                if want != c.armed {
-                    let _ = self.poller.reregister(id, &c.stream.lock(), want);
-                    c.armed = want;
-                }
-            }
-            for id in to_remove {
-                if let Some(mut c) = conns.remove(&id) {
-                    self.finalize(&mut c, &mut ready_backlog);
-                }
-            }
-
-            // 6. Time: one sweep over every wake-up due, in deadline order.
-            //    A wake-up its owner no longer holds (the connection
-            //    closed, or queued an earlier one since) is dropped unread,
-            //    so it costs no wake-up.
-            let mut sleep = None;
-            while let Some((at, id)) = deadlines.next() {
-                let held = conns.get(&id).is_some_and(|c| c.times.wake_at == Some(at));
-                let now = pass_clock(&mut clock);
-                if held && at > now {
-                    sleep = Some(at - now);
-                    break;
-                }
-                // Due, or stale: either way it leaves the queue.
-                deadlines.pop_due(at);
-                if held {
-                    self.expire(id, now, &mut conns, &mut deadlines, &mut ready_backlog);
-                }
-            }
-            deadlines.prune(conns.len(), |&(at, id)| {
-                conns.get(&id).is_some_and(|c| c.times.wake_at == Some(at))
-            });
-
-            // 7. Block until readiness, a waker, the queue's head or a
-            //    RECHECK; a backlog is serviced without sleeping.
-            if accept_gated || (draining && !conns.is_empty()) {
-                sleep = Some(sleep.map_or(RECHECK, |s: Duration| s.min(RECHECK)));
-            }
-            if !ready_backlog.is_empty() {
-                sleep = Some(Duration::ZERO);
-            }
-            self.engine.syscalls.polls.fetch_add(1, Ordering::Relaxed);
-            if self.poller.wait(&mut events, sleep).is_err() {
-                events.clear();
-            }
-            ServerStats::bump(&self.engine.stats.dispatcher_wakeups);
+            self.st.listener_armed = listener.register_listener(&mut self.poller).is_ok();
         }
     }
 
-    /// Accept up to a fairness cap of pending connections. Returns true
-    /// when the cap was reached with connections possibly still queued.
-    /// While the overload controller refuses (O9), or `accept` fails for
-    /// want of a resource ([`out_of_resources`]), the acceptor is gated:
-    /// the listening endpoint is deregistered from the poller — a
-    /// level-triggered backlog would otherwise wake the loop continuously
-    /// — and re-armed at a re-check that finds the controller willing.
-    fn accept_pending(
-        &mut self,
-        conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
-        deadlines: &mut Deadlines<ConnId>,
-        pend: &mut HashSet<ConnId>,
-        ready_backlog: &mut VecDeque<u64>,
-        gated: &mut bool,
-        armed: &mut bool,
-    ) -> bool {
+    /// Block until readiness, a waker or `timeout`: one poll, one wake-up.
+    pub(crate) fn wait(&mut self, timeout: Option<Duration>) {
+        self.engine.syscalls.polls.fetch_add(1, Ordering::Relaxed);
+        if self.poller.wait(&mut self.st.events, timeout).is_err() {
+            self.st.events.clear();
+        }
+        ServerStats::bump(&self.engine.stats.dispatcher_wakeups);
+    }
+
+    /// One pass over what the last [`wait`](Self::wait) reported and what
+    /// the last pass left. It never blocks, and it reads time only from
+    /// `clock`: at most once before the handlers it runs itself (5b) and
+    /// once after them. Returns how long the loop may block in the
+    /// poller: zero with a backlog, else until the first deadline, at
+    /// most a [`RECHECK`] while the acceptor is gated or the dispatcher
+    /// drains.
+    pub(crate) fn pass(&mut self, mut clock: impl FnMut() -> Instant) -> Option<Duration> {
+        let draining = self.drain.load(Ordering::Relaxed);
+        if draining && self.st.listener_armed {
+            if let Some(listener) = &self.listener {
+                let _ = listener.deregister_listener(&mut self.poller);
+            }
+            self.st.listener_armed = false;
+        }
+        let mut now = lazily(&mut clock);
+
+        // 1. Gather this pass's work set: carried-over backlog, poller
+        //    events, and worker notifications.
+        let st = &mut self.st;
+        st.pend.clear();
+        let mut accept_signal = false;
+        let polled = st.events.drain(..).map(|ev| ev.token);
+        for token in st.ready_backlog.drain(..).chain(polled) {
+            if token == LISTENER_TOKEN {
+                accept_signal = true;
+            } else {
+                st.pend.insert(token);
+            }
+        }
+        self.notifier.begin_drain(self.index);
+        self.st.pend.extend(self.flush_rx.try_iter());
+
+        // 2. Adopt connections assigned to this dispatcher.
+        while let Ok(nc) = self.inj_rx.try_recv() {
+            self.adopt(nc);
+        }
+
+        // 3. Accept new connections (dispatcher 0) when the listener
+        //    reported readiness or a pause is being re-checked; a
+        //    draining dispatcher stops accepting entirely. At the
+        //    fairness cap, with connections possibly still queued, the
+        //    listener is revisited without blocking.
+        let accepting = !draining && (accept_signal || self.st.accept_gated);
+        if accepting && self.listener.is_some() && self.accept_pending(&mut now) {
+            self.st.ready_backlog.push_back(LISTENER_TOKEN);
+        }
+
+        // 4. Route Proactor completions (dispatcher 0).
+        let completion = |d: &Self| d.completion_rx.as_ref()?.try_recv().ok();
+        while let Some((token, resp)) = completion(self) {
+            let conn = self.engine.conn(token.conn);
+            let prio = conn.map(|c| c.priority).unwrap_or_default();
+            if let Some(work) = self.route(Work::Completion(token, resp), prio) {
+                self.handle_here(work);
+            }
+        }
+
+        // 5. Per-connection I/O on ready connections. While draining
+        //    every connection is revisited so close conditions are
+        //    evaluated as in-flight work completes.
+        if draining {
+            self.st.pend.extend(self.st.conns.keys().copied());
+        }
+        let mut pend = std::mem::take(&mut self.st.pend);
+        let mut to_remove = Vec::new();
+        for &id in &pend {
+            if self.service(id, &mut now) {
+                to_remove.push(id);
+            }
+        }
+
+        // 5b. The event this pass kept is the dispatcher's own to handle:
+        //     everything else ready is queued and the workers woken, and
+        //     there is nothing left to do here but sleep.
+        if let Some((work, _)) = self.st.kept.take() {
+            self.handle_here(work);
+        }
+        // A completion handled on this thread leaves its connection to
+        // this pass, like any other item (no Read Request though).
+        pend.extend(self.st.handled_late.drain(..));
+        // Handlers may have run inline above: time is read afresh.
+        drop(now);
+        let mut now = lazily(&mut clock);
+
+        // 5c. Close tests and poller interest for the same connections,
+        //     now that their work items are queued or done.
+        for &id in &pend {
+            if self.settle(id, draining, &mut now) {
+                to_remove.push(id);
+            }
+        }
+        self.st.pend = pend;
+        for id in to_remove {
+            if let Some(mut c) = self.st.conns.remove(&id) {
+                self.finalize(&mut c);
+            }
+        }
+
+        // 6. Time: one sweep over every wake-up due, in deadline order.
+        //    A wake-up its owner no longer holds (the connection closed,
+        //    or queued an earlier one since) is dropped unread, so it
+        //    costs no wake-up.
+        let sleep = Deadlines::sweep(
+            self,
+            |d| &mut d.st.deadlines,
+            &mut now,
+            |d, wake| holds(&d.st.conns, wake),
+            |d, id, now| d.expire(id, now),
+        );
+        let st = &mut self.st;
+        st.deadlines
+            .prune(st.conns.len(), |&wake| holds(&st.conns, wake));
+
+        // 7. The poll timeout: none needed with a backlog; else the
+        //    queue's head, and a RECHECK bounds it while gated or
+        //    draining.
+        if !st.ready_backlog.is_empty() {
+            return Some(Duration::ZERO);
+        }
+        let recheck = st.accept_gated || (draining && !st.conns.is_empty());
+        sleep.into_iter().chain(recheck.then_some(RECHECK)).min()
+    }
+
+    /// Step 5 for one ready connection: Send Reply then Read Request, and
+    /// what was read becomes a work item. Returns true when the
+    /// connection is done and is to be closed.
+    fn service(&mut self, id: ConnId, now: &mut impl FnMut() -> Instant) -> bool {
+        let Some(c) = self.st.conns.get_mut(&id) else {
+            return false; // a stale event for a connection already closed
+        };
+        let engine = &self.engine;
+        // A lingering close only drains: every response byte is on the
+        // wire and FIN is sent; keep reading and discarding until the
+        // peer answers with its own FIN (or errors), then tear the
+        // socket down.
+        if c.times.linger_until.is_some() {
+            let mut stream = c.stream.lock();
+            for _ in 0..8 {
+                engine.syscalls.reads.fetch_add(1, Ordering::Relaxed);
+                c.shared.io_reads.fetch_add(1, Ordering::Relaxed);
+                match stream.try_read(&mut self.st.read_buf) {
+                    Ok(ReadOutcome::Data(n)) => {
+                        // Discarded, but read off the transport — keep
+                        // the byte accounting aligned with the trace.
+                        ServerStats::add(&engine.stats.bytes_read, n as u64);
+                    }
+                    Ok(ReadOutcome::WouldBlock) => return false,
+                    Ok(ReadOutcome::Closed) | Err(_) => return true,
+                }
+            }
+            // Fairness cap: revisit without waiting.
+            self.st.ready_backlog.push_back(id);
+            return false;
+        }
+        // Send Reply for whatever no work item sent: output past the
+        // worker's bound, bytes the transport refused earlier (writable
+        // interest brought us back), a greeting.
+        flush(
+            &engine.send_accounts(),
+            &c.shared,
+            &mut c.shared.outbox.lock(),
+        );
+        let was_eof = c.peer_eof;
+        let (read, saturated) = c.read_into_inbox(engine, &mut self.st.read_buf);
+        if saturated {
+            self.st.ready_backlog.push_back(id);
+        }
+        if read {
+            // First request bytes close the accept→header window.
+            let rec = engine.recorders();
+            rec.close(
+                id,
+                c.header.take(),
+                End::Done(SpanEvent::HeaderRead),
+                &mut None,
+            );
+            // A touch moves the idle deadline later: its queued wake-up
+            // finds the new one when it pops.
+            if let Some(limit) = self.idle_limit {
+                c.times.idle_at = Some(now() + limit);
+            }
+        }
+        // Peer half-closed with a partial request buffered and no fresh
+        // bytes to trigger a decode pass: one final pass lets the decode
+        // loop observe `peer_eof` and reap the fragment that can never
+        // complete.
+        let stranded = !read && c.peer_eof && !was_eof && !c.shared.inbox.lock().is_empty();
+        if read || stranded {
+            let prio = c.shared.priority;
+            if let Some(work) = self.route(Work::Process(id), prio) {
+                self.handle_here(work);
+            }
+        }
+        false
+    }
+
+    /// Step 5c for one serviced connection: its close test, then its
+    /// stage windows and poller interest. Returns true when the close
+    /// test found it done and is to be closed hard.
+    fn settle(&mut self, id: ConnId, draining: bool, now: &mut impl FnMut() -> Instant) -> bool {
+        let c = match self.st.conns.get_mut(&id) {
+            Some(c) if c.times.linger_until.is_none() => c,
+            _ => return false,
+        };
+        let closing = c.shared.closing.load(Ordering::Relaxed);
+        // Sampling order matters: `responses_pending` (the send lock)
+        // before the outbox. `complete` moves ready replies into the
+        // outbox while holding the send lock, so a completion racing this
+        // close test is either still pending (sampled first → close
+        // deferred one pass) or its bytes are already visible to the
+        // outbox sample below. Outbox-first sampling lost that race: both
+        // looked clear while the final response landed between the two
+        // samples, and the close discarded it.
+        let pending = c.shared.responses_pending();
+        // `drained`: some send emptied the outbox since the last pass — a
+        // flush of this pass or a work item's own.
+        let (outbox_empty, drained) = {
+            let mut out = c.shared.outbox.lock();
+            // What an item handled here left unsent (output past the work
+            // item's bound) is this thread's to send, and no notify will
+            // bring it back for it.
+            if std::mem::take(&mut c.handled_here) && !out.is_empty() {
+                flush(&self.engine.send_accounts(), &c.shared, &mut out);
+            }
+            (out.is_empty(), std::mem::take(&mut out.sending.drained))
+        };
+        // After peer EOF, a non-empty inbox may still hold a complete
+        // request a worker has not decoded yet, so the connection is kept
+        // until the inbox drains (the decode loop reaps fragments that
+        // can never complete — see `peer_eof` in `ConnShared`). A
+        // draining dispatcher applies the same quiesce test to every
+        // connection, EOF or not.
+        if (closing && outbox_empty && !pending)
+            || ((c.peer_eof || draining)
+                && outbox_empty
+                && !pending
+                && c.shared.inbox.lock().is_empty())
+        {
+            if c.peer_eof || c.shared.sink_dead.load(Ordering::Relaxed) {
+                // Hard close: the peer's byte stream is fully consumed
+                // (FIN seen) or the transport already failed — no unread
+                // bytes are left for a close to RST-discard.
+                return true;
+            } else if !c.shared.outbox.lock().is_empty() {
+                // A reply slipped into the outbox since the sample above:
+                // it flushes first, and the FIN waits a pass
+                // (`shutdown_write` does not flush).
+                self.st.ready_backlog.push_back(id);
+            } else {
+                self.linger(id, now());
+            }
+            return false;
+        }
+        // Stage deadlines. A reply drained — sent by this pass or by a
+        // work item, which then woke us for exactly this.
+        if self.stage_deadlines.any() {
+            c.times
+                .stages(self.stage_deadlines, outbox_empty, drained, now());
+            c.times.rearm(id, &mut self.st.deadlines);
+        }
+        // Re-arm interest: stop read-polling a half-closed or closing
+        // peer (level-triggered EOF would re-report forever), poll for
+        // writability only while reply bytes are actually queued.
+        let want = Interest {
+            readable: !(c.peer_eof || closing),
+            writable: !outbox_empty,
+        };
+        if want != c.armed {
+            let _ = self.poller.reregister(id, &c.stream.lock(), want);
+            c.armed = want;
+        }
+        false
+    }
+
+    /// A server-initiated close with a live peer, at `now`: the lingering
+    /// close. The outbox is drained (`shutdown_write` does not flush);
+    /// FIN goes out now, and the read side stays open so bytes the peer
+    /// pipelined past the close-triggering request are consumed instead
+    /// of provoking an RST that can discard the final response still in
+    /// flight.
+    fn linger(&mut self, id: ConnId, now: Instant) {
+        let mut c = self.st.conns.remove(&id).expect("a settled connection");
+        c.stream.lock().shutdown_write();
+        // The linger deadline replaces every other one.
+        let t = &mut c.times;
+        (t.idle_at, t.header_by, t.drain_by) = (None, None, None);
+        t.linger_until = Some(now + LINGER);
+        t.rearm(id, &mut self.st.deadlines);
+        ServerStats::bump(&self.engine.stats.connections_lingered);
+        // The application-level close happens now — the slot stops
+        // counting against overload admission and the service sees
+        // `on_close`; only the socket teardown is deferred.
+        self.release(&mut c);
+        // Keep reading (discard-only) and drain anything already buffered
+        // on the next pass.
+        if c.armed != Interest::READABLE {
+            let _ = self
+                .poller
+                .reregister(id, &c.stream.lock(), Interest::READABLE);
+            c.armed = Interest::READABLE;
+        }
+        self.st.ready_backlog.push_back(id);
+        self.st.conns.insert(id, c);
+    }
+
+    /// Accept up to a fairness cap of pending connections, each at the
+    /// pass's reading of `now`. Returns true when the cap was reached
+    /// with connections possibly still queued. While the overload
+    /// controller refuses (O9), or `accept` fails for want of a resource
+    /// ([`out_of_resources`]), the acceptor is gated: the listening
+    /// endpoint is deregistered from the poller — a level-triggered
+    /// backlog would otherwise wake the loop continuously — and re-armed
+    /// at a re-check that finds the controller willing.
+    fn accept_pending(&mut self, now: &mut impl FnMut() -> Instant) -> bool {
         for _ in 0..64 {
             // The open count is sampled under the controller's lock: a
             // close that frees a slot either precedes the sample or finds
@@ -973,21 +1036,19 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             };
             if !admitted {
                 ServerStats::bump(&self.engine.stats.accepts_deferred);
-                return self.gate_acceptor(gated, armed);
+                return self.gate_acceptor();
             }
-            if !*armed {
+            if !self.st.listener_armed {
                 if let Some(listener) = &self.listener {
                     let _ = listener.register_listener(&mut self.poller);
                 }
-                *armed = true;
+                self.st.listener_armed = true;
             }
-            *gated = false;
+            self.st.accept_gated = false;
             let listener = self.listener.as_mut().expect("only dispatcher 0 accepts");
             self.engine.syscalls.accepts.fetch_add(1, Ordering::Relaxed);
             match listener.try_accept() {
-                Ok(Some(stream)) => {
-                    self.register(stream, conns, deadlines, pend, ready_backlog);
-                }
+                Ok(Some(stream)) => self.register(stream, now()),
                 Ok(None) => return false,
                 Err(e) => {
                     // One failed accept must not wedge the acceptor: count
@@ -1004,7 +1065,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                         );
                     }
                     if out_of_resources(&e) {
-                        return self.gate_acceptor(gated, armed);
+                        return self.gate_acceptor();
                     }
                 }
             }
@@ -1014,27 +1075,22 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
 
     /// Stop watching the listener until the next re-check (at most
     /// [`RECHECK`] away). Returns false: nothing is left for this pass.
-    fn gate_acceptor(&mut self, gated: &mut bool, armed: &mut bool) -> bool {
-        if *armed {
+    fn gate_acceptor(&mut self) -> bool {
+        if self.st.listener_armed {
             if let Some(listener) = &self.listener {
                 let _ = listener.deregister_listener(&mut self.poller);
             }
-            *armed = false;
+            self.st.listener_armed = false;
         }
-        *gated = true;
+        self.st.accept_gated = true;
         false
     }
 
-    fn register(
-        &mut self,
-        stream: L::Stream,
-        conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
-        deadlines: &mut Deadlines<ConnId>,
-        pend: &mut HashSet<ConnId>,
-        ready_backlog: &mut VecDeque<u64>,
-    ) {
+    /// Set up a connection accepted at `accepted_at` and hand it to the
+    /// dispatcher that owns it.
+    fn register(&mut self, stream: L::Stream, accepted_at: Instant) {
+        self.held.fetch_add(1, Ordering::Relaxed);
         let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed);
-        let accepted_at = Instant::now();
         let peer = stream.peer_label();
         let priority = (self.priority_policy)(&peer);
         let shared = ConnShared::new(id, peer, priority);
@@ -1071,7 +1127,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         };
         let target = (id as usize) % self.inj_txs.len();
         if target == self.index {
-            self.adopt(nc, conns, deadlines, pend, ready_backlog);
+            self.adopt(nc);
         } else {
             let _ = self.inj_txs[target].send(nc);
             self.notifier.wake(target);
@@ -1084,14 +1140,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
     /// data). One the poller refuses (`ENOSPC`, `ENOMEM`) would be served
     /// this pass and never polled again: it is counted as an accept error
     /// and closed at once.
-    fn adopt(
-        &mut self,
-        nc: NewConn<L::Stream>,
-        conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
-        deadlines: &mut Deadlines<ConnId>,
-        pend: &mut HashSet<ConnId>,
-        ready_backlog: &mut VecDeque<u64>,
-    ) {
+    fn adopt(&mut self, nc: NewConn<L::Stream>) {
         let armed = Interest {
             readable: true,
             writable: !nc.shared.outbox.lock().is_empty(),
@@ -1114,12 +1163,12 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                     .tracer
                     .record(EventKind::Accepted, Some(nc.id), why);
             }
-            self.finalize(&mut c, ready_backlog);
+            self.finalize(&mut c);
             return;
         }
-        c.times.rearm(nc.id, deadlines);
-        conns.insert(nc.id, c);
-        pend.insert(nc.id);
+        c.times.rearm(nc.id, &mut self.st.deadlines);
+        self.st.conns.insert(nc.id, c);
+        self.st.pend.insert(nc.id);
     }
 
     /// A connection's wake-up came due at `now`. Each deadline that has
@@ -1127,36 +1176,23 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
     /// connection closing and reaps it on the next (immediate) pass, an
     /// expired linger hard-closes it — and the wake-up is queued again
     /// for whatever deadline is left.
-    fn expire(
-        &mut self,
-        id: ConnId,
-        now: Instant,
-        conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
-        deadlines: &mut Deadlines<ConnId>,
-        ready_backlog: &mut VecDeque<u64>,
-    ) {
-        let c = conns
-            .get_mut(&id)
-            .expect("a held wake-up has its connection");
+    fn expire(&mut self, id: ConnId, now: Instant) {
+        let c = self.st.conns.get_mut(&id).expect("held");
         let (linger, idle, stage) = c.times.take_passed(now);
+        let tracer = &self.engine.tracer;
         if linger {
             // The peer had a full linger window to consume the final
             // response; its unread bytes (if any) are forfeit now.
-            let mut c = conns.remove(&id).expect("present");
+            let mut c = self.st.conns.remove(&id).expect("present");
             ServerStats::bump(&self.engine.stats.linger_reaped);
-            self.engine
-                .tracer
-                .record(EventKind::Timer, Some(id), "linger deadline");
-            self.finalize(&mut c, ready_backlog);
-            return;
+            tracer.record(EventKind::Timer, Some(id), "linger deadline");
+            return self.finalize(&mut c);
         }
         if idle {
             c.shared.closing.store(true, Ordering::Relaxed);
             ServerStats::bump(&self.engine.stats.connections_idle_closed);
-            self.engine
-                .tracer
-                .record(EventKind::Timer, Some(id), "idle shutdown");
-            ready_backlog.push_back(id);
+            tracer.record(EventKind::Timer, Some(id), "idle shutdown");
+            self.st.ready_backlog.push_back(id);
         }
         // A slow-loris peer or a stalled reader: its outbox is dropped —
         // the peer has demonstrably stopped consuming.
@@ -1164,12 +1200,10 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             c.shared.closing.store(true, Ordering::Relaxed);
             c.shared.outbox.lock().clear();
             ServerStats::bump(&self.engine.stats.connections_timed_out);
-            self.engine
-                .tracer
-                .record(EventKind::Timer, Some(id), "stage deadline exceeded");
-            ready_backlog.push_back(id);
+            tracer.record(EventKind::Timer, Some(id), "stage deadline exceeded");
+            self.st.ready_backlog.push_back(id);
         }
-        c.times.rearm(id, deadlines);
+        c.times.rearm(id, &mut self.st.deadlines);
     }
 
     /// Decide who handles a ready event. Gives it back when that is this
@@ -1178,12 +1212,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
     /// the newest one waits in `kept`, and the one it displaces is queued:
     /// every event but the last reaches the workers before the dispatcher
     /// starts on its own.
-    fn route(
-        &self,
-        work: Work<C::Response>,
-        prio: Priority,
-        kept: &mut Option<(Work<C::Response>, Priority)>,
-    ) -> Option<Work<C::Response>> {
+    fn route(&mut self, work: Work<C::Response>, prio: Priority) -> Option<Work<C::Response>> {
         match &self.submit {
             SubmitMode::Inline => Some(work),
             SubmitMode::Pool {
@@ -1191,7 +1220,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
                 dispatcher_handles_last,
             } => {
                 let queued = if *dispatcher_handles_last {
-                    kept.replace((work, prio))
+                    self.st.kept.replace((work, prio))
                 } else {
                     Some((work, prio))
                 };
@@ -1203,67 +1232,19 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         }
     }
 
-    /// Handle `work` on this thread, outside the per-connection loop: the
-    /// same `Engine::handle_work` a worker calls. The connection, if it
-    /// is this dispatcher's, is marked for the pass to look at.
-    fn handle_here(
-        &self,
-        work: Work<C::Response>,
-        conns: &mut HashMap<ConnId, ConnLocal<L::Stream>>,
-        handled_late: &mut Vec<ConnId>,
-    ) {
+    /// Handle `work` on this thread: the same `Engine::handle_work` a
+    /// worker calls. The connection, if it is this dispatcher's, is
+    /// marked for the pass's close tests to look at.
+    fn handle_here(&mut self, work: Work<C::Response>) {
         let id = work.conn();
-        if let Some(c) = conns.get_mut(&id) {
+        if let Some(c) = self.st.conns.get_mut(&id) {
             c.handled_here = true;
-            handled_late.push(id);
+            self.st.handled_late.push(id);
         }
         self.engine.handle_work(work);
     }
 
-    /// Read Request: pull available bytes into the inbox. Returns
-    /// `(read_any, saturated)` — `saturated` means the fairness cap was
-    /// hit without draining the stream, so the caller must re-service
-    /// this connection without waiting for another readiness event.
-    fn read_into_inbox(&self, c: &mut ConnLocal<L::Stream>, buf: &mut [u8]) -> (bool, bool) {
-        if c.peer_eof || c.shared.closing.load(Ordering::Relaxed) {
-            return (false, false);
-        }
-        let mut got = false;
-        let mut stream = c.stream.lock();
-        // Cap per-iteration intake so one chatty peer cannot monopolise the
-        // dispatcher.
-        for _ in 0..8 {
-            self.engine.syscalls.reads.fetch_add(1, Ordering::Relaxed);
-            c.shared.io_reads.fetch_add(1, Ordering::Relaxed);
-            match stream.try_read(buf) {
-                Ok(ReadOutcome::Data(n)) => {
-                    c.shared.inbox.lock().extend_from_slice(&buf[..n]);
-                    ServerStats::add(&self.engine.stats.bytes_read, n as u64);
-                    got = true;
-                }
-                Ok(ReadOutcome::WouldBlock) => return (got, false),
-                Ok(ReadOutcome::Closed) => {
-                    c.peer_eof = true;
-                    c.shared.peer_eof.store(true, Ordering::Relaxed);
-                    return (got, false);
-                }
-                Err(_) => {
-                    // A hard read error is a reset: both directions of the
-                    // stream are gone, so the sink is dead too.
-                    c.peer_eof = true;
-                    c.shared.peer_eof.store(true, Ordering::Relaxed);
-                    c.shared.sink_dead.store(true, Ordering::Relaxed);
-                    if !c.shared.closing.swap(true, Ordering::Relaxed) {
-                        ServerStats::bump(&self.engine.stats.connections_reset);
-                    }
-                    return (got, false);
-                }
-            }
-        }
-        (got, true)
-    }
-
-    fn finalize(&mut self, c: &mut ConnLocal<L::Stream>, ready_backlog: &mut VecDeque<u64>) {
+    fn finalize(&mut self, c: &mut ConnLocal<L::Stream>) {
         let id = c.shared.id;
         {
             // A work item still holding `shared` keeps the stream alive
@@ -1272,11 +1253,12 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             let _ = self.poller.deregister(id, &stream);
             stream.shutdown();
         }
+        self.held.fetch_sub(1, Ordering::Relaxed);
         // A lingering close already released the application-level state
         // at linger entry; only the socket teardown remained. Lingering
         // reads accumulated since then still get attributed.
         if c.times.linger_until.is_none() {
-            self.release(c, ready_backlog);
+            self.release(c);
         } else {
             // The Close span already went out at linger entry: fold the
             // lingered reads into the connection's totals without a
@@ -1290,7 +1272,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
     /// registry slot (overload admission), run the close hook, count and
     /// stamp the close. Runs at linger entry for a lingering close, at
     /// `finalize` otherwise — exactly once either way.
-    fn release(&mut self, c: &mut ConnLocal<L::Stream>, ready_backlog: &mut VecDeque<u64>) {
+    fn release(&mut self, c: &mut ConnLocal<L::Stream>) {
         let id = c.shared.id;
         self.engine.registry.write().remove(&id);
         ServerStats::bump(&self.engine.stats.connections_closed);
@@ -1312,7 +1294,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
         // with no trip through its own waker.
         if self.overload.lock().is_gating() {
             if self.index == 0 {
-                ready_backlog.push_back(LISTENER_TOKEN);
+                self.st.ready_backlog.push_back(LISTENER_TOKEN);
             } else {
                 self.notifier.wake_completion_sink();
             }
@@ -1325,9 +1307,9 @@ mod tests {
     use super::*;
     use crate::metrics::MetricsRegistry;
     use crate::pipeline::{Action, ConnCtx, EncodedReply, RawCodec, WORKER_SEND_MAX};
+    use crate::transport::mem::{MemListener, MemStream};
     use bytes::BytesMut;
     use propcheck::{check, Gen};
-    use std::sync::atomic::AtomicUsize;
     use std::sync::Barrier;
 
     /// A sink that follows a script: each gathered write consumes the
@@ -1662,6 +1644,206 @@ mod tests {
             &mut shared.outbox.lock()
         ));
         assert_eq!(stream.lock().wire.len(), WORKER_SEND_MAX + 1);
+    }
+
+    /// A dispatcher over `listener` whose whole loop runs on the calling
+    /// thread (`SubmitMode::Inline`), attached and ready to be stepped.
+    fn stepped<L: Listener>(
+        listener: L,
+        idle_ms: Option<u64>,
+        stages: StageDeadlines,
+    ) -> Dispatcher<RawCodec, Sized, L> {
+        let poller = L::new_poller().unwrap();
+        let (flush_tx, flush_rx) = std::sync::mpsc::channel();
+        let (inj_tx, inj_rx) = std::sync::mpsc::channel();
+        let notifier = DispatchNotifier::new(vec![(flush_tx, poller.waker())]);
+        let engine = Engine {
+            codec: Arc::new(RawCodec),
+            service: Arc::new(Sized),
+            registry: Arc::default(),
+            stats: ServerStats::new_shared(),
+            metrics: MetricsRegistry::disabled(),
+            tracer: DebugTracer::disabled(),
+            logger: None,
+            helper: None,
+            completion_tx: None,
+            notifier: notifier.clone(),
+            syscalls: SyscallCounters::new_shared(),
+        };
+        let mut d = Dispatcher {
+            index: 0,
+            engine: Arc::new(engine),
+            listener: Some(listener),
+            poller,
+            inj_rx,
+            inj_txs: vec![inj_tx],
+            flush_rx,
+            notifier,
+            submit: SubmitMode::Inline,
+            overload: Arc::new(Mutex::new(OverloadController::disabled())),
+            completion_rx: None,
+            priority_policy: Arc::new(|_| Priority::HIGHEST),
+            idle_limit: idle_ms.map(Duration::from_millis),
+            stage_deadlines: stages,
+            stop: Arc::default(),
+            drain: Arc::default(),
+            next_conn_id: Arc::new(AtomicU64::new(1)),
+            worker_table: None,
+            held: Arc::default(),
+            st: LoopState::default(),
+        };
+        d.attach();
+        d
+    }
+
+    /// One turn of the loop on a virtual clock that reads `at`: a wait
+    /// that does not block, then a pass.
+    fn step<L: Listener>(d: &mut Dispatcher<RawCodec, Sized, L>, at: Instant) -> Option<Duration> {
+        d.wait(Some(Duration::ZERO));
+        d.pass(|| at)
+    }
+
+    fn ms(n: u64) -> Duration {
+        Duration::from_millis(n)
+    }
+
+    const NS: Duration = Duration::from_nanos(1);
+
+    /// Whatever the server sent, up to its FIN: `(bytes, fin)`.
+    fn received(c: &mut impl StreamIo) -> (Vec<u8>, bool) {
+        let (mut got, mut buf) = (Vec::new(), [0u8; 256]);
+        loop {
+            match c.try_read(&mut buf).unwrap() {
+                ReadOutcome::Data(n) => got.extend_from_slice(&buf[..n]),
+                ReadOutcome::WouldBlock => return (got, false),
+                ReadOutcome::Closed => return (got, true),
+            }
+        }
+    }
+
+    /// The deadline a connection's `expired` counter reports fires at the
+    /// first pass whose clock reads `due`: at `due - 1 ns` the pass finds
+    /// 1 ns left, at `due` it closes the connection, and its next pass
+    /// sends the FIN of a lingering close.
+    fn fires_at<L: Listener>(
+        d: &mut Dispatcher<RawCodec, Sized, L>,
+        c: &mut impl StreamIo,
+        due: Instant,
+        expired: fn(&crate::profiling::StatsSnapshot) -> u64,
+    ) {
+        assert_eq!(step(d, due - NS), Some(NS), "the time left");
+        assert_eq!(expired(&d.engine.stats.snapshot()), 0, "fired early");
+        assert_eq!(step(d, due), Some(Duration::ZERO), "closing: next pass");
+        assert_eq!(expired(&d.engine.stats.snapshot()), 1, "fired late");
+        assert!(!received(c).1, "no FIN before the close's own pass");
+        step(d, due);
+        assert!(received(c).1, "the lingering close's FIN");
+    }
+
+    #[test]
+    fn stepped_idle_deadline_fires_at_its_instant_not_a_nanosecond_before() {
+        let (listener, connector) = crate::transport::mem::listener("stepped-idle");
+        let mut d = stepped(listener, Some(50), StageDeadlines::NONE);
+        let t0 = Instant::now();
+        let mut c = connector.connect();
+        c.try_write(b"3").unwrap();
+        // Accepted, read and answered at t0: idle from t0 + 50 ms on.
+        assert_eq!(step(&mut d, t0), Some(ms(50)));
+        assert_eq!(received(&mut c), (b"xxx".to_vec(), false));
+        assert_eq!(step(&mut d, t0 + ms(20)), Some(ms(30)), "the time left");
+        fires_at(&mut d, &mut c, t0 + ms(50), |s| s.connections_idle_closed);
+    }
+
+    #[test]
+    fn stepped_header_read_deadline_fires_at_its_instant_not_a_nanosecond_before() {
+        let (listener, connector) = crate::transport::mem::listener("stepped-header");
+        let stages = StageDeadlines {
+            header_read_ms: Some(100),
+            write_drain_ms: None,
+        };
+        let mut d = stepped(listener, None, stages);
+        let t0 = Instant::now();
+        // A peer that connects and sends nothing.
+        let mut c = connector.connect();
+        assert_eq!(step(&mut d, t0), Some(ms(100)));
+        fires_at(&mut d, &mut c, t0 + ms(100), |s| s.connections_timed_out);
+    }
+
+    #[test]
+    fn stepped_write_drain_deadline_fires_at_its_instant_not_a_nanosecond_before() {
+        // Every write of the connection is cut to a few bytes, and every
+        // other one refused: a 200-byte reply stays queued for many
+        // passes.
+        let (listener, connector) = crate::transport::mem::listener("stepped-drain");
+        let plan = crate::fault::FaultPlan {
+            short_io_per_mille: 1000,
+            ..crate::fault::FaultPlan::new(7)
+        };
+        let stages = StageDeadlines {
+            header_read_ms: None,
+            write_drain_ms: Some(50),
+        };
+        let mut d = stepped(crate::fault::layer(listener, plan), None, stages);
+        let t0 = Instant::now();
+        let mut c = connector.connect();
+        c.try_write(b"200").unwrap();
+        // The reply is queued at t0: the drain window ends at t0 + 50 ms.
+        assert_eq!(step(&mut d, t0), Some(ms(50)));
+        assert_eq!(step(&mut d, t0 + ms(30)), Some(ms(20)), "the time left");
+        let (sent, _) = received(&mut c);
+        assert!(!sent.is_empty() && sent.len() < 200, "{} bytes", sent.len());
+        fires_at(&mut d, &mut c, t0 + ms(50), |s| s.connections_timed_out);
+    }
+
+    /// A connection closed idle at the instant returned, and lingering
+    /// from then on.
+    fn lingering() -> (Dispatcher<RawCodec, Sized, MemListener>, MemStream, Instant) {
+        let (listener, connector) = crate::transport::mem::listener("stepped-linger");
+        let mut d = stepped(listener, Some(50), StageDeadlines::NONE);
+        let t0 = Instant::now();
+        let mut c = connector.connect();
+        step(&mut d, t0);
+        let closed = t0 + ms(50);
+        assert_eq!(step(&mut d, closed), Some(Duration::ZERO));
+        assert_eq!(step(&mut d, closed), Some(Duration::ZERO), "FIN out");
+        assert!(received(&mut c).1);
+        assert_eq!(d.engine.stats.snapshot().connections_lingered, 1);
+        (d, c, closed)
+    }
+
+    #[test]
+    fn stepped_linger_is_reaped_at_exactly_linger() {
+        let (mut d, _c, t0) = lingering();
+        assert_eq!(step(&mut d, t0), Some(LINGER));
+        assert_eq!(step(&mut d, t0 + LINGER - NS), Some(NS));
+        assert_eq!(d.held.load(Ordering::Relaxed), 1, "the socket is held");
+        // The last deadline goes with the socket: none is left.
+        assert_eq!(step(&mut d, t0 + LINGER), None);
+        assert_eq!(d.engine.stats.snapshot().linger_reaped, 1);
+        assert_eq!(d.held.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn stepped_peer_fin_inside_the_linger_window_ends_it_first() {
+        let (mut d, mut c, t0) = lingering();
+        c.try_write(b"late").unwrap();
+        c.shutdown_write();
+        assert_eq!(step(&mut d, t0 + ms(10)), None, "no socket, no deadline");
+        assert_eq!(d.held.load(Ordering::Relaxed), 0);
+        let stats = d.engine.stats.snapshot();
+        assert_eq!((stats.linger_reaped, stats.bytes_read), (0, 4));
+    }
+
+    #[test]
+    fn stepped_pass_without_a_deadline_returns_none() {
+        let (listener, connector) = crate::transport::mem::listener("stepped-none");
+        let mut d = stepped(listener, None, StageDeadlines::NONE);
+        let t0 = Instant::now();
+        let mut c = connector.connect();
+        c.try_write(b"2").unwrap();
+        assert_eq!(step(&mut d, t0), None);
+        assert_eq!(received(&mut c), (b"xx".to_vec(), false));
+        assert_eq!(step(&mut d, t0 + ms(1_000_000)), None);
     }
 
     /// A notifier over one dispatcher whose waker counts its fires.

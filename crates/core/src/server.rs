@@ -10,7 +10,7 @@
 //! logging. (`nserver-codegen` emits this same assembly as standalone
 //! source text.)
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -304,28 +304,21 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
 
         // --- O1: dispatcher threads. ---
         let stop = Arc::new(AtomicBool::new(false));
-        let next_conn_id = Arc::new(AtomicU64::new(1));
-        let mut inj_channels = Vec::with_capacity(n_dispatchers);
-        for _ in 0..n_dispatchers {
-            inj_channels.push(std::sync::mpsc::channel());
-        }
-        let inj_txs: Vec<_> = inj_channels.iter().map(|(tx, _)| tx.clone()).collect();
+        let (next_conn_id, held) = (Arc::new(AtomicU64::new(1)), Arc::default());
+        let (inj_txs, inj_rxs): (Vec<_>, Vec<_>) = (0..n_dispatchers)
+            .map(|_| std::sync::mpsc::channel())
+            .unzip();
 
         // The CPUs this process may run on (affinity mask, cgroup quota);
         // unknown reads as more than one.
         let cpus = std::thread::available_parallelism().map_or(usize::MAX, usize::from);
         let submit = SubmitMode::choose(opts, cpus, processor.as_ref());
-
-        let idle_limit = opts.idle_shutdown_ms.map(Duration::from_millis);
-        let stage_deadlines = opts.stage_deadlines;
         let drain = Arc::new(AtomicBool::new(false));
 
         let mut dispatchers = Vec::with_capacity(n_dispatchers);
         let mut listener_slot = Some(listener);
-        let parts = inj_channels
-            .into_iter()
-            .zip(pollers.into_iter().zip(flush_rxs));
-        for (index, ((_, rx), (poller, flush_rx))) in parts.enumerate() {
+        let parts = inj_rxs.into_iter().zip(pollers.into_iter().zip(flush_rxs));
+        for (index, (rx, (poller, flush_rx))) in parts.enumerate() {
             let d = Dispatcher::<C, S, L> {
                 index,
                 engine: Arc::clone(&engine),
@@ -347,12 +340,14 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
                     None
                 },
                 priority_policy: Arc::clone(&self.priority_policy),
-                idle_limit,
-                stage_deadlines,
+                idle_limit: opts.idle_shutdown_ms.map(Duration::from_millis),
+                stage_deadlines: opts.stage_deadlines,
                 stop: Arc::clone(&stop),
                 drain: Arc::clone(&drain),
                 next_conn_id: Arc::clone(&next_conn_id),
                 worker_table: Some(Arc::clone(&worker_table)),
+                held: Arc::clone(&held),
+                st: Default::default(),
             };
             dispatchers.push(
                 std::thread::Builder::new()
@@ -367,6 +362,7 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
             processor,
             stop,
             drain,
+            held,
             notifier,
             dispatchers,
             local_label,
@@ -384,6 +380,7 @@ pub struct ServerHandle<C: Codec, S: Service<C>> {
     processor: Option<Arc<EventProcessor<Work<C::Response>>>>,
     stop: Arc<AtomicBool>,
     drain: Arc<AtomicBool>,
+    held: Arc<AtomicUsize>,
     notifier: DispatchNotifier,
     dispatchers: Vec<JoinHandle<()>>,
     local_label: String,
@@ -468,18 +465,18 @@ impl<C: Codec, S: Service<C>> ServerHandle<C, S> {
         self.processor.as_ref().map_or(0, |p| p.live_workers())
     }
 
-    /// Graceful shutdown: stop accepting, let in-flight events finish and
-    /// replies drain, then stop. Connections that have not quiesced when
-    /// `deadline` expires are closed forcibly by the normal shutdown path.
+    /// Graceful shutdown: stop accepting, let in-flight events finish,
+    /// replies drain and every socket close (a lingering one too), then
+    /// stop; at `deadline` the normal shutdown path closes what is left.
     /// Returns `true` when every connection drained within the deadline.
     pub fn shutdown_graceful(self, deadline: Duration) -> bool {
         self.drain.store(true, Ordering::Relaxed);
         self.notifier.wake_all();
         let start = std::time::Instant::now();
-        let mut drained = self.open_connections() == 0;
+        let mut drained = self.held.load(Ordering::Relaxed) == 0;
         while !drained && start.elapsed() < deadline {
             std::thread::sleep(Duration::from_millis(5));
-            drained = self.open_connections() == 0;
+            drained = self.held.load(Ordering::Relaxed) == 0;
         }
         self.shutdown();
         drained

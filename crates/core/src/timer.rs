@@ -1,9 +1,10 @@
 //! Time in an event loop, as one queue of wake-ups. The paper's Reactor
 //! treats a timer as one more Event Source beside the I/O ports; here the
 //! dispatcher loop (`reactor.rs`) and the cluster relay (`cluster.rs`)
-//! each keep one `Deadlines`, read the clock when a pass first needs it
-//! (`pass_clock`), handle every wake-up that came due, and sleep until
-//! the queue's head.
+//! each keep one `Deadlines`. A pass of either loop reads the clock it is
+//! given at its first need (`lazily`), acts on every wake-up due
+//! (`Deadlines::sweep`), and returns how long the loop may sleep. The
+//! threaded loops pass `WALL`; a test passes a virtual clock.
 //! What a wake-up is for belongs to the loop: a connection's earliest
 //! deadline (idle, header read, write drain, linger), a relay session's
 //! reap, a parked backend dial.
@@ -22,10 +23,14 @@ use std::time::{Duration, Instant};
 /// enough that a peer that never answers cannot pin the socket.
 pub(crate) const LINGER: Duration = Duration::from_secs(1);
 
-/// A loop pass's clock reading, taken at its first use and shared by the
-/// rest of the pass: a pass that arms and sweeps nothing reads no clock.
-pub(crate) fn pass_clock(reading: &mut Option<Instant>) -> Instant {
-    *reading.get_or_insert_with(Instant::now)
+/// The clock the threaded loops pass to each pass: wall time.
+pub(crate) const WALL: fn() -> Instant = Instant::now;
+
+/// One pass's reading of `clock`, taken at its first use and shared by
+/// the rest of the pass: a pass that needs no time reads no clock.
+pub(crate) fn lazily(mut clock: impl FnMut() -> Instant) -> impl FnMut() -> Instant {
+    let mut reading = None;
+    move || *reading.get_or_insert_with(&mut clock)
 }
 
 /// A min-queue of `(Instant, K)` wake-ups: one loop's timers.
@@ -56,6 +61,32 @@ impl<K: Ord + Copy> Deadlines<K> {
             return None;
         }
         self.0.pop().map(|Reverse(head)| head)
+    }
+
+    /// One pass's sweep of the queue `queue` picks out of loop `cx` (so
+    /// that `due` may re-arm it): each wake-up due at `now()` leaves the
+    /// queue in deadline order and goes to `due` if its owner still
+    /// `held` it; a stale one is dropped unread at the head. Returns the
+    /// time until the first held wake-up left.
+    pub fn sweep<X>(
+        cx: &mut X,
+        queue: fn(&mut X) -> &mut Self,
+        mut now: impl FnMut() -> Instant,
+        held: impl Fn(&X, (Instant, K)) -> bool,
+        mut due: impl FnMut(&mut X, K, Instant),
+    ) -> Option<Duration> {
+        while let Some(wake) = queue(cx).next() {
+            let (held, now) = (held(cx, wake), now());
+            if held && wake.0 > now {
+                return Some(wake.0 - now);
+            }
+            // Due, or stale: either way it leaves the queue.
+            queue(cx).pop_due(wake.0);
+            if held {
+                due(cx, wake.1, now);
+            }
+        }
+        None
     }
 
     /// Keep only the wake-ups `held` accepts, once the queue outnumbers
@@ -149,6 +180,43 @@ mod tests {
         q.prune(1, live);
         assert_eq!(q.next(), Some((t0 + ms(300_007), 7)));
         assert_eq!(q.0.len(), 1, "only the live owner's wake-up is left");
+    }
+
+    /// A loop whose owners hold the wake-ups of `held`.
+    #[derive(Default)]
+    struct Looping {
+        q: Deadlines<u64>,
+        held: Vec<(Instant, u64)>,
+        acted: Vec<(u64, Instant)>,
+    }
+
+    fn sweep(l: &mut Looping, now: impl FnMut() -> Instant) -> Option<Duration> {
+        let held = |l: &Looping, wake| l.held.contains(&wake);
+        Deadlines::sweep(l, |l| &mut l.q, now, held, |l, k, at| l.acted.push((k, at)))
+    }
+
+    #[test]
+    fn sweep_acts_on_the_held_drops_the_stale_and_returns_the_time_left() {
+        let t0 = Instant::now();
+        let mut l = Looping::default();
+        for (at, k) in [(10, 1), (20, 2), (30, 3)] {
+            l.q.arm(t0 + ms(at), k);
+        }
+        // 2's owner let its wake-up go: it is stale.
+        l.held = vec![(t0 + ms(10), 1), (t0 + ms(30), 3)];
+        let now = t0 + ms(25);
+        assert_eq!(sweep(&mut l, lazily(|| now)), Some(ms(5)));
+        assert_eq!(l.acted, vec![(1, now)]);
+        assert_eq!(l.q.0.len(), 1, "the stale one left unread");
+        // Due at its instant, not a nanosecond before.
+        assert_eq!(
+            sweep(&mut l, || t0 + ms(30) - Duration::from_nanos(1)),
+            Some(Duration::from_nanos(1))
+        );
+        assert_eq!(sweep(&mut l, || t0 + ms(30)), None);
+        assert_eq!(l.acted[1], (3, t0 + ms(30)));
+        // An empty queue reads no clock.
+        assert_eq!(sweep(&mut l, || panic!("a clock read")), None);
     }
 
     #[test]

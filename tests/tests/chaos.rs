@@ -579,6 +579,44 @@ fn graceful_drain_finishes_in_flight_requests_before_closing() {
 }
 
 #[test]
+fn graceful_drain_waits_for_lingering_closes_before_closing() {
+    // The reply sent while draining leaves its connection lingering: FIN
+    // out, the read side open for what a pipelining peer sends past it.
+    // The drain must hold that socket until the peer's FIN (or the linger
+    // deadline), not return at linger entry and let shutdown hard-close
+    // it: the peer's late write would then meet a closed socket, and the
+    // reset would discard the reply it has not read yet.
+    let (listener, connector) = mem::listener("chaos-drain-linger");
+    let service = SlowService(Duration::from_millis(100));
+    let server = ServerBuilder::new(ServerOptions::default(), LineCodec, service)
+        .unwrap()
+        .serve(listener);
+    let mut c = connector.connect();
+    assert!(write_all(
+        &mut c,
+        b"a\n",
+        Instant::now() + Duration::from_secs(2)
+    ));
+    let client = std::thread::spawn(move || {
+        std::thread::sleep(Duration::from_millis(300));
+        let _ = write_all(&mut c, b"late\n", Instant::now() + Duration::from_secs(2));
+        let got = read_reply(&mut c, "ok a\n", Duration::from_secs(5));
+        c.shutdown_write();
+        got
+    });
+    std::thread::sleep(Duration::from_millis(20));
+    let drained = server.shutdown_graceful(Duration::from_secs(3));
+    assert!(
+        client.join().unwrap(),
+        "the drain's hard close lost the reply"
+    );
+    assert!(
+        drained,
+        "the peer's FIN ended the linger inside the deadline"
+    );
+}
+
+#[test]
 fn pure_short_io_plan_round_trips_large_bodies_byte_exactly() {
     // Every connection draws ShortIo: reads and writes are capped at a
     // few bytes and every other write would-blocks, so an 8 KiB body
