@@ -1,4 +1,4 @@
-//! The schedule explorer: run the real reactor under a [`Schedule`],
+//! The schedule explorer: run the real server under a [`Schedule`],
 //! record every connection's observable trace, and check the traces
 //! against the protocol models.
 //!
@@ -6,11 +6,17 @@
 //! scaffolding is the transport stack (`base_stack`): an in-memory
 //! listener under the fault layer (injects the plan's faults) under the
 //! tap layer (records the traces the models consume), each a hook set
-//! over the one [`Layered`] adapter. The driver
-//! delivers each connection's segments in the schedule's interleaved
-//! order, optionally slamming connections shut early, then quiesces:
-//! clean connections are waited on until the model-predicted output has
-//! drained, everything else until the trace log goes still.
+//! over the one [`Layered`] adapter. The server is a [`Stepped`] one: its
+//! dispatchers and pools run on the explorer's thread, on a virtual
+//! clock, only when told to. The explorer delivers each connection's
+//! segments in the schedule's interleaved order, optionally slamming
+//! connections shut early; at each step with a pause it settles the
+//! server (runs it until no pass has work and no job is queued) and
+//! advances the clock by the pause, so a pause costs no wall-clock time
+//! and steps without one reach the server back to back. After the last
+//! step it settles the server and drops it, which closes every
+//! connection as a shutdown does. A run is then a function of its
+//! schedule.
 //!
 //! FTP schedules add a second plane: a **data pump** watches each control
 //! connection's outbound trace for `227` replies, connects a real TCP
@@ -19,13 +25,10 @@
 //! socket mid-transfer). The service's data tap records both directions
 //! of every data connection, joined to its control connection by accept
 //! index and transfer ordinal, so [`check_ftp_session`] can hold
-//! transfers to byte-exact payloads and completion-ordering rules.
-//!
-//! [`run_virtual`] is the simulated-time mode: delivery pauses advance a
-//! [`nserver_netsim::Scheduler`] virtual clock instead of sleeping, so
-//! stall-heavy schedules cost (almost) zero wall-clock while producing
-//! the same model verdicts — both server presets run without stage
-//! deadlines, so wall-clock pacing is unobservable to the model.
+//! transfers to byte-exact payloads and completion-ordering rules. The
+//! data plane is real TCP, so a transfer job blocks — on the stepped
+//! pool's thread — until the pump has connected, and the pump's thread
+//! polls the trace log on the wall clock.
 //!
 //! On a violation the explorer shrinks the schedule greedily — dropping
 //! connections, merging segments, zeroing fault knobs and pauses —
@@ -46,14 +49,13 @@ use nserver_cache::{FileCache, PolicyKind, SharedFileCache};
 use nserver_core::fault::{self, FaultPlan, FaultProfile};
 use nserver_core::layer::Layered;
 use nserver_core::options::{CompletionMode, ServerOptions};
-use nserver_core::pipeline::Service;
-use nserver_core::server::ServerBuilder;
+use nserver_core::pipeline::{Codec, Service};
+use nserver_core::server::{ServerBuilder, Stepped};
 use nserver_core::tap::{self, ConnTrace, TraceLog};
-use nserver_core::transport::{mem, StreamIo};
+use nserver_core::transport::{mem, Listener, StreamIo};
 use nserver_ftp::observe::parse_pasv_port;
 use nserver_ftp::{cops_ftp_options, split_replies, FtpCodec, FtpService};
 use nserver_http::{cops_http_options, HttpCodec, MemStore, StaticFileService};
-use nserver_netsim::{Link, LinkEvent, Model, Scheduler, SimTime};
 use parking_lot::Mutex;
 
 use crate::ftp_model::{
@@ -76,35 +78,8 @@ pub struct RunReport {
     pub traces: Vec<ConnTrace>,
     /// Model violations found (empty = conforming run).
     pub violations: Vec<Violation>,
-}
-
-/// The delivery timeline of a simulated-time run.
-#[derive(Debug)]
-pub struct VirtualTimeline {
-    /// Virtual clock reading after the last delivery step (the wall time
-    /// the same schedule's pauses would have cost).
-    pub virtual_elapsed_ms: u64,
-    /// Per-segment delivery records from the netsim link model the
-    /// virtual driver pushes its segments through.
-    pub deliveries: Vec<LinkEvent>,
-}
-
-/// A [`RunReport`] plus the virtual-clock artifact.
-#[derive(Debug)]
-pub struct VirtualReport {
-    /// The model-checking outcome (same shape as a wall-clock run).
-    pub report: RunReport,
-    /// The simulated delivery timeline.
-    pub timeline: VirtualTimeline,
-}
-
-/// How the driver paces the schedule's delivery steps.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Pacing {
-    /// Sleep each step's `pause_ms` on the wall clock.
-    Wall,
-    /// Advance a netsim virtual clock instead; never sleep.
-    Virtual,
+    /// How far the schedule's pauses advanced the server's clock.
+    pub elapsed: Duration,
 }
 
 /// Services that can host the explorer's data-connection tap. The
@@ -146,21 +121,6 @@ pub fn run(sched: &Schedule) -> RunReport {
     }
 }
 
-/// Run a schedule under the virtual clock: identical server, faults and
-/// checking, but delivery pauses advance simulated time instead of
-/// sleeping.
-pub fn run_virtual(sched: &Schedule) -> VirtualReport {
-    match sched.proto {
-        Proto::Http => run_http_paced(
-            sched,
-            standard_http_service(),
-            cops_http_options(),
-            Pacing::Virtual,
-        ),
-        Proto::Ftp => run_ftp_paced(sched, standard_ftp_service(), Pacing::Virtual),
-    }
-}
-
 /// Run an HTTP schedule against `svc` under the COPS-HTTP preset.
 pub fn run_http<S: Service<HttpCodec>>(sched: &Schedule, svc: S) -> RunReport {
     run_http_with_options(sched, svc, cops_http_options())
@@ -173,7 +133,7 @@ pub fn run_http_with_options<S: Service<HttpCodec>>(
     svc: S,
     opts: ServerOptions,
 ) -> RunReport {
-    run_http_paced(sched, svc, opts, Pacing::Wall).report
+    run_http_on(sched, svc, opts, |l: BaseListener| l)
 }
 
 /// The explorer's standard transport stack, outermost first: the trace
@@ -195,10 +155,9 @@ fn run_http_mutated(
     mutation: TransportMutation,
     opts: ServerOptions,
 ) -> RunReport {
-    run_http_paced_on(sched, standard_http_service(), opts, Pacing::Wall, |l| {
+    run_http_on(sched, standard_http_service(), opts, |l| {
         mutant::layer(l, mutation)
     })
-    .report
 }
 
 /// HTTP under [`TransportMutation::Lingerless`]: every server-initiated
@@ -240,31 +199,15 @@ pub fn run_http_on_thread_drop(sched: &Schedule) -> RunReport {
 /// The FTP flavour of [`run_http_lingerless`] (QUIT is a server-initiated
 /// close too).
 pub fn run_ftp_lingerless(sched: &Schedule) -> RunReport {
-    run_ftp_paced_on(sched, standard_ftp_service(), Pacing::Wall, |l| {
+    run_ftp_on(sched, standard_ftp_service(), |l| {
         mutant::layer(l, TransportMutation::Lingerless)
     })
-    .report
 }
 
-fn run_http_paced<S: Service<HttpCodec>>(
-    sched: &Schedule,
-    svc: S,
-    opts: ServerOptions,
-    pacing: Pacing,
-) -> VirtualReport {
-    run_http_paced_on(sched, svc, opts, pacing, |l: BaseListener| l)
-}
-
-fn run_http_paced_on<S, L, F>(
-    sched: &Schedule,
-    svc: S,
-    opts: ServerOptions,
-    pacing: Pacing,
-    wrap: F,
-) -> VirtualReport
+fn run_http_on<S, L, F>(sched: &Schedule, svc: S, opts: ServerOptions, wrap: F) -> RunReport
 where
     S: Service<HttpCodec>,
-    L: nserver_core::transport::Listener,
+    L: Listener,
     F: FnOnce(BaseListener) -> L,
 {
     let fixture = HttpFixture::standard();
@@ -273,15 +216,11 @@ where
     let (tapped, log) = base_stack(listener, sched.plan);
     let server = ServerBuilder::new(opts, HttpCodec::new(), svc)
         .expect("valid server options")
-        .serve(wrap(tapped));
+        .stepped(wrap(tapped));
 
-    let shared_order = Arc::new(Mutex::new(vec![None; sched.conns.len()]));
-    let (mut streams, connect_order, timeline) = deliver(sched, &connector, pacing, &shared_order);
-    let targets = strict_targets(sched, &connect_order, |conn| {
-        Target::Bytes(expected_outbound(&fixture, &conn.bytes()).0.len())
-    });
-    quiesce(&log, &targets, Duration::from_secs(3));
-    server.shutdown();
+    let connect_order = Mutex::new(vec![None; sched.conns.len()]);
+    let (mut streams, elapsed) = deliver(sched, &connector, server, &connect_order);
+    let connect_order = connect_order.into_inner();
     let traces = log.snapshot();
     let mut violations =
         collect_violations(sched, &traces, &log, &connect_order, |trace, strict| {
@@ -304,30 +243,22 @@ where
             })
         },
     ));
-    drop(streams);
-    VirtualReport {
-        report: RunReport { traces, violations },
-        timeline,
+    RunReport {
+        traces,
+        violations,
+        elapsed,
     }
 }
 
 /// Run an FTP schedule against `svc` under the COPS-FTP preset.
 pub fn run_ftp<S: Service<FtpCodec> + FtpDataTapTarget>(sched: &Schedule, svc: S) -> RunReport {
-    run_ftp_paced(sched, svc, Pacing::Wall).report
+    run_ftp_on(sched, svc, |l: BaseListener| l)
 }
 
-fn run_ftp_paced<S: Service<FtpCodec> + FtpDataTapTarget>(
-    sched: &Schedule,
-    svc: S,
-    pacing: Pacing,
-) -> VirtualReport {
-    run_ftp_paced_on(sched, svc, pacing, |l: BaseListener| l)
-}
-
-fn run_ftp_paced_on<S, L, F>(sched: &Schedule, svc: S, pacing: Pacing, wrap: F) -> VirtualReport
+fn run_ftp_on<S, L, F>(sched: &Schedule, svc: S, wrap: F) -> RunReport
 where
     S: Service<FtpCodec> + FtpDataTapTarget,
-    L: nserver_core::transport::Listener,
+    L: Listener,
     F: FnOnce(BaseListener) -> L,
 {
     let nonce = RUN_NONCE.fetch_add(1, Ordering::Relaxed);
@@ -336,25 +267,16 @@ where
     let data_recorded = svc.attach_data_tap(log.clone());
     let server = ServerBuilder::new(cops_ftp_options(), FtpCodec, svc)
         .expect("valid server options")
-        .serve(wrap(tapped));
+        .stepped(wrap(tapped));
 
-    let shared_order = Arc::new(Mutex::new(vec![None; sched.conns.len()]));
+    let connect_order = Arc::new(Mutex::new(vec![None; sched.conns.len()]));
     let has_data_ops = sched.conns.iter().any(|c| !c.data_ops.is_empty());
-    let pump = has_data_ops.then(|| spawn_data_pump(sched, &log, &shared_order));
-    let (mut streams, connect_order, timeline) = deliver(sched, &connector, pacing, &shared_order);
-    let targets = strict_targets(sched, &connect_order, |conn| {
-        Target::Blocks(expected_replies(&conn.bytes()).len())
-    });
-    let patience = if has_data_ops {
-        Duration::from_secs(6)
-    } else {
-        Duration::from_secs(3)
-    };
-    quiesce(&log, &targets, patience);
-    server.shutdown();
+    let pump = has_data_ops.then(|| spawn_data_pump(sched, &log, &connect_order));
+    let (mut streams, elapsed) = deliver(sched, &connector, server, &connect_order);
     if let Some(pump) = pump {
         pump.finish();
     }
+    let connect_order = connect_order.lock().clone();
     let traces = log.snapshot();
     let mut violations =
         collect_ftp_violations(sched, &traces, &log, &connect_order, data_recorded);
@@ -370,146 +292,52 @@ where
             (got < want).then(|| format!("client received {got} of {want} expected reply blocks"))
         },
     ));
-    drop(streams);
-    VirtualReport {
-        report: RunReport { traces, violations },
-        timeline,
+    RunReport {
+        traces,
+        violations,
+        elapsed,
     }
 }
 
-/// What quiescence means for one strictly-checked connection.
-enum Target {
-    /// At least this many outbound bytes (HTTP: byte-exact model).
-    Bytes(usize),
-    /// At least this many complete reply blocks (FTP: code-level model).
-    Blocks(usize),
-}
-
-/// Per-step delivery state shared by both pacing modes.
-struct DeliveryState {
-    streams: Vec<Option<mem::MemStream>>,
-    connect_order: Vec<Option<u64>>,
-    next_order: u64,
-    seg_idx: Vec<usize>,
-}
-
-impl DeliveryState {
-    fn new(conns: usize) -> Self {
-        Self {
-            streams: (0..conns).map(|_| None).collect(),
-            connect_order: vec![None; conns],
-            next_order: 0,
-            seg_idx: vec![0; conns],
-        }
-    }
-
-    /// Deliver order step `i`: lazy-connect, push the segment, slam the
-    /// connection shut after its last segment if scripted. Returns the
-    /// segment's byte length.
-    fn deliver_step(
-        &mut self,
-        sched: &Schedule,
-        connector: &mem::MemConnector,
-        shared_order: &Mutex<Vec<Option<u64>>>,
-        i: usize,
-    ) -> usize {
-        let ci = sched.order[i].conn;
-        if self.streams[ci].is_none() {
-            self.streams[ci] = Some(connector.connect());
-            self.next_order += 1;
-            self.connect_order[ci] = Some(self.next_order);
-            shared_order.lock()[ci] = Some(self.next_order);
-        }
-        let stream = self.streams[ci].as_mut().expect("just connected");
-        let seg = &sched.conns[ci].segments[self.seg_idx[ci]];
-        self.seg_idx[ci] += 1;
-        push_bytes(stream, seg);
-        if self.seg_idx[ci] == sched.conns[ci].segments.len() && sched.conns[ci].close_early {
-            stream.shutdown();
-        }
-        seg.len()
-    }
-}
-
-/// Records which delivery steps the virtual clock has released.
-struct FiredSteps(Vec<usize>);
-
-impl Model for FiredSteps {
-    type Ev = usize;
-    fn handle(&mut self, _now: SimTime, ev: usize, _sched: &mut Scheduler<usize>) {
-        self.0.push(ev);
-    }
-}
-
-/// Deliver the schedule: connect lazily on a connection's first step (so
-/// connect order — and with the FIFO inbox, accept index — is the order
-/// of first steps), push one segment per step, pause as scheduled, and
-/// slam `close_early` connections shut right after their last segment.
-/// Returns the client streams (kept open so the server never sees a
-/// spurious EOF), each conn's 1-based connect order, and the virtual
-/// timeline when pacing is [`Pacing::Virtual`].
-fn deliver(
+/// Deliver the schedule to `server`: connect lazily on a connection's
+/// first step (so connect order — and with the FIFO inbox, accept index
+/// — is the order of first steps; each conn's 1-based connect order is
+/// recorded in `connect_order`), push one segment per step, and slam
+/// `close_early` connections shut right after their last segment. A step
+/// with a pause settles the server and advances its clock by the pause.
+/// After the last step the server is settled and dropped, which closes
+/// every connection it holds. Returns the client streams (kept open so
+/// the server never sees a spurious EOF) and the clock's advance.
+fn deliver<C: Codec, S: Service<C>, L: Listener>(
     sched: &Schedule,
     connector: &mem::MemConnector,
-    pacing: Pacing,
-    shared_order: &Arc<Mutex<Vec<Option<u64>>>>,
-) -> (
-    Vec<Option<mem::MemStream>>,
-    Vec<Option<u64>>,
-    VirtualTimeline,
-) {
-    let mut st = DeliveryState::new(sched.conns.len());
-    let mut timeline = VirtualTimeline {
-        virtual_elapsed_ms: 0,
-        deliveries: Vec::new(),
-    };
-    match pacing {
-        Pacing::Wall => {
-            for i in 0..sched.order.len() {
-                st.deliver_step(sched, connector, shared_order, i);
-                let pause = sched.order[i].pause_ms;
-                if pause > 0 {
-                    std::thread::sleep(Duration::from_millis(pause));
-                }
-            }
+    mut server: Stepped<C, S, L>,
+    connect_order: &Mutex<Vec<Option<u64>>>,
+) -> (Vec<Option<mem::MemStream>>, Duration) {
+    let mut streams: Vec<Option<mem::MemStream>> = (0..sched.conns.len()).map(|_| None).collect();
+    let (mut seg_idx, mut connected) = (vec![0; sched.conns.len()], 0);
+    for step in &sched.order {
+        let ci = step.conn;
+        let stream = streams[ci].get_or_insert_with(|| {
+            connected += 1;
+            connect_order.lock()[ci] = Some(connected);
+            connector.connect()
+        });
+        let script = &sched.conns[ci];
+        // A pipe takes the whole segment, or fails when the server has
+        // reset or closed the connection.
+        let _ = stream.try_write(&script.segments[seg_idx[ci]]);
+        seg_idx[ci] += 1;
+        if seg_idx[ci] == script.segments.len() && script.close_early {
+            stream.shutdown();
         }
-        Pacing::Virtual => {
-            // Each step fires at the cumulative pause offset of the steps
-            // before it; the scheduler's clock stands in for the sleeps.
-            let mut clock: Scheduler<usize> = Scheduler::new();
-            let mut t = SimTime::ZERO;
-            for (i, step) in sched.order.iter().enumerate() {
-                clock.at(t, i);
-                t += SimTime::from_millis(step.pause_ms);
-            }
-            // The paper's effective testbed bandwidth, for the timeline
-            // artifact only — delivery itself is not throttled.
-            let mut link = Link::new(100_000_000).with_event_log();
-            let mut fired = FiredSteps(Vec::new());
-            while let Some(now) = clock.step(&mut fired) {
-                let i = fired.0.pop().expect("one event per step");
-                let bytes = st.deliver_step(sched, connector, shared_order, i);
-                link.send(now, bytes as u64);
-            }
-            timeline.virtual_elapsed_ms = t.as_micros() / 1000;
-            timeline.deliveries = link.take_events();
+        if step.pause_ms > 0 {
+            server.settle();
+            server.advance(Duration::from_millis(step.pause_ms));
         }
     }
-    (st.streams, st.connect_order, timeline)
-}
-
-/// Client-side tolerant write: retry backpressure, give up on a hard
-/// error (the server legitimately reset or closed the pipe).
-fn push_bytes(stream: &mut mem::MemStream, data: &[u8]) {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    let mut sent = 0;
-    while sent < data.len() && Instant::now() < deadline {
-        match stream.try_write(&data[sent..]) {
-            Ok(0) => std::thread::sleep(Duration::from_micros(100)),
-            Ok(n) => sent += n,
-            Err(_) => return,
-        }
-    }
+    server.settle();
+    (streams, server.elapsed())
 }
 
 /// The client side of the data plane: a background thread that watches
@@ -674,11 +502,9 @@ fn run_data_op(port: u16, op: DataOp, stop: &AtomicBool) {
     }
 }
 
-/// Drain everything a client stream still has buffered. Runs after
-/// [`ServerHandle::shutdown`] has joined every dispatcher, so a single
-/// pass to `WouldBlock`/`Closed` observes the final byte stream.
-///
-/// [`ServerHandle::shutdown`]: nserver_core::server::ServerHandle::shutdown
+/// Drain everything a client stream still has buffered. Runs after the
+/// server was dropped, closing every connection, so a single pass to
+/// `WouldBlock`/`Closed` observes the final byte stream.
 fn drain_client(stream: &mut mem::MemStream) -> Vec<u8> {
     let mut out = Vec::new();
     let mut buf = [0u8; 4096];
@@ -738,81 +564,6 @@ fn client_delivery_violations(
         }
     }
     violations
-}
-
-/// The quiesce targets: one per connection the models will check
-/// strictly (clean profile, no early close, no scripted aborts, accept
-/// succeeded).
-fn strict_targets(
-    sched: &Schedule,
-    connect_order: &[Option<u64>],
-    target_for: impl Fn(&crate::schedule::ConnScript) -> Target,
-) -> Vec<(u64, Target)> {
-    sched
-        .conns
-        .iter()
-        .zip(connect_order)
-        .filter_map(|(conn, k)| {
-            let k = (*k)?;
-            let strict = !sched.plan.accept_fails(k)
-                && sched.plan.profile_for(k) == FaultProfile::Clean
-                && !conn.close_early
-                && !conn.has_abort();
-            strict.then(|| (k, target_for(conn)))
-        })
-        .collect()
-}
-
-fn target_met(trace: &ConnTrace, target: &Target) -> bool {
-    match target {
-        Target::Bytes(n) => trace.outbound().len() >= *n,
-        Target::Blocks(n) => split_replies(&trace.outbound()).complete.len() >= *n,
-    }
-}
-
-/// Wait until every strict connection has drained its model-predicted
-/// output AND the trace log has gone still. `patience` is an *idle*
-/// window, not a total budget: every observed trace-log change pushes
-/// the deadline out again, so a loaded-but-live server is never cut
-/// off mid-delivery (the flake would surface as a spurious strict
-/// incomplete-delivery violation), while a run that stopped making
-/// progress — a mutant's truncated stream, a genuinely wedged server —
-/// still exits one idle window after its last event. A hard cap bounds
-/// pathological trickle.
-fn quiesce(log: &TraceLog, targets: &[(u64, Target)], patience: Duration) {
-    let mut deadline = Instant::now() + patience;
-    let hard_cap = Instant::now() + patience * 10;
-    let mut last_sig: Option<Vec<(u64, usize)>> = None;
-    let mut stable = 0;
-    loop {
-        let snap = log.snapshot();
-        let targets_met = targets.iter().all(|(k, t)| {
-            snap.iter()
-                .find(|tr| tr.accept_index == *k && tr.parent.is_none())
-                .is_some_and(|tr| target_met(tr, t))
-        });
-        let sig: Vec<(u64, usize)> = snap
-            .iter()
-            .map(|t| (t.accept_index, t.events.len()))
-            .collect();
-        if last_sig.as_ref() != Some(&sig) {
-            deadline = Instant::now() + patience;
-        }
-        if targets_met && last_sig.as_ref() == Some(&sig) {
-            stable += 1;
-            if stable >= 2 {
-                return;
-            }
-        } else {
-            stable = 0;
-        }
-        last_sig = Some(sig);
-        let now = Instant::now();
-        if now > deadline || now > hard_cap {
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
 }
 
 /// Map each conn script to its trace (via connect order == accept index)
@@ -1064,36 +815,15 @@ pub struct ExploreSummary {
 /// Generate and run one schedule per seed, panicking with a shrunken,
 /// replayable counterexample on the first violation.
 pub fn explore(proto: Proto, seeds: impl IntoIterator<Item = u64>) -> ExploreSummary {
-    explore_with(proto, seeds, generate, |s| run(s).violations)
-}
-
-/// [`explore`] under the virtual clock, over schedules produced by
-/// `gen` (e.g. [`crate::schedule::generate_stall_heavy`]).
-pub fn explore_virtual(
-    proto: Proto,
-    seeds: impl IntoIterator<Item = u64>,
-    gen_schedule: fn(Proto, u64) -> Schedule,
-) -> ExploreSummary {
-    explore_with(proto, seeds, gen_schedule, |s| {
-        run_virtual(s).report.violations
-    })
-}
-
-fn explore_with(
-    proto: Proto,
-    seeds: impl IntoIterator<Item = u64>,
-    gen_schedule: fn(Proto, u64) -> Schedule,
-    run_one: impl Fn(&Schedule) -> Vec<Violation>,
-) -> ExploreSummary {
     let mut fingerprints = HashSet::new();
     let mut runs = 0;
     for seed in seeds {
-        let sched = gen_schedule(proto, seed);
+        let sched = generate(proto, seed);
         fingerprints.insert(sched.fingerprint());
         runs += 1;
-        let violations = run_one(&sched);
+        let violations = run(&sched).violations;
         if !violations.is_empty() {
-            fail_with_counterexample(&sched, &violations, &|s| !run_one(s).is_empty());
+            fail_with_counterexample(&sched, &violations, &|s| !run(s).violations.is_empty());
         }
     }
     ExploreSummary {
@@ -1205,17 +935,12 @@ mod tests {
             st.pause_ms = 200; // 600ms of scheduled pauses
         }
         let started = Instant::now();
-        let v = run_virtual(&sched);
-        assert!(
-            v.report.violations.is_empty(),
-            "virtual run must stay conforming: {:?}",
-            v.report.violations
-        );
-        assert_eq!(v.timeline.virtual_elapsed_ms, 600);
-        assert_eq!(v.timeline.deliveries.len(), sched.order.len());
+        let report = run(&sched);
+        assert!(report.violations.is_empty(), "{:?}", report.violations);
+        assert_eq!(report.elapsed, Duration::from_millis(600));
         assert!(
             started.elapsed() < Duration::from_millis(590),
-            "virtual pacing must not sleep the pauses away"
+            "pauses must not be slept away"
         );
     }
 

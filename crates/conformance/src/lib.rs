@@ -35,9 +35,11 @@
 //!   layer (`tap::layer(fault::layer(mem, plan), log)`), delivers
 //!   the schedule (spawning real TCP data connections for every `227`
 //!   the server announces), and checks every recorded [`ConnTrace`]
-//!   against the model. [`explorer::run_virtual`] replaces delivery
-//!   sleeps with a [`nserver_netsim`] virtual clock, so stall-heavy
-//!   schedules cost near-zero wall-clock with identical verdicts. On
+//!   against the model. The server is stepped on the explorer's thread
+//!   on a virtual clock ([`nserver_core::server::Stepped`]): it runs
+//!   until it is still at each scripted pause, and the pause advances
+//!   its clock instead of being slept, so a run is a function of its
+//!   schedule and stall-heavy schedules cost near-zero wall-clock. On
 //!   violation the explorer shrinks the schedule greedily and panics
 //!   with a replayable counterexample (seed + serialized schedule).
 //! * **The relay differential** ([`relay`]) — drives one sanitized
@@ -58,10 +60,9 @@ pub mod relay;
 pub mod schedule;
 
 pub use explorer::{
-    explore, explore_virtual, run, run_ftp, run_ftp_lingerless, run_http, run_http_gather_drop,
-    run_http_lingerless, run_http_off_thread_drop, run_http_on_thread_drop, run_http_with_options,
-    run_virtual, seed_range, shrink, standard_ftp_service, standard_http_service, ExploreSummary,
-    FtpDataTapTarget, RunReport, VirtualReport, VirtualTimeline,
+    explore, run, run_ftp, run_ftp_lingerless, run_http, run_http_gather_drop, run_http_lingerless,
+    run_http_off_thread_drop, run_http_on_thread_drop, run_http_with_options, seed_range, shrink,
+    standard_ftp_service, standard_http_service, ExploreSummary, FtpDataTapTarget, RunReport,
 };
 pub use ftp_model::{check_ftp, check_ftp_session, FtpDataCtx, FtpModel};
 pub use http_model::HttpFixture;

@@ -97,7 +97,10 @@ impl ConnScript {
 pub struct Step {
     /// Which connection's next segment to deliver.
     pub conn: usize,
-    /// Milliseconds to sleep after delivering it.
+    /// Milliseconds the server's clock advances after the segment is
+    /// delivered, the server having first run until it is still. A pause
+    /// of 0 delivers the next step back to back, so the server may read
+    /// the two segments as one.
     pub pause_ms: u64,
 }
 

@@ -1,7 +1,7 @@
 //! FTP schedule exploration: generated control-channel schedules run
 //! against the real COPS-FTP pipeline, every trace checked against the
 //! command-state-machine model. Three seed bands × 80 seeds = 240
-//! schedules in the default run.
+//! schedules, and one band of 1,000, in the default run.
 
 use conformance::{explore, seed_range, Proto};
 
@@ -31,4 +31,9 @@ fn ftp_band_b() {
 #[test]
 fn ftp_band_c() {
     explore_band(7000, 7080);
+}
+
+#[test]
+fn ftp_band_d() {
+    explore_band(21000, 22000);
 }

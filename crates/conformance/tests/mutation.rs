@@ -136,24 +136,20 @@ fn ftp_premature_completion_is_caught() {
 #[test]
 fn http_lingerless_close_is_caught() {
     let fails = |s: &Schedule| {
-        // Deliver every step 50ms apart: far past the mutant's close
-        // latency (the pipelined tail then lands deterministically after
-        // the hard close and draws the reset), far under the real
-        // server's 1s linger window. Pinning the race structurally keeps
-        // the trip reproducible across shrink candidates; generated
-        // pauses (0–2ms) would make it a coin flip. One retry absorbs
-        // scheduler hiccups that outrun even the 50ms spacing.
-        let trip = |s: &Schedule| {
-            run_http_lingerless(s)
-                .violations
-                .iter()
-                .any(|v| v.kind == "rst-discarded-tail")
-        };
+        // Pause 50ms after every step: the server runs until it is still
+        // before each pause, so a close the server decided on is made
+        // before the next segment arrives, and a pipelined tail in a
+        // later segment meets the hard close and draws the reset — by
+        // construction, on every shrink candidate. 50ms is far under
+        // the real server's 1s linger window.
         let mut paced = s.clone();
         for st in &mut paced.order {
             st.pause_ms = 50;
         }
-        (0..2).any(|_| trip(&paced))
+        run_http_lingerless(&paced)
+            .violations
+            .iter()
+            .any(|v| v.kind == "rst-discarded-tail")
     };
     // Tripping needs a clean connection that pipelines bytes past a
     // close-triggering request in a *later* segment — those line up less

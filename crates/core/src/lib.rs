@@ -84,6 +84,7 @@ pub mod queue;
 pub mod reactor;
 pub mod scheduler;
 pub mod server;
+mod stepped;
 pub mod tap;
 pub mod timer;
 pub mod trace;

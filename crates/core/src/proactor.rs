@@ -23,6 +23,7 @@ use crate::processor::EventProcessor;
 use crate::queue::{BlockingQueue, FifoQueue};
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
+type Handler = Arc<dyn Fn(Job) + Send + Sync>;
 
 /// A fixed pool of helper threads executing blocking jobs.
 pub struct HelperPool {
@@ -33,19 +34,38 @@ pub struct HelperPool {
 impl HelperPool {
     /// Start `threads` helpers (≥ 1), named `nserver-helper-{i}`.
     pub fn new(threads: usize) -> Self {
+        Self::over(|queue, handler| {
+            let helpers = ThreadAllocation::Static { threads };
+            EventProcessor::start_named(helpers, queue, handler, None, |i| {
+                format!("nserver-helper-{i}")
+            })
+        })
+    }
+
+    /// A stepped pool: no helper thread; [`run_queued`](Self::run_queued)
+    /// runs the jobs.
+    pub(crate) fn stepped() -> Self {
+        Self::over(EventProcessor::stepped)
+    }
+
+    fn over(
+        start: impl FnOnce(Arc<BlockingQueue<Job>>, Handler) -> Arc<EventProcessor<Job>>,
+    ) -> Self {
         let completed = Arc::new(AtomicU64::new(0));
         let done = Arc::clone(&completed);
-        let pool = EventProcessor::start_named(
-            ThreadAllocation::Static { threads },
+        let pool = start(
             BlockingQueue::new(Box::new(FifoQueue::new())),
             Arc::new(move |job: Job| {
                 job();
                 done.fetch_add(1, Ordering::Relaxed);
             }),
-            None,
-            |i| format!("nserver-helper-{i}"),
         );
         Self { pool, completed }
+    }
+
+    /// Run the queued jobs (a stepped pool). Returns how many ran.
+    pub(crate) fn run_queued(&self) -> usize {
+        self.pool.run_queued()
     }
 
     /// Submit a blocking job.
@@ -141,6 +161,20 @@ mod tests {
             .expect("the one helper ran the next job");
         assert_eq!(pool.pool.handler_panics(), 1);
         assert_eq!(pool.pool.live_workers(), 1);
+    }
+
+    #[test]
+    fn stepped_helpers_run_jobs_only_when_asked() {
+        let pool = HelperPool::stepped();
+        let (tx, rx) = channel();
+        for i in 0..3 {
+            let tx = tx.clone();
+            pool.submit(move || tx.send(i).unwrap());
+        }
+        assert_eq!((pool.completed(), pool.pool.live_workers()), (0, 0));
+        assert_eq!(pool.run_queued(), 3);
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(pool.completed(), 3);
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! two rules here, not a thread: [`EventProcessor::submit`] grows the pool
 //! when the backlog outpaces it, and a worker above the minimum parks for
 //! the idle keepalive and retires when the park outlasts it. A worker at
-//! the minimum parks untimed, so an idle pool never wakes.
+//! the minimum parks untimed, so an idle pool never wakes. A stepped
+//! processor (a stepped server's, `crate::server::Stepped`) has no worker
+//! at all: its queue runs when `run_queued` is called.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Weak};
@@ -91,7 +93,37 @@ impl<T: Send + 'static> EventProcessor<T> {
             } => (min, max, idle_keepalive_ms),
         };
         let min = min.max(1);
-        let proc = Arc::new_cyclic(|me| Self {
+        let proc = Self::new(
+            (min, max.max(min), keepalive_ms),
+            queue,
+            handler,
+            worker_table,
+            name,
+        );
+        for slot in 0..min {
+            assert!(proc.spawn(slot), "spawn worker");
+        }
+        proc
+    }
+
+    /// A stepped processor: it starts no thread, and its maximum of 0
+    /// keeps `submit` from growing it. Its items wait in the queue until
+    /// [`run_queued`](Self::run_queued).
+    pub(crate) fn stepped(
+        queue: Arc<BlockingQueue<T>>,
+        handler: Arc<dyn Fn(T) + Send + Sync>,
+    ) -> Arc<Self> {
+        Self::new((0, 0, 0), queue, handler, None, |_| String::new())
+    }
+
+    fn new(
+        (min, max, keepalive_ms): (usize, usize, u64),
+        queue: Arc<BlockingQueue<T>>,
+        handler: Arc<dyn Fn(T) + Send + Sync>,
+        worker_table: Option<Arc<WorkerStateTable>>,
+        name: fn(usize) -> String,
+    ) -> Arc<Self> {
+        Arc::new_cyclic(|me| Self {
             me: me.clone(),
             queue,
             handler,
@@ -99,16 +131,24 @@ impl<T: Send + 'static> EventProcessor<T> {
             live: AtomicUsize::new(min),
             panics: AtomicUsize::new(0),
             min_workers: min,
-            max_workers: max.max(min),
+            max_workers: max,
             idle_keepalive: Duration::from_millis(keepalive_ms.max(1)),
             exits: Mutex::new(()),
             exited: Condvar::new(),
             worker_table,
-        });
-        for slot in 0..min {
-            assert!(proc.spawn(slot), "spawn worker");
+        })
+    }
+
+    /// Run what is queued, in queue order, one item at a time, as a
+    /// worker would — on a thread that is not the caller's (one scoped
+    /// thread, joined before this returns) and under its panic policy.
+    /// Returns how many items ran.
+    pub(crate) fn run_queued(&self) -> usize {
+        if self.queue.is_empty() {
+            return 0;
         }
-        proc
+        let jobs = || std::iter::from_fn(|| self.queue.try_pop()).map(|item| self.run(item));
+        std::thread::scope(|s| s.spawn(|| jobs().count()).join()).expect("a job's panic is caught")
     }
 
     /// Submit a work item at the given priority. Under O5 = Dynamic this is
@@ -182,17 +222,7 @@ impl<T: Send + 'static> EventProcessor<T> {
                 self.queue.pop_parked()
             };
             match next {
-                Some(item) => {
-                    // A panicking hook must not kill the worker (the pool
-                    // would silently shrink); isolate it to this event.
-                    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        (self.handler)(item)
-                    }));
-                    if result.is_err() {
-                        self.panics.fetch_add(1, Ordering::Relaxed);
-                    }
-                    crate::diag::stamp_idle();
-                }
+                Some(item) => self.run(item),
                 // Closed (and so drained), or a surplus worker's
                 // keepalive passed.
                 None if self.leave(|live| self.queue.is_closed() || live > self.min_workers) => {
@@ -201,6 +231,17 @@ impl<T: Send + 'static> EventProcessor<T> {
                 None => {}
             }
         }
+    }
+
+    /// Handle one item. A panicking hook must not kill the worker (the
+    /// pool would silently shrink): the panic is isolated to this event.
+    fn run(&self, item: T) {
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (self.handler)(item)));
+        if result.is_err() {
+            self.panics.fetch_add(1, Ordering::Relaxed);
+        }
+        crate::diag::stamp_idle();
     }
 
     /// Give the calling worker's slot, and its worker-table row, back if
@@ -412,6 +453,47 @@ mod tests {
         let second = rx.recv_timeout(Duration::from_secs(2)).unwrap();
         assert_eq!((first, second), ("high", "low"));
         proc.shutdown();
+    }
+
+    #[test]
+    fn stepped_pool_runs_its_queue_in_order_on_one_other_thread() {
+        let (tx, rx) = channel();
+        let handler = Arc::new(move |i: u32| {
+            tx.send((i, std::thread::current().id())).unwrap();
+        });
+        let proc = EventProcessor::stepped(fifo(), handler);
+        for i in 0..64 {
+            proc.submit(i, Priority(0));
+        }
+        assert_eq!(proc.live_workers(), 0, "a stepped pool never grows");
+        assert!(rx.try_recv().is_err(), "nothing runs before it is asked");
+        assert_eq!(proc.run_queued(), 64);
+        let ran: Vec<_> = rx.try_iter().collect();
+        assert_eq!(
+            ran.iter().map(|r| r.0).collect::<Vec<_>>(),
+            (0..64).collect::<Vec<_>>()
+        );
+        let thread = ran[0].1;
+        assert!(thread != std::thread::current().id());
+        assert!(ran.iter().all(|r| r.1 == thread), "one thread per run");
+        assert_eq!(proc.run_queued(), 0);
+    }
+
+    #[test]
+    fn stepped_pool_keeps_priority_order_and_survives_a_panic() {
+        let q = BlockingQueue::new(Box::new(PriorityQuotaQueue::new(vec![10, 1])));
+        let (tx, rx) = channel();
+        let handler = Arc::new(move |s: &'static str| {
+            assert_ne!(s, "boom", "a handler's bug");
+            tx.send(s).unwrap();
+        });
+        let proc = EventProcessor::stepped(q, handler);
+        proc.submit("low", Priority(1));
+        proc.submit("boom", Priority(0));
+        proc.submit("high", Priority(0));
+        assert_eq!(proc.run_queued(), 3);
+        assert_eq!(rx.try_iter().collect::<Vec<_>>(), vec!["high", "low"]);
+        assert_eq!(proc.handler_panics(), 1);
     }
 
     #[test]

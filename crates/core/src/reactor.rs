@@ -35,6 +35,7 @@
 
 use std::cell::Cell;
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, DefaultHasher};
 use std::io::IoSlice;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -250,12 +251,13 @@ impl DispatchNotifier {
         }
     }
 
-    /// The calling thread is dispatcher `index`'s from here until it
-    /// exits (see the type-level note on self-notifies).
-    fn adopt_thread(&self, index: usize) {
-        if let Some(target) = self.targets.get(index) {
-            OWN_TARGET.set(std::ptr::from_ref(target) as usize);
-        }
+    /// The calling thread runs dispatcher `index`'s passes from here on
+    /// (see the type-level note on self-notifies); an index with no
+    /// dispatcher makes it no dispatcher's. A stepped server's
+    /// dispatchers share one thread, so it adopts before every pass.
+    pub(crate) fn adopt_thread(&self, index: usize) {
+        let own = self.targets.get(index);
+        OWN_TARGET.set(own.map_or(0, |target| std::ptr::from_ref(target) as usize));
     }
 
     /// Dispatcher `index` is about to drain its flush channel: from here
@@ -361,8 +363,10 @@ pub(crate) struct LoopState<St, R> {
     /// notifies once per write, so capped intake must be carried forward
     /// explicitly.
     ready_backlog: VecDeque<u64>,
-    /// The connections a pass services.
-    pend: HashSet<ConnId>,
+    /// The connections a pass services, in an order its history fixes
+    /// (no per-process random hash key): a stepped server serves them in
+    /// the same order on every run.
+    pend: HashSet<ConnId, BuildHasherDefault<DefaultHasher>>,
     /// The newest ready event of the pass, where the dispatcher handles
     /// the last one itself (`SubmitMode::Pool`).
     kept: Option<(Work<R>, Priority)>,
@@ -381,7 +385,7 @@ impl<St, R> Default for LoopState<St, R> {
             read_buf: vec![0u8; 16 * 1024],
             events: Vec::new(),
             ready_backlog: VecDeque::new(),
-            pend: HashSet::new(),
+            pend: HashSet::default(),
             kept: None,
             handled_late: Vec::new(),
             accept_gated: false,
@@ -681,6 +685,12 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
             let sleep = self.pass(WALL);
             self.wait(sleep);
         }
+        self.finish();
+    }
+
+    /// Close every connection this dispatcher holds and leave the worker
+    /// state table: the end of a dispatcher, threaded or stepped.
+    pub(crate) fn finish(&mut self) {
         for (_, mut c) in std::mem::take(&mut self.st.conns) {
             self.finalize(&mut c);
         }
@@ -702,12 +712,14 @@ impl<C: Codec, S: Service<C>, L: Listener> Dispatcher<C, S, L> {
     }
 
     /// Block until readiness, a waker or `timeout`: one poll, one wake-up.
-    pub(crate) fn wait(&mut self, timeout: Option<Duration>) {
+    /// Returns whether the poller reported a ready source.
+    pub(crate) fn wait(&mut self, timeout: Option<Duration>) -> bool {
         self.engine.syscalls.polls.fetch_add(1, Ordering::Relaxed);
         if self.poller.wait(&mut self.st.events, timeout).is_err() {
             self.st.events.clear();
         }
         ServerStats::bump(&self.engine.stats.dispatcher_wakeups);
+        !self.st.events.is_empty()
     }
 
     /// One pass over what the last [`wait`](Self::wait) reported and what
@@ -1832,6 +1844,15 @@ mod tests {
         assert_eq!(d.held.load(Ordering::Relaxed), 0);
         let stats = d.engine.stats.snapshot();
         assert_eq!((stats.linger_reaped, stats.bytes_read), (0, 4));
+    }
+
+    #[test]
+    fn stepped_peer_drop_ends_a_linger_at_the_next_pass() {
+        let (mut d, c, t0) = lingering();
+        drop(c);
+        assert_eq!(step(&mut d, t0), None, "no socket, no deadline");
+        assert_eq!(d.held.load(Ordering::Relaxed), 0);
+        assert_eq!(d.engine.stats.snapshot().linger_reaped, 0);
     }
 
     #[test]

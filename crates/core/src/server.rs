@@ -31,6 +31,8 @@ use crate::profiling::{ServerStats, StatsSnapshot};
 use crate::queue::{BlockingQueue, FifoQueue};
 use crate::reactor::{DispatchNotifier, Dispatcher, PriorityPolicy, SubmitMode};
 use crate::scheduler::PriorityQuotaQueue;
+use crate::stepped::Parts;
+pub use crate::stepped::Stepped;
 use crate::trace::{AccessLogger, DebugTracer};
 use crate::transport::{Listener, Poller, SyscallCounters, SyscallSnapshot};
 
@@ -121,6 +123,26 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
     /// Start serving on the given listener. Returns a handle owning the
     /// framework threads.
     pub fn serve<L: Listener>(self, listener: L) -> ServerHandle<C, S> {
+        let (mut server, dispatchers) = self.build(listener, false);
+        // --- O1: one thread per dispatcher.
+        for d in dispatchers {
+            let name = format!("nserver-dispatcher-{}", d.index);
+            let thread = std::thread::Builder::new()
+                .name(name)
+                .spawn(move || d.run());
+            server.dispatchers.push(thread.expect("spawn dispatcher"));
+        }
+        server
+    }
+
+    /// The same server, stepped on the calling thread ([`Stepped`]).
+    pub fn stepped<L: Listener>(self, listener: L) -> Stepped<C, S, L> {
+        Stepped::new(self.build(listener, true))
+    }
+
+    /// Assemble the engine, the pools (stepped or threaded) and the
+    /// dispatchers; of them all, only a threaded server's watchdog starts.
+    fn build<L: Listener>(self, listener: L, stepped: bool) -> Parts<C, S, L> {
         let opts = &self.options;
         let local_label = listener.local_label();
 
@@ -143,22 +165,15 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
             diag.wire_metrics(Arc::clone(metrics));
         }
         let (stats, metrics) = (Arc::clone(diag.stats()), diag.metrics());
-        let logger = if opts.logging {
-            self.logger.clone()
-        } else {
-            None
-        };
+        let logger = self.logger.clone().filter(|_| opts.logging);
 
         // --- Diagnostics: the worker state table is sized for every
         // thread that can hold a slot: all dispatchers plus the Event
         // Processor's worst-case pool.
-        let max_workers = if opts.separate_handler_pool {
-            match opts.thread_allocation {
-                ThreadAllocation::Static { threads } => threads.max(1),
-                ThreadAllocation::Dynamic { min, max, .. } => max.max(min.max(1)),
-            }
-        } else {
-            0
+        let max_workers = match opts.thread_allocation {
+            _ if !opts.separate_handler_pool => 0,
+            ThreadAllocation::Static { threads } => threads.max(1),
+            ThreadAllocation::Dynamic { min, max, .. } => max.max(min.max(1)),
         };
         // --- Syscall accounting at the transport boundary (always on;
         // same relaxed-counter cost class as ServerStats). ---
@@ -168,7 +183,10 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
         let (helper, completion_tx, mut completion_rx) = match opts.completion_mode {
             CompletionMode::Asynchronous => {
                 let (tx, rx) = std::sync::mpsc::channel();
-                let pool = crate::proactor::HelperPool::new(self.helper_threads);
+                let pool = match stepped {
+                    true => crate::proactor::HelperPool::stepped(),
+                    false => crate::proactor::HelperPool::new(self.helper_threads),
+                };
                 (Some(Arc::new(pool)), Some(tx), Some(rx))
             }
             CompletionMode::Synchronous => (None, None, None),
@@ -235,12 +253,11 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
                     engine.handle_work(w)
                 })
             };
-            Some(EventProcessor::start_with_diag(
-                opts.thread_allocation,
-                queue,
-                handler,
-                Some(Arc::clone(&worker_table)),
-            ))
+            let (alloc, table) = (opts.thread_allocation, Some(Arc::clone(&worker_table)));
+            Some(match stepped {
+                true => EventProcessor::stepped(queue, handler),
+                false => EventProcessor::start_with_diag(alloc, queue, handler, table),
+            })
         } else {
             None
         };
@@ -289,7 +306,7 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
         // --- Watchdog: periodic invariant checks over the wired hub. The
         // ping closure pulls dispatchers out of their poller waits so a
         // still wakeup counter can be told apart from a genuine stall.
-        let watchdog = self.watchdog.clone().map(|mut cfg| {
+        let watchdog = self.watchdog.clone().filter(|_| !stepped).map(|mut cfg| {
             if cfg.queue_saturation.is_none() {
                 if let OverloadControl::Watermark { high, .. } = opts.overload_control {
                     cfg.queue_saturation = Some(high);
@@ -302,7 +319,7 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
             Watchdog::spawn(cfg, diag.clone(), Some(ping))
         });
 
-        // --- O1: dispatcher threads. ---
+        // --- O1: the dispatchers (0 owns the listener and completions). ---
         let stop = Arc::new(AtomicBool::new(false));
         let (next_conn_id, held) = (Arc::new(AtomicU64::new(1)), Arc::default());
         let (inj_txs, inj_rxs): (Vec<_>, Vec<_>) = (0..n_dispatchers)
@@ -319,14 +336,10 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
         let mut listener_slot = Some(listener);
         let parts = inj_rxs.into_iter().zip(pollers.into_iter().zip(flush_rxs));
         for (index, (rx, (poller, flush_rx))) in parts.enumerate() {
-            let d = Dispatcher::<C, S, L> {
+            dispatchers.push(Dispatcher::<C, S, L> {
                 index,
                 engine: Arc::clone(&engine),
-                listener: if index == 0 {
-                    listener_slot.take()
-                } else {
-                    None
-                },
+                listener: listener_slot.take(),
                 poller,
                 inj_rx: rx,
                 inj_txs: inj_txs.clone(),
@@ -334,11 +347,7 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
                 notifier: notifier.clone(),
                 submit: submit.clone(),
                 overload: Arc::clone(&overload),
-                completion_rx: if index == 0 {
-                    completion_rx.take()
-                } else {
-                    None
-                },
+                completion_rx: completion_rx.take(),
                 priority_policy: Arc::clone(&self.priority_policy),
                 idle_limit: opts.idle_shutdown_ms.map(Duration::from_millis),
                 stage_deadlines: opts.stage_deadlines,
@@ -348,40 +357,35 @@ impl<C: Codec, S: Service<C>> ServerBuilder<C, S> {
                 worker_table: Some(Arc::clone(&worker_table)),
                 held: Arc::clone(&held),
                 st: Default::default(),
-            };
-            dispatchers.push(
-                std::thread::Builder::new()
-                    .name(format!("nserver-dispatcher-{index}"))
-                    .spawn(move || d.run())
-                    .expect("spawn dispatcher"),
-            );
+            });
         }
 
-        ServerHandle {
+        let server = ServerHandle {
             engine,
             processor,
             stop,
             drain,
             held,
             notifier,
-            dispatchers,
+            dispatchers: Vec::new(),
             local_label,
             options: self.options,
             diag,
             watchdog,
-        }
+        };
+        (server, dispatchers)
     }
 }
 
 /// A running server: owns the dispatcher threads, the Event Processor and
 /// the Proactor helpers.
 pub struct ServerHandle<C: Codec, S: Service<C>> {
-    engine: Arc<Engine<C, S>>,
-    processor: Option<Arc<EventProcessor<Work<C::Response>>>>,
+    pub(crate) engine: Arc<Engine<C, S>>,
+    pub(crate) processor: Option<Arc<EventProcessor<Work<C::Response>>>>,
     stop: Arc<AtomicBool>,
     drain: Arc<AtomicBool>,
     held: Arc<AtomicUsize>,
-    notifier: DispatchNotifier,
+    pub(crate) notifier: DispatchNotifier,
     dispatchers: Vec<JoinHandle<()>>,
     local_label: String,
     options: ServerOptions,

@@ -92,13 +92,6 @@ impl Interest {
         readable: true,
         writable: false,
     };
-
-    /// No interest: stay registered but silent (a connection that is
-    /// draining replies for a peer we no longer read from).
-    pub const NONE: Interest = Interest {
-        readable: false,
-        writable: false,
-    };
 }
 
 /// One readiness event returned by [`Poller::wait`].
@@ -124,11 +117,6 @@ impl Waker {
     /// Wrap a wake closure.
     pub fn new(f: impl Fn() + Send + Sync + 'static) -> Self {
         Self { inner: Arc::new(f) }
-    }
-
-    /// A waker that does nothing (for tests and standalone engines).
-    pub fn noop() -> Self {
-        Self::new(|| {})
     }
 
     /// Interrupt the poller's wait. Spurious wakes are allowed; callers
@@ -655,6 +643,7 @@ pub mod mem {
     use super::*;
     use parking_lot::{Condvar, Mutex};
     use std::collections::{HashSet, VecDeque};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
     use std::sync::{Arc, Weak};
     use std::time::Instant;
 
@@ -814,6 +803,14 @@ pub mod mem {
         }
     }
 
+    /// Dropping an end is a [`shutdown`](StreamIo::shutdown), as closing
+    /// a socket is; after an explicit one it changes nothing.
+    impl Drop for MemStream {
+        fn drop(&mut self) {
+            self.shutdown();
+        }
+    }
+
     /// The queue a [`MemListener`] accepts from, shared with its
     /// [`MemConnector`]; watched the same way pipes are.
     struct Inbox {
@@ -845,7 +842,7 @@ pub mod mem {
     #[derive(Clone)]
     pub struct MemConnector {
         incoming: Arc<Mutex<Inbox>>,
-        counter: Arc<Mutex<u64>>,
+        counter: Arc<AtomicU64>,
     }
 
     /// Create a listener and its connector.
@@ -861,7 +858,7 @@ pub mod mem {
             },
             MemConnector {
                 incoming,
-                counter: Arc::new(Mutex::new(0)),
+                counter: Arc::default(),
             },
         )
     }
@@ -869,10 +866,7 @@ pub mod mem {
     impl MemConnector {
         /// Establish a connection; returns the client-side stream.
         pub fn connect(&self) -> MemStream {
-            let mut counter = self.counter.lock();
-            *counter += 1;
-            let id = *counter;
-            drop(counter);
+            let id = self.counter.fetch_add(1, Relaxed) + 1;
             let (client, server) = pair(&format!("client-{id}"), &format!("peer-{id}"));
             let mut inbox = self.incoming.lock();
             inbox.queue.push_back(server);
@@ -1028,6 +1022,8 @@ pub mod mem {
                             });
                         }
                     }
+                    // Token order, not hash order: one history, one sequence.
+                    events.sort_unstable_by_key(|ev| ev.token);
                     return Ok(());
                 }
                 match deadline {

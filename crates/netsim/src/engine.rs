@@ -131,26 +131,6 @@ impl<Ev> Scheduler<Ev> {
     pub fn run_to_completion<M: Model<Ev = Ev>>(&mut self, model: &mut M) -> u64 {
         self.run_until(model, SimTime(u64::MAX))
     }
-
-    /// Dispatch exactly one event (the earliest pending), advancing the
-    /// clock to it. Returns the time it fired, or `None` with the queue
-    /// empty. This is the schedule-exploration hook: an external driver
-    /// can interleave its own observations (or fault injections) between
-    /// individual event dispatches instead of handing the engine a whole
-    /// horizon at once.
-    pub fn step<M: Model<Ev = Ev>>(&mut self, model: &mut M) -> Option<SimTime> {
-        let (time, ev) = self.pop()?;
-        debug_assert!(time >= self.now, "event heap delivered out of order");
-        self.now = time;
-        self.processed += 1;
-        model.handle(time, ev, self);
-        Some(time)
-    }
-
-    /// Time of the earliest pending event, without dispatching it.
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|s| s.time)
-    }
 }
 
 #[cfg(test)]
@@ -229,35 +209,6 @@ mod tests {
         // Resuming picks up the rest.
         s.run_to_completion(&mut m);
         assert_eq!(m.seen.len(), 3);
-    }
-
-    #[test]
-    fn single_step_dispatches_one_event_and_matches_batch_run() {
-        let mut batch = Recorder { seen: vec![] };
-        let mut sb = Scheduler::new();
-        sb.at(SimTime::ZERO, Ev::Chain(3, 100));
-        sb.run_to_completion(&mut batch);
-
-        let mut stepped = Recorder { seen: vec![] };
-        let mut ss = Scheduler::new();
-        ss.at(SimTime::ZERO, Ev::Chain(3, 100));
-        let mut fired = Vec::new();
-        while let Some(t) = ss.step(&mut stepped) {
-            fired.push(t.as_micros());
-        }
-        assert_eq!(stepped.seen, batch.seen, "stepping must not reorder");
-        assert_eq!(fired, vec![0, 100, 200, 300]);
-        assert_eq!(ss.next_event_time(), None);
-        assert!(ss.step(&mut stepped).is_none());
-    }
-
-    #[test]
-    fn next_event_time_peeks_without_dispatch() {
-        let mut s: Scheduler<Ev> = Scheduler::new();
-        s.at(SimTime::from_micros(7), Ev::Tag(1));
-        assert_eq!(s.next_event_time(), Some(SimTime::from_micros(7)));
-        assert_eq!(s.pending(), 1);
-        assert_eq!(s.processed(), 0);
     }
 
     #[test]

@@ -34,7 +34,7 @@ pub mod time;
 pub use cpu::CpuPool;
 pub use disk::{BufferCache, Disk};
 pub use engine::{Model, Scheduler};
-pub use link::{Link, LinkEvent, LinkFault};
+pub use link::Link;
 pub use rng::SimRng;
 pub use stats::{jain_index, Histogram, OnlineStats};
 pub use tcp::{ListenQueue, SynRetransmit};

@@ -22,32 +22,6 @@ struct LinkFaults {
     retransmit_timeout: SimTime,
 }
 
-/// What injected fault (if any) hit one message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LinkFault {
-    /// Delivered normally.
-    None,
-    /// First copy lost; delivered by retransmission.
-    Dropped,
-    /// Delivered late by the configured extra delay.
-    Delayed,
-}
-
-/// One message's journey across the link, recorded when event logging is
-/// on. Conformance checks replay these ordered records against a model of
-/// the link discipline (FIFO, fault accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkEvent {
-    /// When the sender enqueued the message.
-    pub enqueued: SimTime,
-    /// Payload bytes.
-    pub payload: u64,
-    /// When the far end received it.
-    pub arrival: SimTime,
-    /// Injected fault outcome.
-    pub fault: LinkFault,
-}
-
 /// Shared FIFO link.
 #[derive(Debug, Clone)]
 pub struct Link {
@@ -65,7 +39,6 @@ pub struct Link {
     faults: Option<LinkFaults>,
     messages_dropped: u64,
     messages_delayed: u64,
-    event_log: Option<Vec<LinkEvent>>,
 }
 
 impl Link {
@@ -97,24 +70,7 @@ impl Link {
             faults: None,
             messages_dropped: 0,
             messages_delayed: 0,
-            event_log: None,
         }
-    }
-
-    /// Record every message's (enqueue, arrival, fault) as an ordered
-    /// [`LinkEvent`] trace, retrievable with [`Link::take_events`]. Off by
-    /// default: the log grows by one record per message.
-    pub fn with_event_log(mut self) -> Self {
-        self.event_log = Some(Vec::new());
-        self
-    }
-
-    /// Drain the recorded event trace (empty if logging is off).
-    pub fn take_events(&mut self) -> Vec<LinkEvent> {
-        self.event_log
-            .as_mut()
-            .map(std::mem::take)
-            .unwrap_or_default()
     }
 
     /// Enable seeded fault injection: each message is independently
@@ -165,7 +121,6 @@ impl Link {
         let tx = self.tx_time(payload);
         let mut occupancy = tx;
         let mut extra = SimTime::ZERO;
-        let mut fault = LinkFault::None;
         if let Some(f) = &mut self.faults {
             let roll = f.rng.below(1000) as u16;
             if roll < f.drop_per_mille {
@@ -174,27 +129,16 @@ impl Link {
                 occupancy = occupancy + f.retransmit_timeout + tx;
                 self.busy_accum_us += tx.as_micros();
                 self.messages_dropped += 1;
-                fault = LinkFault::Dropped;
             } else if roll < f.drop_per_mille.saturating_add(f.delay_per_mille) {
                 extra = f.extra_delay;
                 self.messages_delayed += 1;
-                fault = LinkFault::Delayed;
             }
         }
         self.busy_until = start + occupancy;
         self.busy_accum_us += tx.as_micros();
         self.bytes_carried += payload;
         self.messages += 1;
-        let arrival = self.busy_until + self.propagation + extra;
-        if let Some(log) = &mut self.event_log {
-            log.push(LinkEvent {
-                enqueued: now,
-                payload,
-                arrival,
-                fault,
-            });
-        }
-        arrival
+        self.busy_until + self.propagation + extra
     }
 
     /// How long a message enqueued at `now` would wait before its first bit
@@ -361,32 +305,6 @@ mod tests {
         }
         assert_eq!(quiet.messages_dropped(), 0);
         assert_eq!(quiet.messages_delayed(), 0);
-    }
-
-    #[test]
-    fn event_log_records_arrivals_and_faults_in_order() {
-        let mut l = Link::with_frame(mbit(100), 1500, 40, SimTime::ZERO)
-            .with_faults(11, 500, 0, SimTime::ZERO, SimTime::from_millis(1))
-            .with_event_log();
-        let mut arrivals = Vec::new();
-        for i in 0..20 {
-            arrivals.push(l.send(SimTime::from_micros(i * 500), 1460));
-        }
-        let events = l.take_events();
-        assert_eq!(events.len(), 20);
-        // The log mirrors what send() returned, in FIFO order.
-        for (ev, t) in events.iter().zip(&arrivals) {
-            assert_eq!(ev.arrival, *t);
-            assert_eq!(ev.payload, 1460);
-        }
-        assert!(events.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-        let dropped = events
-            .iter()
-            .filter(|e| e.fault == LinkFault::Dropped)
-            .count();
-        assert_eq!(dropped as u64, l.messages_dropped());
-        // Drained: a second take is empty.
-        assert!(l.take_events().is_empty());
     }
 
     #[test]

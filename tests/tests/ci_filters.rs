@@ -162,7 +162,8 @@ fn every_ci_name_filter_selects_a_test() {
     // generative path's pins, the deadline and epoll-timeout tests (the
     // stepped ones and the graceful drain's linger among them), the
     // clock-read pin, the one-CPU routing (with the one test skipped
-    // where there is no second CPU) and the thread pools, by name.
+    // where there is no second CPU), the thread pools (stepped ones
+    // too), the stepped server and the explorer's determinism, by name.
     for filter in [
         "on_one_cpu",
         "backs_off",
@@ -180,6 +181,10 @@ fn every_ci_name_filter_selects_a_test() {
         "retired_workers",
         "processor::tests",
         "proactor::tests",
+        "processor::tests::stepped_",
+        "proactor::tests::stepped_",
+        "stepped::tests",
+        "determinism",
         "transport::tests::epoll_wait_rounds",
         "clock_reads",
         "differential",
