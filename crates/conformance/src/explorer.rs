@@ -18,17 +18,17 @@
 //! connection as a shutdown does. A run is then a function of its
 //! schedule.
 //!
-//! FTP schedules add a second plane: a **data pump** watches each control
-//! connection's outbound trace for `227` replies, connects a real TCP
-//! client to the announced passive port, and performs the schedule's
-//! scripted [`DataOp`] (drain a download, push an upload, or abort the
-//! socket mid-transfer). The service's data tap records both directions
-//! of every data connection, joined to its control connection by accept
-//! index and transfer ordinal, so [`check_ftp_session`] can hold
-//! transfers to byte-exact payloads and completion-ordering rules. The
-//! data plane is real TCP, so a transfer job blocks — on the stepped
-//! pool's thread — until the pump has connected, and the pump's thread
-//! polls the trace log on the wall clock.
+//! FTP schedules add a second plane. The service opens each `PASV` data
+//! listener through the same stack ([`Listener::data_listener`]), so the
+//! fault layer gives each data socket its control connection's profile
+//! and the tap records it as a child trace, joined to its control
+//! connection by accept index and `PASV` ordinal; [`check_ftp_session`]
+//! holds transfers to byte-exact payloads and completion-ordering rules.
+//! The client side is the in-memory connector's data hook: as a data
+//! listener opens, the schedule's scripted [`DataOp`] connects to it and,
+//! for an upload, pushes its bytes and closes (a mem connect and write
+//! never block). So a transfer job finds its peer and its bytes already
+//! there, and never waits on the wall clock.
 //!
 //! On a violation the explorer shrinks the schedule greedily — dropping
 //! connections, merging segments, zeroing fault knobs and pauses —
@@ -38,14 +38,12 @@
 //! `corpus/`).
 
 use std::collections::HashSet;
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use nserver_cache::{FileCache, PolicyKind, SharedFileCache};
+use nserver_core::event::ConnId;
 use nserver_core::fault::{self, FaultPlan, FaultProfile};
 use nserver_core::layer::Layered;
 use nserver_core::options::{CompletionMode, ServerOptions};
@@ -53,7 +51,6 @@ use nserver_core::pipeline::{Codec, Service};
 use nserver_core::server::{ServerBuilder, Stepped};
 use nserver_core::tap::{self, ConnTrace, TraceLog};
 use nserver_core::transport::{mem, Listener, StreamIo};
-use nserver_ftp::observe::parse_pasv_port;
 use nserver_ftp::{cops_ftp_options, split_replies, FtpCodec, FtpService};
 use nserver_http::{cops_http_options, HttpCodec, MemStore, StaticFileService};
 use parking_lot::Mutex;
@@ -82,24 +79,6 @@ pub struct RunReport {
     pub elapsed: Duration,
 }
 
-/// Services that can host the explorer's data-connection tap. The
-/// default is a refusal — the explorer then skips data-plane checks
-/// (`recorded = false`) instead of reporting phantom missing traces.
-pub trait FtpDataTapTarget {
-    /// Attach `log` as the data-connection trace sink; return whether
-    /// the service will actually record data connections into it.
-    fn attach_data_tap(&self, _log: TraceLog) -> bool {
-        false
-    }
-}
-
-impl FtpDataTapTarget for FtpService {
-    fn attach_data_tap(&self, log: TraceLog) -> bool {
-        FtpService::attach_data_tap(self, log);
-        true
-    }
-}
-
 /// The standard COPS-HTTP service under test: the conformance fixture
 /// behind a real LRU file cache, so both the hit and the deferred-miss
 /// paths are exercised.
@@ -108,16 +87,23 @@ pub fn standard_http_service() -> StaticFileService<MemStore> {
     StaticFileService::new(HttpFixture::standard().store(), Some(cache))
 }
 
-/// The standard COPS-FTP service under test.
+/// The standard COPS-FTP service under test, its data connections on
+/// loopback TCP.
 pub fn standard_ftp_service() -> FtpService {
     FtpService::new(FtpFixture::vfs(), FtpFixture::users())
+}
+
+/// The standard COPS-FTP service under test, its data listeners opened
+/// through `transport`.
+pub fn standard_ftp_service_over<L>(transport: L) -> FtpService<L> {
+    FtpService::over(FtpFixture::vfs(), FtpFixture::users(), transport)
 }
 
 /// Run a schedule against the standard service for its protocol.
 pub fn run(sched: &Schedule) -> RunReport {
     match sched.proto {
         Proto::Http => run_http(sched, standard_http_service()),
-        Proto::Ftp => run_ftp(sched, standard_ftp_service()),
+        Proto::Ftp => run_ftp(sched, standard_ftp_service_over),
     }
 }
 
@@ -138,7 +124,7 @@ pub fn run_http_with_options<S: Service<HttpCodec>>(
 
 /// The explorer's standard transport stack, outermost first: the trace
 /// tap, then fault injection, then the in-memory loopback.
-type BaseListener = Layered<Layered<mem::MemListener, FaultPlan>, TraceLog>;
+pub type BaseListener = Layered<Layered<mem::MemListener, FaultPlan>, TraceLog>;
 
 /// Build the standard stack under `plan`. The explorer owns the plan, so
 /// it is the explorer that stamps each trace with the profile of its
@@ -199,7 +185,7 @@ pub fn run_http_on_thread_drop(sched: &Schedule) -> RunReport {
 /// The FTP flavour of [`run_http_lingerless`] (QUIT is a server-initiated
 /// close too).
 pub fn run_ftp_lingerless(sched: &Schedule) -> RunReport {
-    run_ftp_on(sched, standard_ftp_service(), |l| {
+    run_ftp_on(sched, standard_ftp_service_over, |l| {
         mutant::layer(l, TransportMutation::Lingerless)
     })
 }
@@ -250,36 +236,38 @@ where
     }
 }
 
-/// Run an FTP schedule against `svc` under the COPS-FTP preset.
-pub fn run_ftp<S: Service<FtpCodec> + FtpDataTapTarget>(sched: &Schedule, svc: S) -> RunReport {
-    run_ftp_on(sched, svc, |l: BaseListener| l)
+/// Run an FTP schedule under the COPS-FTP preset against the service
+/// `build` makes over the run's transport stack, which its `PASV`s open
+/// their data listeners through.
+pub fn run_ftp<S: Service<FtpCodec>>(
+    sched: &Schedule,
+    build: impl FnOnce(BaseListener) -> S,
+) -> RunReport {
+    run_ftp_on(sched, build, |l: BaseListener| l)
 }
 
-fn run_ftp_on<S, L, F>(sched: &Schedule, svc: S, wrap: F) -> RunReport
+fn run_ftp_on<S, L, F>(
+    sched: &Schedule,
+    build: impl FnOnce(BaseListener) -> S,
+    wrap: F,
+) -> RunReport
 where
-    S: Service<FtpCodec> + FtpDataTapTarget,
+    S: Service<FtpCodec>,
     L: Listener,
     F: FnOnce(BaseListener) -> L,
 {
     let nonce = RUN_NONCE.fetch_add(1, Ordering::Relaxed);
     let (listener, connector) = mem::listener(&format!("conformance-ftp-{}-{nonce}", sched.seed));
     let (tapped, log) = base_stack(listener, sched.plan);
-    let data_recorded = svc.attach_data_tap(log.clone());
-    let server = ServerBuilder::new(cops_ftp_options(), FtpCodec, svc)
+    let connect_order = Arc::new(Mutex::new(vec![None; sched.conns.len()]));
+    serve_data_ops(sched, &connector, &log, &connect_order);
+    let server = ServerBuilder::new(cops_ftp_options(), FtpCodec, build(tapped.clone()))
         .expect("valid server options")
         .stepped(wrap(tapped));
-
-    let connect_order = Arc::new(Mutex::new(vec![None; sched.conns.len()]));
-    let has_data_ops = sched.conns.iter().any(|c| !c.data_ops.is_empty());
-    let pump = has_data_ops.then(|| spawn_data_pump(sched, &log, &connect_order));
     let (mut streams, elapsed) = deliver(sched, &connector, server, &connect_order);
-    if let Some(pump) = pump {
-        pump.finish();
-    }
     let connect_order = connect_order.lock().clone();
     let traces = log.snapshot();
-    let mut violations =
-        collect_ftp_violations(sched, &traces, &log, &connect_order, data_recorded);
+    let mut violations = collect_ftp_violations(sched, &traces, &log, &connect_order);
     violations.extend(client_delivery_violations(
         sched,
         &mut streams,
@@ -340,166 +328,69 @@ fn deliver<C: Codec, S: Service<C>, L: Listener>(
     (streams, server.elapsed())
 }
 
-/// The client side of the data plane: a background thread that watches
-/// the trace log for `227` replies and runs each one's scripted
-/// [`DataOp`] over a real TCP connection to the announced port.
-struct DataPump {
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl DataPump {
-    fn finish(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn spawn_data_pump(
+/// The client side of the data plane: serve each data listener the
+/// server opens with its scripted [`DataOp`], as it opens. The client
+/// connects; an upload pushes its payload (an aborted one a prefix) and
+/// closes; a download half-closes at once — it sends nothing, so a
+/// transfer that reads sees EOF rather than a wait — and stays open to
+/// the end of the run, unless it aborts: then it closes before the
+/// server has written anything, and the server's write fails. A listener
+/// with no scripted op gets a download's client.
+fn serve_data_ops(
     sched: &Schedule,
+    connector: &mem::MemConnector,
     log: &TraceLog,
-    shared_order: &Arc<Mutex<Vec<Option<u64>>>>,
-) -> DataPump {
-    let stop = Arc::new(AtomicBool::new(false));
+    connect_order: &Arc<Mutex<Vec<Option<u64>>>>,
+) {
     let ops: Vec<Vec<DataOp>> = sched.conns.iter().map(|c| c.data_ops.clone()).collect();
-    let log = log.clone();
-    let order = Arc::clone(shared_order);
-    let stop_flag = Arc::clone(&stop);
-    let thread = std::thread::Builder::new()
-        .name("conformance-data-pump".into())
-        .spawn(move || {
-            // served[ci] = how many of conn ci's 227 replies have been
-            // matched to a data op already. Ops are scripted one per PASV
-            // *command*, but only successful PASVs emit a 227 (and bind a
-            // listener) — a pre-login PASV gets a 530 and its op must be
-            // skipped, so the j-th observed 227 pairs with the op at the
-            // j-th model-predicted-successful PASV position.
-            let mut served = vec![0usize; ops.len()];
-            let mut workers: Vec<JoinHandle<()>> = Vec::new();
-            loop {
-                // Read the flag before the snapshot so the final pass
-                // still sees every 227 written before shutdown.
-                let finished = stop_flag.load(Ordering::Relaxed);
-                let snap = log.snapshot();
-                let order_now = order.lock().clone();
-                for (ci, conn_ops) in ops.iter().enumerate() {
-                    let Some(k) = order_now.get(ci).copied().flatten() else {
-                        continue;
-                    };
-                    let Some(trace) = snap
-                        .iter()
-                        .find(|t| t.accept_index == k && t.parent.is_none())
-                    else {
-                        continue;
-                    };
-                    // The tap records the server's *intended* outbound
-                    // bytes (pre-corruption), so the 227 text is reliable
-                    // even on faulty connections.
-                    let pasv: Vec<String> = split_replies(&trace.outbound())
-                        .complete
-                        .iter()
-                        .filter(|b| b.code == 227)
-                        .map(|b| b.text.clone())
-                        .collect();
-                    if served[ci] >= pasv.len() {
-                        continue;
-                    }
-                    // Map 227 ordinal → scripted op index by skipping ops
-                    // whose PASV the model says was rejected. The walk is
-                    // prefix-stable, so recomputing on a partial inbound
-                    // never reorders earlier pairings.
-                    let outcomes = pasv_outcomes(&trace.inbound());
-                    let op_slots: Vec<usize> = outcomes
-                        .iter()
-                        .enumerate()
-                        .filter_map(|(i, ok)| ok.then_some(i))
-                        .collect();
-                    while served[ci] < pasv.len() {
-                        let text = &pasv[served[ci]];
-                        let op = op_slots
-                            .get(served[ci])
-                            .and_then(|&i| conn_ops.get(i))
-                            .cloned();
-                        served[ci] += 1;
-                        let (Some(port), Some(op)) = (parse_pasv_port(text), op) else {
-                            continue;
-                        };
-                        let stop = Arc::clone(&stop_flag);
-                        workers.push(std::thread::spawn(move || run_data_op(port, op, &stop)));
-                    }
-                }
-                if finished {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
+    let (log, order) = (log.clone(), Arc::clone(connect_order));
+    let open = Mutex::new(Vec::new());
+    connector.on_data(move |control, ordinal, data| {
+        let op = scripted_op(&ops, &log, &order.lock(), control, ordinal);
+        let mut client = data.connect();
+        match op {
+            Some(DataOp {
+                kind: DataOpKind::Write,
+                payload,
+                abort_after,
+            }) => {
+                let cut = abort_after.map_or(payload.len(), |n| n.min(payload.len()));
+                let _ = client.try_write(&payload[..cut]);
             }
-            for w in workers {
-                let _ = w.join();
-            }
-        })
-        .expect("spawn data pump");
-    DataPump {
-        stop,
-        thread: Some(thread),
-    }
-}
-
-/// Perform one scripted data-connection op against the passive port.
-/// Downloads drain to EOF; uploads push the payload then close. An
-/// `abort_after` cuts the socket mid-transfer instead. Every error path
-/// just returns — the model judges outcomes from the server's traces.
-fn run_data_op(port: u16, op: DataOp, stop: &AtomicBool) {
-    let addr = SocketAddr::from(([127, 0, 0, 1], port));
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_secs(2)) else {
-        return;
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let deadline = Instant::now() + Duration::from_secs(10);
-    match op.kind {
-        DataOpKind::Write => match op.abort_after {
-            // Abrupt cut: deliver a strict prefix then close. The server
-            // sees a short upload; the model commits whatever arrived.
-            Some(n) => {
-                let cut = n.min(op.payload.len());
-                let _ = stream.write_all(&op.payload[..cut]);
-            }
-            None => {
-                let _ = stream.write_all(&op.payload);
-            }
-        },
-        DataOpKind::Read => {
-            let mut total = 0usize;
-            let mut buf = [0u8; 4096];
-            loop {
-                if op.abort_after.is_some_and(|n| total >= n) {
-                    // Close with the rest unread: the in-flight bytes make
-                    // the close abrupt and the server's next write fails.
-                    return;
-                }
-                if Instant::now() > deadline {
-                    return;
-                }
-                match stream.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => total += n,
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        // A dangling PASV is never accepted; leave when
-                        // the run is over.
-                        if stop.load(Ordering::Relaxed) {
-                            return;
-                        }
-                    }
-                    Err(_) => break,
+            op => {
+                client.shutdown_write();
+                if op.is_none_or(|op| op.abort_after.is_none()) {
+                    open.lock().push(client);
                 }
             }
         }
-    }
+    });
+}
+
+/// The op scripted for the `ordinal`-th data listener of the server's
+/// `control`-th connection: the one paired with the `ordinal`-th `PASV`
+/// the model says succeeded, reading what the server has read so far.
+/// Ops are scripted one per `PASV` command, but a pre-login `PASV` gets a
+/// 530 and opens no listener, so its op is skipped.
+fn scripted_op(
+    ops: &[Vec<DataOp>],
+    log: &TraceLog,
+    connect_order: &[Option<u64>],
+    control: ConnId,
+    ordinal: u32,
+) -> Option<DataOp> {
+    let traces = log.snapshot();
+    let mut controls = traces.iter().filter(|t| !t.is_data());
+    let trace = controls.nth(usize::try_from(control).ok()?.checked_sub(1)?)?;
+    let ci = connect_order
+        .iter()
+        .position(|&k| k == Some(trace.accept_index))?;
+    let (slot, _) = pasv_outcomes(&trace.inbound())
+        .into_iter()
+        .enumerate()
+        .filter(|&(_, ok)| ok)
+        .nth(usize::try_from(ordinal).ok()?.checked_sub(1)?)?;
+    ops[ci].get(slot).cloned()
 }
 
 /// Drain everything a client stream still has buffered. Runs after the
@@ -608,7 +499,6 @@ fn collect_ftp_violations(
     traces: &[ConnTrace],
     log: &TraceLog,
     connect_order: &[Option<u64>],
-    data_recorded: bool,
 ) -> Vec<Violation> {
     let failed: HashSet<u64> = log.accept_failures().into_iter().collect();
     let mut violations = Vec::new();
@@ -633,7 +523,7 @@ fn collect_ftp_violations(
             .collect();
         let data = FtpDataCtx {
             children: &children,
-            recorded: data_recorded,
+            recorded: true,
             tolerant: !strict,
         };
         violations.extend(check_ftp_session(trace, strict, &data));
@@ -859,6 +749,7 @@ pub fn seed_range(default_lo: u64, default_hi: u64) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::schedule::{ConnScript, Step};
+    use std::time::Instant;
 
     fn two_conn_schedule() -> Schedule {
         Schedule {

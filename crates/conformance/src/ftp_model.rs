@@ -92,8 +92,9 @@ pub enum TransferKind {
 /// observed outcome of one `Action::Defer` transfer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TransferSpec {
-    /// 1-based per-connection transfer ordinal — the same counter the
-    /// service's data tap stamps onto secondary traces, so the two join.
+    /// 1-based ordinal of the `PASV` whose listener the transfer
+    /// consumed — the ordinal the tap stamps onto the data connection's
+    /// trace, so the two join.
     pub ordinal: u32,
     /// The transfer command.
     pub kind: TransferKind,
@@ -125,8 +126,10 @@ pub struct FtpModel {
     cwd: String,
     vfs: Vfs,
     users: Arc<UserRegistry>,
-    pasv_pending: bool,
-    next_ordinal: u32,
+    /// The ordinal of the listener the last `PASV` opened, until a
+    /// transfer consumes it.
+    pasv_pending: Option<u32>,
+    pasvs: u32,
     tainted: std::collections::HashSet<String>,
 }
 
@@ -146,19 +149,10 @@ impl FtpModel {
             cwd: "/".to_string(),
             vfs,
             users: FtpFixture::users(),
-            pasv_pending: false,
-            next_ordinal: 0,
+            pasv_pending: None,
+            pasvs: 0,
             tainted: std::collections::HashSet::new(),
         }
-    }
-
-    /// Tick the per-connection transfer ordinal, mirroring the service:
-    /// it advances exactly when a `Defer` transfer closure is created
-    /// (listener present and path resolved), whether or not a data
-    /// socket is ultimately accepted.
-    fn tick_ordinal(&mut self) -> u32 {
-        self.next_ordinal += 1;
-        self.next_ordinal
     }
 
     /// Would the replica VFS reject `vfs.write(path, …)`? Mirrors
@@ -262,26 +256,25 @@ impl FtpModel {
             Command::SiteDump => Reply(211, true),
             Command::SiteTrace => Reply(211, true),
             Command::Pasv => {
-                self.pasv_pending = true;
+                self.pasvs += 1;
+                self.pasv_pending = Some(self.pasvs);
                 Reply(227, false)
             }
             Command::List(path) => {
-                if !self.pasv_pending {
+                let Some(ordinal) = self.pasv_pending.take() else {
                     return Reply(503, false);
-                }
-                self.pasv_pending = false;
+                };
                 let target = match path {
                     Some(p) => match normalize(&self.cwd, p) {
                         Some(t) => t,
-                        // Listener consumed, no Defer created: no ordinal.
+                        // Listener consumed, no Defer created.
                         None => return Reply(550, false),
                     },
                     None => self.cwd.clone(),
                 };
-                let ordinal = self.tick_ordinal();
                 match self.vfs.list(&target) {
                     // Fails inside the closure, before accepting the
-                    // data socket: plain 550, ordinal consumed.
+                    // data socket: plain 550.
                     None => Reply(550, false),
                     Some(entries) => Transfer(TransferSpec {
                         ordinal,
@@ -293,14 +286,12 @@ impl FtpModel {
                 }
             }
             Command::Retr(file) => {
-                if !self.pasv_pending {
+                let Some(ordinal) = self.pasv_pending.take() else {
                     return Reply(503, false);
-                }
-                self.pasv_pending = false;
+                };
                 let Some(path) = normalize(&self.cwd, file) else {
                     return Reply(550, false);
                 };
-                let ordinal = self.tick_ordinal();
                 match self.vfs.read(&path) {
                     None => Reply(550, false),
                     Some(bytes) => Transfer(TransferSpec {
@@ -313,14 +304,12 @@ impl FtpModel {
                 }
             }
             Command::Stor(file) => {
-                if !self.pasv_pending {
+                let Some(ordinal) = self.pasv_pending.take() else {
                     return Reply(503, false);
-                }
-                self.pasv_pending = false;
+                };
                 let Some(path) = normalize(&self.cwd, file) else {
                     return Reply(550, false);
                 };
-                let ordinal = self.tick_ordinal();
                 let static_fail = self.stor_would_fail(&path);
                 Transfer(TransferSpec {
                     ordinal,

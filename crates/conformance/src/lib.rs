@@ -62,7 +62,8 @@ pub mod schedule;
 pub use explorer::{
     explore, run, run_ftp, run_ftp_lingerless, run_http, run_http_gather_drop, run_http_lingerless,
     run_http_off_thread_drop, run_http_on_thread_drop, run_http_with_options, seed_range, shrink,
-    standard_ftp_service, standard_http_service, ExploreSummary, FtpDataTapTarget, RunReport,
+    standard_ftp_service, standard_ftp_service_over, standard_http_service, BaseListener,
+    ExploreSummary, RunReport,
 };
 pub use ftp_model::{check_ftp, check_ftp_session, FtpDataCtx, FtpModel};
 pub use http_model::HttpFixture;

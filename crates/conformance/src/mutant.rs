@@ -10,20 +10,20 @@
 //! data-plane mutants, transfer payload bytes and completion ordering —
 //! for FTP.
 
+use std::collections::HashMap;
 use std::io::{self, IoSlice};
 use std::sync::Arc;
 use std::thread::ThreadId;
-use std::time::Duration;
 
+use nserver_core::event::ConnId;
 use nserver_core::layer::{AcceptHook, ConnHook, Layered, NoPoll};
 use nserver_core::pipeline::{Action, ConnCtx, Service};
-use nserver_core::tap::TraceLog;
 use nserver_core::transport::{Listener, StreamIo};
 use nserver_ftp::legacy::vfs::Vfs;
 use nserver_ftp::{FtpCodec, FtpRequest, FtpService};
 use nserver_http::{HttpCodec, Request, Response, Status};
+use parking_lot::Mutex;
 
-use crate::explorer::FtpDataTapTarget;
 use crate::ftp_model::FtpFixture;
 
 /// Which HTTP legality bug to inject.
@@ -108,14 +108,14 @@ pub enum FtpMutation {
     LoginAlwaysSucceeds,
 }
 
-/// The real FTP service with `mutation` injected into every reply path.
-pub struct MutantFtp {
-    inner: FtpService,
+/// An FTP service with `mutation` injected into every reply path.
+pub struct MutantFtp<S> {
+    inner: S,
     mutation: FtpMutation,
 }
 
-impl MutantFtp {
-    pub fn new(inner: FtpService, mutation: FtpMutation) -> Self {
+impl<S> MutantFtp<S> {
+    pub fn new(inner: S, mutation: FtpMutation) -> Self {
         Self { inner, mutation }
     }
 }
@@ -132,7 +132,7 @@ fn mutate_ftp(m: FtpMutation, reply: String) -> String {
     }
 }
 
-impl Service<FtpCodec> for MutantFtp {
+impl<S: Service<FtpCodec>> Service<FtpCodec> for MutantFtp<S> {
     fn handle(&self, ctx: &ConnCtx, req: FtpRequest) -> Action<String> {
         let m = self.mutation;
         map_action(self.inner.handle(ctx, req), move |r| mutate_ftp(m, r))
@@ -149,59 +149,58 @@ impl Service<FtpCodec> for MutantFtp {
     }
 }
 
-impl FtpDataTapTarget for MutantFtp {
-    fn attach_data_tap(&self, log: TraceLog) -> bool {
-        self.inner.attach_data_tap(log);
-        true
-    }
-}
-
 /// The payload-corruption mutant: a real `FtpService` whose
 /// `/pub/hello.txt` is silently truncated relative to the fixture the
 /// model replicates. Every control reply is legal — the bug is only
 /// observable in the data plane, where a `RETR` download's bytes
 /// diverge from the model's byte-exact expected payload.
-pub fn truncated_retr_service() -> FtpService {
+pub fn truncated_retr_service<L>(transport: L) -> FtpService<L> {
     let vfs = Arc::new(Vfs::new());
     vfs.mkdir("/pub");
     vfs.write("/pub/hello.txt", b"hello".to_vec());
-    FtpService::new(vfs, FtpFixture::users())
+    FtpService::over(vfs, FtpFixture::users(), transport)
 }
 
-/// The completion-ordering mutant: transfers acknowledge `150` + `226`
-/// *immediately*, while the actual data transfer keeps running on a
-/// background thread — the completion reply reaches the control channel
-/// before the data socket closes. Caught by the model's global-sequence
-/// premature-completion check (or as a missing data trace when the
-/// orphaned transfer never lands).
-pub struct PrematureFtp {
-    inner: FtpService,
+/// A deferred transfer, waiting to run.
+type Job = Box<dyn FnOnce() -> String + Send>;
+
+/// The completion-ordering mutant: a transfer acknowledges `150` + `226`
+/// at once and runs later — when its connection next reaches a hook, or
+/// as it closes — so the completion reply can reach the control channel
+/// before the data socket has opened. Caught by the model's
+/// global-sequence premature-completion check.
+pub struct PrematureFtp<S> {
+    inner: S,
+    /// Each connection's acknowledged transfers, not yet run.
+    late: Mutex<HashMap<ConnId, Vec<Job>>>,
 }
 
-impl PrematureFtp {
-    pub fn new(inner: FtpService) -> Self {
-        Self { inner }
-    }
-}
-
-fn premature_map(action: Action<String>) -> Action<String> {
-    match action {
-        Action::Defer(job) => {
-            std::thread::spawn(move || {
-                // Let the eager reply win the race, then run the real
-                // transfer so the data-plane client is still served.
-                std::thread::sleep(Duration::from_millis(50));
-                let _ = job();
-            });
-            Action::Reply("150 Opening data connection.\r\n226 Transfer complete.\r\n".into())
+impl<S> PrematureFtp<S> {
+    pub fn new(inner: S) -> Self {
+        Self {
+            inner,
+            late: Mutex::default(),
         }
-        other => other,
+    }
+
+    fn run_late(&self, conn: ConnId) {
+        let jobs = self.late.lock().remove(&conn).unwrap_or_default();
+        for job in jobs {
+            let _ = job();
+        }
     }
 }
 
-impl Service<FtpCodec> for PrematureFtp {
+impl<S: Service<FtpCodec>> Service<FtpCodec> for PrematureFtp<S> {
     fn handle(&self, ctx: &ConnCtx, req: FtpRequest) -> Action<String> {
-        premature_map(self.inner.handle(ctx, req))
+        self.run_late(ctx.id);
+        match self.inner.handle(ctx, req) {
+            Action::Defer(job) => {
+                self.late.lock().entry(ctx.id).or_default().push(job);
+                Action::Reply("150 Opening data connection.\r\n226 Transfer complete.\r\n".into())
+            }
+            other => other,
+        }
     }
 
     fn on_open(&self, ctx: &ConnCtx) -> Option<String> {
@@ -209,14 +208,8 @@ impl Service<FtpCodec> for PrematureFtp {
     }
 
     fn on_close(&self, ctx: &ConnCtx) {
+        self.run_late(ctx.id);
         self.inner.on_close(ctx);
-    }
-}
-
-impl FtpDataTapTarget for PrematureFtp {
-    fn attach_data_tap(&self, log: TraceLog) -> bool {
-        self.inner.attach_data_tap(log);
-        true
     }
 }
 
@@ -392,30 +385,46 @@ mod tests {
 
     #[test]
     fn premature_map_replies_before_the_deferred_job_runs() {
-        let ran = Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let flag = Arc::clone(&ran);
-        let job = Box::new(move || {
-            flag.store(true, std::sync::atomic::Ordering::SeqCst);
-            "226 Transfer complete.\r\n".to_string()
-        });
-        match premature_map(Action::Defer(job)) {
-            Action::Reply(r) => {
-                assert!(r.starts_with("150 "), "eager completion reply: {r}");
-                assert!(r.contains("\r\n226 "), "both blocks in one write");
+        use nserver_core::event::Priority;
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+
+        /// Defers every request; each job counts itself.
+        struct Deferring(Arc<AtomicUsize>);
+        impl Service<FtpCodec> for Deferring {
+            fn handle(&self, _: &ConnCtx, _: FtpRequest) -> Action<String> {
+                let ran = Arc::clone(&self.0);
+                Action::Defer(Box::new(move || {
+                    ran.fetch_add(1, SeqCst);
+                    "226 Transfer complete.\r\n".to_string()
+                }))
             }
-            _ => panic!("Defer must become an immediate Reply"),
         }
-        // The real job still runs (on the background thread).
-        let deadline = std::time::Instant::now() + Duration::from_secs(2);
-        while !ran.load(std::sync::atomic::Ordering::SeqCst) {
-            assert!(std::time::Instant::now() < deadline, "job never ran");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let ran = Arc::new(AtomicUsize::new(0));
+        let svc = PrematureFtp::new(Deferring(Arc::clone(&ran)));
+        let ctx = ConnCtx {
+            id: 1,
+            peer: "t".into(),
+            priority: Priority::HIGHEST,
+        };
+        let retr = || FtpRequest::Command(nserver_ftp::Command::Retr("/f".into()));
+        let Action::Reply(r) = svc.handle(&ctx, retr()) else {
+            panic!("Defer must become an immediate Reply");
+        };
+        assert!(r.starts_with("150 ") && r.contains("\r\n226 "), "{r}");
+        assert_eq!(ran.load(SeqCst), 0, "acknowledged, not run");
+        let _ = svc.handle(&ctx, retr());
+        assert_eq!(ran.load(SeqCst), 1, "the first ran at the next hook");
+        svc.on_close(&ctx);
+        assert_eq!(
+            ran.load(SeqCst),
+            2,
+            "the second ran as the connection closed"
+        );
     }
 
     #[test]
     fn truncated_service_disagrees_with_the_fixture() {
-        let svc = truncated_retr_service();
+        let svc = truncated_retr_service(());
         drop(svc); // constructible; the divergence itself is proven
                    // end-to-end by tests/mutation.rs
         let fixture = FtpFixture::vfs();

@@ -32,7 +32,7 @@ impl Proto {
 /// How the driver services one data (PASV) connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataOpKind {
-    /// Connect and drain to EOF (LIST / RETR downloads).
+    /// Connect and receive (LIST / RETR downloads).
     Read,
     /// Connect, send the payload, close (STOR uploads).
     Write,
@@ -47,19 +47,18 @@ impl DataOpKind {
     }
 }
 
-/// One planned data-connection operation. The driver consumes these in
-/// order, one per `227 Entering Passive Mode` reply it observes on the
-/// owning control connection, and opens a real TCP connection to the
-/// announced port.
+/// One planned data-connection operation. The driver performs these in
+/// order, one per data listener the owning control connection's `PASV`s
+/// open, connecting to that listener as it opens.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DataOp {
     /// What the client does on the data socket.
     pub kind: DataOpKind,
     /// Upload payload (`Write` only; empty for `Read`).
     pub payload: Vec<u8>,
-    /// Abort the data connection (abrupt close mid-stream, with bytes
-    /// still in flight) after transferring at most this many bytes.
-    /// `None` runs the transfer to completion.
+    /// Abort the data connection after transferring at most this many
+    /// bytes: an upload sends that prefix, a download closes before the
+    /// server has written. `None` runs the transfer to completion.
     pub abort_after: Option<usize>,
 }
 
@@ -71,10 +70,10 @@ pub struct ConnScript {
     /// Abruptly close the connection right after the last segment, without
     /// waiting for responses — the early-close/pipelining hazard.
     pub close_early: bool,
-    /// Planned data-connection operations, consumed one per observed 227
-    /// reply. Every PASV the generator emits gets exactly one op (even
-    /// transfers expected to fail before accepting, where the op's socket
-    /// just sees a reset).
+    /// Planned data-connection operations, consumed one per data listener
+    /// a successful PASV opens. Every PASV the generator emits gets
+    /// exactly one op (even transfers expected to fail before accepting,
+    /// where the op's socket just sees its listener close).
     pub data_ops: Vec<DataOp>,
 }
 
@@ -342,7 +341,8 @@ fn generate_ftp(seed: u64) -> Schedule {
                 }
                 24 => {
                     // Statically-missing file: 550 without accepting the
-                    // data socket; the op's connection just sees a reset.
+                    // data socket; the op's connection just sees its
+                    // listener close.
                     lines.push("PASV".to_string());
                     lines.push("RETR /nope".to_string());
                     data_ops.push(DataOp {

@@ -1,9 +1,13 @@
 //! Data-plane conformance sweeps: schedules whose PASV transfers run
-//! over real TCP data sockets, checked byte-exactly against the model's
-//! replica VFS — including STOR write-back visibility and the
-//! completion-after-data-close ordering rule.
+//! over data connections the control listener's stack opened, checked
+//! byte-exactly against the model's replica VFS — including STOR
+//! write-back visibility and the completion-after-data-close ordering
+//! rule.
+
+use std::time::{Duration, Instant};
 
 use conformance::{explore, generate, run, seed_range, Proto};
+use nserver_ftp::split_replies;
 
 #[test]
 fn ftp_data_plane_sweep_band_one() {
@@ -82,4 +86,57 @@ fn data_schedules_record_joined_data_traces() {
         joined, data_traces,
         "every data trace must join a recorded control connection"
     );
+}
+
+/// Seeds 5020 and 21249 transfer on a control connection whose fault
+/// profile (`ShortIo`) refuses part of each write. When the data plane was
+/// loopback TCP, a transfer job there waited out the 3 s accept deadline
+/// for a client that dialled only once the whole `227` was delivered —
+/// which needed the dispatcher pass the blocked job held up — and ended
+/// in `425`. Each transfer must now meet its client at once and leave a
+/// joined data trace.
+#[test]
+fn transfers_on_faulted_connections_record_data_traces_at_once() {
+    for seed in [5020, 21249] {
+        let sched = generate(Proto::Ftp, seed);
+        let started = Instant::now();
+        let report = run(&sched);
+        let took = started.elapsed();
+        assert!(
+            report.violations.is_empty(),
+            "seed {seed}: {:?}",
+            report.violations
+        );
+        assert!(
+            took < Duration::from_millis(200),
+            "seed {seed} took {took:?}"
+        );
+        let faulted = report
+            .traces
+            .iter()
+            .filter(|t| !t.is_data() && t.profile != "Clean");
+        let mut transfers = 0;
+        for control in faulted {
+            let codes: Vec<u16> = (split_replies(&control.outbound()).complete.iter())
+                .map(|b| b.code)
+                .collect();
+            assert!(!codes.contains(&425), "seed {seed}: {codes:?}");
+            let children = (report.traces.iter())
+                .filter(|t| {
+                    t.parent
+                        .is_some_and(|p| p.control_accept_index == control.accept_index)
+                })
+                .count();
+            let completed = codes.iter().filter(|&&c| c == 150).count();
+            assert_eq!(
+                children, completed,
+                "seed {seed}: a data trace per transfer"
+            );
+            transfers += completed;
+        }
+        assert!(
+            transfers > 0,
+            "seed {seed} transfers on no faulted connection"
+        );
+    }
 }

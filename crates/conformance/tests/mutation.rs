@@ -7,8 +7,8 @@
 use conformance::{
     generate, replaying_relay_diverges, run_ftp, run_http, run_http_gather_drop,
     run_http_lingerless, run_http_off_thread_drop, run_http_on_thread_drop, shrink,
-    standard_ftp_service, standard_http_service, truncated_retr_service, DataOpKind, FtpMutation,
-    HttpMutation, MutantFtp, MutantHttp, PrematureFtp, Proto, Schedule,
+    standard_ftp_service_over, standard_http_service, truncated_retr_service, DataOpKind,
+    FtpMutation, HttpMutation, MutantFtp, MutantHttp, PrematureFtp, Proto, Schedule,
 };
 
 /// Find the first seed in `0..limit` whose schedule trips `fails`, check
@@ -75,8 +75,12 @@ fn http_keep_alive_lie_on_close_is_caught() {
 #[test]
 fn ftp_login_bypass_is_caught() {
     let fails = |s: &Schedule| {
-        let svc = MutantFtp::new(standard_ftp_service(), FtpMutation::LoginAlwaysSucceeds);
-        let report = run_ftp(s, svc);
+        let report = run_ftp(s, |transport| {
+            MutantFtp::new(
+                standard_ftp_service_over(transport),
+                FtpMutation::LoginAlwaysSucceeds,
+            )
+        });
         report.violations.iter().any(|v| v.kind == "reply-mismatch")
     };
     caught_shrunk_and_replayable(Proto::Ftp, 25, &fails);
@@ -89,7 +93,7 @@ fn ftp_login_bypass_is_caught() {
 #[test]
 fn ftp_truncated_retr_payload_is_caught() {
     let fails = |s: &Schedule| {
-        let report = run_ftp(s, truncated_retr_service());
+        let report = run_ftp(s, truncated_retr_service);
         report
             .violations
             .iter()
@@ -111,13 +115,14 @@ fn ftp_truncated_retr_payload_is_caught() {
 
 /// Data-plane soundness, ordering axis: a service that acknowledges
 /// `150`+`226` before the data socket has closed must be caught by the
-/// global-sequence premature-completion check (or, when the orphaned
-/// background transfer misses the tap entirely, as a missing data
-/// trace).
+/// global-sequence premature-completion check (or, when the late
+/// transfer misses the tap entirely, as a missing data trace).
 #[test]
 fn ftp_premature_completion_is_caught() {
     let fails = |s: &Schedule| {
-        let report = run_ftp(s, PrematureFtp::new(standard_ftp_service()));
+        let report = run_ftp(s, |transport| {
+            PrematureFtp::new(standard_ftp_service_over(transport))
+        });
         report
             .violations
             .iter()
@@ -233,7 +238,7 @@ fn unmutated_services_pass_the_same_seeds() {
             "http seed {seed}: {:?}",
             h.violations
         );
-        let f = run_ftp(&generate(Proto::Ftp, seed), standard_ftp_service());
+        let f = run_ftp(&generate(Proto::Ftp, seed), standard_ftp_service_over);
         assert!(
             f.violations.is_empty(),
             "ftp seed {seed}: {:?}",

@@ -26,6 +26,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::event::ConnId;
 use crate::layer::{AcceptHook, ConnHook, Layered, PollHook};
 use crate::transport::{Listener, PollEvent, Poller, ReadOutcome, StreamIo};
 
@@ -415,6 +416,31 @@ impl AcceptHook for FaultPlan {
         }
         Ok(FaultConn::new(self.profile_for(ordinal)))
     }
+
+    /// A data socket runs under its control connection's profile — the
+    /// server's `control`-th connection, which is the `control`-th
+    /// accept this plan did not fail (a base transport that fails
+    /// accepts itself shifts this). Stalls and storms run clean: a
+    /// transfer job blocks on its own socket, so a stall would hold it
+    /// until its 5 s data deadline and every swallowed read would cost
+    /// a 1 ms [`Redelivery`] wait, time the wall clock takes and a
+    /// stepped server cannot advance.
+    fn data_accepted<S: StreamIo>(
+        &mut self,
+        control: ConnId,
+        _: u32,
+        _: &mut S,
+    ) -> io::Result<FaultConn> {
+        let accepted = (1..).filter(|&k| !self.accept_fails(k));
+        let profile = match accepted.take(control as usize).last() {
+            Some(k) => self.profile_for(k),
+            None => FaultProfile::Clean,
+        };
+        Ok(FaultConn::new(match profile {
+            FaultProfile::Stall { .. } | FaultProfile::Storm { .. } => FaultProfile::Clean,
+            other => other,
+        }))
+    }
 }
 
 /// `listener` under `plan`: the fault layer of a transport stack.
@@ -690,6 +716,30 @@ mod tests {
         // The listener keeps accepting afterwards.
         let _c3 = connector.connect();
         assert!(faulty.try_accept().unwrap().is_some());
+    }
+
+    #[test]
+    fn a_data_socket_runs_under_its_control_connections_profile() {
+        let mut plan = FaultPlan {
+            reset_per_mille: 400,
+            stall_per_mille: 400,
+            accept_fail_every: 2,
+            ..FaultPlan::new(11)
+        };
+        let (mut stream, _peer) = mem::pair("data", "client");
+        let mut stalls = 0;
+        for control in 1..=12 {
+            // Every second accept fails: connection n is accept 2n - 1.
+            let control_profile = plan.profile_for(2 * control - 1);
+            let conn = plan.data_accepted(control, 1, &mut stream).unwrap();
+            if let FaultProfile::Stall { .. } = control_profile {
+                stalls += 1;
+                assert_eq!(conn.profile(), FaultProfile::Clean);
+            } else {
+                assert_eq!(conn.profile(), control_profile);
+            }
+        }
+        assert!(stalls > 0 && stalls < 12, "{stalls} stalls");
     }
 
     #[test]

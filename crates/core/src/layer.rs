@@ -22,13 +22,17 @@
 //! hook maps a connection to a connection or an error and an error to an
 //! error, so every layer of a stack numbers the same accept the same —
 //! the tap's `accept_index` and the fault plan's profile index cannot
-//! drift apart, whatever fails underneath.
+//! drift apart, whatever fails underneath. A data listener
+//! ([`Listener::data_listener`]) numbers nothing: each layer's hook hears
+//! its accepts as [`AcceptHook::data_accepted`], with the control
+//! connection and ordinal the listener was opened for.
 
 use std::fmt;
 use std::io::{self, IoSlice};
 use std::marker::PhantomData;
 use std::time::Duration;
 
+use crate::event::ConnId;
 use crate::transport::{Interest, Listener, PollEvent, Poller, ReadOutcome, StreamIo, Waker};
 
 /// Per-connection hooks; every default forwards to `inner`.
@@ -90,8 +94,9 @@ impl<C: ConnHook> PollHook for NoPoll<C> {
 }
 
 /// The listener hook: one per layer, it makes each accepted connection's
-/// [`ConnHook`].
-pub trait AcceptHook: Send + 'static {
+/// [`ConnHook`]. A data listener ([`Listener::data_listener`]) carries a
+/// clone of its layer's hook.
+pub trait AcceptHook: Clone + Send + 'static {
     /// Hook carried by each accepted stream.
     type Conn: ConnHook;
     /// Hook carried by each dispatcher's poller.
@@ -107,15 +112,32 @@ pub trait AcceptHook: Send + 'static {
         ordinal: u64,
         stream: io::Result<&mut S>,
     ) -> io::Result<Self::Conn>;
+
+    /// The `ordinal`-th data listener of control connection `control`
+    /// accepted `stream`. Return the connection's hook, or an error to
+    /// fail the accept. By default it is hooked as a primary accept
+    /// numbered 0, which no primary accept is.
+    fn data_accepted<S: StreamIo>(
+        &mut self,
+        control: ConnId,
+        ordinal: u32,
+        stream: &mut S,
+    ) -> io::Result<Self::Conn> {
+        let _ = (control, ordinal);
+        self.accepted(0, Ok(stream))
+    }
 }
 
 /// `inner` seen through the hooks of `H`: a listener when `H` is an
 /// [`AcceptHook`], and the poller and streams that listener hands out.
+#[derive(Clone)]
 pub struct Layered<T, H> {
     inner: T,
     hook: H,
     /// Listener role: accepts numbered so far.
     accepts: u64,
+    /// Data-listener role: the control connection and ordinal it serves.
+    data: Option<(ConnId, u32)>,
 }
 
 impl<T, H> Layered<T, H> {
@@ -125,6 +147,7 @@ impl<T, H> Layered<T, H> {
             inner,
             hook,
             accepts: 0,
+            data: None,
         }
     }
 
@@ -221,15 +244,20 @@ impl<L: Listener, H: AcceptHook> Listener for Layered<L, H> {
             return Ok(None);
         };
         self.accepts += 1;
-        match accepted {
-            Ok(mut inner) => {
+        match (accepted, self.data) {
+            (Ok(mut inner), None) => {
                 let hook = self.hook.accepted(self.accepts, Ok(&mut inner))?;
                 Ok(Some(Layered::new(inner, hook)))
             }
-            Err(e) => self
+            (Ok(mut inner), Some((control, ordinal))) => {
+                let hook = self.hook.data_accepted(control, ordinal, &mut inner)?;
+                Ok(Some(Layered::new(inner, hook)))
+            }
+            (Err(e), None) => self
                 .hook
                 .accepted::<L::Stream>(self.accepts, Err(e))
                 .map(|_| None),
+            (Err(e), Some(_)) => Err(e),
         }
     }
 
@@ -247,6 +275,16 @@ impl<L: Listener, H: AcceptHook> Listener for Layered<L, H> {
 
     fn deregister_listener(&self, poller: &mut Self::Poller) -> io::Result<()> {
         self.inner.deregister_listener(&mut poller.inner)
+    }
+
+    fn data_listener(&self, control: ConnId, ordinal: u32) -> io::Result<Self> {
+        Ok(Self {
+            data: Some((control, ordinal)),
+            ..Layered::new(
+                self.inner.data_listener(control, ordinal)?,
+                self.hook.clone(),
+            )
+        })
     }
 }
 
@@ -284,10 +322,11 @@ mod tests {
         let mut log = vec![listener.local_label()];
         let mut events = Vec::new();
         let mut buf = [0u8; 32];
+        connector.on_data(|_, _, data| drop(data.connect()));
         for step in 0..400 {
             let payload: Vec<u8> = (0..draw(24)).map(|i| (step + i) as u8).collect();
             let pick = draw(servers.len().max(1) as u64) as usize;
-            let op = draw(14);
+            let op = draw(15);
             let seen = match (op, servers.get_mut(pick)) {
                 (0, _) => {
                     clients.push(connector.connect());
@@ -316,6 +355,12 @@ mod tests {
                     listener.deregister_listener(&mut poller).unwrap();
                     listener.register_listener(&mut poller).unwrap();
                     "relisten".to_string()
+                }
+                (14, _) => {
+                    let mut data = listener.data_listener(1, step as u32).unwrap();
+                    let mut s = data.try_accept().unwrap().expect("connected on open");
+                    let read = s.try_read(&mut buf).map_err(|e| e.kind());
+                    format!("data {} {} {read:?}", data.local_label(), s.peer_label())
                 }
                 (_, None) => continue,
                 (4 | 5, Some(_)) => format!(

@@ -13,7 +13,9 @@
 //!
 //! The layer is two hooks over [`Layered`]: the [`TraceLog`] itself is
 //! the accept hook, opening a fresh trace per accepted stream under the
-//! adapter's accept ordinal, and that trace's [`TraceHandle`] is the
+//! adapter's accept ordinal — or, for a socket a data listener
+//! ([`Listener::data_listener`]) accepted, a child trace joined to its
+//! control connection's — and that trace's [`TraceHandle`] is the
 //! connection hook recording the I/O events. The poller is untouched.
 
 use std::io::{self, IoSlice};
@@ -22,6 +24,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use crate::event::ConnId;
 use crate::layer::{AcceptHook, ConnHook, Layered, NoPoll};
 use crate::transport::{Listener, ReadOutcome, StreamIo};
 
@@ -61,8 +64,8 @@ pub enum TapEvent {
 pub struct DataParent {
     /// `accept_index` of the owning control connection's trace.
     pub control_accept_index: u64,
-    /// 1-based ordinal of the transfer attempt within that control
-    /// connection (each listener-consuming transfer command ticks it,
+    /// 1-based ordinal of the data listener within that control
+    /// connection (each one the control connection opened ticks it,
     /// whether or not a data socket was ultimately accepted).
     pub transfer_ordinal: u32,
 }
@@ -177,9 +180,7 @@ impl ConnTrace {
 }
 
 /// Writable handle onto one trace in a [`TraceLog`]: pushes events
-/// stamped with the log-global sequence counter. Cheap to clone and safe
-/// to move into data-transfer closures.
-#[derive(Clone)]
+/// stamped with the log-global sequence counter.
 pub struct TraceHandle {
     trace: Arc<Mutex<ConnTrace>>,
     seq: Arc<AtomicU64>,
@@ -189,16 +190,10 @@ impl TraceHandle {
     /// Append `ev`, stamping it with the next log-global sequence number.
     /// The stamp is drawn inside the trace lock so each trace's `seqs`
     /// stay strictly increasing.
-    pub fn push(&self, ev: TapEvent) {
+    fn push(&self, ev: TapEvent) {
         let mut t = self.trace.lock();
         t.seqs.push(self.seq.fetch_add(1, Ordering::Relaxed));
         t.events.push(ev);
-    }
-
-    /// Append a `ReadEof` unless one was already observed (the reactor may
-    /// poll a half-closed stream repeatedly; one EOF event suffices).
-    pub fn push_eof_once(&self) {
-        self.push_once(TapEvent::ReadEof);
     }
 
     fn push_once(&self, ev: TapEvent) {
@@ -211,8 +206,7 @@ impl TraceHandle {
 }
 
 /// Shared, clonable log of every connection trace a tap [`layer`]
-/// produced, plus accept-time failures. Also the registration point for
-/// secondary (data) connection traces via [`TraceLog::open_data`].
+/// produced — data connections' among them — plus accept-time failures.
 #[derive(Clone, Default)]
 pub struct TraceLog {
     conns: Arc<Mutex<Vec<Arc<Mutex<ConnTrace>>>>>,
@@ -261,20 +255,20 @@ impl TraceLog {
     }
 
     /// Open a trace for a secondary (data) connection owned by the
-    /// `conn_ord`-th *successfully accepted* primary connection (1-based
+    /// `control`-th *successfully accepted* primary connection (1-based
     /// — the reactor's `ConnId` order, which counts only successful
     /// accepts, unlike `accept_index` which also counts failed accepts).
-    /// `ordinal` is the 1-based transfer attempt within that
-    /// connection. Returns `None` if no such primary trace exists yet.
-    pub fn open_data(&self, conn_ord: u64, ordinal: u32, peer: String) -> Option<TraceHandle> {
+    /// `ordinal` is the control connection's data listener it came
+    /// through. Returns `None` if no such primary trace exists yet.
+    fn open_data(&self, control: ConnId, ordinal: u32, peer: &str) -> Option<TraceHandle> {
         let conns = self.conns.lock();
         let parent = conns
             .iter()
             .filter(|t| t.lock().parent.is_none())
-            .nth(usize::try_from(conn_ord.checked_sub(1)?).ok()?)?;
+            .nth(usize::try_from(control.checked_sub(1)?).ok()?)?;
         let mut trace = {
             let p = parent.lock();
-            ConnTrace::synthetic(p.accept_index, &peer, &p.profile, Vec::new())
+            ConnTrace::synthetic(p.accept_index, peer, &p.profile, Vec::new())
         };
         drop(conns);
         trace.parent = Some(DataParent {
@@ -316,7 +310,7 @@ impl ConnHook for TraceHandle {
         match &outcome {
             Ok(ReadOutcome::Data(n)) => self.push(TapEvent::Read(buf[..*n].to_vec())),
             Ok(ReadOutcome::WouldBlock) => {}
-            Ok(ReadOutcome::Closed) => self.push_eof_once(),
+            Ok(ReadOutcome::Closed) => self.push_once(TapEvent::ReadEof),
             Err(e) => self.push(TapEvent::ReadError(e.to_string())),
         }
         outcome
@@ -376,6 +370,17 @@ impl AcceptHook for TraceLog {
                 Err(e)
             }
         }
+    }
+
+    /// A data socket's trace is its control connection's child.
+    fn data_accepted<S: StreamIo>(
+        &mut self,
+        control: ConnId,
+        ordinal: u32,
+        stream: &mut S,
+    ) -> io::Result<TraceHandle> {
+        self.open_data(control, ordinal, &stream.peer_label())
+            .ok_or_else(|| io::Error::other("data connection of an untraced control connection"))
     }
 }
 
@@ -499,12 +504,14 @@ mod tests {
         let mut client = connector.connect();
         let mut server_side = tapped.try_accept().unwrap().unwrap();
         server_side.try_write(b"227 ok\r\n").unwrap();
+        let data_clients = Arc::new(Mutex::new(Vec::new()));
+        let clients = Arc::clone(&data_clients);
+        connector.on_data(move |_, _, c| clients.lock().push(c.connect()));
         // ConnId order is 1-based over successful accepts.
-        let data = log
-            .open_data(1, 1, "data-peer".into())
-            .expect("parent exists");
-        data.push(TapEvent::Wrote(b"payload".to_vec()));
-        data.push(TapEvent::Shutdown);
+        let mut data = tapped.data_listener(1, 1).unwrap();
+        let mut data = data.try_accept().unwrap().expect("connected on open");
+        data.try_write(b"payload").unwrap();
+        data.shutdown();
         server_side.try_write(b"226 done\r\n").unwrap();
 
         let traces = log.snapshot();
@@ -523,8 +530,10 @@ mod tests {
         assert!(child.last_seq().unwrap() < control.seq_at_outbound_offset(offset_226).unwrap());
         assert!(control.seq_at_outbound_offset(0).unwrap() < child.seqs[0]);
         assert!(control.seq_at_outbound_offset(999).is_none());
-        // Unknown parent ordinal → no trace opened.
-        assert!(log.open_data(5, 1, "x".into()).is_none());
+        assert_eq!(child.events.len(), 2, "{:?}", child.events);
+        // Unknown control connection → the accept fails, no trace opened.
+        assert!(tapped.data_listener(5, 1).unwrap().try_accept().is_err());
+        assert_eq!(log.len(), 2);
         client.shutdown();
     }
 

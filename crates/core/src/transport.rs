@@ -20,6 +20,8 @@ use std::net::{TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::event::ConnId;
+
 /// Result of a non-blocking read attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReadOutcome {
@@ -91,6 +93,11 @@ impl Interest {
     pub const READABLE: Interest = Interest {
         readable: true,
         writable: false,
+    };
+    /// Write-only interest.
+    pub const WRITABLE: Interest = Interest {
+        readable: false,
+        writable: true,
     };
 }
 
@@ -187,6 +194,18 @@ pub trait Listener: Send + 'static {
     /// Stop watching the listening endpoint (the dispatcher disarms the
     /// acceptor while the overload controller pauses accepting).
     fn deregister_listener(&self, poller: &mut Self::Poller) -> io::Result<()>;
+    /// Open a listener for the `ordinal`-th (from 1) data connection of
+    /// control connection `control`: FTP's passive mode. TCP binds an
+    /// ephemeral port on this listener's address; the in-memory transport
+    /// makes a child listener ([`mem::MemConnector::on_data`]). A
+    /// transport without data connections refuses.
+    fn data_listener(&self, control: ConnId, ordinal: u32) -> io::Result<Self>
+    where
+        Self: Sized,
+    {
+        let _ = (control, ordinal);
+        Err(io::ErrorKind::Unsupported.into())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -283,6 +302,10 @@ impl Listener for TcpListenerNb {
 
     fn deregister_listener(&self, poller: &mut TcpPoller) -> io::Result<()> {
         poller.del_fd(LISTENER_TOKEN, raw_fd(&self.inner))
+    }
+
+    fn data_listener(&self, _: ConnId, _: u32) -> io::Result<Self> {
+        Self::bind((self.inner.local_addr()?.ip(), 0))
     }
 }
 
@@ -811,11 +834,15 @@ pub mod mem {
         }
     }
 
+    /// A [`MemConnector::on_data`] callback.
+    type OnData = Arc<dyn Fn(ConnId, u32, MemConnector) + Send + Sync>;
+
     /// The queue a [`MemListener`] accepts from, shared with its
     /// [`MemConnector`]; watched the same way pipes are.
     struct Inbox {
         queue: VecDeque<MemStream>,
         watchers: Vec<WatchEntry>,
+        on_data: Option<OnData>,
     }
 
     impl Inbox {
@@ -831,7 +858,9 @@ pub mod mem {
         }
     }
 
-    /// An in-memory listener fed by a [`MemConnector`].
+    /// An in-memory listener fed by a [`MemConnector`]. A clone accepts
+    /// from the same queue.
+    #[derive(Clone)]
     pub struct MemListener {
         incoming: Arc<Mutex<Inbox>>,
         label: String,
@@ -850,6 +879,7 @@ pub mod mem {
         let incoming = Arc::new(Mutex::new(Inbox {
             queue: VecDeque::new(),
             watchers: Vec::new(),
+            on_data: None,
         }));
         (
             MemListener {
@@ -872,6 +902,13 @@ pub mod mem {
             inbox.queue.push_back(server);
             inbox.notify();
             client
+        }
+
+        /// Hand `f` the control connection, ordinal and connector of each
+        /// data listener the listener opens ([`Listener::data_listener`]),
+        /// as it opens: without it nothing can reach a data listener.
+        pub fn on_data(&self, f: impl Fn(ConnId, u32, MemConnector) + Send + Sync + 'static) {
+            self.incoming.lock().on_data = Some(Arc::new(f));
         }
     }
 
@@ -912,6 +949,15 @@ pub mod mem {
                 .retain(|(_, token)| *token != LISTENER_TOKEN);
             poller.shared.state.lock().ready.remove(&LISTENER_TOKEN);
             Ok(())
+        }
+
+        fn data_listener(&self, control: ConnId, ordinal: u32) -> io::Result<Self> {
+            let (child, connector) = listener(&format!("{}/data-{control}-{ordinal}", self.label));
+            let on_data = self.incoming.lock().on_data.clone();
+            if let Some(f) = on_data {
+                f(control, ordinal, connector);
+            }
+            Ok(child)
         }
     }
 

@@ -669,6 +669,7 @@ struct Plain;
 
 impl ConnHook for Plain {}
 
+#[derive(Clone)]
 struct HeldAccepts<const K: usize>;
 
 impl<const K: usize> AcceptHook for HeldAccepts<K> {

@@ -8,10 +8,13 @@
 //! commands are still expressed as `Action::Defer` blocking operations, so
 //! the very same service code would run unchanged under O4 = Asynchronous
 //! — that is the point of the pattern's hook interface.
+//!
+//! A transfer's data connection comes from the control listener's
+//! transport ([`Listener::data_listener`]): `PASV` opens the listener, and
+//! the transfer accepts on it and moves bytes over `StreamIo`, waiting
+//! for the peer and for readiness in a `Poller` of the same transport.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -21,8 +24,8 @@ use nserver_core::diag::DiagHub;
 use nserver_core::event::ConnId;
 use nserver_core::metrics::Stage;
 use nserver_core::pipeline::{Action, ConnCtx, Service};
-use nserver_core::tap::{TapEvent, TraceHandle, TraceLog};
 use nserver_core::trace::{DebugTracer, SpanEvent};
+use nserver_core::transport::{Interest, Listener, Poller, ReadOutcome, StreamIo, TcpListenerNb};
 
 use crate::codec::{FtpCodec, FtpRequest};
 use crate::commands::Command;
@@ -36,26 +39,46 @@ use crate::session::{Session, SessionState};
 /// listener.
 const DATA_ACCEPT_TIMEOUT: Duration = Duration::from_secs(3);
 
-/// The COPS-FTP application service.
-pub struct FtpService {
+/// How long a data transfer waits for its socket to take or yield bytes.
+const DATA_IO_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The COPS-FTP application service. Its passive data connections come
+/// from `L`, the control listener's transport.
+pub struct FtpService<L = TcpListenerNb> {
     vfs: Arc<Vfs>,
     users: Arc<UserRegistry>,
-    sessions: Mutex<HashMap<ConnId, Arc<Mutex<Session>>>>,
+    sessions: Mutex<HashMap<ConnId, Arc<Mutex<Session<L>>>>>,
     server_name: String,
     diag_hub: Mutex<Option<DiagHub>>,
-    data_tap: Mutex<Option<TraceLog>>,
+    transport: L,
 }
 
 impl FtpService {
-    /// Serve `vfs` to the accounts in `users`.
+    /// Serve `vfs` to the accounts in `users`, with data connections on
+    /// ephemeral loopback TCP ports.
+    ///
+    /// # Panics
+    ///
+    /// When no loopback port can be bound.
     pub fn new(vfs: Arc<Vfs>, users: Arc<UserRegistry>) -> Self {
+        let loopback = TcpListenerNb::bind("127.0.0.1:0").expect("bind a loopback TCP port");
+        Self::over(vfs, users, loopback)
+    }
+}
+
+impl<L> FtpService<L> {
+    /// Serve `vfs` to the accounts in `users`, opening each `PASV` data
+    /// listener with `transport` ([`Listener::data_listener`]; it is
+    /// never accepted on itself). Pass a copy of the stack the control
+    /// listener is, and each of its layers sees the data sockets too.
+    pub fn over(vfs: Arc<Vfs>, users: Arc<UserRegistry>, transport: L) -> Self {
         Self {
             vfs,
             users,
             sessions: Mutex::new(HashMap::new()),
             server_name: "COPS-FTP".to_string(),
             diag_hub: Mutex::new(None),
-            data_tap: Mutex::new(None),
+            transport,
         }
     }
 
@@ -67,32 +90,6 @@ impl FtpService {
     /// two `SITE` commands answer 211 with a note.
     pub fn attach_diag(&self, hub: DiagHub) {
         *self.diag_hub.lock() = Some(hub);
-    }
-
-    /// Attach a conformance trace log so every data (PASV) socket gets a
-    /// secondary [`nserver_core::tap::ConnTrace`] joined to its control
-    /// connection. Pass the same log the control listener's tap layer
-    /// (`tap::layer`) records into; without an attachment the data path
-    /// runs untapped and unchanged.
-    pub fn attach_data_tap(&self, log: TraceLog) {
-        *self.data_tap.lock() = Some(log);
-    }
-
-    /// Snapshot of the transfer-tap wiring for one Defer closure: the
-    /// attached log (if any), the owning connection, and the 1-based
-    /// ordinal this transfer attempt was assigned on its session.
-    fn transfer_tap(&self, conn: ConnId, session: &Arc<Mutex<Session>>) -> DataTap {
-        let ordinal = {
-            let mut s = session.lock();
-            s.transfer_seq += 1;
-            s.transfer_seq
-        };
-        DataTap {
-            log: self.data_tap.lock().clone(),
-            tracer: self.diag_hub.lock().as_ref().and_then(|h| h.tracer()),
-            conn,
-            ordinal,
-        }
     }
 
     /// The multi-line 211 body for argument-less `STAT`.
@@ -122,7 +119,7 @@ impl FtpService {
         &self.vfs
     }
 
-    fn session(&self, conn: ConnId) -> Arc<Mutex<Session>> {
+    fn session(&self, conn: ConnId) -> Arc<Mutex<Session<L>>> {
         Arc::clone(
             self.sessions
                 .lock()
@@ -137,149 +134,159 @@ impl FtpService {
     }
 }
 
-/// Everything a transfer closure needs to record its data socket into the
-/// conformance trace log: captured at `Action::Defer` creation so the
-/// closure stays `'static`.
-struct DataTap {
-    log: Option<TraceLog>,
+impl<L: Listener + Sync> FtpService<L> {
+    /// A transfer command's common half: take the session's passive
+    /// listener (503 without one) and resolve `path` against the working
+    /// directory (`None` is the directory itself; 550 when it escapes),
+    /// then defer `job` with the resolved path and the transfer's data
+    /// connection.
+    fn transfer(
+        &self,
+        ctx: &ConnCtx,
+        session: &Mutex<Session<L>>,
+        path: Option<String>,
+        job: impl FnOnce(&Vfs, String, DataPlan<L>) -> String + Send + 'static,
+    ) -> Action<String> {
+        let (cwd, pasv) = {
+            let mut s = session.lock();
+            (s.cwd.clone(), s.take_pasv())
+        };
+        let Some((listener, ordinal)) = pasv else {
+            return Action::Reply(replies::bad_sequence("Use PASV first"));
+        };
+        let target = match path {
+            Some(p) => match normalize(&cwd, &p) {
+                Some(t) => t,
+                None => return Action::Reply(replies::file_unavailable(&p)),
+            },
+            None => cwd,
+        };
+        let vfs = Arc::clone(&self.vfs);
+        let data = DataPlan {
+            listener,
+            tracer: self.diag_hub.lock().as_ref().and_then(|h| h.tracer()),
+            conn: ctx.id,
+            ordinal,
+        };
+        // Blocking data transfer: Defer runs it synchronously in place
+        // (O4 = Synchronous) or on the helper pool (O4 = Asynchronous) —
+        // the hook code is identical.
+        Action::Defer(Box::new(move || job(&vfs, target, data)))
+    }
+}
+
+/// A transfer's data connection: the listener `PASV` opened, and where
+/// the socket's open and close are stamped ([`SpanEvent::DataOpen`] /
+/// [`SpanEvent::DataClose`] on the control connection's timeline — the
+/// `DataParent` edge that lets the Perfetto export nest data-transfer
+/// spans under the control session).
+struct DataPlan<L> {
+    listener: L,
     tracer: Option<DebugTracer>,
     conn: ConnId,
     ordinal: u32,
 }
 
-impl DataTap {
-    /// Open the secondary trace once the data socket is accepted. Also
-    /// stamps a [`SpanEvent::DataOpen`] on the owning control connection's
-    /// request timeline — the `DataParent` edge that lets the Perfetto
-    /// export nest data-transfer spans under the control session.
-    fn open(&self, data: &TcpStream) -> Option<TraceHandle> {
-        if let Some(t) = &self.tracer {
-            t.span(
-                SpanEvent::DataOpen {
-                    ordinal: self.ordinal as u64,
-                },
-                self.conn,
-            );
-        }
-        let log = self.log.as_ref()?;
-        let peer = data
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "data".to_string());
-        log.open_data(self.conn, self.ordinal, peer)
-    }
+/// The token a transfer's poller watches its one source under.
+const DATA_TOKEN: u64 = 1;
 
-    /// Close the data socket and stamp the matching
-    /// [`SpanEvent::DataClose`]. Delegates the tap recording to
-    /// [`close_data`], so the conformance-trace ordering invariant (data
-    /// close before the control completion write) is unchanged.
-    fn close(&self, data: TcpStream, trace: Option<&TraceHandle>) {
-        close_data(data, trace);
-        if let Some(t) = &self.tracer {
-            t.span(
-                SpanEvent::DataClose {
-                    ordinal: self.ordinal as u64,
-                },
-                self.conn,
-            );
-        }
+impl<L: Listener> DataPlan<L> {
+    /// Accept the peer, waiting in a poller of the transport up to
+    /// [`DATA_ACCEPT_TIMEOUT`], run `io` on the socket, and close it —
+    /// before the transfer's reply is written, the order the conformance
+    /// checker holds the tap's trace to. `None` when the peer never came
+    /// or `io` failed; the socket is then dropped unclosed.
+    fn run<T>(mut self, io: impl FnOnce(&mut Data<L>) -> Option<T>) -> Option<T> {
+        let mut poller = L::new_poller().ok()?;
+        self.listener.register_listener(&mut poller).ok()?;
+        let deadline = Instant::now() + DATA_ACCEPT_TIMEOUT;
+        let stream = loop {
+            if let Some(stream) = self.listener.try_accept().ok()? {
+                break stream;
+            }
+            wait(&mut poller, deadline)?;
+        };
+        self.listener.deregister_listener(&mut poller).ok()?;
+        poller
+            .register(DATA_TOKEN, &stream, Interest::READABLE)
+            .ok()?;
+        let (tracer, ordinal) = (self.tracer, self.ordinal.into());
+        let span = |event| tracer.iter().for_each(|t| t.span(event, self.conn));
+        span(SpanEvent::DataOpen { ordinal });
+        let mut data = Data { stream, poller };
+        let out = io(&mut data)?;
+        data.stream.shutdown();
+        span(SpanEvent::DataClose { ordinal });
+        Some(out)
     }
 }
 
-/// Write `bytes` to the data socket, recording each accepted chunk (and a
-/// terminal error) into the data trace. Chunked so partial progress under
-/// an aborting peer is observable.
-fn send_data(data: &mut TcpStream, bytes: &[u8], trace: Option<&TraceHandle>) -> bool {
-    for chunk in bytes.chunks(1024) {
-        let mut off = 0;
-        while off < chunk.len() {
-            match data.write(&chunk[off..]) {
-                Ok(0) => {
-                    if let Some(t) = trace {
-                        t.push(TapEvent::WriteError("data socket wrote zero".into()));
-                    }
-                    return false;
-                }
-                Ok(n) => {
-                    if let Some(t) = trace {
-                        t.push(TapEvent::Wrote(chunk[off..off + n].to_vec()));
-                    }
-                    off += n;
-                }
-                Err(e) => {
-                    if let Some(t) = trace {
-                        t.push(TapEvent::WriteError(e.to_string()));
-                    }
-                    return false;
-                }
+/// An accepted data socket and the poller its waits block in, each up to
+/// [`DATA_IO_TIMEOUT`].
+struct Data<L: Listener> {
+    stream: L::Stream,
+    poller: L::Poller,
+}
+
+impl<L: Listener> Data<L> {
+    fn ready(&mut self, interest: Interest) -> Option<()> {
+        (self.poller)
+            .reregister(DATA_TOKEN, &self.stream, interest)
+            .ok()?;
+        wait(&mut self.poller, Instant::now() + DATA_IO_TIMEOUT)
+    }
+
+    fn send(&mut self, mut bytes: &[u8]) -> Option<()> {
+        while !bytes.is_empty() {
+            match self.stream.try_write(bytes).ok()? {
+                0 => self.ready(Interest::WRITABLE)?,
+                n => bytes = &bytes[n..],
+            }
+        }
+        Some(())
+    }
+
+    fn recv(&mut self) -> Option<Vec<u8>> {
+        let (mut out, mut buf) = (Vec::new(), [0u8; 4096]);
+        loop {
+            match self.stream.try_read(&mut buf).ok()? {
+                ReadOutcome::Data(n) => out.extend_from_slice(&buf[..n]),
+                ReadOutcome::WouldBlock => self.ready(Interest::READABLE)?,
+                ReadOutcome::Closed => return Some(out),
             }
         }
     }
-    true
 }
 
-/// Read the data socket to EOF, recording each chunk (and EOF / a
-/// terminal error) into the data trace.
-fn recv_data(data: &mut TcpStream, trace: Option<&TraceHandle>) -> Option<Vec<u8>> {
-    let mut out = Vec::new();
-    let mut buf = [0u8; 4096];
+/// A transfer's reply: the `150` + `226` pair naming `what` when `done`,
+/// else `425`.
+fn transferred(done: Option<()>, what: &str) -> String {
+    match done {
+        Some(()) => format!(
+            "{}{}",
+            replies::opening_data(what),
+            replies::transfer_complete()
+        ),
+        None => replies::data_failed(),
+    }
+}
+
+/// Block in `poller` until it reports an event, or `None` once `deadline`
+/// passes.
+fn wait<P: Poller>(poller: &mut P, deadline: Instant) -> Option<()> {
+    let mut events = Vec::new();
     loop {
-        match data.read(&mut buf) {
-            Ok(0) => {
-                if let Some(t) = trace {
-                    t.push_eof_once();
-                }
-                return Some(out);
-            }
-            Ok(n) => {
-                if let Some(t) = trace {
-                    t.push(TapEvent::Read(buf[..n].to_vec()));
-                }
-                out.extend_from_slice(&buf[..n]);
-            }
-            Err(e) => {
-                if let Some(t) = trace {
-                    t.push(TapEvent::ReadError(e.to_string()));
-                }
-                return None;
-            }
+        let left = deadline
+            .checked_duration_since(Instant::now())
+            .filter(|d| !d.is_zero())?;
+        poller.wait(&mut events, Some(left)).ok()?;
+        if !events.is_empty() {
+            return Some(());
         }
     }
 }
 
-/// Drop the data socket and record the close. Transfer closures call this
-/// *before* returning their 150/226 reply string, so the recorded data
-/// close always precedes the control-channel completion write — the
-/// ordering invariant the conformance checker enforces.
-fn close_data(data: TcpStream, trace: Option<&TraceHandle>) {
-    drop(data);
-    if let Some(t) = trace {
-        t.push(TapEvent::Shutdown);
-    }
-}
-
-/// Accept one data connection on a passive listener, with a deadline.
-fn accept_data(listener: &TcpListener) -> Option<TcpStream> {
-    listener.set_nonblocking(true).ok()?;
-    let deadline = Instant::now() + DATA_ACCEPT_TIMEOUT;
-    while Instant::now() < deadline {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(false);
-                let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
-                let _ = stream.set_read_timeout(Some(Duration::from_secs(5)));
-                return Some(stream);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => return None,
-        }
-    }
-    None
-}
-
-impl Service<FtpCodec> for FtpService {
+impl<L: Listener + Sync> Service<FtpCodec> for FtpService<L> {
     fn on_open(&self, ctx: &ConnCtx) -> Option<String> {
         self.session(ctx.id); // allocate session state
         Some(replies::service_ready(&self.server_name))
@@ -419,118 +426,39 @@ impl Service<FtpCodec> for FtpService {
                 Action::Reply(replies::status_lines(title, &body))
             }
             Command::Pasv => {
-                let listener = match TcpListener::bind("127.0.0.1:0") {
-                    Ok(l) => l,
-                    Err(_) => return Action::Reply(replies::data_failed()),
+                let ordinal = session.lock().data_listeners + 1;
+                let Ok(listener) = self.transport.data_listener(ctx.id, ordinal) else {
+                    return Action::Reply(replies::data_failed());
                 };
-                let port = listener.local_addr().map(|a| a.port()).unwrap_or(0);
-                session.lock().pasv = Some(listener);
-                Action::Reply(replies::passive_mode([127, 0, 0, 1], port))
+                let label = listener.local_label();
+                let port = label.rsplit(':').next().and_then(|p| p.parse().ok());
+                let mut s = session.lock();
+                s.data_listeners = ordinal;
+                s.pasv = Some((listener, ordinal));
+                Action::Reply(replies::passive_mode([127, 0, 0, 1], port.unwrap_or(0)))
             }
-            Command::List(path) => {
-                let (cwd, listener) = {
-                    let mut s = session.lock();
-                    (s.cwd.clone(), s.take_pasv())
+            Command::List(path) => self.transfer(ctx, &session, path, |vfs, target, data| {
+                let Some(listing) = vfs.list(&target) else {
+                    return replies::file_unavailable(&target);
                 };
-                let Some(listener) = listener else {
-                    return Action::Reply(replies::bad_sequence("Use PASV first"));
+                let text = listing_text(&listing);
+                transferred(data.run(|d| d.send(text.as_bytes())), "directory listing")
+            }),
+            Command::Retr(file) => self.transfer(ctx, &session, Some(file), |vfs, path, data| {
+                let Some(bytes) = vfs.read(&path) else {
+                    return replies::file_unavailable(&path);
                 };
-                let target = match path {
-                    Some(p) => match normalize(&cwd, &p) {
-                        Some(t) => t,
-                        None => return Action::Reply(replies::file_unavailable(&p)),
-                    },
-                    None => cwd,
+                transferred(data.run(|d| d.send(&bytes)), &path)
+            }),
+            Command::Stor(file) => self.transfer(ctx, &session, Some(file), |vfs, path, data| {
+                let Some(bytes) = data.run(Data::recv) else {
+                    return replies::data_failed();
                 };
-                let vfs = Arc::clone(&self.vfs);
-                let tap = self.transfer_tap(ctx.id, &session);
-                // Blocking data transfer: Defer runs it synchronously in
-                // place (O4 = Synchronous) or on the helper pool (O4 =
-                // Asynchronous) — the hook code is identical.
-                Action::Defer(Box::new(move || {
-                    let Some(listing) = vfs.list(&target) else {
-                        return replies::file_unavailable(&target);
-                    };
-                    let Some(mut data) = accept_data(&listener) else {
-                        return replies::data_failed();
-                    };
-                    let trace = tap.open(&data);
-                    let text = listing_text(&listing);
-                    if !send_data(&mut data, text.as_bytes(), trace.as_ref()) {
-                        return replies::data_failed();
-                    }
-                    tap.close(data, trace.as_ref());
-                    format!(
-                        "{}{}",
-                        replies::opening_data("directory listing"),
-                        replies::transfer_complete()
-                    )
-                }))
-            }
-            Command::Retr(file) => {
-                let (cwd, listener) = {
-                    let mut s = session.lock();
-                    (s.cwd.clone(), s.take_pasv())
-                };
-                let Some(listener) = listener else {
-                    return Action::Reply(replies::bad_sequence("Use PASV first"));
-                };
-                let Some(path) = normalize(&cwd, &file) else {
-                    return Action::Reply(replies::file_unavailable(&file));
-                };
-                let vfs = Arc::clone(&self.vfs);
-                let tap = self.transfer_tap(ctx.id, &session);
-                Action::Defer(Box::new(move || {
-                    let Some(bytes) = vfs.read(&path) else {
-                        return replies::file_unavailable(&path);
-                    };
-                    let Some(mut data) = accept_data(&listener) else {
-                        return replies::data_failed();
-                    };
-                    let trace = tap.open(&data);
-                    if !send_data(&mut data, &bytes, trace.as_ref()) {
-                        return replies::data_failed();
-                    }
-                    tap.close(data, trace.as_ref());
-                    format!(
-                        "{}{}",
-                        replies::opening_data(&path),
-                        replies::transfer_complete()
-                    )
-                }))
-            }
-            Command::Stor(file) => {
-                let (cwd, listener) = {
-                    let mut s = session.lock();
-                    (s.cwd.clone(), s.take_pasv())
-                };
-                let Some(listener) = listener else {
-                    return Action::Reply(replies::bad_sequence("Use PASV first"));
-                };
-                let Some(path) = normalize(&cwd, &file) else {
-                    return Action::Reply(replies::file_unavailable(&file));
-                };
-                let vfs = Arc::clone(&self.vfs);
-                let tap = self.transfer_tap(ctx.id, &session);
-                Action::Defer(Box::new(move || {
-                    let Some(mut data) = accept_data(&listener) else {
-                        return replies::data_failed();
-                    };
-                    let trace = tap.open(&data);
-                    let Some(bytes) = recv_data(&mut data, trace.as_ref()) else {
-                        return replies::data_failed();
-                    };
-                    tap.close(data, trace.as_ref());
-                    if !vfs.write(&path, bytes) {
-                        return replies::file_unavailable(&path);
-                    }
-                    format!(
-                        "{}{}",
-                        replies::opening_data(&path),
-                        replies::transfer_complete()
-                    )
-                }))
-            }
+                if !vfs.write(&path, bytes) {
+                    return replies::file_unavailable(&path);
+                }
+                transferred(Some(()), &path)
+            }),
             // USER/PASS/QUIT/SYST/NOOP/Unknown handled above.
             Command::User(_)
             | Command::Pass(_)
@@ -549,6 +477,7 @@ mod tests {
     use nserver_core::json::Json;
     use nserver_core::metrics::MetricsRegistry;
     use nserver_core::profiling::ServerStats;
+    use nserver_core::transport::mem::{self, MemListener, MemStream};
 
     fn ctx(id: ConnId) -> ConnCtx {
         ConnCtx {
@@ -558,16 +487,41 @@ mod tests {
         }
     }
 
-    fn service() -> FtpService {
+    /// The client end of each data connection the service's `PASV`s
+    /// opened, connected as it opened.
+    type DataClients = Arc<Mutex<Vec<MemStream>>>;
+
+    /// The service over the in-memory transport.
+    fn service_with_clients() -> (FtpService<MemListener>, DataClients) {
         let vfs = Arc::new(Vfs::new());
         vfs.mkdir("/pub");
         vfs.write("/pub/hello.txt", b"hello ftp".to_vec());
         let users = Arc::new(UserRegistry::new().with_anonymous());
         users.add_user("alice", "secret");
-        FtpService::new(vfs, users)
+        let (control, connector) = mem::listener("control");
+        let clients = DataClients::default();
+        let opened = Arc::clone(&clients);
+        connector.on_data(move |_, _, data| opened.lock().push(data.connect()));
+        (FtpService::over(vfs, users, control), clients)
     }
 
-    fn reply(svc: &FtpService, id: ConnId, line: &str) -> String {
+    fn service() -> FtpService<MemListener> {
+        service_with_clients().0
+    }
+
+    /// What the server sent on a data connection, and whether it closed.
+    fn received(client: &mut MemStream) -> (Vec<u8>, bool) {
+        let (mut got, mut buf) = (Vec::new(), [0u8; 64]);
+        loop {
+            match client.try_read(&mut buf).unwrap() {
+                ReadOutcome::Data(n) => got.extend_from_slice(&buf[..n]),
+                ReadOutcome::WouldBlock => return (got, false),
+                ReadOutcome::Closed => return (got, true),
+            }
+        }
+    }
+
+    fn reply(svc: &FtpService<MemListener>, id: ConnId, line: &str) -> String {
         let cmd = Command::parse(line).unwrap();
         match svc.handle(&ctx(id), FtpRequest::Command(cmd)) {
             Action::Reply(r) => r,
@@ -577,7 +531,7 @@ mod tests {
         }
     }
 
-    fn login(svc: &FtpService, id: ConnId) {
+    fn login(svc: &FtpService<MemListener>, id: ConnId) {
         assert!(reply(svc, id, "USER alice").starts_with("331"));
         assert!(reply(svc, id, "PASS secret").starts_with("230"));
     }
@@ -657,68 +611,57 @@ mod tests {
         assert!(reply(&svc, 1, "STOR up.txt").starts_with("503"));
     }
 
-    /// Parse the port from a 227 reply.
-    fn pasv_port(reply_text: &str) -> u16 {
-        let inner = reply_text
-            .split('(')
-            .nth(1)
-            .unwrap()
-            .split(')')
-            .next()
-            .unwrap();
-        let nums: Vec<u16> = inner.split(',').map(|n| n.parse().unwrap()).collect();
-        (nums[4] << 8) | nums[5]
-    }
-
     #[test]
     fn retr_transfers_file_over_data_connection() {
-        let svc = Arc::new(service());
+        let (svc, clients) = service_with_clients();
         login(&svc, 1);
         let pasv = reply(&svc, 1, "PASV");
         assert!(pasv.starts_with("227"), "{pasv}");
-        let port = pasv_port(&pasv);
-        // The client connects to the data port, then issues RETR.
-        let reader = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
-            let mut buf = Vec::new();
-            s.read_to_end(&mut buf).unwrap();
-            buf
-        });
         let r = reply(&svc, 1, "RETR /pub/hello.txt");
         assert!(r.contains("150"), "{r}");
         assert!(r.contains("226"), "{r}");
-        assert_eq!(reader.join().unwrap(), b"hello ftp");
+        assert_eq!(
+            received(&mut clients.lock()[0]),
+            (b"hello ftp".to_vec(), true)
+        );
     }
 
     #[test]
     fn list_transfers_directory_over_data_connection() {
-        let svc = Arc::new(service());
+        let (svc, clients) = service_with_clients();
         login(&svc, 1);
-        let port = pasv_port(&reply(&svc, 1, "PASV"));
-        let reader = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
-            let mut buf = String::new();
-            s.read_to_string(&mut buf).unwrap();
-            buf
-        });
+        let _ = reply(&svc, 1, "PASV");
         let r = reply(&svc, 1, "LIST /pub");
         assert!(r.contains("226"), "{r}");
-        assert_eq!(reader.join().unwrap(), "hello.txt\r\n");
+        assert_eq!(
+            received(&mut clients.lock()[0]),
+            (b"hello.txt\r\n".to_vec(), true)
+        );
     }
 
     #[test]
     fn stor_uploads_into_the_vfs() {
-        let svc = Arc::new(service());
+        let (svc, clients) = service_with_clients();
         login(&svc, 1);
-        let port = pasv_port(&reply(&svc, 1, "PASV"));
-        let writer = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
-            s.write_all(b"uploaded bytes").unwrap();
-        });
+        let _ = reply(&svc, 1, "PASV");
+        let mut client = clients.lock().pop().expect("connected on PASV");
+        client.try_write(b"uploaded bytes").unwrap();
+        client.shutdown_write();
         let r = reply(&svc, 1, "STOR /pub/up.bin");
         assert!(r.contains("226"), "{r}");
-        writer.join().unwrap();
         assert_eq!(&**svc.vfs().read("/pub/up.bin").unwrap(), b"uploaded bytes");
+    }
+
+    #[test]
+    fn a_transfer_uses_the_last_pasv_and_a_closed_peer_fails_it() {
+        let (svc, clients) = service_with_clients();
+        login(&svc, 1);
+        let _ = reply(&svc, 1, "PASV");
+        let _ = reply(&svc, 1, "PASV");
+        clients.lock()[1].shutdown();
+        assert!(reply(&svc, 1, "RETR /pub/hello.txt").starts_with("425"));
+        // The first listener went with the second PASV: its client closed.
+        assert_eq!(received(&mut clients.lock()[0]), (Vec::new(), true));
     }
 
     #[test]
@@ -834,7 +777,7 @@ mod tests {
 
     #[test]
     fn retr_stamps_data_open_close_spans_on_control_session() {
-        let svc = Arc::new(service());
+        let (svc, clients) = service_with_clients();
         login(&svc, 1);
         let hub = DiagHub::new(ServerStats::new_shared(), MetricsRegistry::enabled());
         let tracer = nserver_core::trace::DebugTracer::enabled(256);
@@ -842,16 +785,13 @@ mod tests {
         hub.wire_tracer(tracer.clone());
         svc.attach_diag(hub);
 
-        let port = pasv_port(&reply(&svc, 1, "PASV"));
-        let reader = std::thread::spawn(move || {
-            let mut s = TcpStream::connect(("127.0.0.1", port)).unwrap();
-            let mut buf = Vec::new();
-            s.read_to_end(&mut buf).unwrap();
-            buf
-        });
+        let _ = reply(&svc, 1, "PASV");
         let r = reply(&svc, 1, "RETR /pub/hello.txt");
         assert!(r.contains("226"), "{r}");
-        assert_eq!(reader.join().unwrap(), b"hello ftp");
+        assert_eq!(
+            received(&mut clients.lock()[0]),
+            (b"hello ftp".to_vec(), true)
+        );
 
         let spans = tracer.spans_for(1);
         let open = spans

@@ -1,7 +1,7 @@
 //! Per-connection FTP session state: the authentication FSM, current
 //! directory, transfer type and passive-mode data listener.
 
-use std::net::TcpListener;
+use nserver_core::transport::TcpListenerNb;
 
 /// Authentication progress.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,30 +20,30 @@ pub enum SessionState {
     },
 }
 
-/// One control connection's state.
-pub struct Session {
+/// One control connection's state; `L` is its data listeners' transport.
+pub struct Session<L = TcpListenerNb> {
     /// Authentication FSM state.
     pub state: SessionState,
     /// Current working directory.
     pub cwd: String,
     /// Transfer type (`A` or `I`).
     pub transfer_type: char,
-    /// Passive-mode listener awaiting a data connection.
-    pub pasv: Option<TcpListener>,
-    /// Count of listener-consuming transfer attempts so far (LIST, RETR,
-    /// STOR with a usable listener and path). Tags data-connection traces
-    /// so conformance checking can join each data socket to the transfer
-    /// command that owns it.
-    pub transfer_seq: u32,
+    /// Passive-mode listener awaiting a data connection, with its ordinal.
+    pub pasv: Option<(L, u32)>,
+    /// Data listeners opened so far (one per successful PASV). The next
+    /// one's ordinal is one more: it tags the data connection's trace so
+    /// conformance checking can join it to the transfer that consumed
+    /// the listener.
+    pub data_listeners: u32,
 }
 
-impl Default for Session {
+impl<L> Default for Session<L> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Session {
+impl<L> Session<L> {
     /// Fresh session at the root directory.
     pub fn new() -> Self {
         Self {
@@ -51,7 +51,7 @@ impl Session {
             cwd: "/".to_string(),
             transfer_type: 'A',
             pasv: None,
-            transfer_seq: 0,
+            data_listeners: 0,
         }
     }
 
@@ -60,8 +60,9 @@ impl Session {
         matches!(self.state, SessionState::LoggedIn { .. })
     }
 
-    /// Take the passive listener for a data transfer (single use).
-    pub fn take_pasv(&mut self) -> Option<TcpListener> {
+    /// Take the passive listener and its ordinal for a data transfer
+    /// (single use).
+    pub fn take_pasv(&mut self) -> Option<(L, u32)> {
         self.pasv.take()
     }
 }
@@ -69,10 +70,12 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nserver_core::transport::mem::{self, MemListener};
+    use nserver_core::transport::Listener;
 
     #[test]
     fn new_session_defaults() {
-        let s = Session::new();
+        let s = Session::<MemListener>::new();
         assert_eq!(s.state, SessionState::Greeted);
         assert_eq!(s.cwd, "/");
         assert_eq!(s.transfer_type, 'A');
@@ -81,7 +84,7 @@ mod tests {
 
     #[test]
     fn login_fsm_transitions() {
-        let mut s = Session::new();
+        let mut s = Session::<MemListener>::new();
         s.state = SessionState::NeedPassword { user: "u".into() };
         assert!(!s.logged_in());
         s.state = SessionState::LoggedIn { user: "u".into() };
@@ -90,9 +93,16 @@ mod tests {
 
     #[test]
     fn pasv_listener_is_single_use() {
+        let (control, connector) = mem::listener("control");
+        connector.on_data(|_, _, data| drop(data.connect()));
         let mut s = Session::new();
-        s.pasv = Some(TcpListener::bind("127.0.0.1:0").unwrap());
-        assert!(s.take_pasv().is_some());
+        s.pasv = Some((control.data_listener(1, 1).unwrap(), 1));
+        let (mut listener, ordinal) = s.take_pasv().expect("the listener");
+        assert_eq!(ordinal, 1);
         assert!(s.take_pasv().is_none());
+        assert!(
+            listener.try_accept().unwrap().is_some(),
+            "its client connected as it opened"
+        );
     }
 }

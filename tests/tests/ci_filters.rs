@@ -163,7 +163,8 @@ fn every_ci_name_filter_selects_a_test() {
     // stepped ones and the graceful drain's linger among them), the
     // clock-read pin, the one-CPU routing (with the one test skipped
     // where there is no second CPU), the thread pools (stepped ones
-    // too), the stepped server and the explorer's determinism, by name.
+    // too), the stepped server, the explorer's determinism and its data
+    // plane (the faulted-transfer pin among it), by name.
     for filter in [
         "on_one_cpu",
         "backs_off",
@@ -185,6 +186,8 @@ fn every_ci_name_filter_selects_a_test() {
         "proactor::tests::stepped_",
         "stepped::tests",
         "determinism",
+        "data_plane",
+        "transfers_on_faulted_connections",
         "transport::tests::epoll_wait_rounds",
         "clock_reads",
         "differential",
