@@ -29,6 +29,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::{FromRawFd, OwnedFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -143,12 +144,51 @@ fn run_direct_arm(proto: Proto, sched: &Schedule) -> Vec<Vec<u8>> {
     }
 }
 
-/// A local address that refuses connections: bind, note the port, drop.
-fn dead_backend_label() -> String {
-    let l = TcpListener::bind("127.0.0.1:0").expect("bind dead backend");
-    let addr = l.local_addr().expect("local addr");
-    drop(l);
-    addr.to_string()
+/// A loopback address that refuses connections: a TCP socket bound to
+/// `127.0.0.1:0` and never listened on. While it lives the kernel gives
+/// its port to no other bind or connect and answers a SYN to it with a
+/// RST, so a dial is refused by construction (a port bound and dropped
+/// could be taken by any bind, or a self-connect, before it is dialled).
+struct DeadBackend {
+    _socket: OwnedFd,
+    label: String,
+}
+
+impl DeadBackend {
+    fn bind() -> Self {
+        const AF_INET: i32 = 2;
+        const SOCK_STREAM: i32 = 1;
+        const SOCK_CLOEXEC: i32 = 0o2000000;
+        /// `struct sockaddr_in`: family in host order, port and address
+        /// in network order.
+        #[repr(C)]
+        struct SockAddrIn([u8; 2], [u8; 2], [u8; 4], [u8; 8]);
+        extern "C" {
+            fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+            fn bind(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
+            fn getsockname(fd: i32, addr: *mut SockAddrIn, len: *mut u32) -> i32;
+        }
+        // SAFETY: no pointer is passed.
+        let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) };
+        assert!(fd >= 0, "socket: {}", std::io::Error::last_os_error());
+        // SAFETY: `fd` is a socket just created and owned by nothing else;
+        // the `OwnedFd` closes it when the backend is dropped.
+        let socket = unsafe { OwnedFd::from_raw_fd(fd) };
+        let family = (AF_INET as u16).to_ne_bytes();
+        let mut addr = SockAddrIn(family, [0; 2], [127, 0, 0, 1], [0; 8]);
+        let mut len = std::mem::size_of::<SockAddrIn>() as u32;
+        // SAFETY (both calls): `addr` is a `sockaddr_in` of `len` bytes
+        // that outlives the call; `getsockname` writes at most `len` bytes.
+        let rc = unsafe { bind(fd, &addr, len) };
+        assert_eq!(rc, 0, "bind: {}", std::io::Error::last_os_error());
+        let rc = unsafe { getsockname(fd, &mut addr, &mut len) };
+        assert_eq!(rc, 0, "getsockname: {}", std::io::Error::last_os_error());
+        let label = format!("127.0.0.1:{}", u16::from_be_bytes(addr.1));
+        Self {
+            _socket: socket,
+            label,
+        }
+    }
 }
 
 fn run_relay_arm(proto: Proto, sched: &Schedule, force_failover: bool) -> (Vec<Vec<u8>>, u64, u64) {
@@ -191,8 +231,9 @@ fn run_relay_arm(proto: Proto, sched: &Schedule, force_failover: bool) -> (Vec<V
         (out, retries, failures)
     };
     if force_failover {
-        let dead = dead_backend_label();
-        run(&move |live| vec![dead.clone(), live])
+        // Held until `run` has shut its relay down.
+        let dead = DeadBackend::bind();
+        run(&|live| vec![dead.label.clone(), live])
     } else {
         run(&|live| vec![live])
     }
@@ -578,6 +619,34 @@ mod tests {
         s.conns[0].segments = vec![b"GET /index.html HTTP/1.1\r\nHost: c\r\n\r\n".to_vec()];
         let clean = sanitize_for_differential(&s);
         assert_eq!(clean.conns[0].bytes(), s.conns[0].bytes());
+    }
+
+    #[test]
+    fn dead_backend_refuses_every_dial_while_ephemeral_ports_churn() {
+        let dead = DeadBackend::bind();
+        let addr = backend_addr(&dead.label);
+        let taken = TcpListener::bind(addr).map(drop).map_err(|e| e.kind());
+        assert_eq!(taken, Err(std::io::ErrorKind::AddrInUse), "bind {addr}");
+        let stop = AtomicBool::new(false);
+        let dials: Vec<_> = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    drop(TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"));
+                }
+            });
+            let dials = (0..200)
+                .map(|_| TcpStream::connect(addr).map(drop).map_err(|e| e.kind()))
+                .collect();
+            stop.store(true, Ordering::Relaxed);
+            dials
+        });
+        for (i, dial) in dials.iter().enumerate() {
+            assert_eq!(
+                *dial,
+                Err(std::io::ErrorKind::ConnectionRefused),
+                "dial {i} to {addr}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! | 3     | 100 KB … 900 KB    |
 //!
 //! One directory therefore holds ~5 MB; the paper's 204.8 MB file set is
-//! about 41 directories.
+//! about 41 directories. Synthesising contents costs what fresh memory
+//! does, ~0.5 ns/byte of page faults and copying, not a computation per byte.
 
 /// File size class (SpecWeb99 classes 0–3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,14 +158,27 @@ impl FileSet {
         self.total_bytes
     }
 
-    /// Synthesize deterministic file contents of the right size (used by
-    /// the real-mode COPS-HTTP integration tests).
+    /// Synthesize deterministic file contents of the right size: byte `i`
+    /// is `(seed >> (i % 57 % 56)) as u8 ^ i as u8`, `seed` being the id
+    /// times 0x9E3779B97F4A7C15, so a file repeats every lcm(57, 256) =
+    /// 14,592 bytes. One period is computed and then copied; a test pins
+    /// the output to the per-byte formula. Callers: the benchmark's
+    /// `Files::synthesise`, `examples/web_server.rs` and the
+    /// `cops_http_e2e` / `realmode_load` integration tests.
     pub fn synth_content(&self, spec: &FileSpec) -> Vec<u8> {
-        let mut data = Vec::with_capacity(spec.size as usize);
+        const PERIOD: usize = 57 * 256;
+        let size = spec.size as usize;
         let seed = spec.id.wrapping_mul(0x9E3779B97F4A7C15);
-        while data.len() < spec.size as usize {
-            let b = (seed >> (data.len() % 57 % 56)) as u8;
-            data.push(b ^ (data.len() as u8));
+        let table: [u8; 57] = std::array::from_fn(|k| (seed >> (k % 56)) as u8);
+        let head = size.min(PERIOD);
+        let mut data = Vec::with_capacity(size);
+        while data.len() < head {
+            let n = (head - data.len()).min(table.len());
+            data.extend_from_slice(&table[..n]);
+        }
+        data.iter_mut().enumerate().for_each(|(i, b)| *b ^= i as u8);
+        while data.len() < size {
+            data.extend_from_within(..data.len().min(size - data.len()));
         }
         data
     }
@@ -237,6 +251,47 @@ mod tests {
         let b = fs.synth_content(f);
         assert_eq!(a.len(), f.size as usize);
         assert_eq!(a, b);
+    }
+
+    /// The per-byte loop `synth_content` replaced: the reference its
+    /// output is pinned to.
+    fn synth_reference(spec: &FileSpec) -> Vec<u8> {
+        let mut data = Vec::with_capacity(spec.size as usize);
+        let seed = spec.id.wrapping_mul(0x9E3779B97F4A7C15);
+        while data.len() < spec.size as usize {
+            let b = (seed >> (data.len() % 57 % 56)) as u8;
+            data.push(b ^ (data.len() as u8));
+        }
+        data
+    }
+
+    #[test]
+    fn synth_content_is_the_per_byte_formula_for_every_file_of_two_dirs() {
+        let fs = FileSet::with_dirs(2);
+        for f in fs.files() {
+            assert!(fs.synth_content(f) == synth_reference(f), "{}", f.path());
+        }
+    }
+
+    #[test]
+    fn synth_content_is_the_per_byte_formula_around_the_period() {
+        let fs = FileSet::with_dirs(1);
+        let period = 57 * 256;
+        for size in [1, 56, 57, 58, 14_591, 14_592, 14_593, 3 * period + 7] {
+            for id in [0, 1, 35, 1_475] {
+                let f = FileSpec {
+                    id,
+                    dir: 0,
+                    class: FileClass(3),
+                    index: 1,
+                    size,
+                };
+                assert!(
+                    fs.synth_content(&f) == synth_reference(&f),
+                    "id {id} size {size}"
+                );
+            }
+        }
     }
 
     #[test]
