@@ -6,7 +6,8 @@
 //! scaffolding is the transport stack (`base_stack`): an in-memory
 //! listener under the fault layer (injects the plan's faults) under the
 //! tap layer (records the traces the models consume), each a hook set
-//! over the one [`Layered`] adapter. The server is a [`Stepped`] one: its
+//! over the one [`Layered`] adapter. The server is a
+//! [`Stepped`](nserver_core::server::Stepped) one: its
 //! dispatchers and pools run on the explorer's thread, on a virtual
 //! clock, only when told to. The explorer delivers each connection's
 //! segments in the schedule's interleaved order, optionally slamming
@@ -47,8 +48,8 @@ use nserver_core::event::ConnId;
 use nserver_core::fault::{self, FaultPlan, FaultProfile};
 use nserver_core::layer::Layered;
 use nserver_core::options::{CompletionMode, ServerOptions};
-use nserver_core::pipeline::{Codec, Service};
-use nserver_core::server::{ServerBuilder, Stepped};
+use nserver_core::pipeline::Service;
+use nserver_core::server::ServerBuilder;
 use nserver_core::tap::{self, ConnTrace, TraceLog};
 use nserver_core::transport::{mem, Listener, StreamIo};
 use nserver_ftp::{cops_ftp_options, split_replies, FtpCodec, FtpService};
@@ -60,12 +61,19 @@ use crate::ftp_model::{
 };
 use crate::http_model::{check_http, expected_outbound, HttpFixture};
 use crate::mutant::{self, TransportMutation};
-use crate::schedule::{generate, DataOp, DataOpKind, Proto, Schedule};
+use crate::schedule::{generate, ConnScript, DataOp, DataOpKind, Proto, Schedule};
 use crate::Violation;
 
 /// Unique suffix per run so concurrent tests never share a listener
 /// label.
 static RUN_NONCE: AtomicU64 = AtomicU64::new(0);
+
+/// A listener label no other run shares: `kind`, the schedule's seed
+/// and the run's nonce.
+pub(crate) fn run_label(kind: &str, sched: &Schedule) -> String {
+    let nonce = RUN_NONCE.fetch_add(1, Ordering::Relaxed);
+    format!("{kind}-{}-{nonce}", sched.seed)
+}
 
 /// Everything one exploration run produced.
 #[derive(Debug)]
@@ -85,12 +93,6 @@ pub struct RunReport {
 pub fn standard_http_service() -> StaticFileService<MemStore> {
     let cache = SharedFileCache::new(FileCache::new(1 << 20, PolicyKind::Lru));
     StaticFileService::new(HttpFixture::standard().store(), Some(cache))
-}
-
-/// The standard COPS-FTP service under test, its data connections on
-/// loopback TCP.
-pub fn standard_ftp_service() -> FtpService {
-    FtpService::new(FtpFixture::vfs(), FtpFixture::users())
 }
 
 /// The standard COPS-FTP service under test, its data listeners opened
@@ -129,7 +131,7 @@ pub type BaseListener = Layered<Layered<mem::MemListener, FaultPlan>, TraceLog>;
 /// Build the standard stack under `plan`. The explorer owns the plan, so
 /// it is the explorer that stamps each trace with the profile of its
 /// accept ordinal; the tap knows nothing of faults.
-fn base_stack(listener: mem::MemListener, plan: FaultPlan) -> (BaseListener, TraceLog) {
+pub(crate) fn base_stack(listener: mem::MemListener, plan: FaultPlan) -> (BaseListener, TraceLog) {
     let log = TraceLog::stamped(move |k| format!("{:?}", plan.profile_for(k)));
     (tap::layer(fault::layer(listener, plan), log.clone()), log)
 }
@@ -197,19 +199,23 @@ where
     F: FnOnce(BaseListener) -> L,
 {
     let fixture = HttpFixture::standard();
-    let nonce = RUN_NONCE.fetch_add(1, Ordering::Relaxed);
-    let (listener, connector) = mem::listener(&format!("conformance-http-{}-{nonce}", sched.seed));
+    let (listener, connector) = mem::listener(&run_label("conformance-http", sched));
     let (tapped, log) = base_stack(listener, sched.plan);
-    let server = ServerBuilder::new(opts, HttpCodec::new(), svc)
+    let mut server = ServerBuilder::new(opts, HttpCodec::new(), svc)
         .expect("valid server options")
         .stepped(wrap(tapped));
 
     let connect_order = Mutex::new(vec![None; sched.conns.len()]);
-    let (mut streams, elapsed) = deliver(sched, &connector, server, &connect_order);
+    let mut streams = deliver(sched, &connector, &connect_order, |pause| {
+        server.settle();
+        server.advance(pause);
+    });
+    let elapsed = server.elapsed();
+    drop(server);
     let connect_order = connect_order.into_inner();
     let traces = log.snapshot();
     let mut violations =
-        collect_violations(sched, &traces, &log, &connect_order, |trace, strict| {
+        collect_violations(sched, &traces, &log, &connect_order, |_, trace, strict| {
             check_http(&fixture, trace, strict)
         });
     violations.extend(client_delivery_violations(
@@ -256,18 +262,41 @@ where
     L: Listener,
     F: FnOnce(BaseListener) -> L,
 {
-    let nonce = RUN_NONCE.fetch_add(1, Ordering::Relaxed);
-    let (listener, connector) = mem::listener(&format!("conformance-ftp-{}-{nonce}", sched.seed));
+    let (listener, connector) = mem::listener(&run_label("conformance-ftp", sched));
     let (tapped, log) = base_stack(listener, sched.plan);
     let connect_order = Arc::new(Mutex::new(vec![None; sched.conns.len()]));
-    serve_data_ops(sched, &connector, &log, &connect_order);
-    let server = ServerBuilder::new(cops_ftp_options(), FtpCodec, build(tapped.clone()))
+    let order = Arc::clone(&connect_order);
+    serve_data_ops(sched, &connector, &log, move |trace| {
+        connected_as(&order.lock(), trace.accept_index)
+    });
+    let mut server = ServerBuilder::new(cops_ftp_options(), FtpCodec, build(tapped.clone()))
         .expect("valid server options")
         .stepped(wrap(tapped));
-    let (mut streams, elapsed) = deliver(sched, &connector, server, &connect_order);
+    let mut streams = deliver(sched, &connector, &connect_order, |pause| {
+        server.settle();
+        server.advance(pause);
+    });
+    let elapsed = server.elapsed();
+    drop(server);
     let connect_order = connect_order.lock().clone();
     let traces = log.snapshot();
-    let mut violations = collect_ftp_violations(sched, &traces, &log, &connect_order);
+    // Each control trace with its data connections; a scripted abort,
+    // like a fault or an early close, makes `425`s and truncations legal.
+    let check = |conn: &ConnScript, trace: &ConnTrace, strict: bool| {
+        let strict = strict && !conn.has_abort();
+        let k = trace.accept_index;
+        let children: Vec<ConnTrace> = (traces.iter())
+            .filter(|t| t.parent.is_some_and(|p| p.control_accept_index == k))
+            .cloned()
+            .collect();
+        let data = FtpDataCtx {
+            children: &children,
+            recorded: true,
+            tolerant: !strict,
+        };
+        check_ftp_session(trace, strict, &data)
+    };
+    let mut violations = collect_violations(sched, &traces, &log, &connect_order, check);
     violations.extend(client_delivery_violations(
         sched,
         &mut streams,
@@ -287,21 +316,21 @@ where
     }
 }
 
-/// Deliver the schedule to `server`: connect lazily on a connection's
-/// first step (so connect order — and with the FIFO inbox, accept index
-/// — is the order of first steps; each conn's 1-based connect order is
-/// recorded in `connect_order`), push one segment per step, and slam
-/// `close_early` connections shut right after their last segment. A step
-/// with a pause settles the server and advances its clock by the pause.
-/// After the last step the server is settled and dropped, which closes
-/// every connection it holds. Returns the client streams (kept open so
-/// the server never sees a spurious EOF) and the clock's advance.
-fn deliver<C: Codec, S: Service<C>, L: Listener>(
+/// Deliver the schedule through `connector`: connect lazily on a
+/// connection's first step (so connect order — and with the FIFO inbox,
+/// accept index — is the order of first steps; each conn's 1-based
+/// connect order is recorded in `connect_order`), push one segment per
+/// step, and slam `close_early` connections shut right after their last
+/// segment. Each pause, and the end of the run (a zero pause), goes to
+/// `pace`, which settles the server and advances its clock by it.
+/// Returns the client streams, kept open so the server never sees a
+/// spurious EOF; the caller drops the server before reading them.
+pub(crate) fn deliver(
     sched: &Schedule,
     connector: &mem::MemConnector,
-    mut server: Stepped<C, S, L>,
     connect_order: &Mutex<Vec<Option<u64>>>,
-) -> (Vec<Option<mem::MemStream>>, Duration) {
+    mut pace: impl FnMut(Duration),
+) -> Vec<Option<mem::MemStream>> {
     let mut streams: Vec<Option<mem::MemStream>> = (0..sched.conns.len()).map(|_| None).collect();
     let (mut seg_idx, mut connected) = (vec![0; sched.conns.len()], 0);
     for step in &sched.order {
@@ -320,12 +349,11 @@ fn deliver<C: Codec, S: Service<C>, L: Listener>(
             stream.shutdown();
         }
         if step.pause_ms > 0 {
-            server.settle();
-            server.advance(Duration::from_millis(step.pause_ms));
+            pace(Duration::from_millis(step.pause_ms));
         }
     }
-    server.settle();
-    (streams, server.elapsed())
+    pace(Duration::ZERO);
+    streams
 }
 
 /// The client side of the data plane: serve each data listener the
@@ -335,18 +363,19 @@ fn deliver<C: Codec, S: Service<C>, L: Listener>(
 /// transfer that reads sees EOF rather than a wait — and stays open to
 /// the end of the run, unless it aborts: then it closes before the
 /// server has written anything, and the server's write fails. A listener
-/// with no scripted op gets a download's client.
-fn serve_data_ops(
+/// with no scripted op gets a download's client. `locate` names the
+/// script of a control connection's trace in `log`.
+pub(crate) fn serve_data_ops(
     sched: &Schedule,
     connector: &mem::MemConnector,
     log: &TraceLog,
-    connect_order: &Arc<Mutex<Vec<Option<u64>>>>,
+    locate: impl Fn(&ConnTrace) -> Option<usize> + Send + Sync + 'static,
 ) {
     let ops: Vec<Vec<DataOp>> = sched.conns.iter().map(|c| c.data_ops.clone()).collect();
-    let (log, order) = (log.clone(), Arc::clone(connect_order));
+    let log = log.clone();
     let open = Mutex::new(Vec::new());
     connector.on_data(move |control, ordinal, data| {
-        let op = scripted_op(&ops, &log, &order.lock(), control, ordinal);
+        let op = scripted_op(&ops, &log, &locate, control, ordinal);
         let mut client = data.connect();
         match op {
             Some(DataOp {
@@ -375,16 +404,14 @@ fn serve_data_ops(
 fn scripted_op(
     ops: &[Vec<DataOp>],
     log: &TraceLog,
-    connect_order: &[Option<u64>],
+    locate: impl Fn(&ConnTrace) -> Option<usize>,
     control: ConnId,
     ordinal: u32,
 ) -> Option<DataOp> {
     let traces = log.snapshot();
     let mut controls = traces.iter().filter(|t| !t.is_data());
     let trace = controls.nth(usize::try_from(control).ok()?.checked_sub(1)?)?;
-    let ci = connect_order
-        .iter()
-        .position(|&k| k == Some(trace.accept_index))?;
+    let ci = locate(trace)?;
     let (slot, _) = pasv_outcomes(&trace.inbound())
         .into_iter()
         .enumerate()
@@ -393,10 +420,15 @@ fn scripted_op(
     ops[ci].get(slot).cloned()
 }
 
+/// The script whose connection was the `connected`-th to connect.
+pub(crate) fn connected_as(connect_order: &[Option<u64>], connected: u64) -> Option<usize> {
+    connect_order.iter().position(|&k| k == Some(connected))
+}
+
 /// Drain everything a client stream still has buffered. Runs after the
 /// server was dropped, closing every connection, so a single pass to
 /// `WouldBlock`/`Closed` observes the final byte stream.
-fn drain_client(stream: &mut mem::MemStream) -> Vec<u8> {
+pub(crate) fn drain_client(stream: &mut mem::MemStream) -> Vec<u8> {
     let mut out = Vec::new();
     let mut buf = [0u8; 4096];
     loop {
@@ -420,7 +452,7 @@ fn client_delivery_violations(
     traces: &[ConnTrace],
     log: &TraceLog,
     connect_order: &[Option<u64>],
-    expect: impl Fn(&crate::schedule::ConnScript, &[u8]) -> Option<String>,
+    expect: impl Fn(&ConnScript, &[u8]) -> Option<String>,
 ) -> Vec<Violation> {
     let failed: HashSet<u64> = log.accept_failures().into_iter().collect();
     let mut violations = Vec::new();
@@ -464,7 +496,7 @@ fn collect_violations(
     traces: &[ConnTrace],
     log: &TraceLog,
     connect_order: &[Option<u64>],
-    check: impl Fn(&ConnTrace, bool) -> Vec<Violation>,
+    check: impl Fn(&ConnScript, &ConnTrace, bool) -> Vec<Violation>,
 ) -> Vec<Violation> {
     let failed: HashSet<u64> = log.accept_failures().into_iter().collect();
     let mut violations = Vec::new();
@@ -484,49 +516,7 @@ fn collect_violations(
             continue;
         };
         let strict = sched.plan.profile_for(k) == FaultProfile::Clean && !conn.close_early;
-        violations.extend(check(trace, strict));
-    }
-    violations
-}
-
-/// The FTP flavour of [`collect_violations`]: joins each control trace
-/// with its data-connection children and feeds both to the session
-/// checker. A connection is held strict only when it is clean, never
-/// closed early, and scripts no data aborts — any of those makes `425`
-/// and truncated transfers legitimate outcomes.
-fn collect_ftp_violations(
-    sched: &Schedule,
-    traces: &[ConnTrace],
-    log: &TraceLog,
-    connect_order: &[Option<u64>],
-) -> Vec<Violation> {
-    let failed: HashSet<u64> = log.accept_failures().into_iter().collect();
-    let mut violations = Vec::new();
-    for (conn, k) in sched.conns.iter().zip(connect_order) {
-        let Some(k) = *k else { continue };
-        if failed.contains(&k) {
-            continue;
-        }
-        let Some(trace) = traces
-            .iter()
-            .find(|t| t.accept_index == k && t.parent.is_none())
-        else {
-            continue;
-        };
-        let strict = sched.plan.profile_for(k) == FaultProfile::Clean
-            && !conn.close_early
-            && !conn.has_abort();
-        let children: Vec<ConnTrace> = traces
-            .iter()
-            .filter(|t| t.parent.is_some_and(|p| p.control_accept_index == k))
-            .cloned()
-            .collect();
-        let data = FtpDataCtx {
-            children: &children,
-            recorded: true,
-            tolerant: !strict,
-        };
-        violations.extend(check_ftp_session(trace, strict, &data));
+        violations.extend(check(conn, trace, strict));
     }
     violations
 }
@@ -748,7 +738,7 @@ pub fn seed_range(default_lo: u64, default_hi: u64) -> Vec<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{ConnScript, Step};
+    use crate::schedule::Step;
     use std::time::Instant;
 
     fn two_conn_schedule() -> Schedule {

@@ -33,8 +33,8 @@
 //! * **The explorer** ([`explorer`]) — runs the real server over the
 //!   in-memory transport under the fault layer and, outside it, the tap
 //!   layer (`tap::layer(fault::layer(mem, plan), log)`), delivers
-//!   the schedule (spawning real TCP data connections for every `227`
-//!   the server announces), and checks every recorded [`ConnTrace`]
+//!   the schedule (connecting each scripted data op to the data listener
+//!   a `PASV` opens, as it opens), and checks every recorded [`ConnTrace`]
 //!   against the model. The server is stepped on the explorer's thread
 //!   on a virtual clock ([`nserver_core::server::Stepped`]): it runs
 //!   until it is still at each scripted pause, and the pause advances
@@ -42,15 +42,18 @@
 //!   schedule and stall-heavy schedules cost near-zero wall-clock. On
 //!   violation the explorer shrinks the schedule greedily and panics
 //!   with a replayable counterexample (seed + serialized schedule).
-//! * **The relay differential** ([`relay`]) — drives one sanitized
-//!   schedule over real TCP against a direct backend and against a
-//!   [`nserver_core::cluster::ClusterFrontEnd`] (optionally with a dead
-//!   backend forcing retry-rotation), and asserts the client-observable
-//!   traces are equivalent.
+//! * **The relay differential** ([`relay`]) — runs one sanitized
+//!   schedule against a direct backend and against a stepped
+//!   [`nserver_core::cluster::ClusterFrontEnd`] in front of a fresh one
+//!   (optionally with a label nobody listens on first, forcing
+//!   retry-rotation), each arm one in-memory world on a virtual clock,
+//!   and asserts the client-observable byte streams are equivalent.
 //!
-//! [`mutant`] and [`relay::ReplayingProxy`] provide deliberately broken
-//! services and relays used by the mutation tests: each must be caught
-//! by the models, which is the harness's own soundness check.
+//! [`mutant`] provides deliberately broken services, transports and a
+//! replaying relay ([`TransportMutation::Replay`]) used by the mutation
+//! tests: each must be caught, which is the harness's own soundness
+//! check. Nothing here opens a real socket or sleeps: every server,
+//! relay and client is stepped over the in-memory transport.
 
 pub mod explorer;
 pub mod ftp_model;
@@ -62,8 +65,7 @@ pub mod schedule;
 pub use explorer::{
     explore, run, run_ftp, run_ftp_lingerless, run_http, run_http_gather_drop, run_http_lingerless,
     run_http_off_thread_drop, run_http_on_thread_drop, run_http_with_options, seed_range, shrink,
-    standard_ftp_service, standard_ftp_service_over, standard_http_service, BaseListener,
-    ExploreSummary, RunReport,
+    standard_ftp_service_over, standard_http_service, BaseListener, ExploreSummary, RunReport,
 };
 pub use ftp_model::{check_ftp, check_ftp_session, FtpDataCtx, FtpModel};
 pub use http_model::HttpFixture;
@@ -71,7 +73,7 @@ pub use mutant::{
     truncated_retr_service, FtpMutation, HttpMutation, MutantFtp, MutantHttp, PrematureFtp,
     TransportMutation,
 };
-pub use relay::{relay_differential, replaying_relay_diverges, DiffReport, ReplayingProxy};
+pub use relay::{relay_differential, replaying_relay_diverges, DiffReport};
 pub use schedule::{
     enumerate_orders, generate, generate_stall_heavy, ConnScript, DataOp, DataOpKind, Proto,
     Schedule, Step,

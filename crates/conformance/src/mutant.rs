@@ -252,6 +252,11 @@ pub enum TransportMutation {
     /// dispatcher handled itself loses its reply; a sweep in which this
     /// mutant survives never had the dispatcher handle one.
     OnThreadDrop,
+    /// The replaying relay: every write to a stream the listener dialed
+    /// (a relay's backend leg) lands twice — the retry bug of re-sending
+    /// a request already delivered. Replies come back verbatim; a
+    /// duplicated `USER` or `STOR` shows as reply codes of its own.
+    Replay,
 }
 
 /// The most a work item sends itself (`WORKER_SEND_MAX` in the
@@ -264,6 +269,8 @@ pub struct MutantConn {
     mutation: TransportMutation,
     /// The thread that accepted the stream (its dispatcher's).
     accepted_on: ThreadId,
+    /// Whether the listener dialed the stream rather than accepted it.
+    dialed: bool,
 }
 
 impl TransportMutation {
@@ -273,6 +280,7 @@ impl TransportMutation {
         MutantConn {
             mutation: self,
             accepted_on: std::thread::current().id(),
+            dialed: false,
         }
     }
 }
@@ -285,6 +293,19 @@ impl ConnHook for MutantConn {
     ) -> io::Result<usize> {
         match self.mutation {
             TransportMutation::Lingerless => inner.try_write_vectored(bufs),
+            TransportMutation::Replay if !self.dialed => inner.try_write_vectored(bufs),
+            // The bug under test: what was written is written again.
+            TransportMutation::Replay => {
+                let n = inner.try_write_vectored(bufs)?;
+                let sent: Vec<u8> = bufs
+                    .iter()
+                    .flat_map(|b| b.iter())
+                    .copied()
+                    .take(n)
+                    .collect();
+                inner.try_write(&sent)?;
+                Ok(n)
+            }
             // The bug under test: a sender that is not the accepting
             // thread is told all is written, and nothing is.
             TransportMutation::OffThreadDrop => {
@@ -328,7 +349,8 @@ impl ConnHook for MutantConn {
             TransportMutation::Lingerless => inner.shutdown(),
             TransportMutation::GatherDrop
             | TransportMutation::OffThreadDrop
-            | TransportMutation::OnThreadDrop => inner.shutdown_write(),
+            | TransportMutation::OnThreadDrop
+            | TransportMutation::Replay => inner.shutdown_write(),
         }
     }
 }
@@ -343,6 +365,14 @@ impl AcceptHook for TransportMutation {
         stream: io::Result<&mut S>,
     ) -> io::Result<MutantConn> {
         stream.map(|_| self.on_this_thread())
+    }
+
+    fn dialed<S: StreamIo>(&self, _: &str, _: &mut S) -> io::Result<MutantConn> {
+        let conn = self.on_this_thread();
+        Ok(MutantConn {
+            dialed: true,
+            ..conn
+        })
     }
 }
 
@@ -375,6 +405,32 @@ mod tests {
             Status::Ok,
             "non-404s pass through"
         );
+    }
+
+    /// The replaying relay's mutation rides the streams its listener
+    /// dials: a write lands twice there, and once on an accepted stream.
+    #[test]
+    fn replay_duplicates_dialed_writes_only() {
+        use nserver_core::transport::{mem, ReadOutcome};
+        let read_all = |s: &mut dyn StreamIo| {
+            let (mut got, mut buf) = (Vec::new(), [0u8; 64]);
+            while let Ok(ReadOutcome::Data(n)) = s.try_read(&mut buf) {
+                got.extend_from_slice(&buf[..n]);
+            }
+            got
+        };
+        let (front, front_connector) = mem::listener("front");
+        let (mut backend, backend_connector) = mem::listener("backend");
+        front_connector.route("backend", &backend_connector);
+        let mut relay = layer(front, TransportMutation::Replay);
+        let mut client = front_connector.connect();
+        let mut client_leg = relay.try_accept().unwrap().expect("queued");
+        let mut backend_leg = relay.dial("backend").unwrap();
+        let mut served = backend.try_accept().unwrap().expect("dialed");
+        assert_eq!(backend_leg.try_write(b"hello").unwrap(), 5);
+        assert_eq!(client_leg.try_write(b"hi").unwrap(), 2);
+        assert_eq!(read_all(&mut served), b"hellohello", "upstream lands twice");
+        assert_eq!(read_all(&mut client), b"hi", "downstream lands once");
     }
 
     #[test]

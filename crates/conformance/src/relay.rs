@@ -5,48 +5,46 @@
 //! exactly what it would observe talking to a backend N-Server directly
 //! — including when the relay's dial logic silently retries a dead
 //! backend and rotates to the next candidate. This module makes the
-//! claim checkable: the same (sanitized, fault-free) schedule is driven
-//! over real TCP against **two arms** — a direct backend, and a fresh
-//! backend behind the relay — and the per-connection client-observable
-//! traces are compared.
+//! claim checkable: the same (sanitized, fault-free) schedule is run in
+//! **two arms** — a direct backend, and a fresh backend behind the relay
+//! — and the per-connection client-observable byte streams are compared:
+//! HTTP byte-for-byte, each arm also anchored to the model's
+//! [`expected_outbound`] stream so a divergence names the guilty arm; FTP
+//! at the `(reply code, multiline?)` level the conformance model checks.
 //!
-//! * **HTTP** arms are compared byte-for-byte, and each arm is also
-//!   anchored to the model's [`expected_outbound`] stream, so a
-//!   divergence names the guilty arm.
-//! * **FTP** arms are compared at the `(reply code, multiline?)` level —
-//!   the same alphabet the conformance model checks — because `227`
-//!   passive-mode replies legitimately embed different port numbers per
-//!   arm. Scripted data ops run against whichever passive port each
-//!   arm's own control channel announces, so `STOR`/`RETR` transfers
-//!   exercise the full dual-socket flow in both arms.
-//!
-//! [`ReplayingProxy`] is the soundness mutant for this checker: a relay
-//! whose upstream path writes every client chunk twice — the classic
-//! replay bug of retry logic that re-sends a request it already
-//! delivered. A duplicated `STOR` (or even a duplicated `USER`) produces
-//! a reply stream the direct arm never shows, and the differential must
-//! catch it.
+//! Each arm is one in-memory world stepped on the checker's thread, on a
+//! virtual clock, through the explorer's stack, delivery and data-plane
+//! clients. The relay arm's relay ([`ClusterFrontEnd::stepped`]) dials the
+//! backend by label through its own stack ([`Listener::dial`]), so its
+//! tap records both legs of each session. In the failover arm the first
+//! backend is a label nobody listens on, and the retry backoff is virtual
+//! time the world advances through. [`TransportMutation::Replay`] on the
+//! relay's stack is the checker's soundness mutant: every write to the
+//! backend lands twice, and the differential must catch it.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::fd::{FromRawFd, OwnedFd};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use nserver_core::cluster::{Balancing, ClusterFrontEnd, RetryPolicy};
 use nserver_core::fault::FaultPlan;
-use nserver_core::server::ServerBuilder;
-use nserver_core::transport::TcpListenerNb;
-use nserver_ftp::observe::parse_pasv_port;
+use nserver_core::options::ServerOptions;
+use nserver_core::pipeline::{Codec, Service};
+use nserver_core::server::{ServerBuilder, Stepped};
+use nserver_core::tap::ConnTrace;
+use nserver_core::trace::DebugTracer;
+use nserver_core::transport::{mem, Listener};
 use nserver_ftp::{cops_ftp_options, split_replies, FtpCodec};
 use nserver_http::{cops_http_options, HttpCodec};
+use parking_lot::Mutex;
 
-use crate::explorer::{standard_ftp_service, standard_http_service};
-use crate::ftp_model::expected_replies;
+use crate::explorer::{
+    base_stack, connected_as, deliver, drain_client, run_label, serve_data_ops,
+    standard_ftp_service_over, standard_http_service, BaseListener,
+};
 use crate::http_model::{expected_outbound, HttpFixture};
-use crate::schedule::{generate, ConnScript, DataOp, DataOpKind, Proto, Schedule};
+use crate::mutant::{self, TransportMutation};
+use crate::schedule::{generate, Proto, Schedule};
 
 /// The outcome of one differential run.
 #[derive(Debug)]
@@ -57,6 +55,9 @@ pub struct DiffReport {
     pub dial_retries: u64,
     /// Relay-arm clients refused because no backend was dialable.
     pub backend_failures: u64,
+    /// The relay arm's traces: the relay's legs (clients by accept index,
+    /// backends dialed, numbered 0), then the backend's connections.
+    pub traces: Vec<ConnTrace>,
 }
 
 impl DiffReport {
@@ -65,6 +66,12 @@ impl DiffReport {
         self.divergences.is_empty()
     }
 }
+
+/// The label the relay dials its backend by.
+const BACKEND: &str = "backend";
+
+/// The failover arm's dead backend: a label nobody listens on.
+const NOBODY: &str = "nobody";
 
 /// Strip a generated schedule down to its deterministic core: the
 /// differential compares two *live* arms, so every source of legitimate
@@ -92,305 +99,190 @@ pub fn sanitize_for_differential(sched: &Schedule) -> Schedule {
     s
 }
 
-/// Run the differential for one seed: generate, sanitize, drive both
+/// Run the differential for one seed: generate, sanitize, run both
 /// arms, compare. `force_failover` puts a dead backend first in the
 /// relay's rotation so the first client connection must retry-rotate.
 pub fn relay_differential(proto: Proto, seed: u64, force_failover: bool) -> DiffReport {
     let sched = sanitize_for_differential(&generate(proto, seed));
-    let direct = run_direct_arm(proto, &sched);
-    let (relayed, dial_retries, backend_failures) = run_relay_arm(proto, &sched, force_failover);
+    let direct = run_arm(proto, &sched, Route::Direct);
+    let relayed = run_arm(proto, &sched, Route::Relay(force_failover));
     DiffReport {
-        divergences: compare_arms(proto, &sched, &direct, &relayed),
-        dial_retries,
-        backend_failures,
+        divergences: compare_arms(proto, &sched, &direct.received, &relayed.received),
+        dial_retries: relayed.dial_retries,
+        backend_failures: relayed.backend_failures,
+        traces: relayed.traces,
     }
 }
 
-/// Like [`relay_differential`] but with [`ReplayingProxy`] as the front
-/// end — the mutation tests assert this diverges.
+/// Like [`relay_differential`] but with [`TransportMutation::Replay`] on
+/// the relay's stack — the mutation tests assert this diverges.
 pub fn replaying_relay_diverges(proto: Proto, sched: &Schedule) -> bool {
     let sched = sanitize_for_differential(sched);
-    let direct = run_direct_arm(proto, &sched);
-    let mutated = run_replaying_arm(proto, &sched);
-    !compare_arms(proto, &sched, &direct, &mutated).is_empty()
+    let direct = run_arm(proto, &sched, Route::Direct);
+    let mutated = run_arm(proto, &sched, Route::Replaying);
+    !compare_arms(proto, &sched, &direct.received, &mutated.received).is_empty()
 }
 
-fn backend_addr(label: &str) -> SocketAddr {
-    label.parse().expect("listener label is an address")
+/// How an arm's clients reach its backend.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Route {
+    Direct,
+    /// Through a relay; `true` puts a dead backend first in its rotation.
+    Relay(bool),
+    /// Through a relay whose stack replays what it writes to the backend.
+    Replaying,
 }
 
-fn run_direct_arm(proto: Proto, sched: &Schedule) -> Vec<Vec<u8>> {
+/// What one arm's clients received, and its relay's counters and traces.
+#[derive(Default)]
+struct Arm {
+    received: Vec<Vec<u8>>,
+    dial_retries: u64,
+    backend_failures: u64,
+    traces: Vec<ConnTrace>,
+}
+
+fn run_arm(proto: Proto, sched: &Schedule, route: Route) -> Arm {
     match proto {
         Proto::Http => {
-            let server = ServerBuilder::new(cops_http_options(), HttpCodec::new(), {
-                standard_http_service()
-            })
-            .expect("valid options")
-            .serve(TcpListenerNb::bind("127.0.0.1:0").expect("bind backend"));
-            let addr = backend_addr(server.local_label());
-            let out = drive_schedule(proto, addr, sched);
-            server.shutdown();
-            out
+            let build = |_| standard_http_service();
+            arm(sched, cops_http_options(), HttpCodec::new(), build, route)
         }
-        Proto::Ftp => {
-            let server = ServerBuilder::new(cops_ftp_options(), FtpCodec, standard_ftp_service())
-                .expect("valid options")
-                .serve(TcpListenerNb::bind("127.0.0.1:0").expect("bind backend"));
-            let addr = backend_addr(server.local_label());
-            let out = drive_schedule(proto, addr, sched);
-            server.shutdown();
-            out
-        }
+        Proto::Ftp => arm(
+            sched,
+            cops_ftp_options(),
+            FtpCodec,
+            standard_ftp_service_over,
+            route,
+        ),
     }
 }
 
-/// A loopback address that refuses connections: a TCP socket bound to
-/// `127.0.0.1:0` and never listened on. While it lives the kernel gives
-/// its port to no other bind or connect and answers a SYN to it with a
-/// RST, so a dial is refused by construction (a port bound and dropped
-/// could be taken by any bind, or a self-connect, before it is dialled).
-struct DeadBackend {
-    _socket: OwnedFd,
-    label: String,
-}
-
-impl DeadBackend {
-    fn bind() -> Self {
-        const AF_INET: i32 = 2;
-        const SOCK_STREAM: i32 = 1;
-        const SOCK_CLOEXEC: i32 = 0o2000000;
-        /// `struct sockaddr_in`: family in host order, port and address
-        /// in network order.
-        #[repr(C)]
-        struct SockAddrIn([u8; 2], [u8; 2], [u8; 4], [u8; 8]);
-        extern "C" {
-            fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-            fn bind(fd: i32, addr: *const SockAddrIn, len: u32) -> i32;
-            fn getsockname(fd: i32, addr: *mut SockAddrIn, len: *mut u32) -> i32;
-        }
-        // SAFETY: no pointer is passed.
-        let fd = unsafe { socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0) };
-        assert!(fd >= 0, "socket: {}", std::io::Error::last_os_error());
-        // SAFETY: `fd` is a socket just created and owned by nothing else;
-        // the `OwnedFd` closes it when the backend is dropped.
-        let socket = unsafe { OwnedFd::from_raw_fd(fd) };
-        let family = (AF_INET as u16).to_ne_bytes();
-        let mut addr = SockAddrIn(family, [0; 2], [127, 0, 0, 1], [0; 8]);
-        let mut len = std::mem::size_of::<SockAddrIn>() as u32;
-        // SAFETY (both calls): `addr` is a `sockaddr_in` of `len` bytes
-        // that outlives the call; `getsockname` writes at most `len` bytes.
-        let rc = unsafe { bind(fd, &addr, len) };
-        assert_eq!(rc, 0, "bind: {}", std::io::Error::last_os_error());
-        let rc = unsafe { getsockname(fd, &mut addr, &mut len) };
-        assert_eq!(rc, 0, "getsockname: {}", std::io::Error::last_os_error());
-        let label = format!("127.0.0.1:{}", u16::from_be_bytes(addr.1));
-        Self {
-            _socket: socket,
-            label,
-        }
-    }
-}
-
-fn run_relay_arm(proto: Proto, sched: &Schedule, force_failover: bool) -> (Vec<Vec<u8>>, u64, u64) {
-    // A fresh backend per arm: FTP schedules mutate server state (STOR,
-    // MKD), so sharing one backend across arms would leak arm 1's
-    // mutations into arm 2's listings.
-    let run = |front_backends: &dyn Fn(String) -> Vec<String>| -> (Vec<Vec<u8>>, u64, u64) {
-        let (label, shutdown): (String, Box<dyn FnOnce()>) = match proto {
-            Proto::Http => {
-                let s = ServerBuilder::new(cops_http_options(), HttpCodec::new(), {
-                    standard_http_service()
-                })
-                .expect("valid options")
-                .serve(TcpListenerNb::bind("127.0.0.1:0").expect("bind backend"));
-                (s.local_label().to_string(), Box::new(move || s.shutdown()))
-            }
-            Proto::Ftp => {
-                let s = ServerBuilder::new(cops_ftp_options(), FtpCodec, standard_ftp_service())
-                    .expect("valid options")
-                    .serve(TcpListenerNb::bind("127.0.0.1:0").expect("bind backend"));
-                (s.local_label().to_string(), Box::new(move || s.shutdown()))
-            }
+/// Run one arm: a fresh stepped backend (FTP schedules mutate server
+/// state, so arms never share one), reached directly or through a
+/// stepped relay. The schedule's data ops reach the backend's data
+/// listeners through its connector either way.
+fn arm<C: Codec, S: Service<C>>(
+    sched: &Schedule,
+    opts: ServerOptions,
+    codec: C,
+    build: impl FnOnce(BaseListener) -> S,
+    route: Route,
+) -> Arm {
+    let (listener, backend_connector) = mem::listener(&run_label("relay-diff-backend", sched));
+    let (stack, backend_log) = base_stack(listener, sched.plan);
+    let mut backend = ServerBuilder::new(opts, codec, build(stack.clone()))
+        .expect("valid server options")
+        .stepped(stack);
+    let connect_order = Arc::new(Mutex::new(vec![None; sched.conns.len()]));
+    let order = Arc::clone(&connect_order);
+    if route == Route::Direct {
+        serve_data_ops(sched, &backend_connector, &backend_log, move |trace| {
+            connected_as(&order.lock(), trace.accept_index)
+        });
+        let mut streams = deliver(sched, &backend_connector, &connect_order, |pause| {
+            backend.settle();
+            backend.advance(pause);
+        });
+        drop(backend);
+        let received = streams.iter_mut().map(drained).collect();
+        let traces = backend_log.snapshot();
+        return Arm {
+            received,
+            traces,
+            ..Arm::default()
         };
-        let front = ClusterFrontEnd::start_with_retry(
-            TcpListenerNb::bind("127.0.0.1:0").expect("bind front end"),
-            front_backends(label),
-            Balancing::RoundRobin,
-            RetryPolicy {
-                attempts: 3,
-                backoff: Duration::from_millis(10),
-            },
-        )
-        .expect("start front end");
-        let addr = backend_addr(front.local_label());
-        let out = drive_schedule(proto, addr, sched);
-        let retries = front.stats().dial_retries.load(Ordering::Relaxed);
-        let failures = front.stats().backend_failures.load(Ordering::Relaxed);
-        front.shutdown();
-        shutdown();
-        (out, retries, failures)
-    };
-    if force_failover {
-        // Held until `run` has shut its relay down.
-        let dead = DeadBackend::bind();
-        run(&|live| vec![dead.label.clone(), live])
-    } else {
-        run(&|live| vec![live])
     }
-}
-
-fn run_replaying_arm(proto: Proto, sched: &Schedule) -> Vec<Vec<u8>> {
-    let (label, shutdown): (String, Box<dyn FnOnce()>) = match proto {
-        Proto::Http => {
-            let s = ServerBuilder::new(
-                cops_http_options(),
-                HttpCodec::new(),
-                standard_http_service(),
-            )
-            .expect("valid options")
-            .serve(TcpListenerNb::bind("127.0.0.1:0").expect("bind backend"));
-            (s.local_label().to_string(), Box::new(move || s.shutdown()))
-        }
-        Proto::Ftp => {
-            let s = ServerBuilder::new(cops_ftp_options(), FtpCodec, standard_ftp_service())
-                .expect("valid options")
-                .serve(TcpListenerNb::bind("127.0.0.1:0").expect("bind backend"));
-            (s.local_label().to_string(), Box::new(move || s.shutdown()))
-        }
+    // A relay session's key is its client's accept ordinal, which is its
+    // connect order, and its trace links the label the backend sees its
+    // leg under.
+    let tracer = DebugTracer::enabled(1024);
+    let links = tracer.clone();
+    serve_data_ops(sched, &backend_connector, &backend_log, move |trace| {
+        let metas = links.metas();
+        let (k, _) = metas.iter().find(|(_, m)| m.links.contains(&trace.peer))?;
+        connected_as(&order.lock(), *k)
+    });
+    let (listener, connector) = mem::listener(&run_label("relay-diff-front", sched));
+    connector.route(BACKEND, &backend_connector);
+    let (stack, log) = base_stack(listener, sched.plan);
+    let mut backends = vec![BACKEND.to_string()];
+    if route == Route::Relay(true) {
+        backends.insert(0, NOBODY.to_string());
+    }
+    let front = (sched, &connector, &*connect_order, backends, tracer);
+    let mut arm = match route {
+        Route::Replaying => relayed(
+            &mut backend,
+            mutant::layer(stack, TransportMutation::Replay),
+            front,
+        ),
+        _ => relayed(&mut backend, stack, front),
     };
-    let proxy = ReplayingProxy::start(backend_addr(&label));
-    let out = drive_schedule(proto, proxy.addr(), sched);
-    proxy.shutdown();
-    shutdown();
-    out
+    arm.traces = log.snapshot();
+    arm.traces.extend(backend_log.snapshot());
+    arm
 }
 
-/// What "the reply stream is complete" means while driving one
-/// connection.
-enum ReplyTarget {
-    /// At least this many outbound bytes (HTTP).
-    Bytes(usize),
-    /// At least this many complete reply blocks (FTP).
-    Blocks(usize),
-}
+/// What the relay arm's relay needs beside its stack: the schedule, its
+/// clients' connector and connect order, its backends and its tracer.
+type Front<'a> = (
+    &'a Schedule,
+    &'a mem::MemConnector,
+    &'a Mutex<Vec<Option<u64>>>,
+    Vec<String>,
+    DebugTracer,
+);
 
-/// Drive every connection of the schedule against `addr`, sequentially.
-/// Connections in a sanitized schedule are independent (disjoint STOR
-/// paths, no cross-connection state the model doesn't replicate), so
-/// sequential driving keeps both arms deterministic. Returns each
-/// connection's received byte stream.
-fn drive_schedule(proto: Proto, addr: SocketAddr, sched: &Schedule) -> Vec<Vec<u8>> {
-    sched
-        .conns
-        .iter()
-        .map(|conn| {
-            let target = match proto {
-                Proto::Http => ReplyTarget::Bytes(
-                    expected_outbound(&HttpFixture::standard(), &conn.bytes())
-                        .0
-                        .len(),
-                ),
-                Proto::Ftp => ReplyTarget::Blocks(expected_replies(&conn.bytes()).len()),
+/// Run the relay arm: a relay over `stack` and `backend` are one world,
+/// stepped on the backend's clock. Each delivery step settles both until
+/// neither has work, then advances them together, stopping at each of
+/// the relay's timers; the world runs on through the timers the relay
+/// still holds (a parked client's retry, a lingering session's reap), so
+/// a failover's backoff is virtual time.
+fn relayed<C: Codec, S: Service<C>, L: Listener>(
+    backend: &mut Stepped<C, S, BaseListener>,
+    stack: L,
+    (sched, connector, connect_order, backends, tracer): Front<'_>,
+) -> Arm {
+    let retry = RetryPolicy {
+        attempts: 3,
+        backoff: Duration::from_millis(10),
+    };
+    let mut relay = ClusterFrontEnd::stepped(stack, backends, Balancing::RoundRobin, retry, tracer)
+        .expect("a backend to relay to");
+    let base = Instant::now();
+    let mut streams = deliver(sched, connector, connect_order, |pause| {
+        let until = backend.elapsed() + pause;
+        loop {
+            while backend.settle() | relay.settle(base + backend.elapsed()) {}
+            let rest = Some(until.saturating_sub(backend.elapsed())).filter(|r| !r.is_zero());
+            let Some(step) = rest.into_iter().chain(relay.next_timer()).min() else {
+                return;
             };
-            drive_conn(addr, conn, &target)
-        })
-        .collect()
+            backend.advance(step);
+        }
+    });
+    let stats = relay.stats();
+    let (dial_retries, backend_failures) = (
+        stats.dial_retries.load(Ordering::Relaxed),
+        stats.backend_failures.load(Ordering::Relaxed),
+    );
+    // Closing the relay closes both legs of every session before the
+    // clients read what they got.
+    drop(relay);
+    Arm {
+        received: streams.iter_mut().map(drained).collect(),
+        dial_retries,
+        backend_failures,
+        traces: Vec::new(),
+    }
 }
 
-/// Drive one connection: send the whole script, then read replies while
-/// serving each `227` announcement with the connection's next scripted
-/// data op. Reads continue for a short grace window after the target is
-/// met, so surplus bytes (the signature of a replaying relay) are
-/// captured rather than ignored.
-fn drive_conn(addr: SocketAddr, conn: &ConnScript, target: &ReplyTarget) -> Vec<u8> {
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_secs(2)) else {
-        return Vec::new();
-    };
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(10)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_nodelay(true);
-    for seg in &conn.segments {
-        if stream.write_all(seg).is_err() {
-            break;
-        }
-    }
-    let mut received = Vec::new();
-    let mut served = 0usize;
-    let deadline = Instant::now() + Duration::from_secs(8);
-    let mut target_met_at: Option<Instant> = None;
-    let mut buf = [0u8; 4096];
-    loop {
-        if !conn.data_ops.is_empty() {
-            let ports: Vec<u16> = split_replies(&received)
-                .complete
-                .iter()
-                .filter(|b| b.code == 227)
-                .filter_map(|b| parse_pasv_port(&b.text))
-                .collect();
-            while served < ports.len() {
-                if let Some(op) = conn.data_ops.get(served) {
-                    run_clean_data_op(ports[served], op);
-                }
-                served += 1;
-            }
-        }
-        let met = match target {
-            ReplyTarget::Bytes(n) => received.len() >= *n,
-            ReplyTarget::Blocks(n) => split_replies(&received).complete.len() >= *n,
-        };
-        match (met, target_met_at) {
-            (true, None) => target_met_at = Some(Instant::now()),
-            // Grace drain: give a buggy arm time to append surplus bytes.
-            (true, Some(t)) if t.elapsed() > Duration::from_millis(60) => break,
-            _ => {}
-        }
-        if Instant::now() > deadline {
-            break;
-        }
-        match stream.read(&mut buf) {
-            Ok(0) => break,
-            Ok(n) => received.extend_from_slice(&buf[..n]),
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut => {}
-            Err(_) => break,
-        }
-    }
-    received
-}
-
-/// Serve one sanitized (abort-free) data op against a passive port.
-fn run_clean_data_op(port: u16, op: &DataOp) {
-    let addr = SocketAddr::from(([127, 0, 0, 1], port));
-    let Ok(mut stream) = TcpStream::connect_timeout(&addr, Duration::from_secs(2)) else {
-        return;
-    };
-    match op.kind {
-        DataOpKind::Write => {
-            let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-            let _ = stream.write_all(&op.payload);
-        }
-        DataOpKind::Read => {
-            let _ = stream.set_read_timeout(Some(Duration::from_millis(20)));
-            let deadline = Instant::now() + Duration::from_secs(4);
-            let mut buf = [0u8; 4096];
-            loop {
-                match stream.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(_) => {}
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        if Instant::now() > deadline {
-                            break;
-                        }
-                    }
-                    Err(_) => break,
-                }
-            }
-        }
-    }
+/// What a client received by the end of its run (nothing, if it never
+/// connected).
+fn drained(stream: &mut Option<mem::MemStream>) -> Vec<u8> {
+    stream.as_mut().map(drain_client).unwrap_or_default()
 }
 
 /// Compare the two arms connection by connection, in the alphabet the
@@ -449,114 +341,6 @@ fn compare_arms(
         }
     }
     divergences
-}
-
-/// The replay-bug relay: a TCP front end whose upstream pump writes
-/// every client chunk to the backend **twice**. Downstream is copied
-/// verbatim — the bug is only visible through the backend's reaction to
-/// the duplicated commands/requests.
-pub struct ReplayingProxy {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    thread: Option<JoinHandle<()>>,
-}
-
-impl ReplayingProxy {
-    /// Start proxying `127.0.0.1:0` → `backend`.
-    pub fn start(backend: SocketAddr) -> ReplayingProxy {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind proxy");
-        listener.set_nonblocking(true).expect("nonblocking proxy");
-        let addr = listener.local_addr().expect("proxy addr");
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("conformance-replaying-proxy".into())
-            .spawn(move || {
-                let mut conns: Vec<JoinHandle<()>> = Vec::new();
-                while !stop_flag.load(Ordering::Relaxed) {
-                    match listener.accept() {
-                        Ok((client, _)) => {
-                            let stop = Arc::clone(&stop_flag);
-                            conns.push(std::thread::spawn(move || {
-                                proxy_conn(client, backend, &stop)
-                            }));
-                        }
-                        Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(2));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                for c in conns {
-                    let _ = c.join();
-                }
-            })
-            .expect("spawn proxy");
-        ReplayingProxy {
-            addr,
-            stop,
-            thread: Some(thread),
-        }
-    }
-
-    /// The proxy's listen address.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stop accepting and join every relay thread.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
-    }
-}
-
-fn proxy_conn(client: TcpStream, backend: SocketAddr, stop: &Arc<AtomicBool>) {
-    let Ok(upstream) = TcpStream::connect_timeout(&backend, Duration::from_secs(2)) else {
-        return;
-    };
-    let (Ok(client_rx), Ok(upstream_rx)) = (client.try_clone(), upstream.try_clone()) else {
-        return;
-    };
-    let up_stop = Arc::clone(stop);
-    let up = std::thread::spawn(move || pump(client_rx, upstream, &up_stop, true));
-    pump(upstream_rx, client, stop, false);
-    let _ = up.join();
-}
-
-/// Copy `from` → `to` until EOF, error, or stop. `duplicate` is the
-/// injected replay bug: every chunk is written twice.
-fn pump(mut from: TcpStream, mut to: TcpStream, stop: &AtomicBool, duplicate: bool) {
-    let _ = from.set_read_timeout(Some(Duration::from_millis(20)));
-    let _ = to.set_write_timeout(Some(Duration::from_secs(2)));
-    let mut buf = [0u8; 4096];
-    loop {
-        match from.read(&mut buf) {
-            Ok(0) => {
-                let _ = to.shutdown(std::net::Shutdown::Write);
-                return;
-            }
-            Ok(n) => {
-                if to.write_all(&buf[..n]).is_err() {
-                    return;
-                }
-                if duplicate && to.write_all(&buf[..n]).is_err() {
-                    return;
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::Relaxed) {
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -619,73 +403,5 @@ mod tests {
         s.conns[0].segments = vec![b"GET /index.html HTTP/1.1\r\nHost: c\r\n\r\n".to_vec()];
         let clean = sanitize_for_differential(&s);
         assert_eq!(clean.conns[0].bytes(), s.conns[0].bytes());
-    }
-
-    #[test]
-    fn dead_backend_refuses_every_dial_while_ephemeral_ports_churn() {
-        let dead = DeadBackend::bind();
-        let addr = backend_addr(&dead.label);
-        let taken = TcpListener::bind(addr).map(drop).map_err(|e| e.kind());
-        assert_eq!(taken, Err(std::io::ErrorKind::AddrInUse), "bind {addr}");
-        let stop = AtomicBool::new(false);
-        let dials: Vec<_> = std::thread::scope(|scope| {
-            scope.spawn(|| {
-                while !stop.load(Ordering::Relaxed) {
-                    drop(TcpListener::bind("127.0.0.1:0").expect("bind ephemeral"));
-                }
-            });
-            let dials = (0..200)
-                .map(|_| TcpStream::connect(addr).map(drop).map_err(|e| e.kind()))
-                .collect();
-            stop.store(true, Ordering::Relaxed);
-            dials
-        });
-        for (i, dial) in dials.iter().enumerate() {
-            assert_eq!(
-                *dial,
-                Err(std::io::ErrorKind::ConnectionRefused),
-                "dial {i} to {addr}"
-            );
-        }
-    }
-
-    #[test]
-    fn replaying_proxy_duplicates_upstream_only() {
-        // Echo backend: writes back exactly what it reads.
-        let backend = TcpListener::bind("127.0.0.1:0").expect("bind echo");
-        let backend_addr = backend.local_addr().expect("addr");
-        let echo = std::thread::spawn(move || {
-            let (mut s, _) = backend.accept().expect("accept");
-            let mut buf = [0u8; 64];
-            let mut echoed = 0;
-            while echoed < 10 {
-                match s.read(&mut buf) {
-                    Ok(0) => break,
-                    Ok(n) => {
-                        echoed += n;
-                        s.write_all(&buf[..n]).expect("echo");
-                    }
-                    Err(_) => break,
-                }
-            }
-        });
-        let proxy = ReplayingProxy::start(backend_addr);
-        let mut c = TcpStream::connect(proxy.addr()).expect("connect proxy");
-        c.write_all(b"hello").expect("send");
-        c.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
-        let mut got = Vec::new();
-        let deadline = Instant::now() + Duration::from_secs(2);
-        let mut buf = [0u8; 64];
-        while got.len() < 10 && Instant::now() < deadline {
-            match c.read(&mut buf) {
-                Ok(0) => break,
-                Ok(n) => got.extend_from_slice(&buf[..n]),
-                Err(_) => {}
-            }
-        }
-        assert_eq!(got, b"hellohello", "upstream chunk must land twice");
-        drop(c);
-        proxy.shutdown();
-        let _ = echo.join();
     }
 }

@@ -6,11 +6,14 @@
 //! The [`ClusterFrontEnd`] is an event-driven connection relay built from
 //! the same non-blocking transport — and the same readiness demultiplexer
 //! — the Reactor uses: it accepts client connections, dials a backend
-//! N-Server per connection (round-robin or least-connections), and
-//! shuttles bytes both ways, blocking in its poller whenever no socket is
-//! ready. Backend N-Servers run unchanged — exactly the paper's promise
-//! that "the programmer \[writes\] identical hook methods … whether the
-//! application was generated for a shared memory machine or a network of
+//! N-Server per connection (round-robin or least-connections) through
+//! that transport ([`Listener::dial`]), never blocking: a session opens
+//! when its dial polls writable. It shuttles bytes both ways, blocking in
+//! its poller whenever no socket is ready, on a thread of its own or
+//! stepped on the caller's ([`ClusterFrontEnd::stepped`]). Backend
+//! N-Servers run unchanged — exactly the paper's promise that "the
+//! programmer \[writes\] identical hook methods … whether the application
+//! was generated for a shared memory machine or a network of
 //! workstations."
 
 use std::collections::HashMap;
@@ -25,8 +28,7 @@ use bytes::BytesMut;
 use crate::timer::{lazily, Deadlines, LINGER, WALL};
 use crate::trace::{DebugTracer, SpanEvent};
 use crate::transport::{
-    Interest, Listener, PollEvent, Poller, ReadOutcome, StreamIo, TcpListenerNb, TcpPoller,
-    TcpStreamNb, Waker, LISTENER_TOKEN,
+    Interest, Listener, PollEvent, Poller, ReadOutcome, StreamIo, Waker, LISTENER_TOKEN,
 };
 
 /// Backend selection policy.
@@ -38,14 +40,15 @@ pub enum Balancing {
     LeastConnections,
 }
 
-/// Bounded retry-with-backoff for backend dials: a refused or reset dial
-/// parks the client and retries against the *next* backend candidate
-/// instead of failing the client on the first refusal.
+/// Bounded retry-with-backoff for backend dials: a dial that is refused,
+/// fails, or still connects when its backoff runs out parks the client
+/// and retries against the *next* backend candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total dial attempts per client connection (≥ 1).
     pub attempts: u32,
-    /// Delay before the first retry; doubles on each further retry.
+    /// Delay before the first retry; doubles on each further retry. It
+    /// is also how long a dial may stay connecting.
     pub backoff: Duration,
 }
 
@@ -73,17 +76,18 @@ pub struct RelayStats {
     pub bytes_downstream: AtomicU64,
 }
 
-/// A client whose backend dial failed, waiting for its next attempt.
-struct PendingDial {
-    client: TcpStreamNb,
+/// A client without a session yet: its dial connects, or waits to retry.
+struct PendingDial<S> {
+    client: S,
+    backend: Option<S>,
     attempts_left: u32,
     backoff: Duration,
     last_index: usize,
 }
 
-struct Session {
-    client: TcpStreamNb,
-    backend: TcpStreamNb,
+struct Session<S> {
+    client: S,
+    backend: S,
     backend_index: usize,
     up_buf: BytesMut,
     down_buf: BytesMut,
@@ -104,8 +108,8 @@ struct Session {
     io_writes: u64,
 }
 
-impl Session {
-    fn new(client: TcpStreamNb, backend: TcpStreamNb, backend_index: usize) -> Session {
+impl<S: StreamIo> Session<S> {
+    fn new(client: S, backend: S, backend_index: usize) -> Self {
         Session {
             client,
             backend,
@@ -126,8 +130,9 @@ impl Session {
 
     /// Move bytes one way — client to backend if `upstream` — through
     /// that direction's buffer, tallying syscall attempts for timeline
-    /// attribution.
-    fn pump(&mut self, upstream: bool, scratch: &mut [u8], counter: &AtomicU64) {
+    /// attribution. Returns whether it stopped reading before the source
+    /// ran dry, so bytes may be left there.
+    fn pump(&mut self, upstream: bool, scratch: &mut [u8], counter: &AtomicU64) -> bool {
         let (from, to, pending, from_eof) = if upstream {
             (
                 &mut self.client,
@@ -143,18 +148,17 @@ impl Session {
                 &mut self.backend_eof,
             )
         };
-        // Read as much as is available right now.
-        if !*from_eof {
-            for _ in 0..4 {
-                self.io_reads += 1;
-                match from.try_read(scratch) {
-                    Ok(ReadOutcome::Data(n)) => pending.extend_from_slice(&scratch[..n]),
-                    Ok(ReadOutcome::WouldBlock) => break,
-                    Ok(ReadOutcome::Closed) | Err(_) => {
-                        *from_eof = true;
-                        break;
-                    }
-                }
+        // Read a bounded amount of what is available right now.
+        let mut more = !*from_eof;
+        for _ in 0..4 {
+            if !more {
+                break;
+            }
+            self.io_reads += 1;
+            match from.try_read(scratch) {
+                Ok(ReadOutcome::Data(n)) => pending.extend_from_slice(&scratch[..n]),
+                Ok(ReadOutcome::WouldBlock) => more = false,
+                Ok(ReadOutcome::Closed) | Err(_) => (*from_eof, more) = (true, false),
             }
         }
         // Flush what we can.
@@ -173,13 +177,14 @@ impl Session {
                 }
             }
         }
+        more
     }
 }
 
 /// What a relay wake-up is for, by session key.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Wake {
-    /// A parked client's next backend dial.
+    /// A parked client's next dial, or its connecting one's deadline.
     Dial(u64),
     /// A half-closed session's lingering window ends.
     Reap(u64),
@@ -197,10 +202,11 @@ pub struct ClusterFrontEnd {
 
 impl ClusterFrontEnd {
     /// Start relaying connections arriving on `listener` to `backends`
-    /// (socket addresses of running N-Servers), with the default
-    /// [`RetryPolicy`] for backend dials.
-    pub fn start(
-        listener: TcpListenerNb,
+    /// (labels the listener's transport dials: socket addresses of
+    /// running N-Servers over TCP), with the default [`RetryPolicy`] for
+    /// backend dials.
+    pub fn start<L: Listener>(
+        listener: L,
         backends: Vec<String>,
         balancing: Balancing,
     ) -> io::Result<ClusterFrontEnd> {
@@ -209,8 +215,8 @@ impl ClusterFrontEnd {
 
     /// [`ClusterFrontEnd::start`] with an explicit backend-dial retry
     /// policy.
-    pub fn start_with_retry(
-        listener: TcpListenerNb,
+    pub fn start_with_retry<L: Listener>(
+        listener: L,
         backends: Vec<String>,
         balancing: Balancing,
         retry: RetryPolicy,
@@ -227,48 +233,23 @@ impl ClusterFrontEnd {
     /// [`ClusterFrontEnd::start_with_retry`] with a request-timeline
     /// tracer. Each relayed session gets a process-unique trace id keyed
     /// by the client's peer label, plus a correlation link carrying the
-    /// relay's local address on the backend dial — the label the backend
-    /// N-Server sees as that connection's peer, which is how timeline
+    /// backend leg's label — the label the backend N-Server sees as that
+    /// connection's peer ([`Listener::dial`]), which is how timeline
     /// assembly joins the two tiers. Tracing is purely internal: the
     /// relayed byte stream is unchanged in either direction.
-    pub fn start_traced(
-        listener: TcpListenerNb,
+    pub fn start_traced<L: Listener>(
+        listener: L,
         backends: Vec<String>,
         balancing: Balancing,
         retry: RetryPolicy,
         tracer: DebugTracer,
     ) -> io::Result<ClusterFrontEnd> {
-        if backends.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "cluster front end needs at least one backend",
-            ));
-        }
+        let relay = Relay::new(listener, backends, balancing, retry, tracer.clone())?;
         let stop = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(RelayStats::default());
-        let local_label = listener.local_label();
-        let mut poller = TcpPoller::new()?;
-        listener.register_listener(&mut poller)?;
+        let (local_label, stats) = (relay.listener.local_label(), Arc::clone(&relay.stats));
         // Held by the handle so shutdown can pull the relay thread out of
         // its blocking wait.
-        let waker = poller.waker();
-        let relay = Relay {
-            listener,
-            poller,
-            per_backend: vec![0; backends.len()],
-            backends,
-            balancing,
-            retry,
-            stats: Arc::clone(&stats),
-            tracer: tracer.clone(),
-            sessions: HashMap::new(),
-            parked: HashMap::new(),
-            deadlines: Deadlines::default(),
-            next_rr: 0,
-            next_key: 1,
-            buf: vec![0u8; 16 * 1024],
-            events: Vec::new(),
-        };
+        let waker = relay.poller.waker();
         let thread = {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
@@ -284,6 +265,18 @@ impl ClusterFrontEnd {
             stats,
             tracer,
         })
+    }
+
+    /// The relay [`ClusterFrontEnd::start_traced`] starts, to be stepped
+    /// on the calling thread instead ([`Relay::settle`]).
+    pub fn stepped<L: Listener>(
+        listener: L,
+        backends: Vec<String>,
+        balancing: Balancing,
+        retry: RetryPolicy,
+        tracer: DebugTracer,
+    ) -> io::Result<Relay<L>> {
+        Relay::new(listener, backends, balancing, retry, tracer)
     }
 
     /// The front end's listen address.
@@ -303,12 +296,8 @@ impl ClusterFrontEnd {
     }
 
     /// Stop relaying and join the relay thread; live connections close.
-    pub fn shutdown(mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        self.waker.wake();
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    pub fn shutdown(self) {
+        // The drop does both.
     }
 }
 
@@ -346,19 +335,23 @@ fn choose_index(balancing: Balancing, per_backend: &[usize], next_rr: &mut usize
 }
 
 /// The relay's event loop: its sockets, its timers, and what one pass
-/// leaves for the next.
-struct Relay {
-    listener: TcpListenerNb,
-    poller: TcpPoller,
+/// leaves for the next. A [`ClusterFrontEnd`] runs one on its own thread;
+/// [`ClusterFrontEnd::stepped`] hands one to the caller, to be stepped on
+/// its thread at the instants it is given — a world steps it beside
+/// stepped backends, on their clock. Dropping it closes every socket it
+/// holds.
+pub struct Relay<L: Listener> {
+    listener: L,
+    poller: L::Poller,
     backends: Vec<String>,
     balancing: Balancing,
     retry: RetryPolicy,
     stats: Arc<RelayStats>,
     tracer: DebugTracer,
-    sessions: HashMap<u64, Session>,
-    /// Clients whose backend dial failed, under the key their session
-    /// will have; each holds one `Wake::Dial` until it is retried.
-    parked: HashMap<u64, PendingDial>,
+    sessions: HashMap<u64, Session<L::Stream>>,
+    /// Clients without a session, under the key their session will have;
+    /// each holds one `Wake::Dial` until it is retried.
+    parked: HashMap<u64, PendingDial<L::Stream>>,
     deadlines: Deadlines<Wake>,
     per_backend: Vec<usize>,
     next_rr: usize,
@@ -366,21 +359,87 @@ struct Relay {
     buf: Vec<u8>,
     /// What the last wait reported ready.
     events: Vec<PollEvent>,
+    /// Sessions whose last pump left bytes unread: served by the next
+    /// pass whether or not the poller reports them again (the in-memory
+    /// poller reports a source once per arrival, not while it is full).
+    backlog: Vec<u64>,
+    /// What the last stepped pass returned: the time left to the next
+    /// timer.
+    sleep: Option<Duration>,
 }
 
-impl Relay {
-    /// Passes and waits until `stop` is raised; then every socket closes.
+impl<L: Listener> Relay<L> {
+    fn new(
+        listener: L,
+        backends: Vec<String>,
+        balancing: Balancing,
+        retry: RetryPolicy,
+        tracer: DebugTracer,
+    ) -> io::Result<Self> {
+        if backends.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "cluster front end needs at least one backend",
+            ));
+        }
+        let mut poller = L::new_poller()?;
+        listener.register_listener(&mut poller)?;
+        Ok(Relay {
+            listener,
+            poller,
+            per_backend: vec![0; backends.len()],
+            backends,
+            balancing,
+            retry,
+            stats: Arc::default(),
+            tracer,
+            sessions: HashMap::new(),
+            parked: HashMap::new(),
+            deadlines: Deadlines::default(),
+            next_rr: 0,
+            next_key: 1,
+            buf: vec![0u8; 16 * 1024],
+            events: Vec::new(),
+            backlog: Vec::new(),
+            sleep: None,
+        })
+    }
+
+    /// Run the relay at `now` until it is still: rounds of a wait that
+    /// does not block and a pass, until one in which no socket was ready,
+    /// no timer was due and no session was left with bytes unread.
+    /// Returns whether any round did work.
+    pub fn settle(&mut self, now: Instant) -> bool {
+        let mut worked = false;
+        loop {
+            self.wait(Some(Duration::ZERO));
+            let due = self.deadlines.next().is_some_and(|(at, _)| at <= now);
+            let ready = !self.events.is_empty();
+            self.sleep = self.pass(|| now);
+            if !ready && !due && self.sleep != Some(Duration::ZERO) {
+                return worked;
+            }
+            worked = true;
+        }
+    }
+
+    /// The time left, as of the last settle, to the relay's next timer:
+    /// a parked dial's retry or a lingering session's reap.
+    pub fn next_timer(&self) -> Option<Duration> {
+        self.sleep
+    }
+
+    /// Statistics snapshot source.
+    pub fn stats(&self) -> &RelayStats {
+        &self.stats
+    }
+
+    /// Passes and waits until `stop` is raised; the drop then closes
+    /// every socket.
     fn run(mut self, stop: &AtomicBool) {
         while !stop.load(Ordering::Relaxed) {
             let sleep = self.pass(WALL);
             self.wait(sleep);
-        }
-        for (_, mut s) in self.sessions.drain() {
-            s.client.shutdown();
-            s.backend.shutdown();
-        }
-        for (_, mut p) in self.parked.drain() {
-            p.client.shutdown();
         }
     }
 
@@ -392,14 +451,16 @@ impl Relay {
         }
     }
 
-    /// One pass over what the last wait reported: accept and dial, shuttle
-    /// bytes, act on the timers that came due. It never blocks, and it
-    /// reads time only from `clock`, at most once. Returns how long the
-    /// loop may sleep until the queue's head.
+    /// One pass over what the last wait reported and what the last pass
+    /// left unread: accept and dial, open the sessions whose dial
+    /// finished, shuttle bytes, act on the timers that came due. It never
+    /// blocks, and it reads time only from `clock`, at most once. Returns
+    /// how long the loop may sleep until the queue's head; zero while a
+    /// session has bytes left unread.
     fn pass(&mut self, mut clock: impl FnMut() -> Instant) -> Option<Duration> {
         let mut now = lazily(&mut clock);
         let mut accept_ready = false;
-        let mut touched: Vec<u64> = Vec::new();
+        let mut touched = std::mem::take(&mut self.backlog);
         for ev in self.events.drain(..) {
             if ev.token == LISTENER_TOKEN {
                 accept_ready = true;
@@ -410,8 +471,8 @@ impl Relay {
         touched.sort_unstable();
         touched.dedup();
 
-        // Accept and dial. A failed dial parks the client for a bounded
-        // retry against the next backend candidate instead of dropping it.
+        // Accept and dial: each client waits parked until its dial
+        // finishes, or fails and is retried against the next backend.
         if accept_ready {
             while let Ok(Some(client)) = self.listener.try_accept() {
                 let k = self.next_key;
@@ -419,87 +480,135 @@ impl Relay {
                 let index = choose_index(self.balancing, &self.per_backend, &mut self.next_rr);
                 let dial = PendingDial {
                     client,
+                    backend: None,
                     attempts_left: self.retry.attempts,
                     backoff: self.retry.backoff,
                     last_index: index,
                 };
-                if self.dial(k, dial, &mut now) {
-                    // Service once now: data may already be in flight.
-                    touched.push(k);
-                }
+                self.dial(k, dial, &mut now);
             }
         }
 
-        // Shuttle bytes on the sessions the poller flagged.
+        // A parked client's flagged socket is its connecting backend;
+        // a session's are its two legs.
         for k in touched {
-            self.shuttle(k, &mut now);
+            if self.parked.contains_key(&k) {
+                self.connected(k, &mut now);
+            } else {
+                self.shuttle(k, &mut now);
+            }
         }
 
-        // Time: retry parked dials whose backoff elapsed, and reap
-        // half-closed sessions whose still-open side never sent its own
-        // FIN inside the lingering window. A session arms its one reap
-        // once and keys are never reused, so a reap whose session
-        // finished is stale and dropped unread. Only these need a timed
-        // wake-up; otherwise the relay performs no periodic work at all.
-        Deadlines::sweep(
+        // Time: end parked dials' waits, and reap half-closed sessions
+        // whose still-open side never sent its own FIN inside the
+        // lingering window. A client holds its one dial wake-up while
+        // parked, and a session arms its one reap once; keys are never
+        // reused, so a wake-up whose owner moved on is stale and dropped
+        // unread. Only these need a timed wake-up; otherwise the relay
+        // performs no periodic work at all.
+        let sleep = Deadlines::sweep(
             self,
             |r| &mut r.deadlines,
             now,
-            |r, (_, wake)| !matches!(wake, Wake::Reap(k) if !r.sessions.contains_key(&k)),
+            |r, (_, wake)| match wake {
+                Wake::Dial(k) => r.parked.contains_key(&k),
+                Wake::Reap(k) => r.sessions.contains_key(&k),
+            },
             |r, wake, now| match wake {
                 Wake::Reap(k) => {
                     if let Some(s) = r.sessions.remove(&k) {
                         r.teardown(k, s);
                     }
                 }
-                // Rotate to the next backend, so a single dead peer
-                // cannot absorb every attempt.
+                // Give up on a dial still connecting, then rotate to the
+                // next backend, so a single dead peer cannot absorb
+                // every attempt.
                 Wake::Dial(k) => {
                     let mut dial = r.parked.remove(&k).expect("a parked dial");
+                    if dial.backend.is_some() && !r.failed(k, &mut dial) {
+                        return;
+                    }
                     r.stats.dial_retries.fetch_add(1, Ordering::Relaxed);
                     dial.last_index = (dial.last_index + 1) % r.backends.len();
                     dial.backoff *= 2;
-                    r.dial(k, dial, &mut || now);
+                    r.dial(k, dial, || now);
                 }
             },
-        )
+        );
+        match self.backlog.is_empty() {
+            true => sleep,
+            false => Some(Duration::ZERO),
+        }
     }
 
-    /// Dial backend `last_index` for client `k`. Returns whether its
-    /// session opened; if not, the client is parked for its next attempt
-    /// `backoff` from now, or fails when it has none left.
-    fn dial(&mut self, k: u64, mut dial: PendingDial, now: &mut impl FnMut() -> Instant) -> bool {
-        let index = dial.last_index;
-        let Ok(backend) = TcpStreamNb::connect(&self.backends[index]) else {
-            dial.attempts_left = dial.attempts_left.saturating_sub(1);
-            if dial.attempts_left == 0 {
-                self.stats.backend_failures.fetch_add(1, Ordering::Relaxed);
-                dial.client.shutdown();
-            } else {
-                self.deadlines.arm(now() + dial.backoff, Wake::Dial(k));
+    /// Dial backend `last_index` for client `k` and park the client until
+    /// the dial finishes ([`Relay::connected`]) or `backoff` from now,
+    /// when a dial still connecting is given up and the next backend is
+    /// tried. A refused dial waits out the backoff the same way.
+    fn dial(&mut self, k: u64, mut dial: PendingDial<L::Stream>, now: impl FnOnce() -> Instant) {
+        match self.listener.dial(&self.backends[dial.last_index]) {
+            Ok(backend) => {
+                let _ = self
+                    .poller
+                    .register(2 * k + 1, &backend, Interest::WRITABLE);
+                dial.backend = Some(backend);
+            }
+            Err(_) => {
+                if !self.failed(k, &mut dial) {
+                    return;
+                }
+            }
+        }
+        self.deadlines.arm(now() + dial.backoff, Wake::Dial(k));
+        self.parked.insert(k, dial);
+    }
+
+    /// Count client `k`'s dial as failed and close its backend socket.
+    /// Returns whether the client has an attempt left; if not, it is
+    /// closed.
+    fn failed(&mut self, k: u64, dial: &mut PendingDial<L::Stream>) -> bool {
+        if let Some(backend) = dial.backend.take() {
+            let _ = self.poller.deregister(2 * k + 1, &backend);
+        }
+        dial.attempts_left = dial.attempts_left.saturating_sub(1);
+        if dial.attempts_left == 0 {
+            self.stats.backend_failures.fetch_add(1, Ordering::Relaxed);
+            dial.client.shutdown();
+        }
+        dial.attempts_left > 0
+    }
+
+    /// Parked client `k`'s connecting backend polled writable: its
+    /// connect finished. An empty write tells how: the session opens, or
+    /// the failed dial waits out its backoff like a refused one.
+    fn connected(&mut self, k: u64, now: &mut impl FnMut() -> Instant) {
+        let mut dial = self.parked.remove(&k).expect("parked");
+        let Some(backend) = dial.backend.take_if(|b| b.try_write(&[]).is_ok()) else {
+            // A stale event (the dial failed already), or a failed dial.
+            if dial.backend.is_none() || self.failed(k, &mut dial) {
                 self.parked.insert(k, dial);
             }
-            return false;
+            return;
         };
+        let (client, index) = (dial.client, dial.last_index);
         self.per_backend[index] += 1;
         self.stats.connections.fetch_add(1, Ordering::Relaxed);
         // Into the trace ring: the conn under the client's peer label,
-        // linked to the backend socket's local address (the backend
-        // tier's peer label for it), and the accept instant.
+        // linked to the backend leg's (the backend tier's peer label for
+        // it), and the accept instant.
         if self.tracer.is_enabled() {
-            self.tracer.conn_open(k, &dial.client.peer_label());
-            self.tracer.link(k, backend.local_label());
+            self.tracer.conn_open(k, &client.peer_label());
+            self.tracer.link(k, backend.peer_label());
             self.tracer.span(SpanEvent::Accept, k);
         }
+        let _ = self.poller.register(2 * k, &client, Interest::READABLE);
         let _ = self
             .poller
-            .register(2 * k, &dial.client, Interest::READABLE);
-        let _ = self
-            .poller
-            .register(2 * k + 1, &backend, Interest::READABLE);
+            .reregister(2 * k + 1, &backend, Interest::READABLE);
         self.sessions
-            .insert(k, Session::new(dial.client, backend, index));
-        true
+            .insert(k, Session::new(client, backend, index));
+        // Service once now: data may already be in flight.
+        self.shuttle(k, now);
     }
 
     /// Move session `k`'s bytes both ways, propagate a finished
@@ -508,12 +617,15 @@ impl Relay {
         let Some(s) = self.sessions.get_mut(&k) else {
             return; // a stale event for a finished session
         };
-        s.pump(true, &mut self.buf, &self.stats.bytes_upstream);
-        s.pump(false, &mut self.buf, &self.stats.bytes_downstream);
+        let up = s.pump(true, &mut self.buf, &self.stats.bytes_upstream);
+        let down = s.pump(false, &mut self.buf, &self.stats.bytes_downstream);
         if self.tracer.is_enabled() && (s.io_reads | s.io_writes) != 0 {
             self.tracer.syscalls(k, s.io_reads, s.io_writes);
             s.io_reads = 0;
             s.io_writes = 0;
+        }
+        if up || down {
+            self.backlog.push(k);
         }
         // A finished direction propagates as a half-close (FIN after the
         // drained relay bytes), never as an immediate full close: closing
@@ -562,7 +674,7 @@ impl Relay {
     }
 
     /// Deregister and fully close a finished (or reaped) session.
-    fn teardown(&mut self, k: u64, mut s: Session) {
+    fn teardown(&mut self, k: u64, mut s: Session<L::Stream>) {
         if self.tracer.is_enabled() {
             if (s.io_reads | s.io_writes) != 0 {
                 self.tracer.syscalls(k, s.io_reads, s.io_writes);
@@ -581,8 +693,9 @@ impl Relay {
 mod tests {
     use super::*;
     use crate::options::ServerOptions;
-    use crate::pipeline::{Action, Codec, ConnCtx, ProtocolError, Service};
+    use crate::pipeline::{Action, Codec, ConnCtx, ProtocolError, RawCodec, Service};
     use crate::server::{ServerBuilder, ServerHandle};
+    use crate::transport::{mem, TcpListenerNb};
     use std::io::{Read, Write};
     use std::net::TcpStream;
     use std::time::Duration;
@@ -839,28 +952,13 @@ mod tests {
         front.shutdown();
     }
 
+    type TcpRelay = Relay<TcpListenerNb>;
+
     /// A relay over `backends`, round-robin, stepped by the test thread.
-    fn stepped_relay(backends: Vec<String>, retry: RetryPolicy) -> Relay {
+    fn stepped_relay(backends: Vec<String>, retry: RetryPolicy) -> TcpRelay {
         let listener = TcpListenerNb::bind("127.0.0.1:0").unwrap();
-        let mut poller = TcpPoller::new().unwrap();
-        listener.register_listener(&mut poller).unwrap();
-        Relay {
-            listener,
-            poller,
-            per_backend: vec![0; backends.len()],
-            backends,
-            balancing: Balancing::RoundRobin,
-            retry,
-            stats: Arc::default(),
-            tracer: DebugTracer::disabled(),
-            sessions: HashMap::new(),
-            parked: HashMap::new(),
-            deadlines: Deadlines::default(),
-            next_rr: 0,
-            next_key: 1,
-            buf: vec![0u8; 16 * 1024],
-            events: Vec::new(),
-        }
+        let tracer = DebugTracer::disabled();
+        Relay::new(listener, backends, Balancing::RoundRobin, retry, tracer).unwrap()
     }
 
     /// Step `relay` on a virtual clock that reads `at` — a wait that does
@@ -868,9 +966,9 @@ mod tests {
     /// return that pass's sleep. Loopback delivery is not synchronous
     /// with the test thread, so a step may find nothing ready yet.
     fn step_until(
-        relay: &mut Relay,
+        relay: &mut TcpRelay,
         at: Instant,
-        done: impl Fn(&Relay) -> bool,
+        done: impl Fn(&TcpRelay) -> bool,
     ) -> Option<Duration> {
         for _ in 0..1_000_000 {
             relay.wait(Some(Duration::ZERO));
@@ -883,7 +981,7 @@ mod tests {
     }
 
     /// One step at `at`.
-    fn step(relay: &mut Relay, at: Instant) -> Option<Duration> {
+    fn step(relay: &mut TcpRelay, at: Instant) -> Option<Duration> {
         step_until(relay, at, |_| true)
     }
 
@@ -901,7 +999,7 @@ mod tests {
         let mut c = TcpStream::connect(relay.listener.local_label()).unwrap();
         c.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         c.write_all(b"hold\n").unwrap();
-        let upstream = |r: &Relay| r.stats.bytes_upstream.load(Ordering::Relaxed) == 5;
+        let upstream = |r: &TcpRelay| r.stats.bytes_upstream.load(Ordering::Relaxed) == 5;
         assert_eq!(step_until(&mut relay, t0, upstream), None);
         let (mut b, _) = backend.accept().unwrap();
         b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
@@ -912,7 +1010,7 @@ mod tests {
 
         // The reply and the backend's FIN reach the client at t1.
         let t1 = t0 + Duration::from_millis(3);
-        let fin = |r: &Relay| r.sessions.get(&1).is_some_and(|s| s.fin_to_client);
+        let fin = |r: &TcpRelay| r.sessions.get(&1).is_some_and(|s| s.fin_to_client);
         assert_eq!(step_until(&mut relay, t1, fin), Some(LINGER));
         let mut reply = Vec::new();
         c.read_to_end(&mut reply).unwrap();
@@ -936,11 +1034,11 @@ mod tests {
             backoff,
         };
         let mut relay = stepped_relay(backends, retry);
-        let retries = |r: &Relay| r.stats.dial_retries.load(Ordering::Relaxed);
+        let retries = |r: &TcpRelay| r.stats.dial_retries.load(Ordering::Relaxed);
         let t0 = Instant::now();
         let _c = TcpStream::connect(relay.listener.local_label()).unwrap();
         // Backend 0 refuses the dial at t0: parked until t0 + backoff.
-        let parked = |r: &Relay| !r.parked.is_empty();
+        let parked = |r: &TcpRelay| !r.parked.is_empty();
         assert_eq!(step_until(&mut relay, t0, parked), Some(backoff));
         assert_eq!(step(&mut relay, t0 + backoff - NS), Some(NS));
         assert_eq!(retries(&relay), 0, "retried early");
@@ -949,11 +1047,124 @@ mod tests {
         assert_eq!((retries(&relay), relay.parked[&1].last_index), (1, 1));
         assert_eq!(step(&mut relay, t0 + 3 * backoff - NS), Some(NS));
         assert_eq!(retries(&relay), 1, "retried early");
-        // Backend 2 answers: the session opens, and no timer is left.
-        assert_eq!(step(&mut relay, t0 + 3 * backoff), None);
+        // Backend 2 answers: the session opens at the next pass that sees
+        // the dial writable, and no timer is left.
+        let open = |r: &TcpRelay| r.sessions.contains_key(&1);
+        assert_eq!(step_until(&mut relay, t0 + 3 * backoff, open), None);
         assert_eq!(retries(&relay), 2);
         assert_eq!(relay.sessions[&1].backend_index, 2);
         assert_eq!(relay.stats.backend_failures.load(Ordering::Relaxed), 0);
+    }
+
+    /// A backend whose accept queue is full drops the relay's SYN, so
+    /// its dial stays connecting. The relay keeps serving the sessions it
+    /// has, and when the dial's backoff runs out it rotates to the next
+    /// backend.
+    #[test]
+    fn a_dial_to_a_full_accept_queue_stops_no_session() {
+        let live = backend("live");
+        let full = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let full_addr = full.local_addr().unwrap();
+        // Fill its queue: the connect that times out found it full.
+        let mut queued = Vec::new();
+        while let Ok(c) = TcpStream::connect_timeout(&full_addr, Duration::from_millis(20)) {
+            queued.push(c);
+            assert!(queued.len() <= 8192, "the accept queue never filled");
+        }
+        let began = Instant::now();
+        let front = ClusterFrontEnd::start_with_retry(
+            TcpListenerNb::bind("127.0.0.1:0").unwrap(),
+            vec![live.local_label().to_string(), full_addr.to_string()],
+            Balancing::RoundRobin,
+            RetryPolicy {
+                attempts: 3,
+                backoff: Duration::from_millis(200),
+            },
+        )
+        .unwrap();
+        let connect = || {
+            let c = TcpStream::connect(front.local_label()).unwrap();
+            c.set_read_timeout(Some(Duration::from_millis(500)))
+                .unwrap();
+            c
+        };
+        let echo = |c: &mut TcpStream, msg: &str| {
+            c.write_all(format!("{msg}\n").as_bytes()).unwrap();
+            let mut got = Vec::new();
+            let mut buf = [0u8; 64];
+            while !got.ends_with(b"\n") {
+                match c.read(&mut buf) {
+                    Ok(n) if n > 0 => got.extend_from_slice(&buf[..n]),
+                    other => panic!("{msg}: no echo: {other:?}"),
+                }
+            }
+            String::from_utf8(got).unwrap()
+        };
+        let mut a = connect();
+        assert_eq!(echo(&mut a, "a1"), "live:a1\n");
+        // B is dialed to the full backend, and stays connecting.
+        let mut b = connect();
+        b.write_all(b"b\n").unwrap();
+        assert_eq!(echo(&mut a, "a2"), "live:a2\n");
+        assert_eq!(front.stats().dial_retries.load(Ordering::Relaxed), 0);
+        b.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
+        let mut reply = [0u8; 7];
+        b.read_exact(&mut reply).unwrap();
+        assert_eq!(&reply, b"live:b\n", "served by the live backend");
+        assert_eq!(front.stats().dial_retries.load(Ordering::Relaxed), 1);
+        assert_eq!(front.stats().backend_failures.load(Ordering::Relaxed), 0);
+        assert!(
+            began.elapsed() < Duration::from_secs(1),
+            "{:?}",
+            began.elapsed()
+        );
+        drop((a, b, queued));
+        front.shutdown();
+        live.shutdown();
+    }
+
+    /// Answers any request with its message.
+    struct Bulk(Vec<u8>);
+
+    impl Service<RawCodec> for Bulk {
+        fn handle(&self, _: &ConnCtx, _: Vec<u8>) -> Action<Vec<u8>> {
+            Action::Reply(self.0.clone())
+        }
+    }
+
+    /// A 200 KiB reply, larger than one pass reads (4 × 16 KiB), through
+    /// a stepped relay over the in-memory transport, whose poller reports
+    /// a pipe once per arrival: the relay serves what it left unread at
+    /// its next pass, and the message arrives whole.
+    #[test]
+    fn stepped_relay_over_mem_relays_what_one_pass_leaves_unread() {
+        let (front, front_connector) = mem::listener("front");
+        let (backend, backend_connector) = mem::listener("backend");
+        front_connector.route("backend", &backend_connector);
+        let message: Vec<u8> = (0..200 * 1024).map(|i| (i % 251) as u8).collect();
+        let mut server =
+            ServerBuilder::new(ServerOptions::default(), RawCodec, Bulk(message.clone()))
+                .unwrap()
+                .stepped(backend);
+        let mut relay = ClusterFrontEnd::stepped(
+            front,
+            vec!["backend".to_string()],
+            Balancing::RoundRobin,
+            RetryPolicy::default(),
+            DebugTracer::disabled(),
+        )
+        .unwrap();
+        let mut client = front_connector.connect();
+        client.try_write(b"go").unwrap();
+        let now = Instant::now();
+        while server.settle() | relay.settle(now) {}
+        let (mut got, mut buf) = (Vec::new(), vec![0u8; 64 * 1024]);
+        while let ReadOutcome::Data(n) = client.try_read(&mut buf).unwrap() {
+            got.extend_from_slice(&buf[..n]);
+        }
+        assert_eq!(got.len(), message.len());
+        assert!(got == message, "the reply differs");
+        assert_eq!(relay.next_timer(), None, "a session opened, no dial waits");
     }
 
     #[test]

@@ -441,6 +441,12 @@ impl AcceptHook for FaultPlan {
             other => other,
         }))
     }
+
+    /// A dialed socket runs clean: the plan numbers its profiles and
+    /// failures by accept, and a dial is none.
+    fn dialed<S: StreamIo>(&self, _: &str, _: &mut S) -> io::Result<FaultConn> {
+        Ok(FaultConn::new(FaultProfile::Clean))
+    }
 }
 
 /// `listener` under `plan`: the fault layer of a transport stack.

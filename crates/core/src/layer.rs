@@ -25,7 +25,8 @@
 //! drift apart, whatever fails underneath. A data listener
 //! ([`Listener::data_listener`]) numbers nothing: each layer's hook hears
 //! its accepts as [`AcceptHook::data_accepted`], with the control
-//! connection and ordinal the listener was opened for.
+//! connection and ordinal the listener was opened for. Nor does a dial
+//! ([`Listener::dial`]): each layer's hook hears it as [`AcceptHook::dialed`].
 
 use std::fmt;
 use std::io::{self, IoSlice};
@@ -125,6 +126,15 @@ pub trait AcceptHook: Clone + Send + 'static {
     ) -> io::Result<Self::Conn> {
         let _ = (control, ordinal);
         self.accepted(0, Ok(stream))
+    }
+
+    /// The listener dialed `peer` ([`Listener::dial`]) and got `stream`,
+    /// perhaps still connecting. Return its hook, or an error to fail the
+    /// dial (`stream` is dropped). By default it is hooked as a primary
+    /// accept numbered 0, which no primary accept is.
+    fn dialed<S: StreamIo>(&self, peer: &str, stream: &mut S) -> io::Result<Self::Conn> {
+        let _ = peer;
+        self.clone().accepted(0, Ok(stream))
     }
 }
 
@@ -285,6 +295,12 @@ impl<L: Listener, H: AcceptHook> Listener for Layered<L, H> {
                 self.hook.clone(),
             )
         })
+    }
+
+    fn dial(&self, peer: &str) -> io::Result<Self::Stream> {
+        let mut inner = self.inner.dial(peer)?;
+        let hook = self.hook.dialed(peer, &mut inner)?;
+        Ok(Layered::new(inner, hook))
     }
 }
 
@@ -554,5 +570,65 @@ mod tests {
         // never an index a live connection carries.
         assert_eq!(log.accept_failures(), vec![2, 4]);
         assert!(plan.accept_fails(4) && !plan.accept_fails(2));
+    }
+
+    /// Refuses every dial; forwards everything else.
+    #[derive(Clone)]
+    struct RefuseDials;
+
+    impl AcceptHook for RefuseDials {
+        type Conn = ();
+        type Poll = ();
+        fn accepted<S: StreamIo>(&mut self, _: u64, stream: io::Result<&mut S>) -> io::Result<()> {
+            stream.map(|_| ())
+        }
+        fn dialed<S: StreamIo>(&self, peer: &str, _: &mut S) -> io::Result<()> {
+            Err(io::Error::new(
+                io::ErrorKind::PermissionDenied,
+                peer.to_string(),
+            ))
+        }
+    }
+
+    /// A dial reaches every layer's hook: under the fault layer it runs
+    /// clean and the tap traces it as a leg numbered 0, which numbers no
+    /// accept; a hook that fails it fails the dial, and the dialed stream
+    /// is closed.
+    #[test]
+    fn a_dial_reaches_every_layer_and_a_hook_may_fail_it() {
+        let (front, front_connector) = mem::listener("front");
+        let (mut backend, backend_connector) = mem::listener("backend");
+        front_connector.route("backend", &backend_connector);
+        let plan = FaultPlan {
+            accept_fail_every: 1,
+            corrupt_per_mille: 1000,
+            ..FaultPlan::new(3)
+        };
+        let log = TraceLog::new();
+        let stack = tap::layer(fault::layer(front.clone(), plan), log.clone());
+        let mut leg = stack.dial("backend").unwrap();
+        assert_eq!(leg.inner.hook().profile(), FaultProfile::Clean);
+        leg.try_write(b"up").unwrap();
+        let mut served = backend.try_accept().unwrap().expect("dialed");
+        let mut buf = [0u8; 8];
+        assert_eq!(served.try_read(&mut buf).unwrap(), ReadOutcome::Data(2));
+        let traces = log.snapshot();
+        assert_eq!(traces.len(), 1);
+        assert_eq!(
+            (traces[0].accept_index, &traces[0].peer),
+            (0, &served.peer_label())
+        );
+        assert_eq!(traces[0].outbound(), b"up");
+        assert_eq!(stack.accepted(), 0, "a dial numbers no accept");
+
+        let refusing = tap::layer(Layered::new(front, RefuseDials), log.clone());
+        let err = refusing.dial("backend").map(drop).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
+        let mut refused = backend
+            .try_accept()
+            .unwrap()
+            .expect("connected, then closed");
+        assert_eq!(refused.try_read(&mut buf).unwrap(), ReadOutcome::Closed);
+        assert_eq!(log.len(), 1, "the tap saw no dial");
     }
 }

@@ -58,18 +58,19 @@ impl<C: Codec, S: Service<C>, L: Listener> Stepped<C, S, L> {
     /// in index order, a wait that does not block and a pass at the
     /// clock's reading; then the pools run what is queued. Rounds repeat
     /// until one in which no wait reported readiness, no pass left a
-    /// backlog, no job ran and nothing woke a dispatcher.
+    /// backlog, no job ran and nothing woke a dispatcher. Returns whether
+    /// any round did work: `false` when the server was still already.
     ///
     /// # Panics
     ///
     /// When 10,000 rounds leave it with work: some pass or job makes work
     /// for the next round forever.
-    pub fn settle(&mut self) {
+    pub fn settle(&mut self) -> bool {
         let now = self.base + self.offset;
         let (engine, processor) = (&self.server.engine, &self.server.processor);
         let woken = || engine.syscalls.wakes.load(Ordering::Relaxed);
         let mut last = (false, 0, 0);
-        for _ in 0..ROUNDS {
+        for round in 0..ROUNDS {
             let (wakes, mut busy) = (woken(), false);
             for (d, sleep) in self.dispatchers.iter_mut().zip(&mut self.sleeps) {
                 // The dispatchers share this thread: each one's notifies
@@ -83,7 +84,7 @@ impl<C: Codec, S: Service<C>, L: Listener> Stepped<C, S, L> {
                 + engine.helper.as_ref().map_or(0, |h| h.run_queued());
             last = (busy, jobs, woken() - wakes);
             if last == (false, 0, 0) {
-                return;
+                return round > 0;
             }
         }
         let (ready, jobs, wakes) = last;

@@ -15,8 +15,9 @@
 //! the accept hook, opening a fresh trace per accepted stream under the
 //! adapter's accept ordinal — or, for a socket a data listener
 //! ([`Listener::data_listener`]) accepted, a child trace joined to its
-//! control connection's — and that trace's [`TraceHandle`] is the
-//! connection hook recording the I/O events. The poller is untouched.
+//! control connection's; for a stream the listener dialed (a relay's
+//! backend leg), a trace numbered 0 — and that trace's [`TraceHandle`] is
+//! the connection hook recording the I/O events. The poller is untouched.
 
 use std::io::{self, IoSlice};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -77,7 +78,8 @@ pub struct ConnTrace {
     /// same number every layer of the stack saw (so it indexes
     /// `FaultPlan::profile_for`). Data-connection traces inherit their
     /// parent's index so violations attribute to the control connection
-    /// that owns the transfer.
+    /// that owns the transfer; a dialed connection's trace
+    /// ([`Listener::dial`]) is numbered 0.
     pub accept_index: u64,
     /// Peer label reported by the transport.
     pub peer: String,
@@ -262,9 +264,10 @@ impl TraceLog {
     /// through. Returns `None` if no such primary trace exists yet.
     fn open_data(&self, control: ConnId, ordinal: u32, peer: &str) -> Option<TraceHandle> {
         let conns = self.conns.lock();
+        // A dialed connection's trace (numbered 0) is no control connection.
         let parent = conns
             .iter()
-            .filter(|t| t.lock().parent.is_none())
+            .filter(|t| matches!(*t.lock(), ConnTrace { parent: None, accept_index, .. } if accept_index != 0))
             .nth(usize::try_from(control.checked_sub(1)?).ok()?)?;
         let mut trace = {
             let p = parent.lock();

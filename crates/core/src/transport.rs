@@ -53,7 +53,9 @@ pub trait StreamIo: Send + 'static {
             None => Ok(0),
         }
     }
-    /// Human-readable peer identity (IP:port for TCP).
+    /// The connection's label: an accepted stream's peer address (IP:port
+    /// for TCP); a dialed stream carries the same label as its accepted
+    /// end, so both ends of one connection name it alike.
     fn peer_label(&self) -> String;
     /// Close the stream (idempotent). Closing while unread peer bytes
     /// sit in the receive queue makes a kernel transport answer with RST
@@ -206,6 +208,15 @@ pub trait Listener: Send + 'static {
         let _ = (control, ordinal);
         Err(io::ErrorKind::Unsupported.into())
     }
+    /// Connect to `peer`, a label a listener of this transport answers
+    /// to: the Connector half of Acceptor-Connector. It never blocks: the
+    /// stream is connected once a poller reports it writable, and a failed
+    /// connect fails its first write. TCP dials an address; mem, a label
+    /// its connector knows ([`mem::MemConnector::route`]). Else refused.
+    fn dial(&self, peer: &str) -> io::Result<Self::Stream> {
+        let _ = peer;
+        Err(io::ErrorKind::Unsupported.into())
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -307,6 +318,18 @@ impl Listener for TcpListenerNb {
     fn data_listener(&self, _: ConnId, _: u32) -> io::Result<Self> {
         Self::bind((self.inner.local_addr()?.ip(), 0))
     }
+
+    /// A non-blocking connect (`accept::dial`); on loopback a refusal
+    /// is already its error.
+    fn dial(&self, peer: &str) -> io::Result<TcpStreamNb> {
+        let inner = accept::dial(peer)?;
+        let peer = inner.local_addr()?.to_string();
+        Ok(TcpStreamNb {
+            inner,
+            peer,
+            open: true,
+        })
+    }
 }
 
 /// Non-blocking TCP stream.
@@ -317,16 +340,14 @@ pub struct TcpStreamNb {
 }
 
 impl TcpStreamNb {
-    /// Client-side connect (used by the Connector half of the
-    /// Acceptor-Connector pattern and by tests).
+    /// Blocking client-side connect (the generated Connector and tests;
+    /// an event loop dials with [`Listener::dial`]). Labelled as a dialed
+    /// stream is: with its own address, the label its peer accepts it by.
     pub fn connect(addr: impl ToSocketAddrs) -> io::Result<Self> {
         let inner = TcpStream::connect(addr)?;
         inner.set_nonblocking(true)?;
         let _ = inner.set_nodelay(true);
-        let peer = inner
-            .peer_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".into());
+        let peer = inner.local_addr()?.to_string();
         Ok(Self {
             inner,
             peer,
@@ -360,17 +381,6 @@ impl TcpStreamNb {
             }
             Err(e) => Err(e),
         }
-    }
-
-    /// The socket's local address label. For an outbound connection this
-    /// is what the accepting side sees as its peer label — the cluster
-    /// relay stamps it as a trace correlation link so front-end and
-    /// backend timelines join without any wire bytes.
-    pub fn local_label(&self) -> String {
-        self.inner
-            .local_addr()
-            .map(|a| a.to_string())
-            .unwrap_or_else(|_| "<unknown>".into())
     }
 }
 
@@ -564,14 +574,9 @@ mod epoll {
             Ok(())
         }
 
-        /// Register a raw fd (used for listeners, relay sockets and tests).
+        /// Register a raw fd (used for listeners and tests).
         pub fn add_fd(&mut self, token: u64, fd: i32, interest: Interest) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, interest_bits(interest), token)
-        }
-
-        /// Change a raw fd's interest set.
-        pub fn mod_fd(&mut self, token: u64, fd: i32, interest: Interest) -> io::Result<()> {
-            self.ctl(EPOLL_CTL_MOD, fd, interest_bits(interest), token)
         }
 
         /// Remove a raw fd.
@@ -608,7 +613,7 @@ mod epoll {
             stream: &TcpStreamNb,
             interest: Interest,
         ) -> io::Result<()> {
-            self.mod_fd(token, stream.fd(), interest)
+            self.ctl(EPOLL_CTL_MOD, stream.fd(), interest_bits(interest), token)
         }
 
         fn deregister(&mut self, token: u64, stream: &TcpStreamNb) -> io::Result<()> {
@@ -665,7 +670,7 @@ mod epoll {
 pub mod mem {
     use super::*;
     use parking_lot::{Condvar, Mutex};
-    use std::collections::{HashSet, VecDeque};
+    use std::collections::{HashMap, HashSet, VecDeque};
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
     use std::sync::{Arc, Weak};
     use std::time::Instant;
@@ -681,19 +686,10 @@ pub mod mem {
         watchers: Vec<WatchEntry>,
     }
 
-    impl Pipe {
-        /// Notify every live watcher that this pipe became readable;
-        /// prunes watchers whose poller is gone.
-        fn notify(&mut self) {
-            self.watchers
-                .retain(|(shared, token)| match shared.upgrade() {
-                    Some(shared) => {
-                        shared.mark_ready(*token);
-                        true
-                    }
-                    None => false,
-                });
-        }
+    /// Tell every live watcher that its source became readable; prune
+    /// those whose poller is gone.
+    fn notify(watchers: &mut Vec<WatchEntry>) {
+        watchers.retain(|(shared, token)| shared.upgrade().map(|s| s.mark_ready(*token)).is_some());
     }
 
     struct PollState {
@@ -778,7 +774,7 @@ pub mod mem {
                 let mut read = self.read.lock();
                 read.buf.clear();
                 read.closed = true;
-                read.notify();
+                notify(&mut read.watchers);
                 return Err(io::Error::new(io::ErrorKind::BrokenPipe, "peer closed"));
             }
             let before = pipe.buf.len();
@@ -787,7 +783,7 @@ pub mod mem {
             }
             let n = pipe.buf.len() - before;
             if n > 0 {
-                pipe.notify();
+                notify(&mut pipe.watchers);
             }
             Ok(n)
         }
@@ -806,14 +802,14 @@ pub mod mem {
             let mut read = self.read.lock();
             let rst = !read.buf.is_empty();
             read.closed = true;
-            read.notify();
+            notify(&mut read.watchers);
             drop(read);
             let mut write = self.write.lock();
             if rst && !write.closed {
                 write.buf.clear();
             }
             write.closed = true;
-            write.notify();
+            notify(&mut write.watchers);
         }
 
         fn shutdown_write(&mut self) {
@@ -822,7 +818,7 @@ pub mod mem {
             // a lingering close can keep discarding late arrivals.
             let mut write = self.write.lock();
             write.closed = true;
-            write.notify();
+            notify(&mut write.watchers);
         }
     }
 
@@ -839,23 +835,13 @@ pub mod mem {
 
     /// The queue a [`MemListener`] accepts from, shared with its
     /// [`MemConnector`]; watched the same way pipes are.
+    #[derive(Default)]
     struct Inbox {
         queue: VecDeque<MemStream>,
         watchers: Vec<WatchEntry>,
         on_data: Option<OnData>,
-    }
-
-    impl Inbox {
-        fn notify(&mut self) {
-            self.watchers
-                .retain(|(shared, token)| match shared.upgrade() {
-                    Some(shared) => {
-                        shared.mark_ready(*token);
-                        true
-                    }
-                    None => false,
-                });
-        }
+        /// The labels the listener can dial ([`MemConnector::route`]).
+        routes: HashMap<String, MemConnector>,
     }
 
     /// An in-memory listener fed by a [`MemConnector`]. A clone accepts
@@ -876,11 +862,7 @@ pub mod mem {
 
     /// Create a listener and its connector.
     pub fn listener(label: &str) -> (MemListener, MemConnector) {
-        let incoming = Arc::new(Mutex::new(Inbox {
-            queue: VecDeque::new(),
-            watchers: Vec::new(),
-            on_data: None,
-        }));
+        let incoming = Arc::new(Mutex::new(Inbox::default()));
         (
             MemListener {
                 incoming: Arc::clone(&incoming),
@@ -894,13 +876,15 @@ pub mod mem {
     }
 
     impl MemConnector {
-        /// Establish a connection; returns the client-side stream.
+        /// Establish a connection; returns the client-side stream. Both
+        /// ends carry the label the listener's accept sees as its peer.
         pub fn connect(&self) -> MemStream {
             let id = self.counter.fetch_add(1, Relaxed) + 1;
-            let (client, server) = pair(&format!("client-{id}"), &format!("peer-{id}"));
+            let label = format!("peer-{id}");
+            let (client, server) = pair(&label, &label);
             let mut inbox = self.incoming.lock();
             inbox.queue.push_back(server);
-            inbox.notify();
+            notify(&mut inbox.watchers);
             client
         }
 
@@ -909,6 +893,14 @@ pub mod mem {
         /// as it opens: without it nothing can reach a data listener.
         pub fn on_data(&self, f: impl Fn(ConnId, u32, MemConnector) + Send + Sync + 'static) {
             self.incoming.lock().on_data = Some(Arc::new(f));
+        }
+
+        /// Let the listener dial `label` ([`Listener::dial`]), reaching the
+        /// listener `peer` connects to. The table is this connector's own:
+        /// worlds built side by side share no label.
+        pub fn route(&self, label: &str, peer: &MemConnector) {
+            let mut inbox = self.incoming.lock();
+            inbox.routes.insert(label.to_string(), peer.clone());
         }
     }
 
@@ -958,6 +950,12 @@ pub mod mem {
                 f(control, ordinal, connector);
             }
             Ok(child)
+        }
+
+        fn dial(&self, peer: &str) -> io::Result<MemStream> {
+            let route = self.incoming.lock().routes.get(peer).cloned();
+            let refused = || io::Error::new(io::ErrorKind::ConnectionRefused, peer.to_string());
+            route.map(|to| to.connect()).ok_or_else(refused)
         }
     }
 
@@ -1249,6 +1247,43 @@ mod tests {
             }
         }
         assert!(closed);
+    }
+
+    /// On loopback a dial has settled when it returns: a live listener's
+    /// stream is open and carries the label the accept sees as its peer;
+    /// a port nobody listens on is refused at once.
+    #[test]
+    fn tcp_dial_on_loopback_is_open_or_refused_as_it_returns() {
+        let mut l = TcpListenerNb::bind("127.0.0.1:0").unwrap();
+        let mut dialed = l.dial(&l.local_label()).unwrap();
+        assert_eq!(dialed.try_write(b"hi").unwrap(), 2, "open at once");
+        let mut server = None;
+        while server.is_none() {
+            server = l.try_accept().unwrap();
+        }
+        assert_eq!(server.unwrap().peer_label(), dialed.peer_label());
+        let refused = l.dial("127.0.0.1:1").map(drop).map_err(|e| e.kind());
+        assert_eq!(refused, Err(io::ErrorKind::ConnectionRefused));
+    }
+
+    #[test]
+    fn mem_dial_reaches_a_routed_label_and_refuses_any_other() {
+        let (front, front_connector) = mem::listener("front");
+        let (mut backend, backend_connector) = mem::listener("backend");
+        let refused = |label| front.dial(label).map(drop).map_err(|e| e.kind());
+        assert_eq!(refused("backend"), Err(io::ErrorKind::ConnectionRefused));
+        front_connector.route("backend", &backend_connector);
+        let mut dialed = front.dial("backend").unwrap();
+        let mut accepted = backend.try_accept().unwrap().expect("queued");
+        assert_eq!(accepted.peer_label(), dialed.peer_label());
+        dialed.try_write(b"ping").unwrap();
+        let mut buf = [0u8; 8];
+        assert_eq!(accepted.try_read(&mut buf).unwrap(), ReadOutcome::Data(4));
+        assert_eq!(refused("nobody"), Err(io::ErrorKind::ConnectionRefused));
+        // The table is the connector's: another world knows no label.
+        let (other, _) = mem::listener("front");
+        let other = other.dial("backend").map(drop).map_err(|e| e.kind());
+        assert_eq!(other, Err(io::ErrorKind::ConnectionRefused));
     }
 
     // --- Demultiplexer tests ---------------------------------------------

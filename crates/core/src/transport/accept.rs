@@ -4,10 +4,12 @@
 //! connection three — `accept4`, `ioctl(FIONBIO)`, `setsockopt` — so
 //! `accept4(SOCK_NONBLOCK | SOCK_CLOEXEC)` and the listener's
 //! `TCP_NODELAY` (accepted sockets inherit it) are called straight through
-//! the C library, as `epoll` is.
+//! the C library, as `epoll` is. So is a dial, whose `connect` must not
+//! wait out the handshake: a backend whose accept queue is full drops the
+//! SYN, and a blocking one waits for the kernel's retries, up to ~2 min.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 
 /// Make `listener` ready for [`accept`]: set the `TCP_NODELAY` its
 /// accepted sockets will inherit.
@@ -21,17 +23,29 @@ pub(super) fn accept(listener: &TcpListener) -> io::Result<(TcpStream, SocketAdd
     linux::accept(super::raw_fd(listener))
 }
 
+/// Start connecting to the first address `peer` resolves to, non-blocking
+/// and `TCP_NODELAY`. The stream may still be connecting (`EINPROGRESS`);
+/// it completes when it polls writable, and its first write then reports
+/// a failed connect. On loopback the kernel has answered by the time
+/// `connect` returns, so a refusal is returned here.
+pub(super) fn dial(peer: &str) -> io::Result<TcpStream> {
+    let addr = peer.to_socket_addrs()?.next();
+    linux::dial(addr.ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "no address"))?)
+}
+
 mod linux {
     use std::io;
     use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, SocketAddrV4, SocketAddrV6, TcpStream};
     use std::os::unix::io::FromRawFd;
 
+    const SOCK_STREAM: i32 = 1;
     const SOCK_NONBLOCK: i32 = 0o4000;
     const SOCK_CLOEXEC: i32 = 0o2000000;
     const IPPROTO_TCP: i32 = 6;
     const TCP_NODELAY: i32 = 1;
     const AF_INET: u16 = 2;
     const AF_INET6: u16 = 10;
+    const EINPROGRESS: i32 = 115;
 
     /// `struct sockaddr_storage`: 128 bytes, aligned for any address.
     #[repr(C, align(8))]
@@ -40,6 +54,8 @@ mod linux {
     extern "C" {
         fn accept4(fd: i32, addr: *mut SockAddrStorage, len: *mut u32, flags: i32) -> i32;
         fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
+        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
+        fn connect(fd: i32, addr: *const SockAddrStorage, len: u32) -> i32;
     }
 
     pub(super) fn set_nodelay(listener: i32) -> io::Result<()> {
@@ -74,6 +90,46 @@ mod linux {
         // nothing else owns; the `TcpStream` closes it when dropped.
         let stream = unsafe { TcpStream::from_raw_fd(fd) };
         Ok((stream, peer_of(&addr.0)))
+    }
+
+    pub(super) fn dial(addr: SocketAddr) -> io::Result<TcpStream> {
+        // `sockaddr_in` / `sockaddr_in6`: family in host order, port and
+        // address in network order (no IPv6 flow info).
+        let mut raw = SockAddrStorage([0; 128]);
+        raw.0[2..4].copy_from_slice(&addr.port().to_be_bytes());
+        let (family, len) = match addr {
+            SocketAddr::V4(v4) => {
+                raw.0[4..8].copy_from_slice(&v4.ip().octets());
+                (AF_INET, 16)
+            }
+            SocketAddr::V6(v6) => {
+                raw.0[8..24].copy_from_slice(&v6.ip().octets());
+                raw.0[24..28].copy_from_slice(&v6.scope_id().to_ne_bytes());
+                (AF_INET6, 28)
+            }
+        };
+        raw.0[..2].copy_from_slice(&family.to_ne_bytes());
+        // SAFETY: no pointer is passed.
+        let fd = unsafe { socket(family.into(), SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        // SAFETY: `fd` is a socket just made and owned by nothing else;
+        // the `TcpStream` closes it when dropped, on any early return too.
+        let stream = unsafe { TcpStream::from_raw_fd(fd) };
+        set_nodelay(fd)?;
+        // SAFETY: `raw` holds a `sockaddr_in` / `sockaddr_in6` of `len`
+        // bytes and outlives the call.
+        if unsafe { connect(fd, &raw, len) } < 0 {
+            let err = io::Error::last_os_error();
+            if err.raw_os_error() != Some(EINPROGRESS) {
+                return Err(err);
+            }
+        }
+        match stream.take_error()? {
+            Some(err) => Err(err),
+            None => Ok(stream),
+        }
     }
 
     /// Read a `sockaddr_in` / `sockaddr_in6` (family in host order, port

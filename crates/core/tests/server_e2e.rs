@@ -1357,8 +1357,8 @@ fn deadlines_reap_an_idle_a_dribbling_and_a_non_reading_peer() {
         who.sort();
         who
     };
-    assert_eq!(reaped("idle shutdown"), vec![silent.local_label()]);
-    let mut stage = vec![dribbler.local_label(), stalled.local_label()];
+    assert_eq!(reaped("idle shutdown"), vec![silent.peer_label()]);
+    let mut stage = vec![dribbler.peer_label(), stalled.peer_label()];
     stage.sort();
     assert_eq!(reaped("stage deadline exceeded"), stage);
     server.shutdown();

@@ -164,7 +164,8 @@ fn every_ci_name_filter_selects_a_test() {
     // clock-read pin, the one-CPU routing (with the one test skipped
     // where there is no second CPU), the thread pools (stepped ones
     // too), the stepped server, the explorer's determinism and its data
-    // plane (the faulted-transfer pin among it), by name.
+    // plane (the faulted-transfer pin among it) and the relay
+    // differential, by name.
     for filter in [
         "on_one_cpu",
         "backs_off",
@@ -187,6 +188,7 @@ fn every_ci_name_filter_selects_a_test() {
         "stepped::tests",
         "determinism",
         "data_plane",
+        "relay_diff",
         "transfers_on_faulted_connections",
         "transport::tests::epoll_wait_rounds",
         "clock_reads",
